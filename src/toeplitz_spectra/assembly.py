@@ -359,16 +359,6 @@ class TruncatedOperator:
         }
         return cls(basis, blocks, "I")
 
-    @classmethod
-    def zero(cls, basis: GlobalBasis) -> "TruncatedOperator":
-        from .lattice import dim_h_kappa
-
-        blocks = {
-            k: np.zeros((dim_h_kappa(basis.cfg, k),) * 2, dtype=complex)
-            for k in basis.kappas
-        }
-        return cls(basis, blocks, "0")
-
 
 # ---------------------------------------------------------------------------
 # Projections
@@ -383,18 +373,8 @@ class ProjectionMask:
     diag: np.ndarray  # bool (dim,)
     basis: GlobalBasis
 
-    @property
-    def rank(self) -> int:
-        return int(self.diag.sum())
-
     def __and__(self, other: "ProjectionMask") -> "ProjectionMask":
         return ProjectionMask(f"({self.kind})&({other.kind})", self.diag & other.diag, self.basis)
-
-    def __or__(self, other: "ProjectionMask") -> "ProjectionMask":
-        return ProjectionMask(f"({self.kind})|({other.kind})", self.diag | other.diag, self.basis)
-
-    def complement(self) -> "ProjectionMask":
-        return ProjectionMask(f"~({self.kind})", ~self.diag, self.basis)
 
     def as_operator(self) -> TruncatedOperator:
         blocks = {}
@@ -484,10 +464,6 @@ class AlgebraModel:
         self._blocks: dict[tuple[int, int], BlockMatrix] = {}
         self._gammas: dict[Index, complex] = {}
         self._bases: dict[int, GlobalBasis] = {}
-        self.cache_hits = 0
-
-    def symbol(self, j: int) -> PseudoHomogeneousSymbol | None:
-        return self.symbols.get(j)
 
     def basis(self, D: int) -> GlobalBasis:
         if D not in self._bases:
@@ -516,13 +492,10 @@ class AlgebraModel:
                     symbol_key="identity", order=self.block_order,
                 )
             else:
-                before = self.cache.hits if self.cache else 0
                 self._blocks[key] = assemble_block(
                     sym, j, d, order=self.block_order,
                     torus_grid=self.torus_grid, cache=self.cache,
                 )
-                if self.cache and self.cache.hits > before:
-                    self.cache_hits += 1
         return self._blocks[key]
 
     def kappa_matrix(self, kappa: Index, rho: Index | None = None) -> np.ndarray:
@@ -534,14 +507,14 @@ class AlgebraModel:
             mats.append(np.linalg.matrix_power(b, power) if power != 1 else b)
         return reduce(np.kron, mats)
 
-    def truncated_product(self, D: int, *, include_radial: bool = True) -> TruncatedOperator:
+    def truncated_product(self, D: int) -> TruncatedOperator:
         """T_{a prod_j c_j} on the cap-D truncation."""
         basis = self.basis(D)
-        blocks = {}
-        for kappa in basis.kappas:
-            g = self.gamma(kappa) if include_radial else 1.0
-            blocks[kappa] = complex(g) * self.kappa_matrix(kappa)
-        label = "T[" + (self.quasi_radial.label if include_radial and self.quasi_radial else "1")
+        blocks = {
+            kappa: complex(self.gamma(kappa)) * self.kappa_matrix(kappa)
+            for kappa in basis.kappas
+        }
+        label = "T[" + (self.quasi_radial.label if self.quasi_radial else "1")
         label += "*" + "*".join(s.label for s in self.symbols.values()) + "]"
         return TruncatedOperator(basis, blocks, label)
 
@@ -567,42 +540,12 @@ class AlgebraModel:
         )
 
 
-def assemble_truncated(
-    a: QuasiRadialSymbol | None,
-    cs,
-    cfg: PartitionConfig,
-    D: int,
-    *,
-    block_order: int = 48,
-    gamma_order: int = 48,
-    torus_grid: int = 64,
-    cache: BlockCache | None = None,
-) -> TruncatedOperator:
-    """One-shot assembly of T_{a prod c_j}; cs maps 1-based groups to symbols."""
-    symbols = dict(cs) if isinstance(cs, dict) else {
-        j: sym for j, sym in enumerate(cs, start=1) if sym is not None
-    }
-    model = AlgebraModel(
-        cfg=cfg, quasi_radial=a, symbols=symbols,
-        block_order=block_order, gamma_order=gamma_order,
-        torus_grid=torus_grid, cache=cache,
-    )
-    return model.truncated_product(D)
-
-
 # ---------------------------------------------------------------------------
 # Cross-block verification support
 # ---------------------------------------------------------------------------
 
 
-def cross_block_entry_bound(
-    model: AlgebraModel,
-    D: int,
-    *,
-    sphere_order: int = 24,
-    torus_grid: int = 32,
-    radial_samples: int = 512,
-) -> float:
+def cross_block_entry_bound(model: AlgebraModel, D: int) -> float:
     """Rigorous upper bound on |<T_{ac} e_alpha, e_beta>| over all pairs with
     kappa(alpha) != kappa(beta) inside the cap-D truncation.
 
@@ -616,14 +559,16 @@ def cross_block_entry_bound(
     cfg = model.cfg
     basis = model.basis(D)
 
+    # sup |a| over 512 random radii.
     sup_a = 1.0
     if model.quasi_radial is not None:
         rng = np.random.default_rng(20240521)
-        u = rng.dirichlet(np.ones(cfg.m + 1), size=radial_samples)[:, : cfg.m]
-        scale = rng.random((radial_samples, 1))
+        u = rng.dirichlet(np.ones(cfg.m + 1), size=512)[:, : cfg.m]
+        scale = rng.random((512, 1))
         sup_a = float(np.max(np.abs(model.quasi_radial(np.sqrt(u * scale)))))
 
-    # Probe max |c_hat(., p)| per group and mode over a fixed sphere sample.
+    # Probe max |c_hat(., p)| per group and mode over a fixed sphere sample
+    # (order-12 rule, torus grid of at least 32 per axis).
     chat_sup: dict[tuple[int, Index], float] = {}
 
     def chat_max(j: int, p: Index) -> float:
@@ -639,9 +584,9 @@ def cross_block_entry_bound(
             if declared is not None and p not in declared:
                 val = 0.0
             else:
-                rule = dirichlet_probability_rule((0.0,) * kj, max(6, sphere_order // 2))
+                rule = dirichlet_probability_rule((0.0,) * kj, 12)
                 spts = np.sqrt(rule.nodes_closed)
-                grid = max(torus_grid, 2 * max((abs(v) for v in p), default=0) + 1)
+                grid = max(32, 2 * max((abs(v) for v in p), default=0) + 1)
                 vals = fourier_on_points(sym.fn, spts, p, grid=grid)
                 val = float(np.max(np.abs(vals)))
         chat_sup[key] = val

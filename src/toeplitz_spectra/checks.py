@@ -1,0 +1,267 @@
+"""Check registry: the one implementation of every cross-oracle check.
+
+`toeplitz-spectra verify` and the acceptance suite call the same
+functions with their own sizes.  Each function computes one check family
+from explicit inputs (a model or context, an rng, sizes) and returns
+records {name, passed, residual, tolerance, detail}; a check passes when
+its residual is below its tolerance.  Exact yes/no checks report residual
+0 or 1 against tolerance 0.5.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import product
+
+import numpy as np
+
+from .assembly import (
+    AlgebraModel,
+    assemble_block,
+    cross_block_entry_bound,
+    gamma_quasi_radial,
+    orthogonalize_projections,
+    projection,
+)
+from .gelfand import (
+    DiagonalCoefficient,
+    FiniteSum,
+    evaluate_gelfand,
+    sample_ideal_space,
+)
+from .lattice import GlobalBasis, PartitionConfig, enumerate_kappa
+from .quad import dirichlet_integral, simplex_integrate
+from .radical import decompose_by_division, radical_generator
+from .spectra import PlanarRegion, SpectralContext, polynomial_hull_2d
+from .symbols import QuasiRadialSymbol, constant_symbol
+
+
+def _record(name: str, residual, tolerance: float, detail: str = "") -> dict:
+    return {
+        "name": name,
+        "passed": bool(residual < tolerance),
+        "residual": float(residual),
+        "tolerance": float(tolerance),
+        "detail": detail,
+    }
+
+
+def _flag(name: str, ok: bool) -> dict:
+    return _record(name, 0.0 if ok else 1.0, 0.5)
+
+
+def _dirichlet_poly_moment(a, q: int) -> float:
+    """int (s_1+...+s_p)^q prod s^a (1-sum s)^{a_last} via the multinomial
+    expansion into Dirichlet closed forms."""
+    p = len(a) - 1
+    total = 0.0
+    for gamma in product(range(q + 1), repeat=p):
+        if sum(gamma) != q:
+            continue
+        coef = math.factorial(q)
+        for g in gamma:
+            coef //= math.factorial(g)
+        shifted = tuple(ai + gi for ai, gi in zip(a[:p], gamma)) + (a[p],)
+        total += coef * dirichlet_integral(shifted)
+    return total
+
+
+def dirichlet_vs_simplex(
+    rng: np.random.Generator, trials: int, order: int, power: int
+) -> list[dict]:
+    """Closed Dirichlet forms vs the absorbed-weight simplex rule on random
+    half-integer exponents, integrand (s_1+...+s_p)^power; a nonzero power
+    makes the check sensitive to the rule order."""
+    worst = 0.0
+    for _ in range(trials):
+        k = int(rng.integers(2, 5))
+        a = tuple(float(v) for v in rng.choice(np.arange(0.0, 20.5, 0.5), size=k))
+        exact = _dirichlet_poly_moment(a, power)
+        approx = simplex_integrate(
+            lambda s: s.sum(axis=1) ** power, k - 1, order, weight=a
+        ).real
+        worst = max(worst, abs(approx - exact) / exact)
+    return [_record("dirichlet-vs-simplex", worst, 1e-10)]
+
+
+def gamma_identity(cfg: PartitionConfig, cap: int, order: int = 48) -> list[dict]:
+    """gamma of the trivial quasi-radial symbol is one for |kappa| <= cap."""
+    one = QuasiRadialSymbol.one(cfg.m)
+    worst = max(
+        abs(gamma_quasi_radial(one, cfg, kappa, order) - 1.0)
+        for kappa in enumerate_kappa(cfg, cap)
+    )
+    return [_record("gamma-identity", worst, 1e-10)]
+
+
+def identity_blocks(group_sizes, max_degree: int, order: int = 48) -> list[dict]:
+    """Blocks of the constant symbol 1 are identities for d <= max_degree."""
+    worst = 0.0
+    for j, kj in enumerate(group_sizes, start=1):
+        triv = constant_symbol(j, kj, 1.0)
+        for d in range(max_degree + 1):
+            b = assemble_block(triv, j, d, order=order)
+            worst = max(worst, float(np.max(np.abs(b.mat - np.eye(b.dim)))))
+    return [_record("identity-blocks", worst, 1e-12)]
+
+
+def cross_block_orthogonality(model: AlgebraModel, D: int) -> list[dict]:
+    """Bound on entries between different H_kappa of the cap-D truncation."""
+    return [_record("cross-block-orthogonality", cross_block_entry_bound(model, D), 1e-10)]
+
+
+def commutativity_and_product(model: AlgebraModel, D: int) -> list[dict]:
+    """T_a commutes with every T_{c_j}, and T_{a prod c_j} = T_a prod T_{c_j}."""
+    t_rad = model.truncated_radial(D)
+    gens = {j: model.truncated_generator(j, D) for j in sorted(model.symbols)}
+    worst_c = max((t_rad.commutator_fro(g) for g in gens.values()), default=0.0)
+    assembled = t_rad
+    for g in gens.values():
+        assembled = assembled @ g
+    worst_p = (model.truncated_product(D) - assembled).fro()
+    return [
+        _record("commutativity", worst_c, 1e-9),
+        _record("product-identity", worst_p, 1e-9),
+    ]
+
+
+def quadrature_doubling(model: AlgebraModel, gamma_cap: int, block_degree: int) -> list[dict]:
+    """Drift of gamma values (|kappa| <= gamma_cap) and of the degree
+    block_degree group blocks when every quadrature order is doubled."""
+    drift = 0.0
+    if model.quasi_radial is not None:
+        for kappa in enumerate_kappa(model.cfg, gamma_cap):
+            g1 = gamma_quasi_radial(model.quasi_radial, model.cfg, kappa, model.gamma_order)
+            g2 = gamma_quasi_radial(model.quasi_radial, model.cfg, kappa, 2 * model.gamma_order)
+            drift = max(drift, abs(g1 - g2))
+    for j in sorted(model.symbols):
+        sym = model.symbols[j]
+        b1 = assemble_block(sym, j, block_degree, order=model.block_order)
+        b2 = assemble_block(sym, j, block_degree, order=2 * model.block_order)
+        drift = max(drift, float(np.max(np.abs(b1.mat - b2.mat))))
+    return [_record("quadrature-doubling", drift, 1e-9)]
+
+
+def tensor_eigenvectors(model: AlgebraModel, D: int) -> list[dict]:
+    """Kronecker products of group-block eigenvectors are joint eigenvectors
+    of the generators on every H_kappa with |kappa| <= D."""
+    m = model.cfg.m
+    worst = 0.0
+    for kappa in model.basis(D).kappas:
+        eigs = [np.linalg.eig(model.block(j, kappa[j - 1]).mat) for j in range(1, m + 1)]
+        gens = [
+            model.kappa_matrix(kappa, tuple(1 if i == j else 0 for i in range(1, m + 1)))
+            for j in range(1, m + 1)
+        ]
+        for combo in np.ndindex(*[len(w) for w, _ in eigs]):
+            g = eigs[0][1][:, combo[0]]
+            for j in range(1, m):
+                g = np.kron(g, eigs[j][1][:, combo[j]])
+            g = g / np.linalg.norm(g)
+            for j in range(m):
+                res = np.linalg.norm(gens[j] @ g - eigs[j][0][combo[j]] * g)
+                worst = max(worst, float(res))
+    return [_record("tensor-eigenvector", worst, 1e-9)]
+
+
+def planar_hulls(
+    rng: np.random.Generator, resolution: int, n_points: int, points_resolution: int
+) -> list[dict]:
+    """The unit circle's hull is the disk; hulls fix finite point sets and
+    are idempotent."""
+    circle = np.exp(2j * np.pi * np.arange(1000) / 1000)
+    hull = polynomial_hull_2d(PlanarRegion.from_curve(circle, resolution))
+    area_err = abs(hull.area() - math.pi) / math.pi
+    pts = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
+    finite = PlanarRegion.from_points(pts, points_resolution)
+    return [
+        _record("hull-circle-area", area_err, 0.01),
+        _flag("hull-finite-fixed", np.array_equal(polynomial_hull_2d(finite).occ, finite.occ)),
+        _flag("hull-idempotent", np.array_equal(polynomial_hull_2d(hull).occ, hull.occ)),
+    ]
+
+
+def projection_identities(basis: GlobalBasis, qtilde_degree: int) -> list[dict]:
+    """P_kappa = prod_j Q_{kappa_j}^(j), Q_d^(j) = sum of its P_kappa, and the
+    orthogonalized Qtilde masks are disjoint with the same union."""
+    cfg, cap = basis.cfg, basis.cap
+    ok = True
+    for kappa in basis.kappas:
+        masks = [projection("Q", (j, kappa[j - 1]), cfg, cap, basis) for j in range(1, cfg.m + 1)]
+        combined = masks[0]
+        for msk in masks[1:]:
+            combined = combined & msk
+        ok = ok and np.array_equal(combined.diag, projection("P", kappa, cfg, cap, basis).diag)
+    for j in range(1, cfg.m + 1):
+        for d in range(cap + 1):
+            acc = np.zeros(basis.dim, dtype=bool)
+            for kappa in basis.kappas:
+                if kappa[j - 1] == d:
+                    acc |= projection("P", kappa, cfg, cap, basis).diag
+            ok = ok and np.array_equal(acc, projection("Q", (j, d), cfg, cap, basis).diag)
+    qtildes = [
+        projection("Qtilde", (j, qtilde_degree), cfg, cap, basis) for j in range(1, cfg.m + 1)
+    ]
+    orth = orthogonalize_projections(qtildes)
+    union_in = np.zeros(basis.dim, dtype=bool)
+    union_out = np.zeros(basis.dim, dtype=bool)
+    for q, p in zip(qtildes, orth):
+        union_in |= q.diag
+        union_out |= p.diag
+    ok = ok and np.array_equal(union_in, union_out)
+    for x in range(len(orth)):
+        for y in range(x + 1, len(orth)):
+            ok = ok and not np.any(orth[x].diag & orth[y].diag)
+    return [_flag("projection-identities", ok)]
+
+
+def random_finite_sum(
+    rng: np.random.Generator, cfg: PartitionConfig, cap: int, n_terms: int
+) -> FiniteSum:
+    """n_terms random (gamma, rho) terms: rho_j in {0, 1, 2}, gamma a table of
+    complex normals over |kappa| <= cap (zero beyond)."""
+    total = FiniteSum.zero(cfg.m)
+    kappas = enumerate_kappa(cfg, cap)
+    for _ in range(n_terms):
+        rho = tuple(int(rng.integers(0, 3)) for _ in range(cfg.m))
+        table = {
+            kappa: complex(rng.standard_normal(), rng.standard_normal()) for kappa in kappas
+        }
+        total = total + FiniteSum.term(cfg.m, DiagonalCoefficient.from_table(table), rho)
+    return total
+
+
+def division_reconstruction(ctx: SpectralContext, cases, group: int, D: int) -> list[dict]:
+    """Q_d A = sum_l S_l h_l(T_j) on the cap-D truncation for each (A, d) in
+    cases; a part S_l (l < n) that still holds the generator counts as
+    residual 1."""
+    worst = 0.0
+    for A, d in cases:
+        parts = decompose_by_division(A, group, d, ctx)
+        worst = max(worst, parts.reconstruction_residual(ctx.model, D))
+        if not parts.structurally_free_of_generator():
+            worst = max(worst, 1.0)
+    return [_record("division-reconstruction", worst, 1e-9)]
+
+
+def radical_gelfand_vanishing(
+    ctx: SpectralContext,
+    group: int,
+    gamma: DiagonalCoefficient,
+    D: int,
+    *,
+    sample_cap: int,
+    budget: int,
+    K_sur: int = 10_000,
+    zeta_per_region: int = 8,
+) -> list[dict]:
+    """The level-1 radical generator of ``group`` on the cap-D truncation
+    vanishes on the functionals sampled up to sample_cap."""
+    gen = radical_generator(ctx, group, gamma, 1, D, K_sur=K_sur)
+    points = sample_ideal_space(
+        ctx, sample_cap, budget, K_sur=K_sur, zeta_per_region=zeta_per_region
+    )
+    psi_max = max((abs(evaluate_gelfand(gen.finite_sum, p)) for p in points), default=0.0)
+    return [
+        _record("radical-gelfand-vanishing", psi_max, 1e-8, f"{len(points)} functionals sampled")
+    ]

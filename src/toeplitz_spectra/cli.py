@@ -20,28 +20,17 @@ import concurrent.futures
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
-
-from . import __version__
-from .assembly import (
-    AlgebraModel,
-    BlockCache,
-    TruncatedOperator,
-    cross_block_entry_bound,
-    gamma_quasi_radial,
-)
+from . import __version__, checks
+from .assembly import AlgebraModel, BlockCache, TruncatedOperator
 from .errors import ConfigError, ToeplitzError
 from .gelfand import (
     DiagonalCoefficient,
@@ -52,8 +41,7 @@ from .gelfand import (
     spectral_radius_estimate,
     validate_gelfand_point,
 )
-from .lattice import PartitionConfig, block_indices, enumerate_kappa
-from .quad import dirichlet_integral, simplex_integrate
+from .lattice import PartitionConfig
 from .radical import (
     decompose_by_division,
     is_semisimple,
@@ -67,11 +55,11 @@ from .spectra import (
     accumulation_check,
     berezin_sequence,
     is_inverse_closed,
-    polynomial_hull_2d,
     spectrum_with_hull,
 )
 from .symbols import (
     MonomialProfile,
+    PseudoHomogeneousSymbol,
     QuasiRadialSymbol,
     builtin_quasi_homogeneous,
     constant_symbol,
@@ -233,11 +221,10 @@ def load_config(path: str | Path) -> dict:
 
 
 def validate_config(raw: dict) -> dict:
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(raw, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"config failed schema validation: {exc.message}")
+    try:
+        jsonschema.validate(raw, CONFIG_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise ConfigError(f"config failed schema validation: {exc.message}")
     cfg = _fill_defaults(raw)
     part = cfg["partition"]
     k = tuple(part["k"])
@@ -375,7 +362,7 @@ def write_report(setup: Setup, command: str, payload: dict, started: float) -> P
         "payload_sha256": hashlib.sha256(canonical_payload_bytes(payload)).hexdigest(),
         "tool_version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
-        "cache_hit": setup.model.cache_hits > 0,
+        "cache_hit": setup.model.cache is not None and setup.model.cache.hits > 0,
         "warnings": list(setup.warnings),
     }
     path = setup.out_dir / f"report_{command}.json"
@@ -668,7 +655,7 @@ def cmd_radical(setup: Setup) -> dict:
     rng = np.random.default_rng(setup.config["seed"])
     residuals = []
     for _ in range(3):
-        A = _random_finite_sum(rng, setup.cfg.m, D)
+        A = checks.random_finite_sum(rng, setup.cfg, D, 4)
         parts = decompose_by_division(A, j, min(2, D), setup.ctx)
         residuals.append(parts.reconstruction_residual(setup.model, D))
     nc = norm_constants(setup.ctx, j, min(2, D))
@@ -692,240 +679,41 @@ def cmd_radical(setup: Setup) -> dict:
     }
 
 
-def _random_finite_sum(rng, m: int, cap: int, n_terms: int = 4) -> FiniteSum:
-    total = FiniteSum.zero(m)
-    kappas = enumerate_kappa_cached(m, cap)
-    for _ in range(n_terms):
-        rho = tuple(int(rng.integers(0, 3)) for _ in range(m))
-        table = {
-            kappa: complex(rng.standard_normal(), rng.standard_normal())
-            for kappa in kappas
-        }
-        gamma = DiagonalCoefficient.from_table(table, default=0.0)
-        total = total + FiniteSum.term(m, gamma, rho)
-    return total
-
-
-def enumerate_kappa_cached(m: int, cap: int):
-    out = []
-    for deg in range(cap + 1):
-        out.extend(block_indices(m, deg))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Verify
 # ---------------------------------------------------------------------------
 
 
-def _dirichlet_poly_moment(a, q: int) -> float:
-    """int (s_1+...+s_p)^q prod s^a (1-sum s)^{a_last} via the multinomial
-    expansion into Dirichlet closed forms."""
-    from itertools import product as iproduct
-
-    p = len(a) - 1
-    total = 0.0
-    for gamma in iproduct(range(q + 1), repeat=p):
-        if sum(gamma) != q:
-            continue
-        coef = math.factorial(q)
-        for g in gamma:
-            coef //= math.factorial(g)
-        shifted = tuple(ai + gi for ai, gi in zip(a[:p], gamma)) + (a[p],)
-        total += coef * dirichlet_integral(shifted)
-    return total
-
-
-def _check(name, passed, residual, tolerance, detail="") -> dict:
-    return {
-        "name": name,
-        "passed": bool(passed),
-        "residual": float(residual),
-        "tolerance": float(tolerance),
-        "detail": detail,
-    }
-
-
 def cmd_verify(setup: Setup) -> dict:
     D = setup.config["degree_cap"]
     _precompute_blocks(setup, D)
-    checks = []
+    model, ctx, cfg = setup.model, setup.ctx, setup.cfg
+    # One generator, drawn in order by the Dirichlet trials, the hull's
+    # finite points and the division sums.
     rng = np.random.default_rng(setup.config["seed"])
-    order = setup.config["quadrature"]["block_order"]
-
-    # Dirichlet closed form vs absorbed-weight simplex rule, with a
-    # nontrivial polynomial factor so the check is sensitive to the order.
-    worst = 0.0
-    for _ in range(60):
-        k = int(rng.integers(2, 5))
-        a = tuple(float(v) for v in rng.choice(np.arange(0.0, 20.5, 0.5), size=k))
-        q = 4
-        exact = _dirichlet_poly_moment(a, q)
-        approx = simplex_integrate(
-            lambda s: s.sum(axis=1) ** q, k - 1, order, weight=a
-        ).real
-        worst = max(worst, abs(approx - exact) / exact)
-    checks.append(_check("dirichlet-vs-simplex", worst < 1e-10, worst, 1e-10))
-
-    # gamma of the trivial symbol is one.
-    one = QuasiRadialSymbol.one(setup.cfg.m)
-    worst = max(
-        abs(gamma_quasi_radial(one, setup.cfg, kappa, setup.model.gamma_order) - 1.0)
-        for kappa in enumerate_kappa(setup.cfg, min(D + 2, 8))
-    )
-    checks.append(_check("gamma-identity", worst < 1e-10, worst, 1e-10))
-
-    # Identity blocks.
-    worst = 0.0
-    for j in range(1, setup.cfg.m + 1):
-        triv = constant_symbol(j, setup.cfg.k[j - 1], 1.0)
-        from .assembly import assemble_block
-
-        for d in range(min(D, 6) + 1):
-            b = assemble_block(triv, j, d, order=order)
-            worst = max(worst, float(np.max(np.abs(b.mat - np.eye(b.dim)))))
-    checks.append(_check("identity-blocks", worst < 1e-12, worst, 1e-12))
-
-    # Cross-block orthogonality bound.
-    bound = cross_block_entry_bound(setup.model, min(D, 4))
-    checks.append(_check("cross-block-orthogonality", bound < 1e-10, bound, 1e-10))
-
-    # Commutativity and the product identity.
-    t_prod = setup.model.truncated_product(D)
-    t_rad = setup.model.truncated_radial(D)
-    gens = {j: setup.model.truncated_generator(j, D) for j in sorted(setup.model.symbols)}
-    worst_c = max(
-        (t_rad.commutator_fro(g) for g in gens.values()), default=0.0
-    )
-    assembled = t_rad
-    for j in sorted(gens):
-        assembled = assembled @ gens[j]
-    worst_p = (t_prod - assembled).fro()
-    checks.append(_check("commutativity", worst_c < 1e-9, worst_c, 1e-9))
-    checks.append(_check("product-identity", worst_p < 1e-9, worst_p, 1e-9))
-
-    # Quadrature-order doubling (Richardson-style difference).
-    drift = 0.0
-    if setup.model.quasi_radial is not None:
-        for kappa in enumerate_kappa(setup.cfg, min(D, 4)):
-            g1 = gamma_quasi_radial(setup.model.quasi_radial, setup.cfg, kappa, setup.model.gamma_order)
-            g2 = gamma_quasi_radial(setup.model.quasi_radial, setup.cfg, kappa, 2 * setup.model.gamma_order)
-            drift = max(drift, abs(g1 - g2))
-    for j in sorted(setup.model.symbols):
-        from .assembly import assemble_block
-
-        sym = setup.model.symbols[j]
-        for d in (min(D, 3),):
-            b1 = assemble_block(sym, j, d, order=order)
-            b2 = assemble_block(sym, j, d, order=2 * order)
-            drift = max(drift, float(np.max(np.abs(b1.mat - b2.mat))))
-    checks.append(_check("quadrature-doubling", drift < 1e-9, drift, 1e-9))
-
-    # Tensor eigenvectors realize joint spectra.
-    worst = 0.0
-    basis = setup.model.basis(min(D, 4))
-    for kappa in basis.kappas:
-        vecs = []
-        vals = []
-        degenerate = False
-        for j in range(1, setup.cfg.m + 1):
-            mat = setup.model.block(j, kappa[j - 1]).mat
-            if mat.shape[0] == 0:
-                degenerate = True
-                break
-            w, v = np.linalg.eig(mat)
-            vecs.append(v)
-            vals.append(w)
-        if degenerate:
-            continue
-        for combo in np.ndindex(*[len(v) for v in vals]):
-            g = vecs[0][:, combo[0]]
-            for j in range(1, setup.cfg.m):
-                g = np.kron(g, vecs[j][:, combo[j]])
-            g = g / np.linalg.norm(g)
-            for j in range(1, setup.cfg.m + 1):
-                block = setup.model.kappa_matrix(
-                    kappa, tuple(1 if i == j else 0 for i in range(1, setup.cfg.m + 1))
-                )
-                res = np.linalg.norm(block @ g - vals[j - 1][combo[j - 1]] * g)
-                worst = max(worst, float(res))
-    checks.append(_check("tensor-eigenvector", worst < 1e-9, worst, 1e-9))
-
-    # Hull: circle fills to the disk, finite sets are fixed, idempotence.
-    circle = np.exp(2j * np.pi * np.arange(1000) / 1000)
-    region = PlanarRegion.from_curve(circle, setup.ctx.hull_resolution)
-    hull = polynomial_hull_2d(region)
-    area_err = abs(hull.area() - math.pi) / math.pi
-    checks.append(_check("hull-circle-area", area_err < 0.01, area_err, 0.01))
-    pts = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    finite_region = PlanarRegion.from_points(pts, 256)
-    fixed = np.array_equal(polynomial_hull_2d(finite_region).occ, finite_region.occ)
-    idem = np.array_equal(polynomial_hull_2d(hull).occ, hull.occ)
-    checks.append(_check("hull-finite-fixed", fixed, 0.0 if fixed else 1.0, 0.5))
-    checks.append(_check("hull-idempotent", idem, 0.0 if idem else 1.0, 0.5))
-
-    # Projection mask identities, plus orthogonalization of overlapping masks.
-    pbasis = setup.model.basis(min(D, 4))
-    from .assembly import orthogonalize_projections, projection
-
-    ok = True
-    for kappa in pbasis.kappas:
-        masks = [
-            projection("Q", (j, kappa[j - 1]), setup.cfg, pbasis.cap, pbasis)
-            for j in range(1, setup.cfg.m + 1)
-        ]
-        combined = masks[0]
-        for msk in masks[1:]:
-            combined = combined & msk
-        pk = projection("P", kappa, setup.cfg, pbasis.cap, pbasis)
-        ok = ok and np.array_equal(combined.diag, pk.diag)
-    for j in range(1, setup.cfg.m + 1):
-        for d in range(pbasis.cap + 1):
-            qd = projection("Q", (j, d), setup.cfg, pbasis.cap, pbasis)
-            acc = np.zeros_like(qd.diag)
-            for kappa in pbasis.kappas:
-                if kappa[j - 1] == d:
-                    acc |= projection("P", kappa, setup.cfg, pbasis.cap, pbasis).diag
-            ok = ok and np.array_equal(acc, qd.diag)
-    qtildes = [
-        projection("Qtilde", (j, min(1, pbasis.cap)), setup.cfg, pbasis.cap, pbasis)
-        for j in range(1, setup.cfg.m + 1)
+    target_j = min(model.symbols) if model.symbols else 1
+    records = [
+        *checks.dirichlet_vs_simplex(rng, 60, model.block_order, power=4),
+        *checks.gamma_identity(cfg, min(D + 2, 8), model.gamma_order),
+        *checks.identity_blocks(cfg.k, min(D, 6), model.block_order),
+        *checks.cross_block_orthogonality(model, min(D, 4)),
+        *checks.commutativity_and_product(model, D),
+        *checks.quadrature_doubling(model, min(D, 4), min(D, 3)),
+        *checks.tensor_eigenvectors(model, min(D, 4)),
+        *checks.planar_hulls(rng, ctx.hull_resolution, 12, 256),
+        *checks.projection_identities(model.basis(min(D, 4)), min(1, D)),
+        *checks.division_reconstruction(
+            ctx,
+            [(checks.random_finite_sum(rng, cfg, min(D, 3), 4), min(2, D)) for _ in range(5)],
+            target_j,
+            min(D, 3),
+        ),
+        *checks.radical_gelfand_vanishing(
+            ctx, target_j, DiagonalCoefficient.indicator_degree(target_j, min(1, D)), D,
+            sample_cap=min(D, 4), budget=400, K_sur=setup.config["surrogate_kappa"],
+        ),
     ]
-    orth = orthogonalize_projections(qtildes)
-    union_in = np.zeros_like(qtildes[0].diag)
-    union_out = np.zeros_like(qtildes[0].diag)
-    for q, p in zip(qtildes, orth):
-        union_in |= q.diag
-        union_out |= p.diag
-    ok = ok and np.array_equal(union_in, union_out)
-    for x in range(len(orth)):
-        for y in range(x + 1, len(orth)):
-            ok = ok and not np.any(orth[x].diag & orth[y].diag)
-    checks.append(_check("projection-identities", ok, 0.0 if ok else 1.0, 0.5))
-
-    # Division reconstruction on random finite sums.
-    worst = 0.0
-    target_j = min(setup.model.symbols) if setup.model.symbols else 1
-    for _ in range(5):
-        A = _random_finite_sum(rng, setup.cfg.m, min(D, 3))
-        parts = decompose_by_division(A, target_j, min(2, D), setup.ctx)
-        worst = max(worst, parts.reconstruction_residual(setup.model, min(D, 3)))
-        if not parts.structurally_free_of_generator():
-            worst = max(worst, 1.0)
-    checks.append(_check("division-reconstruction", worst < 1e-9, worst, 1e-9))
-
-    # Radical generator vanishes on sampled functionals.
-    gamma = DiagonalCoefficient.indicator_degree(target_j, min(1, D))
-    gen = radical_generator(
-        setup.ctx, target_j, gamma, 1, D, K_sur=setup.config["surrogate_kappa"]
-    )
-    points = sample_ideal_space(setup.ctx, min(D, 4), 400, K_sur=setup.config["surrogate_kappa"])
-    psi_max = max((abs(evaluate_gelfand(gen.finite_sum, p)) for p in points), default=0.0)
-    checks.append(_check("radical-gelfand-vanishing", psi_max < 1e-8, psi_max, 1e-8,
-                         detail=f"{len(points)} functionals sampled"))
-
-    all_ok = all(c["passed"] for c in checks)
-    return {"checks": checks, "all_passed": all_ok}
+    return {"checks": records, "all_passed": all(c["passed"] for c in records)}
 
 
 def cmd_info(setup: Setup | None) -> dict:

@@ -209,35 +209,18 @@ class GelfandPoint:
     zeta: tuple[complex, ...]
     surrogate: bool
 
-    @property
-    def j_theta(self) -> tuple[int, ...]:
-        return tuple(j for j, t in enumerate(self.theta, start=1) if t == 1)
 
-
-def evaluate_gelfand(A: FiniteSum, point: GelfandPoint, *, richardson: bool = False) -> complex:
+def evaluate_gelfand(A: FiniteSum, point: GelfandPoint) -> complex:
     """sum_rho gamma_rho(mu) zeta^rho; exact on the theta = 1 stratum.
 
     Surrogate points evaluate the diagonal coefficients at the finite
-    directive degree; with ``richardson`` the escaped coordinates are also
-    probed at twice that degree and linearly extrapolated (off by default:
-    the surrogate is a labeled heuristic either way).
+    directive degree, a labeled heuristic.
     """
     if A.m != len(point.theta):
         raise GelfandError("sum and point have different group counts")
-
-    def gamma_at(gamma):
-        base = gamma(point.mu_kappa)
-        if not (richardson and point.surrogate):
-            return base
-        doubled = tuple(
-            2 * kap if t == 0 else kap for kap, t in zip(point.mu_kappa, point.theta)
-        )
-        far = gamma(doubled)
-        return 2.0 * far - base
-
     total = 0.0 + 0.0j
     for gamma, rho in A.terms:
-        factor = gamma_at(gamma)
+        factor = gamma(point.mu_kappa)
         for zj, pj in zip(point.zeta, rho):
             if pj:
                 factor *= zj**pj
@@ -274,7 +257,6 @@ def sample_ideal_space(
     *,
     K_sur: int = 10_000,
     zeta_per_region: int = 8,
-    kappa_theta_cap: int | None = None,
 ) -> list[GelfandPoint]:
     """Deterministic sample of the maximal ideal space.
 
@@ -301,7 +283,6 @@ def sample_ideal_space(
                 )
             )
 
-    cap = Dmax if kappa_theta_cap is None else kappa_theta_cap
     region_choices: dict[int, np.ndarray] = {}
     surrogate_count = 0
     thetas = [t for t in product((0, 1), repeat=m) if t != (1,) * m]
@@ -317,7 +298,7 @@ def sample_ideal_space(
             if not jfin
             else [
                 tuple(int(v) for v in kt)
-                for kt in _bounded_tuples(len(jfin), cap)
+                for kt in _bounded_tuples(len(jfin), Dmax)
             ]
         )
         for kt in finite_tuples:

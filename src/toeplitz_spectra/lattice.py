@@ -80,35 +80,6 @@ class PartitionConfig:
         return tuple(v for part in parts for v in part)
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """A multi-index bound to a partition, with its group view."""
-
-    entries: Index
-    cfg: PartitionConfig
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(v) for v in self.entries))
-        if any(v < 0 for v in self.entries):
-            raise LatticeError(f"multi-index entries must be nonnegative: {self.entries}")
-        if len(self.entries) != self.cfg.n:
-            raise LatticeError(
-                f"multi-index length {len(self.entries)} != n={self.cfg.n}"
-            )
-
-    @property
-    def groups(self) -> tuple[Index, ...]:
-        return self.cfg.split(self.entries)
-
-    @property
-    def kappa(self) -> Index:
-        return self.cfg.kappa_of(self.entries)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.entries)
-
-
 def _grevlex_key(alpha: Index) -> Index:
     # Within a fixed total degree, grevlex order is ascending lex on the
     # reversed tuple.
@@ -256,9 +227,6 @@ class GlobalBasis:
     def dim(self) -> int:
         return len(self.alphas)
 
-    def alpha_at(self, i: int) -> Index:
-        return self.alphas[i]
-
     def index_of(self, alpha: Index) -> int:
         try:
             return self._index[tuple(alpha)]
@@ -271,9 +239,6 @@ class GlobalBasis:
         except KeyError:
             raise LatticeError(f"kappa={kappa} outside the cap-{self.cap} truncation")
         return slice(start, start + size)
-
-    def kappa_of_index(self, i: int) -> Index:
-        return self.cfg.kappa_of(self.alphas[i])
 
     def kappa_array(self) -> np.ndarray:
         """(dim, m) integer array of group degrees per basis element."""

@@ -17,7 +17,7 @@ simplex rules are cross-validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -26,8 +26,6 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, roots_jacobi
 
 from .errors import QuadratureError
-
-Index = tuple[int, ...]
 
 
 @lru_cache(maxsize=4096)
@@ -127,10 +125,6 @@ class SimplexRule:
             sums = self.nodes.sum(axis=1)
             if np.any(self.nodes < -1e-14) or np.any(sums > 1 + 1e-12):
                 raise QuadratureError("rule nodes left the closed simplex")
-
-    @property
-    def npoints(self) -> int:
-        return len(self.weights)
 
     @property
     def nodes_closed(self) -> np.ndarray:
@@ -272,36 +266,6 @@ def torus_grid(dim: int, grid: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
-def torus_fourier_coefficient(c: Callable, p, s, grid: int = 64) -> complex:
-    """Fourier coefficient c_hat(s, p) = int_{T^k} c(s,t) t^{-p} dmu.
-
-    Uses the uniform product rule; exact when c(s, .) is a trigonometric
-    polynomial of per-axis bandwidth below grid/2.  Requires
-    grid >= 2*max|p_l| + 1.
-    """
-    p = tuple(int(v) for v in p)
-    k = len(p)
-    if grid < 2 * max((abs(v) for v in p), default=0) + 1:
-        raise QuadratureError(
-            f"grid {grid} too small for mode {p}; need >= {2 * max(abs(v) for v in p) + 1}"
-        )
-    tpts = torus_grid(k, grid)
-    phase = np.ones(tpts.shape[0], dtype=complex)
-    for axis, power in enumerate(p):
-        if power:
-            phase = phase * tpts[:, axis] ** (-power)
-    s_arr = np.asarray(s, dtype=float)
-    try:
-        vals = np.asarray(c(np.broadcast_to(s_arr, (tpts.shape[0],) + s_arr.shape), tpts))
-        if vals.shape != (tpts.shape[0],):
-            raise ValueError
-    except Exception:
-        vals = np.array([complex(c(s_arr, t)) for t in tpts])
-    if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
-        raise QuadratureError("symbol returned non-finite torus samples")
-    return complex(np.mean(vals * phase))
-
-
 def fourier_on_points(
     fn: Callable, s_points: np.ndarray, p, grid: int = 64
 ) -> np.ndarray:
@@ -325,34 +289,3 @@ def fourier_on_points(
     if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
         raise QuadratureError("symbol returned non-finite torus samples")
     return (vals * phase[None, :]).mean(axis=1)
-
-
-@dataclass
-class FourierTable:
-    """Per-group table of Fourier mode handles c_hat(s, p).
-
-    Declared entries must satisfy |p| = 0; anything else contradicts the
-    torus invariance of the symbol class and is rejected up front.
-    """
-
-    group: int
-    dim: int
-    entries: dict[Index, Callable] = field(default_factory=dict)
-
-    def declare(self, p, handle: Callable):
-        p = tuple(int(v) for v in p)
-        if sum(p) != 0:
-            raise QuadratureError(
-                f"declared Fourier mode {p} has |p| != 0; invariant symbols cannot carry it"
-            )
-        self.entries[p] = handle
-
-    def __contains__(self, p) -> bool:
-        return tuple(p) in self.entries
-
-    def __call__(self, s: np.ndarray, p) -> np.ndarray:
-        p = tuple(int(v) for v in p)
-        handle = self.entries.get(p)
-        if handle is None:
-            return np.zeros(s.shape[0], dtype=complex)
-        return np.asarray(handle(s), dtype=complex)

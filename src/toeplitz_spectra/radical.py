@@ -25,21 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadicalError
-from .gelfand import DiagonalCoefficient, FiniteSum, assemble_finite_sum
+from .gelfand import DiagonalCoefficient, FiniteSum, _coeff_product, assemble_finite_sum
 from .spectra import EigenData, SpectralContext
 from .assembly import TruncatedOperator
 
 GAP_ABORT = 1e-6  # eigenvalue gaps below this make the division ill-conditioned
-
-
-def distinct_eigenvalues(e: EigenData) -> np.ndarray:
-    """Deduplicated block eigenvalues in the pinned (re, im) order.
-
-    The h-polynomials and norm constants depend on this order; warnings
-    from the clustering pass are surfaced because close clusters make the
-    downstream divisions ill-conditioned.
-    """
-    return e.distinct
 
 
 @dataclass(frozen=True)
@@ -267,7 +257,7 @@ def radical_generator(
     for d in f_levels:
         h = h_polynomial(ctx, j, d, ctx.eigen(j, d).n_distinct)
         gate = FiniteSum.diagonal(
-            m, _coeff_and(gamma, DiagonalCoefficient.indicator_degree(j, d))
+            m, _coeff_product(gamma, DiagonalCoefficient.indicator_degree(j, d))
         )
         total = total + gate * h.as_finite_sum(m, j)
     op = assemble_finite_sum(total, ctx.model, Dmax)
@@ -288,13 +278,6 @@ def radical_generator(
     return RadicalGenerator(
         group=j, level=L, f_levels=tuple(f_levels),
         finite_sum=total, operator=op, f_l_note=note,
-    )
-
-
-def _coeff_and(a: DiagonalCoefficient, b: DiagonalCoefficient) -> DiagonalCoefficient:
-    return DiagonalCoefficient(
-        fn=lambda kappa, _a=a, _b=b: _a(kappa) * _b(kappa),
-        label=f"({a.label})({b.label})",
     )
 
 
@@ -325,6 +308,7 @@ class DivisionParts:
     s_parts: tuple[FiniteSum, ...]  # index l = 0..n
     h_polys: tuple[HPolynomial, ...]  # index l = 1..n
     min_gap: float
+    q_d_times_a: FiniteSum  # the left-hand side Q_d A
 
     def structurally_free_of_generator(self) -> bool:
         """S_l for l < n must contain no power of the j-th generator."""
@@ -338,21 +322,11 @@ class DivisionParts:
         """Frobenius norm of Q_d A_hat - sum_l S_l_hat h_l(T_hat_j)."""
         lhs = assemble_finite_sum(self.q_d_times_a, model, D).to_dense()
         tj = model.truncated_generator(self.group, D).to_dense()
-        eye = np.eye(tj.shape[0], dtype=complex)
         rhs = assemble_finite_sum(self.s_parts[0], model, D).to_dense()
         for level in range(1, self.n + 1):
-            h_mat = eye
-            for z in self.h_polys[level - 1].roots:
-                h_mat = h_mat @ (tj - z * eye)
+            h_mat = self.h_polys[level - 1].at_matrix(tj)
             rhs = rhs + assemble_finite_sum(self.s_parts[level], model, D).to_dense() @ h_mat
         return float(np.linalg.norm(lhs - rhs))
-
-    @property
-    def q_d_times_a(self) -> FiniteSum:
-        return self._qda
-
-    def _attach(self, qda: FiniteSum):
-        object.__setattr__(self, "_qda", qda)
 
 
 def decompose_by_division(A: FiniteSum, j: int, d: int, ctx: SpectralContext) -> DivisionParts:
@@ -418,14 +392,13 @@ def decompose_by_division(A: FiniteSum, j: int, d: int, ctx: SpectralContext) ->
         s_parts.append(q_gate * g)
     s_parts.append(q_gate * s_n)
 
-    parts = DivisionParts(
+    return DivisionParts(
         group=j, d=d, n=n,
         s_parts=tuple(s_parts),
         h_polys=tuple(h_polys),
         min_gap=min_gap if n > 1 else math.inf,
+        q_d_times_a=q_gate * A,
     )
-    parts._attach(q_gate * A)
-    return parts
 
 
 def _shift_power(fs: FiniteSum, j: int, power: int) -> FiniteSum:

@@ -135,13 +135,6 @@ class PointSpectrum:
         return np.array(vals, dtype=complex) if vals else np.zeros(0, dtype=complex)
 
 
-def point_spectrum(model: AlgebraModel, j: int, Dmax: int, tol: float = 1e-8) -> PointSpectrum:
-    by_degree = {
-        d: block_eigenvalues(model.block(j, d), tol) for d in range(Dmax + 1)
-    }
-    return PointSpectrum(group=j, by_degree=by_degree)
-
-
 # ---------------------------------------------------------------------------
 # Planar regions and hulls
 # ---------------------------------------------------------------------------
@@ -377,10 +370,6 @@ def boundary_image_values(c: PseudoHomogeneousSymbol, samples: int = 4096) -> np
     return np.asarray(c(s_b, t_b)).reshape(s_full.shape[0], t_full.shape[0])
 
 
-def boundary_image_samples(c: PseudoHomogeneousSymbol, samples: int = 4096) -> np.ndarray:
-    return boundary_image_values(c, samples).ravel()
-
-
 def essential_spectrum_estimate(
     c: PseudoHomogeneousSymbol,
     j: int | None = None,
@@ -570,7 +559,7 @@ class SpectralContext:
             raise SpectraError(
                 f"symbol {sym.label!r} does not declare a continuous boundary extension"
             )
-        return boundary_image_samples(sym, self.ess_samples)
+        return boundary_image_values(sym, self.ess_samples).ravel()
 
     def ess_region(self, j: int, *, bbox=None, resolution: int | None = None) -> PlanarRegion:
         res = resolution or self.hull_resolution
@@ -646,14 +635,12 @@ class AccumulationReport:
         return not self.violations
 
 
-def accumulation_check(
-    ctx: SpectralContext, j: int, Dmax: int, tol: float = 0.05, *, min_degrees: int = 5
-) -> AccumulationReport:
+def accumulation_check(ctx: SpectralContext, j: int, Dmax: int) -> AccumulationReport:
     """Detected accumulation points of the point spectrum must sit inside
-    (a tol-neighborhood of) the essential-spectrum estimate.
+    (a 0.05-neighborhood of) the essential-spectrum estimate.
 
-    A point is an accumulation candidate when eigenvalues from at least
-    ``min_degrees`` distinct degrees fall within ten cluster tolerances.
+    A point is an accumulation candidate when eigenvalues from at least 5
+    distinct degrees fall within ten cluster tolerances.
     """
     pairs: list[tuple[int, complex]] = []
     radius = 0.0
@@ -665,11 +652,11 @@ def accumulation_check(
     candidates: list[complex] = []
     for _, v in pairs:
         degrees_near = {d for d, u in pairs if abs(u - v) <= radius}
-        if len(degrees_near) >= min_degrees:
+        if len(degrees_near) >= 5:
             if not any(abs(v - c) <= radius for c in candidates):
                 candidates.append(v)
     ess = ctx.ess_region(j)
-    slack = max(1, int(math.ceil(tol / ess.cell)))
+    slack = max(1, int(math.ceil(0.05 / ess.cell)))
     violations = tuple(z for z in candidates if not ess.contains_point(z, slack_cells=slack))
     return AccumulationReport(group=j, candidates=tuple(candidates), violations=violations)
 
@@ -680,18 +667,16 @@ class InverseClosedReport:
     per_group: dict[int, dict]
 
 
-def is_inverse_closed(
-    ctx: SpectralContext, Dmax: int, *, tol_cells: int = 100
-) -> InverseClosedReport:
+def is_inverse_closed(ctx: SpectralContext, Dmax: int) -> InverseClosedReport:
     """Inverse-closedness holds iff every generator spectrum is polynomially
-    convex: the grid difference hull(sp) minus sp stays below tolerance."""
+    convex: the grid difference hull(sp) minus sp stays within 100 cells."""
     per_group = {}
     verdict = True
     for j in range(1, ctx.cfg.m + 1):
         swh = spectrum_with_hull(ctx, j, Dmax)
         extra = swh.extra_cells
         cell_area = swh.hull_region.cell ** 2
-        ok = extra <= tol_cells
+        ok = extra <= 100
         verdict = verdict and ok
         per_group[j] = {
             "polynomially_convex": ok,

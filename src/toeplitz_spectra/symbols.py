@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import SymbolError, SymbolParseError
-from .quad import fourier_on_points
 
 Index = tuple[int, ...]
 
@@ -204,24 +203,8 @@ class SymbolExpression:
     root: tuple
     variables: frozenset[str]
 
-    def __call__(self, **env):
-        return _eval_node(self.root, env)
-
     def evaluate(self, env: dict):
         return _eval_node(self.root, env)
-
-    def depth(self) -> int:
-        def _d(node):
-            tag = node[0]
-            if tag in ("num", "var"):
-                return 0
-            if tag in ("neg",):
-                return 1 + _d(node[1])
-            if tag == "call":
-                return 1 + _d(node[2])
-            return 1 + max(_d(node[1]), _d(node[2]))
-
-        return _d(self.root)
 
 
 def parse_symbol_expression(text: str) -> SymbolExpression:
@@ -496,14 +479,11 @@ def expression_symbol(
     text: str,
     *,
     boundary_continuous: bool = False,
-    validate: bool = True,
-    samples: int = 64,
-    tol: float = 1e-10,
 ) -> PseudoHomogeneousSymbol:
     """Generic symbol c(s, t) from an expression over s1..sk, t1..tk.
 
-    Torus invariance is checked on a randomized sample at load time; symbols
-    failing the check are rejected here rather than at assembly time.
+    Torus invariance is checked on 64 random samples to 1e-10 at load time;
+    symbols failing the check are rejected here rather than at assembly time.
     """
     expr = parse_symbol_expression(text)
     allowed = {f"s{l}" for l in range(1, dim + 1)} | {f"t{l}" for l in range(1, dim + 1)}
@@ -529,18 +509,17 @@ def expression_symbol(
         modes=None,
         boundary_continuous=boundary_continuous,
     )
-    if validate:
-        report = check_invariance(sym, samples=samples, tol=tol)
-        if not report.ok:
-            if not np.isfinite(report.worst):
-                raise SymbolError(f"symbol {text!r} evaluated non-finite during validation")
-            raise SymbolError(
-                f"symbol {text!r} is not invariant under the diagonal torus action; "
-                f"worst violation {report.worst:.3e}"
-            )
-        if boundary_continuous:
-            # The flag is user-asserted; the sample just rules out blow-ups.
-            boundary_sanity_sample(sym)
+    report = check_invariance(sym, samples=64, tol=1e-10)
+    if not report.ok:
+        if not np.isfinite(report.worst):
+            raise SymbolError(f"symbol {text!r} evaluated non-finite during validation")
+        raise SymbolError(
+            f"symbol {text!r} is not invariant under the diagonal torus action; "
+            f"worst violation {report.worst:.3e}"
+        )
+    if boundary_continuous:
+        # The flag is user-asserted; the sample just rules out blow-ups.
+        boundary_sanity_sample(sym)
     return sym
 
 
@@ -593,13 +572,3 @@ def boundary_sanity_sample(c: PseudoHomogeneousSymbol, samples: int = 32, seed: 
     if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
         raise SymbolError(f"symbol {c.label!r} evaluated non-finite near the boundary")
     return float(np.max(np.abs(vals)))
-
-
-def numeric_mode_profile(c: PseudoHomogeneousSymbol, p, grid: int = 64) -> Callable:
-    """Numeric c_hat(., p) handle for symbols without declared support."""
-    p = tuple(int(v) for v in p)
-
-    def handle(s_points: np.ndarray, _p=p, _grid=grid):
-        return fourier_on_points(c.fn, np.atleast_2d(s_points), _p, grid=_grid)
-
-    return handle

@@ -9,7 +9,6 @@ from toeplitz_spectra.assembly import (
     BlockCache,
     TruncatedOperator,
     assemble_block,
-    assemble_truncated,
     cross_block_entry_bound,
     gamma_quasi_radial,
     orthogonalize_projections,
@@ -132,7 +131,7 @@ class TestBlocks:
 class TestTruncated:
     def test_trivial_is_identity(self):
         cfg = PartitionConfig(k=(1, 2), lam=0.0)
-        op = assemble_truncated(QuasiRadialSymbol.one(2), {}, cfg, 3)
+        op = AlgebraModel(cfg=cfg, quasi_radial=QuasiRadialSymbol.one(2)).truncated_product(3)
         ident = TruncatedOperator.identity(op.basis)
         assert (op - ident).fro() < 1e-12
 
@@ -152,7 +151,7 @@ class TestTruncated:
         cfg = PartitionConfig(k=(1, 1), lam=lam)
         a = QuasiRadialSymbol.from_expression(2, "1 - r1^2*r2^2")
         c1 = constant_symbol(1, 1, 0.5 + 0.25j)
-        op = assemble_truncated(a, {1: c1}, cfg, 2)
+        op = AlgebraModel(cfg=cfg, quasi_radial=a, symbols={1: c1}).truncated_product(2)
         dense = op.to_dense()
 
         def phi(z):
@@ -163,7 +162,7 @@ class TestTruncated:
         basis = op.basis
         for ia in range(basis.dim):
             for ib in range(basis.dim):
-                alpha, beta = basis.alpha_at(ia), basis.alpha_at(ib)
+                alpha, beta = basis.alphas[ia], basis.alphas[ib]
                 want = ball2_inner_product(phi, alpha, beta, lam, n_rad=160, n_ang=8)
                 want /= math.sqrt(
                     monomial_norm_sq(alpha, cfg) * monomial_norm_sq(beta, cfg)
@@ -245,5 +244,5 @@ class TestCache:
         m1.block(1, 2)
         m2 = AlgebraModel(cfg=cfg, symbols={1: sym}, cache=BlockCache(tmp_path))
         b = m2.block(1, 2)
-        assert m2.cache_hits == 1
+        assert m2.cache.hits == 1
         assert np.allclose(b.mat, m1.block(1, 2).mat)

@@ -194,3 +194,30 @@ def test_verify_passes_and_negative_control(tmp_path, capsys):
     report = read_report(tmp_path, "verify")
     names = {c["name"]: c["passed"] for c in report["payload"]["checks"]}
     assert names["dirichlet-vs-simplex"] is False
+
+
+VERIFY_CHECKS = [
+    ("dirichlet-vs-simplex", 1e-10),
+    ("gamma-identity", 1e-10),
+    ("identity-blocks", 1e-12),
+    ("cross-block-orthogonality", 1e-10),
+    ("commutativity", 1e-9),
+    ("product-identity", 1e-9),
+    ("quadrature-doubling", 1e-9),
+    ("tensor-eigenvector", 1e-9),
+    ("hull-circle-area", 0.01),
+    ("hull-finite-fixed", 0.5),
+    ("hull-idempotent", 0.5),
+    ("projection-identities", 0.5),
+    ("division-reconstruction", 1e-9),
+    ("radical-gelfand-vanishing", 1e-8),
+]
+
+
+def test_verify_check_list_is_pinned(tmp_path):
+    # The README example config (default hull settings) at D=3.
+    path = write_config(tmp_path, degree_cap=3, hull={})
+    assert main(["verify", "--config", str(path), "--no-cache"]) == 0
+    checks = read_report(tmp_path, "verify")["payload"]["checks"]
+    assert [(c["name"], c["tolerance"]) for c in checks] == VERIFY_CHECKS
+    assert all(c["passed"] for c in checks)

@@ -79,21 +79,6 @@ class TestEvaluate:
             rhs = evaluate_gelfand(A, p) * evaluate_gelfand(B, p)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
-    def test_richardson_option_on_surrogates(self):
-        gamma = DiagonalCoefficient.from_callable(
-            lambda kappa: 1.0 + 1.0 / (1 + kappa[0]), "1+1/(1+k1)"
-        )
-        A = FiniteSum.diagonal(1, gamma)
-        point = GelfandPoint(
-            theta=(0,), kappa_theta=(), mu_kappa=(1000,), zeta=(1.0,), surrogate=True
-        )
-        plain = evaluate_gelfand(A, point)
-        extrap = evaluate_gelfand(A, point, richardson=True)
-        # the limit is 1; extrapolation should land closer than plain
-        assert abs(extrap - 1.0) < abs(plain - 1.0)
-        exact = exact_point((3,), (0.5,))
-        assert evaluate_gelfand(A, exact, richardson=True) == evaluate_gelfand(A, exact)
-
     @given(
         coeffs=st.lists(
             st.tuples(

@@ -9,7 +9,6 @@ from oracles import ball1_norm_sq, ball2_inner_product
 from toeplitz_spectra.errors import LatticeError
 from toeplitz_spectra.lattice import (
     GlobalBasis,
-    MultiIndex,
     PartitionConfig,
     block_indices,
     dim_h_kappa,
@@ -28,16 +27,6 @@ def test_partition_invariants():
         PartitionConfig(k=(1, 2), lam=-1.0)
     with pytest.raises(LatticeError):
         PartitionConfig(k=())
-
-
-def test_multi_index_views():
-    cfg = PartitionConfig(k=(1, 2))
-    mi = MultiIndex((2, 1, 3), cfg)
-    assert mi.groups == ((2,), (1, 3))
-    assert mi.kappa == (2, 4)
-    assert mi.degree == 6
-    with pytest.raises(LatticeError):
-        MultiIndex((1, -1, 0), cfg)
 
 
 def test_block_enumeration_examples():
@@ -141,7 +130,7 @@ def test_global_basis_bijection(cap):
     cfg = PartitionConfig(k=(1, 2), lam=0.0)
     basis = GlobalBasis(cfg, cap)
     for i in range(basis.dim):
-        assert basis.index_of(basis.alpha_at(i)) == i
+        assert basis.index_of(basis.alphas[i]) == i
     assert basis.dim == sum(dim_h_kappa(cfg, kappa) for kappa in basis.kappas)
 
 
@@ -151,5 +140,5 @@ def test_global_basis_kappa_slices():
     for kappa in basis.kappas:
         sl = basis.slice_of(kappa)
         for i in range(sl.start, sl.stop):
-            assert basis.kappa_of_index(i) == kappa
+            assert cfg.kappa_of(basis.alphas[i]) == kappa
         assert sl.stop - sl.start == dim_h_kappa(cfg, kappa)

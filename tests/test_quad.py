@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from oracles import adaptive_dirichlet
 from toeplitz_spectra.errors import QuadratureError
 from toeplitz_spectra.quad import (
-    FourierTable,
     SimplexRule,
     dirichlet_integral,
     dirichlet_probability_rule,
+    fourier_on_points,
     jacobi_probability_rule_01,
     simplex_integrate,
-    torus_fourier_coefficient,
 )
 
 
@@ -99,11 +98,11 @@ def test_probability_rule_extreme_exponent():
 
 def test_torus_coefficient_characters():
     c = lambda s, t: t[..., 0] ** 2 * np.conj(t[..., 1]) ** 2
-    s = (0.6, 0.8)
-    assert torus_fourier_coefficient(c, (2, -2), s, 16) == pytest.approx(1.0, abs=1e-13)
-    assert abs(torus_fourier_coefficient(c, (1, -1), s, 16)) < 1e-13
+    s = np.array([[0.6, 0.8]])
+    assert fourier_on_points(c, s, (2, -2), 16)[0] == pytest.approx(1.0, abs=1e-13)
+    assert abs(fourier_on_points(c, s, (1, -1), 16)[0]) < 1e-13
     with pytest.raises(QuadratureError):
-        torus_fourier_coefficient(c, (9, -9), s, 8)
+        fourier_on_points(c, s, (9, -9), 8)
 
 
 def test_torus_coefficient_examples():
@@ -114,11 +113,10 @@ def test_torus_coefficient_examples():
         )
 
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        raw = np.abs(rng.standard_normal(2)) + 0.1
-        s = raw / np.linalg.norm(raw)
-        got = torus_fourier_coefficient(c, (1, -1), tuple(s), 16)
-        assert got == pytest.approx(s[0] * s[1], abs=1e-12)
+    raw = np.abs(rng.standard_normal((5, 2))) + 0.1
+    s = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    got = fourier_on_points(c, s, (1, -1), 16)
+    assert np.max(np.abs(got - s[:, 0] * s[:, 1])) < 1e-12
 
 
 def test_diagonal_invariant_symbol_vanishing_modes():
@@ -127,9 +125,9 @@ def test_diagonal_invariant_symbol_vanishing_modes():
         ratio = t[..., 0] * np.conj(t[..., 1])
         return s[..., 0] + 0.3 * ratio + 0.3 * np.conj(ratio)
 
-    s = (0.6, 0.8)
+    s = np.array([[0.6, 0.8]])
     for p in [(1, 0), (0, 1), (2, -1), (-1, -1), (1, 2)]:
-        assert abs(torus_fourier_coefficient(c, p, s, 32)) < 1e-12
+        assert abs(fourier_on_points(c, s, p, 32)[0]) < 1e-12
 
 
 @given(
@@ -143,17 +141,8 @@ def test_conjugate_symmetry_for_real_symbols(p1, p2, sx):
         ratio = t[..., 0] * np.conj(t[..., 1])
         return (s[..., 0] ** 2) * (ratio + np.conj(ratio)).real
 
-    s = (math.sqrt(sx), math.sqrt(1 - sx))
-    plus = torus_fourier_coefficient(c, (p1, p2), s, 16)
-    minus = torus_fourier_coefficient(c, (-p1, -p2), s, 16)
+    s = np.array([[math.sqrt(sx), math.sqrt(1 - sx)]])
+    plus = fourier_on_points(c, s, (p1, p2), 16)[0]
+    minus = fourier_on_points(c, s, (-p1, -p2), 16)[0]
     assert np.conj(plus) == pytest.approx(minus, abs=1e-12)
 
-
-def test_fourier_table_rejects_bad_mode():
-    table = FourierTable(group=1, dim=2)
-    table.declare((1, -1), lambda s: s[:, 0])
-    with pytest.raises(QuadratureError):
-        table.declare((1, 0), lambda s: s[:, 0])
-    s = np.array([[0.6, 0.8]])
-    assert table(s, (1, -1))[0] == pytest.approx(0.6)
-    assert table(s, (2, -2))[0] == 0.0

@@ -15,7 +15,6 @@ from toeplitz_spectra.gelfand import (
 from toeplitz_spectra.lattice import PartitionConfig, enumerate_kappa
 from toeplitz_spectra.radical import (
     decompose_by_division,
-    distinct_eigenvalues,
     h_polynomial,
     is_diagonalizable,
     is_semisimple,
@@ -34,17 +33,17 @@ from toeplitz_spectra.symbols import (
 class TestDistinctAndH:
     def test_identity_block(self):
         e = block_eigenvalues(np.eye(3, dtype=complex))
-        assert list(distinct_eigenvalues(e)) == [1.0]
+        assert list(e.distinct) == [1.0]
 
     def test_nilpotent_block(self):
         mat = np.zeros((3, 3), dtype=complex)
         mat[0, 1] = mat[1, 2] = 0.5
         e = block_eigenvalues(mat)
-        assert list(distinct_eigenvalues(e)) == [0.0]
+        assert list(e.distinct) == [0.0]
 
     def test_constructed_diagonal(self):
         e = block_eigenvalues(np.diag([2.0, 0.5, 0.5, -1.0]).astype(complex))
-        assert np.allclose(np.sort(distinct_eigenvalues(e).real), [-1.0, 0.5, 2.0])
+        assert np.allclose(np.sort(e.distinct.real), [-1.0, 0.5, 2.0])
 
     def test_h_polynomial_identity_block(self, diagonal_ctx):
         # degree-0 block of the profile symbol is [1/2]; h_1 = X - 1/2

@@ -16,7 +16,6 @@ from toeplitz_spectra.spectra import (
     block_eigenvalues,
     essential_spectrum_estimate,
     is_inverse_closed,
-    point_spectrum,
     polynomial_hull_2d,
     spectrum_with_hull,
     SpectralContext,
@@ -77,7 +76,7 @@ class TestPointSpectrum:
     def test_constant_symbol(self):
         cfg = PartitionConfig(k=(2,))
         model = AlgebraModel(cfg=cfg, symbols={1: constant_symbol(1, 2, 1.0)})
-        ps = point_spectrum(model, 1, 4)
+        ps = SpectralContext(model=model).point_spectrum(1, 4)
         flat = ps.flat()
         assert np.allclose(flat, 1.0)
 
@@ -85,7 +84,7 @@ class TestPointSpectrum:
         # b(s) profiles produce the Dirichlet moments on the diagonal.
         cfg = PartitionConfig(k=(2,))
         model = AlgebraModel(cfg=cfg, symbols={1: profile_symbol(1, 2, "s1^2")})
-        ps = point_spectrum(model, 1, 3)
+        ps = SpectralContext(model=model).point_spectrum(1, 3)
         for d, e in ps.by_degree.items():
             want = sorted((a1 + 1) / (d + 2) for a1 in range(d + 1))
             assert np.allclose(np.sort(e.values.real), want)

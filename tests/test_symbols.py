@@ -4,6 +4,7 @@ import pytest
 from toeplitz_spectra.errors import SymbolError, SymbolParseError
 from toeplitz_spectra.quad import fourier_on_points
 from toeplitz_spectra.symbols import (
+    FourierMode,
     MonomialProfile,
     PseudoHomogeneousSymbol,
     QuasiRadialSymbol,
@@ -11,6 +12,7 @@ from toeplitz_spectra.symbols import (
     check_invariance,
     constant_symbol,
     expression_symbol,
+    modes_symbol,
     parse_symbol_expression,
     profile_symbol,
 )
@@ -25,7 +27,6 @@ class TestParser:
     def test_structure(self):
         expr = parse_symbol_expression("s1^2 * t1 * conj(t2)")
         assert expr.variables == {"s1", "t1", "t2"}
-        assert expr.depth() >= 2
         val = expr.evaluate({"s1": 0.5, "t1": 1j, "t2": np.exp(0.3j)})
         assert val == pytest.approx(0.25 * 1j * np.exp(-0.3j))
 
@@ -82,6 +83,13 @@ class TestPseudoHomogeneous:
     def test_builtin_rejects_bad_mode(self):
         with pytest.raises(SymbolError):
             builtin_quasi_homogeneous(1, (1, 0))
+
+    def test_fourier_mode_rejects_bad_mode(self):
+        with pytest.raises(SymbolError):
+            FourierMode((1, 0), MonomialProfile((1, 0)))
+        modes = modes_symbol(1, 2, [((1, -1), MonomialProfile((1, 0)))]).declared_mode_dict()
+        assert modes[(1, -1)](np.array([[0.6, 0.8]]))[0] == pytest.approx(0.6)
+        assert (2, -2) not in modes
 
     def test_builtin_trivial_mode(self):
         c = builtin_quasi_homogeneous(1, (0, 0))
