@@ -25,8 +25,9 @@ decomposition; on H_kappa the full operator with quasi-radial factor a and
 group factors c_j acts as gamma_a(kappa) times the tensor product of the
 group blocks, realized through the global basis index map.
 
-Blocks are cached on disk keyed by a content hash of the symbol and the
-quadrature order; reload is bit-exact.
+Blocks are cached on disk keyed by a content hash of the symbol, the
+quadrature order and the torus grid; reload is bit-exact, and a file that
+does not parse as the block asked for is recomputed.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ from .symbols import (
 
 # 2: polynomial profile strings are assembled in closed form, no longer by
 # quadrature, under unchanged symbol keys.
-CACHE_SCHEMA_VERSION = 2
+# 3: the torus grid is part of the key and of the file header.
+CACHE_SCHEMA_VERSION = 3
 _CACHE_MAGIC = b"TSBK"
 
 
@@ -167,7 +169,7 @@ def assemble_block(
     if d < 0:
         raise AssemblyError(f"degree must be >= 0, got {d}")
     if cache is not None:
-        cached = cache.load(c.content_key, group, d, order)
+        cached = cache.load(c.content_key, group, d, order, torus_grid=torus_grid)
         if cached is not None:
             return BlockMatrix(
                 group=group, d=d, basis=enumerate_block_indices(kj, d),
@@ -215,7 +217,7 @@ def assemble_block(
     if not np.all(np.isfinite(mat.real) & np.isfinite(mat.imag)):
         raise QuadratureError(f"block ({group}, {d}) of {c.label!r} has non-finite entries")
     if cache is not None:
-        cache.store(c.content_key, group, d, order, mat)
+        cache.store(c.content_key, group, d, order, mat, torus_grid=torus_grid)
     return BlockMatrix(
         group=group, d=d, basis=basis, mat=mat, symbol_key=c.content_key, order=order
     )
@@ -227,7 +229,14 @@ def assemble_block(
 
 
 class BlockCache:
-    """One file per block; write-to-temp then atomic rename; bit-exact reload."""
+    """One file per block; write-to-temp then atomic rename; bit-exact reload.
+
+    A file that is truncated, carries another magic, schema version or key,
+    or has the wrong payload size is counted as a miss; the block is then
+    recomputed and the file rewritten.
+    """
+
+    _HEADER = struct.Struct("<4sIIIIII32s")  # magic, version, j, d, order, grid, dim, digest
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -235,40 +244,50 @@ class BlockCache:
         self.hits = 0
         self.misses = 0
 
-    def _path(self, symbol_key: str, j: int, d: int, order: int) -> Path:
+    def _path(self, symbol_key: str, j: int, d: int, order: int, torus_grid: int) -> Path:
         import hashlib
 
         name = hashlib.sha256(
-            f"{CACHE_SCHEMA_VERSION}|{symbol_key}|{j}|{d}|{order}".encode()
+            f"{CACHE_SCHEMA_VERSION}|{symbol_key}|{j}|{d}|{order}|{torus_grid}".encode()
         ).hexdigest()[:32]
         return self.directory / f"{name}.blk"
 
-    def load(self, symbol_key: str, j: int, d: int, order: int) -> np.ndarray | None:
-        path = self._path(symbol_key, j, d, order)
-        if not path.exists():
+    def load(
+        self, symbol_key: str, j: int, d: int, order: int, *, torus_grid: int = 64
+    ) -> np.ndarray | None:
+        try:
+            raw = self._path(symbol_key, j, d, order, torus_grid).read_bytes()
+        except FileNotFoundError:
+            raw = b""
+        mat = self._parse(raw, symbol_key, (j, d, order, torus_grid))
+        if mat is None:
             self.misses += 1
-            return None
-        raw = path.read_bytes()
-        header = struct.Struct("<4sIIIII32s")
+        else:
+            self.hits += 1
+        return mat
+
+    def _parse(self, raw: bytes, symbol_key: str, key: tuple) -> np.ndarray | None:
+        header = self._HEADER
         if len(raw) < header.size:
-            raise AssemblyError(f"cache file {path} truncated")
-        magic, version, fj, fd, forder, dim, digest = header.unpack_from(raw)
+            return None
+        magic, version, fj, fd, forder, fgrid, dim, digest = header.unpack_from(raw)
         if magic != _CACHE_MAGIC or version != CACHE_SCHEMA_VERSION:
-            raise AssemblyError(f"cache file {path} has wrong magic/version")
-        if (fj, fd, forder) != (j, d, order) or digest != bytes.fromhex(symbol_key[:64]):
-            raise AssemblyError(f"cache file {path} does not match its key")
+            return None
+        if (fj, fd, forder, fgrid) != key or digest != bytes.fromhex(symbol_key[:64]):
+            return None
         payload = raw[header.size :]
         if len(payload) != dim * dim * 16:
-            raise AssemblyError(f"cache file {path} has wrong payload size")
-        self.hits += 1
+            return None
         return np.frombuffer(payload, dtype="<c16").reshape(dim, dim).copy()
 
-    def store(self, symbol_key: str, j: int, d: int, order: int, mat: np.ndarray):
-        path = self._path(symbol_key, j, d, order)
-        header = struct.Struct("<4sIIIII32s")
+    def store(
+        self, symbol_key: str, j: int, d: int, order: int, mat: np.ndarray, *,
+        torus_grid: int = 64,
+    ):
+        path = self._path(symbol_key, j, d, order, torus_grid)
         dim = mat.shape[0]
-        blob = header.pack(
-            _CACHE_MAGIC, CACHE_SCHEMA_VERSION, j, d, order, dim,
+        blob = self._HEADER.pack(
+            _CACHE_MAGIC, CACHE_SCHEMA_VERSION, j, d, order, torus_grid, dim,
             bytes.fromhex(symbol_key[:64]),
         ) + np.ascontiguousarray(mat.astype("<c16")).tobytes()
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -469,6 +488,7 @@ class AlgebraModel:
         self._blocks: dict[tuple[int, int], BlockMatrix] = {}
         self._gammas: dict[Index, complex] = {}
         self._bases: dict[int, GlobalBasis] = {}
+        self._kappa_mats: dict[tuple[Index, Index], np.ndarray] = {}
 
     def basis(self, D: int) -> GlobalBasis:
         if D not in self._bases:
@@ -504,13 +524,23 @@ class AlgebraModel:
         return self._blocks[key]
 
     def kappa_matrix(self, kappa: Index, rho: Index | None = None) -> np.ndarray:
-        """Tensor-product action on H_kappa of prod_j T_{c_j}^{rho_j}."""
+        """Tensor-product action on H_kappa of prod_j T_{c_j}^{rho_j}.
+
+        Memoized per (kappa, rho); the returned array is shared between
+        callers and therefore read-only.
+        """
+        kappa = tuple(int(v) for v in kappa)
         rho = (1,) * self.cfg.m if rho is None else tuple(int(v) for v in rho)
-        mats = []
-        for j, (kap, power) in enumerate(zip(kappa, rho), start=1):
-            b = self.block(j, kap).mat
-            mats.append(np.linalg.matrix_power(b, power) if power != 1 else b)
-        return reduce(np.kron, mats)
+        mat = self._kappa_mats.get((kappa, rho))
+        if mat is None:
+            mats = []
+            for j, (kap, power) in enumerate(zip(kappa, rho), start=1):
+                b = self.block(j, kap).mat
+                mats.append(np.linalg.matrix_power(b, power) if power != 1 else b)
+            mat = reduce(np.kron, mats)
+            mat.flags.writeable = False
+            self._kappa_mats[(kappa, rho)] = mat
+        return mat
 
     def truncated_product(self, D: int) -> TruncatedOperator:
         """T_{a prod_j c_j} on the cap-D truncation."""

@@ -6,8 +6,11 @@ output) and exits.  Exit codes are a stable contract:
 
     0  success
     1  configuration error
-    2  numerical failure
+    2  numerical failure, or any other error (out of memory, a defect)
     3  verification failure (cmd verify only)
+
+Every nonzero code comes with one JSON error object as the last line on
+stderr; no raw traceback is printed.
 
 Reports are reproducible: the payload depends only on the echoed config and
 tool version (fixed seeds, fixed summation orders, thread-count independent).
@@ -23,6 +26,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -759,6 +763,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:
+        # Out of memory or a defect: still one JSON line and a documented code.
+        _emit_error(type(exc).__name__, str(exc), traceback.format_exc())
+        return 2
+
+
+def _run(args) -> int:
     started = time.monotonic()
     if args.command == "info":
         print(json.dumps(cmd_info(None), sort_keys=True, indent=1))
@@ -783,9 +796,6 @@ def main(argv=None) -> int:
     except ToeplitzError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 2
-    except np.linalg.LinAlgError as exc:
-        _emit_error("LinAlgError", str(exc))
-        return 2
     path = write_report(setup, args.command, payload, started)
     print(f"report written to {path}")
     if args.command == "verify" and not payload["all_passed"]:
@@ -799,8 +809,11 @@ def main(argv=None) -> int:
     return 0
 
 
-def _emit_error(kind: str, message: str):
-    sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
+def _emit_error(kind: str, message: str, trace: str | None = None):
+    error = {"type": kind, "message": message}
+    if trace is not None:
+        error["traceback"] = trace
+    sys.stderr.write(json.dumps({"error": error}) + "\n")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ class SymbolParseError(SymbolError):
 
 
 class AssemblyError(ToeplitzError):
-    """Operator assembly failed (cache corruption, bad block request)."""
+    """Operator assembly failed (bad block request, mismatched truncations)."""
 
 
 class SpectraError(ToeplitzError):

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -198,6 +199,29 @@ class TestTruncated:
             want = np.kron(np.eye(1), model.block(2, kappa[1]).mat)
             assert np.allclose(op.block(kappa), want)
 
+    def test_kappa_matrix_memo_is_read_only_and_exact(self):
+        cfg = PartitionConfig(k=(2, 3), lam=0.5)
+        model = AlgebraModel(
+            cfg=cfg,
+            symbols={
+                1: builtin_quasi_homogeneous(1, (1, -1)),
+                2: profile_symbol(2, 3, "s1^2 + 0.5*s2*s3"),
+            },
+        )
+        for kappa in [(0, 0), (2, 1), (1, 3)]:
+            for rho in [None, (0, 1), (2, 1), (1, 0)]:
+                first = model.kappa_matrix(kappa, rho)
+                assert model.kappa_matrix(kappa, rho) is first
+                assert not first.flags.writeable
+                with pytest.raises(ValueError):
+                    first[0, 0] = 1.0
+                powers = (1, 1) if rho is None else rho
+                fresh = reduce(np.kron, [
+                    np.linalg.matrix_power(model.block(j, kappa[j - 1]).mat, powers[j - 1])
+                    for j in (1, 2)
+                ])
+                assert first.tobytes() == fresh.tobytes()
+
     def test_full_matrix_against_ball_oracle(self):
         # n=2, k=(1,1), D=2: entries vs brute-force tensor quadrature.
         lam = 1.5
@@ -302,6 +326,49 @@ class TestCache:
         b = assemble_block(sym, 1, 2, cache=cache)
         assert (cache.hits, cache.misses) == (0, 1)
         assert b.mat.tobytes() == assemble_block(sym, 1, 2).mat.tobytes()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw: b"junk",
+            lambda raw: raw[:40],
+            lambda raw: b"XXXX" + raw[4:],
+            lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+            lambda raw: raw[:-16],
+        ],
+        ids=["junk", "truncated-header", "magic", "old-version", "short-payload"],
+    )
+    def test_bad_file_is_a_miss_and_rewritten(self, tmp_path, corrupt):
+        sym = builtin_quasi_homogeneous(1, (1, -1))
+        good = assemble_block(sym, 1, 2, cache=BlockCache(tmp_path)).mat
+        (path,) = tmp_path.glob("*.blk")
+        path.write_bytes(corrupt(path.read_bytes()))
+        cache = BlockCache(tmp_path)
+        b = assemble_block(sym, 1, 2, cache=cache)
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert b.mat.tobytes() == good.tobytes()
+        again = BlockCache(tmp_path)
+        assert again.load(sym.content_key, 1, 2, 48).tobytes() == good.tobytes()
+        assert (again.hits, again.misses) == (1, 0)
+
+    def test_file_for_another_key_is_a_miss(self, tmp_path):
+        sym = builtin_quasi_homogeneous(1, (1, -1))
+        cache = BlockCache(tmp_path)
+        cache.store(sym.content_key, 1, 2, 48, np.eye(3, dtype=complex))
+        src = cache._path(sym.content_key, 1, 2, 48, 64)
+        src.rename(cache._path(sym.content_key, 1, 3, 48, 64))
+        assert cache.load(sym.content_key, 1, 3, 48) is None
+        assert cache.misses == 1
+
+    def test_torus_grid_is_part_of_the_key(self, tmp_path):
+        sym = expression_symbol(1, 2, "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2")
+        cache = BlockCache(tmp_path)
+        fine = assemble_block(sym, 1, 2, torus_grid=64, cache=cache)
+        warm = assemble_block(sym, 1, 2, torus_grid=4, cache=cache)
+        assert cache.hits == 0
+        cold = assemble_block(sym, 1, 2, torus_grid=4)
+        assert warm.mat.tobytes() == cold.mat.tobytes()
+        assert fine.mat.tobytes() != cold.mat.tobytes()  # the grid shapes the block
 
     def test_model_uses_cache(self, tmp_path):
         cfg = PartitionConfig(k=(2,), lam=0.0)

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from toeplitz_spectra import cli
+from toeplitz_spectra.assembly import TruncatedOperator
 from toeplitz_spectra.cli import main
 
 
@@ -94,6 +96,52 @@ def test_warm_cache_reproduces_payload(tmp_path):
     assert first["cache_hit"] is False
 
 
+EXPRESSION_SYMBOL = {
+    "group": 2, "kind": "expression",
+    "text": "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2",
+}
+
+
+def test_warm_cache_with_other_torus_grid_matches_cold(tmp_path):
+    def run(grid, *flags):
+        path = write_config(
+            tmp_path, degree_cap=3, symbols=[EXPRESSION_SYMBOL],
+            quadrature={"torus_grid": grid},
+        )
+        assert main(["spectrum", "--config", str(path), *flags]) == 0
+        return read_report(tmp_path, "spectrum")["payload_sha256"]
+
+    fine = run(64)
+    warm = run(4)
+    cold = run(4, "--no-cache")
+    assert warm == cold
+    assert fine != cold
+
+
+def test_corrupt_cache_file_is_recomputed(tmp_path):
+    path = write_config(tmp_path, degree_cap=3)
+    assert main(["assemble", "--config", str(path), "--no-cache"]) == 0
+    cold = read_report(tmp_path, "assemble")["payload_sha256"]
+    assert main(["assemble", "--config", str(path)]) == 0
+    victim = sorted((tmp_path / "out" / "cache").glob("*.blk"))[0]
+    victim.write_bytes(b"junk")
+    assert main(["assemble", "--config", str(path)]) == 0
+    assert read_report(tmp_path, "assemble")["payload_sha256"] == cold
+    assert victim.read_bytes() != b"junk"
+
+
+def test_unexpected_error_is_json_exit_2(tmp_path, monkeypatch, capsys):
+    def out_of_memory(setup):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setitem(cli.COMMANDS, "assemble", out_of_memory)
+    path = write_config(tmp_path)
+    assert main(["assemble", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["type"] == "MemoryError"
+    assert err["error"]["message"] == "cannot allocate"
+
+
 def test_cache_env_override(tmp_path, monkeypatch):
     alt = tmp_path / "altcache"
     monkeypatch.setenv("TOEPLITZ_SPECTRA_CACHE", str(alt))
@@ -164,6 +212,17 @@ def test_radical_command(tmp_path):
     assert payload["generator"]["gelfand_sup"] < 1e-8
     norms = payload["generator"]["power_norms"]
     assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
+    assert max(payload["reconstruction_residuals"]) < 1e-9
+
+
+def test_radical_never_densifies(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("to_dense called")
+
+    monkeypatch.setattr(TruncatedOperator, "to_dense", refuse)
+    path = write_config(tmp_path, degree_cap=8, hull={})
+    assert main(["radical", "--config", str(path), "--no-cache"]) == 0
+    payload = read_report(tmp_path, "radical")["payload"]
     assert max(payload["reconstruction_residuals"]) < 1e-9
 
 

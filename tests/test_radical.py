@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from toeplitz_spectra import checks
 from toeplitz_spectra.assembly import AlgebraModel
 from toeplitz_spectra.errors import RadicalError
 from toeplitz_spectra.gelfand import (
@@ -24,6 +26,7 @@ from toeplitz_spectra.radical import (
 )
 from toeplitz_spectra.spectra import SpectralContext, block_eigenvalues
 from toeplitz_spectra.symbols import (
+    QuasiRadialSymbol,
     builtin_quasi_homogeneous,
     constant_symbol,
     profile_symbol,
@@ -182,6 +185,44 @@ class TestDivision:
             parts = decompose_by_division(A, 2, d, diagonal_ctx)
             assert parts.structurally_free_of_generator()
             assert parts.reconstruction_residual(diagonal_ctx.model, 4) < 1e-9
+
+    @pytest.mark.parametrize("k", [(1, 2), (2, 3)])
+    def test_blockwise_residual_matches_dense_oracle(self, k):
+        cfg = PartitionConfig(k=k, lam=0.0)
+        model = AlgebraModel(
+            cfg=cfg,
+            quasi_radial=QuasiRadialSymbol.from_expression(2, "1 - r1^2*r2^2"),
+            symbols={
+                1: profile_symbol(1, k[0], "s1^2"),
+                2: builtin_quasi_homogeneous(2, (1, -1) + (0,) * (k[1] - 2)),
+            },
+        )
+        ctx = SpectralContext(model=model)
+        D = 3
+        rng = np.random.default_rng(37)
+
+        def dense_residual(parts):
+            lhs = assemble_finite_sum(parts.q_d_times_a, model, D).to_dense()
+            tj = model.truncated_generator(parts.group, D).to_dense()
+            rhs = assemble_finite_sum(parts.s_parts[0], model, D).to_dense()
+            for level in range(1, parts.n + 1):
+                s_l = assemble_finite_sum(parts.s_parts[level], model, D).to_dense()
+                rhs = rhs + s_l @ parts.h_polys[level - 1].at_matrix(tj)
+            return float(np.linalg.norm(lhs - rhs))
+
+        for j, d in [(1, 2), (2, 1)]:
+            A = checks.random_finite_sum(rng, cfg, D, 4)
+            parts = decompose_by_division(A, j, d, ctx)
+            # Dropping S_0 leaves an O(1) residual, so the two routes are
+            # compared on a nontrivial value as well as on roundoff.
+            broken = dataclasses.replace(
+                parts, s_parts=(FiniteSum.zero(cfg.m),) + parts.s_parts[1:]
+            )
+            for candidate in (parts, broken):
+                want = dense_residual(candidate)
+                got = candidate.reconstruction_residual(model, D)
+                assert abs(got - want) <= 1e-13 * max(1.0, want)
+            assert dense_residual(broken) > 1e-3
 
     def test_norm_bounds(self, diagonal_ctx):
         rng = np.random.default_rng(29)
