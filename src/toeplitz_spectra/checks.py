@@ -134,10 +134,11 @@ def quadrature_doubling(model: AlgebraModel, gamma_cap: int, block_degree: int) 
             g1 = gamma_quasi_radial(model.quasi_radial, model.cfg, kappa, model.gamma_order)
             g2 = gamma_quasi_radial(model.quasi_radial, model.cfg, kappa, 2 * model.gamma_order)
             drift = max(drift, abs(g1 - g2))
+    grid = model.torus_grid
     for j in sorted(model.symbols):
         sym = model.symbols[j]
-        b1 = assemble_block(sym, j, block_degree, order=model.block_order)
-        b2 = assemble_block(sym, j, block_degree, order=2 * model.block_order)
+        b1 = assemble_block(sym, j, block_degree, order=model.block_order, torus_grid=grid)
+        b2 = assemble_block(sym, j, block_degree, order=2 * model.block_order, torus_grid=grid)
         drift = max(drift, float(np.max(np.abs(b1.mat - b2.mat))))
     return [_record("quadrature-doubling", drift, 1e-9)]
 

@@ -745,8 +745,16 @@ COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ConfigError on a bad command line instead of printing usage
+    text and exiting, so usage errors follow the JSON error contract."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="toeplitz-spectra",
         description="Finite-truncation laboratory for Toeplitz operator algebras "
         "on weighted Bergman spaces over the unit ball.",
@@ -762,7 +770,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ConfigError as exc:
+        _emit_error("ConfigError", str(exc))
+        return 1
     try:
         return _run(args)
     except Exception as exc:

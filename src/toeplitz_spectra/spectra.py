@@ -3,7 +3,10 @@ and the spectral-invariance decision.
 
 The point spectrum of a group factor is the union over degrees of its
 block spectra; for boundary-continuous symbols the essential spectrum is
-the boundary image of the symbol, sampled on the sphere.  In the plane the
+the boundary image of the symbol, sampled on the sphere.  The image is
+rasterized as filled cells: every 2-face of the sampled (sigma, tau)
+parameter grid is cut into triangles, and every grid cell that the image
+of one of them meets is marked, in one vectorized pass.  In the plane the
 polynomially convex hull of a compact set is the set together with the
 bounded components of its complement, which a flood fill from the grid
 boundary computes exactly at fixed resolution.
@@ -12,7 +15,7 @@ boundary computes exactly at fixed resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -150,6 +153,8 @@ class PlanarRegion:
     occ: np.ndarray  # bool (res, res), row = y index
     provenance: str
     samples: np.ndarray | None = None
+    # slack -> (the occ array it was computed from, that array dilated)
+    _dilations: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def resolution(self) -> int:
@@ -210,6 +215,7 @@ class PlanarRegion:
     def draw_polyline(self, points, closed: bool = False):
         """Mark every cell touched by the segments between consecutive samples."""
         pts = np.asarray(points, dtype=complex).ravel()
+        self._dilations.clear()
         if pts.size == 0:
             return
         if pts.size == 1:
@@ -271,11 +277,18 @@ class PlanarRegion:
         return int((self.occ & ~other.occ).sum())
 
     def contains_point(self, z: complex, slack_cells: int = 0) -> bool:
-        occ = self.occ
-        if slack_cells > 0:
-            occ = ndimage.binary_dilation(self.occ, iterations=slack_cells)
+        occ = self._dilated(slack_cells) if slack_cells > 0 else self.occ
         iy, ix = self._indices(np.array([z], dtype=complex))
         return bool(occ[iy[0], ix[0]])
+
+    def _dilated(self, cells: int) -> np.ndarray:
+        """The grid dilated by `cells` 4-connected steps, computed once per
+        (occ array, cells); a reassigned `occ` is dilated afresh."""
+        hit = self._dilations.get(cells)
+        if hit is None or hit[0] is not self.occ:
+            hit = (self.occ, ndimage.binary_dilation(self.occ, iterations=cells))
+            self._dilations[cells] = hit
+        return hit[1]
 
     def occupied_cell_centers(self) -> np.ndarray:
         iy, ix = np.nonzero(self.occ)
@@ -285,19 +298,14 @@ class PlanarRegion:
 
     def run_length_rows(self) -> list[list[tuple[int, int]]]:
         """Per-row [start, length] runs of occupied cells (for JSON export)."""
-        rows = []
-        for row in self.occ:
-            runs = []
-            start = None
-            for i, v in enumerate(row):
-                if v and start is None:
-                    start = i
-                elif not v and start is not None:
-                    runs.append((start, i - start))
-                    start = None
-            if start is not None:
-                runs.append((start, len(row) - start))
-            rows.append(runs)
+        padded = np.zeros((self.occ.shape[0], self.occ.shape[1] + 2), dtype=np.int8)
+        padded[:, 1:-1] = self.occ
+        edges = np.diff(padded, axis=1)
+        run_rows, starts = np.nonzero(edges == 1)
+        _, stops = np.nonzero(edges == -1)
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.occ.shape[0])]
+        for r, a, b in zip(run_rows.tolist(), starts.tolist(), stops.tolist()):
+            rows[r].append((a, b - a))
         return rows
 
 
@@ -370,6 +378,116 @@ def boundary_image_values(c: PseudoHomogeneousSymbol, samples: int = 4096) -> np
     return np.asarray(c(s_b, t_b)).reshape(s_full.shape[0], t_full.shape[0])
 
 
+def _face_triangles(k: int, n_sigma: int, n_tau: int):
+    """Triangles tiling the 2-faces of the sampled simplex x torus grid.
+
+    The grid is the one `boundary_image_values` samples for k >= 2: sigma
+    multi-indices with sum <= n_sigma - 1 (rows of its result) times torus
+    multi-indices with wrap-around (columns).  For each pair of the 2(k-1)
+    parameter axes this yields an (n, 3) array of indices into the
+    flattened sample: the face with corners p, p+e_a, p+e_b, p+e_a+e_b
+    gives the triangles (p, p+e_a, p+e_b) and (p+e_a, p+e_a+e_b, p+e_b); a
+    face cut by the simplex boundary keeps only the first.
+    """
+    m = k - 1
+    box = np.indices((n_sigma,) * m).reshape(m, -1).T
+    simplex = box[box.sum(axis=1) <= n_sigma - 1]
+    position = np.full((n_sigma + 1,) * m, -1, dtype=np.intp)
+    position[tuple(simplex.T)] = np.arange(len(simplex))
+    torus = np.indices((n_tau,) * m).reshape(m, -1).T
+    n_t = len(torus)
+    steps = []  # per axis: flat index of the neighbour of every point, -1 outside
+    for a in range(m):
+        nb = simplex.copy()
+        nb[:, a] += 1
+        s_next = position[tuple(nb.T)]
+        step = s_next[:, None] * n_t + np.arange(n_t)[None, :]
+        steps.append(np.where(s_next[:, None] >= 0, step, -1).ravel())
+    for a in range(m):
+        nb = torus.copy()
+        nb[:, a] = (nb[:, a] + 1) % n_tau
+        t_next = np.ravel_multi_index(tuple(nb.T), (n_tau,) * m)
+        steps.append((np.arange(len(simplex))[:, None] * n_t + t_next[None, :]).ravel())
+    for a in range(2 * m):
+        for b in range(a + 1, 2 * m):
+            pa, pb = steps[a], steps[b]
+            corner = np.flatnonzero((pa >= 0) & (pb >= 0))
+            pab = np.where(pa >= 0, pb[np.maximum(pa, 0)], -1)
+            full = np.flatnonzero(pab >= 0)
+            tri = np.empty((len(corner) + len(full), 3), dtype=np.intp)
+            tri[: len(corner)] = np.stack([corner, pa[corner], pb[corner]], axis=1)
+            tri[len(corner):] = np.stack([pa[full], pab[full], pb[full]], axis=1)
+            yield tri
+
+
+# (triangle, row) pairs per chunk of the fill: a few MB of float temporaries
+_FILL_CHUNK = 1 << 13
+
+
+def _fill_triangles(region: PlanarRegion, points: np.ndarray, triangles: np.ndarray) -> None:
+    """Mark every cell of `region` that meets a triangle.
+
+    `points` are complex vertices and `triangles` an (n, 3) array of
+    indices into them; degenerate triangles (segments and points) mark the
+    cells they touch.  A cell is the half-open square [c, c+1) x [r, r+1)
+    in grid units, the floor convention `PlanarRegion._indices` uses for
+    points, so a segment along a grid line marks one row of cells, not
+    two; vertices are clipped to the grid box as `_indices` clips points.
+    For each (triangle, row) pair the x-extent of the triangle inside the
+    row's band comes from its vertices in the band and its edges'
+    crossings of the band's two lines; the row spans are summed in a
+    difference array, so only int32 and bool arrays span the grid.
+    """
+    res = region.resolution
+    px = np.clip((points.real - region.x0) / region.cell, 0.0, res)
+    py = np.clip((points.imag - region.y0) / region.cell, 0.0, res)
+    corners = triangles.T
+    ymin = np.minimum(np.minimum(py[corners[0]], py[corners[1]]), py[corners[2]])
+    ymax = np.maximum(np.maximum(py[corners[0]], py[corners[1]]), py[corners[2]])
+    first = np.minimum(np.floor(ymin), res - 1).astype(np.intp)
+    nrows = np.minimum(np.floor(ymax), res - 1).astype(np.intp) - first + 1
+    del ymin, ymax
+    ends = np.cumsum(nrows)
+    diff = np.zeros((res, res + 1), dtype=np.int32)
+    flat = diff.reshape(-1)
+    one = np.int32(1)
+    lo_tri = 0
+    while lo_tri < len(nrows):
+        done = ends[lo_tri] - nrows[lo_tri]
+        hi_tri = max(lo_tri + 1, int(np.searchsorted(ends, done + _FILL_CHUNK, side="right")))
+        n = nrows[lo_tri:hi_tri]
+        t = np.repeat(np.arange(lo_tri, hi_tri), n)
+        row = first[t] + np.arange(t.size) - np.repeat(np.cumsum(n) - n, n)
+        lo = row.astype(float)
+        hi = lo + 1.0
+        vertex = [corners[v][t] for v in range(3)]
+        xs = [px[i] for i in vertex]
+        ys = [py[i] for i in vertex]
+        xmin = np.full(t.size, np.inf)
+        xmax = np.full(t.size, -np.inf)
+        for v in range(3):
+            x, y = xs[v], ys[v]
+            inside = (y >= lo) & (y <= hi)
+            xmin = np.minimum(xmin, np.where(inside, x, np.inf))
+            xmax = np.maximum(xmax, np.where(inside, x, -np.inf))
+            # an edge on one of the lines contributes only its end points
+            x_end, y_end = xs[(v + 1) % 3], ys[(v + 1) % 3]
+            dy = y_end - y
+            slope = (x_end - x) / np.where(dy == 0.0, 1.0, dy)
+            y_low, y_high = np.minimum(y, y_end), np.maximum(y, y_end)
+            for line in (lo, hi):
+                crosses = (y_low <= line) & (y_high >= line)
+                xc = x + (line - y) * slope
+                xmin = np.minimum(xmin, np.where(crosses, xc, np.inf))
+                xmax = np.maximum(xmax, np.where(crosses, xc, -np.inf))
+        c0 = np.minimum(np.floor(xmin), res - 1).astype(np.intp)
+        c1 = np.minimum(np.floor(xmax), res - 1).astype(np.intp)
+        np.add.at(flat, row * (res + 1) + c0, one)
+        np.add.at(flat, row * (res + 1) + c1 + 1, -one)
+        lo_tri = hi_tri
+    region.occ |= np.cumsum(diff, axis=1, out=diff)[:, :res] > 0
+
+
 def essential_spectrum_estimate(
     c: PseudoHomogeneousSymbol,
     j: int | None = None,
@@ -380,9 +498,14 @@ def essential_spectrum_estimate(
 ) -> PlanarRegion:
     """Rasterized boundary image c(sphere); requires the continuity flag.
 
-    The image is drawn as polylines along each parameter direction of the
-    sphere sample, which is exactly what the declared continuity licenses;
-    isolated-dot rasterization would leak through the flood fill.
+    The image is filled, not outlined: each 2-face of the sampled
+    simplex x torus parameter grid (for k = 2 each (sigma, tau) cell, tau
+    wrapping around) is cut into two triangles, and every cell that the
+    image triangle of sample values meets is marked, then the grid is
+    dilated by one cell.  The declared continuity licenses filling
+    between neighbouring samples; a segment or point image (a real or
+    constant symbol) marks just the cells it touches, and k = 1 marks the
+    cell of its single value.
     """
     if not c.boundary_continuous:
         raise SpectraError(
@@ -395,10 +518,12 @@ def essential_spectrum_estimate(
         bbox = (x0, x0 + resolution * cell, y0, y0 + resolution * cell)
     region = PlanarRegion.empty(bbox, resolution, provenance="boundary image")
     region.samples = flat
-    for row in grid:
-        region.draw_polyline(row, closed=row.shape[0] > 2)
-    for col in grid.T:
-        region.draw_polyline(col)
+    if flat.size == 1:
+        iy, ix = region._indices(flat)
+        region.occ[iy, ix] = True
+    else:
+        for triangles in _face_triangles(c.dim, *_boundary_grid_counts(c.dim, samples)):
+            _fill_triangles(region, flat, triangles)
     region.occ = ndimage.binary_dilation(region.occ)
     return region
 
@@ -532,6 +657,7 @@ class SpectralContext:
         self._eigen: dict[tuple[int, int], EigenData] = {}
         self._ess: dict[tuple, PlanarRegion] = {}
         self._hulled: dict[tuple, PlanarRegion] = {}
+        self._with_hull: dict[tuple, SpectrumWithHull] = {}
 
     @property
     def cfg(self):
@@ -600,8 +726,15 @@ class SpectrumWithHull:
 def spectrum_with_hull(
     ctx: SpectralContext, j: int, Dmax: int, *, resolution: int | None = None
 ) -> SpectrumWithHull:
-    """sp = point spectrum union ess-sp; hull = point spectrum union hull(ess-sp)."""
+    """sp = point spectrum union ess-sp; hull = point spectrum union hull(ess-sp).
+
+    Both live on one grid framed by the point spectrum and the boundary
+    samples; the result is memoized in `ctx` per (j, Dmax, resolution).
+    """
     res = resolution or ctx.hull_resolution
+    key = (j, Dmax, res)
+    if key in ctx._with_hull:
+        return ctx._with_hull[key]
     pts = ctx.point_spectrum(j, Dmax).flat()
     ess_vals = ctx.boundary_samples(j)
     allvals = np.concatenate([pts, ess_vals]) if pts.size else ess_vals
@@ -615,13 +748,14 @@ def spectrum_with_hull(
     else:
         sp_region = ess_region
         hull_region = polynomial_hull_2d(ess_region)
-    return SpectrumWithHull(
+    ctx._with_hull[key] = SpectrumWithHull(
         group=j,
         sp_region=sp_region,
         hull_region=hull_region,
         point_values=tuple(complex(v) for v in pts),
         extra_cells=hull_region.minus_count(sp_region),
     )
+    return ctx._with_hull[key]
 
 
 @dataclass(frozen=True)

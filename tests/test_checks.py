@@ -1,0 +1,25 @@
+import numpy as np
+
+from toeplitz_spectra import checks
+from toeplitz_spectra.assembly import AlgebraModel, assemble_block
+from toeplitz_spectra.lattice import PartitionConfig
+from toeplitz_spectra.symbols import expression_symbol
+
+
+def test_quadrature_doubling_uses_the_model_torus_grid(monkeypatch):
+    sym = expression_symbol(1, 2, "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2")
+    model = AlgebraModel(
+        cfg=PartitionConfig(k=(2,)), symbols={1: sym}, block_order=16, torus_grid=16
+    )
+    grids = []
+
+    def spy(*args, **kwargs):
+        grids.append(kwargs.get("torus_grid"))
+        return assemble_block(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "assemble_block", spy)
+    (record,) = checks.quadrature_doubling(model, 2, 2)
+    assert grids == [16, 16]
+    b1 = assemble_block(sym, 1, 2, order=16, torus_grid=16)
+    b2 = assemble_block(sym, 1, 2, order=32, torus_grid=16)
+    assert record["residual"] == float(np.max(np.abs(b1.mat - b2.mat)))

@@ -46,6 +46,18 @@ def test_missing_config_is_config_error(capsys):
     assert err["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bogus"], ["assemble", "--bogus"]],
+    ids=["unknown-command", "unknown-option"],
+)
+def test_usage_error_is_json_exit_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["type"] == "ConfigError"
+
+
 def test_unreadable_config(tmp_path, capsys):
     assert main(["assemble", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -166,6 +178,24 @@ def test_hull_command(tmp_path):
     assert "inverse_closed" in report["payload"]
     assert (tmp_path / "out" / "hull_2.svg").exists()
     assert (tmp_path / "out" / "region_sp_2.json").exists()
+
+
+def test_readme_example_hull_is_inverse_closed(tmp_path):
+    # the README's example configuration, default hull settings: the boundary
+    # image of z1 conj(z2) / |z|^2 is the closed disk |z| <= 1/2
+    config = {
+        "partition": {"k": [1, 2], "lambda": 0.0},
+        "degree_cap": 6,
+        "quasi_radial": {"kind": "expression", "text": "1 - r1^2*r2^2"},
+        "symbols": [{"group": 2, "kind": "quasi_homogeneous", "p": [1, -1]}],
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["hull", "--config", str(path), "--no-cache"]) == 0
+    payload = read_report(tmp_path, "hull")["payload"]
+    assert payload["inverse_closed"] is True
+    assert payload["inverse_closed_per_group"]["2"]["extra_cells"] == 0
 
 
 def test_berezin_command(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from oracles import char_poly_coeffs
 from toeplitz_spectra.assembly import AlgebraModel, assemble_block
 from toeplitz_spectra.errors import SpectraError
 from toeplitz_spectra.lattice import PartitionConfig
+from toeplitz_spectra import spectra
 from toeplitz_spectra.spectra import (
     PlanarRegion,
     accumulation_check,
@@ -22,6 +24,7 @@ from toeplitz_spectra.spectra import (
 )
 from toeplitz_spectra.symbols import (
     QuasiRadialSymbol,
+    builtin_quasi_homogeneous,
     constant_symbol,
     expression_symbol,
     profile_symbol,
@@ -145,6 +148,168 @@ class TestPlanarRegion:
     def test_empty_rejected(self):
         with pytest.raises(SpectraError):
             PlanarRegion.from_points([], 64)
+
+    def test_contains_point_dilates_once(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        region = PlanarRegion.from_points(rng.standard_normal(30) + 1j * rng.standard_normal(30), 128)
+        fresh = ndimage.binary_dilation(region.occ, iterations=2)
+        calls = []
+        dilate = ndimage.binary_dilation
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("iterations"))
+            return dilate(*args, **kwargs)
+
+        monkeypatch.setattr(spectra.ndimage, "binary_dilation", counting)
+        zs = rng.uniform(-3, 3, 300) + 1j * rng.uniform(-3, 3, 300)
+        got = [region.contains_point(z, slack_cells=2) for z in zs]
+        assert calls == [2]
+        iy, ix = region._indices(zs)
+        assert got == [bool(v) for v in fresh[iy, ix]]
+        # a reassigned grid is dilated afresh
+        region.occ = np.zeros_like(region.occ)
+        assert not any(region.contains_point(z, slack_cells=2) for z in zs[:5])
+        assert calls == [2, 2]
+
+    def test_run_length_rows_matches_loop(self):
+        def loop_runs(occ):
+            rows = []
+            for row in occ:
+                runs, start = [], None
+                for i, v in enumerate(row):
+                    if v and start is None:
+                        start = i
+                    elif not v and start is not None:
+                        runs.append((start, i - start))
+                        start = None
+                if start is not None:
+                    runs.append((start, len(row) - start))
+                rows.append(runs)
+            return rows
+
+        rng = np.random.default_rng(11)
+        for density in (0.1, 0.5, 0.9):
+            occ = rng.random((40, 37)) < density
+            occ[3] = True
+            occ[7] = False
+            region = PlanarRegion.empty((0.0, 1.0, 0.0, 1.0), 40)
+            region.occ = occ
+            got = region.run_length_rows()
+            assert got == loop_runs(occ)
+            assert all(type(v) is int for row in got for run in row for v in run)
+
+
+def _separating_axis_oracle(region, tri):
+    """Cells whose closed square meets a triangle, by the separating axis test.
+
+    Closed and half-open cells differ only for triangles touching a grid
+    line, which random vertices never do."""
+    res = region.resolution
+    gx = (tri.real - region.x0) / region.cell
+    gy = (tri.imag - region.y0) / region.cell
+    iy, ix = np.mgrid[0:res, 0:res]
+    corners = np.stack(
+        [np.stack([ix + a, iy + b], axis=-1) for a in (0, 1) for b in (0, 1)], axis=-2
+    )
+    occ = np.zeros((res, res), dtype=bool)
+    for vx, vy in zip(gx, gy):
+        verts = np.stack([vx, vy], axis=1)
+        axes = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        for a in range(3):
+            ex, ey = verts[(a + 1) % 3] - verts[a]
+            axes.append(np.array([-ey, ex]))
+        separated = np.zeros((res, res), dtype=bool)
+        for axis in axes:
+            t, q = verts @ axis, corners @ axis
+            separated |= (q.max(axis=-1) < t.min()) | (q.min(axis=-1) > t.max())
+        occ |= ~separated
+    return occ
+
+
+def _fill(region, tri):
+    tri = np.asarray(tri, dtype=complex)
+    spectra._fill_triangles(region, tri.ravel(), np.arange(tri.size).reshape(-1, 3))
+
+
+class TestRasterizer:
+    def test_fill_matches_separating_axis_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            region = PlanarRegion.empty((0.0, 1.0, 0.0, 1.0), 32)
+            n = int(rng.integers(1, 5))
+            tri = rng.uniform(0.02, 0.98, (n, 3)) + 1j * rng.uniform(0.02, 0.98, (n, 3))
+            _fill(region, tri)
+            assert np.array_equal(region.occ, _separating_axis_oracle(region, tri))
+
+    def test_segments_and_points_mark_their_cells(self):
+        region = PlanarRegion.empty((0.0, 8.0, 0.0, 8.0), 8)
+        # a point inside cell (row 2, column 5), one on a grid corner, a
+        # horizontal segment inside row 6, a vertical one on the line x = 1
+        # and one along the top edge of the grid box
+        tri = np.array([
+            [5.5 + 2.5j] * 3,
+            [3.0 + 4.0j] * 3,
+            [0.25 + 6.5j, 2.75 + 6.5j, 2.75 + 6.5j],
+            [1.0 + 0.5j, 1.0 + 1.5j, 1.0 + 0.5j],
+            [6.5 + 8.0j, 7.5 + 8.0j, 7.5 + 8.0j],
+        ])
+        _fill(region, tri)
+        want = np.zeros((8, 8), dtype=bool)
+        want[2, 5] = True
+        want[4, 3] = True  # a cell owns its lower and left edges
+        want[6, 0:3] = True
+        want[0:2, 1] = True
+        want[7, 6:8] = True  # clipped into the grid, as points are
+        assert np.array_equal(region.occ, want)
+        # points land in the cells `_indices` gives them
+        iy, ix = region._indices(tri[:2, 0])
+        assert region.occ[iy, ix].all()
+
+    def test_k2_faces_wrap_in_tau(self):
+        (tri,) = spectra._face_triangles(2, 2, 3)  # flat index = 3 * sigma + tau
+        want = [[t, 3 + t, (t + 1) % 3] for t in range(3)]
+        want += [[3 + t, 3 + (t + 1) % 3, (t + 1) % 3] for t in range(3)]
+        assert sorted(tri.tolist()) == sorted(want)
+
+    def test_k3_faces_cover_the_sample(self):
+        n = 4
+        batches = list(spectra._face_triangles(3, n, n))
+        assert len(batches) == 6  # pairs of the four parameter axes
+        n_points = (n * (n + 1) // 2) * n * n
+        used = np.unique(np.concatenate([b.ravel() for b in batches]))
+        assert used.tolist() == list(range(n_points))
+
+    def test_k1_image_marks_one_cell(self):
+        region = essential_spectrum_estimate(constant_symbol(1, 1, 0.3 - 0.2j), 1, resolution=64)
+        iy, ix = region._indices(np.array([0.3 - 0.2j]))
+        dot = np.zeros_like(region.occ)
+        dot[iy, ix] = True
+        assert np.array_equal(region.occ, ndimage.binary_dilation(dot))
+
+    def test_constant_symbol_marks_its_cells(self):
+        value = 0.7 + 0.1j
+        region = essential_spectrum_estimate(constant_symbol(1, 2, value), 1, 256, resolution=64)
+        dot = PlanarRegion.empty(
+            (region.x0, region.x0 + 64 * region.cell, region.y0, region.y0 + 64 * region.cell), 64
+        )
+        _fill(dot, np.full((1, 3), value))
+        assert 1 <= dot.count() <= 4
+        assert np.array_equal(region.occ, ndimage.binary_dilation(dot.occ))
+
+    def test_real_segment_image_is_its_cells(self):
+        # the boundary image of s1^2 is [0, 1]: filled faces add nothing to it
+        region = essential_spectrum_estimate(profile_symbol(1, 2, "s1^2"), 1, 1024, resolution=256)
+        line = PlanarRegion.empty(
+            (region.x0, region.x0 + 256 * region.cell, region.y0, region.y0 + 256 * region.cell), 256
+        )
+        _fill(line, [[0.0, 1.0, 1.0]])
+        assert np.array_equal(region.occ, ndimage.binary_dilation(line.occ))
+
+    @pytest.mark.parametrize("p", [(1, -1), (2, -2), (1, -1, 0)])
+    def test_quasi_homogeneous_disk_is_polynomially_convex(self, p):
+        # |z1 conj(z2)| / |z|^2 and its k = 3 analogue fill a closed disk
+        region = essential_spectrum_estimate(builtin_quasi_homogeneous(1, p), 1)
+        assert polynomial_hull_2d(region).minus_count(region) == 0
 
 
 class TestEssentialSpectrum:
