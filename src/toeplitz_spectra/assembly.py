@@ -16,7 +16,8 @@ Everything the algebra contains reduces to two ingredients:
           int_{Delta_{k-1}} c_hat(sigma^{1/2}, p) prod sigma^{(alpha+beta)/2} dsigma,
 
   which is a pure Gamma ratio whenever c_hat is a monomial in s, a fixed
-  order sum of Gamma ratios when it is a polynomial in s, and a
+  order sum of Gamma ratios when it is a polynomial in s (as it is for
+  every mode of a polynomial profile or expression symbol), and a
   low-dimensional absorbed-weight quadrature otherwise.  Entries carry no
   dependence on the weight parameter or on the other groups.
 
@@ -27,7 +28,9 @@ group blocks, realized through the global basis index map.
 
 Blocks are cached on disk keyed by a content hash of the symbol, the
 quadrature order and the torus grid; reload is bit-exact, and a file that
-does not parse as the block asked for is recomputed.
+does not parse as the block asked for is recomputed.  Blocks of opaque
+symbols (built from Python callables, whose label does not identify their
+values) are never cached.
 """
 
 from __future__ import annotations
@@ -63,7 +66,10 @@ from .symbols import (
 # 2: polynomial profile strings are assembled in closed form, no longer by
 # quadrature, under unchanged symbol keys.
 # 3: the torus grid is part of the key and of the file header.
-CACHE_SCHEMA_VERSION = 3
+# 4: polynomial expression symbols in s, t, conj(t) are assembled in closed
+# form from their mode tables, no longer by torus quadrature, under
+# unchanged symbol keys.
+CACHE_SCHEMA_VERSION = 4
 _CACHE_MAGIC = b"TSBK"
 
 
@@ -162,12 +168,15 @@ def assemble_block(
     independent of the global weight parameter and of the other groups.
     With declared Fourier support only the supported diagonals are touched;
     otherwise every realizable mode p = beta - alpha is probed through an
-    exact per-block torus table.
+    exact per-block torus table.  The disk cache is skipped for opaque
+    symbols.
     """
     group = c.group if j is None else j
     kj = c.dim
     if d < 0:
         raise AssemblyError(f"degree must be >= 0, got {d}")
+    if c.opaque:
+        cache = None
     if cache is not None:
         cached = cache.load(c.content_key, group, d, order, torus_grid=torus_grid)
         if cached is not None:

@@ -59,6 +59,7 @@ from .spectra import (
     accumulation_check,
     berezin_sequence,
     is_inverse_closed,
+    resolution_drift_cells,
     spectrum_with_hull,
 )
 from .symbols import (
@@ -499,13 +500,14 @@ def cmd_hull(setup: Setup) -> dict:
         )
         # Resolution-drift verification pass at twice the grid.
         swh2 = spectrum_with_hull(setup.ctx, j, D, resolution=2 * res)
-        a1, a2 = swh.hull_region.area(), swh2.hull_region.area()
+        drift_cells = resolution_drift_cells(swh.hull_region, swh2.hull_region)
         payload["groups"][str(j)] = {
             "sp_cells": swh.sp_region.count(),
             "hull_cells": swh.hull_region.count(),
-            "hull_area": a1,
-            "hull_area_2x": a2,
-            "area_drift_rel": abs(a1 - a2) / max(a1, 1e-300),
+            "hull_area": swh.hull_region.area(),
+            "hull_area_2x": swh2.hull_region.area(),
+            "resolution_drift_cells": drift_cells,
+            "resolution_drift_rel": drift_cells / max(swh.hull_region.count(), 1),
             "extra_cells": swh.extra_cells,
         }
     inv = is_inverse_closed(setup.ctx, D)

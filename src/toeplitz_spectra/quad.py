@@ -8,7 +8,9 @@ Two families of rules live here:
   into its Jacobi parameters, which keeps half-integer and near-singular
   exponents (weight parameters close to -1) at full accuracy.
 * Uniform product rules on the torus T^k for Fourier coefficients, exact
-  for trigonometric polynomials below the grid bandwidth.
+  for trigonometric polynomials below the grid bandwidth.  Only symbols
+  that are not polynomials in s, t and conj(t) reach them for block
+  entries; polynomial symbols declare their modes in closed form.
 
 The closed-form Dirichlet integral doubles as the oracle against which the
 simplex rules are cross-validated.
@@ -261,31 +263,57 @@ def dirichlet_probability_rule(exponents, order: int) -> SimplexRule:
 
 def torus_grid(dim: int, grid: int) -> np.ndarray:
     """All points of the uniform product grid on T^dim, shape (grid^dim, dim)."""
+    if dim == 0:
+        return np.ones((1, 0), dtype=complex)
     axis = np.exp(2j * np.pi * np.arange(grid) / grid)
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
+# Byte budget of the symbol values fourier_on_points holds at once.
+FOURIER_CHUNK_BYTES = 1 << 25
+
+
 def fourier_on_points(
     fn: Callable, s_points: np.ndarray, p, grid: int = 64
 ) -> np.ndarray:
-    """c_hat(s_i, p) for every row s_i of an (N, k) array, vectorized over the grid."""
+    """c_hat(s_i, p) for every row s_i of an (N, k) array of a torus-invariant
+    symbol fn(s, t).
+
+    For |p| = 0 the diagonal invariance makes the integrand a function of
+    t / t_k, so the uniform grid over the first k - 1 torus axes with
+    t_k = 1 gives the same mean as the full grid^k one; other modes use
+    the full grid.  Rows are evaluated in chunks whose values fit in
+    FOURIER_CHUNK_BYTES; each row's mean is independent of the chunking.
+    A grid whose single row exceeds the budget raises QuadratureError
+    before anything is allocated.
+    """
     p = tuple(int(v) for v in p)
     k = len(p)
     if grid < 2 * max((abs(v) for v in p), default=0) + 1:
         raise QuadratureError(f"grid {grid} too small for mode {p}")
-    tpts = torus_grid(k, grid)  # (M, k)
+    axes = k - 1 if sum(p) == 0 else k
+    row_bytes = 16 * grid**axes
+    if row_bytes > FOURIER_CHUNK_BYTES:
+        raise QuadratureError(
+            f"torus grid {grid}^{axes} for mode {p} needs {row_bytes} bytes per "
+            f"sphere point, over the {FOURIER_CHUNK_BYTES}-byte budget"
+        )
+    tpts = torus_grid(axes, grid)  # (M, axes)
+    if axes < k:
+        tpts = np.hstack([tpts, np.ones((tpts.shape[0], 1), dtype=complex)])
     phase = np.ones(tpts.shape[0], dtype=complex)
     for axis, power in enumerate(p):
         if power:
             phase = phase * tpts[:, axis] ** (-power)
-    s_b = s_points[:, None, :]  # (N, 1, k)
-    t_b = tpts[None, :, :]  # (1, M, k)
-    vals = np.asarray(fn(s_b, t_b), dtype=complex)
-    if vals.shape != (s_points.shape[0], tpts.shape[0]):
-        vals = np.array(
-            [[complex(fn(srow, trow)) for trow in tpts] for srow in s_points]
-        )
-    if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
-        raise QuadratureError("symbol returned non-finite torus samples")
-    return (vals * phase[None, :]).mean(axis=1)
+    rows = FOURIER_CHUNK_BYTES // row_bytes
+    out = np.empty(s_points.shape[0], dtype=complex)
+    for start in range(0, s_points.shape[0], rows):
+        s_rows = s_points[start : start + rows]
+        vals = np.asarray(fn(s_rows[:, None, :], tpts[None, :, :]), dtype=complex)
+        if vals.shape != (s_rows.shape[0], tpts.shape[0]):
+            vals = np.array([[complex(fn(srow, trow)) for trow in tpts] for srow in s_rows])
+        if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
+            raise QuadratureError("symbol returned non-finite torus samples")
+        out[start : start + rows] = (vals * phase[None, :]).mean(axis=1)
+    return out

@@ -758,6 +758,28 @@ def spectrum_with_hull(
     return ctx._with_hull[key]
 
 
+def resolution_drift_cells(base: PlanarRegion, fine: PlanarRegion) -> int:
+    """Base cells on which a region and its rasterization at twice the
+    resolution disagree, beyond the one-cell dilation of either raster.
+
+    Both grids share one frame, so each 2x2 block of fine cells is one base
+    cell, and the fine region is reduced to the base grid by OR.  Each
+    raster is dilated by one of its own cells, so a cell within one base
+    cell of the other region is within tolerance; what is left is area
+    that one resolution fills and the other does not.
+    """
+    res = base.resolution
+    refined = PlanarRegion(base.x0, base.y0, base.cell / 2, fine.occ, "")
+    if fine.resolution != 2 * res or not refined.same_grid(fine):
+        raise SpectraError("the fine region must be the base grid refined twice")
+    f = fine.occ
+    coarse = f[0::2, 0::2] | f[1::2, 0::2] | f[0::2, 1::2] | f[1::2, 1::2]
+    return int(
+        (base.occ & ~ndimage.binary_dilation(coarse)).sum()
+        + (coarse & ~base._dilated(1)).sum()
+    )
+
+
 @dataclass(frozen=True)
 class AccumulationReport:
     group: int

@@ -9,8 +9,11 @@ that support analytically, which unlocks closed-form operator entries.
 
 User-defined profiles come in through a deliberately tiny expression
 grammar (constants, + - * / ^, exp, conj, variables r1.., s1.., t1..);
-no control flow, no user functions.  Profile strings that are polynomials
-in s compile to sums of monomial profiles.
+no control flow, no user functions.  One compiler (_compile_modes) turns
+an expression that is a polynomial in s, t and conj(t) into a table of
+Fourier modes p, each a sum of monomial profiles in s: profile strings
+compile to the single p = 0 entry, expression symbols to their full
+table, whose invariance is then exact.
 """
 
 from __future__ import annotations
@@ -271,17 +274,26 @@ def _power_exponent(node) -> int | None:
     return int(n.real)
 
 
+def _is_compiled_conj(node) -> bool:
+    """conj of a subtree holding a torus variable; conj of anything else
+    compiles only when the subtree is constant."""
+    return node[0] == "call" and node[1] == "conj" and any(
+        v[0] == "t" for v in _free_vars(node[2], set())
+    )
+
+
 def _poly_degree(node) -> int | None:
-    """Total degree of an AST in s1..sk, or None when it is not a polynomial:
-    a variable under / exp conj, a ^ whose exponent is not a nonnegative
-    integer constant, or a constant that is not finite."""
+    """Total degree of an AST in s1..sk, t1..tk and conj(t1)..conj(tk), or
+    None when it is not a polynomial: a variable under / or exp, conj over
+    variables but no torus variable, a ^ whose exponent is not a
+    nonnegative integer constant, or a constant that is not finite."""
     if not _free_vars(node, set()):
         return 0 if _const_value(node) is not None else None
     tag = node[0]
     if tag == "var":
         return 1
-    if tag == "neg":
-        return _poly_degree(node[1])
+    if tag == "neg" or _is_compiled_conj(node):
+        return _poly_degree(node[-1])
     if tag in "+-*":
         degrees = (_poly_degree(node[1]), _poly_degree(node[2]))
         if None in degrees:
@@ -294,17 +306,26 @@ def _poly_degree(node) -> int | None:
 
 
 def _poly_terms(node, dim: int) -> dict:
-    """Expand an AST that _poly_degree accepts over s1..s{dim} into
-    {powers: coeff}."""
-    zero = (0,) * dim
+    """Expand an AST that _poly_degree accepts into {exponents: coeff}.
+
+    ``exponents`` holds the powers of s1..s{dim} followed by the torus mode
+    p: since |t_l| = 1, t^a conj(t)^b contributes p = a - b, and conj of a
+    subtree conjugates its coefficients and negates its modes.
+    """
+    zero = (0,) * (2 * dim)
     if not _free_vars(node, set()):
         return {zero: _const_value(node)}
     tag = node[0]
     if tag == "var":
-        axis = int(node[1][1:]) - 1
-        return {tuple(int(l == axis) for l in range(dim)): 1 + 0j}
+        axis = int(node[1][1:]) - 1 + (dim if node[1][0] == "t" else 0)
+        return {tuple(int(l == axis) for l in range(2 * dim)): 1 + 0j}
     if tag == "neg":
         return {e: -c for e, c in _poly_terms(node[1], dim).items()}
+    if tag == "call":
+        return {
+            e[:dim] + tuple(-v for v in e[dim:]): c.conjugate()
+            for e, c in _poly_terms(node[2], dim).items()
+        }
     if tag != "^":
         left, right = _poly_terms(node[1], dim), _poly_terms(node[2], dim)
         if tag == "*":
@@ -320,6 +341,33 @@ def _poly_terms(node, dim: int) -> dict:
         if not n:
             return out
         base = _poly_mul(base, base)
+
+
+def _compile_modes(expr: "SymbolExpression", dim: int) -> dict | None:
+    """Fourier-mode table {p: terms} of an expression that is a polynomial
+    in s, t and conj(t), or None for any other expression.
+
+    Equal powers are merged and zero coefficients dropped; each mode's
+    terms are in ascending order of powers, and modes in ascending order.
+    A polynomial of degree above MAX_PROFILE_DEGREE, whose expansion passes
+    MAX_PROFILE_TERMS terms or which has a non-finite coefficient raises
+    SymbolError.
+    """
+    degree = _poly_degree(expr.root)
+    if degree is None:
+        return None
+    if degree > MAX_PROFILE_DEGREE:
+        raise SymbolError(
+            f"polynomial {expr.text!r} has degree {degree}; at most "
+            f"{MAX_PROFILE_DEGREE} is supported"
+        )
+    table: dict[Index, list] = {}
+    for e, c in sorted(_poly_terms(expr.root, dim).items()):
+        if not np.isfinite(c):
+            raise SymbolError(f"polynomial {expr.text!r} has a non-finite coefficient")
+        if c != 0:
+            table.setdefault(e[dim:], []).append(MonomialProfile(e[:dim], c))
+    return {p: tuple(terms) for p, terms in sorted(table.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +424,11 @@ class CallableProfile:
 class PolynomialProfile:
     """c_hat(s, p) = sum of monomial terms; entries become sums of Gamma ratios.
 
-    ``terms`` is the compiled form, in ascending order of powers.  ``fn``
-    evaluates the source expression, so pointwise values are those of the
-    expression itself.
+    ``terms`` is the compiled form, in ascending order of powers.  For a
+    profile string ``fn`` evaluates the source expression, so pointwise
+    values are those of the expression itself; for a mode of an expression
+    symbol it sums the terms.  The label must identify the terms, since it
+    enters the symbol's cache key.
     """
 
     terms: tuple[MonomialProfile, ...]
@@ -475,7 +525,10 @@ class PseudoHomogeneousSymbol:
     fn(s, t) takes broadcast-compatible arrays (..., k) of sphere and torus
     coordinates.  When ``modes`` is present it fully describes the Fourier
     support {p : |p| = 0} with analytic profiles; otherwise coefficients are
-    probed numerically on demand.
+    probed numerically on demand.  ``opaque`` marks a symbol whose values
+    come from a Python callable: its label does not identify them, so its
+    blocks are never disk-cached.  The constructors below set it; a symbol
+    built directly from a function is opaque.
     """
 
     group: int
@@ -484,6 +537,7 @@ class PseudoHomogeneousSymbol:
     label: str
     modes: tuple[FourierMode, ...] | None = None
     boundary_continuous: bool = False
+    opaque: bool = True
 
     def __call__(self, s, t) -> np.ndarray:
         vals = np.asarray(self.fn(np.asarray(s, float), np.asarray(t, complex)))
@@ -531,6 +585,7 @@ def builtin_quasi_homogeneous(group: int, p) -> PseudoHomogeneousSymbol:
         label=f"qh{p}",
         modes=modes,
         boundary_continuous=True,
+        opaque=False,
     )
 
 
@@ -543,6 +598,7 @@ def constant_symbol(group: int, dim: int, value: complex = 1.0) -> PseudoHomogen
         label=f"const:{complex(value)!r}",
         modes=(mode,),
         boundary_continuous=True,
+        opaque=False,
     )
 
 
@@ -579,26 +635,18 @@ def profile_symbol(
             return np.broadcast_to(np.asarray(vals, dtype=complex), s.shape[:-1])
 
         label = f"expr:{profile}"
-        degree = _poly_degree(expr.root)
-        if degree is None:
+        table = _compile_modes(expr, dim)
+        if table is None:
             prof = CallableProfile(fn=bfn, label=label)
         else:
-            if degree > MAX_PROFILE_DEGREE:
-                raise SymbolError(
-                    f"profile {profile!r} has degree {degree}; at most "
-                    f"{MAX_PROFILE_DEGREE} is supported"
-                )
-            poly = _poly_terms(expr.root, dim)
-            terms = tuple(
-                MonomialProfile(e, c) for e, c in sorted(poly.items()) if c != 0
-            )
-            prof = PolynomialProfile(terms=terms, fn=bfn, label=label)
+            prof = PolynomialProfile(terms=table.get((0,) * dim, ()), fn=bfn, label=label)
     elif isinstance(profile, MonomialProfile):
         prof = profile
     elif callable(profile):
         prof = CallableProfile(fn=profile, label=getattr(profile, "__name__", "callable"))
     else:
         raise SymbolError(f"cannot build a profile from {type(profile).__name__}")
+    opaque = not isinstance(profile, (str, MonomialProfile))
     mode = FourierMode(p=(0,) * dim, profile=prof)
     return PseudoHomogeneousSymbol(
         group=group,
@@ -607,13 +655,15 @@ def profile_symbol(
         label=f"profile[{prof.label}]",
         modes=(mode,),
         boundary_continuous=boundary_continuous,
+        opaque=opaque,
     )
 
 
 def modes_symbol(
     group: int, dim: int, modes, *, boundary_continuous: bool = True, label: str | None = None
 ) -> PseudoHomogeneousSymbol:
-    """Symbol with an explicit finite Fourier support."""
+    """Symbol with an explicit finite Fourier support; opaque when a profile
+    is a CallableProfile."""
     modes = tuple(
         m if isinstance(m, FourierMode) else FourierMode(p=m[0], profile=m[1]) for m in modes
     )
@@ -626,7 +676,22 @@ def modes_symbol(
         label=label,
         modes=modes,
         boundary_continuous=boundary_continuous,
+        opaque=any(isinstance(m.profile, CallableProfile) for m in modes),
     )
+
+
+# Load-time torus invariance tolerance of expression symbols.
+INVARIANCE_TOL = 1e-10
+
+
+def _terms_fn(terms: tuple[MonomialProfile, ...]) -> Callable:
+    def fn(s):
+        out = np.zeros(np.shape(s)[:-1], dtype=complex)
+        for term in terms:
+            out = out + term(s)
+        return out
+
+    return fn
 
 
 def expression_symbol(
@@ -638,8 +703,16 @@ def expression_symbol(
 ) -> PseudoHomogeneousSymbol:
     """Generic symbol c(s, t) from an expression over s1..sk, t1..tk.
 
-    Torus invariance is checked on 64 random samples to 1e-10 at load time;
-    symbols failing the check are rejected here rather than at assembly time.
+    A polynomial in s, t and conj(t) compiles to its Fourier-mode table
+    (see _compile_modes): each mode with |p| = 0 becomes a
+    PolynomialProfile, so block entries are closed-form Gamma ratios on the
+    declared diagonals only.  Invariance is then decided exactly: a mode
+    with |p| != 0 is dropped when the sum of its |coefficients| is at most
+    INVARIANCE_TOL and rejected otherwise.  Any other expression keeps no
+    mode table; its invariance is probed on 64 random samples to
+    INVARIANCE_TOL, and its block entries go through torus quadrature.
+    ``fn`` evaluates the expression itself in both cases.  Symbols failing
+    a check are rejected here rather than at assembly time.
     """
     expr = parse_symbol_expression(text)
     allowed = {f"s{l}" for l in range(1, dim + 1)} | {f"t{l}" for l in range(1, dim + 1)}
@@ -657,22 +730,41 @@ def expression_symbol(
         vals = _expr.evaluate(env)
         return np.broadcast_to(np.asarray(vals, dtype=complex), np.broadcast(s, t).shape[:-1])
 
+    label = f"expr:{text}"
+    table = _compile_modes(expr, dim)
+    modes = None
+    if table is not None:
+        modes = []
+        for p, terms in table.items():
+            if sum(p) == 0:
+                prof = PolynomialProfile(terms=terms, fn=_terms_fn(terms), label=f"{label}@{p}")
+                modes.append(FourierMode(p=p, profile=prof))
+                continue
+            mass = sum(abs(term.coeff) for term in terms)
+            if mass > INVARIANCE_TOL:
+                raise SymbolError(
+                    f"symbol {text!r} is not invariant under the diagonal torus action; "
+                    f"mode {p} has coefficient mass {mass:.3e}"
+                )
+        modes = tuple(modes)
     sym = PseudoHomogeneousSymbol(
         group=group,
         dim=dim,
         fn=fn,
-        label=f"expr:{text}",
-        modes=None,
+        label=label,
+        modes=modes,
         boundary_continuous=boundary_continuous,
+        opaque=False,
     )
-    report = check_invariance(sym, samples=64, tol=1e-10)
-    if not report.ok:
-        if not np.isfinite(report.worst):
-            raise SymbolError(f"symbol {text!r} evaluated non-finite during validation")
-        raise SymbolError(
-            f"symbol {text!r} is not invariant under the diagonal torus action; "
-            f"worst violation {report.worst:.3e}"
-        )
+    if modes is None:
+        report = check_invariance(sym, samples=64, tol=INVARIANCE_TOL)
+        if not report.ok:
+            if not np.isfinite(report.worst):
+                raise SymbolError(f"symbol {text!r} evaluated non-finite during validation")
+            raise SymbolError(
+                f"symbol {text!r} is not invariant under the diagonal torus action; "
+                f"worst violation {report.worst:.3e}"
+            )
     if boundary_continuous:
         # The flag is user-asserted; the sample just rules out blow-ups.
         boundary_sanity_sample(sym)

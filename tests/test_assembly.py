@@ -361,7 +361,7 @@ class TestCache:
         assert cache.misses == 1
 
     def test_torus_grid_is_part_of_the_key(self, tmp_path):
-        sym = expression_symbol(1, 2, "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2")
+        sym = expression_symbol(1, 2, "exp(s1*s2*(t1*conj(t2)+t2*conj(t1)))+s1^2")
         cache = BlockCache(tmp_path)
         fine = assemble_block(sym, 1, 2, torus_grid=64, cache=cache)
         warm = assemble_block(sym, 1, 2, torus_grid=4, cache=cache)
@@ -369,6 +369,43 @@ class TestCache:
         cold = assemble_block(sym, 1, 2, torus_grid=4)
         assert warm.mat.tobytes() == cold.mat.tobytes()
         assert fine.mat.tobytes() != cold.mat.tobytes()  # the grid shapes the block
+        # A polynomial compiles to its modes; no grid enters its block.
+        poly = expression_symbol(1, 2, "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2")
+        assert sorted(m.p for m in poly.modes) == [(-1, 1), (0, 0), (1, -1)]
+        coarse = assemble_block(poly, 1, 2, torus_grid=4).mat
+        assert coarse.tobytes() == assemble_block(poly, 1, 2, torus_grid=64).mat.tobytes()
+
+    def test_schema_3_blocks_not_served_for_compiled_expressions(self, tmp_path, monkeypatch):
+        # Schema 3 stored torus-quadrature blocks for polynomial expression
+        # symbols under the same symbol key the compiled symbol has now.
+        sym = expression_symbol(1, 2, "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2")
+        assert sym.modes is not None
+        stale = np.full((3, 3), 7.0 + 0j)
+        monkeypatch.setattr(assembly, "CACHE_SCHEMA_VERSION", 3)
+        BlockCache(tmp_path).store(sym.content_key, 1, 2, 48, stale)
+        monkeypatch.undo()
+        cache = BlockCache(tmp_path)
+        b = assemble_block(sym, 1, 2, cache=cache)
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert b.mat.tobytes() == assemble_block(sym, 1, 2).mat.tobytes()
+
+    def test_callable_profiles_are_not_cached(self, tmp_path):
+        # Two lambdas share the name "<lambda>", hence the content key; a
+        # cached block of the first must not be served for the second.
+        first = profile_symbol(1, 2, lambda s: np.exp(s[..., 0]))
+        second = profile_symbol(1, 2, lambda s: 5 + 0 * s[..., 0])
+        assert first.content_key == second.content_key
+        assert first.opaque and second.opaque
+        cache = BlockCache(tmp_path)
+        assemble_block(first, 1, 2, order=16, cache=cache)
+        got = assemble_block(second, 1, 2, order=16, cache=cache)
+        assert got.mat.tobytes() == assemble_block(second, 1, 2, order=16).mat.tobytes()
+        assert np.allclose(got.mat, 5 * np.eye(3))
+        assert (cache.hits, cache.misses) == (0, 0)
+        assert not list(tmp_path.glob("*.blk"))
+        # Symbols compiled from strings stay cacheable.
+        for sym in (profile_symbol(1, 2, "exp(s1)"), expression_symbol(1, 2, "exp(s1)")):
+            assert not sym.opaque
 
     def test_model_uses_cache(self, tmp_path):
         cfg = PartitionConfig(k=(2,), lam=0.0)

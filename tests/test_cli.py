@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,14 +113,14 @@ def test_warm_cache_reproduces_payload(tmp_path):
 
 EXPRESSION_SYMBOL = {
     "group": 2, "kind": "expression",
-    "text": "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2",
+    "text": "exp(s1*s2*(t1*conj(t2)+t2*conj(t1)))+s1^2",
 }
 
 
 def test_warm_cache_with_other_torus_grid_matches_cold(tmp_path):
-    def run(grid, *flags):
+    def run(grid, *flags, symbol=EXPRESSION_SYMBOL):
         path = write_config(
-            tmp_path, degree_cap=3, symbols=[EXPRESSION_SYMBOL],
+            tmp_path, degree_cap=3, symbols=[symbol],
             quadrature={"torus_grid": grid},
         )
         assert main(["spectrum", "--config", str(path), *flags]) == 0
@@ -128,6 +131,10 @@ def test_warm_cache_with_other_torus_grid_matches_cold(tmp_path):
     cold = run(4, "--no-cache")
     assert warm == cold
     assert fine != cold
+    # A polynomial expression compiles to its modes: the grid does not
+    # enter its blocks.
+    poly = {**EXPRESSION_SYMBOL, "text": "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2"}
+    assert run(64, "--no-cache", symbol=poly) == run(4, "--no-cache", symbol=poly)
 
 
 def test_corrupt_cache_file_is_recomputed(tmp_path):
@@ -196,6 +203,85 @@ def test_readme_example_hull_is_inverse_closed(tmp_path):
     payload = read_report(tmp_path, "hull")["payload"]
     assert payload["inverse_closed"] is True
     assert payload["inverse_closed_per_group"]["2"]["extra_cells"] == 0
+
+
+# The k = (2, 3) expression family at D = 6 (seed 1 of the benchmark's
+# expr workloads): a polynomial expression in s, t, conj(t) and a
+# polynomial profile string.
+EXPR_CONFIG = {
+    "partition": {"k": [2, 3], "lambda": 0.5},
+    "degree_cap": 6,
+    "quasi_radial": {"kind": "expression", "text": "1 - 0.546*r1^2*r2^2"},
+    "symbols": [
+        {
+            "group": 1, "kind": "expression", "boundary_continuous": True,
+            "text": "0.421*s1^2 + 0.969*s1*s2*(t1*conj(t2)+t2*conj(t1)) + 0.832*s2^2",
+        },
+        {"group": 2, "kind": "profile", "text": "s1^2 + 0.995*s2*s3 + 0.329*s3^2"},
+    ],
+    "quadrature": {"block_order": 48, "gamma_order": 48, "torus_grid": 64},
+    "hull": {"resolution": 256, "ess_samples": 1024},
+    "berezin": {"group": 1, "w": [[0.2465, -0.3888], [-0.3562, 0.2519]], "degrees": [4, 8, 12]},
+    "radical": {"group": 1, "level": 1, "gamma": {"kind": "geometric_decay", "rate": 0.518}},
+    "seed": 803550136,
+}
+
+
+def test_verify_passes_on_compiled_expression(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**EXPR_CONFIG, "output_dir": str(tmp_path / "out")}))
+    assert main(["verify", "--config", str(path), "--no-cache"]) == 0
+    checks = {c["name"]: c for c in read_report(tmp_path, "verify")["payload"]["checks"]}
+    assert checks["quadrature-doubling"]["residual"] < 1e-12
+    assert all(c["passed"] for c in checks.values())
+
+
+def test_hull_resolution_drift_is_zero_on_segments(tmp_path):
+    # Both groups' boundary images are real segments one cell wide: their
+    # hulls agree at both resolutions within the rasters' own dilation.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**EXPR_CONFIG, "output_dir": str(tmp_path / "out")}))
+    assert main(["hull", "--config", str(path), "--no-cache"]) == 0
+    for group in read_report(tmp_path, "hull")["payload"]["groups"].values():
+        assert group["resolution_drift_cells"] == 0
+        assert group["resolution_drift_rel"] == 0.0
+        assert group["hull_cells"] > 0
+
+
+def test_k3_non_polynomial_expression_assembles_in_bounded_memory(tmp_path):
+    # The full 64^3 torus grid over 48^2 sphere nodes would need gigabytes;
+    # |p| = 0 modes use 64^2 grids evaluated in chunks.  Order 16 keeps the
+    # run short while the full-grid route would still need about 1 GB.
+    config = {
+        "partition": {"k": [1, 3], "lambda": 0.0},
+        "degree_cap": 2,
+        "quasi_radial": {"kind": "one"},
+        "symbols": [{
+            "group": 2, "kind": "expression",
+            "text": "exp(s1*s2*(t1*conj(t2)+t2*conj(t1)))",
+        }],
+        "quadrature": {"block_order": 16, "gamma_order": 16, "torus_grid": 64},
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = (
+        "import resource, sys\n"
+        "from toeplitz_spectra.cli import main\n"
+        "rc = main(['assemble', '--config', sys.argv[1], '--no-cache', '--threads', '1'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(rc)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    peak_mb = int(run.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 500
+    assert read_report(tmp_path, "assemble")["payload"]["blocks"][-1]["dim"] == 6
 
 
 def test_berezin_command(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import adaptive_dirichlet
+from toeplitz_spectra import quad
 from toeplitz_spectra.errors import QuadratureError
 from toeplitz_spectra.quad import (
     SimplexRule,
@@ -146,3 +147,51 @@ def test_conjugate_symmetry_for_real_symbols(p1, p2, sx):
     minus = fourier_on_points(c, s, (-p1, -p2), 16)[0]
     assert np.conj(plus) == pytest.approx(minus, abs=1e-12)
 
+
+def _exp_cross(s, t):
+    ratio = t[..., 0] * np.conj(t[..., 1])
+    cross = s[..., 2] * t[..., 2] * np.conj(t[..., 0])
+    return np.exp(s[..., 0] * s[..., 1] * (ratio + np.conj(ratio))) + cross
+
+
+def _sphere_rows(n, k, seed):
+    raw = np.abs(np.random.default_rng(seed).standard_normal((n, k))) + 0.05
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("p", [(0, 0, 0), (1, -1, 0), (1, 0, -1), (1, 0, 0), (-1, 2, 0)])
+def test_fourier_chunks_do_not_change_values(monkeypatch, p):
+    s = _sphere_rows(37, 3, 11)
+    whole = fourier_on_points(_exp_cross, s, p, grid=16)
+    axes = 2 if sum(p) == 0 else 3
+    monkeypatch.setattr(quad, "FOURIER_CHUNK_BYTES", 3 * 16 * 16**axes)
+    chunked = fourier_on_points(_exp_cross, s, p, grid=16)
+    assert chunked.tobytes() == whole.tobytes()
+
+
+def test_fourier_invariant_modes_use_k_minus_1_axes():
+    # For |p| = 0 the grid over the first k - 1 axes with t_k = 1 gives the
+    # same mean as the full grid^k one.
+    s = _sphere_rows(9, 3, 12)
+    tpts = quad.torus_grid(3, 16)
+    for p in [(0, 0, 0), (1, -1, 0), (2, 0, -2)]:
+        phase = np.prod(tpts ** (-np.array(p)), axis=1)
+        full = (_exp_cross(s[:, None, :], tpts[None, :, :]) * phase).mean(axis=1)
+        got = fourier_on_points(_exp_cross, s, p, grid=16)
+        assert np.max(np.abs(got - full)) < 1e-14
+
+
+def test_fourier_row_over_budget_raises_before_evaluating():
+    calls = []
+
+    def fn(s, t):
+        calls.append(1)
+        return np.ones(np.broadcast(s, t).shape[:-1])
+
+    s = _sphere_rows(2, 3, 13)
+    with pytest.raises(QuadratureError, match="budget"):
+        fourier_on_points(fn, s, (0, 0, 0), grid=2048)  # 2048^2 points per row
+    with pytest.raises(QuadratureError, match="budget"):
+        fourier_on_points(fn, s, (1, 0, 0), grid=160)  # 160^3 points per row
+    assert not calls
+    assert fourier_on_points(fn, s, (1, 0, 0), grid=64) == pytest.approx([0, 0])

@@ -19,6 +19,7 @@ from toeplitz_spectra.spectra import (
     essential_spectrum_estimate,
     is_inverse_closed,
     polynomial_hull_2d,
+    resolution_drift_cells,
     spectrum_with_hull,
     SpectralContext,
 )
@@ -97,6 +98,40 @@ class TestPointSpectrum:
         assert all(
             e.n_distinct == 1 and e.distinct[0] == 0.0 for e in ps.by_degree.values()
         )
+
+
+class TestResolutionDrift:
+    @staticmethod
+    def _pair(res=32):
+        base = PlanarRegion.empty((0.0, 1.0, 0.0, 1.0), res)
+        fine = PlanarRegion.empty((0.0, 1.0, 0.0, 1.0), 2 * res)
+        return base, fine
+
+    def test_matching_segment_rasters_do_not_drift(self):
+        # A segment and its one-cell dilation at each resolution: the
+        # dilation rings differ in width, which is not drift.
+        base, fine = self._pair()
+        base.occ[9:12, 4:20] = True
+        fine.occ[19:22, 9:39] = True
+        assert resolution_drift_cells(base, fine) == 0
+
+    def test_hull_filled_at_one_resolution_drifts(self):
+        base, fine = self._pair()
+        base.occ[4:20, 4:20] = True  # the base hull fills the square
+        fine.occ[8:40, 8:40] = True
+        fine.occ[10:38, 10:38] = False  # the fine one keeps only its rim
+        # base cells 6..17 square lie more than one cell from the rim
+        assert resolution_drift_cells(base, fine) == 12 * 12
+        refined = np.repeat(np.repeat(base.occ, 2, axis=0), 2, axis=1)
+        assert resolution_drift_cells(base, PlanarRegion(0.0, 0.0, base.cell / 2, refined, "")) == 0
+
+    def test_grids_must_share_the_frame(self):
+        base, fine = self._pair()
+        with pytest.raises(SpectraError):
+            resolution_drift_cells(base, base)
+        shifted = PlanarRegion.empty((0.5, 1.5, 0.0, 1.0), 64)
+        with pytest.raises(SpectraError):
+            resolution_drift_cells(base, shifted)
 
 
 class TestPlanarRegion:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toeplitz_spectra import symbols
 from toeplitz_spectra.errors import SymbolError, SymbolParseError
 from toeplitz_spectra.quad import fourier_on_points
 from toeplitz_spectra.symbols import (
@@ -172,10 +175,16 @@ class TestPseudoHomogeneous:
         assert np.array_equal(c(s, np.ones((2, 2))), s[:, 0] * s[:, 1] + 0.25)
 
     def test_expression_symbol_validation(self):
-        good = expression_symbol(1, 2, "s1*s2*(t1*conj(t2) + conj(t1)*t2)")
+        good = expression_symbol(1, 2, "exp(s1*s2*(t1*conj(t2) + conj(t1)*t2))")
         assert good.modes is None
         with pytest.raises(SymbolError):
             expression_symbol(1, 2, "t1")
+        # A polynomial in s, t, conj(t) compiles to its mode table.
+        poly = expression_symbol(1, 2, "s1*s2*(t1*conj(t2) + conj(t1)*t2)")
+        assert {m.p: [(e.powers, e.coeff) for e in m.profile.terms] for m in poly.modes} == {
+            (-1, 1): [((1, 1), 1.0)],
+            (1, -1): [((1, 1), 1.0)],
+        }
 
     def test_nonfinite_symbol_rejected_at_load(self):
         with pytest.raises(SymbolError):
@@ -201,3 +210,80 @@ class TestPseudoHomogeneous:
         prof = MonomialProfile((2, 0), coeff=3.0)
         s = np.array([[0.5, 0.5]])
         assert prof(s)[0] == pytest.approx(0.75)
+
+
+EXPR_GROUP_1 = "0.421*s1^2 + 0.969*s1*s2*(t1*conj(t2)+t2*conj(t1)) + 0.832*s2^2"
+
+
+def _table(sym):
+    return {m.p: [(e.powers, e.coeff) for e in m.profile.terms] for m in sym.modes}
+
+
+class TestCompiledExpression:
+    def test_expr_group_1_table_is_pinned(self):
+        sym = expression_symbol(1, 2, EXPR_GROUP_1, boundary_continuous=True)
+        assert _table(sym) == {
+            (-1, 1): [((1, 1), 0.969)],
+            (0, 0): [((0, 2), 0.832), ((2, 0), 0.421)],
+            (1, -1): [((1, 1), 0.969)],
+        }
+        assert all(isinstance(m.profile, PolynomialProfile) for m in sym.modes)
+        assert not sym.opaque
+
+    def test_fn_is_the_parsed_expression(self):
+        sym = expression_symbol(1, 2, EXPR_GROUP_1)
+        s = np.array([[0.6, 0.8]])
+        t = np.array([[np.exp(0.7j), np.exp(-0.2j)]])
+        env = {"s1": s[:, 0], "s2": s[:, 1], "t1": t[:, 0], "t2": t[:, 1]}
+        want = parse_symbol_expression(EXPR_GROUP_1).evaluate(env)
+        assert np.array_equal(sym(s, t), want)
+
+    def test_invariance_is_decided_from_the_table(self):
+        # Non-invariant modes at most 1e-10 in coefficient mass are dropped.
+        sym = expression_symbol(1, 2, "s1 + 4e-11*t1 + 5e-11*s2*t2^2*conj(t1)")
+        assert _table(sym) == {(0, 0): [((1, 0), 1.0)]}
+        for text in ("t1", "s1 + 2e-10*t1", "s1*t1*t2*conj(t1)"):
+            with pytest.raises(SymbolError, match="not invariant"):
+                expression_symbol(1, 2, text)
+        # conj of a subtree negates its modes and conjugates its coefficients.
+        sym = expression_symbol(1, 3, "conj(2*i*s1*t1*conj(t3))^2")
+        assert _table(sym) == {(-2, 0, 2): [((2, 0, 0), -4.0)]}
+        # t * conj(t) = 1 on the torus.
+        assert _table(expression_symbol(1, 2, "t1*conj(t1)*s2")) == {(0, 0): [((0, 1), 1.0)]}
+
+    def test_polynomial_limits_refuse(self):
+        with pytest.raises(SymbolError, match="degree"):
+            expression_symbol(1, 2, "(t1*conj(t1))^20000")
+        with pytest.raises(SymbolError, match="terms"):
+            expression_symbol(1, 3, "(s1*t1*conj(t2) + s2*t2*conj(t3) + s3*t3*conj(t1))^44")
+
+    @given(
+        text=st.recursive(
+            st.sampled_from(["s1", "s2", "t1", "t2", "conj(t2)", "i", "0.5", "1.25", "pi"]),
+            lambda child: st.one_of(
+                st.tuples(child, st.sampled_from("+-*"), child).map(
+                    lambda a: f"({a[0]} {a[1]} {a[2]})"
+                ),
+                st.tuples(child, st.integers(0, 2)).map(lambda a: f"({a[0]})^{a[1]}"),
+                child.map(lambda a: f"conj(({a})*t1)"),
+                child.map(lambda a: f"-({a})"),
+            ),
+            max_leaves=8,
+        ),
+        angles=st.lists(st.floats(0.0, 2 * math.pi), min_size=3, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_rebuilds_the_expression(self, text, angles):
+        expr = parse_symbol_expression(text)
+        table = symbols._compile_modes(expr, 2)
+        assert table is not None
+        s = np.abs(np.array([math.cos(angles[0]), math.sin(angles[0])]))
+        t = np.exp(1j * np.array(angles[1:]))
+        rebuilt = sum(
+            term.coeff * np.prod(s ** np.array(term.powers)) * np.prod(t ** np.array(p))
+            for p, terms in table.items()
+            for term in terms
+        )
+        want = complex(expr.evaluate({"s1": s[0], "s2": s[1], "t1": t[0], "t2": t[1]}))
+        scale = 1.0 + sum(abs(term.coeff) for terms in table.values() for term in terms)
+        assert abs(rebuilt - want) <= 1e-12 * scale
