@@ -55,7 +55,7 @@ from .lattice import (
     enumerate_block_indices,
     log_monomial_norm_sq,
 )
-from .quad import dirichlet_probability_rule, fourier_on_points
+from .quad import dirichlet_probability_rule, fourier_on_points, log_dirichlet_mass
 from .symbols import (
     CallableProfile,
     MonomialProfile,
@@ -132,25 +132,24 @@ def _entry_monomial(alpha: Index, beta: Index, prof: MonomialProfile, kj: int, d
     # c_hat(sigma^{1/2}) adds e_l/2 to each simplex exponent; the combined
     # exponents (alpha + beta + e)/2 feed the closed Dirichlet form.
     exps = [(va + vb + ve) / 2.0 for va, vb, ve in zip(alpha, beta, prof.powers)]
-    log_i = sum(gammaln(v + 1.0) for v in exps) - gammaln(kj + sum(exps))
+    log_i = log_dirichlet_mass(exps)
     return complex(prof.coeff) * math.exp(_entry_log_prefactor(alpha, beta, kj, d) + log_i)
 
 
 def _entry_quadrature(
     alpha: Index, beta: Index, chat_vals: np.ndarray, weights: np.ndarray,
-    log_dirichlet_mass: float, kj: int, d: int,
+    log_mass: float, kj: int, d: int,
 ) -> complex:
     expectation = complex(np.sum(weights * chat_vals))
-    return expectation * math.exp(_entry_log_prefactor(alpha, beta, kj, d) + log_dirichlet_mass)
+    return expectation * math.exp(_entry_log_prefactor(alpha, beta, kj, d) + log_mass)
 
 
-def _pair_rule(alpha: Index, beta: Index, kj: int, order: int):
+def _pair_rule(alpha: Index, beta: Index, order: int):
     """Probability rule and log mass for the Dirichlet weight with exponents
     (alpha + beta)/2 over the group simplex."""
     exps = tuple((va + vb) / 2.0 for va, vb in zip(alpha, beta))
     rule = dirichlet_probability_rule(exps, order)
-    log_mass = float(sum(gammaln(v + 1.0) for v in exps) - gammaln(kj + sum(exps)))
-    return rule, log_mass
+    return rule, float(log_dirichlet_mass(exps))
 
 
 def assemble_block(
@@ -198,7 +197,7 @@ def assemble_block(
                     continue
                 row = basis.index_of(beta)
                 if isinstance(prof, CallableProfile):
-                    rule, log_mass = _pair_rule(alpha, beta, kj, order)
+                    rule, log_mass = _pair_rule(alpha, beta, order)
                     chat = np.asarray(prof(np.sqrt(rule.nodes_closed)), dtype=complex)
                     mat[row, col] += _entry_quadrature(
                         alpha, beta, chat, rule.weights, log_mass, kj, d
@@ -212,7 +211,7 @@ def assemble_block(
         for col, alpha in enumerate(basis.indices):
             for row, beta in enumerate(basis.indices):
                 p = tuple(vb - va for va, vb in zip(alpha, beta))
-                rule, log_mass = _pair_rule(alpha, beta, kj, order)
+                rule, log_mass = _pair_rule(alpha, beta, order)
                 key = (p, tuple((va + vb) for va, vb in zip(alpha, beta)))
                 chat = chat_cache.get(key)
                 if chat is None:
@@ -660,16 +659,12 @@ def cross_block_entry_bound(model: AlgebraModel, D: int) -> float:
     for j in range(m):
         parts = part_lists[j]
         np_parts = len(parts)
-        kj = cfg.k[j]
         gmass = np.zeros((np_parts, np_parts))
         gchat = np.zeros((np_parts, np_parts))
-        degs = np.array([sum(p) for p in parts], dtype=float)
         for ia, pa in enumerate(parts):
             for ib, pb in enumerate(parts):
                 exps = [(va + vb) / 2.0 for va, vb in zip(pa, pb)]
-                gmass[ia, ib] = sum(gammaln(v + 1.0) for v in exps) - gammaln(
-                    kj + sum(exps)
-                )
+                gmass[ia, ib] = log_dirichlet_mass(exps)
                 gchat[ia, ib] = chat_max(
                     j + 1, tuple(vb - va for va, vb in zip(pa, pb))
                 )

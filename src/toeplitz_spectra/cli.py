@@ -244,6 +244,17 @@ def validate_config(raw: dict) -> dict:
         if g in seen:
             raise ConfigError(f"two symbols declared for group {g}")
         seen.add(g)
+    berezin = cfg.get("berezin")
+    if berezin:
+        g = berezin["group"]
+        if not 1 <= g <= m:
+            raise ConfigError(f"berezin group {g} outside 1..{m}")
+        w = [_complex_from_json(v) for v in berezin["w"]]
+        if len(w) != k[g - 1]:
+            raise ConfigError(f"berezin w has {len(w)} coordinates, group {g} has {k[g - 1]}")
+        norm = float(np.linalg.norm(w))
+        if not 0.0 < norm < 1.0:
+            raise ConfigError(f"berezin w must lie in the open ball minus 0, |w| = {norm:.4f}")
     return cfg
 
 
@@ -706,7 +717,7 @@ def cmd_verify(setup: Setup) -> dict:
         *checks.commutativity_and_product(model, D),
         *checks.quadrature_doubling(model, min(D, 4), min(D, 3)),
         *checks.tensor_eigenvectors(model, min(D, 4)),
-        *checks.planar_hulls(rng, ctx.hull_resolution, 12, 256),
+        *checks.planar_hulls(rng, 12, 256),
         *checks.projection_identities(model.basis(min(D, 4)), min(1, D)),
         *checks.division_reconstruction(
             ctx,

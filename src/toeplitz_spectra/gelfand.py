@@ -228,20 +228,6 @@ def evaluate_gelfand(A: FiniteSum, point: GelfandPoint) -> complex:
     return complex(total)
 
 
-def admissible_zeta(ctx: SpectralContext, j: int, finite: bool, kappa_j: int | None = None):
-    """Admissible generator values for one coordinate of a functional.
-
-    Finite coordinates draw from the block spectrum at kappa_j; escaped
-    coordinates draw from the polynomially convex hull of the essential
-    spectrum estimate.
-    """
-    if finite:
-        if kappa_j is None:
-            raise GelfandError("finite coordinate needs its block degree")
-        return ctx.distinct(j, kappa_j)
-    return ctx.hulled_ess_region(j)
-
-
 def _region_zeta_choices(region: PlanarRegion, limit: int) -> np.ndarray:
     centers = region.occupied_cell_centers()
     if centers.size <= limit:
@@ -291,7 +277,7 @@ def sample_ideal_space(
         jinf = [j for j in range(1, m + 1) if theta[j - 1] == 0]
         for j in jinf:
             if j not in region_choices:
-                region = admissible_zeta(ctx, j, finite=False)
+                region = ctx.hulled_ess_region(j)
                 region_choices[j] = _region_zeta_choices(region, zeta_per_region)
         finite_tuples = (
             [()]
@@ -346,7 +332,7 @@ def validate_gelfand_point(
             if not np.any(np.abs(spec - zj) <= 10 * tol):
                 return False
         else:
-            region = admissible_zeta(ctx, j, finite=False)
+            region = ctx.hulled_ess_region(j)
             if not region.contains_point(zj, slack_cells=slack_cells):
                 return False
     return True

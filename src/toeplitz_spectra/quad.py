@@ -84,6 +84,11 @@ def jacobi_probability_rule_01(npts: int, a: float, b: float) -> tuple[np.ndarra
     return np.clip(t, 0.0, 1.0), weights
 
 
+def log_dirichlet_mass(a):
+    """log of prod_l Gamma(a_l + 1) / Gamma(k + sum a_l) for a = (a_1,...,a_k)."""
+    return sum(gammaln(v + 1.0) for v in a) - gammaln(len(a) + sum(a))
+
+
 def dirichlet_integral(a) -> float:
     """Closed form of the Dirichlet integral over a simplex.
 
@@ -99,24 +104,20 @@ def dirichlet_integral(a) -> float:
         raise QuadratureError("need at least one exponent")
     if any(v <= -1.0 for v in a):
         raise QuadratureError(f"all exponents must exceed -1, got {a}")
-    k = len(a)
-    return float(math.exp(sum(gammaln(v + 1.0) for v in a) - gammaln(k + sum(a))))
+    return float(math.exp(log_dirichlet_mass(a)))
 
 
 @dataclass(frozen=True, eq=False)
 class SimplexRule:
     """Tensor Gauss-Jacobi rule over the simplex Delta_p after Duffy collapse.
 
-    When ``weight_exponents`` is set, the rule integrates
-    f |-> int f(s) prod s^a (1 - sum s)^{a_last} ds with the weight absorbed
-    into the node weights; otherwise the plain Lebesgue measure is used.
+    The rule integrates f |-> int f(s) w(s) ds for a Dirichlet-type weight
+    w(s) = prod s^a (1 - sum s)^{a_last}, absorbed into the node weights.
     """
 
     dim: int
     nodes: np.ndarray  # (N, dim)
     weights: np.ndarray  # (N,)
-    degree: int
-    weight_exponents: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.dim > 0:
@@ -135,84 +136,36 @@ class SimplexRule:
         return np.hstack([self.nodes, np.maximum(slack, 0.0)])
 
     @classmethod
-    def plain(cls, p: int, order: int) -> "SimplexRule":
-        return cls._build(p, order, None)
-
-    @classmethod
-    def weighted(cls, p: int, order: int, exponents) -> "SimplexRule":
-        exponents = tuple(float(v) for v in exponents)
-        if len(exponents) != p + 1:
-            raise QuadratureError(
-                f"need {p + 1} weight exponents for Delta_{p}, got {len(exponents)}"
-            )
+    def build(cls, exponents: tuple, order: int, rule_01: Callable) -> "SimplexRule":
+        """Rule over Delta_p, p = len(exponents) - 1, for the weight with the
+        given exponents (slack exponent last), from the 1-d rule
+        rule_01(npts, a, b) for x^a (1-x)^b on [0,1]; the weights carry that
+        rule's scale (true Beta masses or probabilities)."""
+        p = len(exponents) - 1
+        if p < 0:
+            raise QuadratureError("need at least one exponent")
         if any(v <= -1.0 for v in exponents):
             raise QuadratureError(f"weight exponents must exceed -1: {exponents}")
-        return cls._build(p, order, exponents)
-
-    @classmethod
-    def _build(cls, p: int, order: int, exponents) -> "SimplexRule":
-        if p < 0:
-            raise QuadratureError(f"simplex dimension must be >= 0, got {p}")
-        if order < 1:
-            raise QuadratureError(f"order must be >= 1, got {order}")
         if p == 0:
-            return cls(
-                dim=0,
-                nodes=np.zeros((1, 0)),
-                weights=np.ones(1),
-                degree=10**9,
-                weight_exponents=tuple(exponents) if exponents else None,
-            )
-        a = exponents if exponents is not None else (0.0,) * (p + 1)
+            return cls(dim=0, nodes=np.zeros((1, 0)), weights=np.ones(1))
         # Duffy collapse u_l = x_l prod_{i<l}(1 - x_i): level l picks up the
         # Jacobian power (p - l) plus every downstream exponent, slack included.
-        axes = []
-        for lvl in range(1, p + 1):
-            xa = a[lvl - 1]
-            xb = (p - lvl) + sum(a[lvl:])
-            axes.append(jacobi_rule_01(order, xa, xb))
-        u, w = _duffy_assemble(axes, p)
-        return cls(
-            dim=p,
-            nodes=u,
-            weights=w,
-            degree=2 * order - 1,
-            weight_exponents=tuple(a) if exponents is not None else None,
-        )
-
-    def integrate(self, f: Callable) -> complex:
-        vals = _evaluate_on_nodes(f, self.nodes)
-        if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
-            bad = int(np.sum(~np.isfinite(vals)))
-            raise QuadratureError(f"integrand returned {bad} non-finite values")
-        return complex(np.sum(self.weights * vals))
-
-
-def _duffy_assemble(axes, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor the per-level 1-d rules and map back to simplex coordinates."""
-    grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
-    wgrids = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")
-    x = np.stack([g.ravel() for g in grids], axis=1)  # (N, p)
-    w = np.ones(x.shape[0])
-    for wg in wgrids:
-        w = w * wg.ravel()
-    u = np.empty_like(x)
-    shrink = np.ones(x.shape[0])
-    for lvl in range(p):
-        u[:, lvl] = x[:, lvl] * shrink
-        shrink = shrink * (1.0 - x[:, lvl])
-    return u, w
-
-
-def _evaluate_on_nodes(f: Callable, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate f on an (N, p) node array, tolerating scalar-only callables."""
-    try:
-        vals = np.asarray(f(nodes), dtype=complex)
-        if vals.shape == (nodes.shape[0],):
-            return vals
-    except Exception:
-        pass
-    return np.array([complex(f(row)) for row in nodes])
+        axes = [
+            rule_01(order, exponents[lvl - 1], (p - lvl) + sum(exponents[lvl:]))
+            for lvl in range(1, p + 1)
+        ]
+        grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
+        wgrids = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")
+        x = np.stack([g.ravel() for g in grids], axis=1)  # (N, p)
+        w = np.ones(x.shape[0])
+        for wg in wgrids:
+            w = w * wg.ravel()
+        u = np.empty_like(x)
+        shrink = np.ones(x.shape[0])
+        for lvl in range(p):
+            u[:, lvl] = x[:, lvl] * shrink
+            shrink = shrink * (1.0 - x[:, lvl])
+        return cls(dim=p, nodes=u, weights=w)
 
 
 def simplex_integrate(f: Callable, p: int, order: int, *, weight=None) -> complex:
@@ -220,34 +173,27 @@ def simplex_integrate(f: Callable, p: int, order: int, *, weight=None) -> comple
 
     With ``weight`` = (a_1,...,a_p, a_last) the returned value is
     int f(s) prod s^a (1 - sum s)^{a_last} ds and f only needs to supply the
-    smooth remainder; without it the plain Lebesgue integral of f.
+    smooth remainder; without it the plain Lebesgue integral of f.  f maps
+    the (N, p) node array to N values.
     """
-    if weight is None:
-        rule = SimplexRule.plain(p, order)
-    else:
-        rule = SimplexRule.weighted(p, order, weight)
-    return rule.integrate(f)
+    exponents = (0.0,) * (p + 1) if weight is None else tuple(float(v) for v in weight)
+    if len(exponents) != p + 1:
+        raise QuadratureError(
+            f"need {p + 1} weight exponents for Delta_{p}, got {len(exponents)}"
+        )
+    rule = SimplexRule.build(exponents, order, jacobi_rule_01)
+    vals = np.asarray(f(rule.nodes), dtype=complex)
+    if vals.shape != rule.weights.shape:
+        raise QuadratureError(f"integrand returned shape {vals.shape}, not {rule.weights.shape}")
+    if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
+        bad = int(np.sum(~np.isfinite(vals)))
+        raise QuadratureError(f"integrand returned {bad} non-finite values")
+    return complex(np.sum(rule.weights * vals))
 
 
 @lru_cache(maxsize=4096)
 def _dirichlet_rule_cached(exponents: tuple, order: int) -> SimplexRule:
-    p = len(exponents) - 1
-    if any(v <= -1.0 for v in exponents):
-        raise QuadratureError(f"Dirichlet exponents must exceed -1: {exponents}")
-    if p == 0:
-        return SimplexRule(
-            dim=0, nodes=np.zeros((1, 0)), weights=np.ones(1),
-            degree=10**9, weight_exponents=exponents,
-        )
-    axes = []
-    for lvl in range(1, p + 1):
-        xa = exponents[lvl - 1]
-        xb = (p - lvl) + sum(exponents[lvl:])
-        axes.append(jacobi_probability_rule_01(order, xa, xb))
-    u, w = _duffy_assemble(axes, p)
-    return SimplexRule(
-        dim=p, nodes=u, weights=w, degree=2 * order - 1, weight_exponents=exponents
-    )
+    return SimplexRule.build(exponents, order, jacobi_probability_rule_01)
 
 
 def dirichlet_probability_rule(exponents, order: int) -> SimplexRule:

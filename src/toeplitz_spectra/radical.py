@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadicalError
-from .gelfand import DiagonalCoefficient, FiniteSum, _coeff_product, assemble_finite_sum
+from .gelfand import DiagonalCoefficient, FiniteSum, assemble_finite_sum
 from .spectra import EigenData, SpectralContext
 from .assembly import TruncatedOperator
 
@@ -54,14 +54,6 @@ class HPolynomial:
         for z in self.roots:
             out = out @ (mat - z * np.eye(mat.shape[0], dtype=complex))
         return out
-
-    def as_finite_sum(self, m: int, j: int) -> FiniteSum:
-        total = FiniteSum.zero(m)
-        for power, coef in enumerate(self.coefficients):
-            if coef == 0:
-                continue
-            total = total + complex(coef) * FiniteSum.generator(m, j, power)
-        return total
 
 
 def h_polynomial(ctx: SpectralContext, j: int, d: int, level: int) -> HPolynomial:
@@ -253,13 +245,22 @@ def radical_generator(
             "it cannot multiply a radical generator"
         )
     f_levels = [d for d in range(Dmax + 1) if ctx.eigen(j, d).n_distinct <= L]
-    total = FiniteSum.zero(m)
+    # T_j^p carries gamma(kappa) c_{kappa_j,p}, with c_{d,p} the coefficients
+    # of h^{j,d}; powers keep the order in which they are first seen.
+    tables: dict[int, dict[int, complex]] = {}
     for d in f_levels:
         h = h_polynomial(ctx, j, d, ctx.eigen(j, d).n_distinct)
-        gate = FiniteSum.diagonal(
-            m, _coeff_product(gamma, DiagonalCoefficient.indicator_degree(j, d))
+        for power, coef in enumerate(h.coefficients):
+            if coef != 0:
+                tables.setdefault(power, {})[d] = complex(coef)
+    terms = []
+    for power, table in tables.items():
+        coeff = DiagonalCoefficient.from_callable(
+            lambda kappa, _t=table: gamma(kappa) * _t.get(kappa[j - 1], 0.0),
+            label=f"({gamma.label})c[k{j},{power}]",
         )
-        total = total + gate * h.as_finite_sum(m, j)
+        terms.append((coeff, tuple(power if i == j else 0 for i in range(1, m + 1))))
+    total = FiniteSum(m=m, terms=tuple(terms))
     op = assemble_finite_sum(total, ctx.model, Dmax)
     kind = _structural_block_kind(ctx.model.symbols.get(j))
     if kind == "nilpotent":

@@ -6,10 +6,11 @@ block spectra; for boundary-continuous symbols the essential spectrum is
 the boundary image of the symbol, sampled on the sphere.  The image is
 rasterized as filled cells: every 2-face of the sampled (sigma, tau)
 parameter grid is cut into triangles, and every grid cell that the image
-of one of them meets is marked, in one vectorized pass.  In the plane the
-polynomially convex hull of a compact set is the set together with the
-bounded components of its complement, which a flood fill from the grid
-boundary computes exactly at fixed resolution.
+of one of them meets is marked, in one vectorized pass; a sampled curve
+goes through the same fill, its segments as degenerate triangles.  In the
+plane the polynomially convex hull of a compact set is the set together
+with the bounded components of its complement, which a flood fill from the
+grid boundary computes exactly at fixed resolution.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from scipy import ndimage
 from .assembly import AlgebraModel, BlockMatrix, assemble_block
 from .errors import SpectraError
 from .lattice import block_indices
-from .quad import jacobi_probability_rule_01
+from .quad import jacobi_probability_rule_01, torus_grid
 from .symbols import PseudoHomogeneousSymbol, QuasiRadialSymbol
 
 from scipy.special import gammaln
@@ -119,25 +120,6 @@ def block_eigenvalues(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class PointSpectrum:
-    """Union over degrees of block spectra, per-degree provenance retained."""
-
-    group: int
-    by_degree: dict[int, EigenData]
-
-    def all_values(self) -> list[tuple[int, complex]]:
-        out = []
-        for d in sorted(self.by_degree):
-            for v in self.by_degree[d].distinct:
-                out.append((d, complex(v)))
-        return out
-
-    def flat(self) -> np.ndarray:
-        vals = [v for _, v in self.all_values()]
-        return np.array(vals, dtype=complex) if vals else np.zeros(0, dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # Planar regions and hulls
 # ---------------------------------------------------------------------------
@@ -212,23 +194,6 @@ class PlanarRegion:
             provenance=provenance,
         )
 
-    def draw_polyline(self, points, closed: bool = False):
-        """Mark every cell touched by the segments between consecutive samples."""
-        pts = np.asarray(points, dtype=complex).ravel()
-        self._dilations.clear()
-        if pts.size == 0:
-            return
-        if pts.size == 1:
-            iy, ix = self._indices(pts)
-            self.occ[iy, ix] = True
-            return
-        seq = np.concatenate([pts, pts[:1]]) if closed else pts
-        for a, b in zip(seq[:-1], seq[1:]):
-            steps = max(2, int(abs(b - a) / self.cell * 2) + 1)
-            line = a + (b - a) * np.linspace(0.0, 1.0, steps)
-            iy, ix = self._indices(line)
-            self.occ[iy, ix] = True
-
     @classmethod
     def from_curve(
         cls,
@@ -239,14 +204,18 @@ class PlanarRegion:
         closed: bool = True,
         provenance: str = "curve samples",
     ) -> "PlanarRegion":
-        """Rasterize a sampled curve, connecting consecutive samples."""
+        """Rasterize a sampled curve: every cell that a segment between
+        consecutive samples touches, each segment filled as the degenerate
+        triangle (i, i+1, i+1)."""
         pts = np.asarray(points, dtype=complex).ravel()
         if pts.size < 2:
             return cls.from_points(pts, resolution, bbox=bbox, provenance=provenance)
         x0, y0, cell = cls._frame(pts, resolution, bbox)
         occ = np.zeros((resolution, resolution), dtype=bool)
         region = cls(x0=x0, y0=y0, cell=cell, occ=occ, provenance=provenance, samples=pts)
-        region.draw_polyline(pts, closed=closed)
+        start = np.arange(pts.size if closed else pts.size - 1)
+        end = (start + 1) % pts.size
+        _fill_triangles(region, pts, np.stack([start, end, end], axis=1))
         return region
 
     def area(self) -> float:
@@ -348,30 +317,20 @@ def _boundary_grid_counts(k: int, samples: int) -> tuple[int, int]:
 def boundary_image_values(c: PseudoHomogeneousSymbol, samples: int = 4096) -> np.ndarray:
     """Symbol values over a quasi-uniform sample of the unit sphere.
 
-    For k = 2 the parameter grid is (sigma, tau) with the last torus
-    coordinate fixed to 1 by the diagonal invariance; the returned array has
-    shape (n_sigma, n_tau).  Higher group sizes return a flat sample.
+    The parameter grid is sigma in the sampled simplex (rows) times the
+    first k - 1 torus coordinates on a uniform grid (columns), with the last
+    torus coordinate fixed to 1 by the diagonal invariance; for k = 2 the
+    result is the (n_sigma, n_tau) grid of (sigma, tau).
     """
     k = c.dim
     if k == 1:
         return np.asarray(c(np.ones((1, 1)), np.ones((1, 1), dtype=complex))).reshape(1, 1)
     n_sigma, n_tau = _boundary_grid_counts(k, samples)
-    if k == 2:
-        sigma = np.linspace(0.0, 1.0, n_sigma)
-        s_full = np.sqrt(np.stack([sigma, 1.0 - sigma], axis=1))
-        tau = np.exp(2j * np.pi * np.arange(n_tau) / n_tau)
-        t_full = np.stack([tau, np.ones(n_tau, dtype=complex)], axis=1)
-        s_b = np.repeat(s_full, n_tau, axis=0)
-        t_b = np.tile(t_full, (n_sigma, 1))
-        return np.asarray(c(s_b, t_b)).reshape(n_sigma, n_tau)
     grids = np.meshgrid(*([np.linspace(0.0, 1.0, n_sigma)] * (k - 1)), indexing="ij")
     sigma = np.stack([g.ravel() for g in grids], axis=1)
     sigma = sigma[sigma.sum(axis=1) <= 1.0 + 1e-12]
     s_full = np.sqrt(np.hstack([sigma, np.maximum(1.0 - sigma.sum(1, keepdims=True), 0.0)]))
-    angles = np.meshgrid(
-        *([np.linspace(0.0, 2.0 * np.pi, n_tau, endpoint=False)] * (k - 1)), indexing="ij"
-    )
-    tau = np.exp(1j * np.stack([g.ravel() for g in angles], axis=1))
+    tau = torus_grid(k - 1, n_tau)
     t_full = np.hstack([tau, np.ones((tau.shape[0], 1), dtype=complex)])
     s_b = np.repeat(s_full, t_full.shape[0], axis=0)
     t_b = np.tile(t_full, (s_full.shape[0], 1))
@@ -490,7 +449,6 @@ def _fill_triangles(region: PlanarRegion, points: np.ndarray, triangles: np.ndar
 
 def essential_spectrum_estimate(
     c: PseudoHomogeneousSymbol,
-    j: int | None = None,
     samples: int = 4096,
     *,
     resolution: int = 512,
@@ -572,16 +530,12 @@ def _kernel_coefficients(w: np.ndarray, k: int, d: int) -> np.ndarray:
     return coefs
 
 
-def _radial_moment(profile, k: int, d: int, order: int = 64) -> complex:
+def _radial_moment(profile: QuasiRadialSymbol | None, k: int, d: int, order: int = 64) -> complex:
     """(d+k) int_0^1 R^{d+k-1} f(sqrt(R)) dR for a separable radial factor."""
     if profile is None:
         return 1.0
     nodes, wts = jacobi_probability_rule_01(order, float(d + k - 1), 0.0)
-    r = np.sqrt(nodes)
-    if isinstance(profile, QuasiRadialSymbol):
-        vals = profile(r[:, None])
-    else:
-        vals = np.asarray(profile(r), dtype=complex)
+    vals = profile(np.sqrt(nodes)[:, None])
     return complex(np.sum(wts * vals))
 
 
@@ -591,16 +545,17 @@ def berezin_sequence(
     w,
     d_list,
     *,
-    radial_profile=None,
+    radial_profile: QuasiRadialSymbol | None = None,
     order: int = 48,
     model: AlgebraModel | None = None,
 ) -> KernelProbe:
     """<T_c k_d(., w), k_d(., w)> for each degree in d_list.
 
     The probe symbol is f(r) * c(s, t) with an optional separable radial
-    factor; its compression to the degree-d block is the radial moment times
-    the block matrix, and the sequence converges to the boundary value of
-    the symbol along the ray of w.
+    factor f, a one-radius quasi-radial symbol; its compression to the
+    degree-d block is the radial moment times the block matrix, and the
+    sequence converges to the boundary value of the symbol along the ray
+    of w.
     """
     w = np.asarray(w, dtype=complex).ravel()
     k = c.dim
@@ -625,10 +580,7 @@ def berezin_sequence(
     t_dir = np.where(np.abs(w) > 0, w / np.maximum(np.abs(w), 1e-300), 1.0)
     boundary = complex(np.asarray(c(s_dir[None, :], t_dir[None, :])).ravel()[0])
     if radial_profile is not None:
-        if isinstance(radial_profile, QuasiRadialSymbol):
-            boundary *= complex(radial_profile(np.array([[1.0]]))[0])
-        else:
-            boundary *= complex(np.asarray(radial_profile(np.array([1.0]))).ravel()[0])
+        boundary *= complex(radial_profile(np.array([[1.0]]))[0])
     return KernelProbe(
         group=j,
         w=tuple(complex(v) for v in w),
@@ -672,11 +624,6 @@ class SpectralContext:
     def distinct(self, j: int, d: int) -> np.ndarray:
         return self.eigen(j, d).distinct
 
-    def point_spectrum(self, j: int, Dmax: int) -> PointSpectrum:
-        return PointSpectrum(
-            group=j, by_degree={d: self.eigen(j, d) for d in range(Dmax + 1)}
-        )
-
     def boundary_samples(self, j: int) -> np.ndarray:
         sym = self.model.symbols.get(j)
         if sym is None:
@@ -700,7 +647,7 @@ class SpectralContext:
             )
         else:
             region = essential_spectrum_estimate(
-                sym, j, self.ess_samples, resolution=res, bbox=bbox
+                sym, self.ess_samples, resolution=res, bbox=bbox
             )
         if bbox is None:
             self._ess[key] = region
@@ -735,7 +682,7 @@ def spectrum_with_hull(
     key = (j, Dmax, res)
     if key in ctx._with_hull:
         return ctx._with_hull[key]
-    pts = ctx.point_spectrum(j, Dmax).flat()
+    pts = np.concatenate([ctx.distinct(j, d) for d in range(Dmax + 1)])
     ess_vals = ctx.boundary_samples(j)
     allvals = np.concatenate([pts, ess_vals]) if pts.size else ess_vals
     x0, y0, cell = PlanarRegion._frame(allvals, res)

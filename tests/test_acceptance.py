@@ -224,7 +224,7 @@ def test_criterion_07_berezin_limit():
 
 
 def test_criterion_08_hull_correctness():
-    area, finite, idempotent = checks.planar_hulls(np.random.default_rng(88), 512, 25, 512)
+    area, finite, idempotent = checks.planar_hulls(np.random.default_rng(88), 25, 512)
     area_err = area["residual"]
     fixed = finite["residual"] == 0.0
     idem = idempotent["residual"] == 0.0

@@ -236,6 +236,13 @@ def test_verify_passes_on_compiled_expression(tmp_path):
     assert all(c["passed"] for c in checks.values())
 
 
+def test_verify_passes_at_a_coarse_hull_grid(tmp_path):
+    path = write_config(tmp_path, hull={"resolution": 128})
+    assert main(["verify", "--config", str(path), "--no-cache"]) == 0
+    checks = {c["name"]: c for c in read_report(tmp_path, "verify")["payload"]["checks"]}
+    assert all(c["passed"] for c in checks.values())
+
+
 def test_hull_resolution_drift_is_zero_on_segments(tmp_path):
     # Both groups' boundary images are real segments one cell wide: their
     # hulls agree at both resolutions within the rasters' own dilation.
@@ -301,13 +308,14 @@ def test_berezin_command(tmp_path):
     assert report["payload"]["abs_errors"][1] < 0.05
 
 
-def test_berezin_numerical_failure_exit_2(tmp_path, capsys):
-    path = write_config(
-        tmp_path, berezin={"group": 2, "w": [1.5, 0.0], "degrees": [5]}
-    )
-    assert main(["berezin", "--config", str(path)]) == 2
+@pytest.mark.parametrize(
+    "w", [[0.3, 0.4, 0.1], [1.5, 0.0]], ids=["wrong-length", "outside-ball"]
+)
+def test_berezin_bad_base_point_is_config_error(tmp_path, capsys, w):
+    path = write_config(tmp_path, berezin={"group": 2, "w": w, "degrees": [5]})
+    assert main(["berezin", "--config", str(path)]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"]["type"] == "SpectraError"
+    assert err["error"]["type"] == "ConfigError"
 
 
 def test_semisimple_command(tmp_path):

@@ -9,7 +9,6 @@ from toeplitz_spectra.gelfand import (
     DiagonalCoefficient,
     FiniteSum,
     GelfandPoint,
-    admissible_zeta,
     assemble_finite_sum,
     evaluate_gelfand,
     sample_ideal_space,
@@ -149,16 +148,16 @@ class TestSampling:
 
 class TestAdmissibleZeta:
     def test_finite_coordinate(self, diagonal_ctx):
-        vals = admissible_zeta(diagonal_ctx, 2, finite=True, kappa_j=2)
+        vals = diagonal_ctx.distinct(2, 2)
         assert np.allclose(np.sort(vals.real), [1 / 4, 2 / 4, 3 / 4])
 
     def test_escaped_coordinate_is_hulled_region(self, diagonal_ctx):
-        region = admissible_zeta(diagonal_ctx, 2, finite=False)
+        region = diagonal_ctx.hulled_ess_region(2)
         assert isinstance(region, PlanarRegion)
         assert region.contains_point(0.5, 1)
 
     def test_trivial_group(self, diagonal_ctx):
-        vals = admissible_zeta(diagonal_ctx, 1, finite=True, kappa_j=3)
+        vals = diagonal_ctx.distinct(1, 3)
         assert np.allclose(vals, 1.0)
 
 

@@ -14,6 +14,7 @@ from toeplitz_spectra.quad import (
     dirichlet_probability_rule,
     fourier_on_points,
     jacobi_probability_rule_01,
+    jacobi_rule_01,
     simplex_integrate,
 )
 
@@ -32,7 +33,7 @@ def test_dirichlet_vs_adaptive_oracle():
 
 
 def test_simplex_rule_basic():
-    rule = SimplexRule.plain(2, 20)
+    rule = SimplexRule.build((0.0, 0.0, 0.0), 20, jacobi_rule_01)
     assert np.all(rule.weights > 0)
     assert rule.weights.sum() == pytest.approx(0.5, abs=1e-12)  # simplex volume
     assert simplex_integrate(lambda s: np.ones(s.shape[0]), 2, 20).real == pytest.approx(0.5)
@@ -195,3 +196,12 @@ def test_fourier_row_over_budget_raises_before_evaluating():
         fourier_on_points(fn, s, (1, 0, 0), grid=160)  # 160^3 points per row
     assert not calls
     assert fourier_on_points(fn, s, (1, 0, 0), grid=64) == pytest.approx([0, 0])
+
+
+@pytest.mark.parametrize(
+    "name", ["jacobi_rule_01", "jacobi_probability_rule_01", "_dirichlet_rule_cached"]
+)
+def test_rule_builders_expose_cache_info(name):
+    # The benchmark's tracer reads the hits and misses of these caches by name.
+    info = getattr(quad, name).cache_info()
+    assert info.hits >= 0 and info.misses >= 0

@@ -80,23 +80,22 @@ class TestPointSpectrum:
     def test_constant_symbol(self):
         cfg = PartitionConfig(k=(2,))
         model = AlgebraModel(cfg=cfg, symbols={1: constant_symbol(1, 2, 1.0)})
-        ps = SpectralContext(model=model).point_spectrum(1, 4)
-        flat = ps.flat()
+        flat = spectrum_with_hull(SpectralContext(model=model), 1, 4).point_values
         assert np.allclose(flat, 1.0)
 
     def test_profile_diagonal_moments(self):
         # b(s) profiles produce the Dirichlet moments on the diagonal.
         cfg = PartitionConfig(k=(2,))
         model = AlgebraModel(cfg=cfg, symbols={1: profile_symbol(1, 2, "s1^2")})
-        ps = SpectralContext(model=model).point_spectrum(1, 3)
-        for d, e in ps.by_degree.items():
+        ctx = SpectralContext(model=model)
+        for d, e in ((d, ctx.eigen(1, d)) for d in range(4)):
             want = sorted((a1 + 1) / (d + 2) for a1 in range(d + 1))
             assert np.allclose(np.sort(e.values.real), want)
 
     def test_quasi_homogeneous_all_zero(self, nilpotent_ctx):
-        ps = nilpotent_ctx.point_spectrum(2, 5)
         assert all(
-            e.n_distinct == 1 and e.distinct[0] == 0.0 for e in ps.by_degree.values()
+            e.n_distinct == 1 and e.distinct[0] == 0.0
+            for e in (nilpotent_ctx.eigen(2, d) for d in range(6))
         )
 
 
@@ -315,7 +314,7 @@ class TestRasterizer:
         assert used.tolist() == list(range(n_points))
 
     def test_k1_image_marks_one_cell(self):
-        region = essential_spectrum_estimate(constant_symbol(1, 1, 0.3 - 0.2j), 1, resolution=64)
+        region = essential_spectrum_estimate(constant_symbol(1, 1, 0.3 - 0.2j), resolution=64)
         iy, ix = region._indices(np.array([0.3 - 0.2j]))
         dot = np.zeros_like(region.occ)
         dot[iy, ix] = True
@@ -323,7 +322,7 @@ class TestRasterizer:
 
     def test_constant_symbol_marks_its_cells(self):
         value = 0.7 + 0.1j
-        region = essential_spectrum_estimate(constant_symbol(1, 2, value), 1, 256, resolution=64)
+        region = essential_spectrum_estimate(constant_symbol(1, 2, value), 256, resolution=64)
         dot = PlanarRegion.empty(
             (region.x0, region.x0 + 64 * region.cell, region.y0, region.y0 + 64 * region.cell), 64
         )
@@ -333,7 +332,7 @@ class TestRasterizer:
 
     def test_real_segment_image_is_its_cells(self):
         # the boundary image of s1^2 is [0, 1]: filled faces add nothing to it
-        region = essential_spectrum_estimate(profile_symbol(1, 2, "s1^2"), 1, 1024, resolution=256)
+        region = essential_spectrum_estimate(profile_symbol(1, 2, "s1^2"), 1024, resolution=256)
         line = PlanarRegion.empty(
             (region.x0, region.x0 + 256 * region.cell, region.y0, region.y0 + 256 * region.cell), 256
         )
@@ -343,19 +342,19 @@ class TestRasterizer:
     @pytest.mark.parametrize("p", [(1, -1), (2, -2), (1, -1, 0)])
     def test_quasi_homogeneous_disk_is_polynomially_convex(self, p):
         # |z1 conj(z2)| / |z|^2 and its k = 3 analogue fill a closed disk
-        region = essential_spectrum_estimate(builtin_quasi_homogeneous(1, p), 1)
+        region = essential_spectrum_estimate(builtin_quasi_homogeneous(1, p))
         assert polynomial_hull_2d(region).minus_count(region) == 0
 
 
 class TestEssentialSpectrum:
     def test_constant(self):
-        region = essential_spectrum_estimate(constant_symbol(1, 2, 1.0), 1, 256)
+        region = essential_spectrum_estimate(constant_symbol(1, 2, 1.0), 256)
         assert region.contains_point(1.0 + 0j)
         assert region.count() < 60  # a dot, not a blob
 
     def test_profile_segment(self):
         # boundary image of s1^2 is the segment [0, 1]
-        region = essential_spectrum_estimate(profile_symbol(1, 2, "s1^2"), 1, 1024)
+        region = essential_spectrum_estimate(profile_symbol(1, 2, "s1^2"), 1024)
         assert region.contains_point(0.0, 1)
         assert region.contains_point(0.5, 1)
         assert region.contains_point(1.0, 1)
@@ -365,7 +364,7 @@ class TestEssentialSpectrum:
 
     def test_circle_image(self):
         sym = expression_symbol(1, 2, "exp(2*pi*i*s1^2)", boundary_continuous=True)
-        region = essential_spectrum_estimate(sym, 1, 4096, resolution=512)
+        region = essential_spectrum_estimate(sym, 4096, resolution=512)
         for angle in np.linspace(0, 2 * np.pi, 17):
             assert region.contains_point(np.exp(1j * angle), 2)
         assert not region.contains_point(0.0, 2)
@@ -373,7 +372,7 @@ class TestEssentialSpectrum:
     def test_flag_required(self):
         sym = expression_symbol(1, 2, "s1^2", boundary_continuous=False)
         with pytest.raises(SpectraError):
-            essential_spectrum_estimate(sym, 1, 64)
+            essential_spectrum_estimate(sym, 64)
 
 
 class TestBerezin:
