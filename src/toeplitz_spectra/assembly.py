@@ -44,7 +44,6 @@ from functools import reduce
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import AssemblyError, QuadratureError
 from .lattice import (
@@ -55,7 +54,7 @@ from .lattice import (
     enumerate_block_indices,
     log_monomial_norm_sq,
 )
-from .quad import dirichlet_probability_rule, fourier_on_points, log_dirichlet_mass
+from .quad import dirichlet_probability_rule, fourier_on_points, gammaln, log_dirichlet_mass
 from .symbols import (
     CallableProfile,
     MonomialProfile,
@@ -588,6 +587,12 @@ class AlgebraModel:
 # ---------------------------------------------------------------------------
 
 
+def _gammaln_array(x: np.ndarray) -> np.ndarray:
+    """gammaln elementwise, evaluated once per distinct value of x."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([gammaln(v) for v in values.tolist()])[inverse].reshape(x.shape)
+
+
 def cross_block_entry_bound(model: AlgebraModel, D: int) -> float:
     """Rigorous upper bound on |<T_{ac} e_alpha, e_beta>| over all pairs with
     kappa(alpha) != kappa(beta) inside the cap-D truncation.
@@ -678,8 +683,8 @@ def cross_block_entry_bound(model: AlgebraModel, D: int) -> float:
         (kappa_arr[:, None, j] + kappa_arr[None, :, j]) / 2.0 + cfg.k[j] - 1.0
         for j in range(m)
     ]
-    rad_mass = sum(gammaln(e + 1.0) for e in rad_exps) + gammaln(cfg.lam + 1.0)
-    rad_mass -= gammaln((m + 1) + sum(rad_exps) + cfg.lam)
+    rad_mass = sum(_gammaln_array(e + 1.0) for e in rad_exps) + gammaln(cfg.lam + 1.0)
+    rad_mass -= _gammaln_array((m + 1) + sum(rad_exps) + cfg.lam)
     log_total += rad_mass
     log_total -= 0.5 * (lognorm[:, None] + lognorm[None, :])
 

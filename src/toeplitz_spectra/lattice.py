@@ -22,9 +22,9 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import LatticeError
+from .quad import gammaln
 
 Index = tuple[int, ...]
 

@@ -13,7 +13,8 @@ Two families of rules live here:
   entries; polynomial symbols declare their modes in closed form.
 
 The closed-form Dirichlet integral doubles as the oracle against which the
-simplex rules are cross-validated.
+simplex rules are cross-validated.  Its log-Gamma is a port of Cephes
+`lgam`; scipy is imported only when a Gauss-Jacobi rule is built.
 """
 
 from __future__ import annotations
@@ -24,10 +25,86 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln, roots_jacobi
 
 from .errors import QuadratureError
+
+# Cephes lgam coefficients: the Stirling-series correction for x >= 13 and
+# the rational approximation of log Gamma on [2, 3).
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LGAM_B = (
+    -1.37825152569120859100e3,
+    -3.88016315134637840924e4,
+    -3.31612992738871184744e5,
+    -1.16237097492762307383e6,
+    -1.72173700820839662146e6,
+    -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    -3.51815701436523470549e2,
+    -1.70642106651881159223e4,
+    -2.20528590553854454839e5,
+    -1.13933444367982507207e6,
+    -2.53252307177582951285e6,
+    -2.01889141433532773231e6,
+)
+_LOG_SQRT_2PI = 0.91893853320467274178
+_LGAM_OVERFLOW = 2.556348e305
+
+
+def gammaln(x) -> float:
+    """log Gamma(x) for a finite x > 0, bit for bit the Cephes `lgam` that
+    `scipy.special.gammaln` evaluates.
+
+    Every block entry, norm and Dirichlet mass is a sum of these values, and
+    the payload bytes depend on their last bits: keep this a literal port of
+    Cephes (same coefficients, same operation order), not `math.lgamma`,
+    which differs by an ulp on about half of all inputs.
+    """
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise QuadratureError(f"gammaln needs a finite x > 0, got {x}")
+    if x < 13.0:
+        # Shift into [2, 3) by the recurrence, collecting the factor in z.
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x = x + (p - 2.0)
+        num = _LGAM_B[0]
+        for c in _LGAM_B[1:]:
+            num = num * x + c
+        den = x + _LGAM_C[0]
+        for c in _LGAM_C[1:]:
+            den = den * x + c
+        return math.log(z) + x * num / den
+    if x > _LGAM_OVERFLOW:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    corr = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        corr = corr * p + c
+    return q + corr / x
 
 
 @lru_cache(maxsize=4096)
@@ -46,6 +123,8 @@ def jacobi_rule_01(npts: int, a: float, b: float) -> tuple[np.ndarray, np.ndarra
         raise QuadratureError(
             f"combined Jacobi exponent {a + b} too large for stable rescaling"
         )
+    from scipy.special import roots_jacobi
+
     # scipy weight on [-1,1] is (1-x)^alpha (1+x)^beta; map x -> 2t - 1.
     x, w = roots_jacobi(npts, b, a)
     t = 0.5 * (x + 1.0)
@@ -66,6 +145,8 @@ def jacobi_probability_rule_01(npts: int, a: float, b: float) -> tuple[np.ndarra
         raise QuadratureError(f"rule needs at least one node, got {npts}")
     if a <= -1.0 or b <= -1.0:
         raise QuadratureError(f"Jacobi exponents must exceed -1, got ({a}, {b})")
+    from scipy.linalg import eigh_tridiagonal
+
     # Recurrence for the weight (1-x)^alpha (1+x)^beta on [-1,1] with
     # alpha = b, beta = a (so that x near +1 maps to t near 1).
     alpha, beta = float(b), float(a)
@@ -154,18 +235,17 @@ class SimplexRule:
             rule_01(order, exponents[lvl - 1], (p - lvl) + sum(exponents[lvl:]))
             for lvl in range(1, p + 1)
         ]
-        grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
-        wgrids = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")
-        x = np.stack([g.ravel() for g in grids], axis=1)  # (N, p)
-        w = np.ones(x.shape[0])
-        for wg in wgrids:
-            w = w * wg.ravel()
-        u = np.empty_like(x)
-        shrink = np.ones(x.shape[0])
-        for lvl in range(p):
-            u[:, lvl] = x[:, lvl] * shrink
-            shrink = shrink * (1.0 - x[:, lvl])
-        return cls(dim=p, nodes=u, weights=w)
+        # Level l varies along grid axis l; u_l and the running weight
+        # product live on the first l + 1 axes and broadcast over the rest.
+        u = np.empty((order,) * p + (p,))
+        w = np.ones(())
+        shrink = np.ones(())
+        for lvl, (x, wx) in enumerate(axes):
+            ul = x * shrink[..., None]
+            u[..., lvl] = ul.reshape(ul.shape + (1,) * (p - 1 - lvl))
+            w = w[..., None] * wx
+            shrink = shrink[..., None] * (1.0 - x)
+        return cls(dim=p, nodes=u.reshape(-1, p), weights=w.ravel())
 
 
 def simplex_integrate(f: Callable, p: int, order: int, *, weight=None) -> complex:

@@ -9,8 +9,8 @@ parameter grid is cut into triangles, and every grid cell that the image
 of one of them meets is marked, in one vectorized pass; a sampled curve
 goes through the same fill, its segments as degenerate triangles.  In the
 plane the polynomially convex hull of a compact set is the set together
-with the bounded components of its complement, which a flood fill from the
-grid boundary computes exactly at fixed resolution.
+with the bounded components of its complement, which a union-find over the
+row runs of the complement computes exactly at fixed resolution.
 """
 
 from __future__ import annotations
@@ -19,17 +19,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .assembly import AlgebraModel, BlockMatrix, assemble_block
 from .errors import SpectraError
 from .lattice import block_indices
-from .quad import jacobi_probability_rule_01, torus_grid
+from .quad import gammaln, jacobi_probability_rule_01, torus_grid
 from .symbols import PseudoHomogeneousSymbol, QuasiRadialSymbol
-
-from scipy.special import gammaln
-
-_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +175,7 @@ class PlanarRegion:
         iy, ix = region._indices(pts)
         occ[iy, ix] = True
         if dilate > 0:
-            occ = ndimage.binary_dilation(occ, iterations=dilate)
-            region.occ = occ
+            region.occ = _dilate_cells(occ, dilate)
         return region
 
     @classmethod
@@ -255,7 +249,7 @@ class PlanarRegion:
         (occ array, cells); a reassigned `occ` is dilated afresh."""
         hit = self._dilations.get(cells)
         if hit is None or hit[0] is not self.occ:
-            hit = (self.occ, ndimage.binary_dilation(self.occ, iterations=cells))
+            hit = (self.occ, _dilate_cells(self.occ, cells))
             self._dilations[cells] = hit
         return hit[1]
 
@@ -278,6 +272,76 @@ class PlanarRegion:
         return rows
 
 
+def _dilate_cells(occ: np.ndarray, steps: int) -> np.ndarray:
+    """occ grown by `steps` 4-neighbour steps, nothing beyond the grid edge.
+
+    After rows + cols - 2 steps every cell is within reach of any occupied
+    one, so larger requests (a slack of millions of cells around a tiny
+    image) cost no more than that.
+    """
+    rows, cols = occ.shape
+    if steps >= rows + cols - 2:
+        return np.full(occ.shape, bool(occ.any()))
+    out = occ.copy()
+    for _ in range(steps):
+        prev = out.copy()
+        out[1:] |= prev[:-1]
+        out[:-1] |= prev[1:]
+        out[:, 1:] |= prev[:, :-1]
+        out[:, :-1] |= prev[:, 1:]
+    return out
+
+
+def _bounded_holes(occ: np.ndarray) -> np.ndarray:
+    """Free cells that no 4-connected path of free cells joins to the
+    outside of the grid.
+
+    The free cells of the grid framed by one free cell on every side are
+    cut into row runs; runs in adjacent rows whose columns overlap are
+    joined by a vectorized union-find (hook every edge's larger root to
+    its smaller one, then jump pointers until every run points at its
+    root).  The frame's first row is run 0, so the outside is the
+    component with root 0, and every other run is a hole.
+    """
+    rows, cols = occ.shape
+    free = np.ones((rows + 2, cols + 2), dtype=np.int8)
+    free[1:-1, 1:-1] = ~occ
+    # Runs [start, stop) in row-major order; keys order them across rows.
+    edges = np.diff(free, axis=1, prepend=0, append=0)
+    run_row, start = np.nonzero(edges == 1)
+    _, stop = np.nonzero(edges == -1)
+    width = cols + 3
+    # Runs of the row above that overlap a run: stop above > start and
+    # start above < stop, a contiguous range [lo, hi) of run numbers.
+    lower = np.nonzero(run_row > 0)[0]
+    above = (run_row[lower] - 1) * width
+    lo = np.searchsorted(run_row * width + stop, above + start[lower], side="right")
+    hi = np.searchsorted(run_row * width + start, above + stop[lower], side="left")
+    count = np.maximum(hi - lo, 0)
+    first = np.cumsum(count) - count
+    u = np.repeat(lower, count)
+    v = np.repeat(lo - first, count) + np.arange(count.sum())
+    parent = np.arange(run_row.size)
+    while True:
+        pu, pv = parent[u], parent[v]
+        joined = pu != pv
+        if not joined.any():
+            break
+        u, v, pu, pv = u[joined], v[joined], pu[joined], pv[joined]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    hole = parent != 0
+    # Runs in a row are disjoint and separated, so no start meets a stop.
+    paint = np.zeros((rows + 2, width), dtype=np.int8)
+    paint[run_row[hole], start[hole]] = 1
+    paint[run_row[hole], stop[hole]] = -1
+    return np.cumsum(paint, axis=1, dtype=np.int8)[1:-1, 1 : cols + 1] > 0
+
+
 def polynomial_hull_2d(region: PlanarRegion) -> PlanarRegion:
     """Fill the bounded components of the complement (flood from the border).
 
@@ -285,17 +349,11 @@ def polynomial_hull_2d(region: PlanarRegion) -> PlanarRegion:
     output, finite point sets come back unchanged.
     """
     occ = region.occ
-    padded = np.pad(occ, 1, constant_values=False)
-    labels, nlab = ndimage.label(~padded, structure=_FOUR_CONNECTED)
-    border_labels = set(labels[0, :]) | set(labels[-1, :]) | set(labels[:, 0]) | set(labels[:, -1])
-    border_labels.discard(0)
-    unbounded = np.isin(labels, sorted(border_labels))
-    hull_occ = ~unbounded[1:-1, 1:-1]
     return PlanarRegion(
         x0=region.x0,
         y0=region.y0,
         cell=region.cell,
-        occ=hull_occ | occ,
+        occ=occ | _bounded_holes(occ),
         provenance=f"hull({region.provenance})",
         samples=region.samples,
     )
@@ -482,7 +540,7 @@ def essential_spectrum_estimate(
     else:
         for triangles in _face_triangles(c.dim, *_boundary_grid_counts(c.dim, samples)):
             _fill_triangles(region, flat, triangles)
-    region.occ = ndimage.binary_dilation(region.occ)
+    region.occ = _dilate_cells(region.occ, 1)
     return region
 
 
@@ -722,7 +780,7 @@ def resolution_drift_cells(base: PlanarRegion, fine: PlanarRegion) -> int:
     f = fine.occ
     coarse = f[0::2, 0::2] | f[1::2, 0::2] | f[0::2, 1::2] | f[1::2, 1::2]
     return int(
-        (base.occ & ~ndimage.binary_dilation(coarse)).sum()
+        (base.occ & ~_dilate_cells(coarse, 1)).sum()
         + (coarse & ~base._dilated(1)).sum()
     )
 

@@ -257,6 +257,13 @@ class TestTruncated:
     def test_cross_block_bound_small(self, radial_model):
         assert cross_block_entry_bound(radial_model, 4) < 1e-10
 
+    def test_cross_block_log_gamma_of_repeated_values(self):
+        # the bound's array log-Gamma maps each distinct value back in place
+        from scipy.special import gammaln
+
+        x = np.array([[3.5, 1.0, 3.5], [2.0, 250.5, 1.0]])
+        assert assembly._gammaln_array(x).tobytes() == gammaln(x).tobytes()
+
 
 class TestProjections:
     def test_masks(self):

@@ -205,3 +205,57 @@ def test_rule_builders_expose_cache_info(name):
     # The benchmark's tracer reads the hits and misses of these caches by name.
     info = getattr(quad, name).cache_info()
     assert info.hits >= 0 and info.misses >= 0
+
+
+def _gammaln_inputs():
+    rng = np.random.default_rng(20)
+    edges = [13.0, 1000.0, 1e8, 2.556348e305, 2.0, 3.0, 1.0]
+    near = [np.nextafter(e, d) for e in edges for d in (0.0, np.inf)]
+    return np.concatenate([
+        np.arange(1.0, 30001.0),
+        np.arange(1.0, 60001.0) / 2.0,
+        rng.uniform(0.0, 13.0, 20000),
+        rng.uniform(13.0, 1e4, 20000),
+        rng.uniform(1e4, 1e9, 20000),
+        10.0 ** rng.uniform(-310.0, 308.0, 5000),
+        [5e-324, 1e-300, 1e300, 1.7e308, *edges, *near],
+    ])
+
+
+def test_gammaln_is_bitwise_scipy():
+    from scipy.special import gammaln as oracle
+
+    x = _gammaln_inputs()
+    x = x[x > 0]
+    got = np.array([quad.gammaln(v) for v in x.tolist()])
+    want = oracle(x)
+    differ = np.nonzero(got.view(np.int64) != want.view(np.int64))[0]
+    assert differ.size == 0, list(zip(x[differ[:5]], got[differ[:5]], want[differ[:5]]))
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -2.5, -1e-300, math.nan, math.inf, -math.inf])
+def test_gammaln_refuses_outside_positive_reals(x):
+    with pytest.raises(QuadratureError):
+        quad.gammaln(x)
+
+
+@pytest.mark.parametrize("exponents", [(0.0, 0.0, 0.0), (0.5, 1.5, 2.0, 1.0), (1.0, -0.5, 3.0)])
+def test_simplex_rule_build_matches_meshgrid_product(exponents):
+    # The broadcast construction multiplies in the meshgrid order: bit-identical.
+    rule = SimplexRule.build(exponents, 9, jacobi_probability_rule_01)
+    p = len(exponents) - 1
+    axes = [
+        jacobi_probability_rule_01(9, exponents[lvl - 1], (p - lvl) + sum(exponents[lvl:]))
+        for lvl in range(1, p + 1)
+    ]
+    x = np.stack([g.ravel() for g in np.meshgrid(*[a[0] for a in axes], indexing="ij")], axis=1)
+    w = np.ones(x.shape[0])
+    for g in np.meshgrid(*[a[1] for a in axes], indexing="ij"):
+        w = w * g.ravel()
+    u = np.empty_like(x)
+    shrink = np.ones(x.shape[0])
+    for lvl in range(p):
+        u[:, lvl] = x[:, lvl] * shrink
+        shrink = shrink * (1.0 - x[:, lvl])
+    assert rule.nodes.tobytes() == u.tobytes()
+    assert rule.weights.tobytes() == w.tobytes()

@@ -1,4 +1,5 @@
 import math
+import timeit
 
 import numpy as np
 import pytest
@@ -188,13 +189,13 @@ class TestPlanarRegion:
         region = PlanarRegion.from_points(rng.standard_normal(30) + 1j * rng.standard_normal(30), 128)
         fresh = ndimage.binary_dilation(region.occ, iterations=2)
         calls = []
-        dilate = ndimage.binary_dilation
+        dilate = spectra._dilate_cells
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("iterations"))
-            return dilate(*args, **kwargs)
+        def counting(occ, steps):
+            calls.append(steps)
+            return dilate(occ, steps)
 
-        monkeypatch.setattr(spectra.ndimage, "binary_dilation", counting)
+        monkeypatch.setattr(spectra, "_dilate_cells", counting)
         zs = rng.uniform(-3, 3, 300) + 1j * rng.uniform(-3, 3, 300)
         got = [region.contains_point(z, slack_cells=2) for z in zs]
         assert calls == [2]
@@ -470,3 +471,77 @@ class TestInverseClosed:
         )
         ctx = SpectralContext(model=model, hull_resolution=256)
         assert is_inverse_closed(ctx, 4).inverse_closed
+
+
+def _label_hull(occ):
+    """The polynomial hull by ndimage: occ plus every 4-connected component
+    of the complement that does not reach the grid border."""
+    padded = np.pad(~occ, 1, constant_values=True)
+    labels, _ = ndimage.label(padded, structure=ndimage.generate_binary_structure(2, 1))
+    return occ | (labels != labels[0, 0])[1:-1, 1:-1]
+
+
+def _spiral(n, closed):
+    """Square spiral walls on every other ring: the free corridor winds
+    from the left border to the centre, about n^2 / 2 cells long; closed,
+    its entrance is walled off and the whole corridor is a hole."""
+    occ = np.zeros((n, n), dtype=bool)
+    top, left, bottom, right = 1, 1, n - 2, n - 2
+    while bottom - top >= 2 and right - left >= 2:
+        occ[top, left : right + 1] = True
+        occ[top : bottom + 1, right] = True
+        occ[bottom, left : right + 1] = True
+        occ[top + 2 : bottom + 1, left] = True
+        top, left, bottom, right = top + 2, left + 2, bottom - 2, right - 2
+    occ[2, 0] = closed
+    return occ
+
+
+def _hull_occ(occ):
+    region = PlanarRegion.empty((0.0, 1.0, 0.0, 1.0), occ.shape[0])
+    region.occ = occ
+    return polynomial_hull_2d(region).occ
+
+
+class TestMorphology:
+    def test_dilation_matches_ndimage(self):
+        rng = np.random.default_rng(4)
+        for rows, cols in [(1, 1), (1, 7), (9, 1), (13, 8), (32, 32)]:
+            for density in (0.0, 0.02, 0.3):
+                occ = rng.random((rows, cols)) < density
+                for steps in (1, 2, 7, rows + cols - 3, rows + cols - 2, rows + cols, 10**6):
+                    if steps < 1:
+                        continue
+                    want = ndimage.binary_dilation(occ, iterations=steps)
+                    assert np.array_equal(spectra._dilate_cells(occ, steps), want), (rows, cols, steps)
+        occ = np.zeros((512, 512), dtype=bool)
+        occ[300, 17] = True
+        for steps in (1, 1024, 10**6):
+            want = ndimage.binary_dilation(occ, iterations=steps)
+            assert np.array_equal(spectra._dilate_cells(occ, steps), want)
+
+    def test_hull_matches_label_on_random_grids(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            rows = int(rng.integers(1, 40))
+            occ = rng.random((rows, rows)) < rng.uniform(0.0, 0.9)
+            assert np.array_equal(_hull_occ(occ), _label_hull(occ))
+
+    def test_hull_fills_nested_rings(self):
+        yy, xx = np.mgrid[:256, :256]
+        r = np.hypot(yy - 127.5, xx - 127.5)
+        occ = np.zeros((256, 256), dtype=bool)
+        for radius in range(6, 120, 9):  # the outermost ring is 114 <= r < 116
+            occ |= (r >= radius) & (r < radius + 2)
+        hull = _hull_occ(occ)
+        assert np.array_equal(hull, _label_hull(occ))
+        assert np.array_equal(hull, r < 116)
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_hull_of_a_spiral_corridor(self, closed):
+        occ = _spiral(512, closed)
+        hull = _hull_occ(occ)
+        assert np.array_equal(hull, _label_hull(occ))
+        assert hull[2:-2, 2:-2].all() == closed
+        seconds = min(timeit.repeat(lambda: _hull_occ(occ), number=1, repeat=3))
+        assert seconds < 0.1
