@@ -6,7 +6,8 @@ Everything the algebra contains reduces to two ingredients:
   computed as an expectation against a Dirichlet probability measure on
   the simplex (the radial change of variables u_j = r_j^2 turns the
   eigenvalue integral into exactly that, and the normalizing Gamma
-  prefactors cancel against the Dirichlet mass);
+  prefactors cancel against the Dirichlet mass): a sum of closed-form
+  Dirichlet moments for a polynomial in r, a probability rule otherwise;
 * the per-group block matrices of a pseudo-homogeneous factor on the
   degree-d homogeneous subspace, computed in the weightless Bergman
   space over the group ball.  In the orthonormal monomial basis the
@@ -54,7 +55,9 @@ from .lattice import (
     enumerate_block_indices,
     log_monomial_norm_sq,
 )
-from .quad import dirichlet_probability_rule, fourier_on_points, gammaln, log_dirichlet_mass
+from .quad import (
+    dirichlet_moment, dirichlet_probability_rule, fourier_on_points, gammaln, log_dirichlet_mass,
+)
 from .symbols import (
     CallableProfile,
     MonomialProfile,
@@ -84,7 +87,8 @@ def gamma_quasi_radial(
 
     Equal to the expectation of a(sqrt(u_1),...,sqrt(u_m)) under the
     Dirichlet measure on Delta_m with exponents (kappa_j + k_j - 1) and
-    slack exponent lam; exact value 1 for a == 1 at every kappa.
+    slack exponent lam: for a compiled symbol the sum of its terms' exact
+    moments (r_j^q adds q/2 to u_j's exponent), else the order-``order`` rule.
     """
     kappa = tuple(int(v) for v in kappa)
     if len(kappa) != cfg.m:
@@ -92,6 +96,9 @@ def gamma_quasi_radial(
     if a.m != cfg.m:
         raise AssemblyError(f"symbol has {a.m} radii, partition has {cfg.m} groups")
     exponents = tuple(float(kap + kj - 1) for kap, kj in zip(kappa, cfg.k)) + (cfg.lam,)
+    if a.terms is not None:
+        return sum((t.coeff * dirichlet_moment(exponents, [q / 2 for q in t.powers])
+                    for t in a.terms), 0j)
     rule = dirichlet_probability_rule(exponents, order)
     radii = np.sqrt(rule.nodes) if cfg.m else rule.nodes
     vals = a(radii)

@@ -11,7 +11,6 @@ its residual is below its tolerance.  Exact yes/no checks report residual
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 
@@ -30,7 +29,9 @@ from .gelfand import (
     sample_ideal_space,
 )
 from .lattice import GlobalBasis, PartitionConfig, enumerate_kappa
-from .quad import dirichlet_integral, simplex_integrate
+from .quad import (
+    dirichlet_integral, dirichlet_moment, dirichlet_probability_rule, simplex_integrate,
+)
 from .radical import decompose_by_division, radical_generator
 from .spectra import PlanarRegion, SpectralContext, polynomial_hull_2d
 from .symbols import QuasiRadialSymbol, constant_symbol
@@ -50,33 +51,18 @@ def _flag(name: str, ok: bool) -> dict:
     return _record(name, 0.0 if ok else 1.0, 0.5)
 
 
-def _dirichlet_poly_moment(a, q: int) -> float:
-    """int (s_1+...+s_p)^q prod s^a (1-sum s)^{a_last} via the multinomial
-    expansion into Dirichlet closed forms."""
-    p = len(a) - 1
-    total = 0.0
-    for gamma in product(range(q + 1), repeat=p):
-        if sum(gamma) != q:
-            continue
-        coef = math.factorial(q)
-        for g in gamma:
-            coef //= math.factorial(g)
-        shifted = tuple(ai + gi for ai, gi in zip(a[:p], gamma)) + (a[p],)
-        total += coef * dirichlet_integral(shifted)
-    return total
-
-
 def dirichlet_vs_simplex(
     rng: np.random.Generator, trials: int, order: int, power: int
 ) -> list[dict]:
     """Closed Dirichlet forms vs the absorbed-weight simplex rule on random
-    half-integer exponents, integrand (s_1+...+s_p)^power; a nonzero power
-    makes the check sensitive to the rule order."""
+    half-integer exponents, integrand (s_1+...+s_p)^power, whose sum is a
+    Beta variable with the summed exponents; a nonzero power makes the
+    check sensitive to the rule order."""
     worst = 0.0
     for _ in range(trials):
         k = int(rng.integers(2, 5))
         a = tuple(float(v) for v in rng.choice(np.arange(0.0, 20.5, 0.5), size=k))
-        exact = _dirichlet_poly_moment(a, power)
+        exact = dirichlet_integral(a) * dirichlet_moment((sum(a[:-1]) + k - 2, a[-1]), (power,))
         approx = simplex_integrate(
             lambda s: s.sum(axis=1) ** power, k - 1, order, weight=a
         ).real
@@ -85,13 +71,38 @@ def dirichlet_vs_simplex(
 
 
 def gamma_identity(cfg: PartitionConfig, cap: int, order: int = 48) -> list[dict]:
-    """gamma of the trivial quasi-radial symbol is one for |kappa| <= cap."""
-    one = QuasiRadialSymbol.one(cfg.m)
+    """gamma of the trivial quasi-radial symbol is one for |kappa| <= cap; a
+    plain callable, so that the probability rule is tested, not a closed form."""
+    one = QuasiRadialSymbol(m=cfg.m, fn=lambda r: np.ones(r.shape[0], dtype=complex), label="1")
     worst = max(
         abs(gamma_quasi_radial(one, cfg, kappa, order) - 1.0)
         for kappa in enumerate_kappa(cfg, cap)
     )
     return [_record("gamma-identity", worst, 1e-10)]
+
+
+def quasi_radial_compiled(
+    a: QuasiRadialSymbol | None, cfg: PartitionConfig, cap: int, order: int = 48
+) -> list[dict]:
+    """For |kappa| <= cap, a compiled quasi-radial symbol's terms agree with
+    its parsed expression at the gamma rule's nodes (relative to the largest
+    value), and gamma agrees with sum c dirichlet_integral(a + q/2) /
+    dirichlet_integral(a) (relative to sum |c| times the moments)."""
+    worst = 0.0
+    for kappa in enumerate_kappa(cfg, cap) if a is not None and a.terms is not None else ():
+        exps = tuple(float(kap + kj - 1) for kap, kj in zip(kappa, cfg.k)) + (cfg.lam,)
+        radii = np.sqrt(dirichlet_probability_rule(exps, order).nodes)
+        source = a(radii)
+        compiled = sum((t(radii) for t in a.terms), np.zeros(len(radii), dtype=complex))
+        worst = max(worst, np.max(np.abs(compiled - source)) / max(np.max(np.abs(source)), 1e-300))
+        moments = [
+            dirichlet_integral([e + q / 2 for e, q in zip(exps, t.powers)] + [cfg.lam])
+            / dirichlet_integral(exps) for t in a.terms
+        ]
+        want = sum(complex(t.coeff) * mu for t, mu in zip(a.terms, moments))
+        scale = max(sum(abs(t.coeff) * mu for t, mu in zip(a.terms, moments)), 1e-300)
+        worst = max(worst, abs(gamma_quasi_radial(a, cfg, kappa, order) - want) / scale)
+    return [_record("quasi-radial-compiled", worst, 1e-12)]
 
 
 def identity_blocks(group_sizes, max_degree: int, order: int = 48) -> list[dict]:

@@ -712,6 +712,7 @@ def cmd_verify(setup: Setup) -> dict:
     records = [
         *checks.dirichlet_vs_simplex(rng, 60, model.block_order, power=4),
         *checks.gamma_identity(cfg, min(D + 2, 8), model.gamma_order),
+        *checks.quasi_radial_compiled(model.quasi_radial, cfg, min(D + 2, 8), model.gamma_order),
         *checks.identity_blocks(cfg.k, min(D, 6), model.block_order),
         *checks.cross_block_orthogonality(model, min(D, 4)),
         *checks.commutativity_and_product(model, D),

@@ -14,7 +14,9 @@ Two families of rules live here:
 
 The closed-form Dirichlet integral doubles as the oracle against which the
 simplex rules are cross-validated.  Its log-Gamma is a port of Cephes
-`lgam`; scipy is imported only when a Gauss-Jacobi rule is built.
+`lgam`.  Dirichlet moments E[prod u^h], h in N/2 (gamma of a polynomial in
+r), are products of rising factorials and half-integer steps.  scipy is
+imported only for Gauss-Jacobi rules.
 """
 
 from __future__ import annotations
@@ -186,6 +188,47 @@ def dirichlet_integral(a) -> float:
     if any(v <= -1.0 for v in a):
         raise QuadratureError(f"all exponents must exceed -1, got {a}")
     return float(math.exp(log_dirichlet_mass(a)))
+
+
+# Coefficients of x^-1, x^-3, ..., x^-13 in the series of log Gamma(x + 1/2)
+# - log Gamma(x) - log(x)/2; past x = 12 the next term is below 4e-18.
+_HALF_STEP = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 180224, -5461 / 425984)
+
+
+def _half_step(x: float) -> float:
+    """Gamma(x + 1/2) / Gamma(x) for x > 0: the recurrence up to x >= 12, then
+    the series of the log-Gamma difference, never two log-Gamma values."""
+    num = den = 1.0
+    while x < 12.0:
+        num, den, x = num * x, den * (x + 0.5), x + 1.0
+    series = 0.0
+    for c in reversed(_HALF_STEP):
+        series = series / (x * x) + c
+    return num / den * math.sqrt(x) * math.exp(series / x)
+
+
+def dirichlet_moment(exponents, increments) -> float:
+    """dirichlet_integral(a + h) / dirichlet_integral(a) for exponents a
+    (slack last) and increments h in N/2 of the leading coordinates.
+
+    Gamma(a + 1 + h) / Gamma(a + 1) is a rising factorial, times _half_step
+    for a half-integer h; numerator and denominator factors are divided in
+    pairs, so nothing overflows or cancels at large exponents.
+    """
+    x = [float(v) + 1.0 for v in exponents]
+    if not x or min(x) <= 0.0 or any(h < 0 or h % 0.5 for h in increments):
+        raise QuadratureError(
+            f"need exponents > -1 and half-integer increments >= 0: {exponents}, {increments}")
+    rising = [xl + i for xl, h in zip(x, increments) for i in range(int(h))]
+    ratio, total, xsum = 1.0, sum(increments), sum(x)
+    for i in range(int(total)):
+        ratio *= (rising[i] if i < len(rising) else 1.0) / (xsum + i)
+    for xl, h in zip(x, increments):
+        if h % 1:
+            ratio *= _half_step(xl + int(h))
+    if total % 1:
+        ratio /= _half_step(xsum + int(total))
+    return ratio
 
 
 @dataclass(frozen=True, eq=False)

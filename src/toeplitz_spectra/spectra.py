@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import AlgebraModel, BlockMatrix, assemble_block
+from .assembly import AlgebraModel, BlockMatrix, assemble_block, gamma_quasi_radial
 from .errors import SpectraError
-from .lattice import block_indices
-from .quad import gammaln, jacobi_probability_rule_01, torus_grid
+from .lattice import PartitionConfig, block_indices
+from .quad import gammaln, torus_grid
 from .symbols import PseudoHomogeneousSymbol, QuasiRadialSymbol
 
 
@@ -588,15 +588,6 @@ def _kernel_coefficients(w: np.ndarray, k: int, d: int) -> np.ndarray:
     return coefs
 
 
-def _radial_moment(profile: QuasiRadialSymbol | None, k: int, d: int, order: int = 64) -> complex:
-    """(d+k) int_0^1 R^{d+k-1} f(sqrt(R)) dR for a separable radial factor."""
-    if profile is None:
-        return 1.0
-    nodes, wts = jacobi_probability_rule_01(order, float(d + k - 1), 0.0)
-    vals = profile(np.sqrt(nodes)[:, None])
-    return complex(np.sum(wts * vals))
-
-
 def berezin_sequence(
     c: PseudoHomogeneousSymbol,
     j: int,
@@ -613,7 +604,9 @@ def berezin_sequence(
     factor f, a one-radius quasi-radial symbol; its compression to the
     degree-d block is the radial moment times the block matrix, and the
     sequence converges to the boundary value of the symbol along the ray
-    of w.
+    of w.  The radial moment is gamma_f(d) on the unweighted k-ball, closed
+    form for a polynomial in r1; a model's block and gamma orders replace
+    ``order`` when it is given.
     """
     w = np.asarray(w, dtype=complex).ravel()
     k = c.dim
@@ -625,12 +618,16 @@ def berezin_sequence(
     if absw >= 1.0:
         raise SpectraError(f"base point must lie inside the ball, |w| = {absw:.4f}")
 
+    radial_cfg = PartitionConfig(k=(k,))
+    radial_order = model.gamma_order if model is not None else order
     values, norm_devs, degrees = [], [], []
     for d in d_list:
         block = model.block(j, d) if model is not None else assemble_block(c, j, d, order=order)
         coefs = _kernel_coefficients(w, k, d)
         norm_devs.append(abs(float(np.vdot(coefs, coefs).real) - 1.0))
-        moment = _radial_moment(radial_profile, k, d)
+        moment = 1.0
+        if radial_profile is not None:
+            moment = gamma_quasi_radial(radial_profile, radial_cfg, (d,), radial_order)
         values.append(complex(moment * np.vdot(coefs, block.mat @ coefs)))
         degrees.append(int(d))
 

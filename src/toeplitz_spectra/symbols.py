@@ -13,7 +13,8 @@ no control flow, no user functions.  One compiler (_compile_modes) turns
 an expression that is a polynomial in s, t and conj(t) into a table of
 Fourier modes p, each a sum of monomial profiles in s: profile strings
 compile to the single p = 0 entry, expression symbols to their full
-table, whose invariance is then exact.
+table, whose invariance is then exact, and quasi-radial expressions in
+r1..rm to their monomials.
 """
 
 from __future__ import annotations
@@ -463,13 +464,14 @@ class QuasiRadialSymbol:
     """Bounded symbol depending only on the group radii r_1..r_m.
 
     The evaluation handle receives an (N, m) array of radii with
-    sum(r_j^2) <= 1 and must return an (N,) array.
+    sum(r_j^2) <= 1 and must return an (N,) array.  ``terms``, the monomials
+    of a polynomial in r (see _compile_modes), make gamma closed form.
     """
 
     m: int
     fn: Callable
     label: str
-    bounded: bool = True
+    terms: tuple[MonomialProfile, ...] | None = None
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.atleast_2d(np.asarray(r, dtype=float))
@@ -482,10 +484,12 @@ class QuasiRadialSymbol:
 
     @classmethod
     def one(cls, m: int) -> "QuasiRadialSymbol":
-        return cls(m=m, fn=lambda r: np.ones(r.shape[0], dtype=complex), label="1")
+        term = MonomialProfile((0,) * m)
+        return cls(m=m, fn=term, label="1", terms=(term,))
 
     @classmethod
     def from_expression(cls, m: int, text: str) -> "QuasiRadialSymbol":
+        """``fn`` evaluates the expression; a polynomial compiles to ``terms``."""
         expr = parse_symbol_expression(text)
         allowed = {f"r{j}" for j in range(1, m + 1)}
         extra = expr.variables - allowed
@@ -499,7 +503,9 @@ class QuasiRadialSymbol:
             vals = _expr.evaluate(env)
             return np.broadcast_to(np.asarray(vals, dtype=complex), (r.shape[0],))
 
-        return cls(m=m, fn=fn, label=f"expr:{text}")
+        table = _compile_modes(expr, m)
+        terms = None if table is None else table.get((0,) * m, ())
+        return cls(m=m, fn=fn, label=f"expr:{text}", terms=terms)
 
     @classmethod
     def power(cls, exponents) -> "QuasiRadialSymbol":
@@ -507,15 +513,8 @@ class QuasiRadialSymbol:
         q = tuple(int(v) for v in exponents)
         if any(v < 0 for v in q):
             raise SymbolError(f"radial powers must be nonnegative: {q}")
-
-        def fn(r, _q=q):
-            out = np.ones(r.shape[0], dtype=complex)
-            for axis, power in enumerate(_q):
-                if power:
-                    out = out * r[:, axis] ** power
-            return out
-
-        return cls(m=len(q), fn=fn, label=f"rpow{q}")
+        term = MonomialProfile(q)
+        return cls(m=len(q), fn=term, label=f"rpow{q}", terms=(term,))
 
 
 @dataclass(frozen=True, eq=False)

@@ -132,12 +132,21 @@ def test_criterion_02_identity_symbol():
     records = []
     for k in CONFIG_KS:
         for lam in (0.0, 1.5):
-            records += checks.gamma_identity(PartitionConfig(k=k, lam=lam), 10)
+            cfg = PartitionConfig(k=k, lam=lam)
+            records += checks.gamma_identity(cfg, 10)
+            for text in ("1 - 0.7*r1^2*r2^2", "r1 + 0.5*r2^3"):
+                a = QuasiRadialSymbol.from_expression(cfg.m, text)
+                records += checks.quasi_radial_compiled(a, cfg, 10)
         records += checks.identity_blocks(sorted(set(k)), 10)
     worst_gamma = _worst(records, "gamma-identity")
+    worst_compiled = _worst(records, "quasi-radial-compiled")
     worst_block = _worst(records, "identity-blocks")
-    ok = worst_gamma < 1e-10 and worst_block < 1e-12
-    _report(2, ok, f"gamma dev {worst_gamma:.3e}, block dev {worst_block:.3e}")
+    ok = worst_gamma < 1e-10 and worst_compiled < 1e-12 and worst_block < 1e-12
+    _report(
+        2, ok,
+        f"gamma dev {worst_gamma:.3e}, compiled gamma dev {worst_compiled:.3e}, "
+        f"block dev {worst_block:.3e}",
+    )
 
 
 def test_criterion_03_block_orthogonality(product_models):

@@ -1,8 +1,12 @@
+import dataclasses
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import ball2_inner_product, gamma_literal
 from toeplitz_spectra import assembly
@@ -17,7 +21,8 @@ from toeplitz_spectra.assembly import (
     projection,
 )
 from toeplitz_spectra.errors import AssemblyError
-from toeplitz_spectra.lattice import GlobalBasis, PartitionConfig, monomial_norm_sq
+from toeplitz_spectra.lattice import GlobalBasis, PartitionConfig, enumerate_kappa, monomial_norm_sq
+from toeplitz_spectra.quad import dirichlet_probability_rule
 from toeplitz_spectra.symbols import (
     MAX_PROFILE_DEGREE,
     CallableProfile,
@@ -60,6 +65,56 @@ class TestGamma:
             got = gamma_quasi_radial(a, cfg, kappa)
             want = gamma_literal(a, cfg.k, lam, kappa, n_rad=240)
             assert got == pytest.approx(want, abs=5e-9)
+
+    def test_readme_gamma_is_its_exact_rational(self):
+        # On k = (1, 2), lam = 0: gamma = 1 - c x1 x2 / (X (X + 1)) with
+        # x = kappa + k and X = |kappa| + 4.
+        c = 0.7
+        cfg = PartitionConfig(k=(1, 2), lam=0.0)
+        a = QuasiRadialSymbol.from_expression(2, f"1 - {c}*r1^2*r2^2")
+        for kappa in enumerate_kappa(cfg, 20) + [(10**4, 10**4), (10**4, 3)]:
+            x1, x2, big = kappa[0] + 1, kappa[1] + 2, sum(kappa) + 4
+            want = 1 - Fraction(c) * Fraction(x1 * x2, big * (big + 1))
+            got = gamma_quasi_radial(a, cfg, kappa)
+            assert got.imag == 0.0
+            assert abs(Fraction(got.real) - want) <= Fraction(1e-15) * want, kappa
+
+    def test_odd_power_is_exact(self):
+        # E[u1^(1/2)] under Dirichlet(1, 2, 1) = Gamma(3/2) Gamma(4) / Gamma(9/2);
+        # the order-48 rule in u is off by 2.6e-6 here.
+        cfg = PartitionConfig(k=(1, 2), lam=0.0)
+        got = gamma_quasi_radial(QuasiRadialSymbol.from_expression(2, "r1"), cfg, (0, 0))
+        assert abs(Fraction(got.real) - Fraction(16, 35)) <= Fraction(1e-15) * Fraction(16, 35)
+
+    @pytest.mark.parametrize("text", ["exp(-r1^2)", "1/(2 - r1^2)"])
+    def test_non_polynomials_keep_the_probability_rule(self, text):
+        cfg = PartitionConfig(k=(1, 2), lam=0.5)
+        a = QuasiRadialSymbol.from_expression(2, text)
+        assert a.terms is None
+        for kappa in [(0, 0), (3, 1), (7, 9)]:
+            exps = tuple(float(kap + kj - 1) for kap, kj in zip(kappa, cfg.k)) + (cfg.lam,)
+            rule = dirichlet_probability_rule(exps, 48)
+            want = complex(np.sum(rule.weights * a(np.sqrt(rule.nodes))))
+            assert gamma_quasi_radial(a, cfg, kappa, 48) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5), st.floats(-2.0, 2.0)),
+            min_size=1, max_size=4,
+        ),
+        kappa=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+        lam=st.sampled_from([0.0, 1.5, -0.5]),
+    )
+    def test_compiled_gamma_matches_quadrature(self, terms, kappa, lam):
+        cfg = PartitionConfig(k=(1, 2), lam=lam)
+        text = " + ".join(f"({c!r})*r1^{2 * i}*r2^{2 * j}" for i, j, c in terms)
+        a = QuasiRadialSymbol.from_expression(2, text)
+        assert a.terms is not None
+        quadrature = dataclasses.replace(a, terms=None)
+        got = gamma_quasi_radial(a, cfg, kappa)
+        want = gamma_quasi_radial(quadrature, cfg, kappa)
+        assert abs(got - want) <= 1e-12 * max(sum(abs(c) for _, _, c in terms), 1.0)
 
 
 class TestBlocks:

@@ -382,6 +382,7 @@ def test_verify_passes_and_negative_control(tmp_path, capsys):
 VERIFY_CHECKS = [
     ("dirichlet-vs-simplex", 1e-10),
     ("gamma-identity", 1e-10),
+    ("quasi-radial-compiled", 1e-12),
     ("identity-blocks", 1e-12),
     ("cross-block-orthogonality", 1e-10),
     ("commutativity", 1e-9),

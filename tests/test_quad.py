@@ -11,6 +11,7 @@ from toeplitz_spectra.errors import QuadratureError
 from toeplitz_spectra.quad import (
     SimplexRule,
     dirichlet_integral,
+    dirichlet_moment,
     dirichlet_probability_rule,
     fourier_on_points,
     jacobi_probability_rule_01,
@@ -24,6 +25,33 @@ def test_dirichlet_examples():
     assert dirichlet_integral((1, 0)) == pytest.approx(0.5)
     with pytest.raises(QuadratureError):
         dirichlet_integral((-1.0, 0))
+
+
+@pytest.mark.parametrize(
+    "exponents,increments",
+    [
+        ((0.0, 1.0, 0.0), (0.5,)),
+        ((1e4, 1e4 + 1.0, 0.0), (0.5, 1.5)),
+        ((1e4, 2.0, 0.5), (2.5, 0.5)),
+        ((3.0, 1e4, 9999.0), (1.5, 3.0)),
+        ((9999.5, 0.0, -0.5), (0.5, 0.5)),
+        ((2e4 - 1.0, 0.0), (7.5,)),
+    ],
+)
+def test_dirichlet_moment_half_integers_match_mpmath(exponents, increments):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(v) + 1 for v in exponents]
+        h = list(increments) + [0.0] * (len(x) - len(increments))
+        want = mpmath.fprod(mpmath.rf(xl, hl) for xl, hl in zip(x, h)) / mpmath.rf(sum(x), sum(h))
+        got = dirichlet_moment(exponents, increments)
+        assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("increments", [(0.3,), (-1.0,), (0.5, -0.5)])
+def test_dirichlet_moment_refuses_other_increments(increments):
+    with pytest.raises(QuadratureError):
+        dirichlet_moment((1.0, 2.0, 0.0), increments)
 
 
 def test_dirichlet_vs_adaptive_oracle():

@@ -10,6 +10,7 @@ from toeplitz_spectra.errors import SymbolError, SymbolParseError
 from toeplitz_spectra.quad import fourier_on_points
 from toeplitz_spectra.symbols import (
     MAX_PROFILE_DEGREE,
+    MAX_PROFILE_TERMS,
     CallableProfile,
     FourierMode,
     MonomialProfile,
@@ -85,6 +86,16 @@ class TestQuasiRadial:
     def test_rejects_wrong_variables(self):
         with pytest.raises(SymbolError):
             QuasiRadialSymbol.from_expression(1, "r2")
+
+    def test_polynomials_compile_within_the_profile_limits(self):
+        a = QuasiRadialSymbol.from_expression(2, "2*r1*r2^3 + r1")
+        assert a.terms == (MonomialProfile((1, 0)), MonomialProfile((1, 3), 2.0))
+        assert QuasiRadialSymbol.power((2, 1)).terms == (MonomialProfile((2, 1)),)
+        for text in (f"r1^{MAX_PROFILE_DEGREE + 1}", f"(r1 + r2)^{MAX_PROFILE_TERMS}"):
+            with pytest.raises(SymbolError):
+                QuasiRadialSymbol.from_expression(2, text)
+        with pytest.raises(SymbolError):
+            QuasiRadialSymbol.power((MAX_PROFILE_DEGREE + 1, 0))
 
 
 class TestPseudoHomogeneous:
