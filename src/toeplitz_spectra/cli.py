@@ -13,13 +13,12 @@ Every nonzero code comes with one JSON error object as the last line on
 stderr; no raw traceback is printed.
 
 Reports are reproducible: the payload depends only on the echoed config and
-tool version (fixed seeds, fixed summation orders, thread-count independent).
+tool version (fixed seeds, fixed summation orders).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -30,7 +29,6 @@ import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__, checks
@@ -187,6 +185,62 @@ DEFAULTS = {
 }
 
 
+_JSON_TYPES = {
+    "object": dict, "array": list, "string": str, "boolean": bool,
+    "null": type(None), "number": (int, float), "integer": (int, float),
+}
+
+
+def _is_type(value, name: str) -> bool:
+    """jsonschema's type test: a bool is neither integer nor number, and an
+    integral float such as 2.0 is an integer."""
+    if isinstance(value, bool) and name != "boolean":
+        return False
+    return isinstance(value, _JSON_TYPES[name]) and (
+        name != "integer" or isinstance(value, int) or value.is_integer())
+
+
+def _schema_error(value, schema: dict, where: str = "config") -> str | None:
+    """The first way value breaks schema, or None if it conforms.
+
+    Covers exactly the keywords CONFIG_SCHEMA uses, with jsonschema's
+    semantics: type, enum, minimum, exclusiveMinimum, minItems, items,
+    required, properties and additionalProperties (false only).  A keyword
+    about objects, arrays or numbers ignores values of other types, and {}
+    accepts anything.
+    """
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_is_type(value, t) for t in types):
+        return f"{where}: {value!r} is not of type {' or '.join(types)}"
+    if "enum" in schema and value not in schema["enum"]:
+        return f"{where}: {value!r} is not one of {schema['enum']}"
+    if _is_type(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            return f"{where}: {value!r} is less than the minimum {schema['minimum']}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return f"{where}: {value!r} is not above {schema['exclusiveMinimum']}"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return f"{where}: {value!r} has fewer than {schema['minItems']} items"
+        for i, item in enumerate(value):
+            if err := _schema_error(item, schema.get("items", {}), f"{where}[{i}]"):
+                return err
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{where}: {key!r} is a required property"
+        if schema.get("additionalProperties", True) is False:
+            for key in value:
+                if key not in props:
+                    return f"{where}: additional property {key!r} is not allowed"
+        for key, sub in props.items():
+            if key in value and (err := _schema_error(value[key], sub, f"{where}.{key}")):
+                return err
+    return None
+
+
 def _complex_from_json(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
@@ -201,13 +255,12 @@ def c2j(z: complex) -> list[float]:
 
 def _fill_defaults(raw: dict) -> dict:
     cfg = dict(raw)
-    cfg.setdefault("quasi_radial", None)
     for key, val in DEFAULTS.items():
         if key in ("quadrature", "hull", "gelfand"):
             merged = dict(val)
             merged.update(cfg.get(key) or {})
             cfg[key] = merged
-        elif key != "quasi_radial":
+        else:
             cfg.setdefault(key, val)
     part = dict(cfg["partition"])
     part.setdefault("lambda", 0.0)
@@ -226,10 +279,8 @@ def load_config(path: str | Path) -> dict:
 
 
 def validate_config(raw: dict) -> dict:
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config failed schema validation: {exc.message}")
+    if err := _schema_error(raw, CONFIG_SCHEMA):
+        raise ConfigError(f"config failed schema validation: {err}")
     cfg = _fill_defaults(raw)
     part = cfg["partition"]
     k = tuple(part["k"])
@@ -265,8 +316,14 @@ class Setup:
     model: AlgebraModel
     ctx: SpectralContext
     out_dir: Path
-    threads: int
     warnings: list[str]
+
+
+def _field(spec: dict, key: str, where: str):
+    """spec[key], which spec's kind needs; a missing one is a ConfigError."""
+    if key not in spec:
+        raise ConfigError(f"{where} of kind {spec['kind']!r} needs the field {key!r}")
+    return spec[key]
 
 
 def _build_quasi_radial(spec, m: int) -> QuasiRadialSymbol | None:
@@ -276,9 +333,9 @@ def _build_quasi_radial(spec, m: int) -> QuasiRadialSymbol | None:
     if kind == "one":
         return QuasiRadialSymbol.one(m)
     if kind == "expression":
-        return QuasiRadialSymbol.from_expression(m, spec["text"])
+        return QuasiRadialSymbol.from_expression(m, _field(spec, "text", "quasi_radial"))
     if kind == "power":
-        exps = spec["exponents"]
+        exps = _field(spec, "exponents", "quasi_radial")
         if len(exps) != m:
             raise ConfigError(f"radial power needs {m} exponents, got {len(exps)}")
         return QuasiRadialSymbol.power(exps)
@@ -290,28 +347,29 @@ def _build_symbol(spec, cfg: PartitionConfig) -> PseudoHomogeneousSymbol:
     kj = cfg.k[g - 1]
     kind = spec["kind"]
     bc = spec.get("boundary_continuous", True)
+    where = f"symbol of group {g}"
     if kind == "constant":
         return constant_symbol(g, kj, _complex_from_json(spec.get("value", 1.0)))
     if kind == "quasi_homogeneous":
-        p = spec["p"]
+        p = _field(spec, "p", where)
         if len(p) != kj:
             raise ConfigError(f"mode length {len(p)} != group size {kj}")
         return builtin_quasi_homogeneous(g, p)
     if kind == "profile":
-        return profile_symbol(g, kj, spec["text"], boundary_continuous=bc)
+        return profile_symbol(g, kj, _field(spec, "text", where), boundary_continuous=bc)
     if kind == "profile_monomial":
         prof = MonomialProfile(
-            tuple(spec["powers"]), _complex_from_json(spec.get("coeff", 1.0))
+            tuple(_field(spec, "powers", where)), _complex_from_json(spec.get("coeff", 1.0))
         )
         return profile_symbol(g, kj, prof, boundary_continuous=bc)
     if kind == "expression":
-        return expression_symbol(
-            g, kj, spec["text"], boundary_continuous=spec.get("boundary_continuous", False)
-        )
+        bc = spec.get("boundary_continuous", False)
+        return expression_symbol(g, kj, _field(spec, "text", where), boundary_continuous=bc)
     raise ConfigError(f"unknown symbol kind {kind!r}")
 
 
 def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: str | None = None) -> Setup:
+    """The model and context for config; threads is accepted and ignored."""
     cfg = PartitionConfig(k=tuple(config["partition"]["k"]), lam=float(config["partition"]["lambda"]))
     quasi = _build_quasi_radial(config["quasi_radial"], cfg.m)
     symbols = {spec["group"]: _build_symbol(spec, cfg) for spec in config["symbols"]}
@@ -337,26 +395,7 @@ def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: 
         hull_resolution=config["hull"]["resolution"],
         ess_samples=config["hull"]["ess_samples"],
     )
-    nthreads = threads if threads > 0 else (os.cpu_count() or 1)
-    return Setup(
-        config=config, cfg=cfg, model=model, ctx=ctx,
-        out_dir=out_dir, threads=nthreads, warnings=[],
-    )
-
-
-def _precompute_blocks(setup: Setup, Dmax: int):
-    """Per-(j, d) block assembly, parallel but order-independent by collection."""
-    jobs = [(j, d) for j in sorted(setup.model.symbols) for d in range(Dmax + 1)]
-    if not jobs:
-        return
-    if setup.threads <= 1:
-        for j, d in jobs:
-            setup.model.block(j, d)
-        return
-    with concurrent.futures.ThreadPoolExecutor(max_workers=setup.threads) as pool:
-        futures = {(j, d): pool.submit(setup.model.block, j, d) for j, d in jobs}
-        for key in sorted(futures):
-            futures[key].result()
+    return Setup(config=config, cfg=cfg, model=model, ctx=ctx, out_dir=out_dir, warnings=[])
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +475,6 @@ def _region_svg(region: PlanarRegion, points=None) -> str:
 
 def cmd_assemble(setup: Setup) -> dict:
     D = setup.config["degree_cap"]
-    _precompute_blocks(setup, D)
     op = setup.model.truncated_product(D)
     basis = setup.model.basis(D)
     blocks_info = []
@@ -465,7 +503,6 @@ def cmd_assemble(setup: Setup) -> dict:
 
 def cmd_spectrum(setup: Setup) -> dict:
     D = setup.config["degree_cap"]
-    _precompute_blocks(setup, D)
     per_group = {}
     csv_rows = []
     for j in range(1, setup.cfg.m + 1):
@@ -495,7 +532,6 @@ def cmd_spectrum(setup: Setup) -> dict:
 
 def cmd_hull(setup: Setup) -> dict:
     D = setup.config["degree_cap"]
-    _precompute_blocks(setup, D)
     res = setup.ctx.hull_resolution
     payload = {"groups": {}}
     for j in range(1, setup.cfg.m + 1):
@@ -574,7 +610,6 @@ def _product_element(setup: Setup) -> FiniteSum:
 
 def cmd_gelfand(setup: Setup) -> dict:
     D = setup.config["degree_cap"]
-    _precompute_blocks(setup, D)
     gconf = setup.config["gelfand"]
     points = sample_ideal_space(
         setup.ctx, D, gconf["budget"],
@@ -620,7 +655,6 @@ def cmd_gelfand(setup: Setup) -> dict:
 
 def cmd_semisimple(setup: Setup) -> dict:
     D = setup.config["degree_cap"]
-    _precompute_blocks(setup, D)
     verdict = is_semisimple(setup.ctx, D)
     halved = is_semisimple(setup.ctx, D, tol=0.5e-10)
     return {
@@ -650,7 +684,6 @@ def _radical_gamma(spec: dict, j: int) -> DiagonalCoefficient:
 
 def cmd_radical(setup: Setup) -> dict:
     D = setup.config["degree_cap"]
-    _precompute_blocks(setup, D)
     rconf = setup.config.get("radical") or {}
     j = rconf.get("group")
     if j is None:
@@ -703,7 +736,6 @@ def cmd_radical(setup: Setup) -> dict:
 
 def cmd_verify(setup: Setup) -> dict:
     D = setup.config["degree_cap"]
-    _precompute_blocks(setup, D)
     model, ctx, cfg = setup.model, setup.ctx, setup.cfg
     # One generator, drawn in order by the Dirichlet trials, the hull's
     # finite points and the division sums.
@@ -777,7 +809,8 @@ def build_parser() -> argparse.ArgumentParser:
         "command", choices=sorted(list(COMMANDS) + ["info"]), help="what to run"
     )
     parser.add_argument("--config", help="JSON run configuration")
-    parser.add_argument("--threads", type=int, default=0, help="worker threads (0 = all cores)")
+    parser.add_argument(
+        "--threads", type=int, default=0, help="ignored (assembly is single-threaded)")
     parser.add_argument("--no-cache", action="store_true", help="bypass the block cache")
     parser.add_argument("--out", help="output directory (overrides config)")
     return parser
@@ -807,9 +840,7 @@ def _run(args) -> int:
         return 1
     try:
         config = load_config(args.config)
-        setup = build_setup(
-            config, threads=args.threads, no_cache=args.no_cache, out=args.out
-        )
+        setup = build_setup(config, no_cache=args.no_cache, out=args.out)
     except ToeplitzError as exc:
         # anything raised while building the setup is a configuration problem
         _emit_error(type(exc).__name__, str(exc))

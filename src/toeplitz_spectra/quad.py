@@ -15,8 +15,12 @@ Two families of rules live here:
 The closed-form Dirichlet integral doubles as the oracle against which the
 simplex rules are cross-validated.  Its log-Gamma is a port of Cephes
 `lgam`.  Dirichlet moments E[prod u^h], h in N/2 (gamma of a polynomial in
-r), are products of rising factorials and half-integer steps.  scipy is
-imported only for Gauss-Jacobi rules.
+r), are products of rising factorials and half-integer steps.
+
+Both Gauss-Jacobi rules start from one Jacobi matrix and use numpy alone:
+Golub-Welsch by `numpy.linalg.eigh` for the probability rule; a Newton step
+on the three-term recurrence and Christoffel weights for the Beta-scaled
+rule, the independent oracle of the simplex checks.
 """
 
 from __future__ import annotations
@@ -109,29 +113,59 @@ def gammaln(x) -> float:
     return q + corr / x
 
 
-@lru_cache(maxsize=4096)
-def jacobi_rule_01(npts: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [0,1] for the weight x^a (1-x)^b.
-
-    Exact for polynomial factors of degree <= 2*npts - 1 on top of the
-    weight.  Weights are returned in true [0,1] scale, so they sum to the
-    Beta integral B(a+1, b+1) as produced by the Golub-Welsch machinery.
-    """
+def _jacobi_matrix(npts: int, a: float, b: float) -> np.ndarray:
+    """Symmetric tridiagonal Jacobi matrix of x^a (1-x)^b on [0,1], written
+    on [-1,1] as (1-x)^b (1+x)^a: its eigenvalues are the Gauss nodes."""
     if npts < 1:
         raise QuadratureError(f"rule needs at least one node, got {npts}")
     if a <= -1.0 or b <= -1.0:
         raise QuadratureError(f"Jacobi exponents must exceed -1, got ({a}, {b})")
+    alpha, beta = float(b), float(a)
+    n = np.arange(npts, dtype=float)
+    k = n[1:]
+    num = 4.0 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
+    den = (2 * k + alpha + beta) ** 2 * (2 * k + alpha + beta + 1) * (2 * k + alpha + beta - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (beta**2 - alpha**2) / ((2 * n + alpha + beta) * (2 * n + alpha + beta + 2))
+        offdiag = np.sqrt(num / den)
+    diag[0] = (beta - alpha) / (alpha + beta + 2.0)
+    if npts > 1 and alpha + beta == -1.0:  # 0/0 at k = 1: cancel 1 + alpha + beta
+        offdiag[0] = math.sqrt(2.0 * (1.0 + alpha) * (1.0 + beta))
+    return np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+
+
+@lru_cache(maxsize=4096)
+def jacobi_rule_01(npts: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0,1] for the weight x^a (1-x)^b, summing to
+    B(a+1, b+1), exact for polynomial factors of degree <= 2*npts - 1.
+
+    The oracle beside the probability rule: the Jacobi matrix's eigenvalues
+    take one Newton step on the monic three-term recurrence, and the weights
+    are the Christoffel numbers 1/(p_{n-1}(x) p_n'(x)), not eigenvector
+    entries, so small weights keep their relative accuracy.
+    """
     if a + b + 1.0 > 1000.0:
         raise QuadratureError(
-            f"combined Jacobi exponent {a + b} too large for stable rescaling"
+            f"combined Jacobi exponent {a + b} too large for the Christoffel weights"
         )
-    from scipy.special import roots_jacobi
+    J = _jacobi_matrix(npts, a, b)
+    diag, off2 = np.diag(J), np.append(0.0, np.diag(J, 1) ** 2)
 
-    # scipy weight on [-1,1] is (1-x)^alpha (1+x)^beta; map x -> 2t - 1.
-    x, w = roots_jacobi(npts, b, a)
-    t = 0.5 * (x + 1.0)
-    w01 = w / 2.0 ** (a + b + 1.0)
-    return t, w01
+    def monic(x):
+        """p_{n-1}(x), p_n(x) and p_n'(x) by p_{i+1} = (x - diag_i) p_i - off_i^2 p_{i-1}."""
+        prev, cur, dprev, dcur = 0.0 * x, 1.0 + 0.0 * x, 0.0 * x, 0.0 * x
+        for d, o2 in zip(diag, off2):
+            prev, cur, dprev, dcur = (
+                cur, (x - d) * cur - o2 * prev, dcur, cur + (x - d) * dcur - o2 * dprev)
+        return prev, cur, dcur
+
+    x = np.linalg.eigvalsh(J)
+    _, pn, dpn = monic(x)
+    x = x - pn / dpn
+    pm, _, dpn = monic(x)
+    # Scaled by their largest magnitudes so that the product cannot underflow.
+    w = 1.0 / ((pm / np.max(np.abs(pm))) * (dpn / np.max(np.abs(dpn))))
+    return 0.5 * (x + 1.0), w * (dirichlet_integral((a, b)) / w.sum())
 
 
 @lru_cache(maxsize=4096)
@@ -139,28 +173,11 @@ def jacobi_probability_rule_01(npts: int, a: float, b: float) -> tuple[np.ndarra
     """Nodes on [0,1] and weights summing to one for the normalized measure
     x^a (1-x)^b dx / B(a+1, b+1).
 
-    Golub-Welsch on the symmetric tridiagonal recurrence matrix, which is
-    scale-free: exponents in the tens of thousands (surrogate functional
-    directives) are as stable as small ones.
+    Golub-Welsch on the Jacobi matrix, which is scale-free: exponents in
+    the tens of thousands (surrogate functional directives) are as stable
+    as small ones.
     """
-    if npts < 1:
-        raise QuadratureError(f"rule needs at least one node, got {npts}")
-    if a <= -1.0 or b <= -1.0:
-        raise QuadratureError(f"Jacobi exponents must exceed -1, got ({a}, {b})")
-    from scipy.linalg import eigh_tridiagonal
-
-    # Recurrence for the weight (1-x)^alpha (1+x)^beta on [-1,1] with
-    # alpha = b, beta = a (so that x near +1 maps to t near 1).
-    alpha, beta = float(b), float(a)
-    n = np.arange(npts, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diag = (beta**2 - alpha**2) / ((2 * n + alpha + beta) * (2 * n + alpha + beta + 2))
-    diag[0] = (beta - alpha) / (alpha + beta + 2.0)
-    k = np.arange(1, npts, dtype=float)
-    num = 4.0 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
-    den = (2 * k + alpha + beta) ** 2 * (2 * k + alpha + beta + 1) * (2 * k + alpha + beta - 1)
-    offdiag = np.sqrt(num / den)
-    vals, vecs = eigh_tridiagonal(diag, offdiag)
+    vals, vecs = np.linalg.eigh(_jacobi_matrix(npts, a, b))
     weights = vecs[0, :] ** 2
     weights = weights / weights.sum()
     t = 0.5 * (vals + 1.0)

@@ -5,6 +5,8 @@ ball integrals use full polar coordinates with plain Gauss-Legendre and
 uniform angle grids (no absorbed Jacobi weights, no Duffy collapse),
 characteristic polynomials come from the Faddeev-LeVerrier trace
 recursion, and the adaptive simplex oracle is nested scipy.integrate.quad.
+The Gauss-Jacobi references are scipy's: `roots_jacobi`, and Golub-Welsch
+through the tridiagonal eigensolver `eigh_tridiagonal`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import gammaln, roots_jacobi
 
 
 def gl01(n: int):
@@ -165,3 +168,26 @@ def adaptive_dirichlet(a: tuple[float, ...], epsabs: float = 1e-13) -> float:
         val, _ = quad(inner, 0.0, 1.0, epsabs=epsabs, limit=400)
         return val
     raise NotImplementedError("adaptive oracle implemented for k <= 3")
+
+
+def golub_welsch_tridiagonal(npts: int, a: float, b: float):
+    """Probability rule on [0,1] for x^a (1-x)^b by Golub-Welsch, with the
+    recurrence written out and solved by scipy's tridiagonal eigensolver."""
+    alpha, beta = float(b), float(a)
+    n = np.arange(npts, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (beta**2 - alpha**2) / ((2 * n + alpha + beta) * (2 * n + alpha + beta + 2))
+    diag[0] = (beta - alpha) / (alpha + beta + 2.0)
+    k = np.arange(1, npts, dtype=float)
+    num = 4.0 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
+    den = (2 * k + alpha + beta) ** 2 * (2 * k + alpha + beta + 1) * (2 * k + alpha + beta - 1)
+    vals, vecs = eigh_tridiagonal(diag, np.sqrt(num / den))
+    weights = vecs[0, :] ** 2
+    return np.clip(0.5 * (vals + 1.0), 0.0, 1.0), weights / weights.sum()
+
+
+def roots_jacobi_01(npts: int, a: float, b: float):
+    """scipy's Gauss-Jacobi rule mapped to [0,1] for x^a (1-x)^b; the
+    weights sum to B(a+1, b+1)."""
+    x, w = roots_jacobi(npts, b, a)
+    return 0.5 * (x + 1.0), w / 2.0 ** (a + b + 1.0)

@@ -82,6 +82,27 @@ def test_schema_rejects_duplicate_group(tmp_path):
     assert main(["assemble", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"quasi_radial": {"kind": "power"}}, "exponents"),
+        ({"quasi_radial": {"kind": "expression"}}, "text"),
+        ({"symbols": [{"group": 2, "kind": "expression"}]}, "text"),
+        ({"symbols": [{"group": 2, "kind": "quasi_homogeneous"}]}, "p"),
+        ({"symbols": [{"group": 2, "kind": "profile"}]}, "text"),
+        ({"symbols": [{"group": 2, "kind": "profile_monomial"}]}, "powers"),
+    ],
+    ids=["power", "radial-expression", "expression", "quasi_homogeneous", "profile",
+         "profile_monomial"],
+)
+def test_missing_per_kind_field_is_config_error(tmp_path, capsys, overrides, field):
+    path = write_config(tmp_path, **overrides)
+    assert main(["assemble", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "ConfigError"
+    assert repr(field) in err["message"] and "traceback" not in err
+
+
 def test_assemble_report(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["assemble", "--config", str(path)]) == 0

@@ -1,0 +1,159 @@
+"""The in-tree config validator against jsonschema, which stays a test-only
+oracle: both must accept and reject the same configs."""
+
+import copy
+import json
+
+import jsonschema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toeplitz_spectra.cli import _JSON_TYPES, CONFIG_SCHEMA, _schema_error, main
+
+ORACLE = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+# The keywords _schema_error implements.
+SCHEMA_KEYWORDS = {
+    "type", "required", "properties", "additionalProperties", "items",
+    "enum", "minimum", "exclusiveMinimum", "minItems",
+}
+
+# The README example with every optional section spelled out.
+README_CONFIG = {
+    "partition": {"k": [1, 2], "n": 3, "lambda": 0.0},
+    "degree_cap": 6,
+    "quasi_radial": {"kind": "expression", "text": "1 - r1^2*r2^2"},
+    "symbols": [{"group": 2, "kind": "quasi_homogeneous", "p": [1, -1]}],
+    "quadrature": {"block_order": 48, "gamma_order": 48, "torus_grid": 64},
+    "hull": {"resolution": 512, "ess_samples": 4096},
+    "eig_tol": 1e-8,
+    "surrogate_kappa": 10000,
+    "seed": 12345,
+    "berezin": {"group": 2, "w": [0.3, 0.4], "degrees": [50, 100, 200],
+                "radial_expression": "r1^2"},
+    "gelfand": {"budget": 600, "zeta_per_region": 8},
+    "radical": {"group": 2, "level": 1, "gamma": {"kind": "geometric_decay", "rate": 0.5}},
+    "output_dir": "out",
+}
+
+# k=(2,3): a compiled expression, a profile, a monomial profile and a power.
+EXPR_CONFIG = {
+    "partition": {"k": [2, 3], "lambda": 0.5},
+    "degree_cap": 6,
+    "quasi_radial": {"kind": "power", "exponents": [1, 0]},
+    "symbols": [
+        {"group": 1, "kind": "expression", "boundary_continuous": True,
+         "text": "0.5*s1^2 + 0.3*s1*s2*(t1*conj(t2)+t2*conj(t1)) + 0.7*s2^2"},
+        {"group": 2, "kind": "profile_monomial", "powers": [2, 0, 1], "coeff": [1.0, 0.5]},
+    ],
+    "berezin": {"group": 1, "w": [[0.2, 0.1], 0.3], "degrees": [4, 8, 12]},
+    "radical": {"group": 1, "level": 1, "gamma": {"kind": "indicator_degree", "d": 1}},
+}
+
+# Type swaps, bools, integral floats, boundary numbers and empty containers.
+REPLACEMENTS = [
+    True, False, None, "1", "one", 0, 1, -1, 2, 15, 16, 2.0, 2.5, 0.0, -1.0, -0.5,
+    1e300, [], [1], [0], [1.0, 2], [True], ["x"], {}, {"kind": "one"},
+]
+
+
+def _paths(value, prefix=()):
+    """Every path to a value inside value, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from _paths(sub, prefix + (key,))
+    elif isinstance(value, list):
+        for i, sub in enumerate(value):
+            yield from _paths(sub, prefix + (i,))
+
+
+def _parent(config, path):
+    for key in path[:-1]:
+        config = config[key]
+    return config
+
+
+@st.composite
+def mutated_configs(draw):
+    config = copy.deepcopy(draw(st.sampled_from([README_CONFIG, EXPR_CONFIG])))
+
+    def replacement():
+        return copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(config))))
+        action = draw(st.sampled_from(["drop", "add", "replace"]))
+        if not path:
+            if action == "replace":
+                config = replacement()
+            continue
+        parent = _parent(config, path)
+        if action == "drop":
+            del parent[path[-1]]
+        elif action == "add" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(["extra", "kind", "n", "text", "value"]))] = replacement()
+        elif action == "add":
+            parent.append(replacement())
+        else:
+            parent[path[-1]] = replacement()
+    return config
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_configs())
+def test_validator_agrees_with_jsonschema(config):
+    assert (_schema_error(config, CONFIG_SCHEMA) is None) == ORACLE.is_valid(config), config
+
+
+@pytest.mark.parametrize(
+    "overrides, valid",
+    [
+        ({}, True),
+        ({"degree_cap": 2.0}, True),  # an integral float is an integer
+        ({"degree_cap": True}, False),  # a bool is not an integer
+        ({"eig_tol": True}, False),  # nor a number
+        ({"eig_tol": 0}, False),  # exclusiveMinimum
+        ({"degree_cap": -1}, False),  # minimum
+        ({"partition": {"k": []}}, False),  # minItems
+        ({"partition": {"k": [1, 2], "extra": 1}}, False),  # additionalProperties
+        ({"quasi_radial": None}, True),  # a list of types
+        ({"quasi_radial": {"kind": "cubic"}}, False),  # enum
+        ({"symbols": [{"group": 2, "kind": "constant", "value": {"any": [None]}}]}, True),  # {}
+        ({"symbols": [{"group": 2}]}, False),  # required
+        ({"berezin": {"group": 2, "w": [], "degrees": [1.5]}}, False),  # items
+    ],
+)
+def test_validator_examples(overrides, valid):
+    config = dict(README_CONFIG, **overrides)
+    assert (_schema_error(config, CONFIG_SCHEMA) is None) is valid
+    assert ORACLE.is_valid(config) is valid
+
+
+def test_schema_failure_is_config_error_exit_1(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(README_CONFIG, degree_cap=True)))
+    assert main(["assemble", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"].startswith("config failed schema validation:")
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_schema_uses_only_validated_keywords():
+    # A keyword outside the validator's set would be silently ignored.
+    for schema in _subschemas(CONFIG_SCHEMA):
+        assert set(schema) - {"$schema"} <= SCHEMA_KEYWORDS, schema
+        types = schema.get("type", [])
+        assert set([types] if isinstance(types, str) else types) <= set(_JSON_TYPES), schema
+        assert schema.get("additionalProperties", False) is False, schema
+        # Strings only: `in` then agrees with jsonschema's equality, where True != 1.
+        assert all(isinstance(v, str) for v in schema.get("enum", [])), schema

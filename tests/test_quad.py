@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import adaptive_dirichlet
+from oracles import adaptive_dirichlet, golub_welsch_tridiagonal, roots_jacobi_01
 from toeplitz_spectra import quad
 from toeplitz_spectra.errors import QuadratureError
 from toeplitz_spectra.quad import (
@@ -124,6 +124,50 @@ def test_probability_rule_extreme_exponent():
     nodes, weights = jacobi_probability_rule_01(48, 10_000.0, 0.0)
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert float(np.sum(weights * nodes)) == pytest.approx(10_001.0 / 10_002.0, rel=1e-12)
+
+
+def test_probability_rule_is_bitwise_golub_welsch_tridiagonal():
+    # numpy's dense eigh gives the bits of the tridiagonal solver on this BLAS.
+    rng = np.random.default_rng(416)
+    for _ in range(416):
+        npts = int(rng.integers(1, 97))
+        a = rng.choice([rng.uniform(-0.99, 20.0), rng.integers(0, 20001), rng.integers(0, 41) / 2])
+        a = float(a)
+        b = float(rng.choice([rng.uniform(-0.99, 20.0), rng.integers(0, 41) / 2]))
+        got, want = jacobi_probability_rule_01(npts, a, b), golub_welsch_tridiagonal(npts, a, b)
+        assert got[0].tobytes() == want[0].tobytes(), (npts, a, b)
+        assert got[1].tobytes() == want[1].tobytes(), (npts, a, b)
+
+
+def test_oracle_rule_matches_roots_jacobi():
+    # The range verify uses: npts <= 48, a <= 20, b <= 63, half-integers.
+    from scipy.special import beta
+
+    rng = np.random.default_rng(48)
+    cases = [(1, 0.0, 0.0), (48, 20.0, 63.0), (48, 0.0, 63.0), (48, 20.0, 0.0), (2, 0.5, 0.5)]
+    cases += [
+        (int(rng.integers(1, 49)), rng.integers(0, 41) / 2, rng.integers(0, 127) / 2)
+        for _ in range(400)
+    ]
+    for npts, a, b in cases:
+        nodes, weights = jacobi_rule_01(npts, float(a), float(b))
+        want_nodes, want_weights = roots_jacobi_01(npts, a, b)
+        assert np.max(np.abs(nodes - want_nodes)) <= 1e-15, (npts, a, b)
+        assert np.max(np.abs(weights / want_weights - 1.0)) <= 1e-10, (npts, a, b)
+        assert abs(weights.sum() / beta(a + 1.0, b + 1.0) - 1.0) <= 1e-13, (npts, a, b)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # scipy's own 0/0
+@pytest.mark.parametrize("a, b", [(-0.5, -0.5), (-0.25, -0.75), (0.5, -0.5)])
+def test_jacobi_rules_at_exponent_sum_minus_one(a, b):
+    # The first off-diagonal entry is 0/0 as written when a + b = -1.
+    nodes, weights = jacobi_rule_01(6, a, b)
+    want_nodes, want_weights = roots_jacobi_01(6, a, b)
+    assert np.allclose(nodes, want_nodes, rtol=0, atol=1e-15)
+    assert np.allclose(weights, want_weights, rtol=1e-12, atol=0)
+    nodes, weights = jacobi_probability_rule_01(6, a, b)
+    assert np.allclose(nodes, want_nodes, rtol=0, atol=1e-14)
+    assert np.allclose(weights, want_weights / want_weights.sum(), rtol=1e-12, atol=0)
 
 
 def test_torus_coefficient_characters():
