@@ -322,26 +322,15 @@ class BlockCache:
 
 @dataclass(eq=False)
 class TruncatedOperator:
-    """Block-diagonal operator over the global basis of a truncation."""
+    """Block-diagonal operator over the global basis of a truncation, as
+    ``gelfand.assemble_finite_sum`` materializes a finite sum."""
 
     basis: GlobalBasis
     blocks: dict[Index, np.ndarray]
-    label: str = ""
-
-    @property
-    def cfg(self) -> PartitionConfig:
-        return self.basis.cfg
-
-    @property
-    def cap(self) -> int:
-        return self.basis.cap
 
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    def block(self, kappa: Index) -> np.ndarray:
-        return self.blocks[tuple(kappa)]
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -360,114 +349,24 @@ class TruncatedOperator:
             (float(np.linalg.norm(b, 2)) for b in self.blocks.values()), default=0.0
         )
 
-    def _check_compatible(self, other: "TruncatedOperator"):
+    def _blockwise(self, other: "TruncatedOperator", op) -> "TruncatedOperator":
         if self.basis is not other.basis and self.basis.kappas != other.basis.kappas:
             raise AssemblyError("operators live on different truncations")
+        blocks = {k: op(b, other.blocks[k]) for k, b in self.blocks.items()}
+        return TruncatedOperator(self.basis, blocks)
 
     def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        self._check_compatible(other)
-        blocks = {
-            k: self.blocks[k] @ other.blocks[k] for k in self.blocks
-        }
-        return TruncatedOperator(self.basis, blocks, f"({self.label})*({other.label})")
+        return self._blockwise(other, np.matmul)
 
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        self._check_compatible(other)
-        blocks = {k: self.blocks[k] + other.blocks[k] for k in self.blocks}
-        return TruncatedOperator(self.basis, blocks, f"({self.label})+({other.label})")
+        return self._blockwise(other, np.add)
 
     def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        self._check_compatible(other)
-        blocks = {k: self.blocks[k] - other.blocks[k] for k in self.blocks}
-        return TruncatedOperator(self.basis, blocks, f"({self.label})-({other.label})")
+        return self._blockwise(other, np.subtract)
 
     def __rmul__(self, scalar) -> "TruncatedOperator":
         blocks = {k: complex(scalar) * b for k, b in self.blocks.items()}
-        return TruncatedOperator(self.basis, blocks, f"{scalar}*({self.label})")
-
-    def commutator_fro(self, other: "TruncatedOperator") -> float:
-        return (self @ other - other @ self).fro()
-
-    @classmethod
-    def identity(cls, basis: GlobalBasis) -> "TruncatedOperator":
-        from .lattice import dim_h_kappa
-
-        blocks = {
-            k: np.eye(dim_h_kappa(basis.cfg, k), dtype=complex) for k in basis.kappas
-        }
-        return cls(basis, blocks, "I")
-
-
-# ---------------------------------------------------------------------------
-# Projections
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionMask:
-    """0/1 diagonal over the global basis; idempotent by construction."""
-
-    kind: str
-    diag: np.ndarray  # bool (dim,)
-    basis: GlobalBasis
-
-    def __and__(self, other: "ProjectionMask") -> "ProjectionMask":
-        return ProjectionMask(f"({self.kind})&({other.kind})", self.diag & other.diag, self.basis)
-
-    def as_operator(self) -> TruncatedOperator:
-        blocks = {}
-        for kappa in self.basis.kappas:
-            sl = self.basis.slice_of(kappa)
-            blocks[kappa] = np.diag(self.diag[sl].astype(complex))
-        return TruncatedOperator(self.basis, blocks, self.kind)
-
-
-def projection(kind: str, params, cfg: PartitionConfig, D: int, basis: GlobalBasis | None = None) -> ProjectionMask:
-    """Build P_kappa, Q_d^(j) or the cumulative Qtilde_kappa_j^(j) mask.
-
-    kind: "P" with params = kappa; "Q" with params = (j, d);
-    "Qtilde" with params = (j, d_max).  Group indices are 1-based.
-    """
-    if basis is None:
-        basis = GlobalBasis(cfg, D)
-    karr = basis.kappa_array()
-    if kind == "P":
-        kappa = tuple(int(v) for v in params)
-        if len(kappa) != cfg.m:
-            raise AssemblyError(f"kappa length {len(kappa)} != m={cfg.m}")
-        if sum(kappa) > D:
-            raise AssemblyError(f"kappa={kappa} outside truncation cap {D}")
-        diag = np.all(karr == np.array(kappa), axis=1)
-        return ProjectionMask(f"P{kappa}", diag, basis)
-    if kind in ("Q", "Qtilde"):
-        j, d = int(params[0]), int(params[1])
-        if not 1 <= j <= cfg.m:
-            raise AssemblyError(f"group index {j} outside 1..{cfg.m}")
-        if d < 0 or d > D:
-            raise AssemblyError(f"degree {d} outside truncation cap {D}")
-        if kind == "Q":
-            diag = karr[:, j - 1] == d
-            return ProjectionMask(f"Q[{j},{d}]", diag, basis)
-        diag = karr[:, j - 1] <= d
-        return ProjectionMask(f"Qtilde[{j},{d}]", diag, basis)
-    raise AssemblyError(f"unknown projection kind {kind!r}")
-
-
-def orthogonalize_projections(qs: list[ProjectionMask]) -> list[ProjectionMask]:
-    """P_1 = Q_1, P_{l+1} = Q_{l+1} - Q_{l+1}(P_1 + ... + P_l).
-
-    Diagonal masks always commute, so the outputs are mutually orthogonal
-    0/1 masks whose union of ranges equals the union of the input ranges.
-    """
-    if not qs:
-        return []
-    out: list[ProjectionMask] = []
-    covered = np.zeros_like(qs[0].diag, dtype=bool)
-    for i, q in enumerate(qs):
-        diag = q.diag & ~covered
-        out.append(ProjectionMask(f"orth{i + 1}[{q.kind}]", diag, q.basis))
-        covered |= q.diag
-    return out
+        return TruncatedOperator(self.basis, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +436,14 @@ class AlgebraModel:
                 )
         return self._blocks[key]
 
-    def kappa_matrix(self, kappa: Index, rho: Index | None = None) -> np.ndarray:
+    def kappa_matrix(self, kappa: Index, rho: Index) -> np.ndarray:
         """Tensor-product action on H_kappa of prod_j T_{c_j}^{rho_j}.
 
         Memoized per (kappa, rho); the returned array is shared between
         callers and therefore read-only.
         """
         kappa = tuple(int(v) for v in kappa)
-        rho = (1,) * self.cfg.m if rho is None else tuple(int(v) for v in rho)
+        rho = tuple(int(v) for v in rho)
         mat = self._kappa_mats.get((kappa, rho))
         if mat is None:
             mats = []
@@ -555,38 +454,6 @@ class AlgebraModel:
             mat.flags.writeable = False
             self._kappa_mats[(kappa, rho)] = mat
         return mat
-
-    def truncated_product(self, D: int) -> TruncatedOperator:
-        """T_{a prod_j c_j} on the cap-D truncation."""
-        basis = self.basis(D)
-        blocks = {
-            kappa: complex(self.gamma(kappa)) * self.kappa_matrix(kappa)
-            for kappa in basis.kappas
-        }
-        label = "T[" + (self.quasi_radial.label if self.quasi_radial else "1")
-        label += "*" + "*".join(s.label for s in self.symbols.values()) + "]"
-        return TruncatedOperator(basis, blocks, label)
-
-    def truncated_generator(self, j: int, D: int) -> TruncatedOperator:
-        """T_{c_j} alone on the truncation (identity in the other slots)."""
-        basis = self.basis(D)
-        rho = tuple(1 if i == j else 0 for i in range(1, self.cfg.m + 1))
-        blocks = {kappa: self.kappa_matrix(kappa, rho) for kappa in basis.kappas}
-        sym = self.symbols.get(j)
-        return TruncatedOperator(basis, blocks, f"T[{sym.label if sym else '1'}]")
-
-    def truncated_radial(self, D: int) -> TruncatedOperator:
-        """T_a alone: gamma_a(kappa) times the identity on each H_kappa."""
-        from .lattice import dim_h_kappa
-
-        basis = self.basis(D)
-        blocks = {
-            kappa: complex(self.gamma(kappa)) * np.eye(dim_h_kappa(self.cfg, kappa), dtype=complex)
-            for kappa in basis.kappas
-        }
-        return TruncatedOperator(
-            basis, blocks, f"T[{self.quasi_radial.label if self.quasi_radial else '1'}]"
-        )
 
 
 # ---------------------------------------------------------------------------

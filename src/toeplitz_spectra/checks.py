@@ -11,20 +11,16 @@ its residual is below its tolerance.  Exact yes/no checks report residual
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 
-from .assembly import (
-    AlgebraModel,
-    assemble_block,
-    cross_block_entry_bound,
-    gamma_quasi_radial,
-    orthogonalize_projections,
-    projection,
-)
+from .assembly import AlgebraModel, assemble_block, cross_block_entry_bound, gamma_quasi_radial
 from .gelfand import (
     DiagonalCoefficient,
     FiniteSum,
+    assemble_finite_sum,
     evaluate_gelfand,
     sample_ideal_space,
 )
@@ -123,13 +119,18 @@ def cross_block_orthogonality(model: AlgebraModel, D: int) -> list[dict]:
 
 def commutativity_and_product(model: AlgebraModel, D: int) -> list[dict]:
     """T_a commutes with every T_{c_j}, and T_{a prod c_j} = T_a prod T_{c_j}."""
-    t_rad = model.truncated_radial(D)
-    gens = {j: model.truncated_generator(j, D) for j in sorted(model.symbols)}
-    worst_c = max((t_rad.commutator_fro(g) for g in gens.values()), default=0.0)
+    m = model.cfg.m
+    gamma_a = DiagonalCoefficient.from_callable(model.gamma, "gamma_a")
+    t_rad = assemble_finite_sum(FiniteSum.diagonal(m, gamma_a), model, D)
+    gens = [
+        assemble_finite_sum(FiniteSum.generator(m, j), model, D) for j in sorted(model.symbols)
+    ]
+    worst_c = max(((t_rad @ g - g @ t_rad).fro() for g in gens), default=0.0)
     assembled = t_rad
-    for g in gens.values():
+    for g in gens:
         assembled = assembled @ g
-    worst_p = (model.truncated_product(D) - assembled).fro()
+    t_prod = assemble_finite_sum(FiniteSum.term(m, gamma_a, (1,) * m), model, D)
+    worst_p = (t_prod - assembled).fro()
     return [
         _record("commutativity", worst_c, 1e-9),
         _record("product-identity", worst_p, 1e-9),
@@ -198,37 +199,43 @@ def planar_hulls(rng: np.random.Generator, n_points: int, points_resolution: int
 
 
 def projection_identities(basis: GlobalBasis, qtilde_degree: int) -> list[dict]:
-    """P_kappa = prod_j Q_{kappa_j}^(j), Q_d^(j) = sum of its P_kappa, and the
-    orthogonalized Qtilde masks are disjoint with the same union."""
-    cfg, cap = basis.cfg, basis.cap
-    ok = True
-    for kappa in basis.kappas:
-        masks = [projection("Q", (j, kappa[j - 1]), cfg, cap, basis) for j in range(1, cfg.m + 1)]
-        combined = masks[0]
-        for msk in masks[1:]:
-            combined = combined & msk
-        ok = ok and np.array_equal(combined.diag, projection("P", kappa, cfg, cap, basis).diag)
-    for j in range(1, cfg.m + 1):
-        for d in range(cap + 1):
-            acc = np.zeros(basis.dim, dtype=bool)
-            for kappa in basis.kappas:
-                if kappa[j - 1] == d:
-                    acc |= projection("P", kappa, cfg, cap, basis).diag
-            ok = ok and np.array_equal(acc, projection("Q", (j, d), cfg, cap, basis).diag)
-    qtildes = [
-        projection("Qtilde", (j, qtilde_degree), cfg, cap, basis) for j in range(1, cfg.m + 1)
-    ]
-    orth = orthogonalize_projections(qtildes)
-    union_in = np.zeros(basis.dim, dtype=bool)
-    union_out = np.zeros(basis.dim, dtype=bool)
-    for q, p in zip(qtildes, orth):
-        union_in |= q.diag
-        union_out |= p.diag
-    ok = ok and np.array_equal(union_in, union_out)
-    for x in range(len(orth)):
-        for y in range(x + 1, len(orth)):
-            ok = ok and not np.any(orth[x].diag & orth[y].diag)
-    return [_flag("projection-identities", ok)]
+    """Projections as diagonal coefficients, built in FiniteSum arithmetic
+    (the algebra of the division's Q_d gate) and evaluated over the
+    truncation's kappas: P_kappa = prod_j Q_{kappa_j}^(j) is the indicator of
+    kappa; Q_d^(j) is the sum of its P_kappa; and with Qtilde^(j) = Q_0^(j) +
+    ... + Q_{qtilde_degree}^(j), the recursion P_{l+1} = Qtilde_{l+1} -
+    Qtilde_{l+1}(P_1 + ... + P_l) gives disjoint 0/1 coefficients whose
+    union is that of the Qtilde's."""
+    m, kappas = basis.cfg.m, basis.kappas
+    karr = np.array(kappas)
+
+    def q(j: int, d: int) -> FiniteSum:
+        return FiniteSum.diagonal(m, DiagonalCoefficient.indicator_degree(j, d))
+
+    def values(A: FiniteSum) -> np.ndarray:
+        # every sum here is diagonal: all its powers rho are zero
+        return np.array([sum((g(kappa) for g, _ in A.terms), 0j) for kappa in kappas])
+
+    def total(parts) -> FiniteSum:
+        return sum(parts, FiniteSum.zero(m))
+
+    p = {k: reduce(operator.mul, (q(j, k[j - 1]) for j in range(1, m + 1))) for k in kappas}
+    ok = all(np.array_equal(values(p[k]), np.all(karr == k, axis=1)) for k in kappas)
+    for j in range(1, m + 1):
+        for d in range(basis.cap + 1):
+            acc = total(p[k] for k in kappas if k[j - 1] == d)
+            ok = ok and np.array_equal(values(acc), values(q(j, d)))
+    qtildes = [total(q(j, d) for d in range(qtilde_degree + 1)) for j in range(1, m + 1)]
+    orth, covered = [], FiniteSum.zero(m)
+    for qt in qtildes:
+        orth.append(qt - qt * covered)
+        covered = covered + orth[-1]
+    pv = [values(x) for x in orth]
+    ok = ok and all(np.isin(v, (0.0, 1.0)).all() for v in pv)
+    ok = ok and not any(np.any(pv[x] * pv[y]) for x in range(m) for y in range(x + 1, m))
+    union_in = np.any([values(x) != 0 for x in qtildes], axis=0)
+    ok = ok and np.array_equal(sum(pv), union_in)
+    return [_flag("projection-identities", bool(ok))]
 
 
 def random_finite_sum(

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checks
-from .assembly import AlgebraModel, BlockCache, TruncatedOperator
+from .assembly import AlgebraModel, BlockCache
 from .errors import ConfigError, ToeplitzError
 from .gelfand import (
     DiagonalCoefficient,
@@ -241,6 +241,19 @@ def _schema_error(value, schema: dict, where: str = "config") -> str | None:
     return None
 
 
+def _integers_as_int(value, schema: dict):
+    """value with each number at an integer position of schema made an int,
+    which is exact once value conforms: such a number is then integral."""
+    if schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, list):
+        return [_integers_as_int(v, schema.get("items", {})) for v in value]
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return {key: _integers_as_int(v, props.get(key, {})) for key, v in value.items()}
+    return value
+
+
 def _complex_from_json(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
@@ -281,7 +294,7 @@ def load_config(path: str | Path) -> dict:
 def validate_config(raw: dict) -> dict:
     if err := _schema_error(raw, CONFIG_SCHEMA):
         raise ConfigError(f"config failed schema validation: {err}")
-    cfg = _fill_defaults(raw)
+    cfg = _fill_defaults(_integers_as_int(raw, CONFIG_SCHEMA))
     part = cfg["partition"]
     k = tuple(part["k"])
     if "n" in part and part["n"] != sum(k):
@@ -306,6 +319,9 @@ def validate_config(raw: dict) -> dict:
         norm = float(np.linalg.norm(w))
         if not 0.0 < norm < 1.0:
             raise ConfigError(f"berezin w must lie in the open ball minus 0, |w| = {norm:.4f}")
+    g = (cfg.get("radical") or {}).get("group", 1)
+    if not 1 <= g <= m:
+        raise ConfigError(f"radical group {g} outside 1..{m}")
     return cfg
 
 
@@ -475,7 +491,7 @@ def _region_svg(region: PlanarRegion, points=None) -> str:
 
 def cmd_assemble(setup: Setup) -> dict:
     D = setup.config["degree_cap"]
-    op = setup.model.truncated_product(D)
+    op = assemble_finite_sum(_product_element(setup), setup.model, D)
     basis = setup.model.basis(D)
     blocks_info = []
     for j in sorted(setup.model.symbols):
@@ -490,7 +506,7 @@ def cmd_assemble(setup: Setup) -> dict:
                     "nnz": int(np.count_nonzero(np.abs(b.mat) > 1e-15)),
                 }
             )
-    ident = TruncatedOperator.identity(basis)
+    ident = assemble_finite_sum(FiniteSum.one(setup.cfg.m), setup.model, D)
     payload = {
         "global_dim": basis.dim,
         "kappa_count": len(basis.kappas),
@@ -669,11 +685,19 @@ def cmd_semisimple(setup: Setup) -> dict:
 
 
 def _radical_gamma(spec: dict, j: int) -> DiagonalCoefficient:
-    kind = (spec or {}).get("kind", "indicator_degree")
+    spec = spec or {}
+
+    def number(key: str, default: float) -> float:
+        value = spec.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"radical gamma {key!r} must be a number, got {value!r}")
+        return value
+
+    kind = spec.get("kind", "indicator_degree")
     if kind == "indicator_degree":
-        return DiagonalCoefficient.indicator_degree(j, int((spec or {}).get("d", 1)))
+        return DiagonalCoefficient.indicator_degree(j, int(number("d", 1)))
     if kind == "geometric_decay":
-        rate = float((spec or {}).get("rate", 0.5))
+        rate = float(number("rate", 0.5))
         if not 0 <= rate < 1:
             raise ConfigError(f"decay rate must be in [0,1), got {rate}")
         return DiagonalCoefficient.from_callable(
@@ -694,9 +718,11 @@ def cmd_radical(setup: Setup) -> dict:
     gen = radical_generator(
         setup.ctx, j, gamma, level, D, K_sur=setup.config["surrogate_kappa"]
     )
+    gconf = setup.config["gelfand"]
     points = sample_ideal_space(
-        setup.ctx, D, setup.config["gelfand"]["budget"],
+        setup.ctx, D, gconf["budget"],
         K_sur=setup.config["surrogate_kappa"],
+        zeta_per_region=gconf["zeta_per_region"],
     )
     psi_max = max(
         (abs(evaluate_gelfand(gen.finite_sum, p)) for p in points), default=0.0

@@ -184,7 +184,7 @@ def assemble_finite_sum(A: FiniteSum, model: AlgebraModel, D: int) -> TruncatedO
         for gamma, rho in A.terms:
             acc += gamma(kappa) * model.kappa_matrix(kappa, rho)
         blocks[kappa] = acc
-    return TruncatedOperator(basis, blocks, "finite-sum")
+    return TruncatedOperator(basis, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -326,13 +326,11 @@ class DivisionParts:
         block by block and no N x N matrix is formed.
         """
         lhs = assemble_finite_sum(self.q_d_times_a, model, D)
-        tj = model.truncated_generator(self.group, D)
+        tj = assemble_finite_sum(FiniteSum.generator(model.cfg.m, self.group), model, D)
         rhs = assemble_finite_sum(self.s_parts[0], model, D)
         for level in range(1, self.n + 1):
             h = self.h_polys[level - 1]
-            h_op = TruncatedOperator(
-                tj.basis, {k: h.at_matrix(b) for k, b in tj.blocks.items()}, f"h{level}"
-            )
+            h_op = TruncatedOperator(tj.basis, {k: h.at_matrix(b) for k, b in tj.blocks.items()})
             rhs = rhs + assemble_finite_sum(self.s_parts[level], model, D) @ h_op
         diff = lhs - rhs
         # The blocks' entries in basis order are the nonzero entries of the

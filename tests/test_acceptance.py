@@ -343,7 +343,7 @@ def test_criterion_13_projection_algebra():
         for r in checks.projection_identities(GlobalBasis(PartitionConfig(k=k, lam=0.0), 5), 2)
     ]
     ok = _worst(records, "projection-identities") == 0.0
-    _report(13, ok, "P/Q/Qtilde mask identities and orthogonalization exact")
+    _report(13, ok, "P/Q/Qtilde coefficient identities and orthogonalization exact")
 
 
 def test_criterion_14_determinism_across_threads(tmp_path):

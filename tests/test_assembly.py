@@ -13,15 +13,12 @@ from toeplitz_spectra import assembly
 from toeplitz_spectra.assembly import (
     AlgebraModel,
     BlockCache,
-    TruncatedOperator,
     assemble_block,
     cross_block_entry_bound,
     gamma_quasi_radial,
-    orthogonalize_projections,
-    projection,
 )
-from toeplitz_spectra.errors import AssemblyError
-from toeplitz_spectra.lattice import GlobalBasis, PartitionConfig, enumerate_kappa, monomial_norm_sq
+from toeplitz_spectra.gelfand import DiagonalCoefficient, FiniteSum, assemble_finite_sum
+from toeplitz_spectra.lattice import PartitionConfig, enumerate_kappa, monomial_norm_sq
 from toeplitz_spectra.quad import dirichlet_probability_rule
 from toeplitz_spectra.symbols import (
     MAX_PROFILE_DEGREE,
@@ -237,22 +234,28 @@ class TestBlocks:
             assert a.tobytes() == b.tobytes()
 
 
+def product_sum(model: AlgebraModel) -> FiniteSum:
+    """D_{gamma_a} T_1 ... T_m, the element T_{a prod_j c_j}."""
+    gamma_a = DiagonalCoefficient.from_callable(model.gamma, "gamma_a")
+    return FiniteSum.term(model.cfg.m, gamma_a, (1,) * model.cfg.m)
+
+
 class TestTruncated:
     def test_trivial_is_identity(self):
         cfg = PartitionConfig(k=(1, 2), lam=0.0)
-        op = AlgebraModel(cfg=cfg, quasi_radial=QuasiRadialSymbol.one(2)).truncated_product(3)
-        ident = TruncatedOperator.identity(op.basis)
-        assert (op - ident).fro() < 1e-12
+        model = AlgebraModel(cfg=cfg, quasi_radial=QuasiRadialSymbol.one(2))
+        op = assemble_finite_sum(product_sum(model), model, 3)
+        assert np.linalg.norm(op.to_dense() - np.eye(op.dim)) < 1e-12
 
     def test_single_generator_block_diagonal(self):
         cfg = PartitionConfig(k=(1, 2), lam=0.0)
         sym = builtin_quasi_homogeneous(2, (1, -1))
         model = AlgebraModel(cfg=cfg, symbols={2: sym})
-        op = model.truncated_generator(2, 3)
+        op = assemble_finite_sum(FiniteSum.generator(2, 2), model, 3)
         # On each H_kappa the operator is identity (x) block(kappa_2).
         for kappa in op.basis.kappas:
             want = np.kron(np.eye(1), model.block(2, kappa[1]).mat)
-            assert np.allclose(op.block(kappa), want)
+            assert np.allclose(op.blocks[kappa], want)
 
     def test_kappa_matrix_memo_is_read_only_and_exact(self):
         cfg = PartitionConfig(k=(2, 3), lam=0.5)
@@ -264,15 +267,14 @@ class TestTruncated:
             },
         )
         for kappa in [(0, 0), (2, 1), (1, 3)]:
-            for rho in [None, (0, 1), (2, 1), (1, 0)]:
+            for rho in [(1, 1), (0, 1), (2, 1), (1, 0)]:
                 first = model.kappa_matrix(kappa, rho)
                 assert model.kappa_matrix(kappa, rho) is first
                 assert not first.flags.writeable
                 with pytest.raises(ValueError):
                     first[0, 0] = 1.0
-                powers = (1, 1) if rho is None else rho
                 fresh = reduce(np.kron, [
-                    np.linalg.matrix_power(model.block(j, kappa[j - 1]).mat, powers[j - 1])
+                    np.linalg.matrix_power(model.block(j, kappa[j - 1]).mat, rho[j - 1])
                     for j in (1, 2)
                 ])
                 assert first.tobytes() == fresh.tobytes()
@@ -283,7 +285,8 @@ class TestTruncated:
         cfg = PartitionConfig(k=(1, 1), lam=lam)
         a = QuasiRadialSymbol.from_expression(2, "1 - r1^2*r2^2")
         c1 = constant_symbol(1, 1, 0.5 + 0.25j)
-        op = AlgebraModel(cfg=cfg, quasi_radial=a, symbols={1: c1}).truncated_product(2)
+        model = AlgebraModel(cfg=cfg, quasi_radial=a, symbols={1: c1})
+        op = assemble_finite_sum(product_sum(model), model, 2)
         dense = op.to_dense()
 
         def phi(z):
@@ -303,10 +306,11 @@ class TestTruncated:
 
     def test_commutativity_and_product(self, radial_model):
         D = 4
-        t_prod = radial_model.truncated_product(D)
-        t_rad = radial_model.truncated_radial(D)
-        t_gen = radial_model.truncated_generator(2, D)
-        assert t_rad.commutator_fro(t_gen) < 1e-12
+        gamma_a = DiagonalCoefficient.from_callable(radial_model.gamma, "gamma_a")
+        t_prod = assemble_finite_sum(product_sum(radial_model), radial_model, D)
+        t_rad = assemble_finite_sum(FiniteSum.diagonal(2, gamma_a), radial_model, D)
+        t_gen = assemble_finite_sum(FiniteSum.generator(2, 2), radial_model, D)
+        assert (t_rad @ t_gen - t_gen @ t_rad).fro() < 1e-12
         assert (t_prod - t_rad @ t_gen).fro() < 1e-12
 
     def test_cross_block_bound_small(self, radial_model):
@@ -321,46 +325,52 @@ class TestTruncated:
 
 
 class TestProjections:
+    """Q_d^(j) is the diagonal coefficient indicator_degree(j, d); the oracle
+    is each kappa's 0/1 indicator, computed from the kappas alone."""
+
+    @staticmethod
+    def values(A: FiniteSum, kappas) -> np.ndarray:
+        assert all(not any(rho) for _, rho in A.terms)
+        return np.array([sum((g(k) for g, _ in A.terms), 0j) for k in kappas])
+
+    @staticmethod
+    def q(j: int, d: int) -> FiniteSum:
+        return FiniteSum.diagonal(2, DiagonalCoefficient.indicator_degree(j, d))
+
     def test_masks(self):
-        cfg = PartitionConfig(k=(1, 2), lam=0.0)
-        basis = GlobalBasis(cfg, 4)
-        pk = projection("P", (1, 2), cfg, 4, basis)
-        q1 = projection("Q", (1, 1), cfg, 4, basis)
-        q2 = projection("Q", (2, 2), cfg, 4, basis)
-        assert np.array_equal(pk.diag, (q1 & q2).diag)
-        # disjoint P masks
-        pk2 = projection("P", (0, 2), cfg, 4, basis)
-        assert not np.any(pk.diag & pk2.diag)
-        # Q_d as union of P over matching kappa
-        acc = np.zeros(basis.dim, dtype=bool)
-        for kappa in basis.kappas:
+        kappas = enumerate_kappa(PartitionConfig(k=(1, 2), lam=0.0), 4)
+        karr = np.array(kappas)
+        pk = self.values(self.q(1, 1) * self.q(2, 2), kappas)
+        assert np.array_equal(pk, np.all(karr == (1, 2), axis=1))
+        # disjoint P coefficients
+        pk2 = self.values(self.q(1, 0) * self.q(2, 2), kappas)
+        assert not np.any(pk * pk2)
+        # Q_d as the sum of P over matching kappa
+        acc = FiniteSum.zero(2)
+        for kappa in kappas:
             if kappa[1] == 2:
-                acc |= projection("P", kappa, cfg, 4, basis).diag
-        assert np.array_equal(acc, q2.diag)
-        with pytest.raises(AssemblyError):
-            projection("P", (9, 0), cfg, 4, basis)
+                acc = acc + self.q(1, kappa[0]) * self.q(2, kappa[1])
+        assert np.array_equal(self.values(acc, kappas), karr[:, 1] == 2)
 
     def test_qtilde_definition(self):
-        cfg = PartitionConfig(k=(1, 2), lam=0.0)
-        basis = GlobalBasis(cfg, 4)
-        qt = projection("Qtilde", (2, 2), cfg, 4, basis)
-        acc = np.zeros(basis.dim, dtype=bool)
-        for d in range(3):
-            acc |= projection("Q", (2, d), cfg, 4, basis).diag
-        assert np.array_equal(qt.diag, acc)
+        kappas = enumerate_kappa(PartitionConfig(k=(1, 2), lam=0.0), 4)
+        qt = self.q(2, 0) + self.q(2, 1) + self.q(2, 2)
+        assert np.array_equal(self.values(qt, kappas), np.array(kappas)[:, 1] <= 2)
 
     def test_orthogonalization(self):
-        cfg = PartitionConfig(k=(1, 2), lam=0.0)
-        basis = GlobalBasis(cfg, 3)
-        q1 = projection("Qtilde", (1, 1), cfg, 3, basis)
-        q2 = projection("Qtilde", (2, 2), cfg, 3, basis)
-        single = orthogonalize_projections([q1])
-        assert np.array_equal(single[0].diag, q1.diag)
-        out = orthogonalize_projections([q1, q2])
-        assert not np.any(out[0].diag & out[1].diag)
-        assert np.array_equal(out[0].diag | out[1].diag, q1.diag | q2.diag)
+        kappas = enumerate_kappa(PartitionConfig(k=(1, 2), lam=0.0), 3)
+        karr = np.array(kappas)
+        q1 = self.q(1, 0) + self.q(1, 1)
+        q2 = self.q(2, 0) + self.q(2, 1) + self.q(2, 2)
+        # P_1 = Qtilde_1, P_2 = Qtilde_2 - Qtilde_2 P_1
+        p1 = q1
+        p2 = q2 - q2 * p1
+        m1, m2 = karr[:, 0] <= 1, karr[:, 1] <= 2
+        assert np.array_equal(self.values(p1, kappas), m1)
+        assert not np.any(self.values(p1, kappas) * self.values(p2, kappas))
+        assert np.array_equal(self.values(p1 + p2, kappas), m1 | m2)
         # overlap removed exactly where q1 already covered
-        assert np.array_equal(out[1].diag, q2.diag & ~q1.diag)
+        assert np.array_equal(self.values(p2, kappas), m2 & ~m1)
 
 
 class TestCache:

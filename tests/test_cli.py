@@ -103,6 +103,53 @@ def test_missing_per_kind_field_is_config_error(tmp_path, capsys, overrides, fie
     assert repr(field) in err["message"] and "traceback" not in err
 
 
+def _ints(value):
+    """value with every integral float made an int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, list):
+        return [_ints(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _ints(v) for key, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("assemble", {"degree_cap": 4.0}),
+        ("assemble", {"symbols": [{"group": 2.0, "kind": "quasi_homogeneous", "p": [1, -1]}]}),
+        ("hull", {"hull": {"resolution": 256.0, "ess_samples": 2048}}),
+        ("verify", {"degree_cap": 3, "quadrature": {"block_order": 48.0}}),
+    ],
+    ids=["degree_cap", "symbol-group", "hull-resolution", "block_order"],
+)
+def test_integral_float_acts_as_its_integer(tmp_path, command, overrides):
+    payloads = []
+    for name, values in (("float", overrides), ("int", _ints(overrides))):
+        (tmp_path / name).mkdir()
+        path = write_config(tmp_path / name, **values)
+        assert main([command, "--config", str(path), "--no-cache"]) == 0
+        payloads.append(read_report(tmp_path / name, command)["payload"])
+    assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize(
+    "radical",
+    [
+        {"group": 3, "level": 1},
+        {"group": 2, "level": 1, "gamma": {"kind": "geometric_decay", "rate": "x"}},
+        {"group": 2, "level": 1, "gamma": {"kind": "indicator_degree", "d": "x"}},
+    ],
+    ids=["group-outside-partition", "non-numeric-rate", "non-numeric-d"],
+)
+def test_bad_radical_settings_are_config_errors(tmp_path, capsys, radical):
+    path = write_config(tmp_path, radical=radical)
+    assert main(["radical", "--config", str(path), "--no-cache"]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["type"] == "ConfigError"
+
+
 def test_assemble_report(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["assemble", "--config", str(path)]) == 0
@@ -358,6 +405,14 @@ def test_radical_command(tmp_path):
     norms = payload["generator"]["power_norms"]
     assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
     assert max(payload["reconstruction_residuals"]) < 1e-9
+
+
+def test_radical_samples_like_gelfand(tmp_path):
+    path = write_config(tmp_path, gelfand={"zeta_per_region": 1})
+    assert main(["gelfand", "--config", str(path), "--no-cache"]) == 0
+    assert main(["radical", "--config", str(path), "--no-cache"]) == 0
+    n_points = read_report(tmp_path, "gelfand")["payload"]["n_points"]
+    assert read_report(tmp_path, "radical")["payload"]["generator"]["sampled_points"] == n_points
 
 
 def test_radical_never_densifies(tmp_path, monkeypatch):

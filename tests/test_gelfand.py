@@ -178,7 +178,7 @@ class TestConsistency:
             assert hits.size
             g = np.zeros(block2.shape[0], dtype=complex)
             g[hits[0]] = 1.0
-            want = (op.block(p.mu_kappa) @ g)[hits[0]]
+            want = (op.blocks[p.mu_kappa] @ g)[hits[0]]
             assert evaluate_gelfand(A, p) == pytest.approx(want, abs=1e-8)
 
     def test_norm_bound_deficit_shrinks_with_truncation(self, diagonal_ctx):
