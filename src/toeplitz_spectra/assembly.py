@@ -47,14 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AssemblyError, QuadratureError
-from .lattice import (
-    BlockBasis,
-    GlobalBasis,
-    Index,
-    PartitionConfig,
-    enumerate_block_indices,
-    log_monomial_norm_sq,
-)
+from .lattice import GlobalBasis, Index, PartitionConfig, block_indices, log_monomial_norm_sq
 from .quad import (
     dirichlet_moment, dirichlet_probability_rule, fourier_on_points, gammaln, log_dirichlet_mass,
 )
@@ -110,22 +103,6 @@ def gamma_quasi_radial(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class BlockMatrix:
-    """Dense matrix of the group-j Toeplitz factor on its degree-d block."""
-
-    group: int
-    d: int
-    basis: BlockBasis
-    mat: np.ndarray
-    symbol_key: str
-    order: int
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-
 def _entry_log_prefactor(alpha: Index, beta: Index, kj: int, d: int) -> float:
     return float(
         gammaln(d + kj)
@@ -166,12 +143,13 @@ def assemble_block(
     order: int = 48,
     torus_grid: int = 64,
     cache: "BlockCache | None" = None,
-) -> BlockMatrix:
+) -> np.ndarray:
     """Matrix of the group Toeplitz factor on homogeneous degree d.
 
     Computed in the weightless space over the group ball, so the result is
     independent of the global weight parameter and of the other groups.
-    With declared Fourier support only the supported diagonals are touched;
+    Rows and columns follow ``lattice.block_indices(c.dim, d)``.  With
+    declared Fourier support only the supported diagonals are touched;
     otherwise every realizable mode p = beta - alpha is probed through an
     exact per-block torus table.  The disk cache is skipped for opaque
     symbols.
@@ -185,23 +163,20 @@ def assemble_block(
     if cache is not None:
         cached = cache.load(c.content_key, group, d, order, torus_grid=torus_grid)
         if cached is not None:
-            return BlockMatrix(
-                group=group, d=d, basis=enumerate_block_indices(kj, d),
-                mat=cached, symbol_key=c.content_key, order=order,
-            )
+            return cached
 
-    basis = enumerate_block_indices(kj, d)
-    dim = basis.dim
-    mat = np.zeros((dim, dim), dtype=complex)
+    indices = block_indices(kj, d)
+    mat = np.zeros((len(indices), len(indices)), dtype=complex)
     declared = c.declared_mode_dict()
 
     if declared is not None:
+        position = {alpha: i for i, alpha in enumerate(indices)}
         for p, prof in declared.items():
-            for col, alpha in enumerate(basis.indices):
-                beta = tuple(va + vp for va, vp in zip(alpha, p))
-                if any(v < 0 for v in beta) or sum(beta) != d:
+            for col, alpha in enumerate(indices):
+                row = position.get(tuple(va + vp for va, vp in zip(alpha, p)))
+                if row is None:
                     continue
-                row = basis.index_of(beta)
+                beta = indices[row]
                 if isinstance(prof, CallableProfile):
                     rule, log_mass = _pair_rule(alpha, beta, order)
                     chat = np.asarray(prof(np.sqrt(rule.nodes_closed)), dtype=complex)
@@ -214,8 +189,8 @@ def assemble_block(
     else:
         # Exact mode table per block: every difference is realizable here.
         chat_cache: dict[tuple, np.ndarray] = {}
-        for col, alpha in enumerate(basis.indices):
-            for row, beta in enumerate(basis.indices):
+        for col, alpha in enumerate(indices):
+            for row, beta in enumerate(indices):
                 p = tuple(vb - va for va, vb in zip(alpha, beta))
                 rule, log_mass = _pair_rule(alpha, beta, order)
                 key = (p, tuple((va + vb) for va, vb in zip(alpha, beta)))
@@ -232,9 +207,7 @@ def assemble_block(
         raise QuadratureError(f"block ({group}, {d}) of {c.label!r} has non-finite entries")
     if cache is not None:
         cache.store(c.content_key, group, d, order, mat, torus_grid=torus_grid)
-    return BlockMatrix(
-        group=group, d=d, basis=basis, mat=mat, symbol_key=c.content_key, order=order
-    )
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -328,25 +301,9 @@ class TruncatedOperator:
     basis: GlobalBasis
     blocks: dict[Index, np.ndarray]
 
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for kappa in self.basis.kappas:
-            sl = self.basis.slice_of(kappa)
-            out[sl, sl] = self.blocks[kappa]
-        return out
-
     def fro(self) -> float:
         return math.sqrt(
             sum(float(np.sum(np.abs(b) ** 2)) for b in self.blocks.values())
-        )
-
-    def opnorm(self) -> float:
-        return max(
-            (float(np.linalg.norm(b, 2)) for b in self.blocks.values()), default=0.0
         )
 
     def _blockwise(self, other: "TruncatedOperator", op) -> "TruncatedOperator":
@@ -363,10 +320,6 @@ class TruncatedOperator:
 
     def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         return self._blockwise(other, np.subtract)
-
-    def __rmul__(self, scalar) -> "TruncatedOperator":
-        blocks = {k: complex(scalar) * b for k, b in self.blocks.items()}
-        return TruncatedOperator(self.basis, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +351,7 @@ class AlgebraModel:
                 raise AssemblyError(
                     f"symbol for group {j} has dimension {sym.dim}, expected {self.cfg.k[j - 1]}"
                 )
-        self._blocks: dict[tuple[int, int], BlockMatrix] = {}
+        self._blocks: dict[tuple[int, int], np.ndarray] = {}
         self._gammas: dict[Index, complex] = {}
         self._bases: dict[int, GlobalBasis] = {}
         self._kappa_mats: dict[tuple[Index, Index], np.ndarray] = {}
@@ -418,23 +371,22 @@ class AlgebraModel:
             )
         return self._gammas[kappa]
 
-    def block(self, j: int, d: int) -> BlockMatrix:
+    def block(self, j: int, d: int) -> np.ndarray:
+        """Group-j block on degree d; memoized, shared and therefore read-only."""
         key = (j, d)
-        if key not in self._blocks:
+        mat = self._blocks.get(key)
+        if mat is None:
             sym = self.symbols.get(j)
             if sym is None:
-                bas = enumerate_block_indices(self.cfg.k[j - 1], d)
-                self._blocks[key] = BlockMatrix(
-                    group=j, d=d, basis=bas,
-                    mat=np.eye(bas.dim, dtype=complex),
-                    symbol_key="identity", order=self.block_order,
-                )
+                mat = np.eye(len(block_indices(self.cfg.k[j - 1], d)), dtype=complex)
             else:
-                self._blocks[key] = assemble_block(
+                mat = assemble_block(
                     sym, j, d, order=self.block_order,
                     torus_grid=self.torus_grid, cache=self.cache,
                 )
-        return self._blocks[key]
+            mat.flags.writeable = False
+            self._blocks[key] = mat
+        return mat
 
     def kappa_matrix(self, kappa: Index, rho: Index) -> np.ndarray:
         """Tensor-product action on H_kappa of prod_j T_{c_j}^{rho_j}.
@@ -448,7 +400,7 @@ class AlgebraModel:
         if mat is None:
             mats = []
             for j, (kap, power) in enumerate(zip(kappa, rho), start=1):
-                b = self.block(j, kap).mat
+                b = self.block(j, kap)
                 mats.append(np.linalg.matrix_power(b, power) if power != 1 else b)
             mat = reduce(np.kron, mats)
             mat.flags.writeable = False

@@ -28,7 +28,7 @@ from .lattice import GlobalBasis, PartitionConfig, enumerate_kappa
 from .quad import (
     dirichlet_integral, dirichlet_moment, dirichlet_probability_rule, simplex_integrate,
 )
-from .radical import decompose_by_division, radical_generator
+from .radical import SUPPORT_TOL, decompose_by_division, escaped_gamma, radical_generator
 from .spectra import PlanarRegion, SpectralContext, polynomial_hull_2d
 from .symbols import QuasiRadialSymbol, constant_symbol
 
@@ -108,7 +108,7 @@ def identity_blocks(group_sizes, max_degree: int, order: int = 48) -> list[dict]
         triv = constant_symbol(j, kj, 1.0)
         for d in range(max_degree + 1):
             b = assemble_block(triv, j, d, order=order)
-            worst = max(worst, float(np.max(np.abs(b.mat - np.eye(b.dim)))))
+            worst = max(worst, float(np.max(np.abs(b - np.eye(len(b))))))
     return [_record("identity-blocks", worst, 1e-12)]
 
 
@@ -151,7 +151,7 @@ def quadrature_doubling(model: AlgebraModel, gamma_cap: int, block_degree: int) 
         sym = model.symbols[j]
         b1 = assemble_block(sym, j, block_degree, order=model.block_order, torus_grid=grid)
         b2 = assemble_block(sym, j, block_degree, order=2 * model.block_order, torus_grid=grid)
-        drift = max(drift, float(np.max(np.abs(b1.mat - b2.mat))))
+        drift = max(drift, float(np.max(np.abs(b1 - b2))))
     return [_record("quadrature-doubling", drift, 1e-9)]
 
 
@@ -161,7 +161,7 @@ def tensor_eigenvectors(model: AlgebraModel, D: int) -> list[dict]:
     m = model.cfg.m
     worst = 0.0
     for kappa in model.basis(D).kappas:
-        eigs = [np.linalg.eig(model.block(j, kappa[j - 1]).mat) for j in range(1, m + 1)]
+        eigs = [np.linalg.eig(model.block(j, kappa[j - 1])) for j in range(1, m + 1)]
         gens = [
             model.kappa_matrix(kappa, tuple(1 if i == j else 0 for i in range(1, m + 1)))
             for j in range(1, m + 1)
@@ -239,13 +239,13 @@ def projection_identities(basis: GlobalBasis, qtilde_degree: int) -> list[dict]:
 
 
 def random_finite_sum(
-    rng: np.random.Generator, cfg: PartitionConfig, cap: int, n_terms: int
+    rng: np.random.Generator, cfg: PartitionConfig, cap: int, count: int
 ) -> FiniteSum:
-    """n_terms random (gamma, rho) terms: rho_j in {0, 1, 2}, gamma a table of
+    """count random (gamma, rho) terms: rho_j in {0, 1, 2}, gamma a table of
     complex normals over |kappa| <= cap (zero beyond)."""
     total = FiniteSum.zero(cfg.m)
     kappas = enumerate_kappa(cfg, cap)
-    for _ in range(n_terms):
+    for _ in range(count):
         rho = tuple(int(rng.integers(0, 3)) for _ in range(cfg.m))
         table = {
             kappa: complex(rng.standard_normal(), rng.standard_normal()) for kappa in kappas
@@ -279,7 +279,15 @@ def radical_gelfand_vanishing(
     zeta_per_region: int = 8,
 ) -> list[dict]:
     """The level-1 radical generator of ``group`` on the cap-D truncation
-    vanishes on the functionals sampled up to sample_cap."""
+    vanishes on the functionals sampled up to sample_cap.  Fails on |gamma|
+    at the surrogate degree when gamma does not vanish there, since no
+    generator exists then."""
+    escaped = escaped_gamma(gamma, ctx.cfg.m, group, K_sur)
+    if escaped > SUPPORT_TOL:
+        return [_record(
+            "radical-gelfand-vanishing", escaped, SUPPORT_TOL,
+            f"gamma does not vanish at kappa_{group} = surrogate_kappa = {K_sur}",
+        )]
     gen = radical_generator(ctx, group, gamma, 1, D, K_sur=K_sur)
     points = sample_ideal_space(
         ctx, sample_cap, budget, K_sur=K_sur, zeta_per_region=zeta_per_region

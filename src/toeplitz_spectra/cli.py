@@ -45,7 +45,9 @@ from .gelfand import (
 )
 from .lattice import PartitionConfig
 from .radical import (
+    SUPPORT_TOL,
     decompose_by_division,
+    escaped_gamma,
     is_semisimple,
     norm_constants,
     power_norm_sequence,
@@ -140,7 +142,7 @@ CONFIG_SCHEMA = {
         },
         "eig_tol": {"type": "number", "exclusiveMinimum": 0},
         "surrogate_kappa": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "berezin": {
             "type": "object",
             "required": ["group", "w", "degrees"],
@@ -501,9 +503,9 @@ def cmd_assemble(setup: Setup) -> dict:
                 {
                     "j": j,
                     "d": d,
-                    "dim": b.dim,
-                    "fro": float(np.linalg.norm(b.mat)),
-                    "nnz": int(np.count_nonzero(np.abs(b.mat) > 1e-15)),
+                    "dim": len(b),
+                    "fro": float(np.linalg.norm(b)),
+                    "nnz": int(np.count_nonzero(np.abs(b) > 1e-15)),
                 }
             )
     ident = assemble_finite_sum(FiniteSum.one(setup.cfg.m), setup.model, D)
@@ -714,15 +716,17 @@ def cmd_radical(setup: Setup) -> dict:
         j = min(setup.model.symbols) if setup.model.symbols else 1
     level = rconf.get("level", 1)
     gamma = _radical_gamma(rconf.get("gamma"), j)
+    K_sur = setup.config["surrogate_kappa"]
+    if escaped_gamma(gamma, setup.cfg.m, j, K_sur) > SUPPORT_TOL:
+        raise ConfigError(
+            f"surrogate_kappa {K_sur} is too small: radical gamma {gamma.label!r} "
+            f"does not vanish at kappa_{j} = {K_sur}"
+        )
     verdict = is_semisimple(setup.ctx, D)
-    gen = radical_generator(
-        setup.ctx, j, gamma, level, D, K_sur=setup.config["surrogate_kappa"]
-    )
+    gen = radical_generator(setup.ctx, j, gamma, level, D, K_sur=K_sur)
     gconf = setup.config["gelfand"]
     points = sample_ideal_space(
-        setup.ctx, D, gconf["budget"],
-        K_sur=setup.config["surrogate_kappa"],
-        zeta_per_region=gconf["zeta_per_region"],
+        setup.ctx, D, gconf["budget"], K_sur=K_sur, zeta_per_region=gconf["zeta_per_region"]
     )
     psi_max = max(
         (abs(evaluate_gelfand(gen.finite_sum, p)) for p in points), default=0.0

@@ -25,7 +25,7 @@ import numpy as np
 
 from .assembly import AlgebraModel, TruncatedOperator
 from .errors import GelfandError
-from .lattice import Index, block_indices, enumerate_kappa
+from .lattice import Index, enumerate_kappa
 from .spectra import PlanarRegion, SpectralContext
 
 
@@ -166,10 +166,6 @@ class FiniteSum:
                 raw.append((_coeff_product(ga, gb), tuple(x + y for x, y in zip(ra, rb))))
         return self._merged(raw)
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
 
 def assemble_finite_sum(A: FiniteSum, model: AlgebraModel, D: int) -> TruncatedOperator:
     """Materialize a finite sum on the cap-D truncation, block by block."""
@@ -279,14 +275,7 @@ def sample_ideal_space(
             if j not in region_choices:
                 region = ctx.hulled_ess_region(j)
                 region_choices[j] = _region_zeta_choices(region, zeta_per_region)
-        finite_tuples = (
-            [()]
-            if not jfin
-            else [
-                tuple(int(v) for v in kt)
-                for kt in _bounded_tuples(len(jfin), Dmax)
-            ]
-        )
+        finite_tuples = enumerate_kappa(len(jfin), Dmax) if jfin else [()]
         for kt in finite_tuples:
             mu = [K_sur] * m
             for idx, j in enumerate(jfin):
@@ -311,13 +300,6 @@ def sample_ideal_space(
                 )
                 surrogate_count += 1
     return points
-
-
-def _bounded_tuples(length: int, cap: int) -> list[Index]:
-    out = []
-    for total in range(cap + 1):
-        out.extend(block_indices(length, total))
-    return out
 
 
 def validate_gelfand_point(

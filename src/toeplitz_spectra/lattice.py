@@ -16,7 +16,6 @@ tensor-product convention of numpy.kron).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -105,61 +104,20 @@ def block_indices(kj: int, d: int) -> tuple[Index, ...]:
     return tuple(sorted(compositions(d, kj), key=_grevlex_key))
 
 
-@dataclass(frozen=True)
-class BlockBasis:
-    """Ordered monomial basis of the degree-d homogeneous block in one group."""
-
-    kj: int
-    d: int
-    indices: tuple[Index, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.indices)
-
-    def index_of(self, alpha: Index) -> int:
-        try:
-            return self._lookup[tuple(alpha)]
-        except KeyError:
-            raise LatticeError(f"{alpha} is not in the degree-{self.d} block")
-
-    @property
-    def _lookup(self):
-        # Built lazily; frozen dataclass, so stash via object.__setattr__.
-        cached = self.__dict__.get("_lookup_cache")
-        if cached is None:
-            cached = {a: i for i, a in enumerate(self.indices)}
-            object.__setattr__(self, "_lookup_cache", cached)
-        return cached
-
-
-def enumerate_block_indices(kj: int, d: int) -> BlockBasis:
-    """Basis of the homogeneous degree-d block over a size-kj group.
-
-    The length equals C(d + kj - 1, kj - 1); the order is deterministic.
-    """
-    return BlockBasis(kj=kj, d=d, indices=block_indices(kj, d))
-
-
-def enumerate_kappa(cfg: PartitionConfig, total_cap: int) -> list[Index]:
-    """All group-degree tuples kappa with |kappa| <= total_cap.
+def enumerate_kappa(groups: PartitionConfig | int, total_cap: int) -> list[Index]:
+    """All group-degree tuples kappa with |kappa| <= total_cap, over a
+    partition's m groups or over a given group count.
 
     Ordered by total degree, then grevlex; this order fixes the global
     basis layout of the truncation.
     """
     if total_cap < 0:
         raise LatticeError(f"cap must be >= 0, got {total_cap}")
+    m = groups if isinstance(groups, int) else groups.m
     out: list[Index] = []
     for deg in range(total_cap + 1):
-        out.extend(block_indices(cfg.m, deg))
+        out.extend(block_indices(m, deg))
     return out
-
-
-def dim_h_kappa(cfg: PartitionConfig, kappa: Index) -> int:
-    """dim H_kappa = prod_j C(kappa_j + k_j - 1, k_j - 1)."""
-    if len(kappa) != cfg.m:
-        raise LatticeError(f"kappa length {len(kappa)} != m={cfg.m}")
-    return math.prod(math.comb(kj - 1 + kap, kj - 1) for kj, kap in zip(cfg.k, kappa))
 
 
 def log_monomial_norm_sq(alpha: Index, cfg: PartitionConfig) -> float:
@@ -176,26 +134,6 @@ def log_monomial_norm_sq(alpha: Index, cfg: PartitionConfig) -> float:
         + gammaln(n + lam + 1.0)
         - gammaln(n + total + lam + 1.0)
     )
-
-
-def monomial_norm_sq(
-    alpha: Index, cfg: PartitionConfig, *, max_total_degree: int = 100_000
-) -> float:
-    """||z^alpha||^2, positive; equals 1 at alpha = 0.
-
-    Raises when |alpha| exceeds the configured cap (the log-Gamma route is
-    accurate far beyond any cap this artifact uses, but the cap keeps
-    accidental runaway degrees visible).
-    """
-    if len(alpha) != cfg.n:
-        raise LatticeError(f"multi-index length {len(alpha)} != n={cfg.n}")
-    if any(a < 0 for a in alpha):
-        raise LatticeError(f"multi-index entries must be nonnegative: {alpha}")
-    if sum(alpha) > max_total_degree:
-        raise LatticeError(
-            f"|alpha| = {sum(alpha)} exceeds the configured cap {max_total_degree}"
-        )
-    return math.exp(log_monomial_norm_sq(alpha, cfg))
 
 
 class GlobalBasis:
@@ -221,17 +159,10 @@ class GlobalBasis:
             offsets[kappa] = (start, len(alphas) - start)
         self.alphas: tuple[Index, ...] = tuple(alphas)
         self._offsets = offsets
-        self._index = {a: i for i, a in enumerate(alphas)}
 
     @property
     def dim(self) -> int:
         return len(self.alphas)
-
-    def index_of(self, alpha: Index) -> int:
-        try:
-            return self._index[tuple(alpha)]
-        except KeyError:
-            raise LatticeError(f"{alpha} is not inside the cap-{self.cap} truncation")
 
     def slice_of(self, kappa: Index) -> slice:
         try:

@@ -26,10 +26,11 @@ import numpy as np
 
 from .errors import RadicalError
 from .gelfand import DiagonalCoefficient, FiniteSum, assemble_finite_sum
-from .spectra import EigenData, SpectralContext
+from .spectra import EigenData, SpectralContext, block_eigenvalues
 from .assembly import TruncatedOperator
 
 GAP_ABORT = 1e-6  # eigenvalue gaps below this make the division ill-conditioned
+SUPPORT_TOL = 1e-9  # |gamma| above this where kappa_j escapes rules out a generator
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,6 @@ def is_diagonalizable(mat: np.ndarray, tol: float = 1e-10, *, eigen: EigenData |
     mat = np.asarray(mat, dtype=complex)
     n = mat.shape[0]
     if eigen is None:
-        from .spectra import block_eigenvalues
-
         eigen = block_eigenvalues(mat, max(tol, 1e-12))
     scale = float(np.linalg.norm(mat, 2)) if mat.size else 0.0
     threshold = tol * max(scale, 1.0)
@@ -167,7 +166,7 @@ def is_semisimple(ctx: SpectralContext, Dmax: int, tol: float = 1e-10) -> Semisi
             continue
         if kind == "nilpotent":
             for d in range(Dmax + 1):
-                if float(np.max(np.abs(ctx.model.block(j, d).mat), initial=0.0)) > 0.0:
+                if float(np.max(np.abs(ctx.model.block(j, d)), initial=0.0)) > 0.0:
                     return SemisimplicityVerdict(
                         semisimple=False, upto=Dmax, witness=(j, d),
                         structural=f"group {j}: single nonzero mode, all blocks nilpotent",
@@ -175,8 +174,7 @@ def is_semisimple(ctx: SpectralContext, Dmax: int, tol: float = 1e-10) -> Semisi
             warnings.append(f"group {j}: nilpotent family but all blocks vanish up to {Dmax}")
             continue
         for d in range(Dmax + 1):
-            block = ctx.model.block(j, d)
-            report = is_diagonalizable(block.mat, tol, eigen=ctx.eigen(j, d))
+            report = is_diagonalizable(ctx.model.block(j, d), tol, eigen=ctx.eigen(j, d))
             if report.indeterminate:
                 refined = ctx.model.__class__(
                     cfg=cfg, quasi_radial=ctx.model.quasi_radial,
@@ -185,7 +183,7 @@ def is_semisimple(ctx: SpectralContext, Dmax: int, tol: float = 1e-10) -> Semisi
                     gamma_order=ctx.model.gamma_order,
                     torus_grid=ctx.model.torus_grid,
                 ).block(j, d)
-                report = is_diagonalizable(refined.mat, tol)
+                report = is_diagonalizable(refined, tol)
                 warnings.extend(report.indeterminate)
             if not report.diagonalizable:
                 return SemisimplicityVerdict(
@@ -219,6 +217,12 @@ class RadicalGenerator:
     f_l_note: str
 
 
+def escaped_gamma(gamma: DiagonalCoefficient, m: int, j: int, K_sur: int) -> float:
+    """|gamma| at kappa = K_sur e_j, the probe of the stratum where kappa_j
+    escapes; a radical generator needs it to vanish there."""
+    return abs(gamma(tuple(K_sur if i == j else 0 for i in range(1, m + 1))))
+
+
 def radical_generator(
     ctx: SpectralContext,
     j: int,
@@ -227,7 +231,6 @@ def radical_generator(
     Dmax: int,
     *,
     K_sur: int = 10_000,
-    support_tol: float = 1e-9,
 ) -> RadicalGenerator:
     """D_gamma (+)_{d in F_L} Q_d^(j) h^{j,d}_{n}(T_{c_j}) on the truncation.
 
@@ -235,11 +238,8 @@ def radical_generator(
     is probed at the surrogate degree K_sur and violations are rejected.
     F_L = {d : n_{j,d} <= L} is materialized within [0, Dmax].
     """
-    cfg = ctx.cfg
-    m = cfg.m
-    probe = [0] * m
-    probe[j - 1] = K_sur
-    if abs(gamma(tuple(probe))) > support_tol:
+    m = ctx.cfg.m
+    if escaped_gamma(gamma, m, j, K_sur) > SUPPORT_TOL:
         raise RadicalError(
             f"gamma {gamma.label!r} does not vanish at kappa_{j} = {K_sur}; "
             "it cannot multiply a radical generator"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import AlgebraModel, BlockMatrix, assemble_block, gamma_quasi_radial
+from .assembly import AlgebraModel, assemble_block, gamma_quasi_radial
 from .errors import SpectraError
 from .lattice import PartitionConfig, block_indices
 from .quad import gammaln, torus_grid
@@ -55,21 +55,17 @@ def _sorted_complex(vals: np.ndarray) -> np.ndarray:
 
 
 def block_eigenvalues(
-    block: BlockMatrix | np.ndarray, tol: float = 1e-8, *, group: int = 0, d: int = -1
+    block: np.ndarray, tol: float = 1e-8, *, group: int = 0, d: int = -1
 ) -> EigenData:
     """Eigenvalues of a block with deterministic order and clustering.
 
     Exactly triangular blocks (which includes every single-mode
     quasi-homogeneous block and every profile-only block) read their
     spectrum off the diagonal; everything else goes through the dense
-    nonsymmetric solver.
+    nonsymmetric solver.  ``group`` and ``d`` label the result and its
+    messages.
     """
-    if isinstance(block, BlockMatrix):
-        mat = block.mat
-        group = block.group
-        d = block.d
-    else:
-        mat = np.asarray(block, dtype=complex)
+    mat = np.asarray(block, dtype=complex)
     if mat.size and not np.all(np.isfinite(mat.real) & np.isfinite(mat.imag)):
         raise SpectraError("block has non-finite entries")
     nrm = float(np.linalg.norm(mat, 2)) if mat.size else 0.0
@@ -628,7 +624,7 @@ def berezin_sequence(
         moment = 1.0
         if radial_profile is not None:
             moment = gamma_quasi_radial(radial_profile, radial_cfg, (d,), radial_order)
-        values.append(complex(moment * np.vdot(coefs, block.mat @ coefs)))
+        values.append(complex(moment * np.vdot(coefs, block @ coefs)))
         degrees.append(int(d))
 
     s_dir = np.abs(w) / absw
@@ -673,7 +669,9 @@ class SpectralContext:
     def eigen(self, j: int, d: int) -> EigenData:
         key = (j, d)
         if key not in self._eigen:
-            self._eigen[key] = block_eigenvalues(self.model.block(j, d), self.eig_tol)
+            self._eigen[key] = block_eigenvalues(
+                self.model.block(j, d), self.eig_tol, group=j, d=d
+            )
         return self._eigen[key]
 
     def distinct(self, j: int, d: int) -> np.ndarray:

@@ -658,27 +658,6 @@ def profile_symbol(
     )
 
 
-def modes_symbol(
-    group: int, dim: int, modes, *, boundary_continuous: bool = True, label: str | None = None
-) -> PseudoHomogeneousSymbol:
-    """Symbol with an explicit finite Fourier support; opaque when a profile
-    is a CallableProfile."""
-    modes = tuple(
-        m if isinstance(m, FourierMode) else FourierMode(p=m[0], profile=m[1]) for m in modes
-    )
-    if label is None:
-        label = "modes[" + ",".join(f"{m.p}:{getattr(m.profile, 'label', '?')}" for m in modes) + "]"
-    return PseudoHomogeneousSymbol(
-        group=group,
-        dim=dim,
-        fn=_fn_from_modes(modes),
-        label=label,
-        modes=modes,
-        boundary_continuous=boundary_continuous,
-        opaque=any(isinstance(m.profile, CallableProfile) for m in modes),
-    )
-
-
 # Load-time torus invariance tolerance of expression symbols.
 INVARIANCE_TOL = 1e-10
 

@@ -6,7 +6,10 @@ uniform angle grids (no absorbed Jacobi weights, no Duffy collapse),
 characteristic polynomials come from the Faddeev-LeVerrier trace
 recursion, and the adaptive simplex oracle is nested scipy.integrate.quad.
 The Gauss-Jacobi references are scipy's: `roots_jacobi`, and Golub-Welsch
-through the tridiagonal eigensolver `eigh_tridiagonal`.
+through the tridiagonal eigensolver `eigh_tridiagonal`.  Monomial norms and
+H_kappa dimensions are the closed formulas evaluated with scipy and the
+standard library, and a block-diagonal truncated operator is read densely
+through the basis slices.
 """
 
 from __future__ import annotations
@@ -191,3 +194,31 @@ def roots_jacobi_01(npts: int, a: float, b: float):
     weights sum to B(a+1, b+1)."""
     x, w = roots_jacobi(npts, b, a)
     return 0.5 * (x + 1.0), w / 2.0 ** (a + b + 1.0)
+
+
+def monomial_norm_sq(alpha, cfg) -> float:
+    """||z^alpha||^2 = alpha! Gamma(n + lam + 1) / Gamma(n + |alpha| + lam + 1)
+    in the weighted Bergman space over the n-ball."""
+    n, lam = sum(cfg.k), cfg.lam
+    log = sum(gammaln(a + 1.0) for a in alpha) + gammaln(n + lam + 1.0)
+    return math.exp(log - gammaln(n + sum(alpha) + lam + 1.0))
+
+
+def dim_h_kappa(k, kappa) -> int:
+    """dim H_kappa = prod_j C(kappa_j + k_j - 1, k_j - 1)."""
+    return math.prod(math.comb(kap + kj - 1, kj - 1) for kj, kap in zip(k, kappa))
+
+
+def dense(op) -> np.ndarray:
+    """The N x N matrix of a block-diagonal truncated operator."""
+    basis = op.basis
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for kappa in basis.kappas:
+        sl = basis.slice_of(kappa)
+        out[sl, sl] = op.blocks[kappa]
+    return out
+
+
+def opnorm(op) -> float:
+    """Operator 2-norm of a block-diagonal truncated operator."""
+    return max((float(np.linalg.norm(b, 2)) for b in op.blocks.values()), default=0.0)

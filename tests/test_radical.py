@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dense, opnorm
 from toeplitz_spectra import checks
 from toeplitz_spectra.assembly import AlgebraModel
 from toeplitz_spectra.errors import RadicalError
@@ -56,7 +57,7 @@ class TestDistinctAndH:
 
     def test_h_annihilates_diagonalizable_block(self, diagonal_ctx):
         d = 3
-        block = diagonal_ctx.model.block(2, d).mat
+        block = diagonal_ctx.model.block(2, d)
         e = diagonal_ctx.eigen(2, d)
         h = h_polynomial(diagonal_ctx, 2, d, e.n_distinct)
         residual = np.linalg.norm(h.at_matrix(block))
@@ -65,7 +66,7 @@ class TestDistinctAndH:
     def test_h_on_nilpotent_is_x(self, nilpotent_ctx):
         h = h_polynomial(nilpotent_ctx, 2, 1, 1)
         assert h.roots == (0.0,)
-        block = nilpotent_ctx.model.block(2, 1).mat
+        block = nilpotent_ctx.model.block(2, 1)
         assert np.linalg.norm(h.at_matrix(block)) > 1e-6  # h(B) = B != 0
 
 
@@ -83,7 +84,7 @@ class TestDiagonalizability:
 
     def test_quasi_homogeneous_block_false(self, nilpotent_ctx):
         block = nilpotent_ctx.model.block(2, 1)
-        rep = is_diagonalizable(block.mat, eigen=nilpotent_ctx.eigen(2, 1))
+        rep = is_diagonalizable(block, eigen=nilpotent_ctx.eigen(2, 1))
         assert not rep.diagonalizable
 
 
@@ -127,9 +128,9 @@ class TestRadicalGenerator:
         gamma = DiagonalCoefficient.indicator_degree(2, 1)
         gen = radical_generator(nilpotent_ctx, 2, gamma, 1, 4)
         model = nilpotent_ctx.model
-        t2 = assemble_finite_sum(FiniteSum.generator(2, 2), model, 4).to_dense()
+        t2 = dense(assemble_finite_sum(FiniteSum.generator(2, 2), model, 4))
         want = q_diag(model, 4, 2, 1) @ t2
-        assert np.linalg.norm(gen.operator.to_dense() - want) < 1e-12
+        assert np.linalg.norm(dense(gen.operator) - want) < 1e-12
         assert gen.operator.fro() > 1e-6
 
     def test_gelfand_vanishing_and_power_norms(self, nilpotent_ctx):
@@ -168,7 +169,7 @@ class TestDivision:
         parts = decompose_by_division(A, 2, 0, diagonal_ctx)
         assert parts.n == 1
         z1 = diagonal_ctx.distinct(2, 0)[0]
-        s0 = assemble_finite_sum(parts.s_parts[0], diagonal_ctx.model, 2).to_dense()
+        s0 = dense(assemble_finite_sum(parts.s_parts[0], diagonal_ctx.model, 2))
         q0 = q_diag(diagonal_ctx.model, 2, 2, 0)
         assert np.linalg.norm(s0 - complex(z1) * q0) < 1e-12
         assert parts.reconstruction_residual(diagonal_ctx.model, 2) < 1e-12
@@ -198,11 +199,11 @@ class TestDivision:
         rng = np.random.default_rng(37)
 
         def dense_residual(parts):
-            lhs = assemble_finite_sum(parts.q_d_times_a, model, D).to_dense()
-            tj = assemble_finite_sum(FiniteSum.generator(cfg.m, parts.group), model, D).to_dense()
-            rhs = assemble_finite_sum(parts.s_parts[0], model, D).to_dense()
+            lhs = dense(assemble_finite_sum(parts.q_d_times_a, model, D))
+            tj = dense(assemble_finite_sum(FiniteSum.generator(cfg.m, parts.group), model, D))
+            rhs = dense(assemble_finite_sum(parts.s_parts[0], model, D))
             for level in range(1, parts.n + 1):
-                s_l = assemble_finite_sum(parts.s_parts[level], model, D).to_dense()
+                s_l = dense(assemble_finite_sum(parts.s_parts[level], model, D))
                 rhs = rhs + s_l @ parts.h_polys[level - 1].at_matrix(tj)
             return float(np.linalg.norm(lhs - rhs))
 
@@ -227,11 +228,11 @@ class TestDivision:
         for _ in range(10):
             A = _random_sum(rng, diagonal_ctx.cfg, 4)
             parts = decompose_by_division(A, 2, d, diagonal_ctx)
-            a_norm = assemble_finite_sum(A, diagonal_ctx.model, 4).opnorm()
+            a_norm = opnorm(assemble_finite_sum(A, diagonal_ctx.model, 4))
             for level in range(parts.n):
-                s_norm = assemble_finite_sum(
+                s_norm = opnorm(assemble_finite_sum(
                     parts.s_parts[level], diagonal_ctx.model, 4
-                ).opnorm()
+                ))
                 assert s_norm <= nc.values[level] * a_norm + 1e-9
 
     def test_ill_conditioned_aborts(self):
@@ -260,7 +261,7 @@ class TestNormConstants:
         cfg = PartitionConfig(k=(2,))
         model = AlgebraModel(cfg=cfg, symbols={1: profile_symbol(1, 2, "3*s1^2 - 1")})
         ctx = SpectralContext(model=model)
-        diag = np.sort(np.diag(model.block(1, 1).mat).real)
+        diag = np.sort(np.diag(model.block(1, 1)).real)
         assert np.allclose(diag, [0.0, 1.0])
         nc = norm_constants(ctx, 1, 1)
         c0 = math.sqrt(2)
@@ -290,15 +291,15 @@ class TestDenseRadicalCases:
             A = A + FiniteSum.diagonal(1, gate) * poly * FiniteSum.generator(1, 1)
         pts = sample_ideal_space(ctx, D, 50)
         assert max(abs(evaluate_gelfand(A, p)) for p in pts) < 1e-10
-        a_mat = assemble_finite_sum(A, model, D).to_dense()
+        a_mat = dense(assemble_finite_sum(A, model, D))
 
         # span of the ideal generated by the typical elements at truncation
         basis_mats = []
         for d in range(D + 1):
-            gen = radical_generator(
+            gen = dense(radical_generator(
                 ctx, 1, DiagonalCoefficient.indicator_degree(1, d), 1, D
-            ).operator.to_dense()
-            t_mat = assemble_finite_sum(FiniteSum.generator(1, 1), model, D).to_dense()
+            ).operator)
+            t_mat = dense(assemble_finite_sum(FiniteSum.generator(1, 1), model, D))
             left = np.eye(t_mat.shape[0])
             for power in range(0, 3):
                 basis_mats.append(np.linalg.matrix_power(t_mat, power) @ gen)
@@ -314,7 +315,7 @@ class TestDenseRadicalCases:
         model = AlgebraModel(cfg=cfg, symbols={1: builtin_quasi_homogeneous(1, (1, -1))})
         ctx = SpectralContext(model=model)
         D = 3
-        t_mat = assemble_finite_sum(FiniteSum.generator(1, 1), model, D).to_dense()
+        t_mat = dense(assemble_finite_sum(FiniteSum.generator(1, 1), model, D))
 
         span_a = []  # ideal generated by typical elements (h = X here)
         for d in range(D + 1):

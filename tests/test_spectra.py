@@ -60,7 +60,7 @@ class TestBlockEigenvalues:
 
     def test_direct_sum_is_multiset_union(self):
         sym = profile_symbol(1, 2, "s1*s1 + 0.125")
-        blocks = [assemble_block(sym, 1, d).mat for d in range(4)]
+        blocks = [assemble_block(sym, 1, d) for d in range(4)]
         direct = np.zeros((sum(b.shape[0] for b in blocks),) * 2, dtype=complex)
         at = 0
         union = []

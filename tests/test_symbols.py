@@ -21,7 +21,6 @@ from toeplitz_spectra.symbols import (
     check_invariance,
     constant_symbol,
     expression_symbol,
-    modes_symbol,
     parse_symbol_expression,
     profile_symbol,
 )
@@ -106,7 +105,7 @@ class TestPseudoHomogeneous:
     def test_fourier_mode_rejects_bad_mode(self):
         with pytest.raises(SymbolError):
             FourierMode((1, 0), MonomialProfile((1, 0)))
-        modes = modes_symbol(1, 2, [((1, -1), MonomialProfile((1, 0)))]).declared_mode_dict()
+        modes = expression_symbol(1, 2, "s1*t1*conj(t2)").declared_mode_dict()
         assert modes[(1, -1)](np.array([[0.6, 0.8]]))[0] == pytest.approx(0.6)
         assert (2, -2) not in modes
 
