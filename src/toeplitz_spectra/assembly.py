@@ -41,7 +41,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -120,19 +120,15 @@ def _entry_monomial(alpha: Index, beta: Index, prof: MonomialProfile, kj: int, d
 
 
 def _entry_quadrature(
-    alpha: Index, beta: Index, chat_vals: np.ndarray, weights: np.ndarray,
-    log_mass: float, kj: int, d: int,
+    alpha: Index, beta: Index, prof: CallableProfile, order: int, kj: int, d: int
 ) -> complex:
-    expectation = complex(np.sum(weights * chat_vals))
-    return expectation * math.exp(_entry_log_prefactor(alpha, beta, kj, d) + log_mass)
-
-
-def _pair_rule(alpha: Index, beta: Index, order: int):
-    """Probability rule and log mass for the Dirichlet weight with exponents
-    (alpha + beta)/2 over the group simplex."""
+    # The Dirichlet weight with exponents (alpha + beta)/2 becomes a
+    # probability rule; its log mass multiplies the expectation back in.
     exps = tuple((va + vb) / 2.0 for va, vb in zip(alpha, beta))
     rule = dirichlet_probability_rule(exps, order)
-    return rule, float(log_dirichlet_mass(exps))
+    expectation = complex(np.sum(rule.weights * prof(np.sqrt(rule.nodes_closed))))
+    log_mass = _entry_log_prefactor(alpha, beta, kj, d) + log_dirichlet_mass(exps)
+    return expectation * math.exp(log_mass)
 
 
 def assemble_block(
@@ -150,9 +146,9 @@ def assemble_block(
     independent of the global weight parameter and of the other groups.
     Rows and columns follow ``lattice.block_indices(c.dim, d)``.  With
     declared Fourier support only the supported diagonals are touched;
-    otherwise every realizable mode p = beta - alpha is probed through an
-    exact per-block torus table.  The disk cache is skipped for opaque
-    symbols.
+    otherwise every mode p = beta - alpha realizable in the block gets a
+    profile probed on the torus, assembled by quadrature like a declared
+    callable profile.  The disk cache is skipped for opaque symbols.
     """
     group = c.group if j is None else j
     kj = c.dim
@@ -166,42 +162,31 @@ def assemble_block(
             return cached
 
     indices = block_indices(kj, d)
+    position = {alpha: i for i, alpha in enumerate(indices)}
     mat = np.zeros((len(indices), len(indices)), dtype=complex)
-    declared = c.declared_mode_dict()
-
-    if declared is not None:
-        position = {alpha: i for i, alpha in enumerate(indices)}
-        for p, prof in declared.items():
-            for col, alpha in enumerate(indices):
-                row = position.get(tuple(va + vp for va, vp in zip(alpha, p)))
-                if row is None:
-                    continue
-                beta = indices[row]
-                if isinstance(prof, CallableProfile):
-                    rule, log_mass = _pair_rule(alpha, beta, order)
-                    chat = np.asarray(prof(np.sqrt(rule.nodes_closed)), dtype=complex)
-                    mat[row, col] += _entry_quadrature(
-                        alpha, beta, chat, rule.weights, log_mass, kj, d
-                    )
-                else:
-                    for term in prof.terms:
-                        mat[row, col] += _entry_monomial(alpha, beta, term, kj, d)
-    else:
-        # Exact mode table per block: every difference is realizable here.
-        chat_cache: dict[tuple, np.ndarray] = {}
-        for col, alpha in enumerate(indices):
-            for row, beta in enumerate(indices):
+    modes = c.declared_mode_dict()
+    if modes is None:
+        modes = {}
+        for alpha in indices:
+            for beta in indices:
                 p = tuple(vb - va for va, vb in zip(alpha, beta))
-                rule, log_mass = _pair_rule(alpha, beta, order)
-                key = (p, tuple((va + vb) for va, vb in zip(alpha, beta)))
-                chat = chat_cache.get(key)
-                if chat is None:
-                    grid = max(torus_grid, 2 * max((abs(v) for v in p), default=0) + 1)
-                    chat = fourier_on_points(c.fn, np.sqrt(rule.nodes_closed), p, grid=grid)
-                    chat_cache[key] = chat
-                mat[row, col] = _entry_quadrature(
-                    alpha, beta, chat, rule.weights, log_mass, kj, d
-                )
+                if p not in modes:
+                    grid = max(torus_grid, 2 * max(abs(v) for v in p) + 1)
+                    modes[p] = CallableProfile(
+                        partial(fourier_on_points, c.fn, p=p, grid=grid), f"{c.label}@{p}"
+                    )
+
+    for p, prof in modes.items():
+        for col, alpha in enumerate(indices):
+            row = position.get(tuple(va + vp for va, vp in zip(alpha, p)))
+            if row is None:
+                continue
+            beta = indices[row]
+            if isinstance(prof, CallableProfile):
+                mat[row, col] += _entry_quadrature(alpha, beta, prof, order, kj, d)
+            else:
+                for term in prof.terms:
+                    mat[row, col] += _entry_monomial(alpha, beta, term, kj, d)
 
     if not np.all(np.isfinite(mat.real) & np.isfinite(mat.imag)):
         raise QuadratureError(f"block ({group}, {d}) of {c.label!r} has non-finite entries")

@@ -21,8 +21,8 @@ from .gelfand import (
     DiagonalCoefficient,
     FiniteSum,
     assemble_finite_sum,
-    evaluate_gelfand,
     sample_ideal_space,
+    spectral_radius_estimate,
 )
 from .lattice import GlobalBasis, PartitionConfig, enumerate_kappa
 from .quad import (
@@ -292,7 +292,7 @@ def radical_gelfand_vanishing(
     points = sample_ideal_space(
         ctx, sample_cap, budget, K_sur=K_sur, zeta_per_region=zeta_per_region
     )
-    psi_max = max((abs(evaluate_gelfand(gen.finite_sum, p)) for p in points), default=0.0)
+    psi_max = spectral_radius_estimate(gen.finite_sum, points)
     return [
         _record("radical-gelfand-vanishing", psi_max, 1e-8, f"{len(points)} functionals sampled")
     ]

@@ -588,16 +588,13 @@ def cmd_berezin(setup: Setup) -> dict:
     if not spec:
         raise ConfigError("berezin command needs a 'berezin' config section")
     j = spec["group"]
-    sym = setup.model.symbols.get(j)
-    if sym is None:
+    if j not in setup.model.symbols:
         raise ConfigError(f"group {j} has no symbol to probe")
     w = [_complex_from_json(v) for v in spec["w"]]
     radial = None
     if spec.get("radial_expression"):
         radial = QuasiRadialSymbol.from_expression(1, spec["radial_expression"])
-    probe = berezin_sequence(
-        sym, j, w, spec["degrees"], radial_profile=radial, model=setup.model
-    )
+    probe = berezin_sequence(setup.model, j, w, spec["degrees"], radial_profile=radial)
     rows = []
     for d, v in zip(probe.degrees, probe.values):
         rows.append([d, float(v.real), float(v.imag), abs(v - probe.boundary_value)])
@@ -674,6 +671,7 @@ def cmd_gelfand(setup: Setup) -> dict:
 def cmd_semisimple(setup: Setup) -> dict:
     D = setup.config["degree_cap"]
     verdict = is_semisimple(setup.ctx, D)
+    setup.warnings.extend(verdict.warnings)
     halved = is_semisimple(setup.ctx, D, tol=0.5e-10)
     return {
         "semisimple": verdict.semisimple,
@@ -723,14 +721,13 @@ def cmd_radical(setup: Setup) -> dict:
             f"does not vanish at kappa_{j} = {K_sur}"
         )
     verdict = is_semisimple(setup.ctx, D)
+    setup.warnings.extend(verdict.warnings)
     gen = radical_generator(setup.ctx, j, gamma, level, D, K_sur=K_sur)
     gconf = setup.config["gelfand"]
     points = sample_ideal_space(
         setup.ctx, D, gconf["budget"], K_sur=K_sur, zeta_per_region=gconf["zeta_per_region"]
     )
-    psi_max = max(
-        (abs(evaluate_gelfand(gen.finite_sum, p)) for p in points), default=0.0
-    )
+    psi_max = spectral_radius_estimate(gen.finite_sum, points)
     powers = power_norm_sequence(gen.operator, 6)
     rng = np.random.default_rng(setup.config["seed"])
     residuals = []

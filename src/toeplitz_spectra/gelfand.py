@@ -62,9 +62,10 @@ class DiagonalCoefficient:
         )
 
     @classmethod
-    def from_table(cls, table: dict, default: complex = 0.0) -> "DiagonalCoefficient":
+    def from_table(cls, table: dict) -> "DiagonalCoefficient":
+        """gamma(kappa) = table[kappa], zero off the table."""
         frozen = {tuple(k): complex(v) for k, v in table.items()}
-        return cls(fn=lambda kappa: frozen.get(kappa, complex(default)), label="table")
+        return cls(fn=lambda kappa: frozen.get(kappa, 0j), label="table")
 
     @classmethod
     def from_callable(cls, fn: Callable, label: str) -> "DiagonalCoefficient":
@@ -302,10 +303,9 @@ def sample_ideal_space(
     return points
 
 
-def validate_gelfand_point(
-    ctx: SpectralContext, point: GelfandPoint, *, slack_cells: int = 2
-) -> bool:
-    """Re-check the membership invariants of a sampled functional."""
+def validate_gelfand_point(ctx: SpectralContext, point: GelfandPoint) -> bool:
+    """Re-check the membership invariants of a sampled functional: an
+    escaped coordinate may lie up to two cells off the hulled region."""
     for idx, j in enumerate(range(1, len(point.theta) + 1)):
         zj = point.zeta[idx]
         if point.theta[idx] == 1:
@@ -315,7 +315,7 @@ def validate_gelfand_point(
                 return False
         else:
             region = ctx.hulled_ess_region(j)
-            if not region.contains_point(zj, slack_cells=slack_cells):
+            if not region.contains_point(zj, slack_cells=2):
                 return False
     return True
 

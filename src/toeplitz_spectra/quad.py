@@ -372,7 +372,8 @@ def fourier_on_points(
     the full grid.  Rows are evaluated in chunks whose values fit in
     FOURIER_CHUNK_BYTES; each row's mean is independent of the chunking.
     A grid whose single row exceeds the budget raises QuadratureError
-    before anything is allocated.
+    before anything is allocated, and so does a symbol whose values do not
+    come back as one per (sphere point, torus point) pair.
     """
     p = tuple(int(v) for v in p)
     k = len(p)
@@ -397,8 +398,9 @@ def fourier_on_points(
     for start in range(0, s_points.shape[0], rows):
         s_rows = s_points[start : start + rows]
         vals = np.asarray(fn(s_rows[:, None, :], tpts[None, :, :]), dtype=complex)
-        if vals.shape != (s_rows.shape[0], tpts.shape[0]):
-            vals = np.array([[complex(fn(srow, trow)) for trow in tpts] for srow in s_rows])
+        want = (s_rows.shape[0], tpts.shape[0])
+        if vals.shape != want:
+            raise QuadratureError(f"symbol returned shape {vals.shape} on the torus, not {want}")
         if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
             raise QuadratureError("symbol returned non-finite torus samples")
         out[start : start + rows] = (vals * phase[None, :]).mean(axis=1)

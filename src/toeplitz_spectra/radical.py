@@ -27,7 +27,7 @@ import numpy as np
 from .errors import RadicalError
 from .gelfand import DiagonalCoefficient, FiniteSum, assemble_finite_sum
 from .spectra import EigenData, SpectralContext, block_eigenvalues
-from .assembly import TruncatedOperator
+from .assembly import TruncatedOperator, assemble_block
 
 GAP_ABORT = 1e-6  # eigenvalue gaps below this make the division ill-conditioned
 SUPPORT_TOL = 1e-9  # |gamma| above this where kappa_j escapes rules out a generator
@@ -176,13 +176,9 @@ def is_semisimple(ctx: SpectralContext, Dmax: int, tol: float = 1e-10) -> Semisi
         for d in range(Dmax + 1):
             report = is_diagonalizable(ctx.model.block(j, d), tol, eigen=ctx.eigen(j, d))
             if report.indeterminate:
-                refined = ctx.model.__class__(
-                    cfg=cfg, quasi_radial=ctx.model.quasi_radial,
-                    symbols=ctx.model.symbols,
-                    block_order=2 * ctx.model.block_order,
-                    gamma_order=ctx.model.gamma_order,
-                    torus_grid=ctx.model.torus_grid,
-                ).block(j, d)
+                refined = assemble_block(
+                    sym, j, d, order=2 * ctx.model.block_order, torus_grid=ctx.model.torus_grid
+                )
                 report = is_diagonalizable(refined, tol)
                 warnings.extend(report.indeterminate)
             if not report.diagonalizable:

@@ -11,6 +11,11 @@ goes through the same fill, its segments as degenerate triangles.  In the
 plane the polynomially convex hull of a compact set is the set together
 with the bounded components of its complement, which a union-find over the
 row runs of the complement computes exactly at fixed resolution.
+
+All regions of a group at one resolution share the grid that frames its
+sampled boundary image.  The point spectrum lies in the numerical range,
+inside the convex hull of the true image, so it fits in that frame when the
+sampling resolves the image; `spectrum_with_hull` checks that it does.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import AlgebraModel, assemble_block, gamma_quasi_radial
+from .assembly import AlgebraModel, gamma_quasi_radial
 from .errors import SpectraError
 from .lattice import PartitionConfig, block_indices
 from .quad import gammaln, torus_grid
@@ -134,16 +139,13 @@ class PlanarRegion:
         return self.occ.shape[0]
 
     @staticmethod
-    def _frame(points: np.ndarray, resolution: int, bbox=None):
-        if bbox is not None:
-            x0, x1, y0, y1 = bbox
-        else:
-            xs, ys = points.real, points.imag
-            cx, cy = (xs.min() + xs.max()) / 2.0, (ys.min() + ys.max()) / 2.0
-            half = max(xs.max() - xs.min(), ys.max() - ys.min()) / 2.0
-            half = max(half, 1e-6)
-            half *= 1.1
-            x0, x1, y0, y1 = cx - half, cx + half, cy - half, cy + half
+    def _frame(points: np.ndarray, resolution: int):
+        xs, ys = points.real, points.imag
+        cx, cy = (xs.min() + xs.max()) / 2.0, (ys.min() + ys.max()) / 2.0
+        half = max(xs.max() - xs.min(), ys.max() - ys.min()) / 2.0
+        half = max(half, 1e-6)
+        half *= 1.1
+        x0, x1, y0, y1 = cx - half, cx + half, cy - half, cy + half
         cell = max(x1 - x0, y1 - y0) / resolution
         return x0, y0, cell
 
@@ -158,14 +160,13 @@ class PlanarRegion:
         points,
         resolution: int = 512,
         *,
-        bbox=None,
         dilate: int = 0,
         provenance: str = "point cloud",
     ) -> "PlanarRegion":
         pts = np.asarray(points, dtype=complex).ravel()
         if pts.size == 0:
             raise SpectraError("cannot rasterize an empty point set")
-        x0, y0, cell = cls._frame(pts, resolution, bbox)
+        x0, y0, cell = cls._frame(pts, resolution)
         occ = np.zeros((resolution, resolution), dtype=bool)
         region = cls(x0=x0, y0=y0, cell=cell, occ=occ, provenance=provenance, samples=pts)
         iy, ix = region._indices(pts)
@@ -185,25 +186,17 @@ class PlanarRegion:
         )
 
     @classmethod
-    def from_curve(
-        cls,
-        points,
-        resolution: int = 512,
-        *,
-        bbox=None,
-        closed: bool = True,
-        provenance: str = "curve samples",
-    ) -> "PlanarRegion":
-        """Rasterize a sampled curve: every cell that a segment between
-        consecutive samples touches, each segment filled as the degenerate
-        triangle (i, i+1, i+1)."""
+    def from_curve(cls, points, resolution: int = 512) -> "PlanarRegion":
+        """Rasterize a sampled closed curve: every cell that a segment between
+        consecutive samples (the last joined to the first) touches, each
+        segment filled as the degenerate triangle (i, i+1, i+1)."""
         pts = np.asarray(points, dtype=complex).ravel()
         if pts.size < 2:
-            return cls.from_points(pts, resolution, bbox=bbox, provenance=provenance)
-        x0, y0, cell = cls._frame(pts, resolution, bbox)
+            return cls.from_points(pts, resolution, provenance="curve samples")
+        x0, y0, cell = cls._frame(pts, resolution)
         occ = np.zeros((resolution, resolution), dtype=bool)
-        region = cls(x0=x0, y0=y0, cell=cell, occ=occ, provenance=provenance, samples=pts)
-        start = np.arange(pts.size if closed else pts.size - 1)
+        region = cls(x0=x0, y0=y0, cell=cell, occ=occ, provenance="curve samples", samples=pts)
+        start = np.arange(pts.size)
         end = (start + 1) % pts.size
         _fill_triangles(region, pts, np.stack([start, end, end], axis=1))
         return region
@@ -506,7 +499,6 @@ def essential_spectrum_estimate(
     samples: int = 4096,
     *,
     resolution: int = 512,
-    bbox=None,
 ) -> PlanarRegion:
     """Rasterized boundary image c(sphere); requires the continuity flag.
 
@@ -523,11 +515,9 @@ def essential_spectrum_estimate(
         raise SpectraError(
             f"symbol {c.label!r} does not declare a continuous boundary extension"
         )
-    grid = boundary_image_values(c, samples)
-    flat = grid.ravel()
-    if bbox is None:
-        x0, y0, cell = PlanarRegion._frame(flat, resolution)
-        bbox = (x0, x0 + resolution * cell, y0, y0 + resolution * cell)
+    flat = boundary_image_values(c, samples).ravel()
+    x0, y0, cell = PlanarRegion._frame(flat, resolution)
+    bbox = (x0, x0 + resolution * cell, y0, y0 + resolution * cell)
     region = PlanarRegion.empty(bbox, resolution, provenance="boundary image")
     region.samples = flat
     if flat.size == 1:
@@ -585,25 +575,25 @@ def _kernel_coefficients(w: np.ndarray, k: int, d: int) -> np.ndarray:
 
 
 def berezin_sequence(
-    c: PseudoHomogeneousSymbol,
+    model: AlgebraModel,
     j: int,
     w,
     d_list,
     *,
     radial_profile: QuasiRadialSymbol | None = None,
-    order: int = 48,
-    model: AlgebraModel | None = None,
 ) -> KernelProbe:
-    """<T_c k_d(., w), k_d(., w)> for each degree in d_list.
-
-    The probe symbol is f(r) * c(s, t) with an optional separable radial
-    factor f, a one-radius quasi-radial symbol; its compression to the
-    degree-d block is the radial moment times the block matrix, and the
-    sequence converges to the boundary value of the symbol along the ray
-    of w.  The radial moment is gamma_f(d) on the unweighted k-ball, closed
-    form for a polynomial in r1; a model's block and gamma orders replace
-    ``order`` when it is given.
+    """<T_c k_d(., w), k_d(., w)> for each degree in d_list, c the model's
+    group-j symbol.  The probe symbol is f(r) * c(s, t) with an optional
+    separable radial factor f, a one-radius quasi-radial symbol; its
+    compression to the degree-d block is the radial moment times the block
+    matrix ``model.block(j, d)``, and the sequence converges to the boundary
+    value of the symbol along the ray of w.  The radial moment is gamma_f(d)
+    on the unweighted k-ball at the model's gamma order, closed form for a
+    polynomial in r1.
     """
+    c = model.symbols.get(j)
+    if c is None:
+        raise SpectraError(f"group {j} has no symbol to probe")
     w = np.asarray(w, dtype=complex).ravel()
     k = c.dim
     if w.shape != (k,):
@@ -615,17 +605,14 @@ def berezin_sequence(
         raise SpectraError(f"base point must lie inside the ball, |w| = {absw:.4f}")
 
     radial_cfg = PartitionConfig(k=(k,))
-    radial_order = model.gamma_order if model is not None else order
-    values, norm_devs, degrees = [], [], []
-    for d in d_list:
-        block = model.block(j, d) if model is not None else assemble_block(c, j, d, order=order)
+    degrees, values, norm_devs = tuple(int(d) for d in d_list), [], []
+    for d in degrees:
         coefs = _kernel_coefficients(w, k, d)
         norm_devs.append(abs(float(np.vdot(coefs, coefs).real) - 1.0))
         moment = 1.0
         if radial_profile is not None:
-            moment = gamma_quasi_radial(radial_profile, radial_cfg, (d,), radial_order)
-        values.append(complex(moment * np.vdot(coefs, block @ coefs)))
-        degrees.append(int(d))
+            moment = gamma_quasi_radial(radial_profile, radial_cfg, (d,), model.gamma_order)
+        values.append(complex(moment * np.vdot(coefs, model.block(j, d) @ coefs)))
 
     s_dir = np.abs(w) / absw
     t_dir = np.where(np.abs(w) > 0, w / np.maximum(np.abs(w), 1e-300), 1.0)
@@ -635,7 +622,7 @@ def berezin_sequence(
     return KernelProbe(
         group=j,
         w=tuple(complex(v) for v in w),
-        degrees=tuple(degrees),
+        degrees=degrees,
         values=tuple(values),
         norm_devs=tuple(norm_devs),
         boundary_value=boundary,
@@ -660,7 +647,6 @@ class SpectralContext:
         self._eigen: dict[tuple[int, int], EigenData] = {}
         self._ess: dict[tuple, PlanarRegion] = {}
         self._hulled: dict[tuple, PlanarRegion] = {}
-        self._with_hull: dict[tuple, SpectrumWithHull] = {}
 
     @property
     def cfg(self):
@@ -677,34 +663,21 @@ class SpectralContext:
     def distinct(self, j: int, d: int) -> np.ndarray:
         return self.eigen(j, d).distinct
 
-    def boundary_samples(self, j: int) -> np.ndarray:
-        sym = self.model.symbols.get(j)
-        if sym is None:
-            return np.array([1.0 + 0.0j])
-        if not sym.boundary_continuous:
-            raise SpectraError(
-                f"symbol {sym.label!r} does not declare a continuous boundary extension"
-            )
-        return boundary_image_values(sym, self.ess_samples).ravel()
-
-    def ess_region(self, j: int, *, bbox=None, resolution: int | None = None) -> PlanarRegion:
+    def ess_region(self, j: int, *, resolution: int | None = None) -> PlanarRegion:
+        """The boundary image of group j rasterized on the grid it frames,
+        once per (group, resolution); every region of the group at that
+        resolution lives on this grid."""
         res = resolution or self.hull_resolution
         key = (j, res)
-        if bbox is None and key in self._ess:
-            return self._ess[key]
-        sym = self.model.symbols.get(j)
-        if sym is None:
-            region = PlanarRegion.from_points(
-                np.array([1.0 + 0.0j]), res, bbox=bbox, dilate=1,
-                provenance="boundary image",
-            )
-        else:
-            region = essential_spectrum_estimate(
-                sym, self.ess_samples, resolution=res, bbox=bbox
-            )
-        if bbox is None:
-            self._ess[key] = region
-        return region
+        if key not in self._ess:
+            sym = self.model.symbols.get(j)
+            if sym is None:
+                self._ess[key] = PlanarRegion.from_points(
+                    np.array([1.0 + 0.0j]), res, dilate=1, provenance="boundary image"
+                )
+            else:
+                self._ess[key] = essential_spectrum_estimate(sym, self.ess_samples, resolution=res)
+        return self._ess[key]
 
     def hulled_ess_region(self, j: int, *, resolution: int | None = None) -> PlanarRegion:
         res = resolution or self.hull_resolution
@@ -716,7 +689,6 @@ class SpectralContext:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumWithHull:
-    group: int
     sp_region: PlanarRegion
     hull_region: PlanarRegion
     point_values: tuple[complex, ...]
@@ -728,34 +700,30 @@ def spectrum_with_hull(
 ) -> SpectrumWithHull:
     """sp = point spectrum union ess-sp; hull = point spectrum union hull(ess-sp).
 
-    Both live on one grid framed by the point spectrum and the boundary
-    samples; the result is memoized in `ctx` per (j, Dmax, resolution).
+    The point spectrum is marked on the grid of the memoized boundary
+    raster `ctx.ess_region(j)`, whose frame pads the sampled image by a
+    tenth on every side, and joined to that raster and to its hull; an
+    eigenvalue outside the frame raises instead of being clipped.
     """
     res = resolution or ctx.hull_resolution
-    key = (j, Dmax, res)
-    if key in ctx._with_hull:
-        return ctx._with_hull[key]
+    ess = ctx.ess_region(j, resolution=res)
     pts = np.concatenate([ctx.distinct(j, d) for d in range(Dmax + 1)])
-    ess_vals = ctx.boundary_samples(j)
-    allvals = np.concatenate([pts, ess_vals]) if pts.size else ess_vals
-    x0, y0, cell = PlanarRegion._frame(allvals, res)
-    bbox = (x0, x0 + res * cell, y0, y0 + res * cell)
-    ess_region = ctx.ess_region(j, bbox=bbox, resolution=res)
-    if pts.size:
-        pt_region = PlanarRegion.from_points(pts, res, bbox=bbox, provenance="point spectrum")
-        sp_region = ess_region.union(pt_region)
-        hull_region = polynomial_hull_2d(ess_region).union(pt_region)
-    else:
-        sp_region = ess_region
-        hull_region = polynomial_hull_2d(ess_region)
-    ctx._with_hull[key] = SpectrumWithHull(
-        group=j,
+    cells = np.floor(np.stack([pts.imag - ess.y0, pts.real - ess.x0]) / ess.cell).astype(int)
+    outside = pts[((cells < 0) | (cells >= res)).any(axis=0)]
+    if outside.size:
+        raise SpectraError(f"group {j}: block eigenvalue {complex(outside[0]):.6g} lies outside "
+                           "the frame of the sampled boundary image; raise hull.ess_samples")
+    marked = np.zeros_like(ess.occ)
+    marked[tuple(cells)] = True
+    pt_region = PlanarRegion(ess.x0, ess.y0, ess.cell, marked, "point spectrum", pts)
+    sp_region = ess.union(pt_region)
+    hull_region = ctx.hulled_ess_region(j, resolution=res).union(pt_region)
+    return SpectrumWithHull(
         sp_region=sp_region,
         hull_region=hull_region,
         point_values=tuple(complex(v) for v in pts),
         extra_cells=hull_region.minus_count(sp_region),
     )
-    return ctx._with_hull[key]
 
 
 def resolution_drift_cells(base: PlanarRegion, fine: PlanarRegion) -> int:

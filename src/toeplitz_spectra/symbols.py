@@ -464,8 +464,9 @@ class QuasiRadialSymbol:
     """Bounded symbol depending only on the group radii r_1..r_m.
 
     The evaluation handle receives an (N, m) array of radii with
-    sum(r_j^2) <= 1 and must return an (N,) array.  ``terms``, the monomials
-    of a polynomial in r (see _compile_modes), make gamma closed form.
+    sum(r_j^2) <= 1 and must return an (N,) array; any other shape raises
+    SymbolError.  ``terms``, the monomials of a polynomial in r (see
+    _compile_modes), make gamma closed form.
     """
 
     m: int
@@ -477,7 +478,8 @@ class QuasiRadialSymbol:
         r = np.atleast_2d(np.asarray(r, dtype=float))
         vals = np.asarray(self.fn(r), dtype=complex)
         if vals.shape != (r.shape[0],):
-            vals = np.array([complex(self.fn(row[None, :])[0]) for row in r])
+            raise SymbolError(f"quasi-radial symbol {self.label!r} returned shape {vals.shape}, "
+                              f"not {(r.shape[0],)}")
         if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
             raise SymbolError(f"quasi-radial symbol {self.label!r} evaluated non-finite")
         return vals
@@ -768,12 +770,12 @@ def _sample_sphere_plus(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 
 
 def check_invariance(
-    c: PseudoHomogeneousSymbol, samples: int = 64, tol: float = 1e-12, seed: int = 0
+    c: PseudoHomogeneousSymbol, samples: int = 64, tol: float = 1e-12
 ) -> InvarianceReport:
     """Probe |c(s, g.t) - c(s, t)| over random (s, t, g); report the worst case."""
     if samples < 1:
         raise SymbolError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     k = c.dim
     s = _sample_sphere_plus(rng, samples, k)
     t = np.exp(2j * np.pi * rng.random((samples, k)))
@@ -788,11 +790,11 @@ def check_invariance(
     return InvarianceReport(ok=worst <= tol, worst=worst, samples=samples)
 
 
-def boundary_sanity_sample(c: PseudoHomogeneousSymbol, samples: int = 32, seed: int = 1) -> float:
-    """Max |c| over a sphere sample; finiteness stands in for the continuity flag."""
-    rng = np.random.default_rng(seed)
-    s = _sample_sphere_plus(rng, samples, c.dim)
-    t = np.exp(2j * np.pi * rng.random((samples, c.dim)))
+def boundary_sanity_sample(c: PseudoHomogeneousSymbol) -> float:
+    """Max |c| over 32 sphere samples; finiteness stands in for the continuity flag."""
+    rng = np.random.default_rng(1)
+    s = _sample_sphere_plus(rng, 32, c.dim)
+    t = np.exp(2j * np.pi * rng.random((32, c.dim)))
     with np.errstate(all="ignore"):
         vals = c(s, t)
     if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):

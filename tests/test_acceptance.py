@@ -233,7 +233,8 @@ def test_criterion_06_tensor_eigenvectors(product_models):
 def test_criterion_07_berezin_limit():
     c = profile_symbol(1, 2, "s1^2")
     radial = QuasiRadialSymbol.from_expression(1, "r1^2")
-    probe = berezin_sequence(c, 1, (0.3, 0.4), [50, 100, 200], radial_profile=radial)
+    model = AlgebraModel(cfg=PartitionConfig(k=(2,)), symbols={1: c})
+    probe = berezin_sequence(model, 1, (0.3, 0.4), [50, 100, 200], radial_profile=radial)
     errs = {d: abs(v - 0.36) for d, v in zip(probe.degrees, probe.values)}
     ok = errs[100] < 0.02 and errs[200] < errs[50]
     _report(

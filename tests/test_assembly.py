@@ -19,7 +19,9 @@ from toeplitz_spectra.assembly import (
 )
 from toeplitz_spectra.gelfand import DiagonalCoefficient, FiniteSum, assemble_finite_sum
 from toeplitz_spectra.lattice import PartitionConfig, block_indices, enumerate_kappa
-from toeplitz_spectra.quad import dirichlet_probability_rule
+from toeplitz_spectra.quad import (
+    dirichlet_probability_rule, fourier_on_points, gammaln, log_dirichlet_mass,
+)
 from toeplitz_spectra.symbols import (
     MAX_PROFILE_DEGREE,
     CallableProfile,
@@ -507,3 +509,32 @@ class TestCache:
         b = m2.block(1, 2)
         assert m2.cache.hits == 1
         assert np.allclose(b, m1.block(1, 2))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_probed_block_matches_the_per_entry_route(d):
+    # A symbol with no mode table goes through the declared-profile loop
+    # with one torus-probed profile per mode; the entries must equal, bit
+    # for bit, a Fourier coefficient per entry against the Dirichlet pair
+    # rule of that entry.
+    sym = expression_symbol(1, 2, "exp(s1) * (1 + s1*s2*(t1*conj(t2) + t2*conj(t1)))")
+    assert sym.modes is None
+    order, grid = 12, 16
+    got = assemble_block(sym, 1, d, order=order, torus_grid=grid)
+    indices = block_indices(2, d)
+    want = np.zeros_like(got)
+    for col, alpha in enumerate(indices):
+        for row, beta in enumerate(indices):
+            p = tuple(vb - va for va, vb in zip(alpha, beta))
+            exps = tuple((va + vb) / 2.0 for va, vb in zip(alpha, beta))
+            rule = dirichlet_probability_rule(exps, order)
+            chat = fourier_on_points(sym.fn, np.sqrt(rule.nodes_closed), p, grid=grid)
+            prefactor = float(
+                gammaln(d + 2)
+                - 0.5 * sum(gammaln(v + 1.0) for v in alpha)
+                - 0.5 * sum(gammaln(v + 1.0) for v in beta)
+            )
+            want[row, col] = complex(np.sum(rule.weights * chat)) * math.exp(
+                prefactor + log_dirichlet_mass(exps)
+            )
+    assert np.array_equal(got, want)

@@ -494,6 +494,16 @@ VERIFY_CHECKS = [
 ]
 
 
+@pytest.mark.parametrize("command", ["semisimple", "radical"])
+def test_semisimplicity_warnings_reach_the_report(tmp_path, command):
+    # At degree cap 0 the nilpotent family's only block is zero, so the
+    # verdict warns that it could not find a witness.
+    path = write_config(tmp_path, degree_cap=0)
+    assert main([command, "--config", str(path), "--no-cache"]) == 0
+    report = read_report(tmp_path, command)
+    assert "group 2: nilpotent family but all blocks vanish up to 0" in report["warnings"]
+
+
 def test_verify_check_list_is_pinned(tmp_path):
     # The README example config (default hull settings) at D=3.
     path = write_config(tmp_path, degree_cap=3, hull={})
@@ -508,15 +518,18 @@ TRACED_EIG = "spectra.eig_blocks"
 
 
 @pytest.mark.parametrize(
-    "command, counters",
-    [("assemble", [TRACED_BLOCKS]), ("hull", [TRACED_BLOCKS, TRACED_EIG]),
-     ("radical", [TRACED_BLOCKS, TRACED_EIG])],
-    ids=["assemble", "hull", "radical"],
+    "command, counters, rasters",
+    [("assemble", [TRACED_BLOCKS], False), ("hull", [TRACED_BLOCKS, TRACED_EIG], True),
+     ("radical", [TRACED_BLOCKS, TRACED_EIG], False),
+     ("spectrum", [TRACED_BLOCKS, TRACED_EIG], False),
+     ("gelfand", [TRACED_BLOCKS, TRACED_EIG], True)],
+    ids=["assemble", "hull", "radical", "spectrum", "gelfand"],
 )
-def test_benchmark_tracer_runs_on_the_package(tmp_path, command, counters):
+def test_benchmark_tracer_runs_on_the_package(tmp_path, command, counters, rasters):
     # perfbench/traced_cli.py wraps the package's functions from outside;
     # a change to src/ that breaks its hooks fails here.  `assemble` solves
-    # no eigenvalue problem, so it has no eig count.
+    # no eigenvalue problem, so it has no eig count; `hull` and `gelfand`
+    # rasterize boundary images, whose grids the region hooks record.
     src = Path(cli.__file__).resolve().parents[1]
     path = write_config(tmp_path, degree_cap=3, hull={})
     out = tmp_path / "traced"
@@ -527,5 +540,8 @@ def test_benchmark_tracer_runs_on_the_package(tmp_path, command, counters):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    counts = json.loads((out / "trace.json").read_text())["counts"]
+    trace = json.loads((out / "trace.json").read_text())
+    counts = trace["counts"]
     assert all(counts.get(name, 0) > 0 for name in counters), counts
+    if rasters:
+        assert trace["distinct"].get("spectra.raster_grids", 0) > 0, trace["distinct"]

@@ -331,3 +331,9 @@ def test_simplex_rule_build_matches_meshgrid_product(exponents):
         shrink = shrink * (1.0 - x[:, lvl])
     assert rule.nodes.tobytes() == u.tobytes()
     assert rule.weights.tobytes() == w.tobytes()
+
+
+def test_fourier_on_points_rejects_a_misshaped_symbol():
+    s_points = np.full((3, 2), math.sqrt(0.5))
+    with pytest.raises(QuadratureError, match=r"shape \(3,\)"):
+        fourier_on_points(lambda s, t: np.ones(3), s_points, (0, 0), grid=8)

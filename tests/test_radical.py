@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import dense, opnorm
-from toeplitz_spectra import checks
-from toeplitz_spectra.assembly import AlgebraModel
+from toeplitz_spectra import checks, radical
+from toeplitz_spectra.assembly import AlgebraModel, assemble_block
 from toeplitz_spectra.errors import RadicalError
 from toeplitz_spectra.gelfand import (
     DiagonalCoefficient,
@@ -30,6 +30,7 @@ from toeplitz_spectra.symbols import (
     QuasiRadialSymbol,
     builtin_quasi_homogeneous,
     constant_symbol,
+    expression_symbol,
     profile_symbol,
 )
 
@@ -367,3 +368,28 @@ def q_diag(model, D, j, d):
     basis alone, so that it is independent of the code under test."""
     basis = model.basis(D)
     return np.diag([float(model.cfg.kappa_of(a)[j - 1] == d) for a in basis.alphas])
+
+
+def test_indeterminate_rank_refines_at_twice_the_block_order(monkeypatch):
+    sym = expression_symbol(1, 2, "exp(s1) + s1*s2*(t1*conj(t2) + t2*conj(t1))")
+    model = AlgebraModel(cfg=PartitionConfig(k=(2,)), symbols={1: sym}, block_order=8, torus_grid=16)
+    ctx = SpectralContext(model=model)
+    original = radical.is_diagonalizable
+    scanned, refined = [], []
+
+    def flaky(mat, tol=1e-10, *, eigen=None):
+        report = original(mat, tol, eigen=eigen)
+        if eigen is None:
+            refined.append(np.array(mat))
+            return report
+        scanned.append(eigen.d)
+        if eigen.d == 2:  # report the degree-2 rank as indeterminate once
+            return dataclasses.replace(report, indeterminate=("forced",))
+        return report
+
+    monkeypatch.setattr(radical, "is_diagonalizable", flaky)
+    verdict = radical.is_semisimple(ctx, 3)
+    assert verdict.semisimple and scanned == [0, 1, 2, 3] and len(refined) == 1
+    want = assemble_block(sym, 1, 2, order=16, torus_grid=16)
+    assert refined[0].tobytes() == want.tobytes()
+    assert not np.array_equal(want, model.block(1, 2))

@@ -1,5 +1,6 @@
 import math
 import timeit
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import char_poly_coeffs
 from toeplitz_spectra.assembly import AlgebraModel, assemble_block
+from toeplitz_spectra.cli import COMMANDS, build_setup, validate_config
 from toeplitz_spectra.errors import SpectraError
 from toeplitz_spectra.lattice import PartitionConfig
 from toeplitz_spectra import spectra
@@ -151,7 +153,7 @@ class TestPlanarRegion:
     def test_hull_idempotent_and_monotone(self):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        region = PlanarRegion.from_curve(pts, 256, closed=True)
+        region = PlanarRegion.from_curve(pts, 256)
         hull = polynomial_hull_2d(region)
         assert np.all(hull.occ >= region.occ)
         assert np.array_equal(polynomial_hull_2d(hull).occ, hull.occ)
@@ -376,10 +378,14 @@ class TestEssentialSpectrum:
             essential_spectrum_estimate(sym, 64)
 
 
+def _probe_model(c) -> AlgebraModel:
+    return AlgebraModel(cfg=PartitionConfig(k=(c.dim,)), symbols={1: c})
+
+
 class TestBerezin:
     def test_constant_sequence(self):
         c = constant_symbol(1, 2, 1.0)
-        probe = berezin_sequence(c, 1, (0.3, 0.4), [1, 5, 20])
+        probe = berezin_sequence(_probe_model(c), 1, (0.3, 0.4), [1, 5, 20])
         assert np.allclose(probe.values, 1.0)
         assert max(probe.norm_devs) < 1e-12
 
@@ -387,7 +393,9 @@ class TestBerezin:
         # c(z) = |z1|^2 as radial factor r^2 times angular profile s1^2.
         c = profile_symbol(1, 2, "s1^2")
         radial = QuasiRadialSymbol.from_expression(1, "r1^2")
-        probe = berezin_sequence(c, 1, (0.3, 0.4), [50, 100, 200], radial_profile=radial)
+        probe = berezin_sequence(
+            _probe_model(c), 1, (0.3, 0.4), [50, 100, 200], radial_profile=radial
+        )
         assert probe.boundary_value == pytest.approx(0.36)
         errs = [abs(v - 0.36) for v in probe.values]
         assert errs[1] < 0.02
@@ -399,9 +407,18 @@ class TestBerezin:
     def test_degenerate_base_point(self):
         c = constant_symbol(1, 2, 1.0)
         with pytest.raises(SpectraError):
-            berezin_sequence(c, 1, (0.0, 0.0), [3])
+            berezin_sequence(_probe_model(c), 1, (0.0, 0.0), [3])
         with pytest.raises(SpectraError):
-            berezin_sequence(c, 1, (1.0, 0.3), [3])
+            berezin_sequence(_probe_model(c), 1, (1.0, 0.3), [3])
+
+    def test_probes_the_model_symbol_of_the_group(self):
+        model = AlgebraModel(
+            cfg=PartitionConfig(k=(2, 2)), symbols={2: constant_symbol(2, 2, 3.0)}
+        )
+        probe = berezin_sequence(model, 2, (0.3, 0.4), [2])
+        assert probe.boundary_value == pytest.approx(3.0)
+        with pytest.raises(SpectraError, match="group 1 has no symbol"):
+            berezin_sequence(model, 1, (0.3, 0.4), [2])
 
 
 class TestSpectrumHull:
@@ -545,3 +562,98 @@ class TestMorphology:
         assert hull[2:-2, 2:-2].all() == closed
         seconds = min(timeit.repeat(lambda: _hull_occ(occ), number=1, repeat=3))
         assert seconds < 0.1
+
+
+README_CONFIG = {
+    "partition": {"k": [1, 2], "lambda": 0.0},
+    "degree_cap": 6,
+    "quasi_radial": {"kind": "expression", "text": "1 - r1^2*r2^2"},
+    "symbols": [{"group": 2, "kind": "quasi_homogeneous", "p": [1, -1]}],
+    "radical": {"group": 2, "level": 1, "gamma": {"kind": "geometric_decay", "rate": 0.5}},
+}
+# The benchmark's expr config at seed 1.
+EXPR_CONFIG = {
+    "partition": {"k": [2, 3], "lambda": 0.5},
+    "degree_cap": 6,
+    "quasi_radial": {"kind": "expression", "text": "1 - 0.546*r1^2*r2^2"},
+    "symbols": [
+        {"group": 1, "kind": "expression", "boundary_continuous": True,
+         "text": "0.421*s1^2 + 0.969*s1*s2*(t1*conj(t2)+t2*conj(t1)) + 0.832*s2^2"},
+        {"group": 2, "kind": "profile", "text": "s1^2 + 0.995*s2*s3 + 0.329*s3^2"},
+    ],
+    "hull": {"resolution": 256, "ess_samples": 1024},
+    "radical": {"group": 1, "level": 1, "gamma": {"kind": "geometric_decay", "rate": 0.518}},
+}
+
+
+def _setup(raw, tmp_path):
+    return build_setup(validate_config(dict(raw)), no_cache=True, out=str(tmp_path))
+
+
+def _assert_point_spectrum_in_frame(ctx, D):
+    for j in range(1, ctx.cfg.m + 1):
+        region = ctx.ess_region(j)
+        side = region.resolution * region.cell
+        pts = np.concatenate([ctx.distinct(j, d) for d in range(D + 1)])
+        assert np.all((pts.real >= region.x0) & (pts.real < region.x0 + side)), j
+        assert np.all((pts.imag >= region.y0) & (pts.imag < region.y0 + side)), j
+
+
+class TestOneGrid:
+    """Every region of a group at one resolution lives on the grid framed
+    by the group's boundary image."""
+
+    @pytest.mark.parametrize("raw", [README_CONFIG, EXPR_CONFIG], ids=["readme", "expr"])
+    def test_point_spectrum_lies_in_the_boundary_frame(self, raw, tmp_path):
+        setup = _setup(raw, tmp_path)
+        _assert_point_spectrum_in_frame(setup.ctx, raw["degree_cap"])
+
+    @given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    @settings(max_examples=15, deadline=None)
+    def test_point_spectrum_of_compiled_expressions_lies_in_the_frame(self, coeffs):
+        a, b, c, e = coeffs
+        text = (f"{a}*s1^2 + {b}*s1*s2*t1*conj(t2) + {c}*s1*s2*t2*conj(t1) "
+                f"+ {e}*s2^2*(t1*conj(t2))^2")
+        sym = expression_symbol(1, 2, text, boundary_continuous=True)
+        assert sym.modes is not None
+        model = AlgebraModel(cfg=PartitionConfig(k=(2,)), symbols={1: sym})
+        _assert_point_spectrum_in_frame(
+            SpectralContext(model=model, hull_resolution=64, ess_samples=256), 6
+        )
+
+    @pytest.mark.parametrize("raw", [README_CONFIG, EXPR_CONFIG], ids=["readme", "expr"])
+    def test_boundary_image_is_rasterized_and_hulled_once(self, raw, tmp_path, monkeypatch):
+        rasters, hulls = Counter(), Counter()
+        estimate, hull = spectra.essential_spectrum_estimate, spectra.polynomial_hull_2d
+
+        def counted_estimate(c, samples=4096, *, resolution=512):
+            rasters[(c.group, resolution)] += 1
+            return estimate(c, samples, resolution=resolution)
+
+        def counted_hull(region):
+            hulls[(region.x0, region.y0, region.resolution)] += 1
+            return hull(region)
+
+        monkeypatch.setattr(spectra, "essential_spectrum_estimate", counted_estimate)
+        monkeypatch.setattr(spectra, "polynomial_hull_2d", counted_hull)
+        setup = _setup(raw, tmp_path)
+        for command in ("spectrum", "hull", "gelfand", "radical"):
+            COMMANDS[command](setup)
+        res = setup.ctx.hull_resolution
+        groups = [spec["group"] for spec in raw["symbols"]]
+        assert rasters == {(j, r): 1 for j in groups for r in (res, 2 * res)}
+        assert len(hulls) == 2 * setup.cfg.m and set(hulls.values()) == {1}
+
+    def test_point_spectrum_outside_a_coarse_frame_raises(self):
+        # For k = 3 the default sampling has 8 levels of s1^2, so it misses
+        # the peak at s1^2 = 1/2 and frames values up to about 0.006, while
+        # the degree-0 block (the mean of c over the sphere) is about 0.056.
+        sym = expression_symbol(1, 3, "exp(-1000*(s1^2-0.5)^2)", boundary_continuous=True)
+        model = AlgebraModel(cfg=PartitionConfig(k=(3,)), symbols={1: sym})
+        ctx = SpectralContext(model=model, hull_resolution=64)
+        with pytest.raises(SpectraError, match="outside the frame.*ess_samples"):
+            spectrum_with_hull(ctx, 1, 1)
+        # 9 levels per axis sample s1^2 = 1/2, and the frame holds the spectrum.
+        fine = SpectralContext(model=model, hull_resolution=64, ess_samples=9**4)
+        swh = spectrum_with_hull(fine, 1, 1)
+        assert swh.sp_region.count() >= fine.ess_region(1).count()

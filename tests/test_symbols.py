@@ -297,3 +297,9 @@ class TestCompiledExpression:
         want = complex(expr.evaluate({"s1": s[0], "s2": s[1], "t1": t[0], "t2": t[1]}))
         scale = 1.0 + sum(abs(term.coeff) for terms in table.values() for term in terms)
         assert abs(rebuilt - want) <= 1e-12 * scale
+
+
+def test_quasi_radial_symbol_rejects_a_misshaped_handle():
+    a = QuasiRadialSymbol(m=1, fn=lambda r: np.ones((r.shape[0], 2)), label="wide")
+    with pytest.raises(SymbolError, match=r"shape \(4, 2\)"):
+        a(np.full((4, 1), 0.5))
