@@ -316,8 +316,11 @@ class TruncatedOperator:
 class AlgebraModel:
     """One configured instance of the algebra: partition, symbols, orders.
 
-    Group blocks and gamma values are memoized here; the optional disk
-    cache persists blocks across runs keyed by symbol content hashes.
+    Group blocks, their powers and gamma values are memoized here; the
+    optional disk cache persists blocks across runs keyed by symbol content
+    hashes.  ``stacks`` builds the blocks of diagonal-coefficient sums of
+    generator products over a truncation, run by run of kappas that share
+    their tensor factors.
     """
 
     cfg: PartitionConfig
@@ -337,9 +340,9 @@ class AlgebraModel:
                     f"symbol for group {j} has dimension {sym.dim}, expected {self.cfg.k[j - 1]}"
                 )
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
+        self._powers: dict[tuple[int, int, int], np.ndarray] = {}
         self._gammas: dict[Index, complex] = {}
         self._bases: dict[int, GlobalBasis] = {}
-        self._kappa_mats: dict[tuple[Index, Index], np.ndarray] = {}
 
     def basis(self, D: int) -> GlobalBasis:
         if D not in self._bases:
@@ -373,24 +376,95 @@ class AlgebraModel:
             self._blocks[key] = mat
         return mat
 
-    def kappa_matrix(self, kappa: Index, rho: Index) -> np.ndarray:
-        """Tensor-product action on H_kappa of prod_j T_{c_j}^{rho_j}.
-
-        Memoized per (kappa, rho); the returned array is shared between
-        callers and therefore read-only.
-        """
-        kappa = tuple(int(v) for v in kappa)
-        rho = tuple(int(v) for v in rho)
-        mat = self._kappa_mats.get((kappa, rho))
+    def block_power(self, j: int, d: int, power: int) -> np.ndarray:
+        """``np.linalg.matrix_power`` of the group-j block on degree d;
+        memoized per (j, d, power), shared and therefore read-only."""
+        key = (j, d, power)
+        mat = self._powers.get(key)
         if mat is None:
-            mats = []
-            for j, (kap, power) in enumerate(zip(kappa, rho), start=1):
-                b = self.block(j, kap)
-                mats.append(np.linalg.matrix_power(b, power) if power != 1 else b)
-            mat = reduce(np.kron, mats)
-            mat.flags.writeable = False
-            self._kappa_mats[(kappa, rho)] = mat
+            mat = self.block(j, d)
+            if power != 1:
+                mat = np.linalg.matrix_power(mat, power)
+                mat.flags.writeable = False
+            self._powers[key] = mat
         return mat
+
+    def stacks(self, D: int, term_lists, *, skip_vanishing: bool = False):
+        """Blocks of sum_t gamma_t T_1^{rho_t1} ... T_m^{rho_tm} on the cap-D
+        truncation, for each list of (gamma_t, rho_t) terms: the terms of a
+        ``gelfand.FiniteSum``, whose diagonal coefficients gamma_t are each
+        evaluated once, as one array over ``basis(D).kappas``.
+
+        On H_kappa the generator product is the tensor product of the block
+        powers B_{j,kappa_j}^{rho_j}, group 1 slowest.  Kappas whose blocks
+        share every factor form a run, and each term is applied to a run at
+        once: the product of its non-identity factors (``np.kron`` in group
+        order, a 1 x 1 factor a scalar), times the run's values broadcast
+        over it, added onto the diagonal axes of its identity factors (a
+        group without symbol, or power 0) in a strided view of the run's
+        blocks.  Each entry is thus the value times the entry of the full
+        ``np.kron`` (the identity factors contribute exact ones and zeros),
+        summed onto zeros in term order, bit for bit as per kappa.  A term
+        that vanishes on a run is skipped, which adds only zeros.
+
+        Yields (kappas, stacks) per run, kappas in basis order, with
+        stacks[i] the (len(kappas), N, N) array of term_lists[i]'s blocks;
+        with ``skip_vanishing`` it is None where every term vanishes.
+        """
+        basis = self.basis(D)
+        karr, memo = np.array(basis.kappas), {}
+        evaluated = [[(g.values(karr, memo), rho) for g, rho in terms] for terms in term_lists]
+        active = {
+            j for j in self.symbols
+            if any(rho[j - 1] for terms in term_lists for _, rho in terms)
+        }
+        runs: dict[tuple, list[int]] = {}
+        for i, kappa in enumerate(basis.kappas):
+            # Groups that some term raises are keyed by degree, the others
+            # (identity factors throughout) by block size alone.
+            key = tuple(
+                kap if j in active else len(block_indices(kj, kap))
+                for j, (kj, kap) in enumerate(zip(self.cfg.k, kappa), start=1)
+            )
+            runs.setdefault(key, []).append(i)
+        for idx in runs.values():
+            kappa = basis.kappas[idx[0]]
+            dims = [len(block_indices(kj, kap)) for kj, kap in zip(self.cfg.k, kappa)]
+            n = math.prod(dims)
+            stacks = []
+            for terms in evaluated:
+                stack = None if skip_vanishing else np.zeros((len(idx), n, n), dtype=complex)
+                for vals, rho in terms:
+                    if np.any(run_vals := vals[idx]):
+                        if stack is None:
+                            stack = np.zeros((len(idx), n, n), dtype=complex)
+                        self._add_tensor(stack, kappa, dims, rho, run_vals)
+                stacks.append(stack)
+            yield [basis.kappas[i] for i in idx], stacks
+
+    def _add_tensor(self, stack, kappa: Index, dims, rho: Index, vals: np.ndarray):
+        """stack[g] += vals[g] * (B_{1,kappa_1}^{rho_1} kron ... kron B_{m,kappa_m}^{rho_m})."""
+        n = stack.shape[1]
+        # Bytes of one step along group j's index within a row or a column.
+        after = [math.prod(dims[j + 1:]) * stack.itemsize for j in range(len(dims))]
+        act = [j for j in range(len(dims)) if rho[j] and j + 1 in self.symbols]
+        ident = [j for j in range(len(dims)) if j not in act]
+        # Axes: the run, the diagonal of each identity group, then the row
+        # and the column index of each other group, in kron layout.
+        shape = [len(vals)] + [dims[j] for j in ident] + [dims[j] for j in act] * 2
+        strides = ([stack.strides[0]] + [(n + 1) * after[j] for j in ident]
+                   + [n * after[j] for j in act] + [after[j] for j in act])
+        view = np.lib.stride_tricks.as_strided(stack, shape, strides)
+        lead = vals.reshape([len(vals)] + [1] * (len(shape) - 1))
+        if not act:
+            view += lead
+            return
+        factors = [self.block_power(j + 1, kappa[j], rho[j]) for j in act]
+        # Both operands have view's ndim: numpy multiplies a one-element
+        # broadcast across unequal ndims without fused multiply-adds, unlike
+        # the scalar-times-block product this reproduces.
+        tensor = reduce(np.kron, factors).reshape([1] * (1 + len(ident)) + shape[1 + len(ident):])
+        view += lead * tensor
 
 
 # ---------------------------------------------------------------------------

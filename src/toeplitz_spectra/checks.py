@@ -160,12 +160,10 @@ def tensor_eigenvectors(model: AlgebraModel, D: int) -> list[dict]:
     of the generators on every H_kappa with |kappa| <= D."""
     m = model.cfg.m
     worst = 0.0
+    ops = [assemble_finite_sum(FiniteSum.generator(m, j), model, D) for j in range(1, m + 1)]
     for kappa in model.basis(D).kappas:
         eigs = [np.linalg.eig(model.block(j, kappa[j - 1])) for j in range(1, m + 1)]
-        gens = [
-            model.kappa_matrix(kappa, tuple(1 if i == j else 0 for i in range(1, m + 1)))
-            for j in range(1, m + 1)
-        ]
+        gens = [op.blocks[kappa] for op in ops]
         for combo in np.ndindex(*[len(w) for w, _ in eigs]):
             g = eigs[0][1][:, combo[0]]
             for j in range(1, m):
@@ -247,9 +245,9 @@ def random_finite_sum(
     kappas = enumerate_kappa(cfg, cap)
     for _ in range(count):
         rho = tuple(int(rng.integers(0, 3)) for _ in range(cfg.m))
-        table = {
-            kappa: complex(rng.standard_normal(), rng.standard_normal()) for kappa in kappas
-        }
+        # one draw of 2K normals is the stream of K (real, imag) pairs
+        z = rng.standard_normal(2 * len(kappas)).tolist()
+        table = dict(zip(kappas, map(complex, z[0::2], z[1::2])))
         total = total + FiniteSum.term(cfg.m, DiagonalCoefficient.from_table(table), rho)
     return total
 

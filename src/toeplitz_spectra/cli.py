@@ -283,9 +283,24 @@ def _fill_defaults(raw: dict) -> dict:
     return cfg
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError(f"config holds {text}, which is not a finite number")
+    return value
+
+
+def _not_a_number(name: str):
+    raise ConfigError(f"config holds {name}, which is not a finite number")
+
+
 def load_config(path: str | Path) -> dict:
+    """The validated config of a JSON file; NaN and infinities (also as an
+    overflowing literal such as 1e999) are refused while parsing."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(
+            Path(path).read_text(), parse_float=_finite_number, parse_constant=_not_a_number
+        )
     except FileNotFoundError:
         raise ConfigError(f"config file {path} not found")
     except json.JSONDecodeError as exc:
@@ -700,9 +715,7 @@ def _radical_gamma(spec: dict, j: int) -> DiagonalCoefficient:
         rate = float(number("rate", 0.5))
         if not 0 <= rate < 1:
             raise ConfigError(f"decay rate must be in [0,1), got {rate}")
-        return DiagonalCoefficient.from_callable(
-            lambda kappa, _r=rate, _j=j: _r ** kappa[_j - 1], label=f"{rate}^k{j}"
-        )
+        return DiagonalCoefficient.geometric_decay(j, rate)
     raise ConfigError(f"unknown radical gamma kind {kind!r}")
 
 

@@ -37,62 +37,112 @@ from .spectra import PlanarRegion, SpectralContext
 @dataclass(frozen=True, eq=False)
 class DiagonalCoefficient:
     """A bounded diagonal operator from the quasi-radial algebra, viewed as a
-    function gamma(kappa) on Z_+^m."""
+    function gamma(kappa) on Z_+^m, held as data: a closed kind (``const``;
+    ``degree``, a function of one group degree kappa_j, as are
+    ``indicator_degree``, ``geometric_decay`` and per-degree tables;
+    ``callable``, opaque and memoized per kappa, as is a table over kappa),
+    or a ``sum`` (of the terms ``FiniteSum`` merges) or ``prod`` (``*``).
 
-    fn: Callable
-    label: str
+    ``values`` evaluates it over a list of kappas as one array, bit for bit
+    as the scalar ``__call__``: products as the real/imaginary splits of
+    Python's complex product (numpy's complex multiply may fuse them), sums
+    from left to right onto zero, and a ``degree`` kind in Python once per
+    distinct degree (``rate ** kappa_j`` by libm's pow, not ``np.power``).
+    """
+
+    kind: str
+    args: tuple
+    name: str = ""
+
+    @property
+    def label(self) -> str:
+        if self.kind in ("sum", "prod"):
+            parts = [g.label for g in self.args]
+            return "+".join(parts) if self.kind == "sum" else "({})({})".format(*parts)
+        return self.name or repr(self.args[0])
+
+    def __mul__(self, other: "DiagonalCoefficient") -> "DiagonalCoefficient":
+        return DiagonalCoefficient("prod", (self, other))
 
     def __call__(self, kappa: Index) -> complex:
-        val = complex(self.fn(tuple(int(v) for v in kappa)))
-        if not np.isfinite(val.real) or not np.isfinite(val.imag):
+        kappa = tuple(int(v) for v in kappa)
+        if not np.isfinite(val := self._at(kappa)):
             raise GelfandError(f"diagonal coefficient {self.label!r} non-finite at {kappa}")
         return val
 
+    def _at(self, kappa: Index) -> complex:
+        kind, args = self.kind, self.args
+        if kind == "const":
+            return args[0]
+        if kind == "degree":
+            return complex(args[1](kappa[args[0] - 1]))
+        if kind == "callable":
+            if kappa not in args[1]:
+                args[1][kappa] = complex(args[0](kappa))
+            return args[1][kappa]
+        if kind == "sum":
+            return sum(g._at(kappa) for g in args)
+        return args[0]._at(kappa) * args[1]._at(kappa)
+
+    def values(self, kappas: np.ndarray, memo: dict | None = None) -> np.ndarray:
+        """gamma at each row of the (K, m) integer array ``kappas``; subterms
+        shared within one ``memo`` are evaluated once."""
+        memo = {} if memo is None else memo
+        if id(self) in memo:
+            return memo[id(self)]
+        kind, args = self.kind, self.args
+        if kind == "const":
+            out = np.full(len(kappas), args[0])
+        elif kind == "degree":
+            degrees, where = np.unique(kappas[:, args[0] - 1], return_inverse=True)
+            out = np.array([complex(args[1](d)) for d in degrees.tolist()], dtype=complex)[where]
+        elif kind == "sum":
+            out = np.zeros(len(kappas), dtype=complex)
+            for g in args:
+                out = out + g.values(kappas, memo)
+        elif kind == "prod":
+            a, b = (g.values(kappas, memo) for g in args)
+            out = np.empty(len(kappas), dtype=complex)
+            with np.errstate(all="ignore"):  # an overflow is reported below
+                out.real = a.real * b.real - a.imag * b.imag
+                out.imag = a.real * b.imag + a.imag * b.real
+        else:
+            out = np.array([self._at(k) for k in map(tuple, kappas.tolist())], dtype=complex)
+        if not np.all(np.isfinite(out)):
+            kappa = tuple(kappas[np.argmin(np.isfinite(out))].tolist())
+            raise GelfandError(f"diagonal coefficient {self.label!r} non-finite at {kappa}")
+        memo[id(self)] = out
+        return out
+
     @classmethod
     def constant(cls, value: complex = 1.0) -> "DiagonalCoefficient":
-        value = complex(value)
-        return cls(fn=lambda kappa: value, label=f"{value!r}")
+        return cls("const", (complex(value),))
+
+    @classmethod
+    def degree_table(cls, j: int, table: dict, label: str) -> "DiagonalCoefficient":
+        """gamma(kappa) = table[kappa_j], zero off the table."""
+        frozen = {int(d): complex(v) for d, v in table.items()}
+        return cls("degree", (j, lambda kj: frozen.get(kj, 0j)), label)
 
     @classmethod
     def indicator_degree(cls, j: int, d: int) -> "DiagonalCoefficient":
         """gamma(kappa) = 1 iff kappa_j = d; this is the mask of Q_d^(j)."""
-        return cls(
-            fn=lambda kappa: 1.0 if kappa[j - 1] == d else 0.0,
-            label=f"[k{j}={d}]",
-        )
+        return cls.degree_table(j, {d: 1.0}, f"[k{j}={d}]")
+
+    @classmethod
+    def geometric_decay(cls, j: int, rate: float) -> "DiagonalCoefficient":
+        """gamma(kappa) = rate ** kappa_j."""
+        return cls("degree", (j, lambda kj: rate**kj), f"{rate}^k{j}")
 
     @classmethod
     def from_table(cls, table: dict) -> "DiagonalCoefficient":
         """gamma(kappa) = table[kappa], zero off the table."""
         frozen = {tuple(k): complex(v) for k, v in table.items()}
-        return cls(fn=lambda kappa: frozen.get(kappa, 0j), label="table")
+        return cls.from_callable(lambda kappa: frozen.get(kappa, 0j), "table")
 
     @classmethod
     def from_callable(cls, fn: Callable, label: str) -> "DiagonalCoefficient":
-        return cls(fn=fn, label=label)
-
-    def scaled(self, factor: complex) -> "DiagonalCoefficient":
-        factor = complex(factor)
-        return DiagonalCoefficient(
-            fn=lambda kappa, _s=self: factor * _s(kappa),
-            label=f"{factor!r}*{self.label}",
-        )
-
-
-def _coeff_product(a: DiagonalCoefficient, b: DiagonalCoefficient) -> DiagonalCoefficient:
-    return DiagonalCoefficient(
-        fn=lambda kappa, _a=a, _b=b: _a(kappa) * _b(kappa),
-        label=f"({a.label})({b.label})",
-    )
-
-
-def _coeff_sum(parts: list[DiagonalCoefficient]) -> DiagonalCoefficient:
-    if len(parts) == 1:
-        return parts[0]
-    return DiagonalCoefficient(
-        fn=lambda kappa, _p=tuple(parts): sum(g(kappa) for g in _p),
-        label="+".join(g.label for g in parts),
-    )
+        return cls("callable", (fn, {}), label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,16 +179,13 @@ class FiniteSum:
         return cls(m=m, terms=((gamma, tuple(int(v) for v in rho)),))
 
     def _merged(self, raw: list[tuple[DiagonalCoefficient, Index]]) -> "FiniteSum":
+        """Terms of equal power summed, in the order powers are first seen."""
         by_rho: dict[Index, list[DiagonalCoefficient]] = {}
-        order: list[Index] = []
         for gamma, rho in raw:
-            if rho not in by_rho:
-                by_rho[rho] = []
-                order.append(rho)
-            by_rho[rho].append(gamma)
-        return FiniteSum(
-            m=self.m, terms=tuple((_coeff_sum(by_rho[r]), r) for r in order)
-        )
+            by_rho.setdefault(rho, []).append(gamma)
+        parts = (gs[0] if len(gs) == 1 else DiagonalCoefficient("sum", tuple(gs))
+                 for gs in by_rho.values())
+        return FiniteSum(m=self.m, terms=tuple(zip(parts, by_rho)))
 
     def __add__(self, other: "FiniteSum") -> "FiniteSum":
         if self.m != other.m:
@@ -149,11 +196,8 @@ class FiniteSum:
         return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "FiniteSum":
-        scalar = complex(scalar)
-        return FiniteSum(
-            m=self.m,
-            terms=tuple((g.scaled(scalar), rho) for g, rho in self.terms),
-        )
+        factor = DiagonalCoefficient.constant(scalar)
+        return FiniteSum(m=self.m, terms=tuple((factor * g, rho) for g, rho in self.terms))
 
     def __mul__(self, other: "FiniteSum") -> "FiniteSum":
         """Symbolic expansion: gammas multiply pointwise, powers add."""
@@ -161,27 +205,20 @@ class FiniteSum:
             return complex(other) * self
         if self.m != other.m:
             raise GelfandError("cannot multiply sums over different group counts")
-        raw = []
-        for ga, ra in self.terms:
-            for gb, rb in other.terms:
-                raw.append((_coeff_product(ga, gb), tuple(x + y for x, y in zip(ra, rb))))
-        return self._merged(raw)
+        return self._merged([
+            (ga * gb, tuple(x + y for x, y in zip(ra, rb)))
+            for ga, ra in self.terms for gb, rb in other.terms
+        ])
 
 
 def assemble_finite_sum(A: FiniteSum, model: AlgebraModel, D: int) -> TruncatedOperator:
-    """Materialize a finite sum on the cap-D truncation, block by block."""
+    """Materialize a finite sum on the cap-D truncation, blocks in basis order
+    (``AlgebraModel.stacks``)."""
     if A.m != model.cfg.m:
         raise GelfandError(f"sum has m={A.m}, model has m={model.cfg.m}")
-    basis = model.basis(D)
-    blocks = {}
-    for kappa in basis.kappas:
-        size = basis.slice_of(kappa)
-        dim = size.stop - size.start
-        acc = np.zeros((dim, dim), dtype=complex)
-        for gamma, rho in A.terms:
-            acc += gamma(kappa) * model.kappa_matrix(kappa, rho)
-        blocks[kappa] = acc
-    return TruncatedOperator(basis, blocks)
+    runs = model.stacks(D, [A.terms])
+    blocks = {k: b for kappas, (stack,) in runs for k, b in zip(kappas, stack)}
+    return TruncatedOperator(model.basis(D), {k: blocks[k] for k in model.basis(D).kappas})
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +245,8 @@ class GelfandPoint:
 
 
 def evaluate_gelfand(A: FiniteSum, point: GelfandPoint) -> complex:
-    """sum_rho gamma_rho(mu) zeta^rho; exact on the theta = 1 stratum.
-
-    Surrogate points evaluate the diagonal coefficients at the finite
-    directive degree, a labeled heuristic.
-    """
+    """sum_rho gamma_rho(mu) zeta^rho; exact on the theta = 1 stratum, a
+    labeled heuristic at the finite directive degree of surrogate points."""
     if A.m != len(point.theta):
         raise GelfandError("sum and point have different group counts")
     total = 0.0 + 0.0j
@@ -227,18 +261,11 @@ def evaluate_gelfand(A: FiniteSum, point: GelfandPoint) -> complex:
 
 def _region_zeta_choices(region: PlanarRegion, limit: int) -> np.ndarray:
     centers = region.occupied_cell_centers()
-    if centers.size <= limit:
-        return centers
-    stride = int(np.ceil(centers.size / limit))
-    return centers[::stride][:limit]
+    return centers[:: max(1, int(np.ceil(centers.size / limit)))][:limit]
 
 
 def sample_ideal_space(
-    ctx: SpectralContext,
-    Dmax: int,
-    budget: int = 1000,
-    *,
-    K_sur: int = 10_000,
+    ctx: SpectralContext, Dmax: int, budget: int = 1000, *, K_sur: int = 10_000,
     zeta_per_region: int = 8,
 ) -> list[GelfandPoint]:
     """Deterministic sample of the maximal ideal space.
@@ -249,55 +276,31 @@ def sample_ideal_space(
     """
     if budget < 1:
         raise GelfandError("budget must be at least 1")
-    cfg = ctx.cfg
-    m = cfg.m
-    points: list[GelfandPoint] = []
-
-    for kappa in enumerate_kappa(cfg, Dmax):
-        spectra = [ctx.distinct(j, kappa[j - 1]) for j in range(1, m + 1)]
-        for combo in product(*spectra):
-            points.append(
-                GelfandPoint(
-                    theta=(1,) * m,
-                    kappa_theta=kappa,
-                    mu_kappa=kappa,
-                    zeta=tuple(complex(z) for z in combo),
-                    surrogate=False,
-                )
-            )
-
+    m = ctx.cfg.m
+    points = [
+        GelfandPoint((1,) * m, kappa, kappa, tuple(complex(z) for z in combo), False)
+        for kappa in enumerate_kappa(ctx.cfg, Dmax)
+        for combo in product(*(ctx.distinct(j, kappa[j - 1]) for j in range(1, m + 1)))
+    ]
     region_choices: dict[int, np.ndarray] = {}
     surrogate_count = 0
-    thetas = [t for t in product((0, 1), repeat=m) if t != (1,) * m]
-    for theta in thetas:
+    for theta in [t for t in product((0, 1), repeat=m) if t != (1,) * m]:
         jfin = [j for j in range(1, m + 1) if theta[j - 1] == 1]
-        jinf = [j for j in range(1, m + 1) if theta[j - 1] == 0]
-        for j in jinf:
-            if j not in region_choices:
+        for j in range(1, m + 1):
+            if theta[j - 1] == 0 and j not in region_choices:
                 region = ctx.hulled_ess_region(j)
                 region_choices[j] = _region_zeta_choices(region, zeta_per_region)
-        finite_tuples = enumerate_kappa(len(jfin), Dmax) if jfin else [()]
-        for kt in finite_tuples:
-            mu = [K_sur] * m
-            for idx, j in enumerate(jfin):
-                mu[j - 1] = kt[idx]
-            choices = []
-            for j in range(1, m + 1):
-                if theta[j - 1] == 1:
-                    choices.append(list(ctx.distinct(j, mu[j - 1])))
-                else:
-                    choices.append(list(region_choices[j]))
+        for kt in enumerate_kappa(len(jfin), Dmax) if jfin else [()]:
+            mu = [dict(zip(jfin, kt)).get(j, K_sur) for j in range(1, m + 1)]
+            choices = [
+                list(ctx.distinct(j, mu[j - 1])) if theta[j - 1] else list(region_choices[j])
+                for j in range(1, m + 1)
+            ]
             for combo in product(*choices):
                 if surrogate_count >= budget:
                     return points
                 points.append(
-                    GelfandPoint(
-                        theta=theta,
-                        kappa_theta=kt,
-                        mu_kappa=tuple(mu),
-                        zeta=tuple(complex(z) for z in combo),
-                        surrogate=True,
-                    )
+                    GelfandPoint(theta, kt, tuple(mu), tuple(complex(z) for z in combo), True)
                 )
                 surrogate_count += 1
     return points
@@ -306,17 +309,13 @@ def sample_ideal_space(
 def validate_gelfand_point(ctx: SpectralContext, point: GelfandPoint) -> bool:
     """Re-check the membership invariants of a sampled functional: an
     escaped coordinate may lie up to two cells off the hulled region."""
-    for idx, j in enumerate(range(1, len(point.theta) + 1)):
-        zj = point.zeta[idx]
-        if point.theta[idx] == 1:
-            spec = ctx.distinct(j, point.mu_kappa[idx])
-            tol = max(ctx.eigen(j, point.mu_kappa[idx]).cluster_tol, 1e-12)
-            if not np.any(np.abs(spec - zj) <= 10 * tol):
+    for j, (zj, finite, mu) in enumerate(zip(point.zeta, point.theta, point.mu_kappa), 1):
+        if finite:
+            tol = max(ctx.eigen(j, mu).cluster_tol, 1e-12)
+            if not np.any(np.abs(ctx.distinct(j, mu) - zj) <= 10 * tol):
                 return False
-        else:
-            region = ctx.hulled_ess_region(j)
-            if not region.contains_point(zj, slack_cells=2):
-                return False
+        elif not ctx.hulled_ess_region(j).contains_point(zj, slack_cells=2):
+            return False
     return True
 
 

@@ -16,8 +16,9 @@ tensor-product convention of numpy.kron).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -149,20 +150,23 @@ class GlobalBasis:
         self.cfg = cfg
         self.cap = cap
         self.kappas: list[Index] = enumerate_kappa(cfg, cap)
-        alphas: list[Index] = []
         offsets: dict[Index, tuple[int, int]] = {}
+        start = 0
         for kappa in self.kappas:
-            start = len(alphas)
-            group_bases = [block_indices(kj, kap) for kj, kap in zip(cfg.k, kappa)]
-            for combo in product(*group_bases):
-                alphas.append(cfg.join(combo))
-            offsets[kappa] = (start, len(alphas) - start)
-        self.alphas: tuple[Index, ...] = tuple(alphas)
+            size = math.prod(len(block_indices(kj, kap)) for kj, kap in zip(cfg.k, kappa))
+            offsets[kappa] = (start, size)
+            start += size
+        self.dim = start
         self._offsets = offsets
 
-    @property
-    def dim(self) -> int:
-        return len(self.alphas)
+    @cached_property
+    def alphas(self) -> tuple[Index, ...]:
+        """The basis multi-indices in order; built on first use."""
+        return tuple(
+            self.cfg.join(combo)
+            for kappa in self.kappas
+            for combo in product(*(block_indices(kj, kap) for kj, kap in zip(self.cfg.k, kappa)))
+        )
 
     def slice_of(self, kappa: Index) -> slice:
         try:

@@ -251,10 +251,7 @@ def radical_generator(
                 tables.setdefault(power, {})[d] = complex(coef)
     terms = []
     for power, table in tables.items():
-        coeff = DiagonalCoefficient.from_callable(
-            lambda kappa, _t=table: gamma(kappa) * _t.get(kappa[j - 1], 0.0),
-            label=f"({gamma.label})c[k{j},{power}]",
-        )
+        coeff = gamma * DiagonalCoefficient.degree_table(j, table, f"c[k{j},{power}]")
         terms.append((coeff, tuple(power if i == j else 0 for i in range(1, m + 1))))
     total = FiniteSum(m=m, terms=tuple(terms))
     op = assemble_finite_sum(total, ctx.model, Dmax)
@@ -279,13 +276,27 @@ def radical_generator(
 
 
 def power_norm_sequence(op: TruncatedOperator, kmax: int = 6) -> list[float]:
-    """||G^k||_F^{1/k} for k = 1..kmax; non-increasing for quasi-nilpotent G."""
+    """||G^k||_F^{1/k} for k = 1..kmax; non-increasing for quasi-nilpotent G.
+
+    G^k is block-diagonal too: the blocks of one shape are raised together,
+    as one stacked matmul (the same product per block), and their squared
+    norms add up in basis order, as ``TruncatedOperator.fro`` adds them.
+    """
+    blocks = list(op.blocks.values())
+    squares = np.zeros((len(blocks), kmax))
+    by_shape: dict[tuple, list[int]] = {}
+    for i, block in enumerate(blocks):
+        by_shape.setdefault(block.shape, []).append(i)
+    for idx in by_shape.values():
+        stack = np.stack([blocks[i] for i in idx])
+        current = stack
+        for k in range(kmax):
+            if k:
+                current = current @ stack
+            squares[idx, k] = np.sum(np.abs(current) ** 2, axis=(1, 2))
     out = []
-    current = op
     for k in range(1, kmax + 1):
-        if k > 1:
-            current = current @ op
-        nrm = current.fro()
+        nrm = math.sqrt(sum(squares[:, k - 1].tolist()))
         out.append(nrm ** (1.0 / k) if nrm > 0 else 0.0)
     return out
 
@@ -318,23 +329,34 @@ class DivisionParts:
     def reconstruction_residual(self, model, D: int) -> float:
         """Frobenius norm of Q_d A_hat - sum_l S_l_hat h_l(T_hat_j).
 
-        Every operand is block-diagonal over H_kappa, so h_l(T_j) is applied
-        block by block and no N x N matrix is formed.
+        Every operand is block-diagonal over H_kappa and is built run by run
+        of kappas that share their tensor factors (``AlgebraModel.stacks``), so
+        h_l(T_j) is formed once per run, that is once per degree of group j
+        when the other groups' blocks are scalars, and no N x N matrix and
+        no whole truncated operator is formed.  Runs on which every part
+        vanishes contribute zeros.
         """
-        lhs = assemble_finite_sum(self.q_d_times_a, model, D)
-        tj = assemble_finite_sum(FiniteSum.generator(model.cfg.m, self.group), model, D)
-        rhs = assemble_finite_sum(self.s_parts[0], model, D)
-        for level in range(1, self.n + 1):
-            h = self.h_polys[level - 1]
-            h_op = TruncatedOperator(tj.basis, {k: h.at_matrix(b) for k, b in tj.blocks.items()})
-            rhs = rhs + assemble_finite_sum(self.s_parts[level], model, D) @ h_op
-        diff = lhs - rhs
+        basis = model.basis(D)
+        sizes = [(s.stop - s.start) ** 2 for s in map(basis.slice_of, basis.kappas)]
+        starts = dict(zip(basis.kappas, np.cumsum([0] + sizes[:-1]).tolist()))
         # The blocks' entries in basis order are the nonzero entries of the
         # N x N difference in row-major order; norming them as one vector
         # keeps the reduction order, and so the payload bits, of the dense
         # formulation (per-block sums move the last bit of this roundoff-level
         # value on some configs).
-        flat = np.concatenate([diff.blocks[k].ravel() for k in diff.basis.kappas])
+        flat = np.zeros(sum(sizes), dtype=complex)
+        sums = [self.q_d_times_a, FiniteSum.generator(model.cfg.m, self.group), *self.s_parts]
+        runs = model.stacks(D, [A.terms for A in sums], skip_vanishing=True)
+        for kappas, (lhs, tj, *s_parts) in runs:
+            if lhs is None and all(stack is None for stack in s_parts):
+                continue
+            lhs, *s_parts = (np.zeros_like(tj) if s is None else s for s in (lhs, *s_parts))
+            h_mats = [h.at_matrix(tj[0]) for h in self.h_polys]
+            for i, kappa in enumerate(kappas):
+                rhs = s_parts[0][i]
+                for level in range(1, self.n + 1):
+                    rhs = rhs + s_parts[level][i] @ h_mats[level - 1]
+                flat[starts[kappa]:starts[kappa] + rhs.size] = (lhs[i] - rhs).ravel()
         return float(np.linalg.norm(flat))
 
 

@@ -130,7 +130,8 @@ def describe_difference(pinned, got) -> str:
             dev = abs(a - b) if math.isfinite(a) and math.isfinite(b) else math.inf
             if where is None or dev > worst:
                 worst, where = dev, p
-    text = f"first difference at {first}: {old.get(first, '<absent>')!r} -> {new.get(first, '<absent>')!r}"
+    before, after = old.get(first, "<absent>"), new.get(first, "<absent>")
+    text = f"first difference at {first}: {before!r} -> {after!r}"
     if where is not None:
         text += f"; largest numeric deviation {worst:.3e} at {where}"
     return text

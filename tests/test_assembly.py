@@ -278,26 +278,43 @@ class TestTruncated:
             assert np.allclose(op.blocks[kappa], want)
 
     def test_kappa_matrix_memo_is_read_only_and_exact(self):
-        cfg = PartitionConfig(k=(2, 3), lam=0.5)
-        model = AlgebraModel(
-            cfg=cfg,
-            symbols={
-                1: builtin_quasi_homogeneous(1, (1, -1)),
-                2: profile_symbol(2, 3, "s1^2 + 0.5*s2*s3"),
-            },
+        # Block powers are memoized per (j, d, power) and shared read-only;
+        # a tensor block of a finite sum is its coefficient times the kron
+        # of the block powers, summed onto zeros, bit for bit.  k=(1,1,2)
+        # has a 1 x 1 symbol block, a group without symbol and runs of
+        # several kappas per block shape.
+        for k in [(2, 3), (1, 1, 2)]:
+            self._check_memo_and_tensor_blocks(k)
+
+    def _check_memo_and_tensor_blocks(self, k):
+        cfg = PartitionConfig(k=k, lam=0.5)
+        symbols = (
+            {1: builtin_quasi_homogeneous(1, (1, -1)), 2: profile_symbol(2, 3, "s1^2 + 0.5*s2*s3")}
+            if k == (2, 3) else
+            {1: constant_symbol(1, 1, 0.5 + 0.25j), 3: profile_symbol(3, 2, "s1^2 + 0.5*s1*s2")}
         )
-        for kappa in [(0, 0), (2, 1), (1, 3)]:
-            for rho in [(1, 1), (0, 1), (2, 1), (1, 0)]:
-                first = model.kappa_matrix(kappa, rho)
-                assert model.kappa_matrix(kappa, rho) is first
+        model = AlgebraModel(cfg=cfg, symbols=symbols)
+        for j in symbols:
+            for d, power in [(0, 0), (2, 1), (3, 2), (1, 3)]:
+                first = model.block_power(j, d, power)
+                assert model.block_power(j, d, power) is first
                 assert not first.flags.writeable
                 with pytest.raises(ValueError):
                     first[0, 0] = 1.0
+                fresh = np.linalg.matrix_power(model.block(j, d), power)
+                assert first.tobytes() == fresh.tobytes()
+        gamma = DiagonalCoefficient.constant(0.3 - 0.7j)
+        for rho in [(1,) * cfg.m, (0,) * (cfg.m - 1) + (1,), (2,) + (1,) * (cfg.m - 1),
+                    (1,) + (0,) * (cfg.m - 1)]:
+            op = assemble_finite_sum(FiniteSum.term(cfg.m, gamma, rho), model, 4)
+            for kappa in op.basis.kappas:
                 fresh = reduce(np.kron, [
                     np.linalg.matrix_power(model.block(j, kappa[j - 1]), rho[j - 1])
-                    for j in (1, 2)
+                    for j in range(1, cfg.m + 1)
                 ])
-                assert first.tobytes() == fresh.tobytes()
+                want = np.zeros_like(fresh)
+                want += (0.3 - 0.7j) * fresh
+                assert op.blocks[kappa].tobytes() == want.tobytes(), (rho, kappa)
 
     def test_full_matrix_against_ball_oracle(self):
         # n=2, k=(1,1), D=2: entries vs brute-force tensor quadrature.

@@ -28,7 +28,7 @@ def test_quadrature_doubling_uses_the_model_torus_grid(monkeypatch):
 
 
 def _cumulative_indicator(cls, j, d):
-    return cls(fn=lambda kappa: 1.0 if kappa[j - 1] >= d else 0.0, label=f"[k{j}>={d}]")
+    return cls.from_callable(lambda kappa: 1.0 if kappa[j - 1] >= d else 0.0, f"[k{j}>={d}]")
 
 
 # (1, 2) is one of the acceptance suite's CONFIG_KS.

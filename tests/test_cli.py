@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -68,6 +69,28 @@ def test_schema_rejects_bad_partition(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"partition": {"k": [2, 1]}}))
     assert main(["assemble", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("spectrum", {"eig_tol": math.inf}),
+        ("radical", {"partition": {"k": [1, 2], "lambda": math.inf}}),
+        ("radical", {"eig_tol": math.nan}),
+        ("spectrum", {"symbols": [{"group": 2, "kind": "constant", "value": math.nan}]}),
+        ("spectrum", {"eig_tol": "1e999"}),
+    ],
+    ids=["eig_tol-inf", "lambda-inf", "eig_tol-nan", "constant-nan", "eig_tol-overflow"],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, overrides):
+    # json.dumps writes bare NaN and Infinity, which json.loads accepts.
+    path = write_config(tmp_path, **overrides)
+    path.write_text(path.read_text().replace('"1e999"', "1e999"))
+    assert main([command, "--config", str(path), "--no-cache"]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "ConfigError"
+    assert "not a finite number" in err["message"]
+    assert not (tmp_path / "out" / f"report_{command}.json").exists()
 
 
 def test_schema_rejects_duplicate_group(tmp_path):
@@ -419,6 +442,34 @@ def test_radical_never_densifies(tmp_path):
     assert main(["radical", "--config", str(path), "--no-cache"]) == 0
     payload = read_report(tmp_path, "radical")["payload"]
     assert max(payload["reconstruction_residuals"]) < 1e-9
+
+
+def test_radical_memory_is_bounded(tmp_path):
+    # The README example at D=40, in a fresh process that reads its own peak
+    # RSS after the command: block powers, residual differences and power
+    # norms are formed run by run, so no per-(kappa, rho) tensor block is
+    # kept.  A memo of those blocks took about 110 MB here.  The peak is
+    # VmHWM of the process's own address space: ru_maxrss would keep the
+    # peak of the test process that spawned it.
+    path = write_config(tmp_path, degree_cap=40, hull={})
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from toeplitz_spectra.cli import main\n"
+        "rc = main(['radical', '--config', sys.argv[1], '--no-cache', '--threads', '1'])\n"
+        "status = Path('/proc/self/status').read_text().splitlines()\n"
+        "print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+        "sys.exit(rc)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    peak_mb = int(run.stdout.split()[-1]) / 1024  # VmHWM is in kB
+    assert peak_mb < 80
 
 
 def test_small_surrogate_kappa_is_a_radical_config_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from toeplitz_spectra.gelfand import (
     spectral_radius_estimate,
     validate_gelfand_point,
 )
-from toeplitz_spectra.lattice import PartitionConfig
+from toeplitz_spectra.lattice import PartitionConfig, enumerate_kappa
 from toeplitz_spectra.spectra import PlanarRegion, SpectralContext
 from toeplitz_spectra.symbols import constant_symbol
 
@@ -213,3 +215,69 @@ def _mixed_element():
         lambda kappa: 1.0 + 0.5 / (1 + kappa[1]), "1+1/(2(1+k2))"
     )
     return FiniteSum.term(2, gamma, (0, 1)) + 0.3 * FiniteSum.one(2)
+
+
+FINITE = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+
+
+def coefficient(m: int, cap: int):
+    """A DiagonalCoefficient of any closed kind."""
+    group, degree = st.integers(1, m), st.integers(0, cap)
+    return st.one_of(
+        FINITE.map(DiagonalCoefficient.constant),
+        st.builds(DiagonalCoefficient.indicator_degree, group, degree),
+        st.builds(DiagonalCoefficient.geometric_decay, group,
+                  st.floats(0, 1, exclude_max=True)),
+        st.builds(lambda j, t: DiagonalCoefficient.degree_table(j, t, "t"), group,
+                  st.dictionaries(degree, FINITE)),
+        st.dictionaries(st.tuples(*[degree] * m), FINITE).map(DiagonalCoefficient.from_table),
+        FINITE.map(lambda c: DiagonalCoefficient.from_callable(
+            lambda kappa: c / (1 + sum(kappa)) + kappa[0], "f")),
+    )
+
+
+class TestCoefficientArrays:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_array_evaluation_is_the_scalar_evaluation(self, data):
+        # Sums built with +, -, scalar * and * (as decompose_by_division
+        # builds its parts): the one-array evaluation over a truncation is
+        # the per-kappa scalar evaluation, exactly.
+        m, cap = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
+        powers = st.tuples(*[st.integers(0, 2)] * m)
+
+        def term():
+            return FiniteSum.term(m, data.draw(coefficient(m, cap)), data.draw(powers))
+
+        A = term()
+        for op in data.draw(st.lists(st.sampled_from("+-s*"), max_size=5)):
+            if op == "+":
+                A = A + term()
+            elif op == "-":
+                A = A - term()
+            elif op == "s":
+                A = data.draw(FINITE) * A
+            else:
+                A = A * (term() + term())
+        kappas = enumerate_kappa(m, cap)
+        memo: dict = {}
+        for gamma, _ in A.terms:
+            got = gamma.values(np.array(kappas), memo).tolist()
+            assert all(g == gamma(kappa) for g, kappa in zip(got, kappas))
+
+    def test_non_finite_value_names_the_coefficient(self, diagonal_ctx):
+        spike = DiagonalCoefficient.from_callable(
+            lambda kappa: math.inf if kappa[1] == 2 else 1.0, "spike")
+        A = FiniteSum.term(2, spike, (0, 1)) * (0.5 * FiniteSum.one(2))
+        (gamma, _), = A.terms
+        kappas = np.array(enumerate_kappa(2, 3))
+        with pytest.raises(GelfandError, match="spike.*non-finite at \\(0, 2\\)"):
+            gamma.values(kappas)
+        with pytest.raises(GelfandError, match="spike"):
+            assemble_finite_sum(A, diagonal_ctx.model, 3)
+        with pytest.raises(GelfandError, match="spike"):
+            gamma((0, 2))
+        huge = DiagonalCoefficient.constant(1e200)
+        overflow = FiniteSum.diagonal(2, huge) * FiniteSum.diagonal(2, huge)
+        with pytest.raises(GelfandError, match="1e\\+200"):
+            assemble_finite_sum(overflow, diagonal_ctx.model, 1)
