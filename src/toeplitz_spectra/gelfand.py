@@ -212,8 +212,8 @@ class FiniteSum:
 
 
 def assemble_finite_sum(A: FiniteSum, model: AlgebraModel, D: int) -> TruncatedOperator:
-    """Materialize a finite sum on the cap-D truncation, blocks in basis order
-    (``AlgebraModel.stacks``)."""
+    """Materialize a finite sum on the cap-D truncation, blocks in basis order;
+    each coefficient is one array over the kappas (``AlgebraModel.stacks``)."""
     if A.m != model.cfg.m:
         raise GelfandError(f"sum has m={A.m}, model has m={model.cfg.m}")
     runs = model.stacks(D, [A.terms])
