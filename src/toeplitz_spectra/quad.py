@@ -152,12 +152,16 @@ def jacobi_rule_01(npts: int, a: float, b: float) -> tuple[np.ndarray, np.ndarra
     diag, off2 = np.diag(J), np.append(0.0, np.diag(J, 1) ** 2)
 
     def monic(x):
-        """p_{n-1}(x), p_n(x) and p_n'(x) by p_{i+1} = (x - diag_i) p_i - off_i^2 p_{i-1}."""
-        prev, cur, dprev, dcur = 0.0 * x, 1.0 + 0.0 * x, 0.0 * x, 0.0 * x
-        for d, o2 in zip(diag, off2):
-            prev, cur, dprev, dcur = (
-                cur, (x - d) * cur - o2 * prev, dcur, cur + (x - d) * dcur - o2 * dprev)
-        return prev, cur, dcur
+        """p_{n-1}(x), p_n(x) and p_n'(x) by p_{i+1} = (x - diag_i) p_i - off_i^2 p_{i-1},
+        with each (p_i, p_i') pair advanced as one (2, len(x)) array."""
+        zero = 0.0 * x
+        prev, cur = np.stack([zero, zero]), np.stack([1.0 + zero, zero])
+        for d, o2 in zip(diag.tolist(), off2.tolist()):
+            nxt = (x - d) * cur
+            nxt[1] += cur[0]
+            nxt -= o2 * prev
+            prev, cur = cur, nxt
+        return prev[0], cur[0], cur[1]
 
     x = np.linalg.eigvalsh(J)
     _, pn, dpn = monic(x)
@@ -257,7 +261,7 @@ class SimplexRule:
     """
 
     dim: int
-    nodes: np.ndarray  # (N, dim)
+    nodes: np.ndarray  # (N, dim) view of (dim, N) planes
     weights: np.ndarray  # (N,)
 
     def __post_init__(self):
@@ -273,8 +277,8 @@ class SimplexRule:
     @property
     def nodes_closed(self) -> np.ndarray:
         """Nodes extended by the slack coordinate 1 - sum(s), shape (N, dim+1)."""
-        slack = 1.0 - self.nodes.sum(axis=1, keepdims=True)
-        return np.hstack([self.nodes, np.maximum(slack, 0.0)])
+        slack = np.maximum(1.0 - self.nodes.sum(axis=1), 0.0)
+        return np.vstack([self.nodes.T, slack]).T
 
     @classmethod
     def build(cls, exponents: tuple, order: int, rule_01: Callable) -> "SimplexRule":
@@ -297,15 +301,18 @@ class SimplexRule:
         ]
         # Level l varies along grid axis l; u_l and the running weight
         # product live on the first l + 1 axes and broadcast over the rest.
-        u = np.empty((order,) * p + (p,))
+        # Each u_l is one contiguous plane, so that row sums over the nodes
+        # add whole planes, in the same order as along a row.
+        u = np.empty((p,) + (order,) * p)
         w = np.ones(())
         shrink = np.ones(())
         for lvl, (x, wx) in enumerate(axes):
             ul = x * shrink[..., None]
-            u[..., lvl] = ul.reshape(ul.shape + (1,) * (p - 1 - lvl))
+            u[lvl] = ul.reshape(ul.shape + (1,) * (p - 1 - lvl))
             w = w[..., None] * wx
-            shrink = shrink[..., None] * (1.0 - x)
-        return cls(dim=p, nodes=u.reshape(-1, p), weights=w.ravel())
+            if lvl < p - 1:
+                shrink = shrink[..., None] * (1.0 - x)
+        return cls(dim=p, nodes=u.reshape(p, -1).T, weights=w.ravel())
 
 
 def simplex_integrate(f: Callable, p: int, order: int, *, weight=None) -> complex:

@@ -6,7 +6,9 @@ uniform angle grids (no absorbed Jacobi weights, no Duffy collapse),
 characteristic polynomials come from the Faddeev-LeVerrier trace
 recursion, and the adaptive simplex oracle is nested scipy.integrate.quad.
 The Gauss-Jacobi references are scipy's: `roots_jacobi`, and Golub-Welsch
-through the tridiagonal eigensolver `eigh_tridiagonal`.  Monomial norms and
+through the tridiagonal eigensolver `eigh_tridiagonal`, and the package's
+Christoffel rule is replayed with its recurrence written one scalar row at
+a time, as a bit-for-bit reference for the paired form.  Monomial norms and
 H_kappa dimensions are the closed formulas evaluated with scipy and the
 standard library, and a block-diagonal truncated operator is read densely
 through the basis slices.
@@ -194,6 +196,31 @@ def roots_jacobi_01(npts: int, a: float, b: float):
     weights sum to B(a+1, b+1)."""
     x, w = roots_jacobi(npts, b, a)
     return 0.5 * (x + 1.0), w / 2.0 ** (a + b + 1.0)
+
+
+def jacobi_rule_01_rowwise(npts: int, a: float, b: float):
+    """`quad.jacobi_rule_01` with p_i, p_{i-1}, p_i' and p_{i-1}' each carried
+    as its own row through the monic recurrence: the same Jacobi matrix,
+    Newton step and Christoffel weights, with the same operations per
+    element, so its nodes and weights must match the package's bit for bit."""
+    from toeplitz_spectra.quad import _jacobi_matrix, dirichlet_integral
+
+    J = _jacobi_matrix(npts, a, b)
+    diag, off2 = np.diag(J), np.append(0.0, np.diag(J, 1) ** 2)
+
+    def monic(x):
+        prev, cur, dprev, dcur = 0.0 * x, 1.0 + 0.0 * x, 0.0 * x, 0.0 * x
+        for d, o2 in zip(diag, off2):
+            prev, cur, dprev, dcur = (
+                cur, (x - d) * cur - o2 * prev, dcur, cur + (x - d) * dcur - o2 * dprev)
+        return prev, cur, dcur
+
+    x = np.linalg.eigvalsh(J)
+    _, pn, dpn = monic(x)
+    x = x - pn / dpn
+    pm, _, dpn = monic(x)
+    w = 1.0 / ((pm / np.max(np.abs(pm))) * (dpn / np.max(np.abs(dpn))))
+    return 0.5 * (x + 1.0), w * (dirichlet_integral((a, b)) / w.sum())
 
 
 def monomial_norm_sq(alpha, cfg) -> float:

@@ -348,7 +348,9 @@ def test_hull_resolution_drift_is_zero_on_segments(tmp_path):
 def test_k3_non_polynomial_expression_assembles_in_bounded_memory(tmp_path):
     # The full 64^3 torus grid over 48^2 sphere nodes would need gigabytes;
     # |p| = 0 modes use 64^2 grids evaluated in chunks.  Order 16 keeps the
-    # run short while the full-grid route would still need about 1 GB.
+    # run short while the full-grid route would still need about 1 GB.  The
+    # peak is VmHWM of the child's own address space: ru_maxrss would keep
+    # the peak of the test process that spawned it.
     config = {
         "partition": {"k": [1, 3], "lambda": 0.0},
         "degree_cap": 2,
@@ -363,10 +365,12 @@ def test_k3_non_polynomial_expression_assembles_in_bounded_memory(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     code = (
-        "import resource, sys\n"
+        "import sys\n"
+        "from pathlib import Path\n"
         "from toeplitz_spectra.cli import main\n"
         "rc = main(['assemble', '--config', sys.argv[1], '--no-cache', '--threads', '1'])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "status = Path('/proc/self/status').read_text().splitlines()\n"
+        "print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
         "sys.exit(rc)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -376,7 +380,7 @@ def test_k3_non_polynomial_expression_assembles_in_bounded_memory(tmp_path):
         timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    peak_mb = int(run.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    peak_mb = int(run.stdout.split()[-1]) / 1024  # VmHWM is in kB
     assert peak_mb < 500
     assert read_report(tmp_path, "assemble")["payload"]["blocks"][-1]["dim"] == 6
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import adaptive_dirichlet, golub_welsch_tridiagonal, roots_jacobi_01
+from oracles import (
+    adaptive_dirichlet, golub_welsch_tridiagonal, jacobi_rule_01_rowwise, roots_jacobi_01,
+)
 from toeplitz_spectra import quad
 from toeplitz_spectra.errors import QuadratureError
 from toeplitz_spectra.quad import (
@@ -311,26 +313,69 @@ def test_gammaln_refuses_outside_positive_reals(x):
         quad.gammaln(x)
 
 
-@pytest.mark.parametrize("exponents", [(0.0, 0.0, 0.0), (0.5, 1.5, 2.0, 1.0), (1.0, -0.5, 3.0)])
-def test_simplex_rule_build_matches_meshgrid_product(exponents):
-    # The broadcast construction multiplies in the meshgrid order: bit-identical.
-    rule = SimplexRule.build(exponents, 9, jacobi_probability_rule_01)
+@pytest.mark.parametrize(
+    "exponents,order",
+    [((0.0, 0.0, 0.0), 9), ((0.5, 1.5, 2.0, 1.0), 9), ((1.0, -0.5, 3.0), 9),
+     ((2.5, 0.0, 7.5, 1.0), 48)],
+    ids=["exponents0", "exponents1", "exponents2", "exponents3-order48"],
+)
+def test_simplex_rule_build_matches_meshgrid_product(exponents, order):
+    # The broadcast construction multiplies in the meshgrid order: bit-identical,
+    # for the probability rule and for the Christoffel rule of the oracle.
     p = len(exponents) - 1
-    axes = [
-        jacobi_probability_rule_01(9, exponents[lvl - 1], (p - lvl) + sum(exponents[lvl:]))
-        for lvl in range(1, p + 1)
-    ]
-    x = np.stack([g.ravel() for g in np.meshgrid(*[a[0] for a in axes], indexing="ij")], axis=1)
-    w = np.ones(x.shape[0])
-    for g in np.meshgrid(*[a[1] for a in axes], indexing="ij"):
-        w = w * g.ravel()
-    u = np.empty_like(x)
-    shrink = np.ones(x.shape[0])
-    for lvl in range(p):
-        u[:, lvl] = x[:, lvl] * shrink
-        shrink = shrink * (1.0 - x[:, lvl])
-    assert rule.nodes.tobytes() == u.tobytes()
-    assert rule.weights.tobytes() == w.tobytes()
+    for rule_01 in (jacobi_probability_rule_01, jacobi_rule_01):
+        rule = SimplexRule.build(exponents, order, rule_01)
+        axes = [
+            rule_01(order, exponents[lvl - 1], (p - lvl) + sum(exponents[lvl:]))
+            for lvl in range(1, p + 1)
+        ]
+        mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+        x = np.stack([g.ravel() for g in mesh], axis=1)
+        w = np.ones(x.shape[0])
+        for g in np.meshgrid(*[a[1] for a in axes], indexing="ij"):
+            w = w * g.ravel()
+        u = np.empty_like(x)
+        shrink = np.ones(x.shape[0])
+        for lvl in range(p):
+            u[:, lvl] = x[:, lvl] * shrink
+            shrink = shrink * (1.0 - x[:, lvl])
+        assert rule.nodes.tobytes() == u.tobytes()
+        assert rule.weights.tobytes() == w.tobytes()
+        # Coordinates are stored as contiguous planes; the slack column too.
+        assert rule.nodes.T.flags.c_contiguous
+        assert rule.nodes_closed.T.flags.c_contiguous
+        slack = np.maximum(1.0 - u.sum(axis=1, keepdims=True), 0.0)
+        assert rule.nodes_closed.tobytes() == np.hstack([u, slack]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "npts,a,b",
+    [(1, 0.0, 0.0), (5, 0.5, 1.5), (9, -0.5, -0.5), (16, 3.0, -0.5), (48, 2.0, 41.5),
+     (48, -0.5, 0.5), (30, 19.5, 0.0)],
+)
+def test_jacobi_rule_paired_recurrence_matches_rowwise_reference(npts, a, b):
+    nodes, weights = jacobi_rule_01(npts, a, b)
+    want_nodes, want_weights = jacobi_rule_01_rowwise(npts, a, b)
+    assert nodes.tobytes() == want_nodes.tobytes()
+    assert weights.tobytes() == want_weights.tobytes()
+
+
+def test_simplex_rule_rejects_nodes_outside_the_simplex_and_negative_weights():
+    nodes = np.array([[0.2, 0.3], [0.5, 0.5], [0.0, 1.0]])
+    weights = np.array([0.5, 0.25, 0.25])
+    SimplexRule(dim=2, nodes=nodes, weights=weights)
+    # Weights that underflow to exactly zero are accepted.
+    SimplexRule(dim=2, nodes=nodes, weights=np.array([1.0, 0.0, 5e-324 * 0.25]))
+    below = nodes.copy()
+    below[1, 0] = -2e-14
+    with pytest.raises(QuadratureError, match="simplex"):
+        SimplexRule(dim=2, nodes=below, weights=weights)
+    past = nodes.copy()
+    past[2, 0] = 2e-12
+    with pytest.raises(QuadratureError, match="simplex"):
+        SimplexRule(dim=2, nodes=past, weights=weights)
+    with pytest.raises(QuadratureError, match="positive"):
+        SimplexRule(dim=2, nodes=nodes, weights=np.array([0.5, -1e-300, 0.5]))
 
 
 def test_fourier_on_points_rejects_a_misshaped_symbol():
