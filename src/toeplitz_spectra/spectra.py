@@ -10,7 +10,10 @@ of one of them meets is marked, in one vectorized pass; a sampled curve
 goes through the same fill, its segments as degenerate triangles.  In the
 plane the polynomially convex hull of a compact set is the set together
 with the bounded components of its complement, which a union-find over the
-row runs of the complement computes exactly at fixed resolution.
+row runs of the complement computes exactly at fixed resolution.  The fill
+computes each edge's crossing once per (triangle, grid line), and holes are
+looked for only inside the box of occupied cells; both mark the same cells,
+bit for bit, as a row-by-row fill and a whole-grid search.
 
 All regions of a group at one resolution share the grid that frames its
 sampled boundary image.  The point spectrum lies in the numerical range,
@@ -291,7 +294,16 @@ def _bounded_holes(occ: np.ndarray) -> np.ndarray:
     its smaller one, then jump pointers until every run points at its
     root).  The frame's first row is run 0, so the outside is the
     component with root 0, and every other run is a hole.
+
+    Only the bounding box of the occupied cells is searched: a free cell
+    outside it reaches the border in a straight line, so it is never a hole.
     """
+    holes = np.zeros_like(occ)
+    used_rows, used_cols = np.flatnonzero(occ.any(axis=1)), np.flatnonzero(occ.any(axis=0))
+    if used_rows.size == 0:
+        return holes
+    box = np.s_[used_rows[0] : used_rows[-1] + 1, used_cols[0] : used_cols[-1] + 1]
+    occ = occ[box]
     rows, cols = occ.shape
     free = np.ones((rows + 2, cols + 2), dtype=np.int8)
     free[1:-1, 1:-1] = ~occ
@@ -328,7 +340,8 @@ def _bounded_holes(occ: np.ndarray) -> np.ndarray:
     paint = np.zeros((rows + 2, width), dtype=np.int8)
     paint[run_row[hole], start[hole]] = 1
     paint[run_row[hole], stop[hole]] = -1
-    return np.cumsum(paint, axis=1, dtype=np.int8)[1:-1, 1 : cols + 1] > 0
+    holes[box] = np.cumsum(paint, axis=1, dtype=np.int8)[1:-1, 1 : cols + 1] > 0
+    return holes
 
 
 def polynomial_hull_2d(region: PlanarRegion) -> PlanarRegion:
@@ -426,8 +439,8 @@ def _face_triangles(k: int, n_sigma: int, n_tau: int):
             yield tri
 
 
-# (triangle, row) pairs per chunk of the fill: a few MB of float temporaries
-_FILL_CHUNK = 1 << 13
+# (line, triangle) cells per chunk of the fill: float temporaries of 128 KiB
+_FILL_CHUNK = 1 << 14
 
 
 def _fill_triangles(region: PlanarRegion, points: np.ndarray, triangles: np.ndarray) -> None:
@@ -441,57 +454,63 @@ def _fill_triangles(region: PlanarRegion, points: np.ndarray, triangles: np.ndar
     two; vertices are clipped to the grid box as `_indices` clips points.
     For each (triangle, row) pair the x-extent of the triangle inside the
     row's band comes from its vertices in the band and its edges'
-    crossings of the band's two lines; the row spans are summed in a
-    difference array, so only int32 and bool arrays span the grid.
+    crossings of the band's two lines.  Each crossing is computed once per
+    (triangle, grid line) and serves both rows that share the line; the
+    triangles are taken in order of height, so each chunk is a (line,
+    triangle) array with little padding.  The row spans are summed in a
+    difference array over the rows the triangles cover, so only int32 and
+    bool arrays span the grid.
     """
     res = region.resolution
     px = np.clip((points.real - region.x0) / region.cell, 0.0, res)
     py = np.clip((points.imag - region.y0) / region.cell, 0.0, res)
-    corners = triangles.T
-    ymin = np.minimum(np.minimum(py[corners[0]], py[corners[1]]), py[corners[2]])
-    ymax = np.maximum(np.maximum(py[corners[0]], py[corners[1]]), py[corners[2]])
-    first = np.minimum(np.floor(ymin), res - 1).astype(np.intp)
-    nrows = np.minimum(np.floor(ymax), res - 1).astype(np.intp) - first + 1
-    del ymin, ymax
-    ends = np.cumsum(nrows)
-    diff = np.zeros((res, res + 1), dtype=np.int32)
+    y0, y1, y2 = (py[c] for c in triangles.T)
+    first = np.minimum(np.floor(np.minimum(np.minimum(y0, y1), y2)), res - 1)
+    last = np.minimum(np.floor(np.maximum(np.maximum(y0, y1), y2)), res - 1)
+    nrows = (last - first).astype(np.intp) + 1
+    top, bottom = int(first.min()), int(last.max()) + 1
+    del y0, y1, y2, last
+    order = np.argsort(nrows)
+    nrows = nrows[order]
+    diff = np.zeros((bottom - top, res + 1), dtype=np.int32)
     flat = diff.reshape(-1)
     one = np.int32(1)
-    lo_tri = 0
-    while lo_tri < len(nrows):
-        done = ends[lo_tri] - nrows[lo_tri]
-        hi_tri = max(lo_tri + 1, int(np.searchsorted(ends, done + _FILL_CHUNK, side="right")))
-        n = nrows[lo_tri:hi_tri]
-        t = np.repeat(np.arange(lo_tri, hi_tri), n)
-        row = first[t] + np.arange(t.size) - np.repeat(np.cumsum(n) - n, n)
-        lo = row.astype(float)
-        hi = lo + 1.0
-        vertex = [corners[v][t] for v in range(3)]
-        xs = [px[i] for i in vertex]
-        ys = [py[i] for i in vertex]
-        xmin = np.full(t.size, np.inf)
-        xmax = np.full(t.size, -np.inf)
+    lo = 0
+    while lo < len(order):
+        lines = nrows[lo : lo + _FILL_CHUNK // (nrows[lo] + 1)] + 1
+        hi = lo + max(1, int(np.count_nonzero(lines * np.arange(1, lines.size + 1) <= _FILL_CHUNK)))
+        height = int(nrows[hi - 1])
+        chunk = order[lo:hi]
+        corners = triangles.take(chunk, axis=0).T
+        x, y = px[corners], py[corners]
+        line = first[chunk] + np.arange(height + 1, dtype=float)[:, None]
+        lmin = lmax = None
         for v in range(3):
-            x, y = xs[v], ys[v]
-            inside = (y >= lo) & (y <= hi)
-            xmin = np.minimum(xmin, np.where(inside, x, np.inf))
-            xmax = np.maximum(xmax, np.where(inside, x, -np.inf))
-            # an edge on one of the lines contributes only its end points
-            x_end, y_end = xs[(v + 1) % 3], ys[(v + 1) % 3]
-            dy = y_end - y
-            slope = (x_end - x) / np.where(dy == 0.0, 1.0, dy)
-            y_low, y_high = np.minimum(y, y_end), np.maximum(y, y_end)
-            for line in (lo, hi):
-                crosses = (y_low <= line) & (y_high >= line)
-                xc = x + (line - y) * slope
-                xmin = np.minimum(xmin, np.where(crosses, xc, np.inf))
-                xmax = np.maximum(xmax, np.where(crosses, xc, -np.inf))
-        c0 = np.minimum(np.floor(xmin), res - 1).astype(np.intp)
-        c1 = np.minimum(np.floor(xmax), res - 1).astype(np.intp)
-        np.add.at(flat, row * (res + 1) + c0, one)
-        np.add.at(flat, row * (res + 1) + c1 + 1, -one)
-        lo_tri = hi_tri
-    region.occ |= np.cumsum(diff, axis=1, out=diff)[:, :res] > 0
+            w = (v + 1) % 3
+            dy = y[w] - y[v]
+            slope = (x[w] - x[v]) / np.where(dy == 0.0, 1.0, dy)
+            crosses = (np.minimum(y[v], y[w]) <= line) & (np.maximum(y[v], y[w]) >= line)
+            # an edge on a line contributes only its end points
+            xc = np.where(crosses, x[v] + (line - y[v]) * slope, np.nan)
+            lmin = xc if lmin is None else np.fmin(lmin, xc)
+            lmax = xc if lmax is None else np.fmax(lmax, xc)
+        # row r lies between lines r and r + 1; rows past a triangle's own are padding
+        xmin = np.fmin(lmin[:-1], lmin[1:]).reshape(-1)
+        xmax = np.fmax(lmax[:-1], lmax[1:]).reshape(-1)
+        # A vertex at height y lies in row min(floor(y), res - 1).  At an
+        # integer y it also bounds the row below, where it is the crossing
+        # of the edge leaving it, x + 0 * slope, so it needs no entry there.
+        at = (np.minimum(np.floor(y), res - 1) - first[chunk]).astype(np.intp) * (hi - lo)
+        at += np.arange(hi - lo)
+        for v in range(3):
+            xmin[at[v]] = np.fmin(xmin[at[v]], x[v])
+            xmax[at[v]] = np.fmax(xmax[at[v]], x[v])
+        own = (np.arange(height)[:, None] < nrows[lo:hi]).reshape(-1)
+        row = (line[:-1].reshape(-1)[own] - top).astype(np.intp) * (res + 1)
+        np.add.at(flat, row + np.clip(np.floor(xmin[own]), 0, res - 1).astype(np.intp), one)
+        np.add.at(flat, row + np.clip(np.floor(xmax[own]), 0, res - 1).astype(np.intp) + 1, -one)
+        lo = hi
+    region.occ[top:bottom] |= np.cumsum(diff, axis=1, out=diff)[:, :res] > 0
 
 
 def essential_spectrum_estimate(
@@ -515,7 +534,14 @@ def essential_spectrum_estimate(
         raise SpectraError(
             f"symbol {c.label!r} does not declare a continuous boundary extension"
         )
-    flat = boundary_image_values(c, samples).ravel()
+    # a non-finite sample is reported below, in place of numpy's warnings
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        flat = boundary_image_values(c, samples).ravel()
+    bad = int(np.count_nonzero(~np.isfinite(flat)))
+    if bad:
+        raise SpectraError(
+            f"symbol {c.label!r} is not finite at {bad} of its {flat.size} boundary samples"
+        )
     x0, y0, cell = PlanarRegion._frame(flat, resolution)
     bbox = (x0, x0 + resolution * cell, y0, y0 + resolution * cell)
     region = PlanarRegion.empty(bbox, resolution, provenance="boundary image")

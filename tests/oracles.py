@@ -8,7 +8,10 @@ recursion, and the adaptive simplex oracle is nested scipy.integrate.quad.
 The Gauss-Jacobi references are scipy's: `roots_jacobi`, and Golub-Welsch
 through the tridiagonal eigensolver `eigh_tridiagonal`, and the package's
 Christoffel rule is replayed with its recurrence written one scalar row at
-a time, as a bit-for-bit reference for the paired form.  Monomial norms and
+a time, as a bit-for-bit reference for the paired form.  The triangle fill
+is replayed one (triangle, row) pair at a time, each row computing both of
+its band lines, as a bit-for-bit reference for the per-line kernel.
+Monomial norms and
 H_kappa dimensions are the closed formulas evaluated with scipy and the
 standard library, and a block-diagonal truncated operator is read densely
 through the basis slices.
@@ -249,3 +252,48 @@ def dense(op) -> np.ndarray:
 def opnorm(op) -> float:
     """Operator 2-norm of a block-diagonal truncated operator."""
     return max((float(np.linalg.norm(b, 2)) for b in op.blocks.values()), default=0.0)
+
+
+def fill_triangles_rowwise(region, points: np.ndarray, triangles: np.ndarray) -> None:
+    """`spectra._fill_triangles` one (triangle, row) pair at a time: every row
+    tests its vertices against its band and computes its edges' crossings of
+    both band lines, with the same candidates and the same arithmetic per
+    candidate, so the cells it marks must match the package's bit for bit.
+    Triangles go in blocks of 128 to bound the pair arrays."""
+    res = region.resolution
+    px = np.clip((points.real - region.x0) / region.cell, 0.0, res)
+    py = np.clip((points.imag - region.y0) / region.cell, 0.0, res)
+    diff = np.zeros((res, res + 1), dtype=np.int32)
+    for block in range(0, len(triangles), 128):
+        corners = triangles[block : block + 128].T
+        ymin = np.minimum(np.minimum(py[corners[0]], py[corners[1]]), py[corners[2]])
+        ymax = np.maximum(np.maximum(py[corners[0]], py[corners[1]]), py[corners[2]])
+        first = np.minimum(np.floor(ymin), res - 1).astype(np.intp)
+        nrows = np.minimum(np.floor(ymax), res - 1).astype(np.intp) - first + 1
+        t = np.repeat(np.arange(len(nrows)), nrows)
+        row = first[t] + np.arange(t.size) - np.repeat(np.cumsum(nrows) - nrows, nrows)
+        lo = row.astype(float)
+        hi = lo + 1.0
+        xs = [px[corners[v][t]] for v in range(3)]
+        ys = [py[corners[v][t]] for v in range(3)]
+        xmin = np.full(t.size, np.inf)
+        xmax = np.full(t.size, -np.inf)
+        for v in range(3):
+            x, y = xs[v], ys[v]
+            inside = (y >= lo) & (y <= hi)
+            xmin = np.minimum(xmin, np.where(inside, x, np.inf))
+            xmax = np.maximum(xmax, np.where(inside, x, -np.inf))
+            x_end, y_end = xs[(v + 1) % 3], ys[(v + 1) % 3]
+            dy = y_end - y
+            slope = (x_end - x) / np.where(dy == 0.0, 1.0, dy)
+            y_low, y_high = np.minimum(y, y_end), np.maximum(y, y_end)
+            for line in (lo, hi):
+                crosses = (y_low <= line) & (y_high >= line)
+                xc = x + (line - y) * slope
+                xmin = np.minimum(xmin, np.where(crosses, xc, np.inf))
+                xmax = np.maximum(xmax, np.where(crosses, xc, -np.inf))
+        c0 = np.clip(np.floor(xmin), 0, res - 1).astype(np.intp)
+        c1 = np.clip(np.floor(xmax), 0, res - 1).astype(np.intp)
+        np.add.at(diff, (row, c0), 1)
+        np.add.at(diff, (row, c1 + 1), -1)
+    region.occ |= np.cumsum(diff, axis=1)[:, :res] > 0

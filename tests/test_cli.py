@@ -251,6 +251,25 @@ def test_unexpected_error_is_json_exit_2(tmp_path, monkeypatch, capsys):
     assert err["error"]["message"] == "cannot allocate"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_boundary_samples_are_a_spectra_error(tmp_path, capsys):
+    # 1/s1 declared continuous is infinite on the sphere where s1 = 0
+    path = write_config(
+        tmp_path,
+        partition={"k": [2], "lambda": 0.0},
+        quasi_radial={"kind": "expression", "text": "1 - r1^2"},
+        symbols=[{"group": 1, "kind": "expression", "text": "1/s1", "boundary_continuous": True}],
+        berezin={"group": 1, "w": [0.3, 0.4], "degrees": [4]},
+        radical={"group": 1, "level": 1, "gamma": {"kind": "geometric_decay", "rate": 0.5}},
+    )
+    assert main(["hull", "--config", str(path), "--no-cache"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])["error"]
+    assert err["type"] == "SpectraError"
+    assert "'expr:1/s1'" in err["message"] and "not finite at 64 of its" in err["message"]
+
+
 def test_cache_env_override(tmp_path, monkeypatch):
     alt = tmp_path / "altcache"
     monkeypatch.setenv("TOEPLITZ_SPECTRA_CACHE", str(alt))

@@ -8,7 +8,7 @@ from scipy import ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import char_poly_coeffs
+from oracles import char_poly_coeffs, fill_triangles_rowwise
 from toeplitz_spectra.assembly import AlgebraModel, assemble_block
 from toeplitz_spectra.cli import COMMANDS, build_setup, validate_config
 from toeplitz_spectra.errors import SpectraError
@@ -136,6 +136,7 @@ class TestResolutionDrift:
             resolution_drift_cells(base, shifted)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPlanarRegion:
     def test_circle_hull_area(self):
         circle = np.exp(2j * np.pi * np.arange(1000) / 1000)
@@ -263,11 +264,46 @@ def _separating_axis_oracle(region, tri):
     return occ
 
 
-def _fill(region, tri):
+def _fill(region, tri, fill=spectra._fill_triangles):
     tri = np.asarray(tri, dtype=complex)
-    spectra._fill_triangles(region, tri.ravel(), np.arange(tri.size).reshape(-1, 3))
+    fill(region, tri.ravel(), np.arange(tri.size).reshape(-1, 3))
 
 
+def _edge_case_triangles(rng, res, n):
+    """n triangles in grid units of a res x res grid, each drawn from the
+    fill's edge cases: vertices on grid points, a horizontal or a vertical
+    edge on a grid line or half-way between two, segments, points, vertices
+    clipped at the grid box, and slivers spanning a third of the rows or
+    more (100 or more at res 512)."""
+    def half_step():
+        return rng.integers(0, 2 * res + 1) / 2
+
+    tris = []
+    for kind in rng.integers(0, 7, n):
+        if kind == 0:
+            tri = rng.integers(0, res + 1, 3) + 1j * rng.integers(0, res + 1, 3)
+        elif kind == 1:
+            tri = rng.uniform(0, res, 3) + 1j * np.array([half_step()] * 2 + [rng.uniform(0, res)])
+        elif kind == 2:
+            tri = np.array([half_step()] * 2 + [rng.uniform(0, res)]) + 1j * rng.uniform(0, res, 3)
+        elif kind == 3:
+            a, b = rng.uniform(0, res, 2) + 1j * rng.uniform(0, res, 2)
+            tri = np.array([a, b, b])
+        elif kind == 4:
+            tri = np.full(3, half_step() + 1j * rng.choice([half_step(), rng.uniform(0, res)]))
+        elif kind == 5:
+            tri = rng.uniform(-0.5 * res, 1.5 * res, 3) + 1j * rng.uniform(-0.5 * res, 1.5 * res, 3)
+        else:
+            height = rng.uniform(res / 3, res)
+            y = rng.uniform(0, res - height)
+            x = rng.uniform(0, res)
+            tri = np.array([x + 1j * y, x + rng.uniform(-2, 2) + 1j * (y + height),
+                            x + rng.uniform(-0.01, 0.01) + 1j * (y + rng.uniform(0, height))])
+        tris.append(rng.permutation(tri))
+    return np.array(tris)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRasterizer:
     def test_fill_matches_separating_axis_oracle(self):
         rng = np.random.default_rng(21)
@@ -301,6 +337,42 @@ class TestRasterizer:
         # points land in the cells `_indices` gives them
         iy, ix = region._indices(tri[:2, 0])
         assert region.occ[iy, ix].all()
+
+    def test_span_starting_left_of_the_grid_keeps_its_row(self):
+        # the edge from 0.625 + 7.9j meets y = 3 at its end 3j, computed
+        # as x = -1.1e-16: its span starts in column 0, not in the sentinel
+        # column of the row below
+        region = PlanarRegion.empty((0.0, 8.0, 0.0, 8.0), 8)
+        _fill(region, [[0.625 + 7.9j, 3j, 3 + 3.5j]])
+        assert region.occ[3].tolist() == [True] * 4 + [False] * 4
+        assert not region.occ[:3].any()
+
+    @pytest.mark.parametrize("res, sets", [(16, 300), (512, 12)])
+    def test_fill_matches_rowwise_reference(self, res, sets):
+        rng = np.random.default_rng(res)
+        for _ in range(sets):
+            tri = _edge_case_triangles(rng, res, int(rng.integers(1, 40)))
+            got, want = (PlanarRegion.empty((0.0, res, 0.0, res), res) for _ in range(2))
+            _fill(got, tri)
+            _fill(want, tri, fill_triangles_rowwise)
+            assert np.array_equal(got.occ, want.occ)
+
+    @pytest.mark.parametrize("res", [512, 1024])
+    @pytest.mark.parametrize("dim, text", [
+        (2, "s1^2*t1*conj(t2) + 0.4*s2^2 - 0.3*s1*s2"),
+        (3, "s1*s2*t1*conj(t2) + 0.5*s3^2*t2*conj(t3) + 0.2*s1^2"),
+    ], ids=["k2", "k3"])
+    def test_boundary_faces_match_rowwise_reference(self, dim, text, res):
+        c = expression_symbol(1, dim, text, boundary_continuous=True)
+        flat = spectra.boundary_image_values(c, 4096).ravel()
+        x0, y0, cell = PlanarRegion._frame(flat, res)
+        bbox = (x0, x0 + res * cell, y0, y0 + res * cell)
+        got, want = (PlanarRegion.empty(bbox, res) for _ in range(2))
+        for triangles in spectra._face_triangles(dim, *spectra._boundary_grid_counts(dim, 4096)):
+            spectra._fill_triangles(got, flat, triangles)
+            fill_triangles_rowwise(want, flat, triangles)
+        assert got.count() > res
+        assert np.array_equal(got.occ, want.occ)
 
     def test_k2_faces_wrap_in_tau(self):
         (tri,) = spectra._face_triangles(2, 2, 3)  # flat index = 3 * sigma + tau
@@ -421,6 +493,7 @@ class TestBerezin:
             berezin_sequence(model, 1, (0.3, 0.4), [2])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSpectrumHull:
     def test_trivial(self):
         cfg = PartitionConfig(k=(2,))
@@ -520,6 +593,7 @@ def _hull_occ(occ):
     return polynomial_hull_2d(region).occ
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestMorphology:
     def test_dilation_matches_ndimage(self):
         rng = np.random.default_rng(4)
@@ -539,9 +613,20 @@ class TestMorphology:
 
     def test_hull_matches_label_on_random_grids(self):
         rng = np.random.default_rng(6)
+        grids = []
         for _ in range(200):
             rows = int(rng.integers(1, 40))
-            occ = rng.random((rows, rows)) < rng.uniform(0.0, 0.9)
+            grids.append(rng.random((rows, rows)) < rng.uniform(0.0, 0.9))
+        # sparse grids, whose occupied box is a small part of the grid
+        empty = np.zeros((24, 24), dtype=bool)
+        one, corner, ring = empty.copy(), empty.copy(), empty.copy()
+        one[7, 11] = True
+        corner[19:, 18:] = rng.random((5, 6)) < 0.5
+        corner[19:22, 21:24] = [[1, 1, 1], [1, 0, 1], [1, 1, 1]]
+        ring[0:6, 5:12] = True
+        ring[1:5, 6:11] = False
+        grids += [empty, one, corner] + [np.rot90(ring, quarter) for quarter in range(4)]
+        for occ in grids:
             assert np.array_equal(_hull_occ(occ), _label_hull(occ))
 
     def test_hull_fills_nested_rings(self):
