@@ -26,23 +26,13 @@ A truncated operator is stored block-diagonally over the H_kappa
 decomposition; on H_kappa the full operator with quasi-radial factor a and
 group factors c_j acts as gamma_a(kappa) times the tensor product of the
 group blocks, realized through the global basis index map.
-
-Blocks are cached on disk keyed by a content hash of the symbol, the
-quadrature order and the torus grid; reload is bit-exact, and a file that
-does not parse as the block asked for is recomputed.  Blocks of opaque
-symbols (built from Python callables, whose label does not identify their
-values) are never cached.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import struct
-import tempfile
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from pathlib import Path
 
 import numpy as np
 
@@ -57,15 +47,6 @@ from .symbols import (
     PseudoHomogeneousSymbol,
     QuasiRadialSymbol,
 )
-
-# 2: polynomial profile strings are assembled in closed form, no longer by
-# quadrature, under unchanged symbol keys.
-# 3: the torus grid is part of the key and of the file header.
-# 4: polynomial expression symbols in s, t, conj(t) are assembled in closed
-# form from their mode tables, no longer by torus quadrature, under
-# unchanged symbol keys.
-CACHE_SCHEMA_VERSION = 4
-_CACHE_MAGIC = b"TSBK"
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +119,6 @@ def assemble_block(
     *,
     order: int = 48,
     torus_grid: int = 64,
-    cache: "BlockCache | None" = None,
 ) -> np.ndarray:
     """Matrix of the group Toeplitz factor on homogeneous degree d.
 
@@ -148,19 +128,12 @@ def assemble_block(
     declared Fourier support only the supported diagonals are touched;
     otherwise every mode p = beta - alpha realizable in the block gets a
     profile probed on the torus, assembled by quadrature like a declared
-    callable profile.  The disk cache is skipped for opaque symbols.
+    callable profile.
     """
     group = c.group if j is None else j
     kj = c.dim
     if d < 0:
         raise AssemblyError(f"degree must be >= 0, got {d}")
-    if c.opaque:
-        cache = None
-    if cache is not None:
-        cached = cache.load(c.content_key, group, d, order, torus_grid=torus_grid)
-        if cached is not None:
-            return cached
-
     indices = block_indices(kj, d)
     position = {alpha: i for i, alpha in enumerate(indices)}
     mat = np.zeros((len(indices), len(indices)), dtype=complex)
@@ -190,87 +163,7 @@ def assemble_block(
 
     if not np.all(np.isfinite(mat.real) & np.isfinite(mat.imag)):
         raise QuadratureError(f"block ({group}, {d}) of {c.label!r} has non-finite entries")
-    if cache is not None:
-        cache.store(c.content_key, group, d, order, mat, torus_grid=torus_grid)
     return mat
-
-
-# ---------------------------------------------------------------------------
-# Disk cache
-# ---------------------------------------------------------------------------
-
-
-class BlockCache:
-    """One file per block; write-to-temp then atomic rename; bit-exact reload.
-
-    A file that is truncated, carries another magic, schema version or key,
-    or has the wrong payload size is counted as a miss; the block is then
-    recomputed and the file rewritten.
-    """
-
-    _HEADER = struct.Struct("<4sIIIIII32s")  # magic, version, j, d, order, grid, dim, digest
-
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, symbol_key: str, j: int, d: int, order: int, torus_grid: int) -> Path:
-        import hashlib
-
-        name = hashlib.sha256(
-            f"{CACHE_SCHEMA_VERSION}|{symbol_key}|{j}|{d}|{order}|{torus_grid}".encode()
-        ).hexdigest()[:32]
-        return self.directory / f"{name}.blk"
-
-    def load(
-        self, symbol_key: str, j: int, d: int, order: int, *, torus_grid: int = 64
-    ) -> np.ndarray | None:
-        try:
-            raw = self._path(symbol_key, j, d, order, torus_grid).read_bytes()
-        except FileNotFoundError:
-            raw = b""
-        mat = self._parse(raw, symbol_key, (j, d, order, torus_grid))
-        if mat is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return mat
-
-    def _parse(self, raw: bytes, symbol_key: str, key: tuple) -> np.ndarray | None:
-        header = self._HEADER
-        if len(raw) < header.size:
-            return None
-        magic, version, fj, fd, forder, fgrid, dim, digest = header.unpack_from(raw)
-        if magic != _CACHE_MAGIC or version != CACHE_SCHEMA_VERSION:
-            return None
-        if (fj, fd, forder, fgrid) != key or digest != bytes.fromhex(symbol_key[:64]):
-            return None
-        payload = raw[header.size :]
-        if len(payload) != dim * dim * 16:
-            return None
-        return np.frombuffer(payload, dtype="<c16").reshape(dim, dim).copy()
-
-    def store(
-        self, symbol_key: str, j: int, d: int, order: int, mat: np.ndarray, *,
-        torus_grid: int = 64,
-    ):
-        path = self._path(symbol_key, j, d, order, torus_grid)
-        dim = mat.shape[0]
-        blob = self._HEADER.pack(
-            _CACHE_MAGIC, CACHE_SCHEMA_VERSION, j, d, order, torus_grid, dim,
-            bytes.fromhex(symbol_key[:64]),
-        ) + np.ascontiguousarray(mat.astype("<c16")).tobytes()
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +201,7 @@ class TruncatedOperator:
 
 
 # ---------------------------------------------------------------------------
-# Model: configured symbols plus caches
+# Model: configured symbols plus memoized blocks
 # ---------------------------------------------------------------------------
 
 
@@ -316,11 +209,10 @@ class TruncatedOperator:
 class AlgebraModel:
     """One configured instance of the algebra: partition, symbols, orders.
 
-    Group blocks, their powers and gamma values are memoized here; the
-    optional disk cache persists blocks across runs keyed by symbol content
-    hashes.  ``stacks`` builds the blocks of diagonal-coefficient sums of
-    generator products over a truncation, run by run of kappas that share
-    their tensor factors.
+    Group blocks, their powers and gamma values are memoized here, for the
+    life of the model.  ``stacks`` builds the blocks of diagonal-coefficient
+    sums of generator products over a truncation, run by run of kappas that
+    share their tensor factors.
     """
 
     cfg: PartitionConfig
@@ -329,7 +221,8 @@ class AlgebraModel:
     block_order: int = 48
     gamma_order: int = 48
     torus_grid: int = 64
-    cache: BlockCache | None = None
+    # Not a field: the benchmark's tracer (perfbench/tracing.py::_block_before) reads it.
+    cache = None
 
     def __post_init__(self):
         for j, sym in self.symbols.items():
@@ -369,8 +262,7 @@ class AlgebraModel:
                 mat = np.eye(len(block_indices(self.cfg.k[j - 1], d)), dtype=complex)
             else:
                 mat = assemble_block(
-                    sym, j, d, order=self.block_order,
-                    torus_grid=self.torus_grid, cache=self.cache,
+                    sym, j, d, order=self.block_order, torus_grid=self.torus_grid
                 )
             mat.flags.writeable = False
             self._blocks[key] = mat

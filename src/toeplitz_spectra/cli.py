@@ -1,4 +1,4 @@
-"""Batch front end: config loading, command dispatch, block cache, reports.
+"""Batch front end: config loading, command dispatch, reports.
 
 All interaction is run-and-read: a command takes a JSON config, writes a
 JSON report (plus CSV/SVG side files where a command has tabular or planar
@@ -22,7 +22,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 import traceback
@@ -32,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checks
-from .assembly import AlgebraModel, BlockCache
-from .errors import ConfigError, ToeplitzError
+from .assembly import AlgebraModel
+from .errors import ConfigError, SymbolError, ToeplitzError
 from .gelfand import (
     DiagonalCoefficient,
     FiniteSum,
@@ -402,16 +401,12 @@ def _build_symbol(spec, cfg: PartitionConfig) -> PseudoHomogeneousSymbol:
 
 
 def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: str | None = None) -> Setup:
-    """The model and context for config; threads is accepted and ignored."""
+    """The model and context for config; threads and no_cache are accepted and ignored."""
     cfg = PartitionConfig(k=tuple(config["partition"]["k"]), lam=float(config["partition"]["lambda"]))
     quasi = _build_quasi_radial(config["quasi_radial"], cfg.m)
     symbols = {spec["group"]: _build_symbol(spec, cfg) for spec in config["symbols"]}
     out_dir = Path(out or config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    cache = None
-    if not no_cache:
-        cache_dir = os.environ.get("TOEPLITZ_SPECTRA_CACHE", str(out_dir / "cache"))
-        cache = BlockCache(cache_dir)
     quad = config["quadrature"]
     model = AlgebraModel(
         cfg=cfg,
@@ -420,7 +415,6 @@ def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: 
         block_order=quad["block_order"],
         gamma_order=quad["gamma_order"],
         torus_grid=quad["torus_grid"],
-        cache=cache,
     )
     ctx = SpectralContext(
         model=model,
@@ -441,8 +435,8 @@ def canonical_payload_bytes(payload) -> bytes:
 
 
 def write_report(setup: Setup, command: str, payload: dict, started: float) -> Path:
-    # wall time and cache state live in the envelope: the payload is the
-    # reproducible part (identical config + version => identical bytes).
+    # wall time lives in the envelope: the payload is the reproducible
+    # part (identical config + version => identical bytes).
     body = {
         "command": command,
         "config": setup.config,
@@ -450,7 +444,6 @@ def write_report(setup: Setup, command: str, payload: dict, started: float) -> P
         "payload_sha256": hashlib.sha256(canonical_payload_bytes(payload)).hexdigest(),
         "tool_version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
-        "cache_hit": setup.model.cache is not None and setup.model.cache.hits > 0,
         "warnings": list(setup.warnings),
     }
     path = setup.out_dir / f"report_{command}.json"
@@ -608,7 +601,10 @@ def cmd_berezin(setup: Setup) -> dict:
     w = [_complex_from_json(v) for v in spec["w"]]
     radial = None
     if spec.get("radial_expression"):
-        radial = QuasiRadialSymbol.from_expression(1, spec["radial_expression"])
+        try:
+            radial = QuasiRadialSymbol.from_expression(1, spec["radial_expression"])
+        except SymbolError as exc:
+            raise ConfigError(f"berezin.radial_expression: {exc}") from exc
     probe = berezin_sequence(setup.model, j, w, spec["degrees"], radial_profile=radial)
     rows = []
     for d, v in zip(probe.degrees, probe.values):
@@ -710,7 +706,10 @@ def _radical_gamma(spec: dict, j: int) -> DiagonalCoefficient:
 
     kind = spec.get("kind", "indicator_degree")
     if kind == "indicator_degree":
-        return DiagonalCoefficient.indicator_degree(j, int(number("d", 1)))
+        d = number("d", 1)
+        if d < 0 or d != int(d):
+            raise ConfigError(f"radical gamma 'd' must be a nonnegative integer, got {d!r}")
+        return DiagonalCoefficient.indicator_degree(j, int(d))
     if kind == "geometric_decay":
         rate = float(number("rate", 0.5))
         if not 0 <= rate < 1:
@@ -851,7 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON run configuration")
     parser.add_argument(
         "--threads", type=int, default=0, help="ignored (assembly is single-threaded)")
-    parser.add_argument("--no-cache", action="store_true", help="bypass the block cache")
+    parser.add_argument(
+        "--no-cache", action="store_true", help="ignored (blocks are not stored on disk)")
     parser.add_argument("--out", help="output directory (overrides config)")
     return parser
 

@@ -40,7 +40,7 @@ class DiagonalCoefficient:
     function gamma(kappa) on Z_+^m, held as data: a closed kind (``const``;
     ``degree``, a function of one group degree kappa_j, as are
     ``indicator_degree``, ``geometric_decay`` and per-degree tables;
-    ``callable``, opaque and memoized per kappa, as is a table over kappa),
+    ``callable``, a black box memoized per kappa, as is a table over kappa),
     or a ``sum`` (of the terms ``FiniteSum`` merges) or ``prod`` (``*``).
 
     ``values`` evaluates it over a list of kappas as one array, bit for bit

@@ -19,7 +19,6 @@ r1..rm to their monomials.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -428,8 +427,7 @@ class PolynomialProfile:
     ``terms`` is the compiled form, in ascending order of powers.  For a
     profile string ``fn`` evaluates the source expression, so pointwise
     values are those of the expression itself; for a mode of an expression
-    symbol it sums the terms.  The label must identify the terms, since it
-    enters the symbol's cache key.
+    symbol it sums the terms.
     """
 
     terms: tuple[MonomialProfile, ...]
@@ -526,10 +524,7 @@ class PseudoHomogeneousSymbol:
     fn(s, t) takes broadcast-compatible arrays (..., k) of sphere and torus
     coordinates.  When ``modes`` is present it fully describes the Fourier
     support {p : |p| = 0} with analytic profiles; otherwise coefficients are
-    probed numerically on demand.  ``opaque`` marks a symbol whose values
-    come from a Python callable: its label does not identify them, so its
-    blocks are never disk-cached.  The constructors below set it; a symbol
-    built directly from a function is opaque.
+    probed numerically on demand.
     """
 
     group: int
@@ -538,16 +533,10 @@ class PseudoHomogeneousSymbol:
     label: str
     modes: tuple[FourierMode, ...] | None = None
     boundary_continuous: bool = False
-    opaque: bool = True
 
     def __call__(self, s, t) -> np.ndarray:
         vals = np.asarray(self.fn(np.asarray(s, float), np.asarray(t, complex)))
         return vals.astype(complex)
-
-    @property
-    def content_key(self) -> str:
-        blob = f"phs|g={self.group}|k={self.dim}|{self.label}"
-        return hashlib.sha256(blob.encode()).hexdigest()
 
     def declared_mode_dict(self) -> dict[Index, Profile] | None:
         if self.modes is None:
@@ -586,7 +575,6 @@ def builtin_quasi_homogeneous(group: int, p) -> PseudoHomogeneousSymbol:
         label=f"qh{p}",
         modes=modes,
         boundary_continuous=True,
-        opaque=False,
     )
 
 
@@ -599,7 +587,6 @@ def constant_symbol(group: int, dim: int, value: complex = 1.0) -> PseudoHomogen
         label=f"const:{complex(value)!r}",
         modes=(mode,),
         boundary_continuous=True,
-        opaque=False,
     )
 
 
@@ -647,7 +634,6 @@ def profile_symbol(
         prof = CallableProfile(fn=profile, label=getattr(profile, "__name__", "callable"))
     else:
         raise SymbolError(f"cannot build a profile from {type(profile).__name__}")
-    opaque = not isinstance(profile, (str, MonomialProfile))
     mode = FourierMode(p=(0,) * dim, profile=prof)
     return PseudoHomogeneousSymbol(
         group=group,
@@ -656,7 +642,6 @@ def profile_symbol(
         label=f"profile[{prof.label}]",
         modes=(mode,),
         boundary_continuous=boundary_continuous,
-        opaque=opaque,
     )
 
 
@@ -734,7 +719,6 @@ def expression_symbol(
         label=label,
         modes=modes,
         boundary_continuous=boundary_continuous,
-        opaque=False,
     )
     if modes is None:
         report = check_invariance(sym, samples=64, tol=INVARIANCE_TOL)

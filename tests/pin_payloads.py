@@ -90,8 +90,8 @@ def compute_payloads(name: str, out: Path) -> dict[str, dict]:
     """{command: payload} of every command, on one in-process Setup."""
     from toeplitz_spectra import cli
 
-    setup = cli.build_setup(cli.validate_config(json.loads(json.dumps(CONFIGS[name]))),
-                            no_cache=True, out=str(out))
+    config = cli.validate_config(json.loads(json.dumps(CONFIGS[name])))
+    setup = cli.build_setup(config, out=str(out))
     # The JSON round trip is what a report stores.
     return {c: json.loads(json.dumps(cli.COMMANDS[c](setup))) for c in COMMANDS}
 

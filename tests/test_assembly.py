@@ -12,7 +12,6 @@ from oracles import ball2_inner_product, dense, gamma_literal, monomial_norm_sq
 from toeplitz_spectra import assembly
 from toeplitz_spectra.assembly import (
     AlgebraModel,
-    BlockCache,
     assemble_block,
     cross_block_entry_bound,
     gamma_quasi_radial,
@@ -236,22 +235,38 @@ class TestBlocks:
             assert a.tobytes() == b.tobytes()
 
 
-    def test_model_blocks_are_read_only_assembled_arrays(self, tmp_path):
+    def test_model_blocks_are_read_only_assembled_arrays(self):
         cfg = PartitionConfig(k=(1, 2), lam=0.5)
         sym = expression_symbol(2, 2, "0.4 + s1*s2*t1*conj(t2)", boundary_continuous=True)
-        cold = AlgebraModel(cfg=cfg, symbols={2: sym}, cache=BlockCache(tmp_path))
-        warm = AlgebraModel(cfg=cfg, symbols={2: sym}, cache=BlockCache(tmp_path))
-        for model in (cold, warm):
-            for j, d in [(1, 3), (2, 0), (2, 3)]:
-                b = model.block(j, d)
-                assert model.block(j, d) is b
-                assert b.dtype == complex and not b.flags.writeable
-                with pytest.raises(ValueError):
-                    b[0, 0] = 1.0
-        assert warm.cache.hits == 2
+        model = AlgebraModel(cfg=cfg, symbols={2: sym})
+        for j, d in [(1, 3), (2, 0), (2, 3)]:
+            b = model.block(j, d)
+            assert model.block(j, d) is b
+            assert b.dtype == complex and not b.flags.writeable
+            with pytest.raises(ValueError):
+                b[0, 0] = 1.0
         fresh = assemble_block(sym, 2, 3)
         assert isinstance(fresh, np.ndarray) and fresh.flags.writeable
-        assert fresh.tobytes() == cold.block(2, 3).tobytes() == warm.block(2, 3).tobytes()
+        assert fresh.tobytes() == model.block(2, 3).tobytes()
+
+    def test_torus_grid_shapes_probed_blocks_only(self):
+        sym = expression_symbol(1, 2, "exp(s1*s2*(t1*conj(t2)+t2*conj(t1)))+s1^2")
+        fine = assemble_block(sym, 1, 2, torus_grid=64)
+        coarse = assemble_block(sym, 1, 2, torus_grid=4)
+        assert fine.tobytes() != coarse.tobytes()  # the grid shapes the block
+        # A polynomial compiles to its modes; no grid enters its block.
+        poly = expression_symbol(1, 2, "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2")
+        assert sorted(m.p for m in poly.modes) == [(-1, 1), (0, 0), (1, -1)]
+        coarse = assemble_block(poly, 1, 2, torus_grid=4)
+        assert coarse.tobytes() == assemble_block(poly, 1, 2, torus_grid=64).tobytes()
+
+    def test_callable_profile_block(self):
+        # Two lambdas share the label "<lambda>"; each block is its own.
+        first = profile_symbol(1, 2, lambda s: np.exp(s[..., 0]))
+        second = profile_symbol(1, 2, lambda s: 5 + 0 * s[..., 0])
+        assert first.label == second.label
+        assemble_block(first, 1, 2, order=16)
+        assert np.allclose(assemble_block(second, 1, 2, order=16), 5 * np.eye(3))
 
 
 def product_sum(model: AlgebraModel) -> FiniteSum:
@@ -408,124 +423,6 @@ class TestProjections:
         assert np.array_equal(self.values(p1 + p2, kappas), m1 | m2)
         # overlap removed exactly where q1 already covered
         assert np.array_equal(self.values(p2, kappas), m2 & ~m1)
-
-
-class TestCache:
-    def test_bit_exact_roundtrip(self, tmp_path):
-        cache = BlockCache(tmp_path)
-        sym = builtin_quasi_homogeneous(1, (2, -2))
-        b = assemble_block(sym, 1, 3, order=32, cache=cache)
-        assert cache.misses >= 1
-        again = assemble_block(sym, 1, 3, order=32, cache=cache)
-        assert cache.hits >= 1
-        assert b.tobytes() == again.tobytes()
-        # different order is a different cache entry
-        misses = cache.misses
-        assemble_block(sym, 1, 3, order=16, cache=cache)
-        assert cache.misses == misses + 1
-
-    def test_schema_1_blocks_not_served_for_compiled_profiles(self, tmp_path, monkeypatch):
-        # Schema 1 stored quadrature-built blocks for polynomial profile
-        # strings under the same symbol key the compiled profile has now.
-        sym = profile_symbol(1, 2, "s1^2")
-        stale = np.full((3, 3), 7.0 + 0j)
-        monkeypatch.setattr(assembly, "CACHE_SCHEMA_VERSION", 1)
-        BlockCache(tmp_path).store(sym.content_key, 1, 2, 48, stale)
-        monkeypatch.undo()
-        cache = BlockCache(tmp_path)
-        b = assemble_block(sym, 1, 2, cache=cache)
-        assert (cache.hits, cache.misses) == (0, 1)
-        assert b.tobytes() == assemble_block(sym, 1, 2).tobytes()
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda raw: b"junk",
-            lambda raw: raw[:40],
-            lambda raw: b"XXXX" + raw[4:],
-            lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
-            lambda raw: raw[:-16],
-        ],
-        ids=["junk", "truncated-header", "magic", "old-version", "short-payload"],
-    )
-    def test_bad_file_is_a_miss_and_rewritten(self, tmp_path, corrupt):
-        sym = builtin_quasi_homogeneous(1, (1, -1))
-        good = assemble_block(sym, 1, 2, cache=BlockCache(tmp_path))
-        (path,) = tmp_path.glob("*.blk")
-        path.write_bytes(corrupt(path.read_bytes()))
-        cache = BlockCache(tmp_path)
-        b = assemble_block(sym, 1, 2, cache=cache)
-        assert (cache.hits, cache.misses) == (0, 1)
-        assert b.tobytes() == good.tobytes()
-        again = BlockCache(tmp_path)
-        assert again.load(sym.content_key, 1, 2, 48).tobytes() == good.tobytes()
-        assert (again.hits, again.misses) == (1, 0)
-
-    def test_file_for_another_key_is_a_miss(self, tmp_path):
-        sym = builtin_quasi_homogeneous(1, (1, -1))
-        cache = BlockCache(tmp_path)
-        cache.store(sym.content_key, 1, 2, 48, np.eye(3, dtype=complex))
-        src = cache._path(sym.content_key, 1, 2, 48, 64)
-        src.rename(cache._path(sym.content_key, 1, 3, 48, 64))
-        assert cache.load(sym.content_key, 1, 3, 48) is None
-        assert cache.misses == 1
-
-    def test_torus_grid_is_part_of_the_key(self, tmp_path):
-        sym = expression_symbol(1, 2, "exp(s1*s2*(t1*conj(t2)+t2*conj(t1)))+s1^2")
-        cache = BlockCache(tmp_path)
-        fine = assemble_block(sym, 1, 2, torus_grid=64, cache=cache)
-        warm = assemble_block(sym, 1, 2, torus_grid=4, cache=cache)
-        assert cache.hits == 0
-        cold = assemble_block(sym, 1, 2, torus_grid=4)
-        assert warm.tobytes() == cold.tobytes()
-        assert fine.tobytes() != cold.tobytes()  # the grid shapes the block
-        # A polynomial compiles to its modes; no grid enters its block.
-        poly = expression_symbol(1, 2, "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2")
-        assert sorted(m.p for m in poly.modes) == [(-1, 1), (0, 0), (1, -1)]
-        coarse = assemble_block(poly, 1, 2, torus_grid=4)
-        assert coarse.tobytes() == assemble_block(poly, 1, 2, torus_grid=64).tobytes()
-
-    def test_schema_3_blocks_not_served_for_compiled_expressions(self, tmp_path, monkeypatch):
-        # Schema 3 stored torus-quadrature blocks for polynomial expression
-        # symbols under the same symbol key the compiled symbol has now.
-        sym = expression_symbol(1, 2, "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2")
-        assert sym.modes is not None
-        stale = np.full((3, 3), 7.0 + 0j)
-        monkeypatch.setattr(assembly, "CACHE_SCHEMA_VERSION", 3)
-        BlockCache(tmp_path).store(sym.content_key, 1, 2, 48, stale)
-        monkeypatch.undo()
-        cache = BlockCache(tmp_path)
-        b = assemble_block(sym, 1, 2, cache=cache)
-        assert (cache.hits, cache.misses) == (0, 1)
-        assert b.tobytes() == assemble_block(sym, 1, 2).tobytes()
-
-    def test_callable_profiles_are_not_cached(self, tmp_path):
-        # Two lambdas share the name "<lambda>", hence the content key; a
-        # cached block of the first must not be served for the second.
-        first = profile_symbol(1, 2, lambda s: np.exp(s[..., 0]))
-        second = profile_symbol(1, 2, lambda s: 5 + 0 * s[..., 0])
-        assert first.content_key == second.content_key
-        assert first.opaque and second.opaque
-        cache = BlockCache(tmp_path)
-        assemble_block(first, 1, 2, order=16, cache=cache)
-        got = assemble_block(second, 1, 2, order=16, cache=cache)
-        assert got.tobytes() == assemble_block(second, 1, 2, order=16).tobytes()
-        assert np.allclose(got, 5 * np.eye(3))
-        assert (cache.hits, cache.misses) == (0, 0)
-        assert not list(tmp_path.glob("*.blk"))
-        # Symbols compiled from strings stay cacheable.
-        for sym in (profile_symbol(1, 2, "exp(s1)"), expression_symbol(1, 2, "exp(s1)")):
-            assert not sym.opaque
-
-    def test_model_uses_cache(self, tmp_path):
-        cfg = PartitionConfig(k=(2,), lam=0.0)
-        sym = builtin_quasi_homogeneous(1, (1, -1))
-        m1 = AlgebraModel(cfg=cfg, symbols={1: sym}, cache=BlockCache(tmp_path))
-        m1.block(1, 2)
-        m2 = AlgebraModel(cfg=cfg, symbols={1: sym}, cache=BlockCache(tmp_path))
-        b = m2.block(1, 2)
-        assert m2.cache.hits == 1
-        assert np.allclose(b, m1.block(1, 2))
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])

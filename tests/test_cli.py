@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -143,8 +144,10 @@ def _ints(value):
         ("assemble", {"symbols": [{"group": 2.0, "kind": "quasi_homogeneous", "p": [1, -1]}]}),
         ("hull", {"hull": {"resolution": 256.0, "ess_samples": 2048}}),
         ("verify", {"degree_cap": 3, "quadrature": {"block_order": 48.0}}),
+        ("radical", {"radical": {"group": 2, "level": 1,
+                                 "gamma": {"kind": "indicator_degree", "d": 1.0}}}),
     ],
-    ids=["degree_cap", "symbol-group", "hull-resolution", "block_order"],
+    ids=["degree_cap", "symbol-group", "hull-resolution", "block_order", "radical-gamma-d"],
 )
 def test_integral_float_acts_as_its_integer(tmp_path, command, overrides):
     payloads = []
@@ -162,8 +165,11 @@ def test_integral_float_acts_as_its_integer(tmp_path, command, overrides):
         {"group": 3, "level": 1},
         {"group": 2, "level": 1, "gamma": {"kind": "geometric_decay", "rate": "x"}},
         {"group": 2, "level": 1, "gamma": {"kind": "indicator_degree", "d": "x"}},
+        {"group": 2, "level": 1, "gamma": {"kind": "indicator_degree", "d": 1.5}},
+        {"group": 2, "level": 1, "gamma": {"kind": "indicator_degree", "d": -1}},
     ],
-    ids=["group-outside-partition", "non-numeric-rate", "non-numeric-d"],
+    ids=["group-outside-partition", "non-numeric-rate", "non-numeric-d", "fractional-d",
+         "negative-d"],
 )
 def test_bad_radical_settings_are_config_errors(tmp_path, capsys, radical):
     path = write_config(tmp_path, radical=radical)
@@ -190,15 +196,15 @@ def test_assemble_trivial_identity(tmp_path):
     assert report["payload"]["identity_deviation_fro"] < 1e-12
 
 
-def test_warm_cache_reproduces_payload(tmp_path):
+def test_rerun_reproduces_payload(tmp_path):
     path = write_config(tmp_path)
     assert main(["assemble", "--config", str(path)]) == 0
     first = read_report(tmp_path, "assemble")
     assert main(["assemble", "--config", str(path)]) == 0
     second = read_report(tmp_path, "assemble")
     assert first["payload_sha256"] == second["payload_sha256"]
-    assert second["cache_hit"] is True
-    assert first["cache_hit"] is False
+    assert "cache_hit" not in second
+    assert not (tmp_path / "out" / "cache").exists()
 
 
 EXPRESSION_SYMBOL = {
@@ -207,36 +213,20 @@ EXPRESSION_SYMBOL = {
 }
 
 
-def test_warm_cache_with_other_torus_grid_matches_cold(tmp_path):
-    def run(grid, *flags, symbol=EXPRESSION_SYMBOL):
+def test_torus_grid_shapes_probed_payload_only(tmp_path):
+    def run(grid, symbol=EXPRESSION_SYMBOL):
         path = write_config(
             tmp_path, degree_cap=3, symbols=[symbol],
             quadrature={"torus_grid": grid},
         )
-        assert main(["spectrum", "--config", str(path), *flags]) == 0
+        assert main(["spectrum", "--config", str(path)]) == 0
         return read_report(tmp_path, "spectrum")["payload_sha256"]
 
-    fine = run(64)
-    warm = run(4)
-    cold = run(4, "--no-cache")
-    assert warm == cold
-    assert fine != cold
+    assert run(64) != run(4)
     # A polynomial expression compiles to its modes: the grid does not
     # enter its blocks.
     poly = {**EXPRESSION_SYMBOL, "text": "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2"}
-    assert run(64, "--no-cache", symbol=poly) == run(4, "--no-cache", symbol=poly)
-
-
-def test_corrupt_cache_file_is_recomputed(tmp_path):
-    path = write_config(tmp_path, degree_cap=3)
-    assert main(["assemble", "--config", str(path), "--no-cache"]) == 0
-    cold = read_report(tmp_path, "assemble")["payload_sha256"]
-    assert main(["assemble", "--config", str(path)]) == 0
-    victim = sorted((tmp_path / "out" / "cache").glob("*.blk"))[0]
-    victim.write_bytes(b"junk")
-    assert main(["assemble", "--config", str(path)]) == 0
-    assert read_report(tmp_path, "assemble")["payload_sha256"] == cold
-    assert victim.read_bytes() != b"junk"
+    assert run(64, symbol=poly) == run(4, symbol=poly)
 
 
 def test_unexpected_error_is_json_exit_2(tmp_path, monkeypatch, capsys):
@@ -270,12 +260,13 @@ def test_non_finite_boundary_samples_are_a_spectra_error(tmp_path, capsys):
     assert "'expr:1/s1'" in err["message"] and "not finite at 64 of its" in err["message"]
 
 
-def test_cache_env_override(tmp_path, monkeypatch):
+def test_cache_env_is_ignored(tmp_path, monkeypatch):
     alt = tmp_path / "altcache"
     monkeypatch.setenv("TOEPLITZ_SPECTRA_CACHE", str(alt))
     path = write_config(tmp_path)
     assert main(["assemble", "--config", str(path)]) == 0
-    assert alt.exists() and any(alt.iterdir())
+    assert not alt.exists()
+    assert not (tmp_path / "out" / "cache").exists()
 
 
 def test_spectrum_and_side_file(tmp_path):
@@ -422,13 +413,25 @@ def test_berezin_command(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "w", [[0.3, 0.4, 0.1], [1.5, 0.0]], ids=["wrong-length", "outside-ball"]
+    "berezin, message",
+    [
+        ({"group": 2, "w": [0.3, 0.4, 0.1], "degrees": [5]}, "berezin w has 3 coordinates"),
+        ({"group": 2, "w": [1.5, 0.0], "degrees": [5]}, "berezin w must lie in the open ball"),
+        ({"group": 2, "w": [0.3, 0.4], "degrees": [5], "radial_expression": "s1^2"},
+         "berezin.radial_expression: quasi-radial expression uses ['s1']; only ['r1'] allowed"),
+        ({"group": 2, "w": [0.3, 0.4], "degrees": [5], "radial_expression": "r1^"},
+         "berezin.radial_expression: expected a value, got ''"),
+    ],
+    ids=["wrong-length", "outside-ball", "radial-variable", "radial-syntax"],
 )
-def test_berezin_bad_base_point_is_config_error(tmp_path, capsys, w):
-    path = write_config(tmp_path, berezin={"group": 2, "w": w, "degrees": [5]})
+def test_berezin_bad_base_point_is_config_error(tmp_path, capsys, berezin, message):
+    path = write_config(tmp_path, berezin=berezin)
     assert main(["berezin", "--config", str(path)]) == 1
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"]["type"] == "ConfigError"
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"].startswith(message)
 
 
 def test_semisimple_command(tmp_path):
@@ -619,3 +622,31 @@ def test_benchmark_tracer_runs_on_the_package(tmp_path, command, counters, raste
     assert all(counts.get(name, 0) > 0 for name in counters), counts
     if rasters:
         assert trace["distinct"].get("spectra.raster_grids", 0) > 0, trace["distinct"]
+
+
+def _perfbench_setup_code(src: Path) -> str:
+    """SETUP_CODE as perfbench/run.py defines it, read without importing run.py."""
+    tree = ast.parse((src.parent / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SETUP_CODE" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no SETUP_CODE")
+
+
+@pytest.mark.parametrize("no_cache", ["1", "0"])
+def test_benchmark_setup_probe_runs_on_the_package(tmp_path, no_cache):
+    # perfbench/run.py times build_setup through this snippet before every
+    # workload; a change to build_setup's signature fails here first.
+    src = Path(cli.__file__).resolve().parents[1]
+    path = write_config(tmp_path, degree_cap=3)
+    out = tmp_path / "setup"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("TOEPLITZ_SPECTRA_CACHE", None)
+    result = subprocess.run(
+        [sys.executable, "-c", _perfbench_setup_code(src), str(path), str(out), no_cache],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert out.is_dir() and not (out / "cache").exists()

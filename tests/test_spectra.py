@@ -672,7 +672,7 @@ EXPR_CONFIG = {
 
 
 def _setup(raw, tmp_path):
-    return build_setup(validate_config(dict(raw)), no_cache=True, out=str(tmp_path))
+    return build_setup(validate_config(dict(raw)), out=str(tmp_path))
 
 
 def _assert_point_spectrum_in_frame(ctx, D):

@@ -238,7 +238,6 @@ class TestCompiledExpression:
             (1, -1): [((1, 1), 0.969)],
         }
         assert all(isinstance(m.profile, PolynomialProfile) for m in sym.modes)
-        assert not sym.opaque
 
     def test_fn_is_the_parsed_expression(self):
         sym = expression_symbol(1, 2, EXPR_GROUP_1)
