@@ -83,6 +83,35 @@ CONFIGS = {
         "gelfand": {"budget": 200},
         "seed": 11,
     },
+    # A radial power and a monomial profile, both closed form.
+    "power-monomial-d3": {
+        "partition": {"k": [1, 2], "lambda": 0.5},
+        "degree_cap": 3,
+        "quasi_radial": {"kind": "power", "exponents": [2, 1]},
+        "symbols": [{"group": 2, "kind": "profile_monomial", "powers": [1, 2],
+                     "coeff": [0.5, 0.25]}],
+        "hull": {"resolution": 128, "ess_samples": 512},
+        "berezin": {"group": 2, "w": [0.3, -0.2], "degrees": [4, 8, 16]},
+        "radical": {"group": 2, "level": 1, "gamma": {"kind": "indicator_degree", "d": 1}},
+        "gelfand": {"budget": 200},
+        "seed": 3,
+    },
+    # A non-polynomial expression in s and t, probed on the torus, under the
+    # radial factor one.  Its verify fails quadrature-doubling (4.3e-6 at
+    # order 16, 9.6e-7 at 24, against 1e-9): the failing verdict is pinned.
+    "nonpoly-expr-d2": {
+        "partition": {"k": [1, 2], "lambda": 0.0},
+        "degree_cap": 2,
+        "quasi_radial": {"kind": "one"},
+        "symbols": [{"group": 2, "kind": "expression", "boundary_continuous": True,
+                     "text": "exp(s1*s2*(t1*conj(t2)+t2*conj(t1)))"}],
+        "quadrature": {"block_order": 16, "gamma_order": 16, "torus_grid": 16},
+        "hull": {"resolution": 128, "ess_samples": 512},
+        "berezin": {"group": 2, "w": [0.3, 0.4], "degrees": [4, 8, 16]},
+        "radical": {"group": 2, "level": 1, "gamma": {"kind": "geometric_decay", "rate": 0.3}},
+        "gelfand": {"budget": 200},
+        "seed": 5,
+    },
 }
 
 

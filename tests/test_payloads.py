@@ -11,6 +11,7 @@ import json
 import pytest
 
 from pin_payloads import CONFIGS, PINS, compute_payloads, describe_difference, sha
+from toeplitz_spectra.cli import CONFIG_SCHEMA
 
 PINNED = json.loads(PINS.read_text())
 
@@ -21,6 +22,38 @@ def test_pins_cover_every_config_and_command():
         for command, pin in pins.items():
             # The stored payload is the one the sha was taken of.
             assert sha(pin["payload"]) == pin["sha256"], (name, command)
+
+
+def _kind_enums(schema: dict, path: tuple = ()):
+    """(path, values) of every `kind` enum in schema; "[]" steps into items."""
+    for key, sub in schema.get("properties", {}).items():
+        if key == "kind" and "enum" in sub:
+            yield path, sub["enum"]
+        else:
+            yield from _kind_enums(sub, path + (key,))
+    if "items" in schema:
+        yield from _kind_enums(schema["items"], path + ("[]",))
+
+
+def _kinds_at(value, path: tuple):
+    """The `kind` values of the sections of value at path."""
+    if not path:
+        if isinstance(value, dict) and "kind" in value:
+            yield value["kind"]
+        return
+    if path[0] == "[]":
+        for item in value if isinstance(value, list) else ():
+            yield from _kinds_at(item, path[1:])
+    elif isinstance(value, dict) and path[0] in value:
+        yield from _kinds_at(value[path[0]], path[1:])
+
+
+def test_pins_cover_every_kind_in_the_schema():
+    enums = dict(_kind_enums(CONFIG_SCHEMA))
+    assert {("symbols", "[]"), ("quasi_radial",)} <= set(enums)
+    for path, kinds in enums.items():
+        pinned = {kind for config in CONFIGS.values() for kind in _kinds_at(config, path)}
+        assert set(kinds) <= pinned, (path, sorted(set(kinds) - pinned))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
