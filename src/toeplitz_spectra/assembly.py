@@ -41,12 +41,7 @@ from .lattice import GlobalBasis, Index, PartitionConfig, block_indices, log_mon
 from .quad import (
     dirichlet_moment, dirichlet_probability_rule, fourier_on_points, gammaln, log_dirichlet_mass,
 )
-from .symbols import (
-    CallableProfile,
-    MonomialProfile,
-    PseudoHomogeneousSymbol,
-    QuasiRadialSymbol,
-)
+from .symbols import MonomialProfile, Profile, PseudoHomogeneousSymbol, QuasiRadialSymbol
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +96,7 @@ def _entry_monomial(alpha: Index, beta: Index, prof: MonomialProfile, kj: int, d
 
 
 def _entry_quadrature(
-    alpha: Index, beta: Index, prof: CallableProfile, order: int, kj: int, d: int
+    alpha: Index, beta: Index, prof: Profile, order: int, kj: int, d: int
 ) -> complex:
     # The Dirichlet weight with exponents (alpha + beta)/2 becomes a
     # probability rule; its log mass multiplies the expectation back in.
@@ -127,8 +122,8 @@ def assemble_block(
     Rows and columns follow ``lattice.block_indices(c.dim, d)``.  With
     declared Fourier support only the supported diagonals are touched;
     otherwise every mode p = beta - alpha realizable in the block gets a
-    profile probed on the torus, assembled by quadrature like a declared
-    callable profile.
+    profile probed on the torus.  A profile with terms gives sums of
+    closed-form entries, any other profile quadrature entries.
     """
     group = c.group if j is None else j
     kj = c.dim
@@ -137,7 +132,7 @@ def assemble_block(
     indices = block_indices(kj, d)
     position = {alpha: i for i, alpha in enumerate(indices)}
     mat = np.zeros((len(indices), len(indices)), dtype=complex)
-    modes = c.declared_mode_dict()
+    modes = c.modes
     if modes is None:
         modes = {}
         for alpha in indices:
@@ -145,7 +140,7 @@ def assemble_block(
                 p = tuple(vb - va for va, vb in zip(alpha, beta))
                 if p not in modes:
                     grid = max(torus_grid, 2 * max(abs(v) for v in p) + 1)
-                    modes[p] = CallableProfile(
+                    modes[p] = Profile(
                         partial(fourier_on_points, c.fn, p=p, grid=grid), f"{c.label}@{p}"
                     )
 
@@ -155,7 +150,7 @@ def assemble_block(
             if row is None:
                 continue
             beta = indices[row]
-            if isinstance(prof, CallableProfile):
+            if prof.terms is None:
                 mat[row, col] += _entry_quadrature(alpha, beta, prof, order, kj, d)
             else:
                 for term in prof.terms:
@@ -405,7 +400,7 @@ def cross_block_entry_bound(model: AlgebraModel, D: int) -> float:
             val = 1.0 if all(v == 0 for v in p) else 0.0
         else:
             kj = sym.dim
-            declared = sym.declared_mode_dict()
+            declared = sym.modes
             if declared is not None and p not in declared:
                 val = 0.0
             else:

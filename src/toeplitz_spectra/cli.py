@@ -62,12 +62,12 @@ from .spectra import (
     spectrum_with_hull,
 )
 from .symbols import (
-    MonomialProfile,
     PseudoHomogeneousSymbol,
     QuasiRadialSymbol,
     builtin_quasi_homogeneous,
     constant_symbol,
     expression_symbol,
+    profile_monomial,
     profile_symbol,
 )
 
@@ -90,6 +90,7 @@ CONFIG_SCHEMA = {
         "degree_cap": {"type": "integer", "minimum": 0},
         "quasi_radial": {
             "type": ["object", "null"],
+            "additionalProperties": False,
             "properties": {
                 "kind": {"enum": ["one", "expression", "power"]},
                 "text": {"type": "string"},
@@ -102,6 +103,7 @@ CONFIG_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["group", "kind"],
+                "additionalProperties": False,
                 "properties": {
                     "group": {"type": "integer", "minimum": 1},
                     "kind": {
@@ -145,6 +147,7 @@ CONFIG_SCHEMA = {
         "berezin": {
             "type": "object",
             "required": ["group", "w", "degrees"],
+            "additionalProperties": False,
             "properties": {
                 "group": {"type": "integer", "minimum": 1},
                 "w": {"type": "array"},
@@ -162,10 +165,19 @@ CONFIG_SCHEMA = {
         },
         "radical": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "group": {"type": "integer", "minimum": 1},
                 "level": {"type": "integer", "minimum": 1},
-                "gamma": {"type": "object"},
+                "gamma": {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "properties": {
+                        "kind": {"enum": ["indicator_degree", "geometric_decay"]},
+                        "d": {"type": "integer", "minimum": 0},
+                        "rate": {"type": "number", "minimum": 0},
+                    },
+                },
             },
         },
         "output_dir": {"type": "string"},
@@ -351,10 +363,13 @@ class Setup:
     warnings: list[str]
 
 
-def _field(spec: dict, key: str, where: str):
-    """spec[key], which spec's kind needs; a missing one is a ConfigError."""
+def _field(spec: dict, key: str, where: str, length: int | None = None):
+    """spec[key], which spec's kind needs; a missing one, or a list whose
+    length is not ``length``, is a ConfigError."""
     if key not in spec:
         raise ConfigError(f"{where} of kind {spec['kind']!r} needs the field {key!r}")
+    if length is not None and len(spec[key]) != length:
+        raise ConfigError(f"{where}: {key!r} has {len(spec[key])} entries, not {length}")
     return spec[key]
 
 
@@ -366,38 +381,25 @@ def _build_quasi_radial(spec, m: int) -> QuasiRadialSymbol | None:
         return QuasiRadialSymbol.one(m)
     if kind == "expression":
         return QuasiRadialSymbol.from_expression(m, _field(spec, "text", "quasi_radial"))
-    if kind == "power":
-        exps = _field(spec, "exponents", "quasi_radial")
-        if len(exps) != m:
-            raise ConfigError(f"radial power needs {m} exponents, got {len(exps)}")
-        return QuasiRadialSymbol.power(exps)
-    raise ConfigError(f"unknown quasi-radial kind {kind!r}")
+    return QuasiRadialSymbol.power(_field(spec, "exponents", "quasi_radial", m))
 
 
 def _build_symbol(spec, cfg: PartitionConfig) -> PseudoHomogeneousSymbol:
     g = spec["group"]
     kj = cfg.k[g - 1]
     kind = spec["kind"]
-    bc = spec.get("boundary_continuous", True)
+    bc = spec.get("boundary_continuous", kind != "expression")
     where = f"symbol of group {g}"
     if kind == "constant":
-        return constant_symbol(g, kj, _complex_from_json(spec.get("value", 1.0)))
+        value = _complex_from_json(spec.get("value", 1.0))
+        return constant_symbol(g, kj, value, boundary_continuous=bc)
     if kind == "quasi_homogeneous":
-        p = _field(spec, "p", where)
-        if len(p) != kj:
-            raise ConfigError(f"mode length {len(p)} != group size {kj}")
-        return builtin_quasi_homogeneous(g, p)
-    if kind == "profile":
-        return profile_symbol(g, kj, _field(spec, "text", where), boundary_continuous=bc)
+        return builtin_quasi_homogeneous(g, _field(spec, "p", where, kj), boundary_continuous=bc)
     if kind == "profile_monomial":
-        prof = MonomialProfile(
-            tuple(_field(spec, "powers", where)), _complex_from_json(spec.get("coeff", 1.0))
-        )
-        return profile_symbol(g, kj, prof, boundary_continuous=bc)
-    if kind == "expression":
-        bc = spec.get("boundary_continuous", False)
-        return expression_symbol(g, kj, _field(spec, "text", where), boundary_continuous=bc)
-    raise ConfigError(f"unknown symbol kind {kind!r}")
+        coeff = _complex_from_json(spec.get("coeff", 1.0))
+        return profile_monomial(g, _field(spec, "powers", where, kj), coeff, boundary_continuous=bc)
+    build = profile_symbol if kind == "profile" else expression_symbol
+    return build(g, kj, _field(spec, "text", where), boundary_continuous=bc)
 
 
 def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: str | None = None) -> Setup:
@@ -697,25 +699,12 @@ def cmd_semisimple(setup: Setup) -> dict:
 
 def _radical_gamma(spec: dict, j: int) -> DiagonalCoefficient:
     spec = spec or {}
-
-    def number(key: str, default: float) -> float:
-        value = spec.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"radical gamma {key!r} must be a number, got {value!r}")
-        return value
-
-    kind = spec.get("kind", "indicator_degree")
-    if kind == "indicator_degree":
-        d = number("d", 1)
-        if d < 0 or d != int(d):
-            raise ConfigError(f"radical gamma 'd' must be a nonnegative integer, got {d!r}")
-        return DiagonalCoefficient.indicator_degree(j, int(d))
-    if kind == "geometric_decay":
-        rate = float(number("rate", 0.5))
-        if not 0 <= rate < 1:
-            raise ConfigError(f"decay rate must be in [0,1), got {rate}")
-        return DiagonalCoefficient.geometric_decay(j, rate)
-    raise ConfigError(f"unknown radical gamma kind {kind!r}")
+    if spec.get("kind", "indicator_degree") == "indicator_degree":
+        return DiagonalCoefficient.indicator_degree(j, spec.get("d", 1))
+    rate = float(spec.get("rate", 0.5))
+    if rate >= 1:
+        raise ConfigError(f"decay rate must be in [0,1), got {rate}")
+    return DiagonalCoefficient.geometric_decay(j, rate)
 
 
 def cmd_radical(setup: Setup) -> dict:
@@ -895,14 +884,15 @@ def _run(args) -> int:
         return 2
     path = write_report(setup, args.command, payload, started)
     print(f"report written to {path}")
-    if args.command == "verify" and not payload["all_passed"]:
+    if args.command != "verify":
+        return 0
+    for c in payload["checks"]:
+        print(f"  [{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: "
+              f"residual {c['residual']:.3e} (tol {c['tolerance']:.3e})")
+    if not payload["all_passed"]:
         failing = [c["name"] for c in payload["checks"] if not c["passed"]]
         _emit_error("VerificationFailure", f"failing checks: {', '.join(failing)}")
         return 3
-    if args.command == "verify":
-        for c in payload["checks"]:
-            print(f"  [{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: "
-                  f"residual {c['residual']:.3e} (tol {c['tolerance']:.3e})")
     return 0
 
 

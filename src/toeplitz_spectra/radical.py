@@ -137,7 +137,7 @@ def _structural_block_kind(sym) -> str | None:
     for every degree; None otherwise."""
     if sym is None:
         return "diagonal"
-    modes = sym.declared_mode_dict()
+    modes = sym.modes
     if modes is None:
         return None
     ps = list(modes.keys())

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ball2_inner_product, dense, gamma_literal, monomial_norm_sq
-from toeplitz_spectra import assembly
+from toeplitz_spectra import assembly, quad
 from toeplitz_spectra.assembly import (
     AlgebraModel,
     assemble_block,
@@ -23,12 +23,13 @@ from toeplitz_spectra.quad import (
 )
 from toeplitz_spectra.symbols import (
     MAX_PROFILE_DEGREE,
-    CallableProfile,
-    MonomialProfile,
+    Profile,
     QuasiRadialSymbol,
     builtin_quasi_homogeneous,
     constant_symbol,
     expression_symbol,
+    mode_symbol,
+    profile_monomial,
     profile_symbol,
 )
 
@@ -135,7 +136,7 @@ class TestBlocks:
         # to the bit; a quadrature route would be off by an ulp or more.
         powers = (2,) + (0,) * (k - 1)
         text = profile_symbol(1, k, "s1^2")
-        mono = profile_symbol(1, k, MonomialProfile(powers))
+        mono = profile_monomial(1, powers)
         for d in range(5):
             a = assemble_block(text, 1, d)
             b = assemble_block(mono, 1, d)
@@ -160,7 +161,7 @@ class TestBlocks:
         # with e = alpha + (n, 0, ...).
         for k in (2, 3):
             sym = profile_symbol(1, k, "exp(s1^2)")
-            assert isinstance(sym.modes[0].profile, CallableProfile)
+            assert sym.modes[(0,) * k].terms is None
             for d in range(5):
                 block = assemble_block(sym, 1, d)
                 off = block - np.diag(np.diag(block))
@@ -177,6 +178,21 @@ class TestBlocks:
                             - math.lgamma(n + 1)
                         )
                     assert block[i, i] == pytest.approx(want, abs=2e-7), (k, d, alpha)
+
+    @pytest.mark.parametrize("k, text", [(2, "exp(s1)"), (3, "1/(2 - s1^2)")])
+    def test_torus_free_expression_is_its_profile(self, monkeypatch, k, text):
+        # Without a torus variable an expression declares the single mode
+        # p = 0, as a profile does: no torus probe, and the same blocks.
+        def probe(*args, **kwargs):
+            raise AssertionError("probed on the torus")
+
+        monkeypatch.setattr(quad, "fourier_on_points", probe)
+        monkeypatch.setattr(assembly, "fourier_on_points", probe)
+        expr, prof = expression_symbol(1, k, text), profile_symbol(1, k, text)
+        assert expr.modes[(0,) * k].terms is None
+        for d in range(4):
+            a = assemble_block(expr, 1, d, order=24, torus_grid=32)
+            assert a.tobytes() == assemble_block(prof, 1, d, order=24, torus_grid=32).tobytes(), d
 
     def test_quasi_homogeneous_block_structure(self):
         # Single nonzero mode: strictly triangular with Dirichlet-form entries.
@@ -256,15 +272,16 @@ class TestBlocks:
         assert fine.tobytes() != coarse.tobytes()  # the grid shapes the block
         # A polynomial compiles to its modes; no grid enters its block.
         poly = expression_symbol(1, 2, "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2")
-        assert sorted(m.p for m in poly.modes) == [(-1, 1), (0, 0), (1, -1)]
+        assert sorted(poly.modes) == [(-1, 1), (0, 0), (1, -1)]
         coarse = assemble_block(poly, 1, 2, torus_grid=4)
         assert coarse.tobytes() == assemble_block(poly, 1, 2, torus_grid=64).tobytes()
 
     def test_callable_profile_block(self):
-        # Two lambdas share the label "<lambda>"; each block is its own.
-        first = profile_symbol(1, 2, lambda s: np.exp(s[..., 0]))
-        second = profile_symbol(1, 2, lambda s: 5 + 0 * s[..., 0])
-        assert first.label == second.label
+        # Two profiles without terms share a label; each block is its own.
+        first, second = (
+            mode_symbol(1, 2, {(0, 0): Profile(fn, "callable")}, "callable", boundary_continuous=False)
+            for fn in (lambda s: np.exp(s[..., 0]), lambda s: 5 + 0 * s[..., 0])
+        )
         assemble_block(first, 1, 2, order=16)
         assert np.allclose(assemble_block(second, 1, 2, order=16), 5 * np.eye(3))
 

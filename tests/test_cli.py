@@ -167,15 +167,77 @@ def test_integral_float_acts_as_its_integer(tmp_path, command, overrides):
         {"group": 2, "level": 1, "gamma": {"kind": "indicator_degree", "d": "x"}},
         {"group": 2, "level": 1, "gamma": {"kind": "indicator_degree", "d": 1.5}},
         {"group": 2, "level": 1, "gamma": {"kind": "indicator_degree", "d": -1}},
+        {"group": 2, "level": 1, "gamma": {"kind": "geometric_decay", "rate": 1.0}},
+        {"group": 2, "level": 1, "gamma": {"kind": "geometric_decay", "rate": -0.1}},
     ],
     ids=["group-outside-partition", "non-numeric-rate", "non-numeric-d", "fractional-d",
-         "negative-d"],
+         "negative-d", "rate-one", "negative-rate"],
 )
 def test_bad_radical_settings_are_config_errors(tmp_path, capsys, radical):
     path = write_config(tmp_path, radical=radical)
     assert main(["radical", "--config", str(path), "--no-cache"]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command", ["berezin", "radical"])
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("levle", {"radical": {"group": 2, "levle": 3}}),
+        ("rat", {"radical": {"group": 2, "gamma": {"kind": "geometric_decay", "rat": 0.9}}}),
+        ("radial_expresion", {"berezin": {"group": 2, "w": [0.3, 0.4], "degrees": [10],
+                                          "radial_expresion": "r1^2"}}),
+        ("boundary_continous", {"symbols": [{"group": 2, "kind": "quasi_homogeneous",
+                                             "p": [1, -1], "boundary_continous": False}]}),
+        ("exponent", {"quasi_radial": {"kind": "expression", "text": "1 - r1^2",
+                                       "exponent": [2, 0]}}),
+    ],
+    ids=["radical", "radical-gamma", "berezin", "symbol", "quasi_radial"],
+)
+def test_misspelt_config_key_is_config_error(tmp_path, capsys, command, key, overrides):
+    path = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])["error"]
+    assert err["type"] == "ConfigError"
+    assert f"additional property {key!r}" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "constant", "value": 0.5},
+        {"kind": "quasi_homogeneous", "p": [1, -1]},
+        {"kind": "profile", "text": "s1^2"},
+        {"kind": "profile_monomial", "powers": [1, 1]},
+        {"kind": "expression", "text": "s1*s2*t1*conj(t2)"},
+    ],
+    ids=lambda spec: spec["kind"],
+)
+def test_boundary_continuous_is_read_for_every_kind(tmp_path, spec):
+    # Absent, it is true for every kind but expression.
+    for flag in (None, True, False):
+        item = {"group": 2, **spec, **({} if flag is None else {"boundary_continuous": flag})}
+        config = cli.validate_config({"partition": {"k": [1, 2]}, "symbols": [item]})
+        symbol = cli.build_setup(config, out=str(tmp_path / "out")).model.symbols[2]
+        want = spec["kind"] != "expression" if flag is None else flag
+        assert symbol.boundary_continuous is want, flag
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [({"kind": "profile_monomial", "powers": [1, 0, 2]}, "powers"),
+     ({"kind": "quasi_homogeneous", "p": [1]}, "p")],
+    ids=["powers", "p"],
+)
+def test_exponents_must_match_the_group_size(tmp_path, capsys, spec, key):
+    path = write_config(tmp_path, symbols=[{"group": 2, **spec}])
+    assert main(["assemble", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "ConfigError"
+    assert f"{key!r} has {len(spec[key])} entries, not 2" in err["message"]
 
 
 def test_assemble_report(tmp_path, capsys):
@@ -418,7 +480,7 @@ def test_berezin_command(tmp_path):
         ({"group": 2, "w": [0.3, 0.4, 0.1], "degrees": [5]}, "berezin w has 3 coordinates"),
         ({"group": 2, "w": [1.5, 0.0], "degrees": [5]}, "berezin w must lie in the open ball"),
         ({"group": 2, "w": [0.3, 0.4], "degrees": [5], "radial_expression": "s1^2"},
-         "berezin.radial_expression: quasi-radial expression uses ['s1']; only ['r1'] allowed"),
+         "berezin.radial_expression: expression 's1^2' uses ['s1']; only ['r1'] allowed"),
         ({"group": 2, "w": [0.3, 0.4], "degrees": [5], "radial_expression": "r1^"},
          "berezin.radial_expression: expected a value, got ''"),
     ],
@@ -507,11 +569,17 @@ def test_small_surrogate_kappa_is_a_radical_config_error(tmp_path, capsys):
     assert "surrogate_kappa" in err["error"]["message"]
 
 
-def test_small_surrogate_kappa_fails_the_vanishing_check(tmp_path):
+def test_small_surrogate_kappa_fails_the_vanishing_check(tmp_path, capsys):
     path = write_config(tmp_path, degree_cap=3, hull={}, surrogate_kappa=1)
     assert main(["verify", "--config", str(path), "--no-cache"]) == 3
     checks = read_report(tmp_path, "verify")["payload"]["checks"]
     assert [c["name"] for c in checks if not c["passed"]] == ["radical-gelfand-vanishing"]
+    # A failing verify prints its per-check lines too; the error stays last.
+    out = capsys.readouterr()
+    lines = [line.split(":")[0].strip() for line in out.out.splitlines()[1:]]
+    assert lines == [f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}" for c in checks]
+    err = json.loads(out.err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "VerificationFailure"
 
 
 @pytest.mark.parametrize("command", ["radical", "verify"])

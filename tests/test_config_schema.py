@@ -2,14 +2,17 @@
 oracle: both must accept and reject the same configs."""
 
 import copy
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toeplitz_spectra.cli import _JSON_TYPES, CONFIG_SCHEMA, _schema_error, main
+from toeplitz_spectra.cli import _JSON_TYPES, CONFIG_SCHEMA, _schema_error, main, validate_config
 
 ORACLE = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
@@ -157,3 +160,16 @@ def test_schema_uses_only_validated_keywords():
         assert schema.get("additionalProperties", False) is False, schema
         # Strings only: `in` then agrees with jsonschema's equality, where True != 1.
         assert all(isinstance(v, str) for v in schema.get("enum", [])), schema
+
+
+def test_benchmark_configs_use_only_known_keys(monkeypatch):
+    # perfbench/configs.py writes the benchmark's configs; the schema
+    # refuses unknown keys, so each must validate as it stands.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "configs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_configs", path)
+    configs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, configs)  # its dataclasses look it up
+    spec.loader.exec_module(configs)
+    for workload in configs.WORKLOADS:
+        for seed in (1, 2, 3):
+            validate_config(configs.generate(workload, seed))

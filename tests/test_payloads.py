@@ -50,7 +50,7 @@ def _kinds_at(value, path: tuple):
 
 def test_pins_cover_every_kind_in_the_schema():
     enums = dict(_kind_enums(CONFIG_SCHEMA))
-    assert {("symbols", "[]"), ("quasi_radial",)} <= set(enums)
+    assert {("symbols", "[]"), ("quasi_radial",), ("radical", "gamma")} <= set(enums)
     for path, kinds in enums.items():
         pinned = {kind for config in CONFIGS.values() for kind in _kinds_at(config, path)}
         assert set(kinds) <= pinned, (path, sorted(set(kinds) - pinned))

@@ -11,16 +11,15 @@ from toeplitz_spectra.quad import fourier_on_points
 from toeplitz_spectra.symbols import (
     MAX_PROFILE_DEGREE,
     MAX_PROFILE_TERMS,
-    CallableProfile,
-    FourierMode,
     MonomialProfile,
-    PolynomialProfile,
+    Profile,
     PseudoHomogeneousSymbol,
     QuasiRadialSymbol,
     builtin_quasi_homogeneous,
     check_invariance,
     constant_symbol,
     expression_symbol,
+    mode_symbol,
     parse_symbol_expression,
     profile_symbol,
 )
@@ -103,8 +102,8 @@ class TestPseudoHomogeneous:
             builtin_quasi_homogeneous(1, (1, 0))
 
     def test_fourier_mode_rejects_bad_mode(self):
-        with pytest.raises(SymbolError):
-            FourierMode((1, 0), MonomialProfile((1, 0)))
+        with pytest.raises(SymbolError, match="not invariant"):
+            mode_symbol(1, 2, {(1, 0): MonomialProfile((1, 0))}, "bad", boundary_continuous=False)
         modes = expression_symbol(1, 2, "s1*t1*conj(t2)").declared_mode_dict()
         assert modes[(1, -1)](np.array([[0.6, 0.8]]))[0] == pytest.approx(0.6)
         assert (2, -2) not in modes
@@ -146,8 +145,8 @@ class TestPseudoHomogeneous:
 
     def test_polynomial_profile_compiles_to_canonical_terms(self):
         def terms(text, dim=2):
-            prof = profile_symbol(1, dim, text).modes[0].profile
-            assert isinstance(prof, PolynomialProfile), text
+            prof = profile_symbol(1, dim, text).modes[(0,) * dim]
+            assert prof.terms is not None, text
             return [(m.powers, m.coeff) for m in prof.terms]
 
         assert terms("s1*s1") == terms("s1^2") == [((2, 0), 1.0)]
@@ -162,8 +161,13 @@ class TestPseudoHomogeneous:
         # non-polynomials, also when a polynomial part is past the limits
         for text in ("exp(s1)", "s1/2", "s1^0.5", "conj(s1)", "s1^s2", "s1 + 1/0",
                      "exp(s1) + (s1 + s2)^20000"):
-            prof = profile_symbol(1, 2, text).modes[0].profile
-            assert isinstance(prof, CallableProfile), text
+            prof = profile_symbol(1, 2, text, boundary_continuous=False).modes[(0, 0)]
+            assert prof.terms is None, text
+        # Declared boundary continuous, as by default, the last two are
+        # refused: 1/0 raises on evaluation and the power overflows.
+        for text in ("s1 + 1/0", "exp(s1) + (s1 + s2)^20000"):
+            with pytest.raises(SymbolError, match="non-finite"):
+                profile_symbol(1, 2, text)
 
     def test_polynomial_profile_limits_refuse(self):
         # Past MAX_PROFILE_DEGREE the closed form's log-Gamma differences
@@ -174,7 +178,7 @@ class TestPseudoHomogeneous:
             MonomialProfile((10**20, 0))
         assert MonomialProfile((MAX_PROFILE_DEGREE, 0)).powers == (MAX_PROFILE_DEGREE, 0)
         # Past MAX_PROFILE_TERMS, from a power and from a sum.
-        assert len(profile_symbol(1, 3, "(s1 + s2 + s3)^43").modes[0].profile.terms) == 990
+        assert len(profile_symbol(1, 3, "(s1 + s2 + s3)^43").modes[(0, 0, 0)].terms) == 990
         for text in ("(s1 + s2 + s3)^44", "(s1 + s2 + s3)^40 + (s1 + s2)^200"):
             with pytest.raises(SymbolError, match="terms"):
                 profile_symbol(1, 3, text)
@@ -184,6 +188,14 @@ class TestPseudoHomogeneous:
         s = np.array([[0.6, 0.8], [1.0, 0.0]])
         assert np.array_equal(c(s, np.ones((2, 2))), s[:, 0] * s[:, 1] + 0.25)
 
+    def test_torus_free_expression_evaluates_as_its_profile(self):
+        # Both sum their single mode onto zeros, so -0.0 comes out +0.0.
+        s, t = np.array([[0.6, 0.8]]), np.array([[1j, -1j]])
+        for text in ("-s1*0", "exp(s1) - s2"):
+            got = expression_symbol(1, 2, text)(s, t)
+            assert got.tobytes() == profile_symbol(1, 2, text)(s, t).tobytes(), text
+        assert math.copysign(1.0, expression_symbol(1, 2, "-s1*0")(s, t)[0].real) == 1.0
+
     def test_expression_symbol_validation(self):
         good = expression_symbol(1, 2, "exp(s1*s2*(t1*conj(t2) + conj(t1)*t2))")
         assert good.modes is None
@@ -191,7 +203,7 @@ class TestPseudoHomogeneous:
             expression_symbol(1, 2, "t1")
         # A polynomial in s, t, conj(t) compiles to its mode table.
         poly = expression_symbol(1, 2, "s1*s2*(t1*conj(t2) + conj(t1)*t2)")
-        assert {m.p: [(e.powers, e.coeff) for e in m.profile.terms] for m in poly.modes} == {
+        assert _table(poly) == {
             (-1, 1): [((1, 1), 1.0)],
             (1, -1): [((1, 1), 1.0)],
         }
@@ -226,7 +238,7 @@ EXPR_GROUP_1 = "0.421*s1^2 + 0.969*s1*s2*(t1*conj(t2)+t2*conj(t1)) + 0.832*s2^2"
 
 
 def _table(sym):
-    return {m.p: [(e.powers, e.coeff) for e in m.profile.terms] for m in sym.modes}
+    return {p: [(e.powers, e.coeff) for e in prof.terms] for p, prof in sym.modes.items()}
 
 
 class TestCompiledExpression:
@@ -237,7 +249,7 @@ class TestCompiledExpression:
             (0, 0): [((0, 2), 0.832), ((2, 0), 0.421)],
             (1, -1): [((1, 1), 0.969)],
         }
-        assert all(isinstance(m.profile, PolynomialProfile) for m in sym.modes)
+        assert all(isinstance(prof, Profile) for prof in sym.modes.values())
 
     def test_fn_is_the_parsed_expression(self):
         sym = expression_symbol(1, 2, EXPR_GROUP_1)
