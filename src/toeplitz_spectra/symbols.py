@@ -222,15 +222,12 @@ def parse_symbol_expression(text: str) -> SymbolExpression:
 
 
 def bind_expression(text: str, dim: int, prefixes: str) -> tuple[SymbolExpression, Callable]:
-    """The parsed text and its evaluator, once every variable of the text is
-    one of x1..x{dim} for a letter x of ``prefixes`` (``"r"``, ``"s"`` or
-    ``"st"``); any other variable raises SymbolError.
-
-    The evaluator takes one (..., dim) coordinate array per prefix, in
-    order (torus coordinates complex, the others real), and returns the
-    values broadcast over their leading axes as a complex array.  It may be
-    given fewer arrays than prefixes when the text has no variable of the
-    prefixes left out.
+    """The parsed text and its evaluator; a variable of the text other than
+    x1..x{dim} for a letter x of ``prefixes`` ("r", "s" or "st") raises
+    SymbolError.  The evaluator takes one (..., dim) array per prefix, in
+    order (torus coordinates complex, others real), or only the leading
+    ones when the text uses no later prefix, and returns the values as a
+    complex array broadcast over their leading axes.
     """
     expr = parse_symbol_expression(text)
     allowed = {f"{x}{l}" for x in prefixes for l in range(1, dim + 1)}
@@ -507,8 +504,8 @@ class PseudoHomogeneousSymbol:
     """Generalized pseudo-homogeneous symbol for one group.
 
     fn(s, t) takes broadcast-compatible arrays (..., k) of sphere and torus
-    coordinates.  When ``modes`` is present it fully describes the Fourier
-    support {p : |p| = 0} with analytic profiles; otherwise coefficients are
+    coordinates.  When ``modes``, a table {p: profile}, is present it fully
+    describes the Fourier support {p : |p| = 0}; otherwise coefficients are
     probed numerically on demand.
     """
 
@@ -569,7 +566,9 @@ def mode_symbol(
     no support: ``fn`` is then required, its invariance is probed on 64
     random samples to INVARIANCE_TOL, and assembly probes its modes on the
     torus.  A symbol declared boundary continuous is evaluated on boundary
-    samples, which rules out blow-ups.  A failed check raises SymbolError.
+    samples, which rules out blow-ups, unless every profile has terms: a
+    polynomial is finite on the closed sphere.  A failed check raises
+    SymbolError.
     """
     if table is not None:
         for p, prof in table.items():
@@ -592,7 +591,7 @@ def mode_symbol(
                 f"symbol {label!r} is not invariant under the diagonal torus action; "
                 f"worst violation {report.worst:.3e}"
             )
-    if boundary_continuous:
+    if boundary_continuous and (table is None or any(f.terms is None for f in table.values())):
         boundary_sanity_sample(sym)
     return sym
 
@@ -681,7 +680,6 @@ def expression_symbol(
 class InvarianceReport:
     ok: bool
     worst: float
-    samples: int
 
 
 def _sample_sphere_plus(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -706,9 +704,9 @@ def check_invariance(
         moved = c(s, g * t)
         deviation = np.abs(moved - base)
     if not np.all(np.isfinite(deviation)):
-        return InvarianceReport(ok=False, worst=float("inf"), samples=samples)
+        return InvarianceReport(ok=False, worst=float("inf"))
     worst = float(np.max(deviation))
-    return InvarianceReport(ok=worst <= tol, worst=worst, samples=samples)
+    return InvarianceReport(ok=worst <= tol, worst=worst)
 
 
 def boundary_sanity_sample(c: PseudoHomogeneousSymbol) -> float:
