@@ -390,11 +390,14 @@ def _build_symbol(spec, cfg: PartitionConfig) -> PseudoHomogeneousSymbol:
     kind = spec["kind"]
     bc = spec.get("boundary_continuous", kind != "expression")
     where = f"symbol of group {g}"
+    if kind in ("constant", "quasi_homogeneous") and "boundary_continuous" in spec:
+        raise ConfigError(
+            f"{where}: kind {kind!r} is continuous on the closed sphere and takes no 'boundary_continuous'"
+        )
     if kind == "constant":
-        value = _complex_from_json(spec.get("value", 1.0))
-        return constant_symbol(g, kj, value, boundary_continuous=bc)
+        return constant_symbol(g, kj, _complex_from_json(spec.get("value", 1.0)))
     if kind == "quasi_homogeneous":
-        return builtin_quasi_homogeneous(g, _field(spec, "p", where, kj), boundary_continuous=bc)
+        return builtin_quasi_homogeneous(g, _field(spec, "p", where, kj))
     if kind == "profile_monomial":
         coeff = _complex_from_json(spec.get("coeff", 1.0))
         return profile_monomial(g, _field(spec, "powers", where, kj), coeff, boundary_continuous=bc)

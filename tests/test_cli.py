@@ -216,11 +216,18 @@ def test_misspelt_config_key_is_config_error(tmp_path, capsys, command, key, ove
     ],
     ids=lambda spec: spec["kind"],
 )
-def test_boundary_continuous_is_read_for_every_kind(tmp_path, spec):
-    # Absent, it is true for every kind but expression.
+def test_boundary_continuous_is_read_or_refused(tmp_path, spec):
+    # Absent, it is true for every kind but expression.  A constant and a
+    # quasi-homogeneous symbol are continuous on the closed sphere, so the
+    # key is refused for them rather than dropped.
+    fixed = spec["kind"] in ("constant", "quasi_homogeneous")
     for flag in (None, True, False):
         item = {"group": 2, **spec, **({} if flag is None else {"boundary_continuous": flag})}
         config = cli.validate_config({"partition": {"k": [1, 2]}, "symbols": [item]})
+        if fixed and flag is not None:
+            with pytest.raises(cli.ConfigError, match="'boundary_continuous'"):
+                cli.build_setup(config, out=str(tmp_path / "out"))
+            continue
         symbol = cli.build_setup(config, out=str(tmp_path / "out")).model.symbols[2]
         want = spec["kind"] != "expression" if flag is None else flag
         assert symbol.boundary_continuous is want, flag

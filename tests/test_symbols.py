@@ -164,7 +164,7 @@ class TestPseudoHomogeneous:
             prof = profile_symbol(1, 2, text, boundary_continuous=False).modes[(0, 0)]
             assert prof.terms is None, text
         # Declared boundary continuous, as by default, the last two are
-        # refused: 1/0 raises on evaluation and the power overflows.
+        # refused: 1/0 is inf and the power overflows.
         for text in ("s1 + 1/0", "exp(s1) + (s1 + s2)^20000"):
             with pytest.raises(SymbolError, match="non-finite"):
                 profile_symbol(1, 2, text)
@@ -211,6 +211,11 @@ class TestPseudoHomogeneous:
     def test_nonfinite_symbol_rejected_at_load(self):
         with pytest.raises(SymbolError):
             expression_symbol(1, 2, "1/(s1*s2*0)", boundary_continuous=True)
+        # A constant 1/0 is inf, so the invariance probe of a probed
+        # expression refuses it whatever the continuity flag.
+        for flag in (True, False):
+            with pytest.raises(SymbolError, match="non-finite"):
+                expression_symbol(1, 2, "exp(t1*conj(t2)) + 1/0", boundary_continuous=flag)
 
     def test_declared_support_matches_numeric(self):
         # Numeric torus transform reproduces the declared analytic profile.
