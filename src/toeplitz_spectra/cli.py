@@ -57,6 +57,7 @@ from .spectra import (
     SpectralContext,
     accumulation_check,
     berezin_sequence,
+    boundary_sample_count,
     is_inverse_closed,
     resolution_drift_cells,
     spectrum_with_hull,
@@ -350,7 +351,36 @@ def validate_config(raw: dict) -> dict:
     g = (cfg.get("radical") or {}).get("group", 1)
     if not 1 <= g <= m:
         raise ConfigError(f"radical group {g} outside 1..{m}")
+    _price_raster(cfg["hull"], [k[spec["group"] - 1] for spec in cfg["symbols"]])
     return cfg
+
+
+# Bytes the raster path may ask for at once; a config that needs more is
+# refused before anything is allocated.
+RASTER_BUDGET_BYTES = 1 << 30
+
+
+def _price_raster(hull: dict, dims: list[int]) -> None:
+    """Refuse hull settings whose largest raster-path arrays exceed the
+    budget: the 2x drift raster, a bool cell and an int32 row difference of
+    the fill per cell, and each symbol group's boundary samples, k float
+    sphere and k complex torus coordinates and one complex value each."""
+    res = hull["resolution"]
+    need = (2 * res) ** 2 * 5
+    if need > RASTER_BUDGET_BYTES:
+        raise ConfigError(
+            f"hull.resolution {res} needs {need / 2**30:.2f} GiB for the 2x drift raster, "
+            f"over the budget of {RASTER_BUDGET_BYTES / 2**30:.2f} GiB"
+        )
+    for k in dims:
+        count = boundary_sample_count(k, hull["ess_samples"])
+        need = count * (24 * k + 16)
+        if need > RASTER_BUDGET_BYTES:
+            raise ConfigError(
+                f"hull.ess_samples {hull['ess_samples']} needs {need / 2**30:.2f} GiB for "
+                f"{count} boundary samples of a k={k} group, over the budget of "
+                f"{RASTER_BUDGET_BYTES / 2**30:.2f} GiB"
+            )
 
 
 @dataclass(eq=False)
@@ -576,18 +606,20 @@ def cmd_hull(setup: Setup) -> dict:
         (setup.out_dir / f"hull_{j}.svg").write_text(
             _region_svg(swh.hull_region, swh.point_values)
         )
-        # Resolution-drift verification pass at twice the grid.
-        swh2 = spectrum_with_hull(setup.ctx, j, D, resolution=2 * res)
-        drift_cells = resolution_drift_cells(swh.hull_region, swh2.hull_region)
+        # Resolution-drift verification pass at twice the grid; only its
+        # hull is kept, and only until the group's entry is written.
+        fine = spectrum_with_hull(setup.ctx, j, D, resolution=2 * res).hull_region
+        drift_cells = resolution_drift_cells(swh.hull_region, fine)
         payload["groups"][str(j)] = {
             "sp_cells": swh.sp_region.count(),
             "hull_cells": swh.hull_region.count(),
             "hull_area": swh.hull_region.area(),
-            "hull_area_2x": swh2.hull_region.area(),
+            "hull_area_2x": fine.area(),
             "resolution_drift_cells": drift_cells,
             "resolution_drift_rel": drift_cells / max(swh.hull_region.count(), 1),
             "extra_cells": swh.extra_cells,
         }
+        del fine
     inv = is_inverse_closed(setup.ctx, D)
     payload["inverse_closed"] = inv.inverse_closed
     payload["inverse_closed_per_group"] = {

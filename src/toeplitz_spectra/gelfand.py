@@ -260,8 +260,21 @@ def evaluate_gelfand(A: FiniteSum, point: GelfandPoint) -> complex:
 
 
 def _region_zeta_choices(region: PlanarRegion, limit: int) -> np.ndarray:
-    centers = region.occupied_cell_centers()
-    return centers[:: max(1, int(np.ceil(centers.size / limit)))][:limit]
+    """Centres of every ceil(N / limit)-th of the N occupied cells in
+    row-major order, at most ``limit`` of them; only the kept cells are
+    located, row by row from the per-row counts."""
+    per_row = np.count_nonzero(region.occ, axis=1)
+    ends = np.cumsum(per_row)
+    total = int(ends[-1]) if ends.size else 0
+    ranks = np.arange(0, total, max(1, int(np.ceil(total / limit))))[:limit]
+    iy = np.searchsorted(ends, ranks, side="right")
+    ix = np.array(
+        [np.flatnonzero(region.occ[r])[n - ends[r] + per_row[r]] for r, n in zip(iy, ranks)],
+        dtype=np.intp,
+    )
+    xs = region.x0 + (ix + 0.5) * region.cell
+    ys = region.y0 + (iy + 0.5) * region.cell
+    return xs + 1j * ys
 
 
 def sample_ideal_space(

@@ -268,10 +268,9 @@ class SimplexRule:
         if self.dim > 0:
             # Positive up to underflow: far-out nodes of a sharply
             # concentrated weight may round to exactly zero.
-            if np.any(self.weights < 0) or not np.sum(self.weights) > 0:
+            if self.weights.min() < 0 or not np.sum(self.weights) > 0:
                 raise QuadratureError("rule weights must be positive")
-            sums = self.nodes.sum(axis=1)
-            if np.any(self.nodes < -1e-14) or np.any(sums > 1 + 1e-12):
+            if self.nodes.min() < -1e-14 or self.nodes.sum(axis=1).max() > 1 + 1e-12:
                 raise QuadratureError("rule nodes left the closed simplex")
 
     @property
@@ -307,11 +306,13 @@ class SimplexRule:
         w = np.ones(())
         shrink = np.ones(())
         for lvl, (x, wx) in enumerate(axes):
+            w = w[..., None] * wx
+            if lvl == p - 1:  # the last level spans the whole plane
+                np.multiply(x, shrink[..., None], out=u[lvl])
+                break
             ul = x * shrink[..., None]
             u[lvl] = ul.reshape(ul.shape + (1,) * (p - 1 - lvl))
-            w = w[..., None] * wx
-            if lvl < p - 1:
-                shrink = shrink[..., None] * (1.0 - x)
+            shrink = shrink[..., None] * (1.0 - x)
         return cls(dim=p, nodes=u.reshape(p, -1).T, weights=w.ravel())
 
 
@@ -329,13 +330,16 @@ def simplex_integrate(f: Callable, p: int, order: int, *, weight=None) -> comple
             f"need {p + 1} weight exponents for Delta_{p}, got {len(exponents)}"
         )
     rule = SimplexRule.build(exponents, order, jacobi_rule_01)
-    vals = np.asarray(f(rule.nodes), dtype=complex)
+    # A complex copy of f's values, so weighting it in place never writes
+    # into an array that f returned.
+    vals = np.array(f(rule.nodes), dtype=complex)
     if vals.shape != rule.weights.shape:
         raise QuadratureError(f"integrand returned shape {vals.shape}, not {rule.weights.shape}")
-    if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
+    if not np.isfinite(vals).all():
         bad = int(np.sum(~np.isfinite(vals)))
         raise QuadratureError(f"integrand returned {bad} non-finite values")
-    return complex(np.sum(rule.weights * vals))
+    vals *= rule.weights
+    return complex(np.sum(vals))
 
 
 @lru_cache(maxsize=4096)

@@ -245,12 +245,6 @@ class PlanarRegion:
             self._dilations[cells] = hit
         return hit[1]
 
-    def occupied_cell_centers(self) -> np.ndarray:
-        iy, ix = np.nonzero(self.occ)
-        xs = self.x0 + (ix + 0.5) * self.cell
-        ys = self.y0 + (iy + 0.5) * self.cell
-        return xs + 1j * ys
-
     def run_length_rows(self) -> list[list[tuple[int, int]]]:
         """Per-row [start, length] runs of occupied cells (for JSON export)."""
         padded = np.zeros((self.occ.shape[0], self.occ.shape[1] + 2), dtype=np.int8)
@@ -297,21 +291,26 @@ def _bounded_holes(occ: np.ndarray) -> np.ndarray:
 
     Only the bounding box of the occupied cells is searched: a free cell
     outside it reaches the border in a straight line, so it is never a hole.
+    Every array that spans the box is int8 or bool; the run and union-find
+    arrays are as long as the runs.
     """
-    holes = np.zeros_like(occ)
     used_rows, used_cols = np.flatnonzero(occ.any(axis=1)), np.flatnonzero(occ.any(axis=0))
     if used_rows.size == 0:
-        return holes
+        return np.zeros_like(occ)
     box = np.s_[used_rows[0] : used_rows[-1] + 1, used_cols[0] : used_cols[-1] + 1]
-    occ = occ[box]
-    rows, cols = occ.shape
+    rows, cols = occ[box].shape
     free = np.ones((rows + 2, cols + 2), dtype=np.int8)
-    free[1:-1, 1:-1] = ~occ
+    np.logical_not(occ[box], out=free[1:-1, 1:-1])
     # Runs [start, stop) in row-major order; keys order them across rows.
-    edges = np.diff(free, axis=1, prepend=0, append=0)
+    # edges is the difference of free framed by a zero column on each side.
+    width = cols + 3
+    edges = np.empty((rows + 2, width), dtype=np.int8)
+    edges[:, 0], edges[:, -1] = free[:, 0], -free[:, -1]
+    np.subtract(free[:, 1:], free[:, :-1], out=edges[:, 1:-1])
+    del free
     run_row, start = np.nonzero(edges == 1)
     _, stop = np.nonzero(edges == -1)
-    width = cols + 3
+    del edges
     # Runs of the row above that overlap a run: stop above > start and
     # start above < stop, a contiguous range [lo, hi) of run numbers.
     lower = np.nonzero(run_row > 0)[0]
@@ -340,7 +339,9 @@ def _bounded_holes(occ: np.ndarray) -> np.ndarray:
     paint = np.zeros((rows + 2, width), dtype=np.int8)
     paint[run_row[hole], start[hole]] = 1
     paint[run_row[hole], stop[hole]] = -1
-    holes[box] = np.cumsum(paint, axis=1, dtype=np.int8)[1:-1, 1 : cols + 1] > 0
+    np.cumsum(paint, axis=1, dtype=np.int8, out=paint)
+    holes = np.zeros_like(occ)
+    np.greater(paint[1:-1, 1 : cols + 1], 0, out=holes[box])
     return holes
 
 
@@ -372,6 +373,15 @@ def _boundary_grid_counts(k: int, samples: int) -> tuple[int, int]:
         return max(64, samples // 16), 64
     per_axis = max(8, int(round(samples ** (1.0 / (2 * (k - 1))))))
     return per_axis, per_axis
+
+
+def boundary_sample_count(k: int, samples: int) -> int:
+    """Number of points `boundary_image_values` samples for one group: the
+    sigma multi-indices with sum <= n_sigma - 1 times the torus grid."""
+    if k == 1:
+        return 1
+    n_sigma, n_tau = _boundary_grid_counts(k, samples)
+    return math.comb(n_sigma + k - 2, k - 1) * n_tau ** (k - 1)
 
 
 def boundary_image_values(c: PseudoHomogeneousSymbol, samples: int = 4096) -> np.ndarray:
@@ -671,8 +681,8 @@ class SpectralContext:
 
     def __post_init__(self):
         self._eigen: dict[tuple[int, int], EigenData] = {}
-        self._ess: dict[tuple, PlanarRegion] = {}
-        self._hulled: dict[tuple, PlanarRegion] = {}
+        self._ess: dict[int, PlanarRegion] = {}
+        self._hulled: dict[int, PlanarRegion] = {}
 
     @property
     def cfg(self):
@@ -689,28 +699,28 @@ class SpectralContext:
     def distinct(self, j: int, d: int) -> np.ndarray:
         return self.eigen(j, d).distinct
 
-    def ess_region(self, j: int, *, resolution: int | None = None) -> PlanarRegion:
-        """The boundary image of group j rasterized on the grid it frames,
-        once per (group, resolution); every region of the group at that
-        resolution lives on this grid."""
-        res = resolution or self.hull_resolution
-        key = (j, res)
-        if key not in self._ess:
-            sym = self.model.symbols.get(j)
-            if sym is None:
-                self._ess[key] = PlanarRegion.from_points(
-                    np.array([1.0 + 0.0j]), res, dilate=1, provenance="boundary image"
-                )
-            else:
-                self._ess[key] = essential_spectrum_estimate(sym, self.ess_samples, resolution=res)
-        return self._ess[key]
+    def boundary_raster(self, j: int, resolution: int) -> PlanarRegion:
+        """The boundary image of group j rasterized afresh on the grid it
+        frames at ``resolution``; a group without a symbol images to 1."""
+        sym = self.model.symbols.get(j)
+        if sym is None:
+            return PlanarRegion.from_points(
+                np.array([1.0 + 0.0j]), resolution, dilate=1, provenance="boundary image"
+            )
+        return essential_spectrum_estimate(sym, self.ess_samples, resolution=resolution)
 
-    def hulled_ess_region(self, j: int, *, resolution: int | None = None) -> PlanarRegion:
-        res = resolution or self.hull_resolution
-        key = (j, res)
-        if key not in self._hulled:
-            self._hulled[key] = polynomial_hull_2d(self.ess_region(j, resolution=res))
-        return self._hulled[key]
+    def ess_region(self, j: int) -> PlanarRegion:
+        """The boundary raster of group j at the context's resolution, once
+        per group; every region of the group at that resolution lives on
+        this grid."""
+        if j not in self._ess:
+            self._ess[j] = self.boundary_raster(j, self.hull_resolution)
+        return self._ess[j]
+
+    def hulled_ess_region(self, j: int) -> PlanarRegion:
+        if j not in self._hulled:
+            self._hulled[j] = polynomial_hull_2d(self.ess_region(j))
+        return self._hulled[j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -729,10 +739,13 @@ def spectrum_with_hull(
     The point spectrum is marked on the grid of the memoized boundary
     raster `ctx.ess_region(j)`, whose frame pads the sampled image by a
     tenth on every side, and joined to that raster and to its hull; an
-    eigenvalue outside the frame raises instead of being clipped.
+    eigenvalue outside the frame raises instead of being clipped.  At any
+    other resolution (the 2x drift pass of `hull`) the raster and its hull
+    are built for this call only, and nothing keeps them.
     """
     res = resolution or ctx.hull_resolution
-    ess = ctx.ess_region(j, resolution=res)
+    memoized = res == ctx.hull_resolution
+    ess = ctx.ess_region(j) if memoized else ctx.boundary_raster(j, res)
     pts = np.concatenate([ctx.distinct(j, d) for d in range(Dmax + 1)])
     cells = np.floor(np.stack([pts.imag - ess.y0, pts.real - ess.x0]) / ess.cell).astype(int)
     outside = pts[((cells < 0) | (cells >= res)).any(axis=0)]
@@ -743,7 +756,8 @@ def spectrum_with_hull(
     marked[tuple(cells)] = True
     pt_region = PlanarRegion(ess.x0, ess.y0, ess.cell, marked, "point spectrum", pts)
     sp_region = ess.union(pt_region)
-    hull_region = ctx.hulled_ess_region(j, resolution=res).union(pt_region)
+    hulled = ctx.hulled_ess_region(j) if memoized else polynomial_hull_2d(ess)
+    hull_region = hulled.union(pt_region)
     return SpectrumWithHull(
         sp_region=sp_region,
         hull_region=hull_region,

@@ -11,6 +11,8 @@ Christoffel rule is replayed with its recurrence written one scalar row at
 a time, as a bit-for-bit reference for the paired form.  The triangle fill
 is replayed one (triangle, row) pair at a time, each row computing both of
 its band lines, as a bit-for-bit reference for the per-line kernel.
+The escaped zeta picks of a region are taken from the centres of all its
+occupied cells, as a bit-for-bit reference for locating only the kept ones.
 Monomial norms and
 H_kappa dimensions are the closed formulas evaluated with scipy and the
 standard library, and a block-diagonal truncated operator is read densely
@@ -297,3 +299,11 @@ def fill_triangles_rowwise(region, points: np.ndarray, triangles: np.ndarray) ->
         np.add.at(diff, (row, c0), 1)
         np.add.at(diff, (row, c1 + 1), -1)
     region.occ |= np.cumsum(diff, axis=1)[:, :res] > 0
+
+
+def region_zeta_choices_from_all_centers(region, limit: int) -> np.ndarray:
+    """`gelfand._region_zeta_choices` from the centres of every occupied
+    cell, strided and cut afterwards: the same picks, bit for bit."""
+    iy, ix = np.nonzero(region.occ)
+    centers = (region.x0 + (ix + 0.5) * region.cell) + 1j * (region.y0 + (iy + 0.5) * region.cell)
+    return centers[:: max(1, int(np.ceil(centers.size / limit)))][:limit]

@@ -2,8 +2,10 @@ import ast
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -427,9 +429,7 @@ def test_hull_resolution_drift_is_zero_on_segments(tmp_path):
 def test_k3_non_polynomial_expression_assembles_in_bounded_memory(tmp_path):
     # The full 64^3 torus grid over 48^2 sphere nodes would need gigabytes;
     # |p| = 0 modes use 64^2 grids evaluated in chunks.  Order 16 keeps the
-    # run short while the full-grid route would still need about 1 GB.  The
-    # peak is VmHWM of the child's own address space: ru_maxrss would keep
-    # the peak of the test process that spawned it.
+    # run short while the full-grid route would still need about 1 GB.
     config = {
         "partition": {"k": [1, 3], "lambda": 0.0},
         "degree_cap": 2,
@@ -443,24 +443,7 @@ def test_k3_non_polynomial_expression_assembles_in_bounded_memory(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    code = (
-        "import sys\n"
-        "from pathlib import Path\n"
-        "from toeplitz_spectra.cli import main\n"
-        "rc = main(['assemble', '--config', sys.argv[1], '--no-cache', '--threads', '1'])\n"
-        "status = Path('/proc/self/status').read_text().splitlines()\n"
-        "print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
-        "sys.exit(rc)\n"
-    )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    run = subprocess.run(
-        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True,
-        timeout=300,
-    )
-    assert run.returncode == 0, run.stderr
-    peak_mb = int(run.stdout.split()[-1]) / 1024  # VmHWM is in kB
-    assert peak_mb < 500
+    assert _peak_rss_mb("assemble", path) < 500
     assert read_report(tmp_path, "assemble")["payload"]["blocks"][-1]["dim"] == 6
 
 
@@ -539,32 +522,71 @@ def test_radical_never_densifies(tmp_path):
     assert max(payload["reconstruction_residuals"]) < 1e-9
 
 
-def test_radical_memory_is_bounded(tmp_path):
-    # The README example at D=40, in a fresh process that reads its own peak
-    # RSS after the command: block powers, residual differences and power
-    # norms are formed run by run, so no per-(kappa, rho) tensor block is
-    # kept.  A memo of those blocks took about 110 MB here.  The peak is
-    # VmHWM of the process's own address space: ru_maxrss would keep the
-    # peak of the test process that spawned it.
-    path = write_config(tmp_path, degree_cap=40, hull={})
+def _child_env() -> dict:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
+def _peak_rss_mb(command: str, path: Path) -> float:
+    """Peak RSS of one command run in a fresh process, read by that process
+    after the command: VmHWM of its own address space, since ru_maxrss would
+    keep the peak of the test process that spawned it."""
     code = (
         "import sys\n"
         "from pathlib import Path\n"
         "from toeplitz_spectra.cli import main\n"
-        "rc = main(['radical', '--config', sys.argv[1], '--no-cache', '--threads', '1'])\n"
+        "rc = main([sys.argv[1], '--config', sys.argv[2], '--no-cache', '--threads', '1'])\n"
         "status = Path('/proc/self/status').read_text().splitlines()\n"
         "print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
         "sys.exit(rc)\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     run = subprocess.run(
-        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True,
-        timeout=300,
+        [sys.executable, "-c", code, command, str(path)], env=_child_env(),
+        capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    peak_mb = int(run.stdout.split()[-1]) / 1024  # VmHWM is in kB
-    assert peak_mb < 80
+    return int(run.stdout.split()[-1]) / 1024  # VmHWM is in kB
+
+
+def test_radical_memory_is_bounded(tmp_path):
+    # The README example at D=40: block powers, residual differences and
+    # power norms are formed run by run, so no per-(kappa, rho) tensor block
+    # is kept.  A memo of those blocks took about 110 MB here.
+    path = write_config(tmp_path, degree_cap=40, hull={})
+    assert _peak_rss_mb("radical", path) < 80
+
+
+@pytest.mark.parametrize("command, bound_mb", [("hull", 56), ("verify", 53)])
+def test_raster_path_memory_is_bounded(tmp_path, command, bound_mb):
+    # The README example at D=20 with the default hull settings.  Full-grid
+    # int64 temporaries of the hole search and a memo of the 2x drift rasters
+    # took hull to 65 MB, and the centres of every hulled cell, drawn for
+    # eight zeta picks, took verify to 55 MB; both now stay near 49-51 MB.
+    path = write_config(tmp_path, degree_cap=20, hull={})
+    assert _peak_rss_mb(command, path) < bound_mb
+
+
+@pytest.mark.parametrize("hull, knob", [
+    ({"resolution": 40000}, "hull.resolution"),
+    ({"ess_samples": 10**8}, "hull.ess_samples"),
+])
+def test_oversized_raster_knob_is_refused_before_allocating(tmp_path, hull, knob):
+    # Without the price check these asked for 1.49 GiB and 5.96 GiB and
+    # ended in a MemoryError with a traceback.  The address-space limit is
+    # set on the child only.
+    path = write_config(tmp_path, hull=hull)
+    limit = 2 << 30
+    started = time.monotonic()
+    run = subprocess.run(
+        [sys.executable, "-m", "toeplitz_spectra.cli", "hull", "--config", str(path)],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert time.monotonic() - started < 1.0
+    assert run.returncode == 1, run.stderr
+    err = json.loads(run.stderr.strip().splitlines()[-1])["error"]
+    assert err["type"] == "ConfigError" and "traceback" not in err
+    assert err["message"].startswith(knob) and "GiB" in err["message"]
 
 
 def test_small_surrogate_kappa_is_a_radical_config_error(tmp_path, capsys):

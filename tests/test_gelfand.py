@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import opnorm
+from oracles import opnorm, region_zeta_choices_from_all_centers
 from toeplitz_spectra.assembly import AlgebraModel
 from toeplitz_spectra.errors import GelfandError
 from toeplitz_spectra.gelfand import (
     DiagonalCoefficient,
     FiniteSum,
     GelfandPoint,
+    _region_zeta_choices,
     assemble_finite_sum,
     evaluate_gelfand,
     sample_ideal_space,
@@ -162,6 +163,32 @@ class TestAdmissibleZeta:
     def test_trivial_group(self, diagonal_ctx):
         vals = diagonal_ctx.distinct(1, 3)
         assert np.allclose(vals, 1.0)
+
+    @staticmethod
+    def _assert_picks_match(region, limit):
+        got = _region_zeta_choices(region, limit)
+        want = region_zeta_choices_from_all_centers(region, limit)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), res=st.integers(1, 40),
+           density=st.floats(0.0, 1.0), limit=st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_picks_match_all_centers_on_random_grids(self, seed, res, density, limit):
+        rng = np.random.default_rng(seed)
+        occ = rng.random((res, res)) < density
+        x0, y0, cell = rng.normal(size=3)
+        self._assert_picks_match(PlanarRegion(x0, y0, abs(cell) + 0.01, occ, "random"), limit)
+
+    @pytest.mark.parametrize("limit", [1, 8])
+    def test_picks_on_empty_grid_and_single_cell(self, limit):
+        occ = np.zeros((16, 16), dtype=bool)
+        self._assert_picks_match(PlanarRegion(-1.0, 0.5, 0.125, occ, "empty"), limit)
+        occ[5, 11] = True
+        region = PlanarRegion(-1.0, 0.5, 0.125, occ, "one cell")
+        self._assert_picks_match(region, limit)
+        centre = (-1.0 + 11.5 * 0.125) + 1j * (0.5 + 5.5 * 0.125)
+        assert _region_zeta_choices(region, limit).tolist() == [centre]
 
 
 class TestConsistency:

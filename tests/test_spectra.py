@@ -1,5 +1,6 @@
 import math
 import timeit
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -357,6 +358,13 @@ class TestRasterizer:
             _fill(want, tri, fill_triangles_rowwise)
             assert np.array_equal(got.occ, want.occ)
 
+    @pytest.mark.parametrize("samples", [16, 4096, 10**5])
+    def test_boundary_sample_count_is_the_sampled_size(self, samples):
+        for dim, text in [(1, "1 + 0*s1"), (2, "s1*s2*t1*conj(t2)"), (3, "s1*s2*s3"), (4, "s4^2")]:
+            c = expression_symbol(1, dim, text, boundary_continuous=True)
+            want = spectra.boundary_image_values(c, samples).size
+            assert spectra.boundary_sample_count(dim, samples) == want, dim
+
     @pytest.mark.parametrize("res", [512, 1024])
     @pytest.mark.parametrize("dim, text", [
         (2, "s1^2*t1*conj(t2) + 0.4*s2^2 - 0.3*s1*s2"),
@@ -638,6 +646,22 @@ class TestMorphology:
         hull = _hull_occ(occ)
         assert np.array_equal(hull, _label_hull(occ))
         assert np.array_equal(hull, r < 116)
+
+    def test_hole_search_memory_is_bounded(self):
+        # A circle one cell wide across a 1024^2 grid, the size of hull's 2x
+        # drift pass.  Differencing the int8 free grid against int64 zeros
+        # made two int64 copies of it, a traced peak of about 15 MB.
+        yy, xx = np.mgrid[:1024, :1024]
+        r = np.hypot(yy - 511.5, xx - 511.5)
+        occ = (r >= 460) & (r < 462)
+        tracemalloc.start()
+        try:
+            holes = spectra._bounded_holes(occ)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(holes, r < 460)
+        assert peak <= 4 << 20
 
     @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
     def test_hull_of_a_spiral_corridor(self, closed):
