@@ -26,7 +26,7 @@ from .gelfand import (
 )
 from .lattice import GlobalBasis, PartitionConfig, enumerate_kappa
 from .quad import (
-    dirichlet_integral, dirichlet_moment, dirichlet_probability_rule, simplex_integrate,
+    dirichlet_integral, dirichlet_moment, dirichlet_probability_rule, simplex_integrals,
 )
 from .radical import SUPPORT_TOL, decompose_by_division, escaped_gamma, radical_generator
 from .spectra import PlanarRegion, SpectralContext, polynomial_hull_2d
@@ -54,38 +54,30 @@ def dirichlet_vs_simplex(
     half-integer exponents, integrand (s_1+...+s_p)^power, whose sum is a
     Beta variable with the summed exponents; a nonzero power makes the
     check sensitive to the rule order."""
+    grid = np.arange(0.0, 20.5, 0.5)
+    draws = [tuple(map(float, rng.choice(grid, int(rng.integers(2, 5))))) for _ in range(trials)]
     worst = 0.0
-    for _ in range(trials):
-        k = int(rng.integers(2, 5))
-        a = tuple(float(v) for v in rng.choice(np.arange(0.0, 20.5, 0.5), size=k))
-        exact = dirichlet_integral(a) * dirichlet_moment((sum(a[:-1]) + k - 2, a[-1]), (power,))
-        approx = simplex_integrate(
-            lambda s: s.sum(axis=1) ** power, k - 1, order, weight=a
-        ).real
-        worst = max(worst, abs(approx - exact) / exact)
+    for a, approx in zip(draws, simplex_integrals(lambda s: s.sum(axis=1) ** power, draws, order)):
+        exact = dirichlet_integral(a) * dirichlet_moment((sum(a[:-1]) + len(a) - 2, a[-1]), [power])
+        worst = max(worst, abs(approx.real - exact) / exact)
     return [_record("dirichlet-vs-simplex", worst, 1e-10)]
 
 
-def gamma_identity(cfg: PartitionConfig, cap: int, order: int = 48) -> list[dict]:
-    """gamma of the trivial quasi-radial symbol is one for |kappa| <= cap; a
-    plain callable, so that the probability rule is tested, not a closed form."""
-    one = QuasiRadialSymbol(m=cfg.m, fn=lambda r: np.ones(r.shape[0], dtype=complex), label="1")
-    worst = max(
-        abs(gamma_quasi_radial(one, cfg, kappa, order) - 1.0)
-        for kappa in enumerate_kappa(cfg, cap)
-    )
-    return [_record("gamma-identity", worst, 1e-10)]
-
-
-def quasi_radial_compiled(
+def gamma_rules(
     a: QuasiRadialSymbol | None, cfg: PartitionConfig, cap: int, order: int = 48
 ) -> list[dict]:
-    """For |kappa| <= cap, a compiled quasi-radial symbol's terms agree with
-    its parsed expression at the gamma rule's nodes (relative to the largest
-    value), and gamma agrees with sum c dirichlet_integral(a + q/2) /
-    dirichlet_integral(a) (relative to sum |c| times the moments)."""
-    worst = 0.0
-    for kappa in enumerate_kappa(cfg, cap) if a is not None and a.terms is not None else ():
+    """Over |kappa| <= cap, one kappa's gamma rule at a time: gamma of the
+    trivial quasi-radial symbol, a plain callable so that the rule is tested,
+    is one; a compiled a's terms agree with its parsed expression at the
+    rule's nodes (relative to the largest value), and its gamma with sum c
+    dirichlet_integral(a + q/2) / dirichlet_integral(a) (relative to sum |c|
+    times the moments)."""
+    one = QuasiRadialSymbol(m=cfg.m, fn=lambda r: np.ones(r.shape[0], dtype=complex), label="1")
+    ones, worst = [], 0.0
+    for kappa in enumerate_kappa(cfg, cap):
+        ones.append(abs(gamma_quasi_radial(one, cfg, kappa, order) - 1.0))
+        if a is None or a.terms is None:
+            continue
         exps = tuple(float(kap + kj - 1) for kap, kj in zip(kappa, cfg.k)) + (cfg.lam,)
         radii = np.sqrt(dirichlet_probability_rule(exps, order).nodes)
         source = a(radii)
@@ -98,7 +90,8 @@ def quasi_radial_compiled(
         want = sum(complex(t.coeff) * mu for t, mu in zip(a.terms, moments))
         scale = max(sum(abs(t.coeff) * mu for t, mu in zip(a.terms, moments)), 1e-300)
         worst = max(worst, abs(gamma_quasi_radial(a, cfg, kappa, order) - want) / scale)
-    return [_record("quasi-radial-compiled", worst, 1e-12)]
+    return [_record("gamma-identity", max(ones), 1e-10),
+            _record("quasi-radial-compiled", worst, 1e-12)]
 
 
 def identity_blocks(group_sizes, max_degree: int, order: int = 48) -> list[dict]:

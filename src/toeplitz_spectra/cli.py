@@ -22,6 +22,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 import traceback
@@ -352,12 +353,21 @@ def validate_config(raw: dict) -> dict:
     if not 1 <= g <= m:
         raise ConfigError(f"radical group {g} outside 1..{m}")
     _price_raster(cfg["hull"], [k[spec["group"] - 1] for spec in cfg["symbols"]])
+    _price_blocks(cfg, k)
     return cfg
 
 
-# Bytes the raster path may ask for at once; a config that needs more is
+# Bytes that one priced array may ask for; a config that needs more is
 # refused before anything is allocated.
-RASTER_BUDGET_BYTES = 1 << 30
+SIZE_BUDGET_BYTES = 1 << 30
+
+
+def _refuse_over_budget(knob: str, need: int, what: str) -> None:
+    if need > SIZE_BUDGET_BYTES:
+        raise ConfigError(
+            f"{knob} needs {need / 2**30:.2f} GiB for {what}, "
+            f"over the budget of {SIZE_BUDGET_BYTES / 2**30:.2f} GiB"
+        )
 
 
 def _price_raster(hull: dict, dims: list[int]) -> None:
@@ -366,21 +376,28 @@ def _price_raster(hull: dict, dims: list[int]) -> None:
     the fill per cell, and each symbol group's boundary samples, k float
     sphere and k complex torus coordinates and one complex value each."""
     res = hull["resolution"]
-    need = (2 * res) ** 2 * 5
-    if need > RASTER_BUDGET_BYTES:
-        raise ConfigError(
-            f"hull.resolution {res} needs {need / 2**30:.2f} GiB for the 2x drift raster, "
-            f"over the budget of {RASTER_BUDGET_BYTES / 2**30:.2f} GiB"
-        )
+    _refuse_over_budget(f"hull.resolution {res}", (2 * res) ** 2 * 5, "the 2x drift raster")
     for k in dims:
         count = boundary_sample_count(k, hull["ess_samples"])
-        need = count * (24 * k + 16)
-        if need > RASTER_BUDGET_BYTES:
-            raise ConfigError(
-                f"hull.ess_samples {hull['ess_samples']} needs {need / 2**30:.2f} GiB for "
-                f"{count} boundary samples of a k={k} group, over the budget of "
-                f"{RASTER_BUDGET_BYTES / 2**30:.2f} GiB"
-            )
+        _refuse_over_budget(f"hull.ess_samples {hull['ess_samples']}", count * (24 * k + 16),
+                            f"{count} boundary samples of a k={k} group")
+
+
+def _price_blocks(cfg: dict, k: tuple) -> None:
+    """Refuse a quadrature.block_order whose order^3-node oracle rule of
+    verify, 56 bytes a node on its lean path, exceeds the budget (past order
+    3 it outgrows the dense (2 order)^2 Jacobi matrix, a few copies in eigh),
+    and berezin.degrees whose degree-d block does: n^2 complex entries for
+    n = C(d+k-1, k-1), and n index tuples of k ints, 80 + 44k bytes each."""
+    order = cfg["quadrature"]["block_order"]
+    _refuse_over_budget(f"quadrature.block_order {order}", 56 * order**3,
+                        f"the {order}^3 nodes of verify's Dirichlet oracle rule")
+    if berezin := cfg.get("berezin"):
+        kj = k[berezin["group"] - 1]
+        for d in berezin["degrees"]:
+            n = math.comb(d + kj - 1, kj - 1)
+            _refuse_over_budget(f"berezin.degrees {d}", 16 * n * n + n * (80 + 44 * kj),
+                                f"the {n} x {n} degree-{d} block of group {berezin['group']}")
 
 
 @dataclass(eq=False)
@@ -806,8 +823,7 @@ def cmd_verify(setup: Setup) -> dict:
     target_j = min(model.symbols) if model.symbols else 1
     records = [
         *checks.dirichlet_vs_simplex(rng, 60, model.block_order, power=4),
-        *checks.gamma_identity(cfg, min(D + 2, 8), model.gamma_order),
-        *checks.quasi_radial_compiled(model.quasi_radial, cfg, min(D + 2, 8), model.gamma_order),
+        *checks.gamma_rules(model.quasi_radial, cfg, min(D + 2, 8), model.gamma_order),
         *checks.identity_blocks(cfg.k, min(D, 6), model.block_order),
         *checks.cross_block_orthogonality(model, min(D, 4)),
         *checks.commutativity_and_product(model, D),

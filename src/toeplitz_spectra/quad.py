@@ -20,14 +20,17 @@ r), are products of rising factorials and half-integer steps.
 Both Gauss-Jacobi rules start from one Jacobi matrix and use numpy alone:
 Golub-Welsch by `numpy.linalg.eigh` for the probability rule; a Newton step
 on the three-term recurrence and Christoffel weights for the Beta-scaled
-rule, the independent oracle of the simplex checks.
+rule, the independent oracle of the simplex checks, built for many (a, b)
+at once (one eigvalsh call, one recurrence), bit for bit as one at a time.
+Probability rules are memoized up to RULE_CACHE_BYTES, by least recent use.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable
 
 import numpy as np
@@ -134,42 +137,54 @@ def _jacobi_matrix(npts: int, a: float, b: float) -> np.ndarray:
     return np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
 
 
-@lru_cache(maxsize=4096)
-def jacobi_rule_01(npts: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [0,1] for the weight x^a (1-x)^b, summing to
-    B(a+1, b+1), exact for polynomial factors of degree <= 2*npts - 1.
+def jacobi_rules_01(npts: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0,1] for the weight x^a (1-x)^b of each (a, b)
+    in pairs, as (R, npts) arrays: row r sums to B(a_r+1, b_r+1) and is
+    exact for polynomial factors of degree <= 2*npts - 1.
 
-    The oracle beside the probability rule: the Jacobi matrix's eigenvalues
-    take one Newton step on the monic three-term recurrence, and the weights
-    are the Christoffel numbers 1/(p_{n-1}(x) p_n'(x)), not eigenvector
-    entries, so small weights keep their relative accuracy.
-    """
-    if a + b + 1.0 > 1000.0:
-        raise QuadratureError(
-            f"combined Jacobi exponent {a + b} too large for the Christoffel weights"
-        )
-    J = _jacobi_matrix(npts, a, b)
-    diag, off2 = np.diag(J), np.append(0.0, np.diag(J, 1) ** 2)
+    The oracle beside the probability rule: the eigenvalues of the stacked
+    Jacobi matrices (one eigvalsh call) take one Newton step on the monic
+    three-term recurrence, and the weights are the Christoffel numbers
+    1/(p_{n-1}(x) p_n'(x)), not eigenvector entries, so small weights keep
+    their relative accuracy.  No row depends on the rest of the batch."""
+    for a, b in pairs:
+        if a + b + 1.0 > 1000.0:
+            raise QuadratureError(f"Jacobi exponent sum {a + b} too large for Christoffel weights")
+    J = np.stack([_jacobi_matrix(npts, a, b) for a, b in pairs])
+    # One (R, 1, 1) column of the diagonal and squared off-diagonal per step.
+    diag = np.diagonal(J, axis1=1, axis2=2).T[:, :, None, None]
+    off2 = np.zeros_like(diag)
+    off2[1:, :, 0, 0] = np.diagonal(J, 1, axis1=1, axis2=2).T ** 2
 
     def monic(x):
         """p_{n-1}(x), p_n(x) and p_n'(x) by p_{i+1} = (x - diag_i) p_i - off_i^2 p_{i-1},
-        with each (p_i, p_i') pair advanced as one (2, len(x)) array."""
+        with each (p_i, p_i') pair advanced as one (R, 2, n) array."""
         zero = 0.0 * x
-        prev, cur = np.stack([zero, zero]), np.stack([1.0 + zero, zero])
-        for d, o2 in zip(diag.tolist(), off2.tolist()):
+        prev, cur = np.stack([zero, zero], axis=1), np.stack([1.0 + zero, zero], axis=1)
+        x = x[:, None, :]
+        for d, o2 in zip(diag, off2):
             nxt = (x - d) * cur
-            nxt[1] += cur[0]
+            nxt[:, 1] += cur[:, 0]
             nxt -= o2 * prev
             prev, cur = cur, nxt
-        return prev[0], cur[0], cur[1]
+        return prev[:, 0], cur[:, 0], cur[:, 1]
 
     x = np.linalg.eigvalsh(J)
     _, pn, dpn = monic(x)
     x = x - pn / dpn
     pm, _, dpn = monic(x)
     # Scaled by their largest magnitudes so that the product cannot underflow.
-    w = 1.0 / ((pm / np.max(np.abs(pm))) * (dpn / np.max(np.abs(dpn))))
-    return 0.5 * (x + 1.0), w * (dirichlet_integral((a, b)) / w.sum())
+    w = 1.0 / ((pm / np.max(np.abs(pm), axis=1, keepdims=True))
+               * (dpn / np.max(np.abs(dpn), axis=1, keepdims=True)))
+    mass = np.array([dirichlet_integral((a, b)) for a, b in pairs]) / w.sum(axis=1)
+    return 0.5 * (x + 1.0), w * mass[:, None]
+
+
+@lru_cache(maxsize=4096)
+def jacobi_rule_01(npts: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """One row of jacobi_rules_01: the Christoffel rule for x^a (1-x)^b."""
+    nodes, weights = jacobi_rules_01(npts, [(a, b)])
+    return nodes[0], weights[0]
 
 
 @lru_cache(maxsize=4096)
@@ -270,7 +285,8 @@ class SimplexRule:
             # concentrated weight may round to exactly zero.
             if self.weights.min() < 0 or not np.sum(self.weights) > 0:
                 raise QuadratureError("rule weights must be positive")
-            if self.nodes.min() < -1e-14 or self.nodes.sum(axis=1).max() > 1 + 1e-12:
+            planes = self.nodes.T
+            if planes.min() < -1e-14 or planes.sum(axis=0).max() > 1 + 1e-12:
                 raise QuadratureError("rule nodes left the closed simplex")
 
     @property
@@ -279,12 +295,20 @@ class SimplexRule:
         slack = np.maximum(1.0 - self.nodes.sum(axis=1), 0.0)
         return np.vstack([self.nodes.T, slack]).T
 
+    @staticmethod
+    def levels(exponents: tuple) -> list[tuple[float, float]]:
+        """(a, b) of each Duffy level's 1-d rule: u_l = x_l prod_{i<l}(1 - x_i) gives
+        level l the Jacobian power (p - l) plus all downstream exponents, slack included."""
+        p = len(exponents) - 1
+        return [(exponents[lvl - 1], (p - lvl) + sum(exponents[lvl:])) for lvl in range(1, p + 1)]
+
     @classmethod
-    def build(cls, exponents: tuple, order: int, rule_01: Callable) -> "SimplexRule":
+    def build(cls, exponents: tuple, order: int, rule_01: Callable, out=None) -> "SimplexRule":
         """Rule over Delta_p, p = len(exponents) - 1, for the weight with the
         given exponents (slack exponent last), from the 1-d rule
         rule_01(npts, a, b) for x^a (1-x)^b on [0,1]; the weights carry that
-        rule's scale (true Beta masses or probabilities)."""
+        rule's scale (true Beta masses or probabilities).  Nodes and weights
+        are written into ``out`` if given, a float array of (p + 1) order^p."""
         p = len(exponents) - 1
         if p < 0:
             raise QuadratureError("need at least one exponent")
@@ -292,57 +316,84 @@ class SimplexRule:
             raise QuadratureError(f"weight exponents must exceed -1: {exponents}")
         if p == 0:
             return cls(dim=0, nodes=np.zeros((1, 0)), weights=np.ones(1))
-        # Duffy collapse u_l = x_l prod_{i<l}(1 - x_i): level l picks up the
-        # Jacobian power (p - l) plus every downstream exponent, slack included.
-        axes = [
-            rule_01(order, exponents[lvl - 1], (p - lvl) + sum(exponents[lvl:]))
-            for lvl in range(1, p + 1)
-        ]
+        axes = [rule_01(order, a, b) for a, b in cls.levels(exponents)]
         # Level l varies along grid axis l; u_l and the running weight
         # product live on the first l + 1 axes and broadcast over the rest.
         # Each u_l is one contiguous plane, so that row sums over the nodes
-        # add whole planes, in the same order as along a row.
-        u = np.empty((p,) + (order,) * p)
+        # add whole planes, in the same order as along a row; the weights
+        # fill the plane after them.
+        size = (p + 1) * order**p
+        u = (np.empty(size) if out is None else out[:size]).reshape((p + 1,) + (order,) * p)
         w = np.ones(())
         shrink = np.ones(())
         for lvl, (x, wx) in enumerate(axes):
-            w = w[..., None] * wx
             if lvl == p - 1:  # the last level spans the whole plane
+                w = np.multiply(w[..., None], wx, out=u[p])
                 np.multiply(x, shrink[..., None], out=u[lvl])
                 break
+            w = w[..., None] * wx
             ul = x * shrink[..., None]
             u[lvl] = ul.reshape(ul.shape + (1,) * (p - 1 - lvl))
             shrink = shrink[..., None] * (1.0 - x)
-        return cls(dim=p, nodes=u.reshape(p, -1).T, weights=w.ravel())
+        return cls(dim=p, nodes=u[:p].reshape(p, -1).T, weights=w.ravel())
 
 
-def simplex_integrate(f: Callable, p: int, order: int, *, weight=None) -> complex:
-    """Integrate f over Delta_p, optionally against an absorbed Dirichlet weight.
+def simplex_integrals(f: Callable, weights, order: int) -> list[complex]:
+    """int f(s) prod s^a (1 - sum s)^{a_last} ds over Delta_p, p = len(a) - 1,
+    for each exponent tuple a = (a_1,...,a_p, a_last) in weights (all zero
+    for the plain Lebesgue integral); f maps the (N, p) node array to N
+    values and only supplies the smooth remainder of the weight.
 
-    With ``weight`` = (a_1,...,a_p, a_last) the returned value is
-    int f(s) prod s^a (1 - sum s)^{a_last} ds and f only needs to supply the
-    smooth remainder; without it the plain Lebesgue integral of f.  f maps
-    the (N, p) node array to N values.
+    The distinct 1-d rules of all weights come from one jacobi_rules_01
+    batch, and each simplex rule is built into the same buffer, so no fresh
+    pages per rule, and f must not keep its nodes.
     """
-    exponents = (0.0,) * (p + 1) if weight is None else tuple(float(v) for v in weight)
-    if len(exponents) != p + 1:
-        raise QuadratureError(
-            f"need {p + 1} weight exponents for Delta_{p}, got {len(exponents)}"
-        )
-    rule = SimplexRule.build(exponents, order, jacobi_rule_01)
-    # A complex copy of f's values, so weighting it in place never writes
-    # into an array that f returned.
-    vals = np.array(f(rule.nodes), dtype=complex)
-    if vals.shape != rule.weights.shape:
-        raise QuadratureError(f"integrand returned shape {vals.shape}, not {rule.weights.shape}")
-    if not np.isfinite(vals).all():
-        bad = int(np.sum(~np.isfinite(vals)))
-        raise QuadratureError(f"integrand returned {bad} non-finite values")
-    vals *= rule.weights
-    return complex(np.sum(vals))
+    weights = [tuple(float(v) for v in a) for a in weights]
+    pairs = list(dict.fromkeys(ab for a in weights for ab in SimplexRule.levels(a)))
+    rules = dict(zip(pairs, zip(*jacobi_rules_01(order, pairs)))) if pairs else {}
+    work = np.empty(max((len(a) * order ** (len(a) - 1) for a in weights if a), default=0))
+    out = []
+    for a in weights:
+        rule = SimplexRule.build(a, order, lambda _, *ab: rules[ab], work)
+        vals = np.asarray(f(rule.nodes))
+        if vals.shape != rule.weights.shape:
+            raise QuadratureError(f"integrand gave shape {vals.shape}, not {rule.weights.shape}")
+        if not np.isfinite(vals).all():
+            raise QuadratureError(f"integrand gave {np.sum(~np.isfinite(vals))} non-finite values")
+        # Weighted into a fresh complex array, never into one f returned, and
+        # summed as complex: numpy's complex pairwise sum associates unlike its real one.
+        weighted = np.multiply(vals, rule.weights, out=np.empty(vals.shape, dtype=complex))
+        out.append(complex(np.sum(weighted)))
+        del vals, weighted  # not held while the next trial's integrand runs
+    return out
 
 
-@lru_cache(maxsize=4096)
+# Bytes of Dirichlet probability rules kept between calls: a p = 3 rule of
+# order 48 takes 3.5 MB, and gamma takes one rule per kappa.
+RULE_CACHE_BYTES = 1 << 26
+RuleCacheInfo = namedtuple("RuleCacheInfo", "hits misses bytes")
+
+
+def _lru_by_bytes(build):
+    """lru_cache for SimplexRules, bounded by their bytes, not their count."""
+    rules, info = OrderedDict(), {"hits": 0, "misses": 0, "bytes": 0}
+
+    @wraps(build)
+    def cached(*key):
+        hit = key in rules
+        info["hits" if hit else "misses"] += 1
+        rules[key] = rule = rules.pop(key) if hit else build(*key)
+        info["bytes"] += 0 if hit else rule.nodes.nbytes + rule.weights.nbytes
+        while info["bytes"] > RULE_CACHE_BYTES:
+            old = rules.popitem(last=False)[1]
+            info["bytes"] -= old.nodes.nbytes + old.weights.nbytes
+        return rule
+
+    cached.cache_info = lambda: RuleCacheInfo(**info)
+    return cached
+
+
+@_lru_by_bytes
 def _dirichlet_rule_cached(exponents: tuple, order: int) -> SimplexRule:
     return SimplexRule.build(exponents, order, jacobi_probability_rule_01)
 

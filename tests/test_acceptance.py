@@ -144,10 +144,9 @@ def test_criterion_02_identity_symbol():
     for k in CONFIG_KS:
         for lam in (0.0, 1.5):
             cfg = PartitionConfig(k=k, lam=lam)
-            records += checks.gamma_identity(cfg, 10)
             for text in ("1 - 0.7*r1^2*r2^2", "r1 + 0.5*r2^3"):
                 a = QuasiRadialSymbol.from_expression(cfg.m, text)
-                records += checks.quasi_radial_compiled(a, cfg, 10)
+                records += checks.gamma_rules(a, cfg, 10)
         records += checks.identity_blocks(sorted(set(k)), 10)
     worst_gamma = _worst(records, "gamma-identity")
     worst_compiled = _worst(records, "quasi-radial-compiled")

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from toeplitz_spectra import checks
+from toeplitz_spectra import checks, quad
 from toeplitz_spectra.assembly import AlgebraModel, assemble_block
 from toeplitz_spectra.gelfand import DiagonalCoefficient, FiniteSum
-from toeplitz_spectra.lattice import GlobalBasis, PartitionConfig
-from toeplitz_spectra.symbols import expression_symbol
+from toeplitz_spectra.lattice import GlobalBasis, PartitionConfig, enumerate_kappa
+from toeplitz_spectra.symbols import QuasiRadialSymbol, expression_symbol
 
 
 def test_quadrature_doubling_uses_the_model_torus_grid(monkeypatch):
@@ -42,3 +42,28 @@ def test_projection_identities_fail_on_broken_coefficient_algebra(k, monkeypatch
     with monkeypatch.context() as mp:
         mp.setattr(FiniteSum, "__mul__", FiniteSum.__add__)
         assert not checks.projection_identities(basis, 1)[0]["passed"]
+
+
+# Residuals of the per-trial build with one cached 1-d rule per (a, b); the
+# batched rule build and the shared rule buffer must keep every bit.
+@pytest.mark.parametrize("seed, residual", [
+    (1, "0x1.f994536bf3799p-46"), (2, "0x1.0028b6af528a8p-44"), (3, "0x1.07c4dd580dd20p-46"),
+])
+def test_dirichlet_vs_simplex_residual_bits_are_pinned(seed, residual):
+    (record,) = checks.dirichlet_vs_simplex(np.random.default_rng(seed), 60, 48, power=4)
+    assert record["residual"].hex() == residual
+
+
+def test_gamma_rules_use_each_kappa_rule_while_it_is_held(monkeypatch):
+    # A rule cache that holds one order-8 rule on Delta_3: the identity and
+    # the compiled check of a kappa share its rule, one miss and one hit.
+    cfg = PartitionConfig(k=(1, 1, 2), lam=0.375)
+    a = QuasiRadialSymbol.from_expression(3, "1 - 0.5*r1^2*r3^2 + 0.25*r2^2")
+    monkeypatch.setattr(quad, "RULE_CACHE_BYTES", 4 * 8**3 * 8)
+    before = quad._dirichlet_rule_cached.cache_info()
+    records = checks.gamma_rules(a, cfg, 4, order=8)
+    after = quad._dirichlet_rule_cached.cache_info()
+    kappas = len(enumerate_kappa(cfg, 4))
+    assert (after.misses - before.misses, after.hits - before.hits) == (kappas, kappas)
+    assert [r["name"] for r in records] == ["gamma-identity", "quasi-radial-compiled"]
+    assert all(r["passed"] for r in records)

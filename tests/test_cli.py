@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -566,19 +567,12 @@ def test_raster_path_memory_is_bounded(tmp_path, command, bound_mb):
     assert _peak_rss_mb(command, path) < bound_mb
 
 
-@pytest.mark.parametrize("hull, knob", [
-    ({"resolution": 40000}, "hull.resolution"),
-    ({"ess_samples": 10**8}, "hull.ess_samples"),
-])
-def test_oversized_raster_knob_is_refused_before_allocating(tmp_path, hull, knob):
-    # Without the price check these asked for 1.49 GiB and 5.96 GiB and
-    # ended in a MemoryError with a traceback.  The address-space limit is
-    # set on the child only.
-    path = write_config(tmp_path, hull=hull)
+def _assert_refused_quickly(path: Path, command: str, knob: str) -> None:
+    # The address-space limit is set on the child only.
     limit = 2 << 30
     started = time.monotonic()
     run = subprocess.run(
-        [sys.executable, "-m", "toeplitz_spectra.cli", "hull", "--config", str(path)],
+        [sys.executable, "-m", "toeplitz_spectra.cli", command, "--config", str(path)],
         env=_child_env(), capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
@@ -587,6 +581,51 @@ def test_oversized_raster_knob_is_refused_before_allocating(tmp_path, hull, knob
     err = json.loads(run.stderr.strip().splitlines()[-1])["error"]
     assert err["type"] == "ConfigError" and "traceback" not in err
     assert err["message"].startswith(knob) and "GiB" in err["message"]
+
+
+@pytest.mark.parametrize("hull, knob", [
+    ({"resolution": 40000}, "hull.resolution"),
+    ({"ess_samples": 10**8}, "hull.ess_samples"),
+])
+def test_oversized_raster_knob_is_refused_before_allocating(tmp_path, hull, knob):
+    # Without the price check these asked for 1.49 GiB and 5.96 GiB and
+    # ended in a MemoryError with a traceback.
+    _assert_refused_quickly(write_config(tmp_path, hull=hull), "hull", knob)
+
+
+@pytest.mark.parametrize("command, overrides, knob", [
+    # A dense 20000^2 Jacobi matrix: a 2.98 GiB MemoryError.
+    ("assemble", {"quadrature": {"block_order": 20000},
+                  "symbols": [{"group": 2, "kind": "profile", "text": "exp(s1)"}]},
+     "quadrature.block_order"),
+    # verify's Dirichlet oracle rule of 300^3 nodes: 43 s under a 2 GiB limit.
+    ("verify", {"quadrature": {"block_order": 300}}, "quadrature.block_order"),
+    # A MemoryError in lattice.block_indices after 10 s.
+    ("berezin", {"berezin": {"group": 2, "w": [0.3, 0.4], "degrees": [10**9]}},
+     "berezin.degrees"),
+], ids=["block-order-jacobi", "block-order-oracle", "berezin-degree"])
+def test_oversized_block_knob_is_refused_before_allocating(tmp_path, command, overrides, knob):
+    _assert_refused_quickly(write_config(tmp_path, **overrides), command, knob)
+
+
+def test_rule_cache_keeps_a_three_group_assembly_small(tmp_path):
+    # gamma up to D = 8 on k = (1, 1, 1) takes 165 rules on Delta_3 of
+    # 3.5 MB each, used once (the model memoizes gamma per kappa); a cache of
+    # 4096 rules kept them all and the command peaked at 600 MB.
+    config = {
+        "partition": {"k": [1, 1, 1], "lambda": 0.0},
+        "degree_cap": 8,
+        "quasi_radial": {"kind": "expression", "text": "exp(r1*r2*r3)"},
+        "symbols": [{"group": 1, "kind": "constant", "value": 1.0}],
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert _peak_rss_mb("assemble", path) < 150
+    payload = read_report(tmp_path, "assemble")["payload"]
+    assert hashlib.sha256(cli.canonical_payload_bytes(payload)).hexdigest() == (
+        "200ba757df2d41ef356ac613f850bf7843ce5d1c4d196142dc8f2f0102c9da36"
+    )
 
 
 def test_small_surrogate_kappa_is_a_radical_config_error(tmp_path, capsys):

@@ -18,7 +18,7 @@ from toeplitz_spectra.quad import (
     fourier_on_points,
     jacobi_probability_rule_01,
     jacobi_rule_01,
-    simplex_integrate,
+    simplex_integrals,
 )
 
 
@@ -66,12 +66,13 @@ def test_simplex_rule_basic():
     rule = SimplexRule.build((0.0, 0.0, 0.0), 20, jacobi_rule_01)
     assert np.all(rule.weights > 0)
     assert rule.weights.sum() == pytest.approx(0.5, abs=1e-12)  # simplex volume
-    assert simplex_integrate(lambda s: np.ones(s.shape[0]), 2, 20).real == pytest.approx(0.5)
-    assert simplex_integrate(lambda s: s[:, 0] * s[:, 1], 2, 20).real == pytest.approx(
+    plain = [(0.0, 0.0, 0.0)]
+    assert simplex_integrals(lambda s: np.ones(s.shape[0]), plain, 20)[0].real == pytest.approx(0.5)
+    assert simplex_integrals(lambda s: s[:, 0] * s[:, 1], plain, 20)[0].real == pytest.approx(
         dirichlet_integral((1, 1, 0))
     )
     lam = 1.0
-    got = simplex_integrate(lambda s: (1 - s[:, 0] - s[:, 1]) ** lam, 2, 20).real
+    got = simplex_integrals(lambda s: (1 - s[:, 0] - s[:, 1]) ** lam, plain, 20)[0].real
     assert got == pytest.approx(1.0 / 6.0, rel=1e-12)
 
 
@@ -89,7 +90,7 @@ def test_simplex_monomial_exactness_integer():
                 out = out * s[:, axis] ** _a[axis]
             return out * (1 - s.sum(axis=1)) ** _a[-1]
 
-        got = simplex_integrate(f, k - 1, order).real
+        got = simplex_integrals(f, [(0.0,) * k], order)[0].real
         want = dirichlet_integral(a)
         assert abs(got - want) / want < 1e-10
 
@@ -99,14 +100,14 @@ def test_simplex_absorbed_weight_half_integers():
     for _ in range(25):
         k = int(rng.integers(2, 5))
         a = tuple(float(v) for v in rng.choice(np.arange(0, 20.5, 0.5), size=k))
-        got = simplex_integrate(lambda s: np.ones(s.shape[0]), k - 1, 40, weight=a).real
+        got = simplex_integrals(lambda s: np.ones(s.shape[0]), [a], 40)[0].real
         want = dirichlet_integral(a)
         assert abs(got - want) / want < 1e-10
 
 
 def test_simplex_rejects_nonfinite():
     with pytest.raises(QuadratureError):
-        simplex_integrate(lambda s: np.full(s.shape[0], np.nan), 2, 8)
+        simplex_integrals(lambda s: np.full(s.shape[0], np.nan), [(0.0, 0.0, 0.0)], 8)
 
 
 def test_probability_rule_moments():
@@ -382,3 +383,66 @@ def test_fourier_on_points_rejects_a_misshaped_symbol():
     s_points = np.full((3, 2), math.sqrt(0.5))
     with pytest.raises(QuadratureError, match=r"shape \(3,\)"):
         fourier_on_points(lambda s, t: np.ones(3), s_points, (0, 0), grid=8)
+
+
+# Half-integers from -0.5, any float above -1 (exponents near -1 included),
+# and pairs on the a + b = -1 branch, whose first off-diagonal entry is 0/0
+# as written: dyadic a, so that a + b is exactly -1.
+_EXPONENT = st.one_of(
+    st.integers(-1, 40).map(lambda v: v / 2),
+    st.floats(-1.0, 30.0, exclude_min=True),
+    st.sampled_from([-1.0 + 2.0**-40, -0.999999, -0.5 - 2.0**-30]),
+)
+_PAIR = st.one_of(
+    st.tuples(_EXPONENT, _EXPONENT),
+    st.integers(1, 2**20 - 1).map(lambda i: (-i / 2**20, -1.0 + i / 2**20)),
+)
+
+
+@given(npts=st.integers(1, 48), pairs=st.lists(_PAIR, min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_batched_christoffel_rules_are_the_single_pair_rules(npts, pairs):
+    nodes, weights = quad.jacobi_rules_01(npts, pairs)
+    assert nodes.shape == weights.shape == (len(pairs), npts)
+    for r, (a, b) in enumerate(pairs):
+        for want in (jacobi_rule_01(npts, a, b), jacobi_rule_01_rowwise(npts, a, b)):
+            assert nodes[r].tobytes() == want[0].tobytes(), (npts, a, b)
+            assert weights[r].tobytes() == want[1].tobytes(), (npts, a, b)
+
+
+def test_batched_christoffel_rules_refuse_a_large_combined_exponent():
+    with pytest.raises(QuadratureError, match="too large"):
+        quad.jacobi_rules_01(8, [(0.5, 1.0), (600.0, 400.5), (2.0, 3.0)])
+
+
+def test_simplex_integrals_build_each_distinct_level_rule_once(monkeypatch):
+    built, batch = [], quad.jacobi_rules_01
+
+    def spy(npts, pairs):
+        built.append(list(pairs))
+        return batch(npts, pairs)
+
+    monkeypatch.setattr(quad, "jacobi_rules_01", spy)
+    weights = [(1.0, 0.5, 2.0), (1.0, 0.5, 2.0), (0.5, 3.5), (1.0, 2.0, 0.5, 0.0)]
+    got = simplex_integrals(lambda s: np.ones(s.shape[0]), weights, 12)
+    want = {ab for a in weights for ab in SimplexRule.levels(a)}
+    assert len(built) == 1 and len(built[0]) == len(want) == 6 and set(built[0]) == want
+    for a, value in zip(weights, got):
+        assert value.real == pytest.approx(dirichlet_integral(a), rel=1e-12)
+
+
+def test_dirichlet_rule_cache_is_bounded_by_bytes_in_lru_order(monkeypatch):
+    # Two order-8 rules on Delta_2 (two node planes and the weights each).
+    rule_bytes = 3 * 8**2 * 8
+    monkeypatch.setattr(quad, "RULE_CACHE_BYTES", 2 * rule_bytes)
+    info = quad._dirichlet_rule_cached.cache_info
+    first, second, third = [(0.125, 0.375, lam) for lam in (0.5, 1.5, 2.5)]
+    kept = dirichlet_probability_rule(first, 8)
+    dirichlet_probability_rule(second, 8)
+    assert dirichlet_probability_rule(first, 8) is kept  # now the most recent
+    dirichlet_probability_rule(third, 8)  # evicts the least recent: second
+    assert info().bytes == 2 * rule_bytes
+    assert dirichlet_probability_rule(first, 8) is kept
+    misses = info().misses
+    dirichlet_probability_rule(second, 8)
+    assert info().misses == misses + 1
