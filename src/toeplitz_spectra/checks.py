@@ -25,9 +25,7 @@ from .gelfand import (
     spectral_radius_estimate,
 )
 from .lattice import GlobalBasis, PartitionConfig, enumerate_kappa
-from .quad import (
-    dirichlet_integral, dirichlet_moment, dirichlet_probability_rule, simplex_integrals,
-)
+from .quad import SimplexRule, dirichlet_integral, dirichlet_moment, dirichlet_probability_rule
 from .radical import SUPPORT_TOL, decompose_by_division, escaped_gamma, radical_generator
 from .spectra import PlanarRegion, SpectralContext, polynomial_hull_2d
 from .symbols import QuasiRadialSymbol, constant_symbol
@@ -50,16 +48,24 @@ def _flag(name: str, ok: bool) -> dict:
 def dirichlet_vs_simplex(
     rng: np.random.Generator, trials: int, order: int, power: int
 ) -> list[dict]:
-    """Closed Dirichlet forms vs the absorbed-weight simplex rule on random
-    half-integer exponents, integrand (s_1+...+s_p)^power, whose sum is a
-    Beta variable with the summed exponents; a nonzero power makes the
-    check sensitive to the rule order."""
+    """The Dirichlet probability rule, the one behind gamma and the
+    quadrature of block entries, vs its closed moments on random
+    half-integer exponents: the mean of (s_1+...+s_p)^power, a Beta moment
+    of the summed exponents; a nonzero power makes the check sensitive to
+    the rule order.  Each trial's rule is built outside the rule cache, into
+    one reused buffer, so one trial's nodes are held at a time."""
     grid = np.arange(0.0, 20.5, 0.5)
     draws = [tuple(map(float, rng.choice(grid, int(rng.integers(2, 5))))) for _ in range(trials)]
+    buffer = np.empty(max((len(a) * order ** (len(a) - 1) for a in draws), default=0))
     worst = 0.0
-    for a, approx in zip(draws, simplex_integrals(lambda s: s.sum(axis=1) ** power, draws, order)):
-        exact = dirichlet_integral(a) * dirichlet_moment((sum(a[:-1]) + len(a) - 2, a[-1]), [power])
-        worst = max(worst, abs(approx.real - exact) / exact)
+    for a in draws:
+        rule = SimplexRule.build(a, order, out=buffer)
+        terms = rule.nodes.T.sum(axis=0)  # row sums, added plane by plane
+        np.power(terms, power, out=terms)
+        terms *= rule.weights
+        exact = dirichlet_moment((sum(a[:-1]) + len(a) - 2, a[-1]), [power])
+        worst = max(worst, abs(float(np.sum(terms)) - exact) / exact)
+        del terms  # not held while the next rule checks its nodes
     return [_record("dirichlet-vs-simplex", worst, 1e-10)]
 
 

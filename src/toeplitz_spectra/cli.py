@@ -270,11 +270,11 @@ def _integers_as_int(value, schema: dict):
 
 
 def _complex_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ConfigError(f"cannot read complex value from {v!r}")
+    """A number or a [re, im] pair of numbers in the float range; a bool is neither."""
+    parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0.0)
+    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in parts):
+        raise ConfigError(f"cannot read complex value from {v!r}")
+    return complex(float(parts[0]), float(parts[1]))
 
 
 def c2j(z: complex) -> list[float]:
@@ -364,8 +364,9 @@ SIZE_BUDGET_BYTES = 1 << 30
 
 def _refuse_over_budget(knob: str, need: int, what: str) -> None:
     if need > SIZE_BUDGET_BYTES:
+        gib = need / 2**30 if need < 2**1000 else math.inf  # a float past 2^1024 overflows
         raise ConfigError(
-            f"{knob} needs {need / 2**30:.2f} GiB for {what}, "
+            f"{knob} needs {gib:.2f} GiB for {what}, "
             f"over the budget of {SIZE_BUDGET_BYTES / 2**30:.2f} GiB"
         )
 
@@ -384,14 +385,21 @@ def _price_raster(hull: dict, dims: list[int]) -> None:
 
 
 def _price_blocks(cfg: dict, k: tuple) -> None:
-    """Refuse a quadrature.block_order whose order^3-node oracle rule of
-    verify, 56 bytes a node on its lean path, exceeds the budget (past order
-    3 it outgrows the dense (2 order)^2 Jacobi matrix, a few copies in eigh),
-    and berezin.degrees whose degree-d block does: n^2 complex entries for
-    n = C(d+k-1, k-1), and n index tuples of k ints, 80 + 44k bytes each."""
+    """Refuse knobs whose largest arrays exceed the budget: the order^3-node
+    Dirichlet rule of verify's check, 40 bytes a node (its nodes, weights
+    and row sums), for quadrature.block_order; a gamma rule on Delta_m, 16m
+    + 40 bytes a node (with the radii and two complex values), and its dense
+    Jacobi matrix, 40 bytes an entry in eigh, for quadrature.gamma_order;
+    the degree-d block of each berezin.degrees entry, n^2 complex entries
+    for n = C(d+k-1, k-1) and n index tuples of k ints, 80 + 44k bytes each."""
     order = cfg["quadrature"]["block_order"]
-    _refuse_over_budget(f"quadrature.block_order {order}", 56 * order**3,
-                        f"the {order}^3 nodes of verify's Dirichlet oracle rule")
+    _refuse_over_budget(f"quadrature.block_order {order}", 40 * order**3,
+                        f"the {order}^3 nodes of verify's Dirichlet rule check")
+    order, m = cfg["quadrature"]["gamma_order"], len(k)
+    _refuse_over_budget(f"quadrature.gamma_order {order}", (16 * m + 40) * order**m,
+                        f"the {order}^{m} nodes of a gamma rule")
+    _refuse_over_budget(f"quadrature.gamma_order {order}", 40 * order**2,
+                        f"the dense {order} x {order} Jacobi matrix of a gamma rule")
     if berezin := cfg.get("berezin"):
         kj = k[berezin["group"] - 1]
         for d in berezin["degrees"]:
@@ -482,8 +490,30 @@ def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: 
 # ---------------------------------------------------------------------------
 
 
+def _non_finite_path(obj, where: str) -> str | None:
+    """Where in obj its first non-finite number sits, in sorted-key order."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else where
+    if isinstance(obj, dict):
+        parts = ((f"{where}.{key}", obj[key]) for key in sorted(obj))
+    elif isinstance(obj, (list, tuple)):
+        parts = ((f"{where}[{i}]", value) for i, value in enumerate(obj))
+    else:
+        return None
+    return next((found for w, v in parts if (found := _non_finite_path(v, w))), None)
+
+
+def _to_json(obj, where: str, **kwargs) -> str:
+    """obj as JSON text, which has no NaN or infinity: a non-finite number
+    is a numerical failure, named by its place in obj, and nothing is written."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:
+        raise ToeplitzError(f"{_non_finite_path(obj, where)} is not a finite number") from None
+
+
 def canonical_payload_bytes(payload) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return _to_json(payload, "payload", sort_keys=True, separators=(",", ":")).encode()
 
 
 def write_report(setup: Setup, command: str, payload: dict, started: float) -> Path:
@@ -499,7 +529,7 @@ def write_report(setup: Setup, command: str, payload: dict, started: float) -> P
         "warnings": list(setup.warnings),
     }
     path = setup.out_dir / f"report_{command}.json"
-    path.write_text(json.dumps(body, sort_keys=True, indent=1))
+    path.write_text(_to_json(body, "report", sort_keys=True, indent=1))
     return path
 
 
@@ -614,12 +644,9 @@ def cmd_hull(setup: Setup) -> dict:
     payload = {"groups": {}}
     for j in range(1, setup.cfg.m + 1):
         swh = spectrum_with_hull(setup.ctx, j, D)
-        (setup.out_dir / f"region_sp_{j}.json").write_text(
-            json.dumps(_region_json(swh.sp_region), sort_keys=True)
-        )
-        (setup.out_dir / f"region_hull_{j}.json").write_text(
-            json.dumps(_region_json(swh.hull_region), sort_keys=True)
-        )
+        for name, region in (("sp", swh.sp_region), ("hull", swh.hull_region)):
+            file = f"region_{name}_{j}.json"
+            (setup.out_dir / file).write_text(_to_json(_region_json(region), file, sort_keys=True))
         (setup.out_dir / f"hull_{j}.svg").write_text(
             _region_svg(swh.hull_region, swh.point_values)
         )
@@ -711,9 +738,8 @@ def cmd_gelfand(setup: Setup) -> dict:
                 "value": c2j(evaluate_gelfand(element, p)),
             }
         )
-    (setup.out_dir / "gelfand_points.json").write_text(
-        json.dumps(records, sort_keys=True)
-    )
+    file = "gelfand_points.json"
+    (setup.out_dir / file).write_text(_to_json(records, file, sort_keys=True))
     radius = spectral_radius_estimate(element, points)
     op = assemble_finite_sum(element, setup.model, D)
     mat_radius = max(
@@ -927,13 +953,13 @@ def _run(args) -> int:
         return 1
     try:
         payload = COMMANDS[args.command](setup)
+        path = write_report(setup, args.command, payload, started)
     except ConfigError as exc:
         _emit_error("ConfigError", str(exc))
         return 1
     except ToeplitzError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 2
-    path = write_report(setup, args.command, payload, started)
     print(f"report written to {path}")
     if args.command != "verify":
         return 0

@@ -134,7 +134,7 @@ def diagonal_demo():
 
 
 def test_criterion_01_quadrature_oracle():
-    (rec,) = checks.dirichlet_vs_simplex(np.random.default_rng(1001), 200, 40, power=0)
+    (rec,) = checks.dirichlet_vs_simplex(np.random.default_rng(1001), 200, 40, power=4)
     worst = rec["residual"]
     _report(1, worst < 1e-10, f"dirichlet vs simplex, worst rel err {worst:.3e}")
 

@@ -44,14 +44,23 @@ def test_projection_identities_fail_on_broken_coefficient_algebra(k, monkeypatch
         assert not checks.projection_identities(basis, 1)[0]["passed"]
 
 
-# Residuals of the per-trial build with one cached 1-d rule per (a, b); the
-# batched rule build and the shared rule buffer must keep every bit.
+# Residuals of the Dirichlet probability rule, the one gamma and the block
+# entries use, each trial built into one buffer: a change to the rule, to
+# the Duffy collapse or to the order of the mean's sums moves these bits.
 @pytest.mark.parametrize("seed, residual", [
-    (1, "0x1.f994536bf3799p-46"), (2, "0x1.0028b6af528a8p-44"), (3, "0x1.07c4dd580dd20p-46"),
+    (1, "0x1.3762762762763p-49"), (2, "0x1.9cb8e38e38e38p-50"), (3, "0x1.002999999999ap-48"),
 ])
 def test_dirichlet_vs_simplex_residual_bits_are_pinned(seed, residual):
     (record,) = checks.dirichlet_vs_simplex(np.random.default_rng(seed), 60, 48, power=4)
     assert record["residual"].hex() == residual
+    assert record["residual"] < 1e-13
+
+
+def test_dirichlet_vs_simplex_builds_its_rules_outside_the_rule_cache():
+    before = quad._dirichlet_rule_cached.cache_info()
+    (record,) = checks.dirichlet_vs_simplex(np.random.default_rng(4), 12, 16, power=4)
+    assert record["passed"]
+    assert quad._dirichlet_rule_cached.cache_info() == before
 
 
 def test_gamma_rules_use_each_kappa_rule_while_it_is_held(monkeypatch):

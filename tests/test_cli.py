@@ -13,6 +13,7 @@ import pytest
 
 from toeplitz_spectra import cli
 from toeplitz_spectra.cli import main
+from toeplitz_spectra.errors import ToeplitzError
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -95,6 +96,50 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, overrid
     assert err["type"] == "ConfigError"
     assert "not a finite number" in err["message"]
     assert not (tmp_path / "out" / f"report_{command}.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("assemble", {"symbols": [{"group": 2, "kind": "constant", "value": True}]}),
+        ("assemble", {"symbols": [{"group": 2, "kind": "profile_monomial", "powers": [1, 0],
+                                   "coeff": [True, False]}]}),
+        ("berezin", {"berezin": {"group": 2, "w": [0.5, False], "degrees": [4]}}),
+        ("assemble", {"symbols": [{"group": 2, "kind": "constant", "value": 10**400}]}),
+    ],
+    ids=["constant-value", "monomial-coeff", "berezin-w", "huge-integer"],
+)
+def test_booleans_and_huge_integers_are_not_complex_numbers(tmp_path, capsys, command, overrides):
+    # Booleans were read as 1 and 0 (the schema holds a bool to be no
+    # number), and an integer past the float range ended in an OverflowError.
+    path = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "ConfigError" and "traceback" not in err
+    assert err["message"].startswith("cannot read complex value from")
+    assert not (tmp_path / "out" / f"report_{command}.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_payload_is_a_numerical_failure(tmp_path, capsys):
+    # Block norms of the constant 1e200 overflow; the report held five
+    # bare Infinity values, which are not JSON, and its sha was taken over them.
+    path = write_config(tmp_path, degree_cap=2,
+                        symbols=[{"group": 2, "kind": "constant", "value": 1e200}])
+    assert main(["assemble", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])["error"]
+    assert err == {"type": "ToeplitzError",
+                   "message": "payload.blocks[0].fro is not a finite number"}
+    assert not (tmp_path / "out" / "report_assemble.json").exists()
+
+
+def test_json_side_files_name_their_first_non_finite_number():
+    records = {"b": [1.0, {"d": -math.inf, "c": math.nan}], "a": [0.5, 2]}
+    with pytest.raises(ToeplitzError, match=r"^points\.json\.b\[1\]\.c is not a finite number$"):
+        cli._to_json(records, "points.json", sort_keys=True)
+    assert cli._to_json({"a": [0.5, 2]}, "points.json") == '{"a": [0.5, 2]}'
 
 
 def test_schema_rejects_duplicate_group(tmp_path):
@@ -603,7 +648,22 @@ def test_oversized_raster_knob_is_refused_before_allocating(tmp_path, hull, knob
     # A MemoryError in lattice.block_indices after 10 s.
     ("berezin", {"berezin": {"group": 2, "w": [0.3, 0.4], "degrees": [10**9]}},
      "berezin.degrees"),
-], ids=["block-order-jacobi", "block-order-oracle", "berezin-degree"])
+    # A gamma rule of 600^3 nodes: a 6.44 GiB MemoryError in SimplexRule.build.
+    ("assemble", {"partition": {"k": [1, 1, 1], "lambda": 0.0},
+                  "quasi_radial": {"kind": "expression", "text": "exp(r1*r2*r3)"},
+                  "symbols": [{"group": 1, "kind": "constant", "value": 1.0}],
+                  "berezin": {"group": 1, "w": [0.5], "degrees": [4]}, "radical": {"group": 1},
+                  "quadrature": {"gamma_order": 600}},
+     "quadrature.gamma_order"),
+    # The dense 20000^2 Jacobi matrix of a one-group gamma rule: a 2.98 GiB MemoryError.
+    ("assemble", {"partition": {"k": [2], "lambda": 0.0},
+                  "quasi_radial": {"kind": "expression", "text": "exp(r1)"},
+                  "symbols": [{"group": 1, "kind": "constant", "value": 1.0}],
+                  "berezin": {"group": 1, "w": [0.3, 0.4], "degrees": [4]}, "radical": {"group": 1},
+                  "quadrature": {"gamma_order": 20000}},
+     "quadrature.gamma_order"),
+], ids=["block-order-jacobi", "block-order-oracle", "berezin-degree", "gamma-order-nodes",
+        "gamma-order-jacobi"])
 def test_oversized_block_knob_is_refused_before_allocating(tmp_path, command, overrides, knob):
     _assert_refused_quickly(write_config(tmp_path, **overrides), command, knob)
 

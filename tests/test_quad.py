@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (
-    adaptive_dirichlet, golub_welsch_tridiagonal, jacobi_rule_01_rowwise, roots_jacobi_01,
-)
+from oracles import adaptive_dirichlet, golub_welsch_tridiagonal, roots_jacobi_01
 from toeplitz_spectra import quad
 from toeplitz_spectra.errors import QuadratureError
 from toeplitz_spectra.quad import (
@@ -17,8 +15,6 @@ from toeplitz_spectra.quad import (
     dirichlet_probability_rule,
     fourier_on_points,
     jacobi_probability_rule_01,
-    jacobi_rule_01,
-    simplex_integrals,
 )
 
 
@@ -62,18 +58,35 @@ def test_dirichlet_vs_adaptive_oracle():
     assert abs(adaptive_dirichlet(a) - closed) / closed < 1e-10
 
 
+def _integral(f, a, order) -> float:
+    """int f(s) prod s^a (1 - sum s)^{a_last} ds over Delta_p: the probability
+    rule's mean of f times the closed Dirichlet mass."""
+    rule = SimplexRule.build(a, order)
+    return dirichlet_integral(a) * float(np.sum(rule.weights * f(rule.nodes)))
+
+
 def test_simplex_rule_basic():
-    rule = SimplexRule.build((0.0, 0.0, 0.0), 20, jacobi_rule_01)
+    rule = SimplexRule.build((0.0, 0.0, 0.0), 20)
     assert np.all(rule.weights > 0)
-    assert rule.weights.sum() == pytest.approx(0.5, abs=1e-12)  # simplex volume
-    plain = [(0.0, 0.0, 0.0)]
-    assert simplex_integrals(lambda s: np.ones(s.shape[0]), plain, 20)[0].real == pytest.approx(0.5)
-    assert simplex_integrals(lambda s: s[:, 0] * s[:, 1], plain, 20)[0].real == pytest.approx(
+    assert rule.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    plain = (0.0, 0.0, 0.0)
+    assert _integral(lambda s: np.ones(s.shape[0]), plain, 20) == pytest.approx(0.5)  # volume
+    assert _integral(lambda s: s[:, 0] * s[:, 1], plain, 20) == pytest.approx(
         dirichlet_integral((1, 1, 0))
     )
     lam = 1.0
-    got = simplex_integrals(lambda s: (1 - s[:, 0] - s[:, 1]) ** lam, plain, 20)[0].real
+    got = _integral(lambda s: (1 - s[:, 0] - s[:, 1]) ** lam, plain, 20)
     assert got == pytest.approx(1.0 / 6.0, rel=1e-12)
+
+
+def _monomial(powers):
+    """s -> prod s_l^{powers_l} (1 - sum s)^{powers_last} on an (N, p) node array."""
+    def f(s):
+        out = np.ones(s.shape[0])
+        for axis in range(len(powers) - 1):
+            out = out * s[:, axis] ** powers[axis]
+        return out * (1 - s.sum(axis=1)) ** powers[-1]
+    return f
 
 
 def test_simplex_monomial_exactness_integer():
@@ -83,31 +96,28 @@ def test_simplex_monomial_exactness_integer():
         k = int(rng.integers(2, 5))
         a = tuple(int(v) for v in rng.integers(0, 21, size=k))
         order = (sum(a) + 2) // 2 + 1
-
-        def f(s, _a=a):
-            out = np.ones(s.shape[0])
-            for axis in range(len(_a) - 1):
-                out = out * s[:, axis] ** _a[axis]
-            return out * (1 - s.sum(axis=1)) ** _a[-1]
-
-        got = simplex_integrals(f, [(0.0,) * k], order)[0].real
+        got = _integral(_monomial(a), (0.0,) * k, order)
         want = dirichlet_integral(a)
         assert abs(got - want) / want < 1e-10
 
 
 def test_simplex_absorbed_weight_half_integers():
+    # Half-integer exponents absorbed into the rule, times a monomial of
+    # the coordinates and the slack: a Dirichlet integral of the sums.
     rng = np.random.default_rng(12)
     for _ in range(25):
         k = int(rng.integers(2, 5))
         a = tuple(float(v) for v in rng.choice(np.arange(0, 20.5, 0.5), size=k))
-        got = simplex_integrals(lambda s: np.ones(s.shape[0]), [a], 40)[0].real
-        want = dirichlet_integral(a)
+        h = tuple(int(v) for v in rng.integers(0, 5, size=k))
+        got = _integral(_monomial(h), a, 40)
+        want = dirichlet_integral([x + y for x, y in zip(a, h)])
         assert abs(got - want) / want < 1e-10
 
 
 def test_simplex_rejects_nonfinite():
-    with pytest.raises(QuadratureError):
-        simplex_integrals(lambda s: np.full(s.shape[0], np.nan), [(0.0, 0.0, 0.0)], 8)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(QuadratureError, match="finite"):
+            SimplexRule.build((0.0, bad, 0.0), 8)
 
 
 def test_probability_rule_moments():
@@ -143,34 +153,43 @@ def test_probability_rule_is_bitwise_golub_welsch_tridiagonal():
 
 
 def test_oracle_rule_matches_roots_jacobi():
-    # The range verify uses: npts <= 48, a <= 20, b <= 63, half-integers.
-    from scipy.special import beta
-
+    # scipy's nodes, and its weights normalized by their sum, over verify's
+    # range (npts <= 48, a <= 20, b <= 63, half-integers), on the a + b = -1
+    # branch, near -1 and up to 2e4.  Golub-Welsch weights are accurate
+    # relative to their total of one, not each on its own scale, so they are
+    # compared absolutely.  Past exponents of about 1e4 scipy's weights are
+    # NaN; there the rule's first eight moments stand in for them.
     rng = np.random.default_rng(48)
     cases = [(1, 0.0, 0.0), (48, 20.0, 63.0), (48, 0.0, 63.0), (48, 20.0, 0.0), (2, 0.5, 0.5)]
     cases += [
         (int(rng.integers(1, 49)), rng.integers(0, 41) / 2, rng.integers(0, 127) / 2)
         for _ in range(400)
     ]
-    for npts, a, b in cases:
-        nodes, weights = jacobi_rule_01(npts, float(a), float(b))
+    cases += [(npts, -i / 64, -1.0 + i / 64) for npts in (6, 48) for i in range(1, 64, 7)]
+    cases += [(48, -1.0 + 2.0**-40, 0.0), (48, 2.0, -1.0 + 2.0**-40), (48, -0.999999, 3.0),
+              (48, -0.5 - 2.0**-30, 1.5), (48, 1e3, 0.0), (20, 2e4, 2e4)]
+    large = [(48, 1e4, 0.0), (48, 2e4, 0.0), (48, 2e4, 63.0), (48, 0.0, 2e4), (48, 19999.0, 0.5),
+             (96, 2e4, 0.5), (1, 2e4, 3.0)]
+    for npts, a, b in cases + large:
+        nodes, weights = jacobi_probability_rule_01(npts, float(a), float(b))
         want_nodes, want_weights = roots_jacobi_01(npts, a, b)
         assert np.max(np.abs(nodes - want_nodes)) <= 1e-15, (npts, a, b)
-        assert np.max(np.abs(weights / want_weights - 1.0)) <= 1e-10, (npts, a, b)
-        assert abs(weights.sum() / beta(a + 1.0, b + 1.0) - 1.0) <= 1e-13, (npts, a, b)
+        assert abs(weights.sum() - 1.0) <= 1e-13, (npts, a, b)
+        if (npts, a, b) in large:
+            for j in range(1, min(2 * npts, 9)):
+                got = float(np.sum(weights * nodes**j))
+                assert abs(got / dirichlet_moment((a, b), [j]) - 1.0) <= 1e-11, (npts, a, b, j)
+        else:
+            assert np.max(np.abs(weights - want_weights)) <= 1e-10, (npts, a, b)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # scipy's own 0/0
 @pytest.mark.parametrize("a, b", [(-0.5, -0.5), (-0.25, -0.75), (0.5, -0.5)])
 def test_jacobi_rules_at_exponent_sum_minus_one(a, b):
     # The first off-diagonal entry is 0/0 as written when a + b = -1.
-    nodes, weights = jacobi_rule_01(6, a, b)
     want_nodes, want_weights = roots_jacobi_01(6, a, b)
-    assert np.allclose(nodes, want_nodes, rtol=0, atol=1e-15)
-    assert np.allclose(weights, want_weights, rtol=1e-12, atol=0)
     nodes, weights = jacobi_probability_rule_01(6, a, b)
     assert np.allclose(nodes, want_nodes, rtol=0, atol=1e-14)
-    assert np.allclose(weights, want_weights / want_weights.sum(), rtol=1e-12, atol=0)
+    assert np.allclose(weights, want_weights, rtol=1e-12, atol=0)
 
 
 def test_torus_coefficient_characters():
@@ -321,13 +340,12 @@ def test_gammaln_refuses_outside_positive_reals(x):
     ids=["exponents0", "exponents1", "exponents2", "exponents3-order48"],
 )
 def test_simplex_rule_build_matches_meshgrid_product(exponents, order):
-    # The broadcast construction multiplies in the meshgrid order: bit-identical,
-    # for the probability rule and for the Christoffel rule of the oracle.
+    # The broadcast construction multiplies in the meshgrid order: bit-identical.
     p = len(exponents) - 1
-    for rule_01 in (jacobi_probability_rule_01, jacobi_rule_01):
-        rule = SimplexRule.build(exponents, order, rule_01)
+    for out in (None, np.full(len(exponents) * order**p + 5, np.nan)):
+        rule = SimplexRule.build(exponents, order, out=out)
         axes = [
-            rule_01(order, exponents[lvl - 1], (p - lvl) + sum(exponents[lvl:]))
+            jacobi_probability_rule_01(order, exponents[lvl - 1], (p - lvl) + sum(exponents[lvl:]))
             for lvl in range(1, p + 1)
         ]
         mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
@@ -347,18 +365,6 @@ def test_simplex_rule_build_matches_meshgrid_product(exponents, order):
         assert rule.nodes_closed.T.flags.c_contiguous
         slack = np.maximum(1.0 - u.sum(axis=1, keepdims=True), 0.0)
         assert rule.nodes_closed.tobytes() == np.hstack([u, slack]).tobytes()
-
-
-@pytest.mark.parametrize(
-    "npts,a,b",
-    [(1, 0.0, 0.0), (5, 0.5, 1.5), (9, -0.5, -0.5), (16, 3.0, -0.5), (48, 2.0, 41.5),
-     (48, -0.5, 0.5), (30, 19.5, 0.0)],
-)
-def test_jacobi_rule_paired_recurrence_matches_rowwise_reference(npts, a, b):
-    nodes, weights = jacobi_rule_01(npts, a, b)
-    want_nodes, want_weights = jacobi_rule_01_rowwise(npts, a, b)
-    assert nodes.tobytes() == want_nodes.tobytes()
-    assert weights.tobytes() == want_weights.tobytes()
 
 
 def test_simplex_rule_rejects_nodes_outside_the_simplex_and_negative_weights():
@@ -383,52 +389,6 @@ def test_fourier_on_points_rejects_a_misshaped_symbol():
     s_points = np.full((3, 2), math.sqrt(0.5))
     with pytest.raises(QuadratureError, match=r"shape \(3,\)"):
         fourier_on_points(lambda s, t: np.ones(3), s_points, (0, 0), grid=8)
-
-
-# Half-integers from -0.5, any float above -1 (exponents near -1 included),
-# and pairs on the a + b = -1 branch, whose first off-diagonal entry is 0/0
-# as written: dyadic a, so that a + b is exactly -1.
-_EXPONENT = st.one_of(
-    st.integers(-1, 40).map(lambda v: v / 2),
-    st.floats(-1.0, 30.0, exclude_min=True),
-    st.sampled_from([-1.0 + 2.0**-40, -0.999999, -0.5 - 2.0**-30]),
-)
-_PAIR = st.one_of(
-    st.tuples(_EXPONENT, _EXPONENT),
-    st.integers(1, 2**20 - 1).map(lambda i: (-i / 2**20, -1.0 + i / 2**20)),
-)
-
-
-@given(npts=st.integers(1, 48), pairs=st.lists(_PAIR, min_size=1, max_size=8))
-@settings(max_examples=60, deadline=None)
-def test_batched_christoffel_rules_are_the_single_pair_rules(npts, pairs):
-    nodes, weights = quad.jacobi_rules_01(npts, pairs)
-    assert nodes.shape == weights.shape == (len(pairs), npts)
-    for r, (a, b) in enumerate(pairs):
-        for want in (jacobi_rule_01(npts, a, b), jacobi_rule_01_rowwise(npts, a, b)):
-            assert nodes[r].tobytes() == want[0].tobytes(), (npts, a, b)
-            assert weights[r].tobytes() == want[1].tobytes(), (npts, a, b)
-
-
-def test_batched_christoffel_rules_refuse_a_large_combined_exponent():
-    with pytest.raises(QuadratureError, match="too large"):
-        quad.jacobi_rules_01(8, [(0.5, 1.0), (600.0, 400.5), (2.0, 3.0)])
-
-
-def test_simplex_integrals_build_each_distinct_level_rule_once(monkeypatch):
-    built, batch = [], quad.jacobi_rules_01
-
-    def spy(npts, pairs):
-        built.append(list(pairs))
-        return batch(npts, pairs)
-
-    monkeypatch.setattr(quad, "jacobi_rules_01", spy)
-    weights = [(1.0, 0.5, 2.0), (1.0, 0.5, 2.0), (0.5, 3.5), (1.0, 2.0, 0.5, 0.0)]
-    got = simplex_integrals(lambda s: np.ones(s.shape[0]), weights, 12)
-    want = {ab for a in weights for ab in SimplexRule.levels(a)}
-    assert len(built) == 1 and len(built[0]) == len(want) == 6 and set(built[0]) == want
-    for a, value in zip(weights, got):
-        assert value.real == pytest.approx(dirichlet_integral(a), rel=1e-12)
 
 
 def test_dirichlet_rule_cache_is_bounded_by_bytes_in_lru_order(monkeypatch):
