@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 import numpy as np
 
 from .errors import AssemblyError, QuadratureError
-from .lattice import GlobalBasis, Index, PartitionConfig, block_indices, log_monomial_norm_sq
+from .lattice import GlobalBasis, Index, PartitionConfig, block_indices
 from .quad import (
     dirichlet_moment, dirichlet_probability_rule, fourier_on_points, gammaln, log_dirichlet_mass,
 )
@@ -69,8 +69,7 @@ def gamma_quasi_radial(
         return sum((t.coeff * dirichlet_moment(exponents, [q / 2 for q in t.powers])
                     for t in a.terms), 0j)
     rule = dirichlet_probability_rule(exponents, order)
-    radii = np.sqrt(rule.nodes) if cfg.m else rule.nodes
-    vals = a(radii)
+    vals = a(np.sqrt(rule.nodes))  # no name holds the radii: freed before the product
     return complex(np.sum(rule.weights * vals))
 
 
@@ -359,27 +358,33 @@ class AlgebraModel:
 # ---------------------------------------------------------------------------
 
 
-def _gammaln_array(x: np.ndarray) -> np.ndarray:
-    """gammaln elementwise, evaluated once per distinct value of x."""
-    values, inverse = np.unique(x, return_inverse=True)
-    return np.array([gammaln(v) for v in values.tolist()])[inverse].reshape(x.shape)
-
-
 def cross_block_entry_bound(model: AlgebraModel, D: int) -> float:
-    """Rigorous upper bound on |<T_{ac} e_alpha, e_beta>| over all pairs with
-    kappa(alpha) != kappa(beta) inside the cap-D truncation.
+    """Upper bound on |<T_{ac} e_alpha, e_beta>| over all pairs of basis
+    elements in different H_kappa of the cap-D truncation.
 
-    Factorizes the defining integral into radial, sphere and torus parts;
-    every factor is bounded by closed Dirichlet masses except the torus
-    Fourier coefficient at the necessarily-nonzero mode, which is probed
-    numerically.  The torus invariance of the symbols makes that factor
-    vanish, so the bound certifies the block-orthogonality property without
-    an entry-by-entry quadrature pass.
+    Once the torus is integrated out, an entry is at most sup|a| times
+    prod_j sup_s |c_hat_j(s, beta_j - alpha_j)| times the normalized moment
+    int |z^alpha| |z^beta| / (||z^alpha|| ||z^beta||), which Cauchy-Schwarz
+    keeps at most 1.  A pair (kappa, kappa') is therefore bounded by sup|a|
+    times, per group, the largest sup over the modes p that (kappa_j,
+    kappa'_j) can realize.  A group without symbol or with a declared table
+    has no mode of nonzero sum, so a pair whose degrees differ there is 0 by
+    structure and is skipped unprobed; on the other pairs the torus
+    invariance of the probed symbols makes some factor vanish.  sup|a| is
+    taken over 512 seeded radii, and each (group, mode) is probed once, over
+    an order-12 sphere rule on a torus grid of at least 32 per axis.
     """
     cfg = model.cfg
-    basis = model.basis(D)
+    probed = {j for j, sym in model.symbols.items() if sym.modes is None}
+    # Kappas that agree on every group but the probed ones.
+    classes: dict[Index, list[Index]] = {}
+    for kappa in model.basis(D).kappas:
+        rest = tuple(kap for j, kap in enumerate(kappa, start=1) if j not in probed)
+        classes.setdefault(rest, []).append(kappa)
+    pairs = [(x, y) for same in classes.values() for x in same for y in same if x != y]
+    if not pairs:
+        return 0.0
 
-    # sup |a| over 512 random radii.
     sup_a = 1.0
     if model.quasi_radial is not None:
         rng = np.random.default_rng(20240521)
@@ -387,82 +392,27 @@ def cross_block_entry_bound(model: AlgebraModel, D: int) -> float:
         scale = rng.random((512, 1))
         sup_a = float(np.max(np.abs(model.quasi_radial(np.sqrt(u * scale)))))
 
-    # Probe max |c_hat(., p)| per group and mode over a fixed sphere sample
-    # (order-12 rule, torus grid of at least 32 per axis).
-    chat_sup: dict[tuple[int, Index], float] = {}
-
-    def chat_max(j: int, p: Index) -> float:
-        key = (j, p)
-        if key in chat_sup:
-            return chat_sup[key]
+    @cache
+    def sup_chat(j: int, p: Index) -> float:
         sym = model.symbols.get(j)
         if sym is None:
-            val = 1.0 if all(v == 0 for v in p) else 0.0
-        else:
-            kj = sym.dim
-            declared = sym.modes
-            if declared is not None and p not in declared:
-                val = 0.0
-            else:
-                rule = dirichlet_probability_rule((0.0,) * kj, 12)
-                spts = np.sqrt(rule.nodes_closed)
-                grid = max(32, 2 * max((abs(v) for v in p), default=0) + 1)
-                vals = fourier_on_points(sym.fn, spts, p, grid=grid)
-                val = float(np.max(np.abs(vals)))
-        chat_sup[key] = val
-        return val
+            return 1.0 if not any(p) else 0.0
+        if sym.modes is not None and p not in sym.modes:
+            return 0.0
+        spts = np.sqrt(dirichlet_probability_rule((0.0,) * sym.dim, 12).nodes_closed)
+        grid = max(32, 2 * max(abs(v) for v in p) + 1)
+        return float(np.max(np.abs(fourier_on_points(sym.fn, spts, p, grid=grid))))
 
-    log_cnorm = float(gammaln(cfg.n + cfg.lam + 1.0) - gammaln(cfg.lam + 1.0))
-    dim = basis.dim
-    lognorm = np.array([log_monomial_norm_sq(a, cfg) for a in basis.alphas])
-    log_sup_a = math.log(max(sup_a, 1e-300))
+    @cache
+    def factor(j: int, d: int, e: int) -> float:
+        kj = cfg.k[j - 1]
+        modes = {
+            tuple(vb - va for va, vb in zip(alpha, beta))
+            for alpha in block_indices(kj, d) for beta in block_indices(kj, e)
+        }
+        return max(sup_chat(j, p) for p in modes)
 
-    # Distinct per-group block parts, with each basis element mapped to its
-    # part index; pair quantities live on the small distinct-part grids.
-    m = cfg.m
-    part_lists: list[list[Index]] = []
-    part_idx = np.zeros((dim, m), dtype=int)
-    for j in range(m):
-        seen: dict[Index, int] = {}
-        for i, alpha in enumerate(basis.alphas):
-            part = cfg.split(alpha)[j]
-            if part not in seen:
-                seen[part] = len(seen)
-            part_idx[i, j] = seen[part]
-        part_lists.append(list(seen))
-
-    log_total = np.full((dim, dim), log_cnorm + log_sup_a)
-    factor = np.ones((dim, dim))
-    for j in range(m):
-        parts = part_lists[j]
-        np_parts = len(parts)
-        gmass = np.zeros((np_parts, np_parts))
-        gchat = np.zeros((np_parts, np_parts))
-        for ia, pa in enumerate(parts):
-            for ib, pb in enumerate(parts):
-                exps = [(va + vb) / 2.0 for va, vb in zip(pa, pb)]
-                gmass[ia, ib] = log_dirichlet_mass(exps)
-                gchat[ia, ib] = chat_max(
-                    j + 1, tuple(vb - va for va, vb in zip(pa, pb))
-                )
-        idx = part_idx[:, j]
-        log_total += gmass[np.ix_(idx, idx)]
-        factor *= gchat[np.ix_(idx, idx)]
-
-    # Radial Dirichlet mass over Delta_m from the group degrees.
-    kappa_arr = basis.kappa_array().astype(float)
-    rad_exps = [
-        (kappa_arr[:, None, j] + kappa_arr[None, :, j]) / 2.0 + cfg.k[j] - 1.0
-        for j in range(m)
-    ]
-    rad_mass = sum(_gammaln_array(e + 1.0) for e in rad_exps) + gammaln(cfg.lam + 1.0)
-    rad_mass -= _gammaln_array((m + 1) + sum(rad_exps) + cfg.lam)
-    log_total += rad_mass
-    log_total -= 0.5 * (lognorm[:, None] + lognorm[None, :])
-
-    same_kappa = np.all(
-        kappa_arr[:, None, :] == kappa_arr[None, :, :], axis=2
+    return max(
+        sup_a * math.prod(factor(j, x[j - 1], y[j - 1]) for j in range(1, cfg.m + 1))
+        for x, y in pairs
     )
-    bound = factor * np.exp(log_total)
-    bound[same_kappa] = 0.0
-    return float(np.max(bound))

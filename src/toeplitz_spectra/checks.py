@@ -69,15 +69,20 @@ def dirichlet_vs_simplex(
     return [_record("dirichlet-vs-simplex", worst, 1e-10)]
 
 
+# Rule nodes at which gamma_rules evaluates a compiled symbol at once, so
+# that it holds no more per node than the gamma rule priced for gamma_order.
+COMPARE_CHUNK = 1 << 14
+
+
 def gamma_rules(
     a: QuasiRadialSymbol | None, cfg: PartitionConfig, cap: int, order: int = 48
 ) -> list[dict]:
     """Over |kappa| <= cap, one kappa's gamma rule at a time: gamma of the
     trivial quasi-radial symbol, a plain callable so that the rule is tested,
     is one; a compiled a's terms agree with its parsed expression at the
-    rule's nodes (relative to the largest value), and its gamma with sum c
-    dirichlet_integral(a + q/2) / dirichlet_integral(a) (relative to sum |c|
-    times the moments)."""
+    rule's nodes (relative to the largest value), COMPARE_CHUNK nodes at a
+    time, and its gamma with sum c dirichlet_integral(a + q/2) /
+    dirichlet_integral(a) (relative to sum |c| times the moments)."""
     one = QuasiRadialSymbol(m=cfg.m, fn=lambda r: np.ones(r.shape[0], dtype=complex), label="1")
     ones, worst = [], 0.0
     for kappa in enumerate_kappa(cfg, cap):
@@ -85,10 +90,15 @@ def gamma_rules(
         if a is None or a.terms is None:
             continue
         exps = tuple(float(kap + kj - 1) for kap, kj in zip(kappa, cfg.k)) + (cfg.lam,)
-        radii = np.sqrt(dirichlet_probability_rule(exps, order).nodes)
-        source = a(radii)
-        compiled = sum((t(radii) for t in a.terms), np.zeros(len(radii), dtype=complex))
-        worst = max(worst, np.max(np.abs(compiled - source)) / max(np.max(np.abs(source)), 1e-300))
+        nodes = dirichlet_probability_rule(exps, order).nodes
+        drift = top = 0.0
+        for start in range(0, len(nodes), COMPARE_CHUNK):
+            radii = np.sqrt(nodes[start:start + COMPARE_CHUNK])
+            source = a(radii)
+            compiled = sum((t(radii) for t in a.terms), np.zeros(len(radii), dtype=complex))
+            drift = max(drift, np.max(np.abs(compiled - source)))
+            top = max(top, np.max(np.abs(source)))
+        worst = max(worst, drift / max(top, 1e-300))
         moments = [
             dirichlet_integral([e + q / 2 for e, q in zip(exps, t.powers)] + [cfg.lam])
             / dirichlet_integral(exps) for t in a.terms

@@ -387,25 +387,32 @@ def _price_raster(hull: dict, dims: list[int]) -> None:
 def _price_blocks(cfg: dict, k: tuple) -> None:
     """Refuse knobs whose largest arrays exceed the budget: the order^3-node
     Dirichlet rule of verify's check, 40 bytes a node (its nodes, weights
-    and row sums), for quadrature.block_order; a gamma rule on Delta_m, 16m
-    + 40 bytes a node (with the radii and two complex values), and its dense
-    Jacobi matrix, 40 bytes an entry in eigh, for quadrature.gamma_order;
-    the degree-d block of each berezin.degrees entry, n^2 complex entries
-    for n = C(d+k-1, k-1) and n index tuples of k ints, 80 + 44k bytes each."""
+    and row sums), for quadrature.block_order; a gamma rule (see
+    _price_gamma_rule) for quadrature.gamma_order; the degree-d block of
+    each berezin.degrees entry, n^2 complex entries for n = C(d+k-1, k-1)
+    and n index tuples of k ints, 80 + 44k bytes each."""
     order = cfg["quadrature"]["block_order"]
     _refuse_over_budget(f"quadrature.block_order {order}", 40 * order**3,
                         f"the {order}^3 nodes of verify's Dirichlet rule check")
-    order, m = cfg["quadrature"]["gamma_order"], len(k)
-    _refuse_over_budget(f"quadrature.gamma_order {order}", (16 * m + 40) * order**m,
-                        f"the {order}^{m} nodes of a gamma rule")
-    _refuse_over_budget(f"quadrature.gamma_order {order}", 40 * order**2,
-                        f"the dense {order} x {order} Jacobi matrix of a gamma rule")
+    _price_gamma_rule(cfg["quadrature"]["gamma_order"], len(k))
     if berezin := cfg.get("berezin"):
         kj = k[berezin["group"] - 1]
         for d in berezin["degrees"]:
             n = math.comb(d + kj - 1, kj - 1)
             _refuse_over_budget(f"berezin.degrees {d}", 16 * n * n + n * (80 + 44 * kj),
                                 f"the {n} x {n} degree-{d} block of group {berezin['group']}")
+
+
+def _price_gamma_rule(order: int, m: int, factor: int = 1) -> None:
+    """Refuse a gamma_order whose rule on Delta_m at factor * order points
+    per axis exceeds the budget: 16m + 40 bytes a node (the rule, the radii
+    and two complex values), and its dense Jacobi matrix, 40 bytes an entry
+    in eigh.  Factor 2 is the rule of verify's quadrature-doubling drift,
+    which only a quasi-radial symbol that does not compile builds."""
+    npts, knob = factor * order, f"quadrature.gamma_order {order}"
+    rule = "a gamma rule" if factor == 1 else f"the {factor}x gamma rule of quadrature-doubling"
+    _refuse_over_budget(knob, (16 * m + 40) * npts**m, f"the {npts}^{m} nodes of {rule}")
+    _refuse_over_budget(knob, 40 * npts**2, f"the dense {npts} x {npts} Jacobi matrix of {rule}")
 
 
 @dataclass(eq=False)
@@ -461,13 +468,16 @@ def _build_symbol(spec, cfg: PartitionConfig) -> PseudoHomogeneousSymbol:
 
 
 def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: str | None = None) -> Setup:
-    """The model and context for config; threads and no_cache are accepted and ignored."""
+    """The model and context for config; threads and no_cache are accepted and ignored.
+    The doubled gamma rule of a quasi-radial symbol that does not compile is priced here."""
     cfg = PartitionConfig(k=tuple(config["partition"]["k"]), lam=float(config["partition"]["lambda"]))
+    quad = config["quadrature"]
     quasi = _build_quasi_radial(config["quasi_radial"], cfg.m)
+    if quasi is not None and quasi.terms is None:
+        _price_gamma_rule(quad["gamma_order"], cfg.m, factor=2)
     symbols = {spec["group"]: _build_symbol(spec, cfg) for spec in config["symbols"]}
     out_dir = Path(out or config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    quad = config["quadrature"]
     model = AlgebraModel(
         cfg=cfg,
         quasi_radial=quasi,

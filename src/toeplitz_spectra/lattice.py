@@ -18,13 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import product
-
-import numpy as np
+from functools import lru_cache
 
 from .errors import LatticeError
-from .quad import gammaln
 
 Index = tuple[int, ...]
 
@@ -34,7 +30,7 @@ class PartitionConfig:
     """Geometry of every computation: group sizes k and weight parameter.
 
     Invariants: k_1 <= ... <= k_m with all k_j >= 1, and lam > -1.
-    The ambient dimension n and group count m are derived from k.
+    The group count m is derived from k; the ambient dimension is sum(k).
     """
 
     k: Index
@@ -52,32 +48,8 @@ class PartitionConfig:
             raise LatticeError(f"weight parameter must exceed -1, got {self.lam}")
 
     @property
-    def n(self) -> int:
-        return sum(self.k)
-
-    @property
     def m(self) -> int:
         return len(self.k)
-
-    @property
-    def group_slices(self) -> tuple[slice, ...]:
-        out, start = [], 0
-        for kj in self.k:
-            out.append(slice(start, start + kj))
-            start += kj
-        return tuple(out)
-
-    def split(self, alpha: Index) -> tuple[Index, ...]:
-        """Partition view (alpha_(1),...,alpha_(m)) of a full multi-index."""
-        if len(alpha) != self.n:
-            raise LatticeError(f"multi-index length {len(alpha)} != n={self.n}")
-        return tuple(tuple(alpha[s]) for s in self.group_slices)
-
-    def kappa_of(self, alpha: Index) -> Index:
-        return tuple(sum(part) for part in self.split(alpha))
-
-    def join(self, parts) -> Index:
-        return tuple(v for part in parts for v in part)
 
 
 def _grevlex_key(alpha: Index) -> Index:
@@ -121,22 +93,6 @@ def enumerate_kappa(groups: PartitionConfig | int, total_cap: int) -> list[Index
     return out
 
 
-def log_monomial_norm_sq(alpha: Index, cfg: PartitionConfig) -> float:
-    """log of ||z^alpha||^2 in the weighted Bergman space over the ball.
-
-    ||z^alpha||^2 = alpha! Gamma(n + lam + 1) / Gamma(n + |alpha| + lam + 1),
-    evaluated as a log-Gamma difference so that degrees of several hundred
-    stay representable.
-    """
-    n, lam = cfg.n, cfg.lam
-    total = sum(alpha)
-    return float(
-        sum(gammaln(a + 1.0) for a in alpha)
-        + gammaln(n + lam + 1.0)
-        - gammaln(n + total + lam + 1.0)
-    )
-
-
 class GlobalBasis:
     """Ordered basis of the truncation ⊕_{|kappa| <= cap} H_kappa.
 
@@ -147,34 +103,17 @@ class GlobalBasis:
     """
 
     def __init__(self, cfg: PartitionConfig, cap: int):
-        self.cfg = cfg
-        self.cap = cap
+        self.cfg, self.cap = cfg, cap
         self.kappas: list[Index] = enumerate_kappa(cfg, cap)
-        offsets: dict[Index, tuple[int, int]] = {}
-        start = 0
+        self._slices: dict[Index, slice] = {}
+        self.dim = 0
         for kappa in self.kappas:
             size = math.prod(len(block_indices(kj, kap)) for kj, kap in zip(cfg.k, kappa))
-            offsets[kappa] = (start, size)
-            start += size
-        self.dim = start
-        self._offsets = offsets
-
-    @cached_property
-    def alphas(self) -> tuple[Index, ...]:
-        """The basis multi-indices in order; built on first use."""
-        return tuple(
-            self.cfg.join(combo)
-            for kappa in self.kappas
-            for combo in product(*(block_indices(kj, kap) for kj, kap in zip(self.cfg.k, kappa)))
-        )
+            self._slices[kappa] = slice(self.dim, self.dim + size)
+            self.dim += size
 
     def slice_of(self, kappa: Index) -> slice:
         try:
-            start, size = self._offsets[tuple(kappa)]
+            return self._slices[tuple(kappa)]
         except KeyError:
             raise LatticeError(f"kappa={kappa} outside the cap-{self.cap} truncation")
-        return slice(start, start + size)
-
-    def kappa_array(self) -> np.ndarray:
-        """(dim, m) integer array of group degrees per basis element."""
-        return np.array([self.cfg.kappa_of(a) for a in self.alphas], dtype=int)

@@ -13,13 +13,15 @@ The escaped zeta picks of a region are taken from the centres of all its
 occupied cells, as a bit-for-bit reference for locating only the kept ones.
 Monomial norms and
 H_kappa dimensions are the closed formulas evaluated with scipy and the
-standard library, and a block-diagonal truncated operator is read densely
-through the basis slices.
+standard library, the basis layout is every multi-index of the truncation
+sorted by the documented order, and a block-diagonal truncated operator is
+read densely through the basis slices.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate, product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -213,6 +215,26 @@ def monomial_norm_sq(alpha, cfg) -> float:
 def dim_h_kappa(k, kappa) -> int:
     """dim H_kappa = prod_j C(kappa_j + k_j - 1, k_j - 1)."""
     return math.prod(math.comb(kap + kj - 1, kj - 1) for kj, kap in zip(k, kappa))
+
+
+def basis_layout(k, cap: int) -> list[tuple[tuple, tuple]]:
+    """(kappa, alpha) for every multi-index alpha with |alpha| <= cap over the
+    partition k, in the documented basis order: kappas by total degree, then
+    grevlex (ascending lex of the reversed tuple); within a kappa, group 1
+    slowest, each group part in grevlex order."""
+    bounds = list(accumulate(k, initial=0))
+
+    def parts(alpha):
+        return [alpha[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def kappa(alpha):
+        return tuple(sum(part) for part in parts(alpha))
+
+    def key(alpha):
+        return sum(alpha), kappa(alpha)[::-1], [part[::-1] for part in parts(alpha)]
+
+    alphas = sorted((a for a in product(range(cap + 1), repeat=sum(k)) if sum(a) <= cap), key=key)
+    return [(kappa(alpha), alpha) for alpha in alphas]
 
 
 def dense(op) -> np.ndarray:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ball2_inner_product, dense, gamma_literal, monomial_norm_sq
-from toeplitz_spectra import assembly, quad
+from oracles import ball2_inner_product, basis_layout, dense, gamma_literal, monomial_norm_sq
+from toeplitz_spectra import assembly, checks, quad
 from toeplitz_spectra.assembly import (
     AlgebraModel,
     assemble_block,
@@ -24,6 +24,7 @@ from toeplitz_spectra.quad import (
 from toeplitz_spectra.symbols import (
     MAX_PROFILE_DEGREE,
     Profile,
+    PseudoHomogeneousSymbol,
     QuasiRadialSymbol,
     builtin_quasi_homogeneous,
     constant_symbol,
@@ -53,7 +54,7 @@ class TestGamma:
         cfg = PartitionConfig(k=(1, 2), lam=lam)
         a = QuasiRadialSymbol.from_expression(2, "r1^2")
         for kappa in [(0, 0), (2, 1), (5, 3)]:
-            want = (kappa[0] + 1) / (sum(kappa) + cfg.n + cfg.lam + 1)
+            want = (kappa[0] + 1) / (sum(kappa) + sum(cfg.k) + cfg.lam + 1)
             assert gamma_quasi_radial(a, cfg, kappa).real == pytest.approx(want, rel=1e-11)
 
     @pytest.mark.parametrize("lam", [0.0, 1.5])
@@ -363,10 +364,9 @@ class TestTruncated:
             r2sq = np.abs(z[..., 1]) ** 2
             return (1 - r1sq * r2sq) * (0.5 + 0.25j)
 
-        basis = op.basis
-        for ia in range(basis.dim):
-            for ib in range(basis.dim):
-                alpha, beta = basis.alphas[ia], basis.alphas[ib]
+        alphas = [alpha for _, alpha in basis_layout(cfg.k, 2)]
+        for ia, alpha in enumerate(alphas):
+            for ib, beta in enumerate(alphas):
                 want = ball2_inner_product(phi, alpha, beta, lam, n_rad=160, n_ang=8)
                 want /= math.sqrt(
                     monomial_norm_sq(alpha, cfg) * monomial_norm_sq(beta, cfg)
@@ -385,12 +385,49 @@ class TestTruncated:
     def test_cross_block_bound_small(self, radial_model):
         assert cross_block_entry_bound(radial_model, 4) < 1e-10
 
-    def test_cross_block_log_gamma_of_repeated_values(self):
-        # the bound's array log-Gamma maps each distinct value back in place
-        from scipy.special import gammaln
+    def test_cross_block_bound_of_declared_models_is_structurally_zero(
+        self, radial_model, monkeypatch
+    ):
+        def probe(*args, **kwargs):
+            raise AssertionError("a declared model needs no torus probe")
 
-        x = np.array([[3.5, 1.0, 3.5], [2.0, 250.5, 1.0]])
-        assert assembly._gammaln_array(x).tobytes() == gammaln(x).tobytes()
+        monkeypatch.setattr(assembly, "fourier_on_points", probe)
+        expr = AlgebraModel(
+            cfg=PartitionConfig(k=(2, 3), lam=0.5),
+            quasi_radial=QuasiRadialSymbol.from_expression(2, "exp(-r1^2*r2^2)"),
+            symbols={
+                1: expression_symbol(1, 2, "s1^2 + s1*s2*(t1*conj(t2)+t2*conj(t1))"),
+                2: profile_symbol(2, 3, "1/(2 - s1^2)"),
+            },
+        )
+        for model in (radial_model, expr):
+            assert cross_block_entry_bound(model, 4) == 0.0
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-8])
+    def test_cross_block_bound_sees_a_leaking_mode(self, eps):
+        # eps * s2 * t2 has mode (0, 1), which links kappa to kappa + 1.
+        def fn(s, t):
+            u = s[..., 0] * s[..., 1] * (t[..., 0] * np.conj(t[..., 1]) + t[..., 1] * np.conj(t[..., 0]))
+            return np.exp(u) + eps * s[..., 1] * t[..., 1]
+
+        sym = PseudoHomogeneousSymbol(2, 2, fn, f"leak{eps}", modes=None)
+        model = AlgebraModel(
+            cfg=PartitionConfig(k=(1, 2)),
+            quasi_radial=QuasiRadialSymbol.from_expression(2, "1 - 0.5*r1^2*r2^2"),
+            symbols={2: sym},
+        )
+        assert eps / 2 < cross_block_entry_bound(model, 4) < 2 * eps
+        (record,) = checks.cross_block_orthogonality(model, 4)
+        assert not record["passed"]
+
+    def test_cross_block_bound_of_an_invariant_probed_symbol(self):
+        text = "exp(s1*s2*(t1*conj(t2)+t2*conj(t1)))"
+        model = AlgebraModel(
+            cfg=PartitionConfig(k=(2, 2)),
+            symbols={j: expression_symbol(j, 2, text) for j in (1, 2)},
+        )
+        assert all(sym.modes is None for sym in model.symbols.values())
+        assert cross_block_entry_bound(model, 4) < 1e-15
 
 
 class TestProjections:

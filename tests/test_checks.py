@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,22 @@ def test_gamma_rules_use_each_kappa_rule_while_it_is_held(monkeypatch):
     assert (after.misses - before.misses, after.hits - before.hits) == (kappas, kappas)
     assert [r["name"] for r in records] == ["gamma-identity", "quasi-radial-compiled"]
     assert all(r["passed"] for r in records)
+
+
+@pytest.mark.parametrize("k, text, order", [
+    ((1, 1), "1 - 0.5*r1*r2^2", 600), ((1, 1, 1), "1 - 0.5*r1*r2*r3^2", 80),
+], ids=["m2", "m3"])
+def test_gamma_rules_hold_at_most_the_priced_bytes_per_node(k, text, order):
+    # quadrature.gamma_order is priced at 16m + 40 bytes a node of a gamma
+    # rule (cli._price_gamma_rule).  Comparing the compiled terms with the
+    # parsed expression on the whole rule at once held 128 and 144.
+    cfg, m = PartitionConfig(k=k), len(k)
+    a = QuasiRadialSymbol.from_expression(m, text)
+    tracemalloc.start()
+    try:
+        records = checks.gamma_rules(a, cfg, 0, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r["passed"] for r in records)
+    assert peak / order**m <= 16 * m + 40

@@ -668,6 +668,37 @@ def test_oversized_block_knob_is_refused_before_allocating(tmp_path, command, ov
     _assert_refused_quickly(write_config(tmp_path, **overrides), command, knob)
 
 
+@pytest.mark.parametrize("k, text, order", [
+    # quadrature-doubling's gamma rule of 400^3 nodes: a 1.91 GiB array in
+    # SimplexRule.build under a 2 GiB limit.
+    ([1, 1, 1], "exp(r1*r2*r3)", 200),
+    # Its dense 10000^2 Jacobi matrix, of more than 3 GiB.
+    ([2], "exp(r1)", 5000),
+], ids=["doubled-nodes", "doubled-jacobi"])
+def test_doubled_gamma_rule_is_priced_at_setup(tmp_path, capsys, k, text, order):
+    # Validation passes: the rule at gamma_order fits.  Whether verify
+    # doubles it depends on whether the symbol compiles, known at setup.
+    overrides = {
+        "partition": {"k": k, "lambda": 0.0},
+        "quasi_radial": {"kind": "expression", "text": text},
+        "symbols": [{"group": 1, "kind": "constant", "value": 1.0}],
+        "berezin": {"group": 1, "w": [0.5] * k[0], "degrees": [4]}, "radical": {"group": 1},
+        "quadrature": {"gamma_order": order},
+    }
+    path = write_config(tmp_path, **overrides)
+    config = cli.load_config(path)
+    started = time.monotonic()
+    with pytest.raises(ToeplitzError, match=r"^quadrature\.gamma_order .* quadrature-doubling"):
+        cli.build_setup(config)
+    assert main(["assemble", "--config", str(path)]) == 1
+    assert time.monotonic() - started < 1.0
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "ConfigError" and err["message"].startswith("quadrature.gamma_order")
+    # A compiled symbol's gamma is closed form: no rule is doubled.
+    config["quasi_radial"]["text"] = " - ".join(["1", "r1^2"] + ["r2^2", "r3^2"][: len(k) - 1])
+    cli.build_setup(config)
+
+
 def test_rule_cache_keeps_a_three_group_assembly_small(tmp_path):
     # gamma up to D = 8 on k = (1, 1, 1) takes 165 rules on Delta_3 of
     # 3.5 MB each, used once (the model memoizes gamma per kappa); a cache of

@@ -1,8 +1,9 @@
 """Import hygiene: numpy is the only runtime dependency.  Importing the CLI,
 and running all eight commands, `verify` included, on the README example
 and on an expression config, loads no scipy and no jsonschema module, in a
-fresh interpreter."""
+fresh interpreter.  And every name that src/ defines is used in src/."""
 
+import ast
 import json
 import os
 import subprocess
@@ -77,3 +78,39 @@ def test_commands_load_no_scipy_or_jsonschema(tmp_path, config):
     )
     result = _run(code, tmp_path)
     assert result == {"codes": dict.fromkeys(COMMANDS, 0), "loaded": []}
+
+
+# Names src/ keeps only for perfbench/tracing.py, each with what reads it;
+# they go together with the tracer.
+SHIMS = {
+    "declared_mode_dict": "tracing.py reads a symbol's mode table by this name",
+    "jacobi_rule_01": "tracing.py's rule_cache_info reads the rule cache by this name",
+}
+
+
+def test_every_name_defined_in_src_is_used_in_src():
+    # A function, class, method or module-level name (dunders aside) that
+    # nothing else in src/ names is test-only or dead API.
+    defined, used = {}, set()
+    for path in sorted((SRC / "toeplitz_spectra").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defined.setdefault(target.id, f"{path.name}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    unused = {
+        name: where for name, where in defined.items()
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert unused.keys() == SHIMS.keys(), unused

@@ -1,28 +1,21 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ball1_norm_sq, ball2_inner_product, dim_h_kappa
-from toeplitz_spectra.errors import LatticeError
-from toeplitz_spectra.lattice import (
-    GlobalBasis,
-    PartitionConfig,
-    block_indices,
-    enumerate_kappa,
-    log_monomial_norm_sq,
+from oracles import (
+    ball1_norm_sq, ball2_inner_product, basis_layout, dim_h_kappa, monomial_norm_sq,
 )
-
-
-def monomial_norm_sq(alpha, cfg):
-    return math.exp(log_monomial_norm_sq(alpha, cfg))
+from toeplitz_spectra.errors import LatticeError
+from toeplitz_spectra.lattice import GlobalBasis, PartitionConfig, block_indices, enumerate_kappa
 
 
 def test_partition_invariants():
     cfg = PartitionConfig(k=(1, 2), lam=0.5)
-    assert cfg.n == 3 and cfg.m == 2
+    assert cfg.m == 2
     with pytest.raises(LatticeError):
         PartitionConfig(k=(2, 1))
     with pytest.raises(LatticeError):
@@ -127,20 +120,28 @@ def test_norm_against_ball_quadrature(lam):
 @given(cap=st.integers(0, 5))
 @settings(max_examples=10, deadline=None)
 def test_global_basis_bijection(cap):
+    # Per kappa, the product of the block_indices parts, group 1 slowest, is
+    # the sorted layout; the kappas come in the layout's order.
     cfg = PartitionConfig(k=(1, 2), lam=0.0)
     basis = GlobalBasis(cfg, cap)
-    assert len(set(basis.alphas)) == basis.dim
-    assert all(sum(a) <= cap for a in basis.alphas)
-    assert basis.dim == sum(dim_h_kappa(cfg.k, kappa) for kappa in basis.kappas)
+    layout = basis_layout(cfg.k, cap)
+    assert basis.dim == len(layout) == sum(dim_h_kappa(cfg.k, kappa) for kappa in basis.kappas)
+    assert basis.kappas == list(dict.fromkeys(kappa for kappa, _ in layout))
+    built = [
+        sum(combo, ())
+        for kappa in basis.kappas
+        for combo in product(*(block_indices(kj, kap) for kj, kap in zip(cfg.k, kappa)))
+    ]
+    assert built == [alpha for _, alpha in layout]
 
 
 def test_global_basis_kappa_slices():
     cfg = PartitionConfig(k=(2, 2))
     basis = GlobalBasis(cfg, 4)
+    layout = basis_layout(cfg.k, 4)
     for kappa in basis.kappas:
         sl = basis.slice_of(kappa)
-        for i in range(sl.start, sl.stop):
-            assert cfg.kappa_of(basis.alphas[i]) == kappa
+        assert all(layout[i][0] == kappa for i in range(sl.start, sl.stop))
         assert sl.stop - sl.start == dim_h_kappa(cfg.k, kappa)
 
 

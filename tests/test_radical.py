@@ -367,7 +367,10 @@ def q_diag(model, D, j, d):
     """Dense 0/1 diagonal of Q_d^(j) on the cap-D truncation, read off the
     basis alone, so that it is independent of the code under test."""
     basis = model.basis(D)
-    return np.diag([float(model.cfg.kappa_of(a)[j - 1] == d) for a in basis.alphas])
+    diag = np.zeros(basis.dim)
+    for kappa in basis.kappas:
+        diag[basis.slice_of(kappa)] = kappa[j - 1] == d
+    return np.diag(diag)
 
 
 def test_indeterminate_rank_refines_at_twice_the_block_order(monkeypatch):
