@@ -469,13 +469,23 @@ def _build_symbol(spec, cfg: PartitionConfig) -> PseudoHomogeneousSymbol:
 
 def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: str | None = None) -> Setup:
     """The model and context for config; threads and no_cache are accepted and ignored.
-    The doubled gamma rule of a quasi-radial symbol that does not compile is priced here."""
+    The doubled gamma rule of a quasi-radial symbol that does not compile, and
+    the doubled block rule of a symbol profile without terms, are priced here."""
     cfg = PartitionConfig(k=tuple(config["partition"]["k"]), lam=float(config["partition"]["lambda"]))
     quad = config["quadrature"]
     quasi = _build_quasi_radial(config["quasi_radial"], cfg.m)
     if quasi is not None and quasi.terms is None:
         _price_gamma_rule(quad["gamma_order"], cfg.m, factor=2)
     symbols = {spec["group"]: _build_symbol(spec, cfg) for spec in config["symbols"]}
+    order, npts = quad["block_order"], 2 * quad["block_order"]
+    for sym in symbols.values():
+        # A profile without terms has its entries on rules of npts^(k-1) nodes
+        # in quadrature-doubling and semisimple's refinement: 24k + 32 bytes a
+        # node (the rule, its closed nodes and their roots, two complex values).
+        if sym.modes is None or any(prof.terms is None for prof in sym.modes.values()):
+            nodes = npts ** (sym.dim - 1)
+            _refuse_over_budget(f"quadrature.block_order {order}", (24 * sym.dim + 32) * nodes,
+                                f"the {npts}^{sym.dim - 1} nodes of the 2x block rule of group {sym.group}")
     out_dir = Path(out or config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     model = AlgebraModel(
@@ -887,10 +897,7 @@ def cmd_info(setup: Setup | None) -> dict:
         "version": __version__,
         "defaults": DEFAULTS,
         "schema": CONFIG_SCHEMA,
-        "commands": [
-            "assemble", "spectrum", "hull", "berezin", "gelfand",
-            "semisimple", "radical", "verify", "info",
-        ],
+        "commands": [*COMMANDS, "info"],
     }
 
 

@@ -18,7 +18,7 @@ class SymbolError(ToeplitzError):
 
 
 class SymbolParseError(SymbolError):
-    """Syntax error in a symbol expression. Carries the byte offset."""
+    """Syntax error in a symbol expression. Carries the character offset."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")

@@ -10,17 +10,22 @@ profile is either a polynomial in s, whose terms make block entries
 closed-form, or a function of s assembled by quadrature.
 
 User-defined symbols come in through a deliberately tiny expression
-grammar (constants, + - * / ^, exp, conj, variables r1.., s1.., t1..);
-no control flow, no user functions.  One binder (bind_expression) parses
-a text, checks its variables and returns its evaluator; one compiler
-(_compile_modes) turns an expression that is a polynomial in s, t and
-conj(t) into its table of Fourier modes, each a sum of monomials in s.
-An expression without a torus variable declares the single mode p = 0,
-and quasi-radial expressions in r1..rm compile to their monomials.
+grammar: numbers, pi, i, variables r1.., s1.., t1.., exp(x), conj(x),
+parentheses and + - * / ^ (alias **) with Python's precedence, so -x^y is
+-(x^y) and 2^3^2 is 2^9; no control flow, no user functions.  Integers
+with a leading zero, such as 07, and nesting past MAX_DEPTH levels (a
+chain a + b + c nests a level a term) are refused.  One binder
+(bind_expression) parses a text, checks its variables and returns its
+evaluator; one compiler (_compile_modes) turns an expression that is a
+polynomial in s, t and conj(t) into its table of Fourier modes, each a
+sum of monomials in s.  An expression without a torus variable declares
+the single mode p = 0, and quasi-radial expressions in r1..rm compile to
+their monomials.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -36,127 +41,52 @@ Index = tuple[int, ...]
 # Expression grammar
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[()+\-*/^,]))"
-)
-
+_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+# Any character outside the grammar's alphabet; whitespace is any \s.
+_UNEXPECTED_RE = re.compile(r"[^\sA-Za-z0-9_.+\-*/^(),]")
 _FUNCTIONS = {"exp": np.exp, "conj": np.conj}
 _CONSTANTS = {"pi": np.pi, "i": 1j}
 _VAR_RE = re.compile(r"^[rst][1-9][0-9]*$")
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        while self.pos < len(text):
-            m = _TOKEN_RE.match(text, self.pos)
-            if m is None or m.end() == self.pos:
-                stripped = text[self.pos :].lstrip()
-                if not stripped:
-                    break
-                at = len(text) - len(stripped)
-                raise SymbolParseError(f"unexpected character {text[at]!r}", at)
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            self.pos = m.end()
-        self.tokens.append(("end", "", len(text)))
-        self.idx = 0
-
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def next(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+# Nesting past which a text is refused, Python's own limit on nested
+# parentheses: the recursive walks below stay far from the interpreter's.
+MAX_DEPTH = 200
 
 
 # AST nodes are plain tuples: ("num", v) | ("var", name) | ("neg", node)
 # | ("call", fname, node) | (op, left, right) with op in "+-*/^".
 
 
-class _Parser:
-    """Recursive descent over: expr -> term (+/- term)*, term -> factor
-    (*// factor)*, factor -> unary (^ factor)?, unary -> [+-] unary | atom."""
+def _tuple_ast(node, src: str, back: list, depth: int = 0):
+    """The tuple AST of a node that ast.parse made of ``src``, whose offset
+    q is offset back[q] of the user's text.  A node outside the grammar, or
+    nested past MAX_DEPTH, raises SymbolParseError."""
+    at, segment = back[node.col_offset], src[node.col_offset : node.end_col_offset]
+    if depth > MAX_DEPTH:
+        raise SymbolParseError(f"expression nests deeper than {MAX_DEPTH} levels", at)
 
-    def __init__(self, text: str):
-        self.toks = _Tokenizer(text)
+    def down(child):
+        return _tuple_ast(child, src, back, depth + 1)
 
-    def parse(self):
-        node = self.expr()
-        kind, val, pos = self.toks.peek()
-        if kind != "end":
-            raise SymbolParseError(f"unexpected trailing input {val!r}", pos)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.toks.peek()
-            if kind == "op" and val in "+-":
-                self.toks.next()
-                node = (val, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, val, _ = self.toks.peek()
-            if kind == "op" and val in "*/":
-                self.toks.next()
-                node = (val, node, self.factor())
-            else:
-                return node
-
-    def factor(self):
-        node = self.unary()
-        kind, val, _ = self.toks.peek()
-        if kind == "op" and val in ("^", "**"):
-            self.toks.next()
-            node = ("^", node, self.factor())
-        return node
-
-    def unary(self):
-        kind, val, pos = self.toks.peek()
-        if kind == "op" and val in "+-":
-            self.toks.next()
-            inner = self.unary()
-            return inner if val == "+" else ("neg", inner)
-        return self.atom()
-
-    def atom(self):
-        kind, val, pos = self.toks.next()
-        if kind == "num":
-            return ("num", float(val))
-        if kind == "name":
-            nxt_kind, nxt_val, _ = self.toks.peek()
-            if nxt_kind == "op" and nxt_val == "(":
-                if val not in _FUNCTIONS:
-                    raise SymbolParseError(f"unknown function {val!r}", pos)
-                self.toks.next()
-                arg = self.expr()
-                self._expect(")")
-                return ("call", val, arg)
-            if val in _CONSTANTS:
-                return ("num", complex(_CONSTANTS[val]))
-            if not _VAR_RE.match(val):
-                raise SymbolParseError(f"unknown identifier {val!r}", pos)
-            return ("var", val)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self._expect(")")
-            return node
-        raise SymbolParseError(f"expected a value, got {val!r}", pos)
-
-    def _expect(self, op: str):
-        kind, val, pos = self.toks.next()
-        if kind != "op" or val != op:
-            raise SymbolParseError(f"expected {op!r}, got {val!r}", pos)
+    match node:
+        case ast.BinOp(left, op, right) if type(op) in _BINARY:
+            return (_BINARY[type(op)], down(left), down(right))
+        case ast.UnaryOp(ast.UAdd(), operand):
+            return down(operand)
+        case ast.UnaryOp(ast.USub(), operand):
+            return ("neg", down(operand))
+        case ast.Constant() if _NUMBER_RE.fullmatch(segment):
+            return ("num", float(segment))
+        case ast.Name(name) if name in _CONSTANTS:
+            return ("num", complex(_CONSTANTS[name]))
+        case ast.Name(name) if _VAR_RE.match(name):
+            return ("var", name)
+        # exp(x) or conj(x), but not (exp)(x) nor exp(x,).
+        case ast.Call(ast.Name(name) as fn, [arg], []) if name in _FUNCTIONS and (
+            fn.col_offset == node.col_offset and "," not in src[arg.end_col_offset : node.end_col_offset]
+        ):
+            return ("call", name, down(arg))
+    raise SymbolParseError(f"{segment[:20]!r} is not in the grammar", at)
 
 
 def _free_vars(node, out: set):
@@ -214,10 +144,28 @@ class SymbolExpression:
 
 
 def parse_symbol_expression(text: str) -> SymbolExpression:
-    """Parse a profile expression; raises SymbolParseError with a byte offset."""
-    if not text or not text.strip():
+    """Parse a symbol expression; raises SymbolParseError with a character
+    offset into ``text``.  Python's parser reads the text with ^ as ** and
+    whitespace as spaces, its warnings raised as errors (a number run into a
+    keyword warns), and _tuple_ast keeps the grammar's nodes."""
+    import warnings
+
+    if not text.strip():
         raise SymbolParseError("empty expression", 0)
-    root = _Parser(text).parse()
+    if bad := _UNEXPECTED_RE.search(text):
+        raise SymbolParseError(f"unexpected character {bad.group()!r}", bad.start())
+    lead = len(text) - len(text.lstrip())
+    src = re.sub(r"\s", " ", text[lead:]).replace("^", "**")
+    back = [i for i, c in enumerate(text) for _ in range(1 + (c == "^"))][lead:] + [len(text)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = ast.parse(src, mode="eval")
+    except SyntaxError as exc:  # offset 1-based, and 0 at the end of the input
+        raise SymbolParseError(exc.msg, back[min(exc.offset or len(back), len(back)) - 1]) from None
+    except (RecursionError, MemoryError):
+        raise SymbolParseError("expression is too deeply nested to parse", 0) from None
+    root = _tuple_ast(tree.body, src, back)
     return SymbolExpression(text=text, root=root, variables=frozenset(_free_vars(root, set())))
 
 

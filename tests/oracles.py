@@ -15,12 +15,15 @@ Monomial norms and
 H_kappa dimensions are the closed formulas evaluated with scipy and the
 standard library, the basis layout is every multi-index of the truncation
 sorted by the documented order, and a block-diagonal truncated operator is
-read densely through the basis slices.
+read densely through the basis slices.  Symbol texts are parsed by a
+hand-written tokenizer and recursive-descent parser, as a reference for the
+package's reading of them through Python's own parser.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from itertools import accumulate, product
 
 import numpy as np
@@ -28,6 +31,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, roots_jacobi
+
+from toeplitz_spectra.errors import SymbolParseError
 
 
 def gl01(n: int):
@@ -303,3 +308,110 @@ def region_zeta_choices_from_all_centers(region, limit: int) -> np.ndarray:
     iy, ix = np.nonzero(region.occ)
     centers = (region.x0 + (ix + 0.5) * region.cell) + 1j * (region.y0 + (iy + 0.5) * region.cell)
     return centers[:: max(1, int(np.ceil(centers.size / limit)))][:limit]
+
+
+_SYMBOL_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>\*\*|[()+\-*/^,]))"
+)
+_SYMBOL_VAR_RE = re.compile(r"^[rst][1-9][0-9]*$")
+
+
+class _SymbolParser:
+    """Recursive descent over: expr -> term (+/- term)*, term -> unary
+    (*// unary)*, unary -> [+-] unary | power, power -> atom (^ unary)?,
+    with ** an alias of ^.  Returns the package's tuple AST."""
+
+    def __init__(self, text: str):
+        self.tokens, pos = [], 0
+        while pos < len(text):
+            m = _SYMBOL_TOKEN_RE.match(text, pos)
+            if m is None or m.end() == pos:
+                stripped = text[pos:].lstrip()
+                if not stripped:
+                    break
+                at = len(text) - len(stripped)
+                raise SymbolParseError(f"unexpected character {text[at]!r}", at)
+            self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+            pos = m.end()
+        self.tokens.append(("end", "", len(text)))
+        self.idx = 0
+
+    def peek(self):
+        return self.tokens[self.idx]
+
+    def next(self):
+        self.idx += 1
+        return self.tokens[self.idx - 1]
+
+    def parse(self):
+        node = self.expr()
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise SymbolParseError(f"unexpected trailing input {val!r}", pos)
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+            node = (self.next()[1], node, self.term())
+        return node
+
+    def term(self):
+        node = self.unary()
+        while self.peek()[0] == "op" and self.peek()[1] in "*/":
+            node = (self.next()[1], node, self.unary())
+        return node
+
+    def unary(self):
+        kind, val, _ = self.peek()
+        if kind == "op" and val in "+-":
+            self.next()
+            inner = self.unary()
+            return inner if val == "+" else ("neg", inner)
+        return self.power()
+
+    def power(self):
+        node = self.atom()
+        kind, val, _ = self.peek()
+        if kind == "op" and val in ("^", "**"):
+            self.next()
+            node = ("^", node, self.unary())
+        return node
+
+    def atom(self):
+        kind, val, pos = self.next()
+        if kind == "num":
+            return ("num", float(val))
+        if kind == "name":
+            nxt_kind, nxt_val, _ = self.peek()
+            if nxt_kind == "op" and nxt_val == "(":
+                if val not in ("exp", "conj"):
+                    raise SymbolParseError(f"unknown function {val!r}", pos)
+                self.next()
+                arg = self.expr()
+                self._expect(")")
+                return ("call", val, arg)
+            if val in ("pi", "i"):
+                return ("num", complex(np.pi if val == "pi" else 1j))
+            if not _SYMBOL_VAR_RE.match(val):
+                raise SymbolParseError(f"unknown identifier {val!r}", pos)
+            return ("var", val)
+        if kind == "op" and val == "(":
+            node = self.expr()
+            self._expect(")")
+            return node
+        raise SymbolParseError(f"expected a value, got {val!r}", pos)
+
+    def _expect(self, op: str):
+        kind, val, pos = self.next()
+        if kind != "op" or val != op:
+            raise SymbolParseError(f"expected {op!r}, got {val!r}", pos)
+
+
+def parse_symbol_text(text: str) -> tuple:
+    """Tuple AST of a symbol text; raises SymbolParseError with an offset."""
+    if not text or not text.strip():
+        raise SymbolParseError("empty expression", 0)
+    return _SymbolParser(text).parse()

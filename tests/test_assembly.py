@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -194,6 +195,21 @@ class TestBlocks:
         for d in range(4):
             a = assemble_block(expr, 1, d, order=24, torus_grid=32)
             assert a.tobytes() == assemble_block(prof, 1, d, order=24, torus_grid=32).tobytes(), d
+
+    @pytest.mark.parametrize("k, text, order", [
+        (3, "exp(s1)", 300), (3, "exp(s1*s2) + s1^3", 301), (4, "exp(s1)", 60),
+    ])
+    def test_quadrature_entries_hold_at_most_the_priced_bytes_per_node(self, k, text, order):
+        # quadrature.block_order is priced at 24k + 32 bytes a node of the
+        # rule of a profile without terms (cli.build_setup).
+        sym = profile_symbol(1, k, text)
+        tracemalloc.start()
+        try:
+            assemble_block(sym, 1, 0, order=order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / order ** (k - 1) <= 24 * k + 32
 
     def test_quasi_homogeneous_block_structure(self):
         # Single nonzero mode: strictly triangular with Dirichlet-form entries.

@@ -518,7 +518,7 @@ def test_berezin_command(tmp_path):
         ({"group": 2, "w": [0.3, 0.4], "degrees": [5], "radial_expression": "s1^2"},
          "berezin.radial_expression: expression 's1^2' uses ['s1']; only ['r1'] allowed"),
         ({"group": 2, "w": [0.3, 0.4], "degrees": [5], "radial_expression": "r1^"},
-         "berezin.radial_expression: expected a value, got ''"),
+         "berezin.radial_expression: invalid syntax (at offset 3)"),
     ],
     ids=["wrong-length", "outside-ball", "radial-variable", "radial-syntax"],
 )
@@ -662,8 +662,16 @@ def test_oversized_raster_knob_is_refused_before_allocating(tmp_path, hull, knob
                   "berezin": {"group": 1, "w": [0.3, 0.4], "degrees": [4]}, "radical": {"group": 1},
                   "quadrature": {"gamma_order": 20000}},
      "quadrature.gamma_order"),
+    # A k=5 profile without terms: entries on rules of 100^4 nodes, a 3.73
+    # GiB MemoryError at D=0, and verify's doubling asks for 16 times that.
+    ("assemble", {"partition": {"k": [5], "lambda": 0.0}, "degree_cap": 0,
+                  "quasi_radial": {"kind": "one"},
+                  "symbols": [{"group": 1, "kind": "profile", "text": "exp(s1)"}],
+                  "berezin": {"group": 1, "w": [0.3, 0.4, 0.0, 0.0, 0.0], "degrees": [4]},
+                  "radical": {"group": 1}, "quadrature": {"block_order": 100}},
+     "quadrature.block_order"),
 ], ids=["block-order-jacobi", "block-order-oracle", "berezin-degree", "gamma-order-nodes",
-        "gamma-order-jacobi"])
+        "gamma-order-jacobi", "block-order-profile-rule"])
 def test_oversized_block_knob_is_refused_before_allocating(tmp_path, command, overrides, knob):
     _assert_refused_quickly(write_config(tmp_path, **overrides), command, knob)
 
@@ -697,6 +705,23 @@ def test_doubled_gamma_rule_is_priced_at_setup(tmp_path, capsys, k, text, order)
     # A compiled symbol's gamma is closed form: no rule is doubled.
     config["quasi_radial"]["text"] = " - ".join(["1", "r1^2"] + ["r2^2", "r3^2"][: len(k) - 1])
     cli.build_setup(config)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "s1" + ")" * 3000,
+    "+".join(["s1"] * 20000),
+    "-" * 5000 + "s1",
+], ids=["nested-parentheses", "long-sum", "unary-minuses"])
+def test_deeply_nested_profile_is_refused(tmp_path, capsys, text):
+    # Each ended in a RecursionError traceback and exit 2.
+    path = write_config(tmp_path, symbols=[{"group": 2, "kind": "profile", "text": text}])
+    started = time.monotonic()
+    assert main(["assemble", "--config", str(path)]) == 1
+    assert time.monotonic() - started < 1.0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])["error"]
+    assert err["type"] == "SymbolParseError" and "traceback" not in err
 
 
 def test_rule_cache_keeps_a_three_group_assembly_small(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import parse_symbol_text
 
 from toeplitz_spectra import symbols
 from toeplitz_spectra.errors import SymbolError, SymbolParseError
@@ -60,6 +61,83 @@ class TestParser:
     def test_power_right_associative(self):
         expr = parse_symbol_expression("2^3^2")
         assert expr.evaluate({}) == pytest.approx(512.0)
+
+    def test_unary_minus_binds_looser_than_power(self):
+        assert parse_symbol_expression("-r1^2").evaluate({"r1": 0.5}) == pytest.approx(-0.25)
+        assert parse_symbol_expression("exp(-r1^2)").evaluate({"r1": 0.5}) == pytest.approx(
+            math.exp(-0.25))
+        assert parse_symbol_expression("-2^2").evaluate({}) == pytest.approx(-4.0)
+        assert parse_symbol_expression("2^-3^2").evaluate({}) == pytest.approx(2.0**-9)
+        assert parse_symbol_expression("2**-3**2").root == parse_symbol_expression("2^-3^2").root
+
+    @pytest.mark.parametrize("text", [
+        "s1 # comment", "s1 + \\\n s2", "'s1'", "True", "2j", "0x10", "1_0", "07",
+        "s1.real", "s1[0]", "s1 < 2", "exp(x=s1)", "exp(s1, s2)", "exp(s1,)", "(exp)(s1)",
+        "exp(*s1)", "exp(^s1)", "(s1,)", "s1 if s2 else 1", "1if 1 else 2", "not s1",
+        "s1 // 2", "\uff53\uff11", "s1 + \uff11", "s1 + \x00",
+    ])
+    def test_python_only_forms_are_refused(self, text):
+        with pytest.raises(SymbolParseError) as err:
+            parse_symbol_expression(text)
+        assert 0 <= err.value.position <= len(text)
+
+    def test_offsets_point_into_the_text(self):
+        # ^ is read as **: an offset past it still counts one character.
+        with pytest.raises(SymbolParseError) as err:
+            parse_symbol_expression("s1^2^3 + * 2")
+        assert err.value.position == 9
+        with pytest.raises(SymbolParseError) as err:
+            parse_symbol_expression("  r1^")
+        assert err.value.position == 5
+
+    def test_nesting_is_bounded(self):
+        depth = symbols.MAX_DEPTH
+        assert parse_symbol_expression("-" * depth + "s1").variables == {"s1"}
+        texts = ["-" * (depth + 1) + "s1", "+".join(["s1"] * (depth + 2)),
+                 "(" * 3000 + "s1" + ")" * 3000, "+".join(["s1"] * 20000), "-" * 5000 + "s1"]
+        for text in texts:
+            with pytest.raises(SymbolParseError) as err:
+                parse_symbol_expression(text)
+            assert 0 <= err.value.position <= len(text)
+
+    @given(st.one_of(
+        st.lists(st.sampled_from([
+            "0", "3", "2.5", ".5", "1e3", "1E-2", "s1", "t2", "r1", "s10", "pi", "i",
+            "exp(", "conj(", "exp", "(", ")", "^", "**", "*", "/", "+", "-", " ", "\t", "\n",
+            ",", "#", "'", "\\", "\uff53", "x", "e", "j", "_", ".", "[", "=", "if", "and",
+        ]), max_size=12).map("".join),
+        st.recursive(
+            st.sampled_from(["0", "00", "3", "2.5", ".5", "1e3", "1.", "s1", "t2", "r1", "pi", "i"]),
+            lambda child: st.one_of(
+                st.tuples(child, st.sampled_from(["+", "-", "*", "/", "^", "**", " ^ "]), child)
+                .map("".join),
+                child.map(lambda a: f"-{a}"),
+                child.map(lambda a: f"+ {a}"),
+                child.map(lambda a: f"({a})"),
+                child.map(lambda a: f"exp({a})"),
+                child.map(lambda a: f"conj( {a} )"),
+                # Forms that only Python reads.
+                st.tuples(child, st.sampled_from(
+                    ["exp({},)", "(exp)({})", "exp({}, 1)", "({},)", "{} # c", "07*{}", "2j*{}"]
+                )).map(lambda a: a[1].format(a[0])),
+            ),
+            max_leaves=10,
+        ),
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_the_recursive_descent_oracle(self, text):
+        try:
+            want = parse_symbol_text(text)
+        except SymbolParseError:
+            want = None
+        try:
+            got = parse_symbol_expression(text).root
+        except SymbolParseError as err:
+            assert 0 <= err.position <= len(text)
+            # Python's tokenizer refuses integers such as 07, which the oracle reads.
+            assert want is None or err.args[0].startswith("leading zeros"), (text, want)
+            return
+        assert got == want
 
     def test_repeated_evaluation_bit_identical(self):
         expr = parse_symbol_expression("exp(s1*2 - 1/3) * conj(t1) + s2^3")
