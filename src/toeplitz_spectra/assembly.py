@@ -7,7 +7,7 @@ Everything the algebra contains reduces to two ingredients:
   the simplex (the radial change of variables u_j = r_j^2 turns the
   eigenvalue integral into exactly that, and the normalizing Gamma
   prefactors cancel against the Dirichlet mass): a sum of closed-form
-  Dirichlet moments for a polynomial in r, a probability rule otherwise;
+  Dirichlet moments for a compiled symbol, a probability rule otherwise;
 * the per-group block matrices of a pseudo-homogeneous factor on the
   degree-d homogeneous subspace, computed in the weightless Bergman
   space over the group ball.  In the orthonormal monomial basis the
@@ -18,7 +18,7 @@ Everything the algebra contains reduces to two ingredients:
 
   which is a pure Gamma ratio whenever c_hat is a monomial in s, a fixed
   order sum of Gamma ratios when it is a polynomial in s (as it is for
-  every mode of a polynomial profile or expression symbol), and a
+  every mode of a compiled profile or expression symbol), and a
   low-dimensional absorbed-weight quadrature otherwise.  Entries carry no
   dependence on the weight parameter or on the other groups.
 
@@ -32,15 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial, reduce
+from functools import reduce
 
 import numpy as np
 
 from .errors import AssemblyError, QuadratureError
 from .lattice import GlobalBasis, Index, PartitionConfig, block_indices
-from .quad import (
-    dirichlet_moment, dirichlet_probability_rule, fourier_on_points, gammaln, log_dirichlet_mass,
-)
+from .quad import dirichlet_moment, dirichlet_probability_rule, gammaln, log_dirichlet_mass
 from .symbols import MonomialProfile, Profile, PseudoHomogeneousSymbol, QuasiRadialSymbol
 
 
@@ -112,17 +110,14 @@ def assemble_block(
     d: int = 0,
     *,
     order: int = 48,
-    torus_grid: int = 64,
 ) -> np.ndarray:
     """Matrix of the group Toeplitz factor on homogeneous degree d.
 
     Computed in the weightless space over the group ball, so the result is
     independent of the global weight parameter and of the other groups.
-    Rows and columns follow ``lattice.block_indices(c.dim, d)``.  With
-    declared Fourier support only the supported diagonals are touched;
-    otherwise every mode p = beta - alpha realizable in the block gets a
-    profile probed on the torus.  A profile with terms gives sums of
-    closed-form entries, any other profile quadrature entries.
+    Rows and columns follow ``lattice.block_indices(c.dim, d)``; only the
+    diagonals of the symbol's modes are touched.  A profile with terms
+    gives sums of closed-form entries, any other profile quadrature entries.
     """
     group = c.group if j is None else j
     kj = c.dim
@@ -131,19 +126,7 @@ def assemble_block(
     indices = block_indices(kj, d)
     position = {alpha: i for i, alpha in enumerate(indices)}
     mat = np.zeros((len(indices), len(indices)), dtype=complex)
-    modes = c.modes
-    if modes is None:
-        modes = {}
-        for alpha in indices:
-            for beta in indices:
-                p = tuple(vb - va for va, vb in zip(alpha, beta))
-                if p not in modes:
-                    grid = max(torus_grid, 2 * max(abs(v) for v in p) + 1)
-                    modes[p] = Profile(
-                        partial(fourier_on_points, c.fn, p=p, grid=grid), f"{c.label}@{p}"
-                    )
-
-    for p, prof in modes.items():
+    for p, prof in c.modes.items():
         for col, alpha in enumerate(indices):
             row = position.get(tuple(va + vp for va, vp in zip(alpha, p)))
             if row is None:
@@ -214,7 +197,6 @@ class AlgebraModel:
     symbols: dict[int, PseudoHomogeneousSymbol] = field(default_factory=dict)
     block_order: int = 48
     gamma_order: int = 48
-    torus_grid: int = 64
     # Not a field: the benchmark's tracer (perfbench/tracing.py::_block_before) reads it.
     cache = None
 
@@ -255,9 +237,7 @@ class AlgebraModel:
             if sym is None:
                 mat = np.eye(len(block_indices(self.cfg.k[j - 1], d)), dtype=complex)
             else:
-                mat = assemble_block(
-                    sym, j, d, order=self.block_order, torus_grid=self.torus_grid
-                )
+                mat = assemble_block(sym, j, d, order=self.block_order)
             mat.flags.writeable = False
             self._blocks[key] = mat
         return mat
@@ -358,61 +338,14 @@ class AlgebraModel:
 # ---------------------------------------------------------------------------
 
 
-def cross_block_entry_bound(model: AlgebraModel, D: int) -> float:
+def cross_block_entry_bound(model: AlgebraModel) -> float:
     """Upper bound on |<T_{ac} e_alpha, e_beta>| over all pairs of basis
-    elements in different H_kappa of the cap-D truncation.
+    elements in different H_kappa.
 
-    Once the torus is integrated out, an entry is at most sup|a| times
-    prod_j sup_s |c_hat_j(s, beta_j - alpha_j)| times the normalized moment
-    int |z^alpha| |z^beta| / (||z^alpha|| ||z^beta||), which Cauchy-Schwarz
-    keeps at most 1.  A pair (kappa, kappa') is therefore bounded by sup|a|
-    times, per group, the largest sup over the modes p that (kappa_j,
-    kappa'_j) can realize.  A group without symbol or with a declared table
-    has no mode of nonzero sum, so a pair whose degrees differ there is 0 by
-    structure and is skipped unprobed; on the other pairs the torus
-    invariance of the probed symbols makes some factor vanish.  sup|a| is
-    taken over 512 seeded radii, and each (group, mode) is probed once, over
-    an order-12 sphere rule on a torus grid of at least 32 per axis.
+    Such a pair differs in the degree of some group j, and the entry is a
+    sum over the modes p of group j's table with sum(p) equal to that
+    difference: 0 by structure when every mode has |p| = 0, as mode_symbol
+    makes it; a table holding any other mode has no bound here (inf).
     """
-    cfg = model.cfg
-    probed = {j for j, sym in model.symbols.items() if sym.modes is None}
-    # Kappas that agree on every group but the probed ones.
-    classes: dict[Index, list[Index]] = {}
-    for kappa in model.basis(D).kappas:
-        rest = tuple(kap for j, kap in enumerate(kappa, start=1) if j not in probed)
-        classes.setdefault(rest, []).append(kappa)
-    pairs = [(x, y) for same in classes.values() for x in same for y in same if x != y]
-    if not pairs:
-        return 0.0
-
-    sup_a = 1.0
-    if model.quasi_radial is not None:
-        rng = np.random.default_rng(20240521)
-        u = rng.dirichlet(np.ones(cfg.m + 1), size=512)[:, : cfg.m]
-        scale = rng.random((512, 1))
-        sup_a = float(np.max(np.abs(model.quasi_radial(np.sqrt(u * scale)))))
-
-    @cache
-    def sup_chat(j: int, p: Index) -> float:
-        sym = model.symbols.get(j)
-        if sym is None:
-            return 1.0 if not any(p) else 0.0
-        if sym.modes is not None and p not in sym.modes:
-            return 0.0
-        spts = np.sqrt(dirichlet_probability_rule((0.0,) * sym.dim, 12).nodes_closed)
-        grid = max(32, 2 * max(abs(v) for v in p) + 1)
-        return float(np.max(np.abs(fourier_on_points(sym.fn, spts, p, grid=grid))))
-
-    @cache
-    def factor(j: int, d: int, e: int) -> float:
-        kj = cfg.k[j - 1]
-        modes = {
-            tuple(vb - va for va, vb in zip(alpha, beta))
-            for alpha in block_indices(kj, d) for beta in block_indices(kj, e)
-        }
-        return max(sup_chat(j, p) for p in modes)
-
-    return max(
-        sup_a * math.prod(factor(j, x[j - 1], y[j - 1]) for j in range(1, cfg.m + 1))
-        for x, y in pairs
-    )
+    shifts = {sum(p) for sym in model.symbols.values() for p in sym.modes}
+    return 0.0 if shifts <= {0} else math.inf

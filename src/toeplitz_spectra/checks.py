@@ -121,9 +121,9 @@ def identity_blocks(group_sizes, max_degree: int, order: int = 48) -> list[dict]
     return [_record("identity-blocks", worst, 1e-12)]
 
 
-def cross_block_orthogonality(model: AlgebraModel, D: int) -> list[dict]:
-    """Bound on entries between different H_kappa of the cap-D truncation."""
-    return [_record("cross-block-orthogonality", cross_block_entry_bound(model, D), 1e-10)]
+def cross_block_orthogonality(model: AlgebraModel) -> list[dict]:
+    """Bound on entries between different H_kappa."""
+    return [_record("cross-block-orthogonality", cross_block_entry_bound(model), 1e-10)]
 
 
 def commutativity_and_product(model: AlgebraModel, D: int) -> list[dict]:
@@ -155,11 +155,10 @@ def quadrature_doubling(model: AlgebraModel, gamma_cap: int, block_degree: int) 
             g1 = gamma_quasi_radial(model.quasi_radial, model.cfg, kappa, model.gamma_order)
             g2 = gamma_quasi_radial(model.quasi_radial, model.cfg, kappa, 2 * model.gamma_order)
             drift = max(drift, abs(g1 - g2))
-    grid = model.torus_grid
     for j in sorted(model.symbols):
         sym = model.symbols[j]
-        b1 = assemble_block(sym, j, block_degree, order=model.block_order, torus_grid=grid)
-        b2 = assemble_block(sym, j, block_degree, order=2 * model.block_order, torus_grid=grid)
+        b1 = assemble_block(sym, j, block_degree, order=model.block_order)
+        b2 = assemble_block(sym, j, block_degree, order=2 * model.block_order)
         drift = max(drift, float(np.max(np.abs(b1 - b2))))
     return [_record("quadrature-doubling", drift, 1e-9)]
 

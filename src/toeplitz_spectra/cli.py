@@ -132,6 +132,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "block_order": {"type": "integer", "minimum": 1},
                 "gamma_order": {"type": "integer", "minimum": 1},
+                # Accepted and ignored: every symbol is a compiled mode table.
                 "torus_grid": {"type": "integer", "minimum": 2},
             },
         },
@@ -468,7 +469,8 @@ def _build_symbol(spec, cfg: PartitionConfig) -> PseudoHomogeneousSymbol:
 
 
 def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: str | None = None) -> Setup:
-    """The model and context for config; threads and no_cache are accepted and ignored.
+    """The model and context for config; threads, no_cache and
+    quadrature.torus_grid are accepted and ignored.
     The doubled gamma rule of a quasi-radial symbol that does not compile, and
     the doubled block rule of a symbol profile without terms, are priced here."""
     cfg = PartitionConfig(k=tuple(config["partition"]["k"]), lam=float(config["partition"]["lambda"]))
@@ -482,7 +484,7 @@ def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: 
         # A profile without terms has its entries on rules of npts^(k-1) nodes
         # in quadrature-doubling and semisimple's refinement: 24k + 32 bytes a
         # node (the rule, its closed nodes and their roots, two complex values).
-        if sym.modes is None or any(prof.terms is None for prof in sym.modes.values()):
+        if any(prof.terms is None for prof in sym.modes.values()):
             nodes = npts ** (sym.dim - 1)
             _refuse_over_budget(f"quadrature.block_order {order}", (24 * sym.dim + 32) * nodes,
                                 f"the {npts}^{sym.dim - 1} nodes of the 2x block rule of group {sym.group}")
@@ -494,7 +496,6 @@ def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: 
         symbols=symbols,
         block_order=quad["block_order"],
         gamma_order=quad["gamma_order"],
-        torus_grid=quad["torus_grid"],
     )
     ctx = SpectralContext(
         model=model,
@@ -871,7 +872,7 @@ def cmd_verify(setup: Setup) -> dict:
         *checks.dirichlet_vs_simplex(rng, 60, model.block_order, power=4),
         *checks.gamma_rules(model.quasi_radial, cfg, min(D + 2, 8), model.gamma_order),
         *checks.identity_blocks(cfg.k, min(D, 6), model.block_order),
-        *checks.cross_block_orthogonality(model, min(D, 4)),
+        *checks.cross_block_orthogonality(model),
         *checks.commutativity_and_product(model, D),
         *checks.quadrature_doubling(model, min(D, 4), min(D, 3)),
         *checks.tensor_eigenvectors(model, min(D, 4)),

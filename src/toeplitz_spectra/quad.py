@@ -1,17 +1,15 @@
-"""Simplex and torus quadrature for the integrals behind every operator entry.
-
-Two families of rules live here:
+"""Simplex quadrature and closed forms for the integrals behind every
+operator entry.
 
 * Simplex rules over Delta_p = {u in R_+^p : sum(u) <= 1}, built by a
   Duffy-type collapse onto [0,1]^p with tensor Gauss-Jacobi factors.  A
   rule absorbs a Dirichlet-type weight prod u_l^{a_l} (1 - sum u)^{a_last}
   into its Jacobi parameters, which keeps half-integer and near-singular
   exponents (weight parameters close to -1) at full accuracy; its weights
-  sum to one.
-* Uniform product rules on the torus T^k for Fourier coefficients, exact
-  for trigonometric polynomials below the grid bandwidth.  Only symbols
-  that are not polynomials in s, t and conj(t) reach them for block
-  entries; polynomial symbols declare their modes in closed form.
+  sum to one.  Only profiles that do not compile to terms reach them for
+  block entries; every symbol declares its torus modes in closed form.
+* The uniform product grid on the torus T^k, on which the essential
+  spectrum samples symbols.
 
 The closed-form Dirichlet integral and moments are the oracle against
 which the simplex rules are checked.  Its log-Gamma is a port of Cephes
@@ -29,8 +27,6 @@ import math
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Callable
-
 import numpy as np
 
 from .errors import QuadratureError
@@ -334,54 +330,3 @@ def torus_grid(dim: int, grid: int) -> np.ndarray:
     axis = np.exp(2j * np.pi * np.arange(grid) / grid)
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)
-
-
-# Byte budget of the symbol values fourier_on_points holds at once.
-FOURIER_CHUNK_BYTES = 1 << 25
-
-
-def fourier_on_points(
-    fn: Callable, s_points: np.ndarray, p, grid: int = 64
-) -> np.ndarray:
-    """c_hat(s_i, p) for every row s_i of an (N, k) array of a torus-invariant
-    symbol fn(s, t).
-
-    For |p| = 0 the diagonal invariance makes the integrand a function of
-    t / t_k, so the uniform grid over the first k - 1 torus axes with
-    t_k = 1 gives the same mean as the full grid^k one; other modes use
-    the full grid.  Rows are evaluated in chunks whose values fit in
-    FOURIER_CHUNK_BYTES; each row's mean is independent of the chunking.
-    A grid whose single row exceeds the budget raises QuadratureError
-    before anything is allocated, and so does a symbol whose values do not
-    come back as one per (sphere point, torus point) pair.
-    """
-    p = tuple(int(v) for v in p)
-    k = len(p)
-    if grid < 2 * max((abs(v) for v in p), default=0) + 1:
-        raise QuadratureError(f"grid {grid} too small for mode {p}")
-    axes = k - 1 if sum(p) == 0 else k
-    row_bytes = 16 * grid**axes
-    if row_bytes > FOURIER_CHUNK_BYTES:
-        raise QuadratureError(
-            f"torus grid {grid}^{axes} for mode {p} needs {row_bytes} bytes per "
-            f"sphere point, over the {FOURIER_CHUNK_BYTES}-byte budget"
-        )
-    tpts = torus_grid(axes, grid)  # (M, axes)
-    if axes < k:
-        tpts = np.hstack([tpts, np.ones((tpts.shape[0], 1), dtype=complex)])
-    phase = np.ones(tpts.shape[0], dtype=complex)
-    for axis, power in enumerate(p):
-        if power:
-            phase = phase * tpts[:, axis] ** (-power)
-    rows = FOURIER_CHUNK_BYTES // row_bytes
-    out = np.empty(s_points.shape[0], dtype=complex)
-    for start in range(0, s_points.shape[0], rows):
-        s_rows = s_points[start : start + rows]
-        vals = np.asarray(fn(s_rows[:, None, :], tpts[None, :, :]), dtype=complex)
-        want = (s_rows.shape[0], tpts.shape[0])
-        if vals.shape != want:
-            raise QuadratureError(f"symbol returned shape {vals.shape} on the torus, not {want}")
-        if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
-            raise QuadratureError("symbol returned non-finite torus samples")
-        out[start : start + rows] = (vals * phase[None, :]).mean(axis=1)
-    return out

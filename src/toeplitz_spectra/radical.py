@@ -137,10 +137,7 @@ def _structural_block_kind(sym) -> str | None:
     for every degree; None otherwise."""
     if sym is None:
         return "diagonal"
-    modes = sym.modes
-    if modes is None:
-        return None
-    ps = list(modes.keys())
+    ps = list(sym.modes)
     if all(all(v == 0 for v in p) for p in ps):
         return "diagonal"
     if len(ps) == 1 and any(v != 0 for v in ps[0]):
@@ -176,9 +173,7 @@ def is_semisimple(ctx: SpectralContext, Dmax: int, tol: float = 1e-10) -> Semisi
         for d in range(Dmax + 1):
             report = is_diagonalizable(ctx.model.block(j, d), tol, eigen=ctx.eigen(j, d))
             if report.indeterminate:
-                refined = assemble_block(
-                    sym, j, d, order=2 * ctx.model.block_order, torus_grid=ctx.model.torus_grid
-                )
+                refined = assemble_block(sym, j, d, order=2 * ctx.model.block_order)
                 report = is_diagonalizable(refined, tol)
                 warnings.extend(report.indeterminate)
             if not report.diagonalizable:

@@ -625,7 +625,7 @@ def berezin_sequence(
     matrix ``model.block(j, d)``, and the sequence converges to the boundary
     value of the symbol along the ray of w.  The radial moment is gamma_f(d)
     on the unweighted k-ball at the model's gamma order, closed form for a
-    polynomial in r1.
+    text in r1 that compiles.
     """
     c = model.symbols.get(j)
     if c is None:

@@ -17,7 +17,9 @@ standard library, the basis layout is every multi-index of the truncation
 sorted by the documented order, and a block-diagonal truncated operator is
 read densely through the basis slices.  Symbol texts are parsed by a
 hand-written tokenizer and recursive-descent parser, as a reference for the
-package's reading of them through Python's own parser.
+package's reading of them through Python's own parser.  Torus Fourier
+coefficients are plain means over the full uniform grid, as a reference for
+the mode tables that the package compiles from symbol texts.
 """
 
 from __future__ import annotations
@@ -39,6 +41,18 @@ def gl01(n: int):
     """Gauss-Legendre nodes/weights on [0, 1]."""
     x, w = leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def torus_mode(fn, s: np.ndarray, p, grid: int = 32) -> np.ndarray:
+    """c_hat(s_i, p) of a symbol fn(s, t) at each row s_i of an (N, k) array:
+    the mean of fn(s_i, t) t^(-p) over the grid^k points of the uniform
+    product grid on the torus, exact for modes below the grid bandwidth."""
+    k = len(p)
+    axis = np.exp(2j * np.pi * np.arange(grid) / grid)
+    t = np.stack([g.ravel() for g in np.meshgrid(*[axis] * k, indexing="ij")], axis=1)
+    phase = np.prod(t ** -np.asarray(p), axis=1)
+    vals = np.asarray(fn(s[:, None, :], t[None, :, :]), dtype=complex)
+    return (vals * phase).mean(axis=1)
 
 
 def ball2_inner_product(

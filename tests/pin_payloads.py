@@ -1,7 +1,8 @@
 """Pinned report payloads: the configs, how to compute them, how to compare.
 
 Run from the root of a checkout to rewrite ``tests/payloads.json`` from the
-current code:
+current code; it first prints, for each pin it moves,
+``<config>/<command>: describe_difference(old, new)``:
 
     PYTHONPATH=src python tests/pin_payloads.py
 
@@ -70,7 +71,8 @@ CONFIGS = {
         "gelfand": {"budget": 200},
         "seed": 7,
     },
-    # A non-polynomial profile, assembled by quadrature, at D=3.
+    # A non-polynomial profile and quasi-radial symbol, compiled to
+    # truncated series (a division and an exp), at D=3.
     "nonpoly-d3": {
         "partition": {"k": [1, 2], "lambda": 1.0},
         "degree_cap": 3,
@@ -96,9 +98,8 @@ CONFIGS = {
         "gelfand": {"budget": 200},
         "seed": 3,
     },
-    # A non-polynomial expression in s and t, probed on the torus, under the
-    # radial factor one.  Its verify fails quadrature-doubling (4.3e-6 at
-    # order 16, 9.6e-7 at 24, against 1e-9): the failing verdict is pinned.
+    # A non-polynomial expression in s and t, compiled to a truncated
+    # exp series, under the radial factor one.
     "nonpoly-expr-d2": {
         "partition": {"k": [1, 2], "lambda": 0.0},
         "degree_cap": 2,
@@ -167,11 +168,18 @@ def describe_difference(pinned, got) -> str:
 
 
 def main() -> int:
+    old = json.loads(PINS.read_text()) if PINS.exists() else {}
     pins = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in CONFIGS:
             payloads = compute_payloads(name, Path(tmp) / name)
             pins[name] = {c: {"sha256": sha(p), "payload": p} for c, p in payloads.items()}
+    for name, commands in pins.items():
+        for command, pin in commands.items():
+            before = old.get(name, {}).get(command)
+            if before is None or before["sha256"] != pin["sha256"]:
+                was = before["payload"] if before else {}
+                print(f"{name}/{command}: {describe_difference(was, pin['payload'])}")
     PINS.write_text(json.dumps(pins, sort_keys=True, indent=1) + "\n")
     print(f"wrote {sum(len(v) for v in pins.values())} pins to {PINS}")
     return 0

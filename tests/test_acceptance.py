@@ -8,6 +8,10 @@ that `toeplitz-spectra verify` runs with its own sizes.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,6 @@ import pytest
 from oracles import ball2_inner_product, monomial_norm_sq, opnorm
 from toeplitz_spectra import checks
 from toeplitz_spectra.assembly import AlgebraModel, assemble_block
-from toeplitz_spectra.cli import main as cli_main
 from toeplitz_spectra.gelfand import (
     DiagonalCoefficient,
     assemble_finite_sum,
@@ -112,7 +115,7 @@ def product_models():
             models.append(
                 AlgebraModel(
                     cfg=cfg, quasi_radial=a, symbols=symbols,
-                    block_order=32, torus_grid=16,
+                    block_order=32,
                 )
             )
         out[k] = models
@@ -162,10 +165,10 @@ def test_criterion_02_identity_symbol():
 def test_criterion_03_block_orthogonality(product_models):
     records = [
         r for models in product_models.values() for model in models
-        for r in checks.cross_block_orthogonality(model, 6)
+        for r in checks.cross_block_orthogonality(model)
     ]
     worst = _worst(records, "cross-block-orthogonality")
-    _report(3, worst < 1e-10, f"cross-block entry bound {worst:.3e} on D=6 truncations")
+    _report(3, worst < 1e-10, f"cross-block entry bound {worst:.3e} from the mode tables")
 
 
 def test_criterion_04_commutativity_and_product(product_models):
@@ -208,7 +211,7 @@ def test_criterion_05_brute_force_blocks():
     worst = 0.0
     for name, (sym, ball_fn) in cases.items():
         for d in range(5):
-            block = assemble_block(sym, 1, d, order=48, torus_grid=16)
+            block = assemble_block(sym, 1, d, order=48)
             indices = block_indices(2, d)
             for col, alpha in enumerate(indices):
                 for row, beta in enumerate(indices):
@@ -265,7 +268,6 @@ def test_criterion_09_inverse_closed_classifier():
         cfg=cfg,
         symbols={2: expression_symbol(2, 2, "exp(2*pi*i*s1^2)", boundary_continuous=True)},
         block_order=32,
-        torus_grid=16,
     )
     circ_verdict = is_inverse_closed(SpectralContext(model=circ_model), 5)
     extra = circ_verdict.per_group[2]["extra_cells"]
@@ -359,6 +361,8 @@ def test_criterion_13_projection_algebra():
 
 
 def test_criterion_14_determinism_across_threads(tmp_path):
+    # The BLAS thread count, set in a fresh process's environment before
+    # numpy loads, leaves the verify payload unchanged.
     config = {
         "partition": {"k": [1, 2], "lambda": 0.0},
         "degree_cap": 3,
@@ -369,10 +373,17 @@ def test_criterion_14_determinism_across_threads(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
+    src = str(Path(checks.__file__).resolve().parents[1])
     shas = []
-    for threads in ("1", "4", "0"):
-        assert cli_main(["verify", "--config", str(path), "--threads", threads]) == 0
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        run = subprocess.run(
+            [sys.executable, "-m", "toeplitz_spectra.cli", "verify", "--config", str(path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
         report = json.loads((tmp_path / "out" / "report_verify.json").read_text())
         shas.append(report["payload_sha256"])
     ok = len(set(shas)) == 1
-    _report(14, ok, f"verify payload sha identical across threads 1/4/all: {ok}")
+    _report(14, ok, f"verify payload sha identical at BLAS threads 1/2: {ok}")

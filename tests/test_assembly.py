@@ -2,15 +2,17 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ball2_inner_product, basis_layout, dense, gamma_literal, monomial_norm_sq
-from toeplitz_spectra import assembly, checks, quad
+from oracles import (
+    ball2_inner_product, basis_layout, dense, gamma_literal, monomial_norm_sq, torus_mode,
+)
+from toeplitz_spectra import checks
 from toeplitz_spectra.assembly import (
     AlgebraModel,
     assemble_block,
@@ -20,10 +22,11 @@ from toeplitz_spectra.assembly import (
 from toeplitz_spectra.gelfand import DiagonalCoefficient, FiniteSum, assemble_finite_sum
 from toeplitz_spectra.lattice import PartitionConfig, block_indices, enumerate_kappa
 from toeplitz_spectra.quad import (
-    dirichlet_probability_rule, fourier_on_points, gammaln, log_dirichlet_mass,
+    dirichlet_moment, dirichlet_probability_rule, gammaln, log_dirichlet_mass,
 )
 from toeplitz_spectra.symbols import (
     MAX_PROFILE_DEGREE,
+    MonomialProfile,
     Profile,
     PseudoHomogeneousSymbol,
     QuasiRadialSymbol,
@@ -34,6 +37,7 @@ from toeplitz_spectra.symbols import (
     profile_monomial,
     profile_symbol,
 )
+from toeplitz_spectra.symbols import _mode_sum
 
 
 class TestGamma:
@@ -87,7 +91,18 @@ class TestGamma:
         got = gamma_quasi_radial(QuasiRadialSymbol.from_expression(2, "r1"), cfg, (0, 0))
         assert abs(Fraction(got.real) - Fraction(16, 35)) <= Fraction(1e-15) * Fraction(16, 35)
 
-    @pytest.mark.parametrize("text", ["exp(-r1^2)", "1/(2 - r1^2)"])
+    def test_exp_compiles_to_its_series_of_moments(self):
+        # exp(r1) = sum_n r1^n / n!, each term an exact Dirichlet moment.
+        cfg = PartitionConfig(k=(1, 2), lam=0.5)
+        a = QuasiRadialSymbol.from_expression(2, "exp(r1)")
+        assert a.terms is not None
+        for kappa in [(0, 0), (3, 1), (7, 9)]:
+            exps = tuple(float(kap + kj - 1) for kap, kj in zip(kappa, cfg.k)) + (cfg.lam,)
+            moments = [dirichlet_moment(exps, [n / 2, 0]) / math.factorial(n) for n in range(40)]
+            want = math.fsum(moments)
+            assert abs(gamma_quasi_radial(a, cfg, kappa) - want) <= 1e-14 * want, kappa
+
+    @pytest.mark.parametrize("text", ["1/(r1 - 0.5)", "(1 + r1^2)^0.5"])
     def test_non_polynomials_keep_the_probability_rule(self, text):
         cfg = PartitionConfig(k=(1, 2), lam=0.5)
         a = QuasiRadialSymbol.from_expression(2, text)
@@ -158,11 +173,12 @@ class TestBlocks:
                 assert block[i, i] == pytest.approx(want, rel=1e-10, abs=0), (d, alpha)
 
     def test_non_polynomial_profile_uses_quadrature(self):
-        # exp(s1^2) = sum_n s1^(2n)/n!; each term's diagonal entry is the
-        # Dirichlet ratio Gamma(d+k)/alpha! * prod Gamma(e_l+1)/Gamma(k+|e|)
-        # with e = alpha + (n, 0, ...).
+        # exp(s1^2)^0.5 = sum_n s1^(2n)/(2^n n!), whose power 0.5 does not
+        # compile; each term's diagonal entry is the Dirichlet ratio
+        # Gamma(d+k)/alpha! * prod Gamma(e_l+1)/Gamma(k+|e|) with
+        # e = alpha + (n, 0, ...).
         for k in (2, 3):
-            sym = profile_symbol(1, k, "exp(s1^2)")
+            sym = profile_symbol(1, k, "exp(s1^2)^0.5")
             assert sym.modes[(0,) * k].terms is None
             for d in range(5):
                 block = assemble_block(sym, 1, d)
@@ -178,31 +194,47 @@ class TestBlocks:
                             + sum(math.lgamma(v + 1) for v in e)
                             - math.lgamma(k + sum(e))
                             - math.lgamma(n + 1)
+                            - n * math.log(2)
                         )
                     assert block[i, i] == pytest.approx(want, abs=2e-7), (k, d, alpha)
 
     @pytest.mark.parametrize("k, text", [(2, "exp(s1)"), (3, "1/(2 - s1^2)")])
-    def test_torus_free_expression_is_its_profile(self, monkeypatch, k, text):
+    def test_torus_free_expression_is_its_profile(self, k, text):
         # Without a torus variable an expression declares the single mode
-        # p = 0, as a profile does: no torus probe, and the same blocks.
-        def probe(*args, **kwargs):
-            raise AssertionError("probed on the torus")
-
-        monkeypatch.setattr(quad, "fourier_on_points", probe)
-        monkeypatch.setattr(assembly, "fourier_on_points", probe)
+        # p = 0, as a profile does, with the same terms and the same blocks.
         expr, prof = expression_symbol(1, k, text), profile_symbol(1, k, text)
-        assert expr.modes[(0,) * k].terms is None
+        assert list(expr.modes) == [(0,) * k]
+        assert expr.modes[(0,) * k].terms == prof.modes[(0,) * k].terms is not None
         for d in range(4):
-            a = assemble_block(expr, 1, d, order=24, torus_grid=32)
-            assert a.tobytes() == assemble_block(prof, 1, d, order=24, torus_grid=32).tobytes(), d
+            a = assemble_block(expr, 1, d, order=24)
+            assert a.tobytes() == assemble_block(prof, 1, d, order=24).tobytes(), d
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_exp_profile_is_its_series_of_monomial_blocks(self, k):
+        sym = profile_symbol(1, k, "exp(s1)")
+        for d in range(5):
+            terms = [profile_monomial(1, (n,) + (0,) * (k - 1), 1 / math.factorial(n)) for n in range(40)]
+            want = sum(assemble_block(term, 1, d) for term in terms)
+            got = assemble_block(sym, 1, d)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), d
+
+    def test_division_compiles_when_its_ratio_is_below_one(self):
+        # 1/(2 - s1^2) = sum_n s1^(2n) / 2^(n+1): ratio 1/2.
+        sym = profile_symbol(1, 2, "1/(2 - s1^2)")
+        terms = sym.modes[(0, 0)].terms
+        assert [t.powers for t in terms[:3]] == [(0, 0), (2, 0), (4, 0)]
+        assert [t.coeff for t in terms[:3]] == [0.5, 0.25, 0.125]
 
     @pytest.mark.parametrize("k, text, order", [
         (3, "exp(s1)", 300), (3, "exp(s1*s2) + s1^3", 301), (4, "exp(s1)", 60),
     ])
     def test_quadrature_entries_hold_at_most_the_priced_bytes_per_node(self, k, text, order):
         # quadrature.block_order is priced at 24k + 32 bytes a node of the
-        # rule of a profile without terms (cli.build_setup).
-        sym = profile_symbol(1, k, text)
+        # rule of a profile without terms (cli.build_setup): here the text,
+        # evaluated at the nodes, without the terms it compiles to.
+        prof = profile_symbol(1, k, text).modes[(0,) * k]
+        table = {(0,) * k: Profile(prof.fn, text)}
+        sym = mode_symbol(1, k, table, text, boundary_continuous=False)
         tracemalloc.start()
         try:
             assemble_block(sym, 1, 0, order=order)
@@ -244,7 +276,7 @@ class TestBlocks:
         cfg = PartitionConfig(k=(1, 1), lam=0.0)
         for name in symbols:
             for d in (1, 2):
-                block = assemble_block(symbols[name], 1, d, order=48, torus_grid=16)
+                block = assemble_block(symbols[name], 1, d, order=48)
                 indices = block_indices(2, d)
                 for col, alpha in enumerate(indices):
                     for row, beta in enumerate(indices):
@@ -281,17 +313,6 @@ class TestBlocks:
         fresh = assemble_block(sym, 2, 3)
         assert isinstance(fresh, np.ndarray) and fresh.flags.writeable
         assert fresh.tobytes() == model.block(2, 3).tobytes()
-
-    def test_torus_grid_shapes_probed_blocks_only(self):
-        sym = expression_symbol(1, 2, "exp(s1*s2*(t1*conj(t2)+t2*conj(t1)))+s1^2")
-        fine = assemble_block(sym, 1, 2, torus_grid=64)
-        coarse = assemble_block(sym, 1, 2, torus_grid=4)
-        assert fine.tobytes() != coarse.tobytes()  # the grid shapes the block
-        # A polynomial compiles to its modes; no grid enters its block.
-        poly = expression_symbol(1, 2, "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2")
-        assert sorted(poly.modes) == [(-1, 1), (0, 0), (1, -1)]
-        coarse = assemble_block(poly, 1, 2, torus_grid=4)
-        assert coarse.tobytes() == assemble_block(poly, 1, 2, torus_grid=64).tobytes()
 
     def test_callable_profile_block(self):
         # Two profiles without terms share a label; each block is its own.
@@ -399,15 +420,9 @@ class TestTruncated:
         assert (t_prod - t_rad @ t_gen).fro() < 1e-12
 
     def test_cross_block_bound_small(self, radial_model):
-        assert cross_block_entry_bound(radial_model, 4) < 1e-10
+        assert cross_block_entry_bound(radial_model) < 1e-10
 
-    def test_cross_block_bound_of_declared_models_is_structurally_zero(
-        self, radial_model, monkeypatch
-    ):
-        def probe(*args, **kwargs):
-            raise AssertionError("a declared model needs no torus probe")
-
-        monkeypatch.setattr(assembly, "fourier_on_points", probe)
+    def test_cross_block_bound_of_declared_models_is_structurally_zero(self, radial_model):
         expr = AlgebraModel(
             cfg=PartitionConfig(k=(2, 3), lam=0.5),
             quasi_radial=QuasiRadialSymbol.from_expression(2, "exp(-r1^2*r2^2)"),
@@ -417,33 +432,31 @@ class TestTruncated:
             },
         )
         for model in (radial_model, expr):
-            assert cross_block_entry_bound(model, 4) == 0.0
+            assert cross_block_entry_bound(model) == 0.0
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-8])
     def test_cross_block_bound_sees_a_leaking_mode(self, eps):
-        # eps * s2 * t2 has mode (0, 1), which links kappa to kappa + 1.
-        def fn(s, t):
-            u = s[..., 0] * s[..., 1] * (t[..., 0] * np.conj(t[..., 1]) + t[..., 1] * np.conj(t[..., 0]))
-            return np.exp(u) + eps * s[..., 1] * t[..., 1]
-
-        sym = PseudoHomogeneousSymbol(2, 2, fn, f"leak{eps}", modes=None)
+        # eps * s2 * t2 has mode (0, 1), which links kappa to kappa + 1; a
+        # table built past mode_symbol's invariance check holds it.
+        modes = {(0, 0): MonomialProfile((0, 0)), (0, 1): MonomialProfile((0, 1), eps)}
+        sym = PseudoHomogeneousSymbol(2, 2, _mode_sum(modes.items()), f"leak{eps}", modes)
         model = AlgebraModel(
             cfg=PartitionConfig(k=(1, 2)),
             quasi_radial=QuasiRadialSymbol.from_expression(2, "1 - 0.5*r1^2*r2^2"),
             symbols={2: sym},
         )
-        assert eps / 2 < cross_block_entry_bound(model, 4) < 2 * eps
-        (record,) = checks.cross_block_orthogonality(model, 4)
+        assert cross_block_entry_bound(model) == math.inf
+        (record,) = checks.cross_block_orthogonality(model)
         assert not record["passed"]
 
-    def test_cross_block_bound_of_an_invariant_probed_symbol(self):
+    def test_cross_block_bound_of_a_compiled_exp_symbol(self):
         text = "exp(s1*s2*(t1*conj(t2)+t2*conj(t1)))"
         model = AlgebraModel(
             cfg=PartitionConfig(k=(2, 2)),
             symbols={j: expression_symbol(j, 2, text) for j in (1, 2)},
         )
-        assert all(sym.modes is None for sym in model.symbols.values())
-        assert cross_block_entry_bound(model, 4) < 1e-15
+        assert all(len(sym.modes) > 1 for sym in model.symbols.values())
+        assert cross_block_entry_bound(model) == 0.0
 
 
 class TestProjections:
@@ -497,22 +510,24 @@ class TestProjections:
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_probed_block_matches_the_per_entry_route(d):
-    # A symbol with no mode table goes through the declared-profile loop
-    # with one torus-probed profile per mode; the entries must equal, bit
-    # for bit, a Fourier coefficient per entry against the Dirichlet pair
-    # rule of that entry.
-    sym = expression_symbol(1, 2, "exp(s1) * (1 + s1*s2*(t1*conj(t2) + t2*conj(t1)))")
-    assert sym.modes is None
+    # A table of profiles without terms, each a mode p probed on the torus by
+    # the oracle, goes through the loop over modes with quadrature entries;
+    # they must equal, bit for bit, a Fourier coefficient per entry against
+    # the Dirichlet pair rule of that entry.
+    fn = expression_symbol(1, 2, "exp(s1) * (1 + s1*s2*(t1*conj(t2) + t2*conj(t1)))").fn
     order, grid = 12, 16
-    got = assemble_block(sym, 1, d, order=order, torus_grid=grid)
     indices = block_indices(2, d)
+    modes = {tuple(vb - va for va, vb in zip(alpha, beta)) for alpha in indices for beta in indices}
+    table = {p: Profile(partial(torus_mode, fn, p=p, grid=grid), f"probe@{p}") for p in modes}
+    sym = mode_symbol(1, 2, table, "probed", boundary_continuous=False)
+    got = assemble_block(sym, 1, d, order=order)
     want = np.zeros_like(got)
     for col, alpha in enumerate(indices):
         for row, beta in enumerate(indices):
             p = tuple(vb - va for va, vb in zip(alpha, beta))
             exps = tuple((va + vb) / 2.0 for va, vb in zip(alpha, beta))
             rule = dirichlet_probability_rule(exps, order)
-            chat = fourier_on_points(sym.fn, np.sqrt(rule.nodes_closed), p, grid=grid)
+            chat = torus_mode(fn, np.sqrt(rule.nodes_closed), p, grid=grid)
             prefactor = float(
                 gammaln(d + 2)
                 - 0.5 * sum(gammaln(v + 1.0) for v in alpha)

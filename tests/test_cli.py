@@ -330,20 +330,28 @@ EXPRESSION_SYMBOL = {
 }
 
 
-def test_torus_grid_shapes_probed_payload_only(tmp_path):
-    def run(grid, symbol=EXPRESSION_SYMBOL):
+def test_torus_grid_is_accepted_and_ignored(tmp_path):
+    # Every symbol is a compiled mode table, so no grid enters a payload.
+    def run(grid, command):
         path = write_config(
-            tmp_path, degree_cap=3, symbols=[symbol],
+            tmp_path, degree_cap=3, symbols=[{**EXPRESSION_SYMBOL, "boundary_continuous": True}],
             quadrature={"torus_grid": grid},
         )
-        assert main(["spectrum", "--config", str(path)]) == 0
-        return read_report(tmp_path, "spectrum")["payload_sha256"]
+        assert main([command, "--config", str(path)]) == 0
+        return read_report(tmp_path, command)["payload_sha256"]
 
-    assert run(64) != run(4)
-    # A polynomial expression compiles to its modes: the grid does not
-    # enter its blocks.
-    poly = {**EXPRESSION_SYMBOL, "text": "s1*s2*(t1*conj(t2)+t2*conj(t1))+s1^2"}
-    assert run(64, symbol=poly) == run(4, symbol=poly)
+    for command in ("spectrum", "verify"):
+        assert run(2, command) == run(1000, command), command
+
+
+def test_torus_expression_that_does_not_compile_is_refused(tmp_path, capsys):
+    text = "(s1*s2*(t1*conj(t2)+t2*conj(t1)))^0.5"
+    path = write_config(tmp_path, symbols=[{**EXPRESSION_SYMBOL, "text": text}])
+    assert main(["assemble", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])["error"]
+    assert error["type"] == "SymbolError" and text in error["message"]
 
 
 def test_unexpected_error_is_json_exit_2(tmp_path, monkeypatch, capsys):
@@ -473,9 +481,7 @@ def test_hull_resolution_drift_is_zero_on_segments(tmp_path):
 
 
 def test_k3_non_polynomial_expression_assembles_in_bounded_memory(tmp_path):
-    # The full 64^3 torus grid over 48^2 sphere nodes would need gigabytes;
-    # |p| = 0 modes use 64^2 grids evaluated in chunks.  Order 16 keeps the
-    # run short while the full-grid route would still need about 1 GB.
+    # The exp series compiles to a mode table: no torus grid is evaluated.
     config = {
         "partition": {"k": [1, 3], "lambda": 0.0},
         "degree_cap": 2,
@@ -491,6 +497,21 @@ def test_k3_non_polynomial_expression_assembles_in_bounded_memory(tmp_path):
     path.write_text(json.dumps(config))
     assert _peak_rss_mb("assemble", path) < 500
     assert read_report(tmp_path, "assemble")["payload"]["blocks"][-1]["dim"] == 6
+
+
+def test_k3_exp_expression_assembles_in_process_quickly(tmp_path):
+    config = cli.validate_config({
+        "partition": {"k": [1, 3], "lambda": 0.0},
+        "degree_cap": 2,
+        "quasi_radial": {"kind": "one"},
+        "symbols": [{"group": 2, "kind": "expression",
+                     "text": "exp(s1*s2*(t1*conj(t2)+t2*conj(t1)))"}],
+        "output_dir": str(tmp_path / "out"),
+    })
+    started = time.perf_counter()
+    payload = cli.COMMANDS["assemble"](cli.build_setup(config))
+    assert time.perf_counter() - started < 0.5
+    assert payload["blocks"][-1]["dim"] == 6
 
 
 def test_berezin_command(tmp_path):
@@ -666,7 +687,7 @@ def test_oversized_raster_knob_is_refused_before_allocating(tmp_path, hull, knob
     # GiB MemoryError at D=0, and verify's doubling asks for 16 times that.
     ("assemble", {"partition": {"k": [5], "lambda": 0.0}, "degree_cap": 0,
                   "quasi_radial": {"kind": "one"},
-                  "symbols": [{"group": 1, "kind": "profile", "text": "exp(s1)"}],
+                  "symbols": [{"group": 1, "kind": "profile", "text": "(1 + s1)^0.5"}],
                   "berezin": {"group": 1, "w": [0.3, 0.4, 0.0, 0.0, 0.0], "degrees": [4]},
                   "radical": {"group": 1}, "quadrature": {"block_order": 100}},
      "quadrature.block_order"),
@@ -679,9 +700,9 @@ def test_oversized_block_knob_is_refused_before_allocating(tmp_path, command, ov
 @pytest.mark.parametrize("k, text, order", [
     # quadrature-doubling's gamma rule of 400^3 nodes: a 1.91 GiB array in
     # SimplexRule.build under a 2 GiB limit.
-    ([1, 1, 1], "exp(r1*r2*r3)", 200),
+    ([1, 1, 1], "(1 + r1*r2*r3)^0.5", 200),
     # Its dense 10000^2 Jacobi matrix, of more than 3 GiB.
-    ([2], "exp(r1)", 5000),
+    ([2], "(1 + r1)^0.5", 5000),
 ], ids=["doubled-nodes", "doubled-jacobi"])
 def test_doubled_gamma_rule_is_priced_at_setup(tmp_path, capsys, k, text, order):
     # Validation passes: the rule at gamma_order fits.  Whether verify
@@ -731,7 +752,7 @@ def test_rule_cache_keeps_a_three_group_assembly_small(tmp_path):
     config = {
         "partition": {"k": [1, 1, 1], "lambda": 0.0},
         "degree_cap": 8,
-        "quasi_radial": {"kind": "expression", "text": "exp(r1*r2*r3)"},
+        "quasi_radial": {"kind": "expression", "text": "(1 + r1*r2*r3)^0.5"},
         "symbols": [{"group": 1, "kind": "constant", "value": 1.0}],
         "output_dir": str(tmp_path / "out"),
     }
@@ -740,7 +761,7 @@ def test_rule_cache_keeps_a_three_group_assembly_small(tmp_path):
     assert _peak_rss_mb("assemble", path) < 150
     payload = read_report(tmp_path, "assemble")["payload"]
     assert hashlib.sha256(cli.canonical_payload_bytes(payload)).hexdigest() == (
-        "200ba757df2d41ef356ac613f850bf7843ce5d1c4d196142dc8f2f0102c9da36"
+        "428506eb577a428a2daa17360d75533cfa591a4be2132289c57e29aa5131bfea"
     )
 
 

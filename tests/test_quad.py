@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import adaptive_dirichlet, golub_welsch_tridiagonal, roots_jacobi_01
+from oracles import adaptive_dirichlet, golub_welsch_tridiagonal, roots_jacobi_01, torus_mode
 from toeplitz_spectra import quad
 from toeplitz_spectra.errors import QuadratureError
 from toeplitz_spectra.quad import (
@@ -13,7 +13,6 @@ from toeplitz_spectra.quad import (
     dirichlet_integral,
     dirichlet_moment,
     dirichlet_probability_rule,
-    fourier_on_points,
     jacobi_probability_rule_01,
 )
 
@@ -195,10 +194,8 @@ def test_jacobi_rules_at_exponent_sum_minus_one(a, b):
 def test_torus_coefficient_characters():
     c = lambda s, t: t[..., 0] ** 2 * np.conj(t[..., 1]) ** 2
     s = np.array([[0.6, 0.8]])
-    assert fourier_on_points(c, s, (2, -2), 16)[0] == pytest.approx(1.0, abs=1e-13)
-    assert abs(fourier_on_points(c, s, (1, -1), 16)[0]) < 1e-13
-    with pytest.raises(QuadratureError):
-        fourier_on_points(c, s, (9, -9), 8)
+    assert torus_mode(c, s, (2, -2), 16)[0] == pytest.approx(1.0, abs=1e-13)
+    assert abs(torus_mode(c, s, (1, -1), 16)[0]) < 1e-13
 
 
 def test_torus_coefficient_examples():
@@ -211,7 +208,7 @@ def test_torus_coefficient_examples():
     rng = np.random.default_rng(5)
     raw = np.abs(rng.standard_normal((5, 2))) + 0.1
     s = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    got = fourier_on_points(c, s, (1, -1), 16)
+    got = torus_mode(c, s, (1, -1), 16)
     assert np.max(np.abs(got - s[:, 0] * s[:, 1])) < 1e-12
 
 
@@ -223,7 +220,7 @@ def test_diagonal_invariant_symbol_vanishing_modes():
 
     s = np.array([[0.6, 0.8]])
     for p in [(1, 0), (0, 1), (2, -1), (-1, -1), (1, 2)]:
-        assert abs(fourier_on_points(c, s, p, 32)[0]) < 1e-12
+        assert abs(torus_mode(c, s, p, 32)[0]) < 1e-12
 
 
 @given(
@@ -238,58 +235,9 @@ def test_conjugate_symmetry_for_real_symbols(p1, p2, sx):
         return (s[..., 0] ** 2) * (ratio + np.conj(ratio)).real
 
     s = np.array([[math.sqrt(sx), math.sqrt(1 - sx)]])
-    plus = fourier_on_points(c, s, (p1, p2), 16)[0]
-    minus = fourier_on_points(c, s, (-p1, -p2), 16)[0]
+    plus = torus_mode(c, s, (p1, p2), 16)[0]
+    minus = torus_mode(c, s, (-p1, -p2), 16)[0]
     assert np.conj(plus) == pytest.approx(minus, abs=1e-12)
-
-
-def _exp_cross(s, t):
-    ratio = t[..., 0] * np.conj(t[..., 1])
-    cross = s[..., 2] * t[..., 2] * np.conj(t[..., 0])
-    return np.exp(s[..., 0] * s[..., 1] * (ratio + np.conj(ratio))) + cross
-
-
-def _sphere_rows(n, k, seed):
-    raw = np.abs(np.random.default_rng(seed).standard_normal((n, k))) + 0.05
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
-
-
-@pytest.mark.parametrize("p", [(0, 0, 0), (1, -1, 0), (1, 0, -1), (1, 0, 0), (-1, 2, 0)])
-def test_fourier_chunks_do_not_change_values(monkeypatch, p):
-    s = _sphere_rows(37, 3, 11)
-    whole = fourier_on_points(_exp_cross, s, p, grid=16)
-    axes = 2 if sum(p) == 0 else 3
-    monkeypatch.setattr(quad, "FOURIER_CHUNK_BYTES", 3 * 16 * 16**axes)
-    chunked = fourier_on_points(_exp_cross, s, p, grid=16)
-    assert chunked.tobytes() == whole.tobytes()
-
-
-def test_fourier_invariant_modes_use_k_minus_1_axes():
-    # For |p| = 0 the grid over the first k - 1 axes with t_k = 1 gives the
-    # same mean as the full grid^k one.
-    s = _sphere_rows(9, 3, 12)
-    tpts = quad.torus_grid(3, 16)
-    for p in [(0, 0, 0), (1, -1, 0), (2, 0, -2)]:
-        phase = np.prod(tpts ** (-np.array(p)), axis=1)
-        full = (_exp_cross(s[:, None, :], tpts[None, :, :]) * phase).mean(axis=1)
-        got = fourier_on_points(_exp_cross, s, p, grid=16)
-        assert np.max(np.abs(got - full)) < 1e-14
-
-
-def test_fourier_row_over_budget_raises_before_evaluating():
-    calls = []
-
-    def fn(s, t):
-        calls.append(1)
-        return np.ones(np.broadcast(s, t).shape[:-1])
-
-    s = _sphere_rows(2, 3, 13)
-    with pytest.raises(QuadratureError, match="budget"):
-        fourier_on_points(fn, s, (0, 0, 0), grid=2048)  # 2048^2 points per row
-    with pytest.raises(QuadratureError, match="budget"):
-        fourier_on_points(fn, s, (1, 0, 0), grid=160)  # 160^3 points per row
-    assert not calls
-    assert fourier_on_points(fn, s, (1, 0, 0), grid=64) == pytest.approx([0, 0])
 
 
 @pytest.mark.parametrize(
@@ -383,12 +331,6 @@ def test_simplex_rule_rejects_nodes_outside_the_simplex_and_negative_weights():
         SimplexRule(dim=2, nodes=past, weights=weights)
     with pytest.raises(QuadratureError, match="positive"):
         SimplexRule(dim=2, nodes=nodes, weights=np.array([0.5, -1e-300, 0.5]))
-
-
-def test_fourier_on_points_rejects_a_misshaped_symbol():
-    s_points = np.full((3, 2), math.sqrt(0.5))
-    with pytest.raises(QuadratureError, match=r"shape \(3,\)"):
-        fourier_on_points(lambda s, t: np.ones(3), s_points, (0, 0), grid=8)
 
 
 def test_dirichlet_rule_cache_is_bounded_by_bytes_in_lru_order(monkeypatch):

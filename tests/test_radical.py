@@ -27,10 +27,12 @@ from toeplitz_spectra.radical import (
 )
 from toeplitz_spectra.spectra import SpectralContext, block_eigenvalues
 from toeplitz_spectra.symbols import (
+    MonomialProfile,
+    Profile,
     QuasiRadialSymbol,
     builtin_quasi_homogeneous,
     constant_symbol,
-    expression_symbol,
+    mode_symbol,
     profile_symbol,
 )
 
@@ -374,8 +376,12 @@ def q_diag(model, D, j, d):
 
 
 def test_indeterminate_rank_refines_at_twice_the_block_order(monkeypatch):
-    sym = expression_symbol(1, 2, "exp(s1) + s1*s2*(t1*conj(t2) + t2*conj(t1))")
-    model = AlgebraModel(cfg=PartitionConfig(k=(2,)), symbols={1: sym}, block_order=8, torus_grid=16)
+    # exp(s1) + s1*s2*(t1*conj(t2) + t2*conj(t1)) with its p = 0 profile on
+    # quadrature, so that the refined block differs.
+    cross = MonomialProfile((1, 1))
+    table = {(0, 0): Profile(lambda s: np.exp(s[..., 0]), "exp(s1)"), (1, -1): cross, (-1, 1): cross}
+    sym = mode_symbol(1, 2, table, "exp-cross", boundary_continuous=False)
+    model = AlgebraModel(cfg=PartitionConfig(k=(2,)), symbols={1: sym}, block_order=8)
     ctx = SpectralContext(model=model)
     original = radical.is_diagonalizable
     scanned, refined = [], []
@@ -393,6 +399,6 @@ def test_indeterminate_rank_refines_at_twice_the_block_order(monkeypatch):
     monkeypatch.setattr(radical, "is_diagonalizable", flaky)
     verdict = radical.is_semisimple(ctx, 3)
     assert verdict.semisimple and scanned == [0, 1, 2, 3] and len(refined) == 1
-    want = assemble_block(sym, 1, 2, order=16, torus_grid=16)
+    want = assemble_block(sym, 1, 2, order=16)
     assert refined[0].tobytes() == want.tobytes()
     assert not np.array_equal(want, model.block(1, 2))

@@ -514,7 +514,7 @@ class TestSpectrumHull:
     def test_circle_symbol_fills(self):
         cfg = PartitionConfig(k=(2,))
         sym = expression_symbol(1, 2, "exp(2*pi*i*s1^2)", boundary_continuous=True)
-        model = AlgebraModel(cfg=cfg, symbols={1: sym}, block_order=32, torus_grid=16)
+        model = AlgebraModel(cfg=cfg, symbols={1: sym}, block_order=32)
         ctx = SpectralContext(model=model, hull_resolution=512)
         swh = spectrum_with_hull(ctx, 1, 4)
         assert swh.extra_cells > 100
@@ -554,7 +554,7 @@ class TestInverseClosed:
     def test_circle_family_false(self):
         cfg = PartitionConfig(k=(1, 2))
         sym = expression_symbol(2, 2, "exp(2*pi*i*s1^2)", boundary_continuous=True)
-        model = AlgebraModel(cfg=cfg, symbols={2: sym}, block_order=32, torus_grid=16)
+        model = AlgebraModel(cfg=cfg, symbols={2: sym}, block_order=32)
         ctx = SpectralContext(model=model, hull_resolution=512)
         report = is_inverse_closed(ctx, 4)
         assert not report.inverse_closed

@@ -1,23 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import parse_symbol_text
+from oracles import parse_symbol_text, torus_mode
 
 from toeplitz_spectra import symbols
 from toeplitz_spectra.errors import SymbolError, SymbolParseError
-from toeplitz_spectra.quad import fourier_on_points
 from toeplitz_spectra.symbols import (
     MAX_PROFILE_DEGREE,
     MAX_PROFILE_TERMS,
     MonomialProfile,
     Profile,
-    PseudoHomogeneousSymbol,
     QuasiRadialSymbol,
     builtin_quasi_homogeneous,
-    check_invariance,
     constant_symbol,
     expression_symbol,
     mode_symbol,
@@ -204,22 +202,22 @@ class TestPseudoHomogeneous:
             builtin_quasi_homogeneous(1, (2, -1, -1)),
             profile_symbol(1, 2, "s1^2"),
             constant_symbol(1, 3, 2.5),
+            expression_symbol(1, 2, "exp(s1*s2*(t1*conj(t2) + t2*conj(t1)))"),
         ]:
-            report = check_invariance(sym, samples=64, tol=1e-12)
-            assert report.ok, (sym.label, report.worst)
+            s, t = _sphere_points(64, sym.dim, 0), _torus_points(64, sym.dim, 1)
+            g = _torus_points(64, 1, 2)
+            assert np.max(np.abs(sym(s, g * t) - sym(s, t))) < 1e-12, sym.label
 
     def test_invariance_failure(self):
-        bare = PseudoHomogeneousSymbol(
-            group=1, dim=2, fn=lambda s, t: t[..., 0], label="t1"
-        )
-        report = check_invariance(bare, samples=32, tol=1e-12)
-        assert not report.ok
-        assert report.worst > 0.1
+        # A series table decides invariance as a polynomial's does: the
+        # modes (n, 0) of exp(s1*t1) carry mass 1/n!.
+        with pytest.raises(SymbolError, match=r"not invariant.*mode \(1, 0\)"):
+            expression_symbol(1, 2, "exp(s1*t1)")
 
     def test_profile_has_no_torus_dependence(self):
         c = profile_symbol(1, 2, "s1*s2 + 0.25")
-        report = check_invariance(c, samples=32)
-        assert report.ok
+        s = _sphere_points(32, 2, 0)
+        assert np.array_equal(c(s, _torus_points(32, 2, 1)), c(s, _torus_points(32, 2, 2)))
 
     def test_polynomial_profile_compiles_to_canonical_terms(self):
         def terms(text, dim=2):
@@ -236,9 +234,14 @@ class TestPseudoHomogeneous:
         binomial = terms("(s1 + s2)^200")
         assert [e for e, _ in binomial] == [(n, 200 - n) for n in range(201)]
         assert binomial[100][1] == pytest.approx(math.comb(200, 100), rel=1e-12)
-        # non-polynomials, also when a polynomial part is past the limits
-        for text in ("exp(s1)", "s1/2", "s1^0.5", "conj(s1)", "s1^s2", "s1 + 1/0",
-                     "exp(s1) + (s1 + s2)^20000"):
+        # conj of a real variable is the variable; a division by a constant
+        # is a product
+        assert terms("conj(s1)") == terms("s1")
+        assert terms("s1/2") == [((1, 0), 0.5)]
+        # exp and division compile to series (see TestCompiledSeries); texts
+        # that have none stay on quadrature, also when a polynomial part is
+        # past the limits
+        for text in ("s1^0.5", "s1^s2", "s1 + 1/0", "exp(s1) + (s1 + s2)^20000"):
             prof = profile_symbol(1, 2, text, boundary_continuous=False).modes[(0, 0)]
             assert prof.terms is None, text
         # Declared boundary continuous, as by default, the last two are
@@ -276,7 +279,7 @@ class TestPseudoHomogeneous:
 
     def test_expression_symbol_validation(self):
         good = expression_symbol(1, 2, "exp(s1*s2*(t1*conj(t2) + conj(t1)*t2))")
-        assert good.modes is None
+        assert all(prof.terms for prof in good.modes.values())
         with pytest.raises(SymbolError):
             expression_symbol(1, 2, "t1")
         # A polynomial in s, t, conj(t) compiles to its mode table.
@@ -289,10 +292,10 @@ class TestPseudoHomogeneous:
     def test_nonfinite_symbol_rejected_at_load(self):
         with pytest.raises(SymbolError):
             expression_symbol(1, 2, "1/(s1*s2*0)", boundary_continuous=True)
-        # A constant 1/0 is inf, so the invariance probe of a probed
-        # expression refuses it whatever the continuity flag.
+        # A constant 1/0 is inf, so a torus expression holding one has no
+        # table, and is refused whatever the continuity flag.
         for flag in (True, False):
-            with pytest.raises(SymbolError, match="non-finite"):
+            with pytest.raises(SymbolError, match="does not compile"):
                 expression_symbol(1, 2, "exp(t1*conj(t2)) + 1/0", boundary_continuous=flag)
 
     def test_declared_support_matches_numeric(self):
@@ -301,12 +304,12 @@ class TestPseudoHomogeneous:
         rng = np.random.default_rng(7)
         raw = np.abs(rng.standard_normal((20, 3))) + 0.05
         s = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        got = fourier_on_points(sym.fn, s, (2, -1, -1), grid=12)
+        got = torus_mode(sym.fn, s, (2, -1, -1), grid=12)
         want = s[:, 0] ** 2 * s[:, 1] * s[:, 2]
         assert np.max(np.abs(got - want)) < 1e-10
-        # all other probed modes vanish
+        # all other modes vanish
         for p in [(1, -1, 0), (0, 1, -1), (1, 0, -1), (3, -2, -1)]:
-            vals = fourier_on_points(sym.fn, s, p, grid=12)
+            vals = torus_mode(sym.fn, s, p, grid=12)
             assert np.max(np.abs(vals)) < 1e-12
 
     def test_monomial_profile_validation(self):
@@ -315,6 +318,15 @@ class TestPseudoHomogeneous:
         prof = MonomialProfile((2, 0), coeff=3.0)
         s = np.array([[0.5, 0.5]])
         assert prof(s)[0] == pytest.approx(0.75)
+
+
+def _sphere_points(n: int, k: int, seed: int) -> np.ndarray:
+    raw = np.abs(np.random.default_rng(seed).standard_normal((n, k))) + 0.05
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+def _torus_points(n: int, k: int, seed: int) -> np.ndarray:
+    return np.exp(2j * np.pi * np.random.default_rng(seed).random((n, k)))
 
 
 EXPR_GROUP_1 = "0.421*s1^2 + 0.969*s1*s2*(t1*conj(t2)+t2*conj(t1)) + 0.832*s2^2"
@@ -357,7 +369,7 @@ class TestCompiledExpression:
 
     def test_polynomial_limits_refuse(self):
         with pytest.raises(SymbolError, match="degree"):
-            expression_symbol(1, 2, "(t1*conj(t1))^20000")
+            expression_symbol(1, 2, "(s1*t1*conj(t1))^20000")
         with pytest.raises(SymbolError, match="terms"):
             expression_symbol(1, 3, "(s1*t1*conj(t2) + s2*t2*conj(t3) + s3*t3*conj(t1))^44")
 
@@ -391,6 +403,57 @@ class TestCompiledExpression:
         want = complex(expr.evaluate({"s1": s[0], "s2": s[1], "t1": t[0], "t2": t[1]}))
         scale = 1.0 + sum(abs(term.coeff) for terms in table.values() for term in terms)
         assert abs(rebuilt - want) <= 1e-12 * scale
+
+
+# Torus texts that compile to truncated series.
+SERIES_TEXTS = [
+    (2, "exp(s1*s2*(t1*conj(t2)+t2*conj(t1)))"),
+    (2, "1/(1.5 + s1^2*s2^2*(t1^2*conj(t2)^2+t2^2*conj(t1)^2))"),
+    (2, "exp(s1)*(1 + s1*s2*(t1*conj(t2)+t2*conj(t1)))"),
+    (3, "exp(s2*s3*(t2*conj(t3)+t3*conj(t2)))*(2 - s1^2)"),
+]
+
+
+def _weighted_mass(sym) -> float:
+    """sum |coeff| sup|s^a| over a table's terms; the sup of s^a on the
+    sphere is prod (a_l/|a|)^(a_l/2)."""
+    def sup(a):
+        return math.prod((v / sum(a)) ** (v / 2) for v in a if v)
+
+    return sum(abs(term.coeff) * sup(term.powers) for prof in sym.modes.values() for term in prof.terms)
+
+
+class TestCompiledSeries:
+    @pytest.mark.parametrize("k, text", SERIES_TEXTS)
+    def test_mode_profiles_match_the_torus_mean(self, k, text):
+        # The oracle's grid passes twice the largest mode, so that no table
+        # mode aliases onto another; the modes past the table are below 1e-16.
+        sym = expression_symbol(1, k, text)
+        grid = max(16, 2 * max(abs(v) for p in sym.modes for v in p) + 2)
+        s = _sphere_points(8, k, 3)
+        shifts = [tuple(m * (l == k - 2) - m * (l == k - 1) for l in range(k)) for m in range(-3, 4)]
+        for p in sorted(set(sym.modes) | set(shifts)):
+            want = torus_mode(sym.fn, s, p, grid)
+            got = sym.modes[p](s) if p in sym.modes else 0.0
+            assert np.max(np.abs(got - want)) <= 1e-12 * _weighted_mass(sym), p
+
+    @pytest.mark.parametrize("text", [
+        "(s1*s2*(t1*conj(t2)+t2*conj(t1)))^0.5",  # no series for a power 0.5
+        "1/(0.9 + s1*s2*(t1*conj(t2)+t2*conj(t1)))",  # ratio 1/0.9 > 1
+        # ratio 2/3, but its series passes MAX_PROFILE_TERMS before its tail
+        # falls to SERIES_TOL
+        "1/(1.5 + s1*s2*(t1*conj(t2)+t2*conj(t1)))",
+    ])
+    def test_torus_text_without_a_certified_table_is_refused(self, text):
+        with pytest.raises(SymbolError, match=f"{re.escape(repr(text))}.*does not compile"):
+            expression_symbol(1, 2, text)
+
+    def test_mass_must_stay_near_the_largest_value(self):
+        # exp(-10*s1) has mass e^10 against values at most 1: cancellation
+        # would cost its closed-form entries about 1e-12, so it stays on
+        # quadrature; exp(-6*s1) (mass 403) compiles.
+        assert profile_symbol(1, 2, "exp(-10*s1)").modes[(0, 0)].terms is None
+        assert profile_symbol(1, 2, "exp(-6*s1)").modes[(0, 0)].terms is not None
 
 
 def test_quasi_radial_symbol_rejects_a_misshaped_handle():
