@@ -190,13 +190,18 @@ CIRCLE_RESOLUTION = 512
 
 
 def planar_hulls(rng: np.random.Generator, n_points: int, points_resolution: int) -> list[dict]:
-    """The unit circle's hull is the disk; hulls fix finite point sets and
-    are idempotent."""
+    """The hull of the unit circle, marked as its 1000 chords, each the
+    degenerate triangle (i, i+1, i+1), is the disk; hulls fix finite point
+    sets and are idempotent."""
     circle = np.exp(2j * np.pi * np.arange(1000) / 1000)
-    hull = polynomial_hull_2d(PlanarRegion.from_curve(circle, CIRCLE_RESOLUTION))
+    ring = PlanarRegion.framing(circle, CIRCLE_RESOLUTION, "curve samples")
+    end = (np.arange(1000) + 1) % 1000
+    ring.mark(circle, np.stack([np.arange(1000), end, end], axis=1))
+    hull = polynomial_hull_2d(ring)
     area_err = abs(hull.area() - math.pi) / math.pi
     pts = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
-    finite = PlanarRegion.from_points(pts, points_resolution)
+    finite = PlanarRegion.framing(pts, points_resolution, "point cloud")
+    finite.mark(pts)
     return [
         _record("hull-circle-area", area_err, 0.01),
         _flag("hull-finite-fixed", np.array_equal(polynomial_hull_2d(finite).occ, finite.occ)),

@@ -59,7 +59,6 @@ from .spectra import (
     accumulation_check,
     berezin_sequence,
     boundary_sample_count,
-    is_inverse_closed,
     resolution_drift_cells,
     spectrum_with_hull,
 )
@@ -350,9 +349,13 @@ def validate_config(raw: dict) -> dict:
         norm = float(np.linalg.norm(w))
         if not 0.0 < norm < 1.0:
             raise ConfigError(f"berezin w must lie in the open ball minus 0, |w| = {norm:.4f}")
-    g = (cfg.get("radical") or {}).get("group", 1)
+    radical = cfg.get("radical") or {}
+    g = radical.get("group", 1)
     if not 1 <= g <= m:
         raise ConfigError(f"radical group {g} outside 1..{m}")
+    gamma = radical.get("gamma") or {}
+    if gamma.get("kind") == "geometric_decay" and gamma.get("rate", 0) >= 1:
+        raise ConfigError(f"radical.gamma.rate must be in [0, 1), got {gamma['rate']}")
     _price_raster(cfg["hull"], [k[spec["group"] - 1] for spec in cfg["symbols"]])
     _price_blocks(cfg, k)
     return cfg
@@ -451,7 +454,7 @@ def _build_symbol(spec, cfg: PartitionConfig) -> PseudoHomogeneousSymbol:
     g = spec["group"]
     kj = cfg.k[g - 1]
     kind = spec["kind"]
-    bc = spec.get("boundary_continuous", kind != "expression")
+    bc = spec.get("boundary_continuous", True)
     where = f"symbol of group {g}"
     if kind in ("constant", "quasi_homogeneous") and "boundary_continuous" in spec:
         raise ConfigError(
@@ -662,7 +665,7 @@ def cmd_spectrum(setup: Setup) -> dict:
 def cmd_hull(setup: Setup) -> dict:
     D = setup.config["degree_cap"]
     res = setup.ctx.hull_resolution
-    payload = {"groups": {}}
+    payload, convex = {"groups": {}}, {}
     for j in range(1, setup.cfg.m + 1):
         swh = spectrum_with_hull(setup.ctx, j, D)
         for name, region in (("sp", swh.sp_region), ("hull", swh.hull_region)):
@@ -684,12 +687,16 @@ def cmd_hull(setup: Setup) -> dict:
             "resolution_drift_rel": drift_cells / max(swh.hull_region.count(), 1),
             "extra_cells": swh.extra_cells,
         }
+        convex[str(j)] = {
+            "polynomially_convex": swh.polynomially_convex,
+            "extra_cells": swh.extra_cells,
+            "extra_area": swh.extra_cells * swh.hull_region.cell ** 2,
+            "spectrum_cells": swh.sp_region.count(),
+        }
         del fine
-    inv = is_inverse_closed(setup.ctx, D)
-    payload["inverse_closed"] = inv.inverse_closed
-    payload["inverse_closed_per_group"] = {
-        str(j): rep for j, rep in inv.per_group.items()
-    }
+    # Inverse-closedness holds iff every generator spectrum is polynomially convex.
+    payload["inverse_closed"] = all(g["polynomially_convex"] for g in convex.values())
+    payload["inverse_closed_per_group"] = convex
     return payload
 
 
@@ -800,10 +807,7 @@ def _radical_gamma(spec: dict, j: int) -> DiagonalCoefficient:
     spec = spec or {}
     if spec.get("kind", "indicator_degree") == "indicator_degree":
         return DiagonalCoefficient.indicator_degree(j, spec.get("d", 1))
-    rate = float(spec.get("rate", 0.5))
-    if rate >= 1:
-        raise ConfigError(f"decay rate must be in [0,1), got {rate}")
-    return DiagonalCoefficient.geometric_decay(j, rate)
+    return DiagonalCoefficient.geometric_decay(j, float(spec.get("rate", 0.5)))
 
 
 def cmd_radical(setup: Setup) -> dict:

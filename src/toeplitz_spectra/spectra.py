@@ -6,8 +6,9 @@ block spectra; for boundary-continuous symbols the essential spectrum is
 the boundary image of the symbol, sampled on the sphere.  The image is
 rasterized as filled cells: every 2-face of the sampled (sigma, tau)
 parameter grid is cut into triangles, and every grid cell that the image
-of one of them meets is marked, in one vectorized pass; a sampled curve
-goes through the same fill, its segments as degenerate triangles.  In the
+of one of them meets is marked, in one vectorized pass.  Every region is
+an empty grid from `PlanarRegion.framing` marked by `PlanarRegion.mark`, so
+points and curves go through the same fill, as degenerate triangles.  In the
 plane the polynomially convex hull of a compact set is the set together
 with the bounded components of its complement, which a union-find over the
 row runs of the complement computes exactly at fixed resolution.  The fill
@@ -141,68 +142,32 @@ class PlanarRegion:
     def resolution(self) -> int:
         return self.occ.shape[0]
 
-    @staticmethod
-    def _frame(points: np.ndarray, resolution: int):
-        xs, ys = points.real, points.imag
+    @classmethod
+    def framing(cls, points, resolution: int, provenance: str) -> "PlanarRegion":
+        """An empty grid of resolution x resolution cells on the square
+        that frames the points: their bounding box's center, its longer
+        side padded by a tenth at each end (at least 2.2e-6 across)."""
+        pts = np.asarray(points, dtype=complex).ravel()
+        if pts.size == 0:
+            raise SpectraError("cannot frame an empty point set")
+        xs, ys = pts.real, pts.imag
         cx, cy = (xs.min() + xs.max()) / 2.0, (ys.min() + ys.max()) / 2.0
         half = max(xs.max() - xs.min(), ys.max() - ys.min()) / 2.0
         half = max(half, 1e-6)
         half *= 1.1
         x0, x1, y0, y1 = cx - half, cx + half, cy - half, cy + half
         cell = max(x1 - x0, y1 - y0) / resolution
-        return x0, y0, cell
-
-    def _indices(self, points: np.ndarray):
-        ix = np.clip(((points.real - self.x0) / self.cell).astype(int), 0, self.resolution - 1)
-        iy = np.clip(((points.imag - self.y0) / self.cell).astype(int), 0, self.resolution - 1)
-        return iy, ix
-
-    @classmethod
-    def from_points(
-        cls,
-        points,
-        resolution: int = 512,
-        *,
-        dilate: int = 0,
-        provenance: str = "point cloud",
-    ) -> "PlanarRegion":
-        pts = np.asarray(points, dtype=complex).ravel()
-        if pts.size == 0:
-            raise SpectraError("cannot rasterize an empty point set")
-        x0, y0, cell = cls._frame(pts, resolution)
         occ = np.zeros((resolution, resolution), dtype=bool)
-        region = cls(x0=x0, y0=y0, cell=cell, occ=occ, provenance=provenance, samples=pts)
-        iy, ix = region._indices(pts)
-        occ[iy, ix] = True
-        if dilate > 0:
-            region.occ = _dilate_cells(occ, dilate)
-        return region
+        return cls(x0=x0, y0=y0, cell=cell, occ=occ, provenance=provenance)
 
-    @classmethod
-    def empty(cls, bbox, resolution: int = 512, provenance: str = "empty") -> "PlanarRegion":
-        x0, x1, y0, y1 = bbox
-        cell = max(x1 - x0, y1 - y0) / resolution
-        return cls(
-            x0=x0, y0=y0, cell=cell,
-            occ=np.zeros((resolution, resolution), dtype=bool),
-            provenance=provenance,
-        )
-
-    @classmethod
-    def from_curve(cls, points, resolution: int = 512) -> "PlanarRegion":
-        """Rasterize a sampled closed curve: every cell that a segment between
-        consecutive samples (the last joined to the first) touches, each
-        segment filled as the degenerate triangle (i, i+1, i+1)."""
+    def mark(self, points, triangles: np.ndarray | None = None) -> None:
+        """Mark every cell that a triangle, an (n, 3) array of indices into
+        the complex ``points``, meets (see _fill_triangles); by default each
+        point alone, as the degenerate triangle (i, i, i)."""
         pts = np.asarray(points, dtype=complex).ravel()
-        if pts.size < 2:
-            return cls.from_points(pts, resolution, provenance="curve samples")
-        x0, y0, cell = cls._frame(pts, resolution)
-        occ = np.zeros((resolution, resolution), dtype=bool)
-        region = cls(x0=x0, y0=y0, cell=cell, occ=occ, provenance="curve samples", samples=pts)
-        start = np.arange(pts.size)
-        end = (start + 1) % pts.size
-        _fill_triangles(region, pts, np.stack([start, end, end], axis=1))
-        return region
+        if triangles is None:
+            triangles = np.repeat(np.arange(pts.size), 3).reshape(-1, 3)
+        _fill_triangles(self, pts, triangles)
 
     def area(self) -> float:
         return float(self.occ.sum()) * self.cell * self.cell
@@ -218,23 +183,11 @@ class PlanarRegion:
             and math.isclose(self.cell, other.cell, rel_tol=1e-12)
         )
 
-    def union(self, other: "PlanarRegion") -> "PlanarRegion":
-        if not self.same_grid(other):
-            raise SpectraError("regions live on different grids")
-        return PlanarRegion(
-            self.x0, self.y0, self.cell, self.occ | other.occ,
-            f"({self.provenance})|({other.provenance})", self.samples,
-        )
-
-    def minus_count(self, other: "PlanarRegion") -> int:
-        if not self.same_grid(other):
-            raise SpectraError("regions live on different grids")
-        return int((self.occ & ~other.occ).sum())
-
     def contains_point(self, z: complex, slack_cells: int = 0) -> bool:
         occ = self._dilated(slack_cells) if slack_cells > 0 else self.occ
-        iy, ix = self._indices(np.array([z], dtype=complex))
-        return bool(occ[iy[0], ix[0]])
+        at = (np.array([z.real, z.imag]) - (self.x0, self.y0)) / self.cell
+        ix, iy = np.clip(at.astype(int), 0, self.resolution - 1)
+        return bool(occ[iy, ix])
 
     def _dilated(self, cells: int) -> np.ndarray:
         """The grid dilated by `cells` 4-connected steps, computed once per
@@ -358,7 +311,6 @@ def polynomial_hull_2d(region: PlanarRegion) -> PlanarRegion:
         cell=region.cell,
         occ=occ | _bounded_holes(occ),
         provenance=f"hull({region.provenance})",
-        samples=region.samples,
     )
 
 
@@ -459,9 +411,9 @@ def _fill_triangles(region: PlanarRegion, points: np.ndarray, triangles: np.ndar
     `points` are complex vertices and `triangles` an (n, 3) array of
     indices into them; degenerate triangles (segments and points) mark the
     cells they touch.  A cell is the half-open square [c, c+1) x [r, r+1)
-    in grid units, the floor convention `PlanarRegion._indices` uses for
-    points, so a segment along a grid line marks one row of cells, not
-    two; vertices are clipped to the grid box as `_indices` clips points.
+    in grid units, so a point marks cell clip(floor((z - origin) / cell),
+    0, res - 1) and a segment along a grid line marks one row of cells,
+    not two; vertices are clipped to the grid box.
     For each (triangle, row) pair the x-extent of the triangle inside the
     row's band comes from its vertices in the band and its edges'
     crossings of the band's two lines.  Each crossing is computed once per
@@ -537,8 +489,9 @@ def essential_spectrum_estimate(
     image triangle of sample values meets is marked, then the grid is
     dilated by one cell.  The declared continuity licenses filling
     between neighbouring samples; a segment or point image (a real or
-    constant symbol) marks just the cells it touches, and k = 1 marks the
-    cell of its single value.
+    constant symbol) marks just the cells it touches, and k = 1, whose
+    grid is one point and has no faces, marks the cell of its one value.
+    The region keeps the samples, which the benchmark's tracer reads.
     """
     if not c.boundary_continuous:
         raise SpectraError(
@@ -552,16 +505,11 @@ def essential_spectrum_estimate(
         raise SpectraError(
             f"symbol {c.label!r} is not finite at {bad} of its {flat.size} boundary samples"
         )
-    x0, y0, cell = PlanarRegion._frame(flat, resolution)
-    bbox = (x0, x0 + resolution * cell, y0, y0 + resolution * cell)
-    region = PlanarRegion.empty(bbox, resolution, provenance="boundary image")
+    region = PlanarRegion.framing(flat, resolution, "boundary image")
     region.samples = flat
-    if flat.size == 1:
-        iy, ix = region._indices(flat)
-        region.occ[iy, ix] = True
-    else:
-        for triangles in _face_triangles(c.dim, *_boundary_grid_counts(c.dim, samples)):
-            _fill_triangles(region, flat, triangles)
+    faces = [None] if c.dim == 1 else _face_triangles(c.dim, *_boundary_grid_counts(c.dim, samples))
+    for triangles in faces:
+        region.mark(flat, triangles)
     region.occ = _dilate_cells(region.occ, 1)
     return region
 
@@ -704,9 +652,11 @@ class SpectralContext:
         frames at ``resolution``; a group without a symbol images to 1."""
         sym = self.model.symbols.get(j)
         if sym is None:
-            return PlanarRegion.from_points(
-                np.array([1.0 + 0.0j]), resolution, dilate=1, provenance="boundary image"
-            )
+            one = np.ones(1, dtype=complex)
+            region = PlanarRegion.framing(one, resolution, "boundary image")
+            region.mark(one)
+            region.occ = _dilate_cells(region.occ, 1)
+            return region
         return essential_spectrum_estimate(sym, self.ess_samples, resolution=resolution)
 
     def ess_region(self, j: int) -> PlanarRegion:
@@ -730,6 +680,13 @@ class SpectrumWithHull:
     point_values: tuple[complex, ...]
     extra_cells: int  # hull minus spectrum, in grid cells
 
+    @property
+    def polynomially_convex(self) -> bool:
+        """The spectrum counts as polynomially convex when its hull adds at
+        most 100 cells; the generator algebra is inverse-closed iff every
+        group's is."""
+        return self.extra_cells <= 100
+
 
 def spectrum_with_hull(
     ctx: SpectralContext, j: int, Dmax: int, *, resolution: int | None = None
@@ -747,22 +704,24 @@ def spectrum_with_hull(
     memoized = res == ctx.hull_resolution
     ess = ctx.ess_region(j) if memoized else ctx.boundary_raster(j, res)
     pts = np.concatenate([ctx.distinct(j, d) for d in range(Dmax + 1)])
-    cells = np.floor(np.stack([pts.imag - ess.y0, pts.real - ess.x0]) / ess.cell).astype(int)
-    outside = pts[((cells < 0) | (cells >= res)).any(axis=0)]
+    at = np.stack([pts.real - ess.x0, pts.imag - ess.y0]) / ess.cell
+    outside = pts[((at < 0) | (at >= res)).any(axis=0)]
     if outside.size:
         raise SpectraError(f"group {j}: block eigenvalue {complex(outside[0]):.6g} lies outside "
                            "the frame of the sampled boundary image; raise hull.ess_samples")
-    marked = np.zeros_like(ess.occ)
-    marked[tuple(cells)] = True
-    pt_region = PlanarRegion(ess.x0, ess.y0, ess.cell, marked, "point spectrum", pts)
-    sp_region = ess.union(pt_region)
+    marked = PlanarRegion(ess.x0, ess.y0, ess.cell, np.zeros_like(ess.occ), "point spectrum")
+    marked.mark(pts)
     hulled = ctx.hulled_ess_region(j) if memoized else polynomial_hull_2d(ess)
-    hull_region = hulled.union(pt_region)
+    sp, hull = (
+        PlanarRegion(ess.x0, ess.y0, ess.cell, region.occ | marked.occ,
+                     f"({region.provenance})|(point spectrum)")
+        for region in (ess, hulled)
+    )
     return SpectrumWithHull(
-        sp_region=sp_region,
-        hull_region=hull_region,
+        sp_region=sp,
+        hull_region=hull,
         point_values=tuple(complex(v) for v in pts),
-        extra_cells=hull_region.minus_count(sp_region),
+        extra_cells=int((hull.occ & ~sp.occ).sum()),
     )
 
 
@@ -823,29 +782,3 @@ def accumulation_check(ctx: SpectralContext, j: int, Dmax: int) -> AccumulationR
     slack = max(1, int(math.ceil(0.05 / ess.cell)))
     violations = tuple(z for z in candidates if not ess.contains_point(z, slack_cells=slack))
     return AccumulationReport(group=j, candidates=tuple(candidates), violations=violations)
-
-
-@dataclass(frozen=True)
-class InverseClosedReport:
-    inverse_closed: bool
-    per_group: dict[int, dict]
-
-
-def is_inverse_closed(ctx: SpectralContext, Dmax: int) -> InverseClosedReport:
-    """Inverse-closedness holds iff every generator spectrum is polynomially
-    convex: the grid difference hull(sp) minus sp stays within 100 cells."""
-    per_group = {}
-    verdict = True
-    for j in range(1, ctx.cfg.m + 1):
-        swh = spectrum_with_hull(ctx, j, Dmax)
-        extra = swh.extra_cells
-        cell_area = swh.hull_region.cell ** 2
-        ok = extra <= 100
-        verdict = verdict and ok
-        per_group[j] = {
-            "polynomially_convex": ok,
-            "extra_cells": extra,
-            "extra_area": extra * cell_area,
-            "spectrum_cells": swh.sp_region.count(),
-        }
-    return InverseClosedReport(inverse_closed=verdict, per_group=per_group)

@@ -703,7 +703,7 @@ def profile_symbol(
 
 
 def expression_symbol(
-    group: int, dim: int, text: str, *, boundary_continuous: bool = False
+    group: int, dim: int, text: str, *, boundary_continuous: bool = True
 ) -> PseudoHomogeneousSymbol:
     """Generic symbol c(s, t) from an expression over s1..sk, t1..tk; the
     profile of the same text when it has no torus variable.  A text with a

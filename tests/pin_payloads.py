@@ -113,6 +113,20 @@ CONFIGS = {
         "gelfand": {"budget": 200},
         "seed": 5,
     },
+    # A quasi-radial symbol and a profile that do not compile, so their
+    # blocks and gammas come from the Dirichlet and Jacobi rules, at D=3.
+    "quadrature-d3": {
+        "partition": {"k": [1, 2], "lambda": 0.5},
+        "degree_cap": 3,
+        "quasi_radial": {"kind": "expression", "text": "(2 - r1^2*r2^2)^0.5"},
+        "symbols": [{"group": 2, "kind": "profile", "text": "(2 + s1^2 - s2^2)^0.5"}],
+        "quadrature": {"block_order": 48, "gamma_order": 48},
+        "hull": {"resolution": 128, "ess_samples": 512},
+        "berezin": {"group": 2, "w": [0.3, 0.4], "degrees": [4, 8, 16]},
+        "radical": {"group": 2, "level": 1, "gamma": {"kind": "geometric_decay", "rate": 0.5}},
+        "gelfand": {"budget": 200},
+        "seed": 13,
+    },
 }
 
 

@@ -228,6 +228,18 @@ def test_bad_radical_settings_are_config_errors(tmp_path, capsys, radical):
     assert err["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("command", ["assemble", "verify"])
+def test_decay_rate_past_one_is_refused_at_load(tmp_path, capsys, command):
+    radical = {"group": 2, "level": 1, "gamma": {"kind": "geometric_decay", "rate": 1.5}}
+    path = write_config(tmp_path, radical=radical)
+    assert main([command, "--config", str(path), "--no-cache"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])["error"]
+    assert err["type"] == "ConfigError"
+    assert "radical.gamma.rate" in err["message"]
+
+
 @pytest.mark.parametrize("command", ["berezin", "radical"])
 @pytest.mark.parametrize(
     "key, overrides",
@@ -265,9 +277,9 @@ def test_misspelt_config_key_is_config_error(tmp_path, capsys, command, key, ove
     ids=lambda spec: spec["kind"],
 )
 def test_boundary_continuous_is_read_or_refused(tmp_path, spec):
-    # Absent, it is true for every kind but expression.  A constant and a
-    # quasi-homogeneous symbol are continuous on the closed sphere, so the
-    # key is refused for them rather than dropped.
+    # Absent, it is true.  A constant and a quasi-homogeneous symbol are
+    # continuous on the closed sphere, so the key is refused for them
+    # rather than dropped.
     fixed = spec["kind"] in ("constant", "quasi_homogeneous")
     for flag in (None, True, False):
         item = {"group": 2, **spec, **({} if flag is None else {"boundary_continuous": flag})}
@@ -277,8 +289,17 @@ def test_boundary_continuous_is_read_or_refused(tmp_path, spec):
                 cli.build_setup(config, out=str(tmp_path / "out"))
             continue
         symbol = cli.build_setup(config, out=str(tmp_path / "out")).model.symbols[2]
-        want = spec["kind"] != "expression" if flag is None else flag
+        want = True if flag is None else flag
         assert symbol.boundary_continuous is want, flag
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_polynomial_expression_runs_without_the_continuity_key(tmp_path, command):
+    # A torus expression is a compiled table, continuous on the closed sphere.
+    text = "0.5*s1^2 + 0.3*s1*s2*(t1*conj(t2)+t2*conj(t1)) + 0.7*s2^2"
+    path = write_config(tmp_path, degree_cap=3, hull={"resolution": 128, "ess_samples": 512},
+                        symbols=[{"group": 2, "kind": "expression", "text": text}])
+    assert main([command, "--config", str(path), "--no-cache"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -872,14 +893,17 @@ TRACED_EIG = "spectra.eig_blocks"
     [("assemble", [TRACED_BLOCKS], False), ("hull", [TRACED_BLOCKS, TRACED_EIG], True),
      ("radical", [TRACED_BLOCKS, TRACED_EIG], False),
      ("spectrum", [TRACED_BLOCKS, TRACED_EIG], False),
-     ("gelfand", [TRACED_BLOCKS, TRACED_EIG], True)],
-    ids=["assemble", "hull", "radical", "spectrum", "gelfand"],
+     ("gelfand", [TRACED_BLOCKS, TRACED_EIG], True),
+     ("berezin", [TRACED_BLOCKS], False), ("semisimple", [TRACED_BLOCKS], False),
+     ("verify", [TRACED_BLOCKS, TRACED_EIG], True)],
+    ids=["assemble", "hull", "radical", "spectrum", "gelfand", "berezin", "semisimple", "verify"],
 )
 def test_benchmark_tracer_runs_on_the_package(tmp_path, command, counters, rasters):
     # perfbench/traced_cli.py wraps the package's functions from outside;
-    # a change to src/ that breaks its hooks fails here.  `assemble` solves
-    # no eigenvalue problem, so it has no eig count; `hull` and `gelfand`
-    # rasterize boundary images, whose grids the region hooks record.
+    # a change to src/ that breaks its hooks fails here.  `assemble`,
+    # `berezin` and `semisimple` count no eigenvalue problem; `hull`,
+    # `gelfand` and `verify` rasterize boundary images, whose grids the
+    # region hooks record.
     src = Path(cli.__file__).resolve().parents[1]
     path = write_config(tmp_path, degree_cap=3, hull={})
     out = tmp_path / "traced"

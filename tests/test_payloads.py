@@ -6,11 +6,13 @@ differs and the largest numeric deviation.  ``pin_payloads.py`` says how
 to rewrite the pins.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from pin_payloads import CONFIGS, PINS, compute_payloads, describe_difference, sha
+from toeplitz_spectra import cli
 from toeplitz_spectra.cli import CONFIG_SCHEMA
 
 PINNED = json.loads(PINS.read_text())
@@ -65,6 +67,44 @@ def test_payloads_match_pins(name, tmp_path):
         if sha(got[command]) != pin["sha256"]
     ]
     assert not moved, "payloads moved:\n" + "\n".join(moved)
+
+
+def test_quadrature_config_stays_on_the_rules(tmp_path):
+    # Neither text compiles, so the config covers the quadrature route.
+    config = cli.validate_config(json.loads(json.dumps(CONFIGS["quadrature-d3"])))
+    model = cli.build_setup(config, out=str(tmp_path)).model
+    assert model.quasi_radial.terms is None
+    assert all(profile.terms is None for profile in model.symbols[2].modes.values())
+
+
+# sha256 of the side files of `hull`: no payload holds their frame (x0, y0,
+# cell), so an ulp move of a grid shows only here.
+HULL_SIDE_FILES = {
+    "readme-d6": {
+        "hull_1.svg": "0b96e6c9a70fa743e9b080b01b218326d4709407e103b0fc110fbd0091b21f52",
+        "hull_2.svg": "725834b0074c6f4bcdee11bf6b82b691ab76f5072968600c30daab31e0a3bb58",
+        "region_hull_1.json": "fe58a8d26d11de38e6f295ecda6dfd83b72344b61bb0559ff920c0f5dde0159c",
+        "region_hull_2.json": "2b12b8325b7a00a553f28130f488ef897c5abe5f938deadf4c9b06e9cd8767a0",
+        "region_sp_1.json": "90a1996a30c957ae5f85c957f36c7da1cd78ea1bdfe4b9bdb0c6d8b1f31b640d",
+        "region_sp_2.json": "06af8a0a6e96ec68200b9e39e454a559a4a17772c51ba38ba053efe6e71b70eb",
+    },
+    "expr-s1-d4": {
+        "hull_1.svg": "8e852a2579c0f5cf114defa7127848c5eb85920f1632f28d7a6a3bfdb0f4fa1c",
+        "hull_2.svg": "7ad3efa9bbb0fe01d1245870aba424f49f525073203872dd93ac9c083eb02714",
+        "region_hull_1.json": "65f9f0ea691508330db395dbb5609e0f83b3b5c8dfb40b3a8e98dac00f5f5882",
+        "region_hull_2.json": "72826c4d85f538e1d4494170ac99018b87975fbe0cc918c978f1743cb8365210",
+        "region_sp_1.json": "032ae902987973096e0b7523c697e7599cbf48d73af3f7c0f7209de92f91d4dd",
+        "region_sp_2.json": "c2bd6c776b476abb928fff8f6b6c28ee002c0c9a4765a111216e9196d87931a2",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(HULL_SIDE_FILES))
+def test_hull_side_files_match_pins(name, tmp_path):
+    config = cli.validate_config(json.loads(json.dumps(CONFIGS[name])))
+    cli.cmd_hull(cli.build_setup(config, out=str(tmp_path)))
+    pins = HULL_SIDE_FILES[name]
+    assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in pins} == pins
 
 
 def test_describe_difference_names_path_and_deviation():

@@ -21,7 +21,6 @@ from toeplitz_spectra.spectra import (
     berezin_sequence,
     block_eigenvalues,
     essential_spectrum_estimate,
-    is_inverse_closed,
     polynomial_hull_2d,
     resolution_drift_cells,
     spectrum_with_hull,
@@ -103,12 +102,44 @@ class TestPointSpectrum:
         )
 
 
+def _grid(res, side=1.0, x0=0.0, y0=0.0):
+    """An empty res x res grid on the square [x0, x0 + side] x [y0, y0 + side]."""
+    return PlanarRegion(x0, y0, side / res, np.zeros((res, res), dtype=bool), "")
+
+
+def _blank(region):
+    """An empty grid with the frame of region."""
+    return PlanarRegion(region.x0, region.y0, region.cell, np.zeros_like(region.occ), "")
+
+
+def _points(points, res):
+    """Points marked on the grid that frames them."""
+    region = PlanarRegion.framing(points, res, "point cloud")
+    region.mark(points)
+    return region
+
+
+def _curve(points, res):
+    """A sampled closed curve marked on the grid that frames it, each
+    segment between consecutive samples the degenerate triangle (i, i+1, i+1)."""
+    region = PlanarRegion.framing(points, res, "curve samples")
+    end = (np.arange(len(points)) + 1) % len(points)
+    region.mark(points, np.stack([np.arange(len(points)), end, end], axis=1))
+    return region
+
+
+def _floor_cells(region, z):
+    """(row, column) of the cell each point falls in, clipped to the grid."""
+    res = region.resolution
+    ix = np.clip(np.floor((z.real - region.x0) / region.cell), 0, res - 1).astype(int)
+    iy = np.clip(np.floor((z.imag - region.y0) / region.cell), 0, res - 1).astype(int)
+    return iy, ix
+
+
 class TestResolutionDrift:
     @staticmethod
     def _pair(res=32):
-        base = PlanarRegion.empty((0.0, 1.0, 0.0, 1.0), res)
-        fine = PlanarRegion.empty((0.0, 1.0, 0.0, 1.0), 2 * res)
-        return base, fine
+        return _grid(res), _grid(2 * res)
 
     def test_matching_segment_rasters_do_not_drift(self):
         # A segment and its one-cell dilation at each resolution: the
@@ -132,7 +163,7 @@ class TestResolutionDrift:
         base, fine = self._pair()
         with pytest.raises(SpectraError):
             resolution_drift_cells(base, base)
-        shifted = PlanarRegion.empty((0.5, 1.5, 0.0, 1.0), 64)
+        shifted = _grid(64, x0=0.5)
         with pytest.raises(SpectraError):
             resolution_drift_cells(base, shifted)
 
@@ -141,21 +172,21 @@ class TestResolutionDrift:
 class TestPlanarRegion:
     def test_circle_hull_area(self):
         circle = np.exp(2j * np.pi * np.arange(1000) / 1000)
-        region = PlanarRegion.from_curve(circle, 512)
+        region = _curve(circle, 512)
         hull = polynomial_hull_2d(region)
         assert abs(hull.area() - math.pi) / math.pi < 0.01
         assert hull.count() > region.count()
 
     def test_finite_sets_are_polynomially_convex(self):
         pts = np.array([0.0, 1.0, 1j, -0.7 - 0.2j])
-        region = PlanarRegion.from_points(pts, 256)
+        region = _points(pts, 256)
         hull = polynomial_hull_2d(region)
         assert np.array_equal(hull.occ, region.occ)
 
     def test_hull_idempotent_and_monotone(self):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        region = PlanarRegion.from_curve(pts, 256)
+        region = _curve(pts, 256)
         hull = polynomial_hull_2d(region)
         assert np.all(hull.occ >= region.occ)
         assert np.array_equal(polynomial_hull_2d(hull).occ, hull.occ)
@@ -169,8 +200,8 @@ class TestPlanarRegion:
         curve = radii * np.exp(1j * angles)
         # the curve is closed and star-shaped around 0; hull area must be
         # stable under doubling the grid (within a perimeter-cell band)
-        r1 = PlanarRegion.from_curve(curve, 256)
-        r2 = PlanarRegion.from_curve(curve, 512)
+        r1 = _curve(curve, 256)
+        r2 = _curve(curve, 512)
         a1 = polynomial_hull_2d(r1).area()
         a2 = polynomial_hull_2d(r2).area()
         assert abs(a1 - a2) < 14 * r1.cell  # perimeter < ~2pi + slack
@@ -180,17 +211,17 @@ class TestPlanarRegion:
         pts = np.exp(2j * np.pi * np.arange(300) / 300)
         shift = 0.37 - 0.81j
         rot = np.exp(0.6j)
-        a = polynomial_hull_2d(PlanarRegion.from_curve(pts, 256)).area()
-        b = polynomial_hull_2d(PlanarRegion.from_curve(rot * pts + shift, 256)).area()
+        a = polynomial_hull_2d(_curve(pts, 256)).area()
+        b = polynomial_hull_2d(_curve(rot * pts + shift, 256)).area()
         assert abs(a - b) / a < 0.02
 
     def test_empty_rejected(self):
         with pytest.raises(SpectraError):
-            PlanarRegion.from_points([], 64)
+            PlanarRegion.framing([], 64, "nothing")
 
     def test_contains_point_dilates_once(self, monkeypatch):
         rng = np.random.default_rng(3)
-        region = PlanarRegion.from_points(rng.standard_normal(30) + 1j * rng.standard_normal(30), 128)
+        region = _points(rng.standard_normal(30) + 1j * rng.standard_normal(30), 128)
         fresh = ndimage.binary_dilation(region.occ, iterations=2)
         calls = []
         dilate = spectra._dilate_cells
@@ -203,8 +234,7 @@ class TestPlanarRegion:
         zs = rng.uniform(-3, 3, 300) + 1j * rng.uniform(-3, 3, 300)
         got = [region.contains_point(z, slack_cells=2) for z in zs]
         assert calls == [2]
-        iy, ix = region._indices(zs)
-        assert got == [bool(v) for v in fresh[iy, ix]]
+        assert got == [bool(v) for v in fresh[_floor_cells(region, zs)]]
         # a reassigned grid is dilated afresh
         region.occ = np.zeros_like(region.occ)
         assert not any(region.contains_point(z, slack_cells=2) for z in zs[:5])
@@ -231,7 +261,7 @@ class TestPlanarRegion:
             occ = rng.random((40, 37)) < density
             occ[3] = True
             occ[7] = False
-            region = PlanarRegion.empty((0.0, 1.0, 0.0, 1.0), 40)
+            region = _grid(40)
             region.occ = occ
             got = region.run_length_rows()
             assert got == loop_runs(occ)
@@ -309,14 +339,14 @@ class TestRasterizer:
     def test_fill_matches_separating_axis_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(60):
-            region = PlanarRegion.empty((0.0, 1.0, 0.0, 1.0), 32)
+            region = _grid(32)
             n = int(rng.integers(1, 5))
             tri = rng.uniform(0.02, 0.98, (n, 3)) + 1j * rng.uniform(0.02, 0.98, (n, 3))
             _fill(region, tri)
             assert np.array_equal(region.occ, _separating_axis_oracle(region, tri))
 
     def test_segments_and_points_mark_their_cells(self):
-        region = PlanarRegion.empty((0.0, 8.0, 0.0, 8.0), 8)
+        region = _grid(8, side=8.0)
         # a point inside cell (row 2, column 5), one on a grid corner, a
         # horizontal segment inside row 6, a vertical one on the line x = 1
         # and one along the top edge of the grid box
@@ -335,15 +365,35 @@ class TestRasterizer:
         want[0:2, 1] = True
         want[7, 6:8] = True  # clipped into the grid, as points are
         assert np.array_equal(region.occ, want)
-        # points land in the cells `_indices` gives them
-        iy, ix = region._indices(tri[:2, 0])
-        assert region.occ[iy, ix].all()
+
+    @given(
+        res=st.integers(1, 64),
+        origin=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        cell=st.floats(1e-3, 2.0),
+        units=st.lists(st.tuples(*[st.one_of(
+            st.integers(-3, 70), st.floats(-3.0, 70.0), st.just("far")
+        )] * 2), min_size=1, max_size=40),
+        framed=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mark_sets_the_floor_cells_of_points(self, res, origin, cell, units, framed):
+        # Points on grid lines (integral units), on the frame's far edge
+        # ("far", res units) and outside the grid land in the floor cell,
+        # clipped to the grid.
+        x0, y0 = origin
+        u, v = (np.array([res if a == "far" else a for a in c], dtype=float) for c in zip(*units))
+        z = (x0 + u * cell) + 1j * (y0 + v * cell)
+        region = PlanarRegion.framing(z, res, "") if framed else _grid(res, res * cell, x0, y0)
+        want = np.zeros_like(region.occ)
+        want[_floor_cells(region, z)] = True
+        region.mark(z)
+        assert np.array_equal(region.occ, want)
 
     def test_span_starting_left_of_the_grid_keeps_its_row(self):
         # the edge from 0.625 + 7.9j meets y = 3 at its end 3j, computed
         # as x = -1.1e-16: its span starts in column 0, not in the sentinel
         # column of the row below
-        region = PlanarRegion.empty((0.0, 8.0, 0.0, 8.0), 8)
+        region = _grid(8, side=8.0)
         _fill(region, [[0.625 + 7.9j, 3j, 3 + 3.5j]])
         assert region.occ[3].tolist() == [True] * 4 + [False] * 4
         assert not region.occ[:3].any()
@@ -353,7 +403,7 @@ class TestRasterizer:
         rng = np.random.default_rng(res)
         for _ in range(sets):
             tri = _edge_case_triangles(rng, res, int(rng.integers(1, 40)))
-            got, want = (PlanarRegion.empty((0.0, res, 0.0, res), res) for _ in range(2))
+            got, want = _grid(res, side=res), _grid(res, side=res)
             _fill(got, tri)
             _fill(want, tri, fill_triangles_rowwise)
             assert np.array_equal(got.occ, want.occ)
@@ -373,9 +423,7 @@ class TestRasterizer:
     def test_boundary_faces_match_rowwise_reference(self, dim, text, res):
         c = expression_symbol(1, dim, text, boundary_continuous=True)
         flat = spectra.boundary_image_values(c, 4096).ravel()
-        x0, y0, cell = PlanarRegion._frame(flat, res)
-        bbox = (x0, x0 + res * cell, y0, y0 + res * cell)
-        got, want = (PlanarRegion.empty(bbox, res) for _ in range(2))
+        got, want = (PlanarRegion.framing(flat, res, "boundary image") for _ in range(2))
         for triangles in spectra._face_triangles(dim, *spectra._boundary_grid_counts(dim, 4096)):
             spectra._fill_triangles(got, flat, triangles)
             fill_triangles_rowwise(want, flat, triangles)
@@ -398,17 +446,14 @@ class TestRasterizer:
 
     def test_k1_image_marks_one_cell(self):
         region = essential_spectrum_estimate(constant_symbol(1, 1, 0.3 - 0.2j), resolution=64)
-        iy, ix = region._indices(np.array([0.3 - 0.2j]))
         dot = np.zeros_like(region.occ)
-        dot[iy, ix] = True
+        dot[_floor_cells(region, np.array([0.3 - 0.2j]))] = True
         assert np.array_equal(region.occ, ndimage.binary_dilation(dot))
 
     def test_constant_symbol_marks_its_cells(self):
         value = 0.7 + 0.1j
         region = essential_spectrum_estimate(constant_symbol(1, 2, value), 256, resolution=64)
-        dot = PlanarRegion.empty(
-            (region.x0, region.x0 + 64 * region.cell, region.y0, region.y0 + 64 * region.cell), 64
-        )
+        dot = _blank(region)
         _fill(dot, np.full((1, 3), value))
         assert 1 <= dot.count() <= 4
         assert np.array_equal(region.occ, ndimage.binary_dilation(dot.occ))
@@ -416,9 +461,7 @@ class TestRasterizer:
     def test_real_segment_image_is_its_cells(self):
         # the boundary image of s1^2 is [0, 1]: filled faces add nothing to it
         region = essential_spectrum_estimate(profile_symbol(1, 2, "s1^2"), 1024, resolution=256)
-        line = PlanarRegion.empty(
-            (region.x0, region.x0 + 256 * region.cell, region.y0, region.y0 + 256 * region.cell), 256
-        )
+        line = _blank(region)
         _fill(line, [[0.0, 1.0, 1.0]])
         assert np.array_equal(region.occ, ndimage.binary_dilation(line.occ))
 
@@ -426,7 +469,7 @@ class TestRasterizer:
     def test_quasi_homogeneous_disk_is_polynomially_convex(self, p):
         # |z1 conj(z2)| / |z|^2 and its k = 3 analogue fill a closed disk
         region = essential_spectrum_estimate(builtin_quasi_homogeneous(1, p))
-        assert polynomial_hull_2d(region).minus_count(region) == 0
+        assert np.array_equal(polynomial_hull_2d(region).occ, region.occ)
 
 
 class TestEssentialSpectrum:
@@ -443,7 +486,7 @@ class TestEssentialSpectrum:
         assert region.contains_point(1.0, 1)
         assert not region.contains_point(0.5 + 0.4j)
         hull = polynomial_hull_2d(region)
-        assert hull.minus_count(region) == 0  # segments are polynomially convex
+        assert np.array_equal(hull.occ, region.occ)  # segments are polynomially convex
 
     def test_circle_image(self):
         sym = expression_symbol(1, 2, "exp(2*pi*i*s1^2)", boundary_continuous=True)
@@ -546,20 +589,24 @@ class TestAccumulation:
         assert any(abs(z) < 1e-9 for z in report.candidates)
 
 
+def _hulls(ctx, D):
+    """{group: spectrum with hull} of every group of the context."""
+    return {j: spectrum_with_hull(ctx, j, D) for j in range(1, ctx.cfg.m + 1)}
+
+
 class TestInverseClosed:
     def test_real_family_true(self, diagonal_ctx):
-        report = is_inverse_closed(diagonal_ctx, 5)
-        assert report.inverse_closed
+        assert all(swh.polynomially_convex for swh in _hulls(diagonal_ctx, 5).values())
 
     def test_circle_family_false(self):
         cfg = PartitionConfig(k=(1, 2))
         sym = expression_symbol(2, 2, "exp(2*pi*i*s1^2)", boundary_continuous=True)
         model = AlgebraModel(cfg=cfg, symbols={2: sym}, block_order=32)
         ctx = SpectralContext(model=model, hull_resolution=512)
-        report = is_inverse_closed(ctx, 4)
-        assert not report.inverse_closed
-        assert report.per_group[2]["extra_cells"] > 100
-        assert report.per_group[1]["polynomially_convex"]
+        hulls = _hulls(ctx, 4)
+        assert not hulls[2].polynomially_convex
+        assert hulls[2].extra_cells > 100
+        assert hulls[1].polynomially_convex
 
     def test_constants_true(self):
         cfg = PartitionConfig(k=(1, 1))
@@ -568,7 +615,7 @@ class TestInverseClosed:
             symbols={1: constant_symbol(1, 1, 2.0), 2: constant_symbol(2, 1, 1j)},
         )
         ctx = SpectralContext(model=model, hull_resolution=256)
-        assert is_inverse_closed(ctx, 4).inverse_closed
+        assert all(swh.polynomially_convex for swh in _hulls(ctx, 4).values())
 
 
 def _label_hull(occ):
@@ -596,7 +643,7 @@ def _spiral(n, closed):
 
 
 def _hull_occ(occ):
-    region = PlanarRegion.empty((0.0, 1.0, 0.0, 1.0), occ.shape[0])
+    region = _grid(occ.shape[0])
     region.occ = occ
     return polynomial_hull_2d(region).occ
 
