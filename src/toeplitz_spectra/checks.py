@@ -249,22 +249,6 @@ def projection_identities(basis: GlobalBasis, qtilde_degree: int) -> list[dict]:
     return [_flag("projection-identities", bool(ok))]
 
 
-def random_finite_sum(
-    rng: np.random.Generator, cfg: PartitionConfig, cap: int, count: int
-) -> FiniteSum:
-    """count random (gamma, rho) terms: rho_j in {0, 1, 2}, gamma a table of
-    complex normals over |kappa| <= cap (zero beyond)."""
-    total = FiniteSum.zero(cfg.m)
-    kappas = enumerate_kappa(cfg, cap)
-    for _ in range(count):
-        rho = tuple(int(rng.integers(0, 3)) for _ in range(cfg.m))
-        # one draw of 2K normals is the stream of K (real, imag) pairs
-        z = rng.standard_normal(2 * len(kappas)).tolist()
-        table = dict(zip(kappas, map(complex, z[0::2], z[1::2])))
-        total = total + FiniteSum.term(cfg.m, DiagonalCoefficient.from_table(table), rho)
-    return total
-
-
 def division_reconstruction(ctx: SpectralContext, cases, group: int, D: int) -> list[dict]:
     """Q_d A = sum_l S_l h_l(T_j) on the cap-D truncation for each (A, d) in
     cases; a part S_l (l < n) that still holds the generator counts as

@@ -18,6 +18,12 @@ tool version (fixed seeds, fixed summation orders).
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    # A command process: no collection while its modules load; main() freezes them.
+    gc.disable()
+
 import argparse
 import csv
 import hashlib
@@ -31,28 +37,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, checks
+from . import __version__
 from .assembly import AlgebraModel
 from .errors import ConfigError, SymbolError, ToeplitzError
-from .gelfand import (
-    DiagonalCoefficient,
-    FiniteSum,
-    assemble_finite_sum,
-    evaluate_gelfand,
-    sample_ideal_space,
-    spectral_radius_estimate,
-    validate_gelfand_point,
-)
 from .lattice import PartitionConfig
-from .radical import (
-    SUPPORT_TOL,
-    decompose_by_division,
-    escaped_gamma,
-    is_semisimple,
-    norm_constants,
-    power_norm_sequence,
-    radical_generator,
-)
 from .spectra import (
     PlanarRegion,
     SpectralContext,
@@ -606,6 +594,8 @@ def _region_svg(region: PlanarRegion, points=None) -> str:
 
 
 def cmd_assemble(setup: Setup) -> dict:
+    from .gelfand import FiniteSum, assemble_finite_sum
+
     D = setup.config["degree_cap"]
     op = assemble_finite_sum(_product_element(setup), setup.model, D)
     basis = setup.model.basis(D)
@@ -735,6 +725,8 @@ def cmd_berezin(setup: Setup) -> dict:
 
 def _product_element(setup: Setup) -> FiniteSum:
     """The element D_{gamma_a} T_1 ... T_m of the dense subalgebra."""
+    from .gelfand import DiagonalCoefficient, FiniteSum
+
     m = setup.cfg.m
     gamma = DiagonalCoefficient.from_callable(
         lambda kappa: setup.model.gamma(kappa), label="gamma_a"
@@ -744,6 +736,9 @@ def _product_element(setup: Setup) -> FiniteSum:
 
 
 def cmd_gelfand(setup: Setup) -> dict:
+    from .gelfand import (assemble_finite_sum, evaluate_gelfand, sample_ideal_space,
+                          spectral_radius_estimate, validate_gelfand_point)
+
     D = setup.config["degree_cap"]
     gconf = setup.config["gelfand"]
     points = sample_ideal_space(
@@ -788,6 +783,8 @@ def cmd_gelfand(setup: Setup) -> dict:
 
 
 def cmd_semisimple(setup: Setup) -> dict:
+    from .radical import is_semisimple
+
     D = setup.config["degree_cap"]
     verdict = is_semisimple(setup.ctx, D)
     setup.warnings.extend(verdict.warnings)
@@ -803,21 +800,23 @@ def cmd_semisimple(setup: Setup) -> dict:
     }
 
 
-def _radical_gamma(spec: dict, j: int) -> DiagonalCoefficient:
-    spec = spec or {}
-    if spec.get("kind", "indicator_degree") == "indicator_degree":
-        return DiagonalCoefficient.indicator_degree(j, spec.get("d", 1))
-    return DiagonalCoefficient.geometric_decay(j, float(spec.get("rate", 0.5)))
-
-
 def cmd_radical(setup: Setup) -> dict:
+    from .gelfand import (DiagonalCoefficient, random_finite_sum, sample_ideal_space,
+                          spectral_radius_estimate)
+    from .radical import (SUPPORT_TOL, decompose_by_division, escaped_gamma, is_semisimple,
+                          norm_constants, power_norm_sequence, radical_generator)
+
     D = setup.config["degree_cap"]
     rconf = setup.config.get("radical") or {}
     j = rconf.get("group")
     if j is None:
         j = min(setup.model.symbols) if setup.model.symbols else 1
     level = rconf.get("level", 1)
-    gamma = _radical_gamma(rconf.get("gamma"), j)
+    gspec = rconf.get("gamma") or {}
+    if gspec.get("kind", "indicator_degree") == "indicator_degree":
+        gamma = DiagonalCoefficient.indicator_degree(j, gspec.get("d", 1))
+    else:
+        gamma = DiagonalCoefficient.geometric_decay(j, float(gspec.get("rate", 0.5)))
     K_sur = setup.config["surrogate_kappa"]
     if escaped_gamma(gamma, setup.cfg.m, j, K_sur) > SUPPORT_TOL:
         raise ConfigError(
@@ -836,7 +835,7 @@ def cmd_radical(setup: Setup) -> dict:
     rng = np.random.default_rng(setup.config["seed"])
     residuals = []
     for _ in range(3):
-        A = checks.random_finite_sum(rng, setup.cfg, D, 4)
+        A = random_finite_sum(rng, setup.cfg, D, 4)
         parts = decompose_by_division(A, j, min(2, D), setup.ctx)
         residuals.append(parts.reconstruction_residual(setup.model, D))
     nc = norm_constants(setup.ctx, j, min(2, D))
@@ -866,6 +865,9 @@ def cmd_radical(setup: Setup) -> dict:
 
 
 def cmd_verify(setup: Setup) -> dict:
+    from . import checks
+    from .gelfand import DiagonalCoefficient, random_finite_sum
+
     D = setup.config["degree_cap"]
     model, ctx, cfg = setup.model, setup.ctx, setup.cfg
     # One generator, drawn in order by the Dirichlet trials, the hull's
@@ -884,7 +886,7 @@ def cmd_verify(setup: Setup) -> dict:
         *checks.projection_identities(model.basis(min(D, 4)), min(1, D)),
         *checks.division_reconstruction(
             ctx,
-            [(checks.random_finite_sum(rng, cfg, min(D, 3), 4), min(2, D)) for _ in range(5)],
+            [(random_finite_sum(rng, cfg, min(D, 3), 4), min(2, D)) for _ in range(5)],
             target_j,
             min(D, 3),
         ),
@@ -945,6 +947,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # A command process (python -m, or the script): no collection, those
+        # at exit included, walks its modules again.  main([...]) leaves gc be.
+        gc.freeze()
+        gc.enable()
     try:
         args = build_parser().parse_args(argv)
     except ConfigError as exc:

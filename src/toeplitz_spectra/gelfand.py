@@ -25,7 +25,7 @@ import numpy as np
 
 from .assembly import AlgebraModel, TruncatedOperator
 from .errors import GelfandError
-from .lattice import Index, enumerate_kappa
+from .lattice import Index, PartitionConfig, enumerate_kappa
 from .spectra import PlanarRegion, SpectralContext
 
 
@@ -209,6 +209,22 @@ class FiniteSum:
             (ga * gb, tuple(x + y for x, y in zip(ra, rb)))
             for ga, ra in self.terms for gb, rb in other.terms
         ])
+
+
+def random_finite_sum(
+    rng: np.random.Generator, cfg: PartitionConfig, cap: int, count: int
+) -> FiniteSum:
+    """count random (gamma, rho) terms: rho_j in {0, 1, 2}, gamma a table of
+    complex normals over |kappa| <= cap (zero beyond)."""
+    total = FiniteSum.zero(cfg.m)
+    kappas = enumerate_kappa(cfg, cap)
+    for _ in range(count):
+        rho = tuple(int(rng.integers(0, 3)) for _ in range(cfg.m))
+        # one draw of 2K normals is the stream of K (real, imag) pairs
+        z = rng.standard_normal(2 * len(kappas)).tolist()
+        table = dict(zip(kappas, map(complex, z[0::2], z[1::2])))
+        total = total + FiniteSum.term(cfg.m, DiagonalCoefficient.from_table(table), rho)
+    return total
 
 
 def assemble_finite_sum(A: FiniteSum, model: AlgebraModel, D: int) -> TruncatedOperator:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -184,9 +185,13 @@ class PlanarRegion:
         )
 
     def contains_point(self, z: complex, slack_cells: int = 0) -> bool:
+        """Whether z's cell is occupied; a point outside the frame takes the
+        edge cell it faces (the fill's rule), a non-finite one is outside."""
+        if not np.isfinite(z):
+            return False
         occ = self._dilated(slack_cells) if slack_cells > 0 else self.occ
         at = (np.array([z.real, z.imag]) - (self.x0, self.y0)) / self.cell
-        ix, iy = np.clip(at.astype(int), 0, self.resolution - 1)
+        ix, iy = np.clip(np.floor(at), 0, self.resolution - 1).astype(int)
         return bool(occ[iy, ix])
 
     def _dilated(self, cells: int) -> np.ndarray:
@@ -675,10 +680,31 @@ class SpectralContext:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumWithHull:
-    sp_region: PlanarRegion
-    hull_region: PlanarRegion
+    """A group's boundary raster, its hull and point spectrum on one grid;
+    sp = points | raster and hull = points | hulled raster are joined when
+    first read, so a caller of the hull alone builds no sp grid."""
+
+    ess_region: PlanarRegion
+    hulled_region: PlanarRegion
+    point_region: PlanarRegion
     point_values: tuple[complex, ...]
-    extra_cells: int  # hull minus spectrum, in grid cells
+
+    def _with_points(self, region: PlanarRegion) -> PlanarRegion:
+        return PlanarRegion(region.x0, region.y0, region.cell, region.occ | self.point_region.occ,
+                            f"({region.provenance})|(point spectrum)")
+
+    @cached_property
+    def sp_region(self) -> PlanarRegion:
+        return self._with_points(self.ess_region)
+
+    @cached_property
+    def hull_region(self) -> PlanarRegion:
+        return self._with_points(self.hulled_region)
+
+    @cached_property
+    def extra_cells(self) -> int:
+        """Hull minus spectrum, in grid cells."""
+        return int((self.hull_region.occ & ~self.sp_region.occ).sum())
 
     @property
     def polynomially_convex(self) -> bool:
@@ -712,17 +738,7 @@ def spectrum_with_hull(
     marked = PlanarRegion(ess.x0, ess.y0, ess.cell, np.zeros_like(ess.occ), "point spectrum")
     marked.mark(pts)
     hulled = ctx.hulled_ess_region(j) if memoized else polynomial_hull_2d(ess)
-    sp, hull = (
-        PlanarRegion(ess.x0, ess.y0, ess.cell, region.occ | marked.occ,
-                     f"({region.provenance})|(point spectrum)")
-        for region in (ess, hulled)
-    )
-    return SpectrumWithHull(
-        sp_region=sp,
-        hull_region=hull,
-        point_values=tuple(complex(v) for v in pts),
-        extra_cells=int((hull.occ & ~sp.occ).sum()),
-    )
+    return SpectrumWithHull(ess, hulled, marked, tuple(complex(v) for v in pts))
 
 
 def resolution_drift_cells(base: PlanarRegion, fine: PlanarRegion) -> int:

@@ -22,6 +22,7 @@ from toeplitz_spectra.assembly import AlgebraModel, assemble_block
 from toeplitz_spectra.gelfand import (
     DiagonalCoefficient,
     assemble_finite_sum,
+    random_finite_sum,
     sample_ideal_space,
 )
 from toeplitz_spectra.lattice import GlobalBasis, PartitionConfig, block_indices
@@ -332,7 +333,7 @@ def test_criterion_11_radical_generators(nilpotent_demo):
 def test_criterion_12_division_reconstruction(diagonal_demo):
     rng = np.random.default_rng(1212)
     cases = [
-        (checks.random_finite_sum(rng, diagonal_demo.cfg, 4, int(rng.integers(1, 6))), trial % 4)
+        (random_finite_sum(rng, diagonal_demo.cfg, 4, int(rng.integers(1, 6))), trial % 4)
         for trial in range(50)
     ]
     # Parts that still hold the generator count as residual 1.

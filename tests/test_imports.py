@@ -1,9 +1,14 @@
 """Import hygiene: numpy is the only runtime dependency.  Importing the CLI,
 and running all eight commands, `verify` included, on the README example
 and on an expression config, loads no scipy and no jsonschema module, in a
-fresh interpreter.  And every name that src/ defines is used in src/."""
+fresh interpreter.  A command process loads only the package modules its
+command runs, and freezes what it loaded; an in-process call leaves the
+collector alone.  And every name that src/ defines is used in src/."""
 
 import ast
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -11,6 +16,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from pin_payloads import CONFIGS, PINS
+from toeplitz_spectra.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -49,11 +57,16 @@ HEAVY_MODULES = (
 )
 
 
-def _run(code: str, cwd: Path) -> dict:
+def _write_config(tmp_path: Path, config: dict) -> Path:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(config, output_dir=str(tmp_path / "out"))))
+    return path
+
+
+def _run(code: str, cwd: Path, *args: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
-    )
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -65,8 +78,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
 @pytest.mark.parametrize("config", [README_CONFIG, EXPR_CONFIG], ids=["readme", "expr"])
 def test_commands_load_no_scipy_or_jsonschema(tmp_path, config):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(dict(config, output_dir=str(tmp_path / "out"))))
+    path = _write_config(tmp_path, config)
     code = (
         "import contextlib, io, json, sys\n"
         "from toeplitz_spectra.cli import main\n"
@@ -78,6 +90,82 @@ def test_commands_load_no_scipy_or_jsonschema(tmp_path, config):
     )
     result = _run(code, tmp_path)
     assert result == {"codes": dict.fromkeys(COMMANDS, 0), "loaded": []}
+
+
+# The package modules that only some commands load, per command; "setup" is
+# load_config and build_setup with no command.
+LAZY = ("gelfand", "radical", "checks")
+LOADS = {
+    "setup": [], "spectrum": [], "hull": [], "berezin": [],
+    "assemble": ["gelfand"], "gelfand": ["gelfand"],
+    "semisimple": ["gelfand", "radical"], "radical": ["gelfand", "radical"],
+    "verify": ["checks", "gelfand", "radical"],
+}
+
+# Runs cli as `python -m toeplitz_spectra.cli` does: as __main__.
+AS_MAIN = (
+    "import gc, json, runpy, sys\n"
+    "sys.argv = ['toeplitz-spectra', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('toeplitz_spectra.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+)
+SETUP_ONLY = (
+    "import gc, json, sys\n"
+    "from toeplitz_spectra.cli import build_setup, load_config\n"
+    "build_setup(load_config(sys.argv[1]))\n"
+    "code = 0\n"
+)
+LOADED = (
+    "loaded = sorted(m.split('.')[1] for m in sys.modules if m.startswith('toeplitz_spectra.'))\n"
+    "print(json.dumps({'code': code, 'loaded': loaded,\n"
+    "                  'gc': [gc.isenabled(), gc.get_freeze_count() > 0]}))\n"
+)
+
+
+@pytest.mark.parametrize("command", sorted(LOADS))
+def test_a_command_process_loads_only_the_modules_it_runs(tmp_path, command):
+    path = _write_config(tmp_path, README_CONFIG)
+    code = (SETUP_ONLY if command == "setup" else AS_MAIN) + LOADED
+    argv = [str(path)] if command == "setup" else [command, "--config", str(path)]
+    result = _run(code, tmp_path, *argv)
+    assert result["code"] == 0
+    assert [m for m in result["loaded"] if m in LAZY] == LOADS[command]
+    # A library import leaves gc alone; a command process runs its command
+    # with the collector on and the loaded modules frozen.
+    assert result["gc"] == [True, command != "setup"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_in_process_main_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    path = _write_config(tmp_path, README_CONFIG)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
+    try:
+        for command in ("berezin", "hull"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([command, "--config", str(path)]) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("command", ["berezin", "hull"])
+def test_command_process_writes_the_pinned_payload(tmp_path, command):
+    # python -m runs cli as __main__: the collector is off while the modules
+    # load, then they are frozen and the collector is on for the command.
+    path = _write_config(tmp_path, CONFIGS["readme-d6"])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toeplitz_spectra.cli", command, "--config", str(path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "out" / f"report_{command}.json").read_text())
+    pinned = json.loads(PINS.read_text())["readme-d6"][command]["sha256"]
+    assert report["payload_sha256"] == pinned
 
 
 # Names src/ keeps only for perfbench/tracing.py, each with what reads it;

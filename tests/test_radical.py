@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import dense, opnorm
-from toeplitz_spectra import checks, radical
+from toeplitz_spectra import radical
 from toeplitz_spectra.assembly import AlgebraModel, assemble_block
 from toeplitz_spectra.errors import RadicalError
 from toeplitz_spectra.gelfand import (
@@ -13,6 +13,7 @@ from toeplitz_spectra.gelfand import (
     FiniteSum,
     assemble_finite_sum,
     evaluate_gelfand,
+    random_finite_sum,
     sample_ideal_space,
 )
 from toeplitz_spectra.lattice import PartitionConfig, enumerate_kappa
@@ -211,7 +212,7 @@ class TestDivision:
             return float(np.linalg.norm(lhs - rhs))
 
         for j, d in [(1, 2), (2, 1)]:
-            A = checks.random_finite_sum(rng, cfg, D, 4)
+            A = random_finite_sum(rng, cfg, D, 4)
             parts = decompose_by_division(A, j, d, ctx)
             # Dropping S_0 leaves an O(1) residual, so the two routes are
             # compared on a nontrivial value as well as on roundoff.

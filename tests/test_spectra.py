@@ -240,6 +240,22 @@ class TestPlanarRegion:
         assert not any(region.contains_point(z, slack_cells=2) for z in zs[:5])
         assert calls == [2, 2]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_contains_point_far_and_non_finite(self):
+        # Only cell (0, 0) of an 8 x 8 unit grid is occupied.  A cast before
+        # the clip sent NaN and 1e300 to INT64_MIN, that is to cell 0.
+        occ = np.zeros((8, 8), dtype=bool)
+        occ[0, 0] = True
+        region = PlanarRegion(0.0, 0.0, 1.0, occ, "corner")
+        nan, inf = float("nan"), float("inf")
+        for z in (nan, complex(nan, 0.5), inf, complex(0.5, -inf), complex(-inf, -inf)):
+            assert not region.contains_point(z) and not region.contains_point(z, 1)
+        # A far point takes the edge cell it faces, as in the fill.
+        assert not region.contains_point(1e300 - 1e300j)
+        assert region.contains_point(-1e300 - 1e300j)
+        assert region.contains_point(-0.5 - 0.5j) and region.contains_point(0.5 + 0.5j)
+        assert not region.contains_point(1.5 + 0.5j)
+
     def test_run_length_rows_matches_loop(self):
         def loop_runs(occ):
             rows = []
