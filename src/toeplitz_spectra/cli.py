@@ -723,8 +723,8 @@ def cmd_berezin(setup: Setup) -> dict:
     }
 
 
-def _product_element(setup: Setup) -> FiniteSum:
-    """The element D_{gamma_a} T_1 ... T_m of the dense subalgebra."""
+def _product_element(setup: Setup):
+    """The element D_{gamma_a} T_1 ... T_m of the dense subalgebra, a gelfand.FiniteSum."""
     from .gelfand import DiagonalCoefficient, FiniteSum
 
     m = setup.cfg.m
