@@ -33,6 +33,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -737,7 +738,7 @@ def _product_element(setup: Setup):
 
 def cmd_gelfand(setup: Setup) -> dict:
     from .gelfand import (assemble_finite_sum, evaluate_gelfand, sample_ideal_space,
-                          spectral_radius_estimate, validate_gelfand_point)
+                          spectral_radius_estimate, validate_gelfand_points)
 
     D = setup.config["degree_cap"]
     gconf = setup.config["gelfand"]
@@ -747,23 +748,24 @@ def cmd_gelfand(setup: Setup) -> dict:
         zeta_per_region=gconf["zeta_per_region"],
     )
     element = _product_element(setup)
-    records = []
-    invalid = 0
-    for p in points:
-        if not validate_gelfand_point(setup.ctx, p):
-            invalid += 1
-        records.append(
-            {
-                "theta": list(p.theta),
-                "kappa_theta": list(p.kappa_theta),
-                "surrogate": p.surrogate,
-                "zeta": [c2j(z) for z in p.zeta],
-                "value": c2j(evaluate_gelfand(element, p)),
-            }
-        )
+    values = [evaluate_gelfand(element, p) for p in points]
+    invalid = int(np.count_nonzero(~validate_gelfand_points(setup.ctx, points)))
+    records = [
+        {
+            "theta": list(p.theta),
+            "kappa_theta": list(p.kappa_theta),
+            "surrogate": p.surrogate,
+            "zeta": [c2j(z) for z in p.zeta],
+            "value": c2j(v),
+        }
+        for p, v in zip(points, values)
+    ]
     file = "gelfand_points.json"
     (setup.out_dir / file).write_text(_to_json(records, file, sort_keys=True))
-    radius = spectral_radius_estimate(element, points)
+    radius = spectral_radius_estimate(element, points, values)
+    strata = {theta: [] for theta in product((0, 1), repeat=setup.cfg.m)}
+    for p, v in zip(points, values):
+        strata[p.theta].append(abs(v))
     op = assemble_finite_sum(element, setup.model, D)
     mat_radius = max(
         (float(np.max(np.abs(np.linalg.eigvals(b)))) for b in op.blocks.values() if b.size),
@@ -775,6 +777,10 @@ def cmd_gelfand(setup: Setup) -> dict:
         "n_surrogate": sum(1 for p in points if p.surrogate),
         "invalid_points": invalid,
         "gelfand_radius": radius,
+        "strata": [
+            {"theta": list(theta), "n_points": len(mods), "sup_abs_value": max(mods, default=None)}
+            for theta, mods in strata.items()
+        ],
         "matrix_spectral_radius": mat_radius,
         "element": "D_gamma_a * T_1...T_m",
         "surrogate_note": "surrogate strata evaluate gamma at the finite directive "

@@ -3,8 +3,9 @@
 Multiplicative functionals are labeled by a stratum tuple theta in {0,1}^m:
 coordinates with theta_j = 1 stay at a finite group degree kappa_j (and the
 generator value zeta_j must be a block eigenvalue there), while coordinates
-with theta_j = 0 escape to infinity (zeta_j then lives in the hulled
-essential spectrum).  Functionals with theta = 1 are realized exactly by
+with theta_j = 0 escape to infinity (zeta_j then ranges over the essential
+spectrum, the boundary image of the symbol, and is taken from its boundary
+samples).  Functionals with theta = 1 are realized exactly by
 joint eigenvectors; all other strata are genuinely infinite limits, so they
 are represented by clearly-labeled surrogates that evaluate diagonal
 coefficients at a large directive degree K_sur.
@@ -18,7 +19,7 @@ sums are expanded symbolically so multiplicativity is exact by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Callable
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from .assembly import AlgebraModel, TruncatedOperator
 from .errors import GelfandError
 from .lattice import Index, PartitionConfig, enumerate_kappa
-from .spectra import PlanarRegion, SpectralContext
+from .spectra import SpectralContext
 
 
 # ---------------------------------------------------------------------------
@@ -275,22 +276,15 @@ def evaluate_gelfand(A: FiniteSum, point: GelfandPoint) -> complex:
     return complex(total)
 
 
-def _region_zeta_choices(region: PlanarRegion, limit: int) -> np.ndarray:
-    """Centres of every ceil(N / limit)-th of the N occupied cells in
-    row-major order, at most ``limit`` of them; only the kept cells are
-    located, row by row from the per-row counts."""
-    per_row = np.count_nonzero(region.occ, axis=1)
-    ends = np.cumsum(per_row)
-    total = int(ends[-1]) if ends.size else 0
-    ranks = np.arange(0, total, max(1, int(np.ceil(total / limit))))[:limit]
-    iy = np.searchsorted(ends, ranks, side="right")
-    ix = np.array(
-        [np.flatnonzero(region.occ[r])[n - ends[r] + per_row[r]] for r, n in zip(iy, ranks)],
-        dtype=np.intp,
-    )
-    xs = region.x0 + (ix + 0.5) * region.cell
-    ys = region.y0 + (iy + 0.5) * region.cell
-    return xs + 1j * ys
+def zeta_picks(samples: np.ndarray, limit: int) -> list[complex]:
+    """At most ``limit`` escaped values from a group's boundary samples: the
+    first sample of largest modulus, where the sup of a functional over the
+    image lies, then limit - 1 samples spread evenly over the sample order;
+    a value that repeats is kept once, so a constant image gives one."""
+    flat = samples.ravel()
+    spread = np.arange(limit - 1) * flat.size // max(limit - 1, 1)
+    picks = flat[np.concatenate([[np.argmax(np.abs(flat))], spread]).astype(np.intp)]
+    return list(dict.fromkeys(picks.tolist()))
 
 
 def sample_ideal_space(
@@ -301,7 +295,10 @@ def sample_ideal_space(
 
     Emits every exact point (kappa, zeta) with |kappa| <= Dmax and zeta in
     the per-block spectra, then surrogate points for each stratum
-    theta != 1 up to the budget.
+    theta != 1, in theta order: the budget is split evenly over those
+    strata, and a share that a stratum leaves unused passes on to the
+    strata after it.  An escaped zeta_j takes the `zeta_picks` of group
+    j's boundary samples.
     """
     if budget < 1:
         raise GelfandError("budget must be at least 1")
@@ -311,45 +308,58 @@ def sample_ideal_space(
         for kappa in enumerate_kappa(ctx.cfg, Dmax)
         for combo in product(*(ctx.distinct(j, kappa[j - 1]) for j in range(1, m + 1)))
     ]
-    region_choices: dict[int, np.ndarray] = {}
-    surrogate_count = 0
-    for theta in [t for t in product((0, 1), repeat=m) if t != (1,) * m]:
+    strata = [t for t in product((0, 1), repeat=m) if t != (1,) * m]
+    # every group escapes in the stratum theta = 0
+    escaped = {j: zeta_picks(ctx.boundary_samples(j), zeta_per_region) for j in range(1, m + 1)}
+    left = budget
+    for n, theta in enumerate(strata):
         jfin = [j for j in range(1, m + 1) if theta[j - 1] == 1]
-        for j in range(1, m + 1):
-            if theta[j - 1] == 0 and j not in region_choices:
-                region = ctx.hulled_ess_region(j)
-                region_choices[j] = _region_zeta_choices(region, zeta_per_region)
-        for kt in enumerate_kappa(len(jfin), Dmax) if jfin else [()]:
-            mu = [dict(zip(jfin, kt)).get(j, K_sur) for j in range(1, m + 1)]
-            choices = [
-                list(ctx.distinct(j, mu[j - 1])) if theta[j - 1] else list(region_choices[j])
+        candidates = (
+            GelfandPoint(theta, kt, mu, tuple(complex(z) for z in combo), True)
+            for kt in (enumerate_kappa(len(jfin), Dmax) if jfin else [()])
+            for mu in [tuple(dict(zip(jfin, kt)).get(j, K_sur) for j in range(1, m + 1))]
+            for combo in product(*(
+                ctx.distinct(j, mu[j - 1]) if theta[j - 1] else escaped[j]
                 for j in range(1, m + 1)
-            ]
-            for combo in product(*choices):
-                if surrogate_count >= budget:
-                    return points
-                points.append(
-                    GelfandPoint(theta, kt, tuple(mu), tuple(complex(z) for z in combo), True)
-                )
-                surrogate_count += 1
+            ))
+        )
+        # an equal share of what is left over the strata still to come
+        taken = list(islice(candidates, -(-left // (len(strata) - n))))
+        points += taken
+        left -= len(taken)
     return points
 
 
-def validate_gelfand_point(ctx: SpectralContext, point: GelfandPoint) -> bool:
-    """Re-check the membership invariants of a sampled functional: an
-    escaped coordinate may lie up to two cells off the hulled region."""
-    for j, (zj, finite, mu) in enumerate(zip(point.zeta, point.theta, point.mu_kappa), 1):
-        if finite:
+def validate_gelfand_points(ctx: SpectralContext, points: list[GelfandPoint]) -> np.ndarray:
+    """Re-check the membership invariants of sampled functionals, one bool
+    per point: a finite zeta_j must be a block eigenvalue of group j at its
+    degree (within ten cluster tolerances), an escaped one a boundary sample
+    of group j.  Coordinates are checked one array per (group, degree)."""
+    groups: dict[tuple[int, int | None], tuple[list[int], list[complex]]] = {}
+    for i, p in enumerate(points):
+        for j, (zj, finite, mu) in enumerate(zip(p.zeta, p.theta, p.mu_kappa), 1):
+            rows, zs = groups.setdefault((j, mu if finite else None), ([], []))
+            rows.append(i)
+            zs.append(zj)
+    ok = np.ones(len(points), dtype=bool)
+    for (j, mu), (rows, zs) in groups.items():
+        z, where = np.unique(np.array(zs, dtype=complex), return_inverse=True)
+        if mu is None:
+            hit = np.isin(z, ctx.boundary_samples(j))
+        else:
             tol = max(ctx.eigen(j, mu).cluster_tol, 1e-12)
-            if not np.any(np.abs(ctx.distinct(j, mu) - zj) <= 10 * tol):
-                return False
-        elif not ctx.hulled_ess_region(j).contains_point(zj, slack_cells=2):
-            return False
-    return True
+            hit = np.any(np.abs(ctx.distinct(j, mu) - z[:, None]) <= 10 * tol, axis=1)
+        ok[rows] &= hit[where]
+    return ok
 
 
-def spectral_radius_estimate(A: FiniteSum, points: list[GelfandPoint]) -> float:
-    """sup |psi(A)| over the sampled functionals."""
+def spectral_radius_estimate(
+    A: FiniteSum, points: list[GelfandPoint], values: list[complex] | None = None
+) -> float:
+    """sup |psi(A)| over the sampled functionals; ``values`` are the
+    psi(A) at the points when they are already evaluated."""
     if not points:
         raise GelfandError("need at least one sampled functional")
-    return max(abs(evaluate_gelfand(A, p)) for p in points)
+    if values is None:
+        values = [evaluate_gelfand(A, p) for p in points]
+    return max(abs(v) for v in values)

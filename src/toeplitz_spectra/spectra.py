@@ -480,14 +480,34 @@ def _fill_triangles(region: PlanarRegion, points: np.ndarray, triangles: np.ndar
     region.occ[top:bottom] |= np.cumsum(diff, axis=1, out=diff)[:, :res] > 0
 
 
+def boundary_samples(c: PseudoHomogeneousSymbol, samples: int = 4096) -> np.ndarray:
+    """`boundary_image_values` of a symbol that declares the continuity
+    flag, every one of them finite."""
+    if not c.boundary_continuous:
+        raise SpectraError(
+            f"symbol {c.label!r} does not declare a continuous boundary extension"
+        )
+    # a non-finite sample is reported below, in place of numpy's warnings
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = boundary_image_values(c, samples)
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise SpectraError(
+            f"symbol {c.label!r} is not finite at {bad} of its {values.size} boundary samples"
+        )
+    return values
+
+
 def essential_spectrum_estimate(
     c: PseudoHomogeneousSymbol,
-    samples: int = 4096,
+    samples: int | np.ndarray = 4096,
     *,
     resolution: int = 512,
 ) -> PlanarRegion:
     """Rasterized boundary image c(sphere); requires the continuity flag.
 
+    ``samples`` is the sample count, or the values `boundary_samples`
+    returned for c, which are then not computed again.
     The image is filled, not outlined: each 2-face of the sampled
     simplex x torus parameter grid (for k = 2 each (sigma, tau) cell, tau
     wrapping around) is cut into two triangles, and every cell that the
@@ -498,23 +518,18 @@ def essential_spectrum_estimate(
     grid is one point and has no faces, marks the cell of its one value.
     The region keeps the samples, which the benchmark's tracer reads.
     """
-    if not c.boundary_continuous:
-        raise SpectraError(
-            f"symbol {c.label!r} does not declare a continuous boundary extension"
-        )
-    # a non-finite sample is reported below, in place of numpy's warnings
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        flat = boundary_image_values(c, samples).ravel()
-    bad = int(np.count_nonzero(~np.isfinite(flat)))
-    if bad:
-        raise SpectraError(
-            f"symbol {c.label!r} is not finite at {bad} of its {flat.size} boundary samples"
-        )
+    values = samples if isinstance(samples, np.ndarray) else boundary_samples(c, samples)
+    flat = values.ravel()
     region = PlanarRegion.framing(flat, resolution, "boundary image")
     region.samples = flat
-    faces = [None] if c.dim == 1 else _face_triangles(c.dim, *_boundary_grid_counts(c.dim, samples))
-    for triangles in faces:
-        region.mark(flat, triangles)
+    k, (rows, cols) = c.dim, values.shape
+    if k == 1:
+        region.mark(flat)
+    else:
+        # the grid's counts from its shape: (n_sigma, n_tau), equal for k > 2
+        n_tau = round(cols ** (1.0 / (k - 1)))
+        for triangles in _face_triangles(k, rows if k == 2 else n_tau, n_tau):
+            region.mark(flat, triangles)
     region.occ = _dilate_cells(region.occ, 1)
     return region
 
@@ -634,6 +649,7 @@ class SpectralContext:
 
     def __post_init__(self):
         self._eigen: dict[tuple[int, int], EigenData] = {}
+        self._samples: dict[int, np.ndarray] = {}
         self._ess: dict[int, PlanarRegion] = {}
         self._hulled: dict[int, PlanarRegion] = {}
 
@@ -652,17 +668,27 @@ class SpectralContext:
     def distinct(self, j: int, d: int) -> np.ndarray:
         return self.eigen(j, d).distinct
 
+    def boundary_samples(self, j: int) -> np.ndarray:
+        """The boundary image values of group j's symbol at the context's
+        sample count, once per group; a group without a symbol images to 1.
+        Every raster of the group is filled from them."""
+        if j not in self._samples:
+            sym = self.model.symbols.get(j)
+            self._samples[j] = (np.ones((1, 1), dtype=complex) if sym is None
+                                else boundary_samples(sym, self.ess_samples))
+        return self._samples[j]
+
     def boundary_raster(self, j: int, resolution: int) -> PlanarRegion:
         """The boundary image of group j rasterized afresh on the grid it
-        frames at ``resolution``; a group without a symbol images to 1."""
+        frames at ``resolution``, from the group's boundary samples."""
         sym = self.model.symbols.get(j)
         if sym is None:
-            one = np.ones(1, dtype=complex)
+            one = self.boundary_samples(j).ravel()
             region = PlanarRegion.framing(one, resolution, "boundary image")
             region.mark(one)
             region.occ = _dilate_cells(region.occ, 1)
             return region
-        return essential_spectrum_estimate(sym, self.ess_samples, resolution=resolution)
+        return essential_spectrum_estimate(sym, self.boundary_samples(j), resolution=resolution)
 
     def ess_region(self, j: int) -> PlanarRegion:
         """The boundary raster of group j at the context's resolution, once
@@ -776,7 +802,8 @@ class AccumulationReport:
 
 def accumulation_check(ctx: SpectralContext, j: int, Dmax: int) -> AccumulationReport:
     """Detected accumulation points of the point spectrum must sit inside
-    (a 0.05-neighborhood of) the essential-spectrum estimate.
+    (a 0.05-neighborhood of) the essential-spectrum estimate, which is
+    rasterized only when there is a candidate to test.
 
     A point is an accumulation candidate when eigenvalues from at least 5
     distinct degrees fall within ten cluster tolerances.
@@ -794,7 +821,10 @@ def accumulation_check(ctx: SpectralContext, j: int, Dmax: int) -> AccumulationR
         if len(degrees_near) >= 5:
             if not any(abs(v - c) <= radius for c in candidates):
                 candidates.append(v)
-    ess = ctx.ess_region(j)
-    slack = max(1, int(math.ceil(0.05 / ess.cell)))
-    violations = tuple(z for z in candidates if not ess.contains_point(z, slack_cells=slack))
+    ctx.boundary_samples(j)  # a non-finite sample raises, candidates or not
+    violations: tuple[complex, ...] = ()
+    if candidates:
+        ess = ctx.ess_region(j)
+        slack = max(1, int(math.ceil(0.05 / ess.cell)))
+        violations = tuple(z for z in candidates if not ess.contains_point(z, slack_cells=slack))
     return AccumulationReport(group=j, candidates=tuple(candidates), violations=violations)

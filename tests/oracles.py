@@ -316,14 +316,6 @@ def fill_triangles_rowwise(region, points: np.ndarray, triangles: np.ndarray) ->
     region.occ |= np.cumsum(diff, axis=1)[:, :res] > 0
 
 
-def region_zeta_choices_from_all_centers(region, limit: int) -> np.ndarray:
-    """`gelfand._region_zeta_choices` from the centres of every occupied
-    cell, strided and cut afterwards: the same picks, bit for bit."""
-    iy, ix = np.nonzero(region.occ)
-    centers = (region.x0 + (ix + 0.5) * region.cell) + 1j * (region.y0 + (iy + 0.5) * region.cell)
-    return centers[:: max(1, int(np.ceil(centers.size / limit)))][:limit]
-
-
 _SYMBOL_TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"

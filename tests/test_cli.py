@@ -893,17 +893,16 @@ TRACED_EIG = "spectra.eig_blocks"
     [("assemble", [TRACED_BLOCKS], False), ("hull", [TRACED_BLOCKS, TRACED_EIG], True),
      ("radical", [TRACED_BLOCKS, TRACED_EIG], False),
      ("spectrum", [TRACED_BLOCKS, TRACED_EIG], False),
-     ("gelfand", [TRACED_BLOCKS, TRACED_EIG], True),
+     ("gelfand", [TRACED_BLOCKS, TRACED_EIG], False),
      ("berezin", [TRACED_BLOCKS], False), ("semisimple", [TRACED_BLOCKS], False),
-     ("verify", [TRACED_BLOCKS, TRACED_EIG], True)],
+     ("verify", [TRACED_BLOCKS, TRACED_EIG], False)],
     ids=["assemble", "hull", "radical", "spectrum", "gelfand", "berezin", "semisimple", "verify"],
 )
 def test_benchmark_tracer_runs_on_the_package(tmp_path, command, counters, rasters):
     # perfbench/traced_cli.py wraps the package's functions from outside;
     # a change to src/ that breaks its hooks fails here.  `assemble`,
-    # `berezin` and `semisimple` count no eigenvalue problem; `hull`,
-    # `gelfand` and `verify` rasterize boundary images, whose grids the
-    # region hooks record.
+    # `berezin` and `semisimple` count no eigenvalue problem; `hull`
+    # rasterizes boundary images, whose grids the region hooks record.
     src = Path(cli.__file__).resolve().parents[1]
     path = write_config(tmp_path, degree_cap=3, hull={})
     out = tmp_path / "traced"

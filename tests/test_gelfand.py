@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,19 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import opnorm, region_zeta_choices_from_all_centers
+from oracles import opnorm
+from pin_payloads import CONFIGS
+from toeplitz_spectra import cli, spectra
 from toeplitz_spectra.assembly import AlgebraModel
 from toeplitz_spectra.errors import GelfandError
 from toeplitz_spectra.gelfand import (
     DiagonalCoefficient,
     FiniteSum,
     GelfandPoint,
-    _region_zeta_choices,
     assemble_finite_sum,
     evaluate_gelfand,
     sample_ideal_space,
     spectral_radius_estimate,
-    validate_gelfand_point,
+    validate_gelfand_points,
+    zeta_picks,
 )
 from toeplitz_spectra.lattice import PartitionConfig, enumerate_kappa
 from toeplitz_spectra.spectra import PlanarRegion, SpectralContext
@@ -143,7 +146,7 @@ class TestSampling:
 
     def test_invariants_hold(self, diagonal_ctx):
         pts = sample_ideal_space(diagonal_ctx, 3, 80)
-        assert all(validate_gelfand_point(diagonal_ctx, p) for p in pts)
+        assert validate_gelfand_points(diagonal_ctx, pts).all()
 
     def test_budget_validation(self, diagonal_ctx):
         with pytest.raises(GelfandError):
@@ -164,31 +167,71 @@ class TestAdmissibleZeta:
         vals = diagonal_ctx.distinct(1, 3)
         assert np.allclose(vals, 1.0)
 
-    @staticmethod
-    def _assert_picks_match(region, limit):
-        got = _region_zeta_choices(region, limit)
-        want = region_zeta_choices_from_all_centers(region, limit)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    def test_symbol_less_group_picks_one(self, diagonal_ctx):
+        assert zeta_picks(diagonal_ctx.boundary_samples(1), 8) == [1 + 0j]
 
-    @given(seed=st.integers(0, 2**32 - 1), res=st.integers(1, 40),
-           density=st.floats(0.0, 1.0), limit=st.integers(1, 12))
-    @settings(max_examples=60, deadline=None)
-    def test_picks_match_all_centers_on_random_grids(self, seed, res, density, limit):
-        rng = np.random.default_rng(seed)
-        occ = rng.random((res, res)) < density
-        x0, y0, cell = rng.normal(size=3)
-        self._assert_picks_match(PlanarRegion(x0, y0, abs(cell) + 0.01, occ, "random"), limit)
+    def test_constant_symbol_picks_its_value(self):
+        model = AlgebraModel(cfg=PartitionConfig(k=(2,)), symbols={1: constant_symbol(1, 2, 0.3j)})
+        ctx = SpectralContext(model=model, hull_resolution=64, ess_samples=256)
+        assert zeta_picks(ctx.boundary_samples(1), 8) == [0.3j]
 
-    @pytest.mark.parametrize("limit", [1, 8])
-    def test_picks_on_empty_grid_and_single_cell(self, limit):
-        occ = np.zeros((16, 16), dtype=bool)
-        self._assert_picks_match(PlanarRegion(-1.0, 0.5, 0.125, occ, "empty"), limit)
-        occ[5, 11] = True
-        region = PlanarRegion(-1.0, 0.5, 0.125, occ, "one cell")
-        self._assert_picks_match(region, limit)
-        centre = (-1.0 + 11.5 * 0.125) + 1j * (0.5 + 5.5 * 0.125)
-        assert _region_zeta_choices(region, limit).tolist() == [centre]
+    @pytest.mark.parametrize("limit", [1, 2, 8, 10**6])
+    def test_picks_include_the_largest_modulus_sample(self, diagonal_ctx, limit):
+        samples = diagonal_ctx.boundary_samples(2)
+        picks = zeta_picks(samples, limit)
+        assert 1 <= len(picks) <= limit and len(set(picks)) == len(picks)
+        top = samples.ravel()[np.argmax(np.abs(samples.ravel()))]
+        assert picks[0] == top and set(picks) <= set(samples.ravel().tolist())
+
+    def test_escaped_coordinates_are_boundary_samples(self, diagonal_ctx):
+        pts = [p for p in sample_ideal_space(diagonal_ctx, 2, 50) if p.surrogate]
+        off = GelfandPoint((1, 0), (0,), (0, 10_000), (1 + 0j, 0.5 + 1e-9), True)
+        ok = validate_gelfand_points(diagonal_ctx, [*pts, off])
+        assert ok.tolist() == [True] * len(pts) + [False]
+
+
+def _run(tmp_path, command, name, **over):
+    """The payload of a command on a pinned config with top-level keys replaced."""
+    config = cli.validate_config({**json.loads(json.dumps(CONFIGS[name])), **over})
+    return cli.COMMANDS[command](cli.build_setup(config, out=str(tmp_path)))
+
+
+class TestEscapedStrata:
+    @pytest.mark.parametrize("D", [6, 40])
+    def test_readme_radius_is_within_the_norm_bound(self, tmp_path, D):
+        # |psi(D_gamma T_1 T_2)| <= sup|gamma| * sup|c| = 1 * 1/2, and the
+        # boundary samples of c reach 0.499996.
+        payload = _run(tmp_path, "gelfand", "readme-d6", degree_cap=D)
+        assert 0.4999 <= payload["gelfand_radius"] <= 0.5
+        assert payload["invalid_points"] == 0
+
+    def test_radius_does_not_depend_on_the_budget(self, tmp_path):
+        small = _run(tmp_path / "200", "gelfand", "m3-k112-d4", gelfand={"budget": 200})
+        large = _run(tmp_path / "3200", "gelfand", "m3-k112-d4", gelfand={"budget": 3200})
+        assert small["gelfand_radius"] == pytest.approx(large["gelfand_radius"], rel=0.01)
+
+    def test_every_stratum_with_candidates_gets_points(self, tmp_path):
+        # readme-d6 has 8 + 7 + 56 candidates on its escaped strata; the
+        # budget of 20 binds, and each stratum still gets points.
+        payload = _run(tmp_path, "gelfand", "readme-d6", gelfand={"budget": 20})
+        strata = {tuple(s["theta"]): s for s in payload["strata"]}
+        assert list(strata) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert [strata[t]["n_points"] for t in [(0, 0), (0, 1), (1, 0)]] == [7, 7, 6]
+        assert payload["n_surrogate"] == 20
+        assert max(s["sup_abs_value"] for s in payload["strata"]) == payload["gelfand_radius"]
+
+    @pytest.mark.parametrize("command", ["gelfand", "radical", "verify"])
+    def test_commands_fill_no_boundary_raster(self, tmp_path, monkeypatch, command):
+        fills = []
+        fill = spectra.SpectralContext.boundary_raster
+
+        def counted(ctx, j, resolution):
+            fills.append((j, resolution))
+            return fill(ctx, j, resolution)
+
+        monkeypatch.setattr(spectra.SpectralContext, "boundary_raster", counted)
+        _run(tmp_path, command, "readme-d6")
+        assert fills == []
 
 
 class TestConsistency:
