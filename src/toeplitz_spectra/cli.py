@@ -565,25 +565,22 @@ def _region_json(region: PlanarRegion) -> dict:
     }
 
 
-def _region_svg(region: PlanarRegion, points=None) -> str:
-    res = region.resolution
-    side = res * region.cell
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{region.x0} {region.y0} {side} {side}">'
-    ]
+def _region_svg(grid: dict, points=None) -> str:
+    """SVG of a region from its `_region_json` record."""
+    x0, y0, cell = grid["x0"], grid["y0"], grid["cell"]
+    side = grid["resolution"] * cell
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{x0} {y0} {side} {side}">']
     path_bits = []
-    for iy, row in enumerate(region.run_length_rows()):
-        y = region.y0 + iy * region.cell
+    for iy, row in enumerate(grid["rows"]):
+        y = y0 + iy * cell
         for start, length in row:
-            x = region.x0 + start * region.cell
-            w = length * region.cell
-            path_bits.append(
-                f"M{x:.6g} {y:.6g}h{w:.6g}v{region.cell:.6g}h{-w:.6g}Z"
-            )
+            x = x0 + start * cell
+            w = length * cell
+            path_bits.append(f"M{x:.6g} {y:.6g}h{w:.6g}v{cell:.6g}h{-w:.6g}Z")
     parts.append(f'<path fill="#4477aa" stroke="none" d="{"".join(path_bits)}"/>')
     for z in points or []:
         parts.append(
-            f'<circle cx="{z.real:.6g}" cy="{z.imag:.6g}" r="{2 * region.cell:.6g}" fill="#cc3311"/>'
+            f'<circle cx="{z.real:.6g}" cy="{z.imag:.6g}" r="{2 * cell:.6g}" fill="#cc3311"/>'
         )
     parts.append("</svg>")
     return "".join(parts)
@@ -659,12 +656,12 @@ def cmd_hull(setup: Setup) -> dict:
     payload, convex = {"groups": {}}, {}
     for j in range(1, setup.cfg.m + 1):
         swh = spectrum_with_hull(setup.ctx, j, D)
-        for name, region in (("sp", swh.sp_region), ("hull", swh.hull_region)):
+        grids = {"sp": _region_json(swh.sp_region), "hull": _region_json(swh.hull_region)}
+        for name, grid in grids.items():
             file = f"region_{name}_{j}.json"
-            (setup.out_dir / file).write_text(_to_json(_region_json(region), file, sort_keys=True))
-        (setup.out_dir / f"hull_{j}.svg").write_text(
-            _region_svg(swh.hull_region, swh.point_values)
-        )
+            (setup.out_dir / file).write_text(_to_json(grid, file, sort_keys=True))
+        (setup.out_dir / f"hull_{j}.svg").write_text(_region_svg(grids["hull"], swh.point_values))
+        del grids
         # Resolution-drift verification pass at twice the grid; only its
         # hull is kept, and only until the group's entry is written.
         fine = spectrum_with_hull(setup.ctx, j, D, resolution=2 * res).hull_region

@@ -95,8 +95,9 @@ class DiagonalCoefficient:
         if kind == "const":
             out = np.full(len(kappas), args[0])
         elif kind == "degree":
-            degrees, where = np.unique(kappas[:, args[0] - 1], return_inverse=True)
-            out = np.array([complex(args[1](d)) for d in degrees.tolist()], dtype=complex)[where]
+            degrees = kappas[:, args[0] - 1].tolist()
+            at = {d: complex(args[1](d)) for d in sorted(set(degrees))}
+            out = np.array([at[d] for d in degrees], dtype=complex)
         elif kind == "sum":
             out = np.zeros(len(kappas), dtype=complex)
             for g in args:
@@ -343,13 +344,13 @@ def validate_gelfand_points(ctx: SpectralContext, points: list[GelfandPoint]) ->
             zs.append(zj)
     ok = np.ones(len(points), dtype=bool)
     for (j, mu), (rows, zs) in groups.items():
-        z, where = np.unique(np.array(zs, dtype=complex), return_inverse=True)
         if mu is None:
-            hit = np.isin(z, ctx.boundary_samples(j))
+            samples = set(ctx.boundary_samples(j).ravel().tolist())
+            hit = [z in samples for z in zs]
         else:
             tol = max(ctx.eigen(j, mu).cluster_tol, 1e-12)
-            hit = np.any(np.abs(ctx.distinct(j, mu) - z[:, None]) <= 10 * tol, axis=1)
-        ok[rows] &= hit[where]
+            hit = np.any(np.abs(ctx.distinct(j, mu) - np.array(zs)[:, None]) <= 10 * tol, axis=1)
+        ok[rows] &= hit
     return ok
 
 

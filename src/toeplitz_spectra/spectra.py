@@ -25,7 +25,7 @@ sampling resolves the image; `spectrum_with_hull` checks that it does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -136,8 +136,6 @@ class PlanarRegion:
     occ: np.ndarray  # bool (res, res), row = y index
     provenance: str
     samples: np.ndarray | None = None
-    # slack -> (the occ array it was computed from, that array dilated)
-    _dilations: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def resolution(self) -> int:
@@ -185,23 +183,17 @@ class PlanarRegion:
         )
 
     def contains_point(self, z: complex, slack_cells: int = 0) -> bool:
-        """Whether z's cell is occupied; a point outside the frame takes the
-        edge cell it faces (the fill's rule), a non-finite one is outside."""
+        """Whether an occupied cell lies within Manhattan distance
+        ``slack_cells`` of z's cell (what as many 4-neighbour dilation steps
+        reach), read from that window alone.  A point outside the frame
+        takes the edge cell it faces (as in the fill), a non-finite one is outside."""
         if not np.isfinite(z):
             return False
-        occ = self._dilated(slack_cells) if slack_cells > 0 else self.occ
         at = (np.array([z.real, z.imag]) - (self.x0, self.y0)) / self.cell
-        ix, iy = np.clip(np.floor(at), 0, self.resolution - 1).astype(int)
-        return bool(occ[iy, ix])
-
-    def _dilated(self, cells: int) -> np.ndarray:
-        """The grid dilated by `cells` 4-connected steps, computed once per
-        (occ array, cells); a reassigned `occ` is dilated afresh."""
-        hit = self._dilations.get(cells)
-        if hit is None or hit[0] is not self.occ:
-            hit = (self.occ, _dilate_cells(self.occ, cells))
-            self._dilations[cells] = hit
-        return hit[1]
+        ix, iy = np.clip(np.floor(at), 0, self.resolution - 1).astype(int).tolist()
+        r0, c0 = max(iy - slack_cells, 0), max(ix - slack_cells, 0)
+        rows, cols = np.nonzero(self.occ[r0 : iy + slack_cells + 1, c0 : ix + slack_cells + 1])
+        return bool(np.any(abs(rows + (r0 - iy)) + abs(cols + (c0 - ix)) <= slack_cells))
 
     def run_length_rows(self) -> list[list[tuple[int, int]]]:
         """Per-row [start, length] runs of occupied cells (for JSON export)."""
@@ -522,16 +514,22 @@ def essential_spectrum_estimate(
     flat = values.ravel()
     region = PlanarRegion.framing(flat, resolution, "boundary image")
     region.samples = flat
-    k, (rows, cols) = c.dim, values.shape
-    if k == 1:
+    if c.dim == 1:
         region.mark(flat)
-    else:
-        # the grid's counts from its shape: (n_sigma, n_tau), equal for k > 2
-        n_tau = round(cols ** (1.0 / (k - 1)))
-        for triangles in _face_triangles(k, rows if k == 2 else n_tau, n_tau):
-            region.mark(flat, triangles)
+    for triangles in _sample_triangles(c.dim, values):
+        region.mark(flat, triangles)
     region.occ = _dilate_cells(region.occ, 1)
     return region
+
+
+def _sample_triangles(k: int, values: np.ndarray):
+    """`_face_triangles` of a k-variable symbol's boundary sample grid."""
+    if k == 1:
+        return ()
+    rows, cols = values.shape
+    # the grid's counts from its shape: (n_sigma, n_tau), equal for k > 2
+    n_tau = round(cols ** (1.0 / (k - 1)))
+    return _face_triangles(k, rows if k == 2 else n_tau, n_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +783,7 @@ def resolution_drift_cells(base: PlanarRegion, fine: PlanarRegion) -> int:
     coarse = f[0::2, 0::2] | f[1::2, 0::2] | f[0::2, 1::2] | f[1::2, 1::2]
     return int(
         (base.occ & ~_dilate_cells(coarse, 1)).sum()
-        + (coarse & ~base._dilated(1)).sum()
+        + (coarse & ~_dilate_cells(base.occ, 1)).sum()
     )
 
 
@@ -802,8 +800,7 @@ class AccumulationReport:
 
 def accumulation_check(ctx: SpectralContext, j: int, Dmax: int) -> AccumulationReport:
     """Detected accumulation points of the point spectrum must sit inside
-    (a 0.05-neighborhood of) the essential-spectrum estimate, which is
-    rasterized only when there is a candidate to test.
+    (a 0.05-neighborhood of) the essential-spectrum estimate.
 
     A point is an accumulation candidate when eigenvalues from at least 5
     distinct degrees fall within ten cluster tolerances.
@@ -822,9 +819,39 @@ def accumulation_check(ctx: SpectralContext, j: int, Dmax: int) -> AccumulationR
             if not any(abs(v - c) <= radius for c in candidates):
                 candidates.append(v)
     ctx.boundary_samples(j)  # a non-finite sample raises, candidates or not
-    violations: tuple[complex, ...] = ()
-    if candidates:
-        ess = ctx.ess_region(j)
-        slack = max(1, int(math.ceil(0.05 / ess.cell)))
-        violations = tuple(z for z in candidates if not ess.contains_point(z, slack_cells=slack))
+    violations = _off_image(ctx, j, candidates) if candidates else ()
     return AccumulationReport(group=j, candidates=tuple(candidates), violations=violations)
+
+
+def _off_image(ctx: SpectralContext, j: int, points) -> tuple[complex, ...]:
+    """The points that ``ctx.ess_region(j).contains_point`` refuses with a
+    slack of 0.05, reading only the cells within that reach of each point.
+
+    The samples' cells come first: each sample is a vertex of the fill, so a
+    hit is final.  For a miss, the face triangles whose cell box (a cell
+    wider, for the rounding of edge crossings) meets the window are filled.
+    """
+    samples, sym = ctx.boundary_samples(j), ctx.model.symbols.get(j)
+    flat = samples.ravel()
+    image = PlanarRegion.framing(flat, ctx.hull_resolution, "boundary image")
+    image.mark(flat)
+    reach = max(1, int(math.ceil(0.05 / image.cell))) + 1  # and the raster's own dilation
+
+    def cells(z):  # grid coordinates, clipped to the grid as the fill clips them
+        xy = np.stack([z.real - image.x0, z.imag - image.y0])
+        return np.clip(xy / image.cell, 0, image.resolution)
+
+    grid, faces, off = cells(flat), None, []
+    for z in points:
+        if not image.contains_point(z, reach):
+            if faces is None:  # each triangle with its box, once
+                faces = [(t, grid[:, t].min(axis=2), grid[:, t].max(axis=2))
+                         for t in _sample_triangles(sym.dim if sym else 1, samples)]
+            lo, hi = cells(np.array([z])) - reach - 2, cells(np.array([z])) + reach + 2
+            for triangles, low, high in faces:
+                near = ((high >= lo) & (low <= hi)).all(axis=0)
+                if near.any():
+                    image.mark(flat, triangles[near])
+            if not image.contains_point(z, reach):
+                off.append(z)
+    return tuple(off)

@@ -220,7 +220,7 @@ class TestEscapedStrata:
         assert payload["n_surrogate"] == 20
         assert max(s["sup_abs_value"] for s in payload["strata"]) == payload["gelfand_radius"]
 
-    @pytest.mark.parametrize("command", ["gelfand", "radical", "verify"])
+    @pytest.mark.parametrize("command", ["spectrum", "gelfand", "radical", "verify"])
     def test_commands_fill_no_boundary_raster(self, tmp_path, monkeypatch, command):
         fills = []
         fill = spectra.SpectralContext.boundary_raster

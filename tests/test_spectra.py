@@ -1,3 +1,4 @@
+import copy
 import math
 import timeit
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import char_poly_coeffs, fill_triangles_rowwise
+from pin_payloads import CONFIGS
 from toeplitz_spectra.assembly import AlgebraModel, assemble_block
 from toeplitz_spectra.cli import COMMANDS, build_setup, validate_config
 from toeplitz_spectra.errors import SpectraError
@@ -219,7 +221,7 @@ class TestPlanarRegion:
         with pytest.raises(SpectraError):
             PlanarRegion.framing([], 64, "nothing")
 
-    def test_contains_point_dilates_once(self, monkeypatch):
+    def test_contains_point_dilates_nothing(self, monkeypatch):
         rng = np.random.default_rng(3)
         region = _points(rng.standard_normal(30) + 1j * rng.standard_normal(30), 128)
         fresh = ndimage.binary_dilation(region.occ, iterations=2)
@@ -233,12 +235,27 @@ class TestPlanarRegion:
         monkeypatch.setattr(spectra, "_dilate_cells", counting)
         zs = rng.uniform(-3, 3, 300) + 1j * rng.uniform(-3, 3, 300)
         got = [region.contains_point(z, slack_cells=2) for z in zs]
-        assert calls == [2]
+        assert calls == []
         assert got == [bool(v) for v in fresh[_floor_cells(region, zs)]]
-        # a reassigned grid is dilated afresh
-        region.occ = np.zeros_like(region.occ)
-        assert not any(region.contains_point(z, slack_cells=2) for z in zs[:5])
-        assert calls == [2, 2]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_contains_point_matches_dilation_on_random_grids(self):
+        # The cells within `slack` of a cell, in Manhattan distance, are
+        # those `slack` 4-neighbour dilation steps reach inside the grid.
+        rng = np.random.default_rng(12)
+        far = [1e300 + 1e300j, -1e300 + 0.5j, 0.5 - 1e300j]
+        odd = [complex(np.nan, 0.5), complex(0.5, np.inf), complex(-np.inf, -np.inf)]
+        for res in (1, 2, 7, 32, 61):
+            for density in (0.0, 0.002, 0.02, 0.3):
+                occ = rng.random((res, res)) < density
+                region = PlanarRegion(-0.5, 0.25, 2.0 / res, occ, "random")
+                zs = rng.uniform(-1.0, 2.0, 200) + 1j * rng.uniform(-0.5, 2.5, 200)
+                zs = np.concatenate([zs, far])
+                for slack in (0, 2, 2 * res, 2 * res + 1, 10**9):
+                    want = ndimage.binary_dilation(occ, iterations=slack) if slack else occ
+                    got = [region.contains_point(z, slack) for z in zs]
+                    assert got == want[_floor_cells(region, zs)].tolist(), (res, density, slack)
+                    assert not any(region.contains_point(z, slack) for z in odd)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_contains_point_far_and_non_finite(self):
@@ -603,6 +620,25 @@ class TestAccumulation:
         report = accumulation_check(nilpotent_ctx, 2, 8)
         assert report.ok
         assert any(abs(z) < 1e-9 for z in report.candidates)
+
+    @pytest.mark.parametrize("name", ["readme-d6", "expr-s1-d4"])
+    def test_window_verdict_matches_the_full_raster(self, name, tmp_path):
+        # Half the probes fall anywhere in and around the frame, half near
+        # 0.05 from a boundary sample, where the verdict turns.
+        ctx = _setup(copy.deepcopy(CONFIGS[name]), tmp_path).ctx
+        rng = np.random.default_rng(5)
+        for j in range(1, ctx.cfg.m + 1):
+            ess = ctx.ess_region(j)
+            side = ess.resolution * ess.cell
+            anywhere = complex(ess.x0, ess.y0) + side * (
+                rng.uniform(-0.2, 1.2, 200) + 1j * rng.uniform(-0.2, 1.2, 200))
+            samples = rng.choice(ctx.boundary_samples(j).ravel(), 200)
+            near = samples + rng.uniform(0.03, 0.08, 200) * np.exp(2j * np.pi * rng.random(200))
+            probes = [*anywhere, *near, 1e6 - 1e6j, complex(np.nan, 0.0)]
+            slack = max(1, int(math.ceil(0.05 / ess.cell)))
+            want = [z for z in probes if not ess.contains_point(z, slack)]
+            got = spectra._off_image(ctx, j, probes)
+            assert len(got) == len(want) and np.array_equal(got, want, equal_nan=True), (name, j)
 
 
 def _hulls(ctx, D):
