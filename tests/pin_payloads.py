@@ -127,6 +127,18 @@ CONFIGS = {
         "gelfand": {"budget": 200},
         "seed": 13,
     },
+    # A group without a symbol on a two-dimensional group: its boundary
+    # image is the one value 1, rasterized as a single sample.
+    "symbolless-k22-d4": {
+        "partition": {"k": [2, 2]},
+        "degree_cap": 4,
+        "symbols": [{"group": 2, "kind": "profile", "text": "s1^2 + 0.5*s1*s2"}],
+        "hull": {"resolution": 64, "ess_samples": 256},
+        "berezin": {"group": 2, "w": [0.3, 0.4], "degrees": [4, 8, 16]},
+        "radical": {"group": 2, "level": 1, "gamma": {"kind": "geometric_decay", "rate": 0.5}},
+        "gelfand": {"budget": 200},
+        "seed": 17,
+    },
 }
 
 

@@ -96,6 +96,14 @@ HULL_SIDE_FILES = {
         "region_sp_1.json": "032ae902987973096e0b7523c697e7599cbf48d73af3f7c0f7209de92f91d4dd",
         "region_sp_2.json": "c2bd6c776b476abb928fff8f6b6c28ee002c0c9a4765a111216e9196d87931a2",
     },
+    "symbolless-k22-d4": {
+        "hull_1.svg": "f0a76b44d6a209ad0d3b1878c92230a3f2732ffd66a4a7145650a7d51bba4638",
+        "hull_2.svg": "bab2d512e293e55ab012000ad297d41dd686e5026bfdf52aa60f180007ba4ff2",
+        "region_hull_1.json": "2b4de4d8d021f2599dd140efe848d458e72c72bc70ec9832eb3509d5fefacedc",
+        "region_hull_2.json": "a5044f063557fa11f07ddd649ee37ccc2d86cd19f1ebdf67b18e44a4a8f3abd6",
+        "region_sp_1.json": "344017cb194241c9de105810b3106038b1c01472152a61c72707cb7c84f9e161",
+        "region_sp_2.json": "8309d6f8fddea860b26f29d9f719fd72a7d899f8ff46fef63bd44722e713b630",
+    },
 }
 
 
