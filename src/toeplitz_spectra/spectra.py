@@ -16,17 +16,21 @@ computes each edge's crossing once per (triangle, grid line), and holes are
 looked for only inside the box of occupied cells; both mark the same cells,
 bit for bit, as a row-by-row fill and a whole-grid search.
 
-All regions of a group at one resolution share the grid that frames its
-sampled boundary image.  The point spectrum lies in the numerical range,
-inside the convex hull of the true image, so it fits in that frame when the
-sampling resolves the image; `spectrum_with_hull` checks that it does.
+The boundary image takes three steps: `boundary_samples` evaluates the
+symbol, `essential_spectrum_estimate` rasterizes the samples, and
+`spectrum_with_hull` marks the point spectrum and takes the hull.  Rasters
+are built afresh per call; `SpectralContext` keeps only eigen data and
+boundary samples.  All regions of a group at one resolution share the grid
+that frames its sampled boundary image.  The point spectrum lies in the
+numerical range, inside the convex hull of the true image, so it fits in
+that frame when the sampling resolves the image; `spectrum_with_hull`
+checks that it does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -208,23 +212,13 @@ class PlanarRegion:
         return rows
 
 
-def _dilate_cells(occ: np.ndarray, steps: int) -> np.ndarray:
-    """occ grown by `steps` 4-neighbour steps, nothing beyond the grid edge.
-
-    After rows + cols - 2 steps every cell is within reach of any occupied
-    one, so larger requests (a slack of millions of cells around a tiny
-    image) cost no more than that.
-    """
-    rows, cols = occ.shape
-    if steps >= rows + cols - 2:
-        return np.full(occ.shape, bool(occ.any()))
+def _dilate_cells(occ: np.ndarray) -> np.ndarray:
+    """occ grown by one 4-neighbour step, nothing beyond the grid edge."""
     out = occ.copy()
-    for _ in range(steps):
-        prev = out.copy()
-        out[1:] |= prev[:-1]
-        out[:-1] |= prev[1:]
-        out[:, 1:] |= prev[:, :-1]
-        out[:, :-1] |= prev[:, 1:]
+    out[1:] |= occ[:-1]
+    out[:-1] |= occ[1:]
+    out[:, 1:] |= occ[:, :-1]
+    out[:, :-1] |= occ[:, 1:]
     return out
 
 
@@ -325,7 +319,7 @@ def _boundary_grid_counts(k: int, samples: int) -> tuple[int, int]:
 
 
 def boundary_sample_count(k: int, samples: int) -> int:
-    """Number of points `boundary_image_values` samples for one group: the
+    """Number of points `boundary_samples` takes for one group: the
     sigma multi-indices with sum <= n_sigma - 1 times the torus grid."""
     if k == 1:
         return 1
@@ -333,33 +327,50 @@ def boundary_sample_count(k: int, samples: int) -> int:
     return math.comb(n_sigma + k - 2, k - 1) * n_tau ** (k - 1)
 
 
-def boundary_image_values(c: PseudoHomogeneousSymbol, samples: int = 4096) -> np.ndarray:
-    """Symbol values over a quasi-uniform sample of the unit sphere.
+def boundary_samples(c: PseudoHomogeneousSymbol, samples: int = 4096) -> np.ndarray:
+    """Symbol values over a quasi-uniform sample of the unit sphere, every
+    one of them finite; the symbol must declare the continuity flag.
 
     The parameter grid is sigma in the sampled simplex (rows) times the
     first k - 1 torus coordinates on a uniform grid (columns), with the last
     torus coordinate fixed to 1 by the diagonal invariance; for k = 2 the
-    result is the (n_sigma, n_tau) grid of (sigma, tau).
+    result is the (n_sigma, n_tau) grid of (sigma, tau), for k = 1 a grid
+    of one sample.  These values are what `SpectralContext` keeps of the
+    boundary image; every raster is filled from them afresh.
     """
+    if not c.boundary_continuous:
+        raise SpectraError(
+            f"symbol {c.label!r} does not declare a continuous boundary extension"
+        )
     k = c.dim
     if k == 1:
-        return np.asarray(c(np.ones((1, 1)), np.ones((1, 1), dtype=complex))).reshape(1, 1)
-    n_sigma, n_tau = _boundary_grid_counts(k, samples)
-    grids = np.meshgrid(*([np.linspace(0.0, 1.0, n_sigma)] * (k - 1)), indexing="ij")
-    sigma = np.stack([g.ravel() for g in grids], axis=1)
-    sigma = sigma[sigma.sum(axis=1) <= 1.0 + 1e-12]
-    s_full = np.sqrt(np.hstack([sigma, np.maximum(1.0 - sigma.sum(1, keepdims=True), 0.0)]))
-    tau = torus_grid(k - 1, n_tau)
-    t_full = np.hstack([tau, np.ones((tau.shape[0], 1), dtype=complex)])
-    s_b = np.repeat(s_full, t_full.shape[0], axis=0)
-    t_b = np.tile(t_full, (s_full.shape[0], 1))
-    return np.asarray(c(s_b, t_b)).reshape(s_full.shape[0], t_full.shape[0])
+        s_b, t_b, shape = np.ones((1, 1)), np.ones((1, 1), dtype=complex), (1, 1)
+    else:
+        n_sigma, n_tau = _boundary_grid_counts(k, samples)
+        grids = np.meshgrid(*([np.linspace(0.0, 1.0, n_sigma)] * (k - 1)), indexing="ij")
+        sigma = np.stack([g.ravel() for g in grids], axis=1)
+        sigma = sigma[sigma.sum(axis=1) <= 1.0 + 1e-12]
+        s_full = np.sqrt(np.hstack([sigma, np.maximum(1.0 - sigma.sum(1, keepdims=True), 0.0)]))
+        tau = torus_grid(k - 1, n_tau)
+        t_full = np.hstack([tau, np.ones((tau.shape[0], 1), dtype=complex)])
+        s_b = np.repeat(s_full, t_full.shape[0], axis=0)
+        t_b = np.tile(t_full, (s_full.shape[0], 1))
+        shape = (s_full.shape[0], t_full.shape[0])
+    # a non-finite sample is reported below, in place of numpy's warnings
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = np.asarray(c(s_b, t_b)).reshape(shape)
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise SpectraError(
+            f"symbol {c.label!r} is not finite at {bad} of its {values.size} boundary samples"
+        )
+    return values
 
 
 def _face_triangles(k: int, n_sigma: int, n_tau: int):
     """Triangles tiling the 2-faces of the sampled simplex x torus grid.
 
-    The grid is the one `boundary_image_values` samples for k >= 2: sigma
+    The grid is the one `boundary_samples` takes for k >= 2: sigma
     multi-indices with sum <= n_sigma - 1 (rows of its result) times torus
     multi-indices with wrap-around (columns).  For each pair of the 2(k-1)
     parameter axes this yields an (n, 3) array of indices into the
@@ -472,59 +483,37 @@ def _fill_triangles(region: PlanarRegion, points: np.ndarray, triangles: np.ndar
     region.occ[top:bottom] |= np.cumsum(diff, axis=1, out=diff)[:, :res] > 0
 
 
-def boundary_samples(c: PseudoHomogeneousSymbol, samples: int = 4096) -> np.ndarray:
-    """`boundary_image_values` of a symbol that declares the continuity
-    flag, every one of them finite."""
-    if not c.boundary_continuous:
-        raise SpectraError(
-            f"symbol {c.label!r} does not declare a continuous boundary extension"
-        )
-    # a non-finite sample is reported below, in place of numpy's warnings
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        values = boundary_image_values(c, samples)
-    bad = int(np.count_nonzero(~np.isfinite(values)))
-    if bad:
-        raise SpectraError(
-            f"symbol {c.label!r} is not finite at {bad} of its {values.size} boundary samples"
-        )
-    return values
+def essential_spectrum_estimate(values: np.ndarray, k: int, resolution: int) -> PlanarRegion:
+    """The boundary image rasterized from a group's sample grid, the values
+    `boundary_samples` returns for a k-variable symbol; the only constructor
+    of a boundary raster, which each call builds afresh.
 
-
-def essential_spectrum_estimate(
-    c: PseudoHomogeneousSymbol,
-    samples: int | np.ndarray = 4096,
-    *,
-    resolution: int = 512,
-) -> PlanarRegion:
-    """Rasterized boundary image c(sphere); requires the continuity flag.
-
-    ``samples`` is the sample count, or the values `boundary_samples`
-    returned for c, which are then not computed again.
     The image is filled, not outlined: each 2-face of the sampled
     simplex x torus parameter grid (for k = 2 each (sigma, tau) cell, tau
     wrapping around) is cut into two triangles, and every cell that the
     image triangle of sample values meets is marked, then the grid is
     dilated by one cell.  The declared continuity licenses filling
     between neighbouring samples; a segment or point image (a real or
-    constant symbol) marks just the cells it touches, and k = 1, whose
-    grid is one point and has no faces, marks the cell of its one value.
-    The region keeps the samples, which the benchmark's tracer reads.
+    constant symbol) marks just the cells it touches, and a grid of one
+    sample (k = 1, or a group without a symbol), which has no faces, marks
+    the cell of that sample.  The region keeps the samples, which the
+    benchmark's tracer reads.
     """
-    values = samples if isinstance(samples, np.ndarray) else boundary_samples(c, samples)
     flat = values.ravel()
     region = PlanarRegion.framing(flat, resolution, "boundary image")
     region.samples = flat
-    if c.dim == 1:
+    if flat.size == 1:
         region.mark(flat)
-    for triangles in _sample_triangles(c.dim, values):
+    for triangles in _sample_triangles(k, values):
         region.mark(flat, triangles)
-    region.occ = _dilate_cells(region.occ, 1)
+    region.occ = _dilate_cells(region.occ)
     return region
 
 
 def _sample_triangles(k: int, values: np.ndarray):
-    """`_face_triangles` of a k-variable symbol's boundary sample grid."""
-    if k == 1:
+    """`_face_triangles` of a k-variable group's boundary sample grid; none
+    for a grid of one sample."""
+    if values.size == 1:
         return ()
     rows, cols = values.shape
     # the grid's counts from its shape: (n_sigma, n_tau), equal for k > 2
@@ -638,7 +627,8 @@ def berezin_sequence(
 
 @dataclass(eq=False)
 class SpectralContext:
-    """Memoized eigen and region data on top of a configured model."""
+    """Memoized eigen data and boundary samples on top of a configured
+    model; rasters are built per call, from the samples."""
 
     model: AlgebraModel
     eig_tol: float = 1e-8
@@ -648,8 +638,6 @@ class SpectralContext:
     def __post_init__(self):
         self._eigen: dict[tuple[int, int], EigenData] = {}
         self._samples: dict[int, np.ndarray] = {}
-        self._ess: dict[int, PlanarRegion] = {}
-        self._hulled: dict[int, PlanarRegion] = {}
 
     @property
     def cfg(self):
@@ -669,66 +657,23 @@ class SpectralContext:
     def boundary_samples(self, j: int) -> np.ndarray:
         """The boundary image values of group j's symbol at the context's
         sample count, once per group; a group without a symbol images to 1.
-        Every raster of the group is filled from them."""
+        Every raster of the group is filled afresh from them."""
         if j not in self._samples:
             sym = self.model.symbols.get(j)
             self._samples[j] = (np.ones((1, 1), dtype=complex) if sym is None
                                 else boundary_samples(sym, self.ess_samples))
         return self._samples[j]
 
-    def boundary_raster(self, j: int, resolution: int) -> PlanarRegion:
-        """The boundary image of group j rasterized afresh on the grid it
-        frames at ``resolution``, from the group's boundary samples."""
-        sym = self.model.symbols.get(j)
-        if sym is None:
-            one = self.boundary_samples(j).ravel()
-            region = PlanarRegion.framing(one, resolution, "boundary image")
-            region.mark(one)
-            region.occ = _dilate_cells(region.occ, 1)
-            return region
-        return essential_spectrum_estimate(sym, self.boundary_samples(j), resolution=resolution)
-
-    def ess_region(self, j: int) -> PlanarRegion:
-        """The boundary raster of group j at the context's resolution, once
-        per group; every region of the group at that resolution lives on
-        this grid."""
-        if j not in self._ess:
-            self._ess[j] = self.boundary_raster(j, self.hull_resolution)
-        return self._ess[j]
-
-    def hulled_ess_region(self, j: int) -> PlanarRegion:
-        if j not in self._hulled:
-            self._hulled[j] = polynomial_hull_2d(self.ess_region(j))
-        return self._hulled[j]
-
 
 @dataclass(frozen=True, eq=False)
 class SpectrumWithHull:
-    """A group's boundary raster, its hull and point spectrum on one grid;
-    sp = points | raster and hull = points | hulled raster are joined when
-    first read, so a caller of the hull alone builds no sp grid."""
+    """A group's spectrum sp = points | boundary raster and its hull
+    hull = points | hulled raster, on one grid."""
 
-    ess_region: PlanarRegion
-    hulled_region: PlanarRegion
-    point_region: PlanarRegion
+    sp_region: PlanarRegion
+    hull_region: PlanarRegion
     point_values: tuple[complex, ...]
-
-    def _with_points(self, region: PlanarRegion) -> PlanarRegion:
-        return PlanarRegion(region.x0, region.y0, region.cell, region.occ | self.point_region.occ,
-                            f"({region.provenance})|(point spectrum)")
-
-    @cached_property
-    def sp_region(self) -> PlanarRegion:
-        return self._with_points(self.ess_region)
-
-    @cached_property
-    def hull_region(self) -> PlanarRegion:
-        return self._with_points(self.hulled_region)
-
-    @cached_property
-    def extra_cells(self) -> int:
-        """Hull minus spectrum, in grid cells."""
-        return int((self.hull_region.occ & ~self.sp_region.occ).sum())
+    extra_cells: int  # hull minus spectrum, in grid cells
 
     @property
     def polynomially_convex(self) -> bool:
@@ -743,26 +688,27 @@ def spectrum_with_hull(
 ) -> SpectrumWithHull:
     """sp = point spectrum union ess-sp; hull = point spectrum union hull(ess-sp).
 
-    The point spectrum is marked on the grid of the memoized boundary
-    raster `ctx.ess_region(j)`, whose frame pads the sampled image by a
-    tenth on every side, and joined to that raster and to its hull; an
-    eigenvalue outside the frame raises instead of being clipped.  At any
-    other resolution (the 2x drift pass of `hull`) the raster and its hull
-    are built for this call only, and nothing keeps them.
+    The boundary raster of group j is built at ``resolution`` (by default
+    the context's) from the group's boundary samples; its frame pads the
+    sampled image by a tenth on every side.  An eigenvalue outside the
+    frame raises instead of being clipped.  The raster is hulled, and the
+    point spectrum is marked on the raster and on its hull.
     """
-    res = resolution or ctx.hull_resolution
-    memoized = res == ctx.hull_resolution
-    ess = ctx.ess_region(j) if memoized else ctx.boundary_raster(j, res)
+    ess = essential_spectrum_estimate(
+        ctx.boundary_samples(j), ctx.cfg.k[j - 1], resolution or ctx.hull_resolution
+    )
     pts = np.concatenate([ctx.distinct(j, d) for d in range(Dmax + 1)])
     at = np.stack([pts.real - ess.x0, pts.imag - ess.y0]) / ess.cell
-    outside = pts[((at < 0) | (at >= res)).any(axis=0)]
+    outside = pts[((at < 0) | (at >= ess.resolution)).any(axis=0)]
     if outside.size:
         raise SpectraError(f"group {j}: block eigenvalue {complex(outside[0]):.6g} lies outside "
                            "the frame of the sampled boundary image; raise hull.ess_samples")
-    marked = PlanarRegion(ess.x0, ess.y0, ess.cell, np.zeros_like(ess.occ), "point spectrum")
-    marked.mark(pts)
-    hulled = ctx.hulled_ess_region(j) if memoized else polynomial_hull_2d(ess)
-    return SpectrumWithHull(ess, hulled, marked, tuple(complex(v) for v in pts))
+    hull = polynomial_hull_2d(ess)
+    ess.mark(pts)
+    hull.occ |= ess.occ  # the hull holds the raster, so this adds the points
+    for region in (ess, hull):
+        region.provenance = f"({region.provenance})|(point spectrum)"
+    return SpectrumWithHull(ess, hull, tuple(complex(v) for v in pts), hull.count() - ess.count())
 
 
 def resolution_drift_cells(base: PlanarRegion, fine: PlanarRegion) -> int:
@@ -782,8 +728,8 @@ def resolution_drift_cells(base: PlanarRegion, fine: PlanarRegion) -> int:
     f = fine.occ
     coarse = f[0::2, 0::2] | f[1::2, 0::2] | f[0::2, 1::2] | f[1::2, 1::2]
     return int(
-        (base.occ & ~_dilate_cells(coarse, 1)).sum()
-        + (coarse & ~_dilate_cells(base.occ, 1)).sum()
+        (base.occ & ~_dilate_cells(coarse)).sum()
+        + (coarse & ~_dilate_cells(base.occ)).sum()
     )
 
 
@@ -824,14 +770,16 @@ def accumulation_check(ctx: SpectralContext, j: int, Dmax: int) -> AccumulationR
 
 
 def _off_image(ctx: SpectralContext, j: int, points) -> tuple[complex, ...]:
-    """The points that ``ctx.ess_region(j).contains_point`` refuses with a
-    slack of 0.05, reading only the cells within that reach of each point.
+    """The points that the boundary raster of group j at the context's
+    resolution (`essential_spectrum_estimate`) refuses with a slack of 0.05
+    in `contains_point`, reading only the cells within that reach of each
+    point.
 
     The samples' cells come first: each sample is a vertex of the fill, so a
     hit is final.  For a miss, the face triangles whose cell box (a cell
     wider, for the rounding of edge crossings) meets the window are filled.
     """
-    samples, sym = ctx.boundary_samples(j), ctx.model.symbols.get(j)
+    samples = ctx.boundary_samples(j)
     flat = samples.ravel()
     image = PlanarRegion.framing(flat, ctx.hull_resolution, "boundary image")
     image.mark(flat)
@@ -846,7 +794,7 @@ def _off_image(ctx: SpectralContext, j: int, points) -> tuple[complex, ...]:
         if not image.contains_point(z, reach):
             if faces is None:  # each triangle with its box, once
                 faces = [(t, grid[:, t].min(axis=2), grid[:, t].max(axis=2))
-                         for t in _sample_triangles(sym.dim if sym else 1, samples)]
+                         for t in _sample_triangles(ctx.cfg.k[j - 1], samples)]
             lo, hi = cells(np.array([z])) - reach - 2, cells(np.array([z])) + reach + 2
             for triangles, low, high in faces:
                 near = ((high >= lo) & (low <= hi)).all(axis=0)

@@ -23,7 +23,7 @@ from toeplitz_spectra.gelfand import (
     zeta_picks,
 )
 from toeplitz_spectra.lattice import PartitionConfig, enumerate_kappa
-from toeplitz_spectra.spectra import PlanarRegion, SpectralContext
+from toeplitz_spectra.spectra import SpectralContext
 from toeplitz_spectra.symbols import constant_symbol
 
 
@@ -158,11 +158,6 @@ class TestAdmissibleZeta:
         vals = diagonal_ctx.distinct(2, 2)
         assert np.allclose(np.sort(vals.real), [1 / 4, 2 / 4, 3 / 4])
 
-    def test_escaped_coordinate_is_hulled_region(self, diagonal_ctx):
-        region = diagonal_ctx.hulled_ess_region(2)
-        assert isinstance(region, PlanarRegion)
-        assert region.contains_point(0.5, 1)
-
     def test_trivial_group(self, diagonal_ctx):
         vals = diagonal_ctx.distinct(1, 3)
         assert np.allclose(vals, 1.0)
@@ -220,16 +215,17 @@ class TestEscapedStrata:
         assert payload["n_surrogate"] == 20
         assert max(s["sup_abs_value"] for s in payload["strata"]) == payload["gelfand_radius"]
 
-    @pytest.mark.parametrize("command", ["spectrum", "gelfand", "radical", "verify"])
+    @pytest.mark.parametrize("command", ["assemble", "berezin", "gelfand", "radical",
+                                         "semisimple", "spectrum", "verify"])
     def test_commands_fill_no_boundary_raster(self, tmp_path, monkeypatch, command):
         fills = []
-        fill = spectra.SpectralContext.boundary_raster
+        fill = spectra.essential_spectrum_estimate
 
-        def counted(ctx, j, resolution):
-            fills.append((j, resolution))
-            return fill(ctx, j, resolution)
+        def counted(values, k, resolution):
+            fills.append((k, resolution))
+            return fill(values, k, resolution)
 
-        monkeypatch.setattr(spectra.SpectralContext, "boundary_raster", counted)
+        monkeypatch.setattr(spectra, "essential_spectrum_estimate", counted)
         _run(tmp_path, command, "readme-d6")
         assert fills == []
 

@@ -445,7 +445,7 @@ class TestRasterizer:
     def test_boundary_sample_count_is_the_sampled_size(self, samples):
         for dim, text in [(1, "1 + 0*s1"), (2, "s1*s2*t1*conj(t2)"), (3, "s1*s2*s3"), (4, "s4^2")]:
             c = expression_symbol(1, dim, text, boundary_continuous=True)
-            want = spectra.boundary_image_values(c, samples).size
+            want = spectra.boundary_samples(c, samples).size
             assert spectra.boundary_sample_count(dim, samples) == want, dim
 
     @pytest.mark.parametrize("res", [512, 1024])
@@ -455,7 +455,7 @@ class TestRasterizer:
     ], ids=["k2", "k3"])
     def test_boundary_faces_match_rowwise_reference(self, dim, text, res):
         c = expression_symbol(1, dim, text, boundary_continuous=True)
-        flat = spectra.boundary_image_values(c, 4096).ravel()
+        flat = spectra.boundary_samples(c, 4096).ravel()
         got, want = (PlanarRegion.framing(flat, res, "boundary image") for _ in range(2))
         for triangles in spectra._face_triangles(dim, *spectra._boundary_grid_counts(dim, 4096)):
             spectra._fill_triangles(got, flat, triangles)
@@ -478,14 +478,14 @@ class TestRasterizer:
         assert used.tolist() == list(range(n_points))
 
     def test_k1_image_marks_one_cell(self):
-        region = essential_spectrum_estimate(constant_symbol(1, 1, 0.3 - 0.2j), resolution=64)
+        region = _estimate(constant_symbol(1, 1, 0.3 - 0.2j), resolution=64)
         dot = np.zeros_like(region.occ)
         dot[_floor_cells(region, np.array([0.3 - 0.2j]))] = True
         assert np.array_equal(region.occ, ndimage.binary_dilation(dot))
 
     def test_constant_symbol_marks_its_cells(self):
         value = 0.7 + 0.1j
-        region = essential_spectrum_estimate(constant_symbol(1, 2, value), 256, resolution=64)
+        region = _estimate(constant_symbol(1, 2, value), 256, resolution=64)
         dot = _blank(region)
         _fill(dot, np.full((1, 3), value))
         assert 1 <= dot.count() <= 4
@@ -493,7 +493,7 @@ class TestRasterizer:
 
     def test_real_segment_image_is_its_cells(self):
         # the boundary image of s1^2 is [0, 1]: filled faces add nothing to it
-        region = essential_spectrum_estimate(profile_symbol(1, 2, "s1^2"), 1024, resolution=256)
+        region = _estimate(profile_symbol(1, 2, "s1^2"), 1024, resolution=256)
         line = _blank(region)
         _fill(line, [[0.0, 1.0, 1.0]])
         assert np.array_equal(region.occ, ndimage.binary_dilation(line.occ))
@@ -501,19 +501,19 @@ class TestRasterizer:
     @pytest.mark.parametrize("p", [(1, -1), (2, -2), (1, -1, 0)])
     def test_quasi_homogeneous_disk_is_polynomially_convex(self, p):
         # |z1 conj(z2)| / |z|^2 and its k = 3 analogue fill a closed disk
-        region = essential_spectrum_estimate(builtin_quasi_homogeneous(1, p))
+        region = _estimate(builtin_quasi_homogeneous(1, p))
         assert np.array_equal(polynomial_hull_2d(region).occ, region.occ)
 
 
 class TestEssentialSpectrum:
     def test_constant(self):
-        region = essential_spectrum_estimate(constant_symbol(1, 2, 1.0), 256)
+        region = _estimate(constant_symbol(1, 2, 1.0), 256)
         assert region.contains_point(1.0 + 0j)
         assert region.count() < 60  # a dot, not a blob
 
     def test_profile_segment(self):
         # boundary image of s1^2 is the segment [0, 1]
-        region = essential_spectrum_estimate(profile_symbol(1, 2, "s1^2"), 1024)
+        region = _estimate(profile_symbol(1, 2, "s1^2"), 1024)
         assert region.contains_point(0.0, 1)
         assert region.contains_point(0.5, 1)
         assert region.contains_point(1.0, 1)
@@ -523,7 +523,7 @@ class TestEssentialSpectrum:
 
     def test_circle_image(self):
         sym = expression_symbol(1, 2, "exp(2*pi*i*s1^2)", boundary_continuous=True)
-        region = essential_spectrum_estimate(sym, 4096, resolution=512)
+        region = _estimate(sym, 4096, resolution=512)
         for angle in np.linspace(0, 2 * np.pi, 17):
             assert region.contains_point(np.exp(1j * angle), 2)
         assert not region.contains_point(0.0, 2)
@@ -531,7 +531,19 @@ class TestEssentialSpectrum:
     def test_flag_required(self):
         sym = expression_symbol(1, 2, "s1^2", boundary_continuous=False)
         with pytest.raises(SpectraError):
-            essential_spectrum_estimate(sym, 64)
+            spectra.boundary_samples(sym, 64)
+
+
+def _estimate(c, samples=4096, resolution=512) -> PlanarRegion:
+    """The boundary raster of a symbol from its boundary samples."""
+    return essential_spectrum_estimate(spectra.boundary_samples(c, samples), c.dim, resolution)
+
+
+def _group_raster(ctx, j) -> PlanarRegion:
+    """The boundary raster of group j at the context's resolution, the one
+    `spectrum_with_hull` builds."""
+    return essential_spectrum_estimate(ctx.boundary_samples(j), ctx.cfg.k[j - 1],
+                                       ctx.hull_resolution)
 
 
 def _probe_model(c) -> AlgebraModel:
@@ -600,6 +612,11 @@ class TestSpectrumHull:
         swh = spectrum_with_hull(diagonal_ctx, 2, 5)
         assert swh.extra_cells == 0
 
+    def test_hull_region_contains_the_boundary_image(self, diagonal_ctx):
+        region = spectrum_with_hull(diagonal_ctx, 2, 5).hull_region
+        assert isinstance(region, PlanarRegion)
+        assert region.contains_point(0.5, 1)
+
 
 class TestAccumulation:
     def test_profile_accumulates_in_segment(self, diagonal_ctx):
@@ -628,7 +645,7 @@ class TestAccumulation:
         ctx = _setup(copy.deepcopy(CONFIGS[name]), tmp_path).ctx
         rng = np.random.default_rng(5)
         for j in range(1, ctx.cfg.m + 1):
-            ess = ctx.ess_region(j)
+            ess = _group_raster(ctx, j)
             side = ess.resolution * ess.cell
             anywhere = complex(ess.x0, ess.y0) + side * (
                 rng.uniform(-0.2, 1.2, 200) + 1j * rng.uniform(-0.2, 1.2, 200))
@@ -707,16 +724,11 @@ class TestMorphology:
         for rows, cols in [(1, 1), (1, 7), (9, 1), (13, 8), (32, 32)]:
             for density in (0.0, 0.02, 0.3):
                 occ = rng.random((rows, cols)) < density
-                for steps in (1, 2, 7, rows + cols - 3, rows + cols - 2, rows + cols, 10**6):
-                    if steps < 1:
-                        continue
-                    want = ndimage.binary_dilation(occ, iterations=steps)
-                    assert np.array_equal(spectra._dilate_cells(occ, steps), want), (rows, cols, steps)
+                want = ndimage.binary_dilation(occ)
+                assert np.array_equal(spectra._dilate_cells(occ), want), (rows, cols, density)
         occ = np.zeros((512, 512), dtype=bool)
         occ[300, 17] = True
-        for steps in (1, 1024, 10**6):
-            want = ndimage.binary_dilation(occ, iterations=steps)
-            assert np.array_equal(spectra._dilate_cells(occ, steps), want)
+        assert np.array_equal(spectra._dilate_cells(occ), ndimage.binary_dilation(occ))
 
     def test_hull_matches_label_on_random_grids(self):
         rng = np.random.default_rng(6)
@@ -800,7 +812,7 @@ def _setup(raw, tmp_path):
 
 def _assert_point_spectrum_in_frame(ctx, D):
     for j in range(1, ctx.cfg.m + 1):
-        region = ctx.ess_region(j)
+        region = _group_raster(ctx, j)
         side = region.resolution * region.cell
         pts = np.concatenate([ctx.distinct(j, d) for d in range(D + 1)])
         assert np.all((pts.real >= region.x0) & (pts.real < region.x0 + side)), j
@@ -834,9 +846,9 @@ class TestOneGrid:
         rasters, hulls = Counter(), Counter()
         estimate, hull = spectra.essential_spectrum_estimate, spectra.polynomial_hull_2d
 
-        def counted_estimate(c, samples=4096, *, resolution=512):
-            rasters[(c.group, resolution)] += 1
-            return estimate(c, samples, resolution=resolution)
+        def counted_estimate(values, k, resolution):
+            rasters[(group_of[id(values)], resolution)] += 1
+            return estimate(values, k, resolution)
 
         def counted_hull(region):
             hulls[(region.x0, region.y0, region.resolution)] += 1
@@ -845,10 +857,11 @@ class TestOneGrid:
         monkeypatch.setattr(spectra, "essential_spectrum_estimate", counted_estimate)
         monkeypatch.setattr(spectra, "polynomial_hull_2d", counted_hull)
         setup = _setup(raw, tmp_path)
+        groups = range(1, setup.cfg.m + 1)
+        group_of = {id(setup.ctx.boundary_samples(j)): j for j in groups}
         for command in ("spectrum", "hull", "gelfand", "radical"):
             COMMANDS[command](setup)
         res = setup.ctx.hull_resolution
-        groups = [spec["group"] for spec in raw["symbols"]]
         assert rasters == {(j, r): 1 for j in groups for r in (res, 2 * res)}
         assert len(hulls) == 2 * setup.cfg.m and set(hulls.values()) == {1}
 
@@ -864,4 +877,4 @@ class TestOneGrid:
         # 9 levels per axis sample s1^2 = 1/2, and the frame holds the spectrum.
         fine = SpectralContext(model=model, hull_resolution=64, ess_samples=9**4)
         swh = spectrum_with_hull(fine, 1, 1)
-        assert swh.sp_region.count() >= fine.ess_region(1).count()
+        assert swh.sp_region.count() >= _group_raster(fine, 1).count()
