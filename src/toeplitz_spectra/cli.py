@@ -61,6 +61,8 @@ from .symbols import (
     profile_symbol,
 )
 
+# A "default" fills an absent property when a config is conformed; a
+# default that depends on other fields is filled in validate_config.
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -74,10 +76,10 @@ CONFIG_SCHEMA = {
             "properties": {
                 "k": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
                 "n": {"type": "integer", "minimum": 1},
-                "lambda": {"type": "number", "exclusiveMinimum": -1},
+                "lambda": {"type": "number", "exclusiveMinimum": -1, "default": 0.0},
             },
         },
-        "degree_cap": {"type": "integer", "minimum": 0},
+        "degree_cap": {"type": "integer", "minimum": 0, "default": 6},
         "quasi_radial": {
             "type": ["object", "null"],
             "additionalProperties": False,
@@ -87,6 +89,7 @@ CONFIG_SCHEMA = {
                 "exponents": {"type": "array", "items": {"type": "integer", "minimum": 0}},
             },
             "required": ["kind"],
+            "default": None,
         },
         "symbols": {
             "type": "array",
@@ -113,28 +116,31 @@ CONFIG_SCHEMA = {
                     "boundary_continuous": {"type": "boolean"},
                 },
             },
+            "default": [],
         },
         "quadrature": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "block_order": {"type": "integer", "minimum": 1},
-                "gamma_order": {"type": "integer", "minimum": 1},
+                "block_order": {"type": "integer", "minimum": 1, "default": 48},
+                "gamma_order": {"type": "integer", "minimum": 1, "default": 48},
                 # Accepted and ignored: every symbol is a compiled mode table.
                 "torus_grid": {"type": "integer", "minimum": 2},
             },
+            "default": {},
         },
         "hull": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "resolution": {"type": "integer", "minimum": 16},
-                "ess_samples": {"type": "integer", "minimum": 16},
+                "resolution": {"type": "integer", "minimum": 16, "default": 512},
+                "ess_samples": {"type": "integer", "minimum": 16, "default": 4096},
             },
+            "default": {},
         },
-        "eig_tol": {"type": "number", "exclusiveMinimum": 0},
-        "surrogate_kappa": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
+        "eig_tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-8},
+        "surrogate_kappa": {"type": "integer", "minimum": 1, "default": 10_000},
+        "seed": {"type": "integer", "minimum": 0, "default": 12345},
         "berezin": {
             "type": "object",
             "required": ["group", "w", "degrees"],
@@ -150,42 +156,34 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "budget": {"type": "integer", "minimum": 1},
-                "zeta_per_region": {"type": "integer", "minimum": 1},
+                "budget": {"type": "integer", "minimum": 1, "default": 600},
+                "zeta_per_region": {"type": "integer", "minimum": 1, "default": 8},
             },
+            "default": {},
         },
         "radical": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
+                # Defaults to the lowest group with a symbol, or 1.
                 "group": {"type": "integer", "minimum": 1},
-                "level": {"type": "integer", "minimum": 1},
+                "level": {"type": "integer", "minimum": 1, "default": 1},
                 "gamma": {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
-                        "kind": {"enum": ["indicator_degree", "geometric_decay"]},
-                        "d": {"type": "integer", "minimum": 0},
-                        "rate": {"type": "number", "minimum": 0},
+                        "kind": {"enum": ["indicator_degree", "geometric_decay"],
+                                 "default": "indicator_degree"},
+                        "d": {"type": "integer", "minimum": 0, "default": 1},
+                        "rate": {"type": "number", "minimum": 0, "default": 0.5},
                     },
+                    "default": {},
                 },
             },
+            "default": {},
         },
-        "output_dir": {"type": "string"},
+        "output_dir": {"type": "string", "default": "out"},
     },
-}
-
-DEFAULTS = {
-    "degree_cap": 6,
-    "quasi_radial": None,
-    "symbols": [],
-    "quadrature": {"block_order": 48, "gamma_order": 48, "torus_grid": 64},
-    "hull": {"resolution": 512, "ess_samples": 4096},
-    "eig_tol": 1e-8,
-    "surrogate_kappa": 10_000,
-    "seed": 12345,
-    "gelfand": {"budget": 600, "zeta_per_region": 8},
-    "output_dir": "out",
 }
 
 
@@ -204,57 +202,53 @@ def _is_type(value, name: str) -> bool:
         name != "integer" or isinstance(value, int) or value.is_integer())
 
 
-def _schema_error(value, schema: dict, where: str = "config") -> str | None:
-    """The first way value breaks schema, or None if it conforms.
+def _conform(value, schema: dict, where: str = "config"):
+    """A copy of value checked against schema, with each number at an
+    integer position made an int and each absent property that has a
+    default filled in; the copy shares no list or dict with value or schema.
 
-    Covers exactly the keywords CONFIG_SCHEMA uses, with jsonschema's
+    Checks exactly the other keywords CONFIG_SCHEMA uses, with jsonschema's
     semantics: type, enum, minimum, exclusiveMinimum, minItems, items,
     required, properties and additionalProperties (false only).  A keyword
     about objects, arrays or numbers ignores values of other types, and {}
-    accepts anything.
+    accepts anything.  The first place value breaks schema is a ConfigError.
     """
+    def refused(what: str) -> ConfigError:
+        return ConfigError(f"config failed schema validation: {where}: {what}")
+
     types = schema.get("type", [])
     types = [types] if isinstance(types, str) else types
     if types and not any(_is_type(value, t) for t in types):
-        return f"{where}: {value!r} is not of type {' or '.join(types)}"
+        raise refused(f"{value!r} is not of type {' or '.join(types)}")
     if "enum" in schema and value not in schema["enum"]:
-        return f"{where}: {value!r} is not one of {schema['enum']}"
+        raise refused(f"{value!r} is not one of {schema['enum']}")
     if _is_type(value, "number"):
         if "minimum" in schema and value < schema["minimum"]:
-            return f"{where}: {value!r} is less than the minimum {schema['minimum']}"
+            raise refused(f"{value!r} is less than the minimum {schema['minimum']}")
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-            return f"{where}: {value!r} is not above {schema['exclusiveMinimum']}"
+            raise refused(f"{value!r} is not above {schema['exclusiveMinimum']}")
+    if types == ["integer"]:
+        return int(value)  # exact: the type test passed, so value is integral
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
-            return f"{where}: {value!r} has fewer than {schema['minItems']} items"
-        for i, item in enumerate(value):
-            if err := _schema_error(item, schema.get("items", {}), f"{where}[{i}]"):
-                return err
+            raise refused(f"{value!r} has fewer than {schema['minItems']} items")
+        return [_conform(item, schema.get("items", {}), f"{where}[{i}]")
+                for i, item in enumerate(value)]
     if isinstance(value, dict):
         props = schema.get("properties", {})
         for key in schema.get("required", ()):
             if key not in value:
-                return f"{where}: {key!r} is a required property"
+                raise refused(f"{key!r} is a required property")
         if schema.get("additionalProperties", True) is False:
             for key in value:
                 if key not in props:
-                    return f"{where}: additional property {key!r} is not allowed"
+                    raise refused(f"additional property {key!r} is not allowed")
+        out = {key: _conform(item, props.get(key, {}), f"{where}.{key}")
+               for key, item in value.items()}
         for key, sub in props.items():
-            if key in value and (err := _schema_error(value[key], sub, f"{where}.{key}")):
-                return err
-    return None
-
-
-def _integers_as_int(value, schema: dict):
-    """value with each number at an integer position of schema made an int,
-    which is exact once value conforms: such a number is then integral."""
-    if schema.get("type") == "integer":
-        return int(value)
-    if isinstance(value, list):
-        return [_integers_as_int(v, schema.get("items", {})) for v in value]
-    if isinstance(value, dict):
-        props = schema.get("properties", {})
-        return {key: _integers_as_int(v, props.get(key, {})) for key, v in value.items()}
+            if key not in out and "default" in sub:
+                out[key] = _conform(sub["default"], sub, f"{where}.{key}")
+        return out
     return value
 
 
@@ -268,21 +262,6 @@ def _complex_from_json(v) -> complex:
 
 def c2j(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
-
-
-def _fill_defaults(raw: dict) -> dict:
-    cfg = dict(raw)
-    for key, val in DEFAULTS.items():
-        if key in ("quadrature", "hull", "gelfand"):
-            merged = dict(val)
-            merged.update(cfg.get(key) or {})
-            cfg[key] = merged
-        else:
-            cfg.setdefault(key, val)
-    part = dict(cfg["partition"])
-    part.setdefault("lambda", 0.0)
-    cfg["partition"] = part
-    return cfg
 
 
 def _finite_number(text: str) -> float:
@@ -311,9 +290,7 @@ def load_config(path: str | Path) -> dict:
 
 
 def validate_config(raw: dict) -> dict:
-    if err := _schema_error(raw, CONFIG_SCHEMA):
-        raise ConfigError(f"config failed schema validation: {err}")
-    cfg = _fill_defaults(_integers_as_int(raw, CONFIG_SCHEMA))
+    cfg = _conform(raw, CONFIG_SCHEMA)
     part = cfg["partition"]
     k = tuple(part["k"])
     if "n" in part and part["n"] != sum(k):
@@ -327,8 +304,7 @@ def validate_config(raw: dict) -> dict:
         if g in seen:
             raise ConfigError(f"two symbols declared for group {g}")
         seen.add(g)
-    berezin = cfg.get("berezin")
-    if berezin:
+    if berezin := cfg.get("berezin"):
         g = berezin["group"]
         if not 1 <= g <= m:
             raise ConfigError(f"berezin group {g} outside 1..{m}")
@@ -338,12 +314,12 @@ def validate_config(raw: dict) -> dict:
         norm = float(np.linalg.norm(w))
         if not 0.0 < norm < 1.0:
             raise ConfigError(f"berezin w must lie in the open ball minus 0, |w| = {norm:.4f}")
-    radical = cfg.get("radical") or {}
-    g = radical.get("group", 1)
+    radical = cfg["radical"]
+    g = radical.setdefault("group", min(seen, default=1))
     if not 1 <= g <= m:
         raise ConfigError(f"radical group {g} outside 1..{m}")
-    gamma = radical.get("gamma") or {}
-    if gamma.get("kind") == "geometric_decay" and gamma.get("rate", 0) >= 1:
+    gamma = radical["gamma"]
+    if gamma["kind"] == "geometric_decay" and gamma["rate"] >= 1:
         raise ConfigError(f"radical.gamma.rate must be in [0, 1), got {gamma['rate']}")
     _price_raster(cfg["hull"], [k[spec["group"] - 1] for spec in cfg["symbols"]])
     _price_blocks(cfg, k)
@@ -416,6 +392,7 @@ class Setup:
     ctx: SpectralContext
     out_dir: Path
     warnings: list[str]
+    berezin_radial: QuasiRadialSymbol | None
 
 
 def _field(spec: dict, key: str, where: str, length: int | None = None):
@@ -461,8 +438,9 @@ def _build_symbol(spec, cfg: PartitionConfig) -> PseudoHomogeneousSymbol:
 
 
 def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: str | None = None) -> Setup:
-    """The model and context for config; threads, no_cache and
-    quadrature.torus_grid are accepted and ignored.
+    """The model and context for config, and the parsed radial factor of
+    its berezin probe; threads, no_cache and quadrature.torus_grid are
+    accepted and ignored.
     The doubled gamma rule of a quasi-radial symbol that does not compile, and
     the doubled block rule of a symbol profile without terms, are priced here."""
     cfg = PartitionConfig(k=tuple(config["partition"]["k"]), lam=float(config["partition"]["lambda"]))
@@ -471,6 +449,12 @@ def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: 
     if quasi is not None and quasi.terms is None:
         _price_gamma_rule(quad["gamma_order"], cfg.m, factor=2)
     symbols = {spec["group"]: _build_symbol(spec, cfg) for spec in config["symbols"]}
+    radial = None
+    if text := (config.get("berezin") or {}).get("radial_expression"):
+        try:
+            radial = QuasiRadialSymbol.from_expression(1, text)
+        except SymbolError as exc:
+            raise ConfigError(f"berezin.radial_expression: {exc}") from exc
     order, npts = quad["block_order"], 2 * quad["block_order"]
     for sym in symbols.values():
         # A profile without terms has its entries on rules of npts^(k-1) nodes
@@ -495,7 +479,8 @@ def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: 
         hull_resolution=config["hull"]["resolution"],
         ess_samples=config["hull"]["ess_samples"],
     )
-    return Setup(config=config, cfg=cfg, model=model, ctx=ctx, out_dir=out_dir, warnings=[])
+    return Setup(config=config, cfg=cfg, model=model, ctx=ctx, out_dir=out_dir, warnings=[],
+                 berezin_radial=radial)
 
 
 # ---------------------------------------------------------------------------
@@ -696,13 +681,7 @@ def cmd_berezin(setup: Setup) -> dict:
     if j not in setup.model.symbols:
         raise ConfigError(f"group {j} has no symbol to probe")
     w = [_complex_from_json(v) for v in spec["w"]]
-    radial = None
-    if spec.get("radial_expression"):
-        try:
-            radial = QuasiRadialSymbol.from_expression(1, spec["radial_expression"])
-        except SymbolError as exc:
-            raise ConfigError(f"berezin.radial_expression: {exc}") from exc
-    probe = berezin_sequence(setup.model, j, w, spec["degrees"], radial_profile=radial)
+    probe = berezin_sequence(setup.model, j, w, spec["degrees"], radial_profile=setup.berezin_radial)
     rows = []
     for d, v in zip(probe.degrees, probe.values):
         rows.append([d, float(v.real), float(v.imag), abs(v - probe.boundary_value)])
@@ -810,16 +789,12 @@ def cmd_radical(setup: Setup) -> dict:
                           norm_constants, power_norm_sequence, radical_generator)
 
     D = setup.config["degree_cap"]
-    rconf = setup.config.get("radical") or {}
-    j = rconf.get("group")
-    if j is None:
-        j = min(setup.model.symbols) if setup.model.symbols else 1
-    level = rconf.get("level", 1)
-    gspec = rconf.get("gamma") or {}
-    if gspec.get("kind", "indicator_degree") == "indicator_degree":
-        gamma = DiagonalCoefficient.indicator_degree(j, gspec.get("d", 1))
+    rconf = setup.config["radical"]
+    j, level, gspec = rconf["group"], rconf["level"], rconf["gamma"]
+    if gspec["kind"] == "indicator_degree":
+        gamma = DiagonalCoefficient.indicator_degree(j, gspec["d"])
     else:
-        gamma = DiagonalCoefficient.geometric_decay(j, float(gspec.get("rate", 0.5)))
+        gamma = DiagonalCoefficient.geometric_decay(j, float(gspec["rate"]))
     K_sur = setup.config["surrogate_kappa"]
     if escaped_gamma(gamma, setup.cfg.m, j, K_sur) > SUPPORT_TOL:
         raise ConfigError(
@@ -901,11 +876,19 @@ def cmd_verify(setup: Setup) -> dict:
     return {"checks": records, "all_passed": all(c["passed"] for c in records)}
 
 
+def _schema_defaults(schema: dict) -> dict:
+    """The default of each property of schema, with the defaults inside it
+    filled, or else the defaults that the property holds, if any."""
+    found = {key: _conform(sub["default"], sub, key) if "default" in sub else _schema_defaults(sub)
+             for key, sub in schema.get("properties", {}).items()}
+    return {key: value for key, value in found.items() if value != {}}
+
+
 def cmd_info(setup: Setup | None) -> dict:
     return {
         "tool": "toeplitz-spectra",
         "version": __version__,
-        "defaults": DEFAULTS,
+        "defaults": _schema_defaults(CONFIG_SCHEMA),
         "schema": CONFIG_SCHEMA,
         "commands": [*COMMANDS, "info"],
     }

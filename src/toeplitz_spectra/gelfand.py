@@ -281,8 +281,10 @@ def zeta_picks(samples: np.ndarray, limit: int) -> list[complex]:
     """At most ``limit`` escaped values from a group's boundary samples: the
     first sample of largest modulus, where the sup of a functional over the
     image lies, then limit - 1 samples spread evenly over the sample order;
-    a value that repeats is kept once, so a constant image gives one."""
+    a value that repeats is kept once, so a constant image gives one.  At
+    size + 1 the spread takes every sample, so a larger limit is cut there."""
     flat = samples.ravel()
+    limit = min(limit, flat.size + 1)
     spread = np.arange(limit - 1) * flat.size // max(limit - 1, 1)
     picks = flat[np.concatenate([[np.argmax(np.abs(flat))], spread]).astype(np.intp)]
     return list(dict.fromkeys(picks.tolist()))

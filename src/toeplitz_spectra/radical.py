@@ -38,8 +38,6 @@ class HPolynomial:
     """Monic product of the first ``level`` linear factors of a block."""
 
     group: int
-    d: int
-    level: int
     roots: tuple[complex, ...]
 
     @property
@@ -63,10 +61,7 @@ def h_polynomial(ctx: SpectralContext, j: int, d: int, level: int) -> HPolynomia
         raise RadicalError(
             f"level {level} outside 1..{e.n_distinct} for block ({j},{d})"
         )
-    return HPolynomial(
-        group=j, d=d, level=level,
-        roots=tuple(complex(z) for z in e.distinct[:level]),
-    )
+    return HPolynomial(group=j, roots=tuple(complex(z) for z in e.distinct[:level]))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +196,6 @@ def is_semisimple(ctx: SpectralContext, Dmax: int, tol: float = 1e-10) -> Semisi
 @dataclass(frozen=True, eq=False)
 class RadicalGenerator:
     group: int
-    level: int
     f_levels: tuple[int, ...]  # F_L intersected with [0, Dmax]
     finite_sum: FiniteSum
     operator: TruncatedOperator
@@ -265,7 +259,7 @@ def radical_generator(
             else "no structural growth detected; finiteness of F_L untested by design"
         )
     return RadicalGenerator(
-        group=j, level=L, f_levels=tuple(f_levels),
+        group=j, f_levels=tuple(f_levels),
         finite_sum=total, operator=op, f_l_note=note,
     )
 
@@ -306,11 +300,9 @@ class DivisionParts:
     """S_n h_n + S_{n-1} h_{n-1} + ... + S_1 h_1 + S_0 splitting of Q_d A."""
 
     group: int
-    d: int
     n: int
     s_parts: tuple[FiniteSum, ...]  # index l = 0..n
     h_polys: tuple[HPolynomial, ...]  # index l = 1..n
-    min_gap: float
     q_d_times_a: FiniteSum  # the left-hand side Q_d A
 
     def structurally_free_of_generator(self) -> bool:
@@ -419,10 +411,9 @@ def decompose_by_division(A: FiniteSum, j: int, d: int, ctx: SpectralContext) ->
     s_parts.append(q_gate * s_n)
 
     return DivisionParts(
-        group=j, d=d, n=n,
+        group=j, n=n,
         s_parts=tuple(s_parts),
         h_polys=tuple(h_polys),
-        min_gap=min_gap if n > 1 else math.inf,
         q_d_times_a=q_gate * A,
     )
 
@@ -446,7 +437,6 @@ def _shift_power(fs: FiniteSum, j: int, power: int) -> FiniteSum:
 @dataclass(frozen=True)
 class NormConstants:
     group: int
-    d: int
     values: tuple[float, ...]  # C_0 .. C_{n-1}
     flagged: tuple[bool, ...]  # True when a tiny gap made the value blow up
 
@@ -471,4 +461,4 @@ def norm_constants(ctx: SpectralContext, j: int, d: int) -> NormConstants:
         value = inv * c0 * math.sqrt(1.0 + sum(values))
         values.append(value)
         flagged.append(tiny)
-    return NormConstants(group=j, d=d, values=tuple(values), flagged=tuple(flagged))
+    return NormConstants(group=j, values=tuple(values), flagged=tuple(flagged))

@@ -51,7 +51,6 @@ class EigenData:
     """Eigenvalues of one block with clustering already applied."""
 
     group: int
-    d: int
     values: np.ndarray  # all eigenvalues, sorted by (re, im)
     distinct: np.ndarray  # cluster representatives, same order
     multiplicities: np.ndarray  # int, sums to block dimension
@@ -76,8 +75,8 @@ def block_eigenvalues(
     Exactly triangular blocks (which includes every single-mode
     quasi-homogeneous block and every profile-only block) read their
     spectrum off the diagonal; everything else goes through the dense
-    nonsymmetric solver.  ``group`` and ``d`` label the result and its
-    messages.
+    nonsymmetric solver.  ``group`` labels the result, and ``group`` and
+    ``d`` its messages.
     """
     mat = np.asarray(block, dtype=complex)
     if mat.size and not np.all(np.isfinite(mat.real) & np.isfinite(mat.imag)):
@@ -116,7 +115,6 @@ def block_eigenvalues(
             )
     return EigenData(
         group=group,
-        d=d,
         values=vals,
         distinct=reps,
         multiplicities=np.array(counts, dtype=int),

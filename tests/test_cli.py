@@ -48,6 +48,16 @@ def test_info_runs(capsys):
     assert "assemble" in out["commands"]
 
 
+def test_info_lists_every_default(capsys):
+    # Every default a config is filled with, save radical.group, which is
+    # the lowest group with a symbol; torus_grid is ignored and has none.
+    assert main(["info"]) == 0
+    defaults = json.loads(capsys.readouterr().out)["defaults"]
+    filled = cli.validate_config({"partition": {"k": [1]}})
+    del filled["partition"]["k"], filled["radical"]["group"]
+    assert defaults == filled
+
+
 def test_missing_config_is_config_error(capsys):
     assert main(["assemble"]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -574,6 +584,18 @@ def test_berezin_bad_base_point_is_config_error(tmp_path, capsys, berezin, messa
     assert err["message"].startswith(message)
 
 
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_bad_radial_expression_is_refused_by_every_command(tmp_path, capsys, command):
+    # Parsed when the setup is built, as symbol texts are, so no command runs on it.
+    berezin = {"group": 2, "w": [0.3, 0.4], "degrees": [5], "radial_expression": "r1^^2"}
+    path = write_config(tmp_path, berezin=berezin)
+    assert main([command, "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"].startswith("berezin.radial_expression: invalid syntax")
+    assert not (tmp_path / "out" / f"report_{command}.json").exists()
+
+
 def test_semisimple_command(tmp_path):
     path = write_config(tmp_path)
     assert main(["semisimple", "--config", str(path)]) == 0
@@ -716,6 +738,25 @@ def test_oversized_raster_knob_is_refused_before_allocating(tmp_path, hull, knob
         "gamma-order-jacobi", "block-order-profile-rule"])
 def test_oversized_block_knob_is_refused_before_allocating(tmp_path, command, overrides, knob):
     _assert_refused_quickly(write_config(tmp_path, **overrides), command, knob)
+
+
+def test_huge_zeta_per_region_takes_every_boundary_sample(tmp_path):
+    # A spread of 10^9 picks asked for 7.45 GiB and ended in a MemoryError
+    # under this limit; past the sample count + 1 every limit picks the same.
+    limit = 2 << 30
+    path = write_config(tmp_path, gelfand={"zeta_per_region": 10**9})
+    run = subprocess.run(
+        [sys.executable, "-m", "toeplitz_spectra.cli", "gelfand", "--config", str(path)],
+        env=_child_env(), capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert run.returncode == 0, run.stderr
+    count = cli.boundary_sample_count(2, 2048)
+    config = cli.validate_config({**json.loads(path.read_text()),
+                                  "gelfand": {"zeta_per_region": count + 1}})
+    capped = cli.COMMANDS["gelfand"](cli.build_setup(config, out=str(tmp_path / "capped")))
+    sha = hashlib.sha256(cli.canonical_payload_bytes(capped)).hexdigest()
+    assert read_report(tmp_path, "gelfand")["payload_sha256"] == sha
 
 
 @pytest.mark.parametrize("k, text, order", [

@@ -12,14 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toeplitz_spectra.cli import _JSON_TYPES, CONFIG_SCHEMA, _schema_error, main, validate_config
+from pin_payloads import CONFIGS
+from toeplitz_spectra.cli import _JSON_TYPES, CONFIG_SCHEMA, _conform, main, validate_config
+from toeplitz_spectra.errors import ConfigError
 
-ORACLE = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+ORACLE = VALIDATOR(CONFIG_SCHEMA)
 
-# The keywords _schema_error implements.
+# The keywords _conform checks, and default, which it fills and jsonschema ignores.
 SCHEMA_KEYWORDS = {
     "type", "required", "properties", "additionalProperties", "items",
-    "enum", "minimum", "exclusiveMinimum", "minItems",
+    "enum", "minimum", "exclusiveMinimum", "minItems", "default",
 }
 
 # The README example with every optional section spelled out.
@@ -104,10 +107,18 @@ def mutated_configs(draw):
     return config
 
 
+def _conforms(config) -> bool:
+    try:
+        _conform(config, CONFIG_SCHEMA)
+    except ConfigError:
+        return False
+    return True
+
+
 @settings(max_examples=600, deadline=None)
 @given(mutated_configs())
 def test_validator_agrees_with_jsonschema(config):
-    assert (_schema_error(config, CONFIG_SCHEMA) is None) == ORACLE.is_valid(config), config
+    assert _conforms(config) == ORACLE.is_valid(config), config
 
 
 @pytest.mark.parametrize(
@@ -130,7 +141,7 @@ def test_validator_agrees_with_jsonschema(config):
 )
 def test_validator_examples(overrides, valid):
     config = dict(README_CONFIG, **overrides)
-    assert (_schema_error(config, CONFIG_SCHEMA) is None) is valid
+    assert _conforms(config) is valid
     assert ORACLE.is_valid(config) is valid
 
 
@@ -160,6 +171,34 @@ def test_schema_uses_only_validated_keywords():
         assert schema.get("additionalProperties", False) is False, schema
         # Strings only: `in` then agrees with jsonschema's equality, where True != 1.
         assert all(isinstance(v, str) for v in schema.get("enum", [])), schema
+        if "default" in schema:
+            assert VALIDATOR(schema).is_valid(schema["default"]), schema
+
+
+def test_echoed_config_holds_every_default(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**CONFIGS["readme-d6"], "output_dir": str(tmp_path / "out")}))
+    assert main(["berezin", "--config", str(path)]) == 0
+    echoed = json.loads((tmp_path / "out" / "report_berezin.json").read_text())["config"]
+    assert echoed["radical"]["level"] == 1
+    assert echoed["radical"]["gamma"]["kind"] == "geometric_decay"
+    assert echoed["gelfand"]["budget"] == 600
+    # Without a radical section, radical's defaults are filled as radical
+    # runs them; its group is the lowest group with a symbol.
+    bare = validate_config({key: v for key, v in CONFIGS["readme-d6"].items() if key != "radical"})
+    assert bare["radical"] == {
+        "group": 2, "level": 1, "gamma": {"kind": "indicator_degree", "d": 1, "rate": 0.5},
+    }
+
+
+def test_filled_defaults_are_copies():
+    raw = {"partition": {"k": [1, 2]}}
+    first = validate_config(raw)
+    first["symbols"].append({"group": 1, "kind": "constant"})
+    first["radical"]["gamma"]["rate"] = 0.25
+    second = validate_config(raw)
+    assert raw == {"partition": {"k": [1, 2]}}
+    assert second["symbols"] == [] and second["radical"]["gamma"]["rate"] == 0.5
 
 
 def test_benchmark_configs_use_only_known_keys(monkeypatch):

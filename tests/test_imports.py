@@ -178,10 +178,18 @@ SHIMS = {
 }
 
 
+# Class fields that only tests read, each with the test that reads it.
+TEST_READ_FIELDS = {
+    "DiagonalizabilityReport.defects":
+        "test_radical.py's test_jordan_block_false reads the multiplicities of a Jordan block",
+}
+
+
 def test_every_name_defined_in_src_is_used_in_src():
     # A function, class, method or module-level name (dunders aside) that
-    # nothing else in src/ names is test-only or dead API.
-    defined, used = {}, set()
+    # nothing else in src/ names, or a class-level annotated field that no
+    # attribute in src/ reads, is test-only or dead API.
+    defined, used, fields, attributes = {}, set(), {}, set()
     for path in sorted((SRC / "toeplitz_spectra").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
@@ -191,12 +199,17 @@ def test_every_name_defined_in_src_is_used_in_src():
                     if isinstance(target, ast.Name):
                         defined.setdefault(target.id, f"{path.name}:{node.lineno}")
         for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for field in node.body:
+                    if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name):
+                        fields[f"{node.name}.{field.target.id}"] = f"{path.name}:{field.lineno}"
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.asname or node.name)
     unused = {
@@ -204,3 +217,7 @@ def test_every_name_defined_in_src_is_used_in_src():
         if name not in used and not (name.startswith("__") and name.endswith("__"))
     }
     assert unused.keys() == SHIMS.keys(), unused
+    unread = {
+        name: where for name, where in fields.items() if name.split(".")[1] not in attributes
+    }
+    assert unread.keys() == TEST_READ_FIELDS.keys(), unread

@@ -392,8 +392,8 @@ def test_indeterminate_rank_refines_at_twice_the_block_order(monkeypatch):
         if eigen is None:
             refined.append(np.array(mat))
             return report
-        scanned.append(eigen.d)
-        if eigen.d == 2:  # report the degree-2 rank as indeterminate once
+        scanned.append(len(mat) - 1)  # on k = (2,) the degree-d block has d + 1 rows
+        if scanned[-1] == 2:  # report the degree-2 rank as indeterminate once
             return dataclasses.replace(report, indeterminate=("forced",))
         return report
 
