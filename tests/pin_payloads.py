@@ -139,6 +139,20 @@ CONFIGS = {
         "gelfand": {"budget": 200},
         "seed": 17,
     },
+    # The README example at D=3 with a surrogate degree past int64: the
+    # escaped coordinates of gelfand, radical and verify are evaluated at
+    # kappa_j = 10^30.
+    "huge-ksur-d3": {
+        "partition": {"k": [1, 2], "lambda": 0.0},
+        "degree_cap": 3,
+        "quasi_radial": {"kind": "expression", "text": "1 - r1^2*r2^2"},
+        "symbols": [{"group": 2, "kind": "quasi_homogeneous", "p": [1, -1]}],
+        "berezin": {"group": 2, "w": [0.3, 0.4], "degrees": [50, 100, 200],
+                    "radial_expression": "r1^2"},
+        "radical": {"group": 2, "level": 1,
+                    "gamma": {"kind": "geometric_decay", "rate": 0.5}},
+        "surrogate_kappa": 10**30,
+    },
 }
 
 
