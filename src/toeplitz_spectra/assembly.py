@@ -148,33 +148,10 @@ def assemble_block(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class TruncatedOperator:
-    """Block-diagonal operator over the global basis of a truncation, as
-    ``gelfand.assemble_finite_sum`` materializes a finite sum."""
-
-    basis: GlobalBasis
-    blocks: dict[Index, np.ndarray]
-
-    def fro(self) -> float:
-        return math.sqrt(
-            sum(float(np.sum(np.abs(b) ** 2)) for b in self.blocks.values())
-        )
-
-    def _blockwise(self, other: "TruncatedOperator", op) -> "TruncatedOperator":
-        if self.basis is not other.basis and self.basis.kappas != other.basis.kappas:
-            raise AssemblyError("operators live on different truncations")
-        blocks = {k: op(b, other.blocks[k]) for k, b in self.blocks.items()}
-        return TruncatedOperator(self.basis, blocks)
-
-    def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        return self._blockwise(other, np.matmul)
-
-    def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        return self._blockwise(other, np.add)
-
-    def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        return self._blockwise(other, np.subtract)
+def frobenius(blocks: dict[Index, np.ndarray]) -> float:
+    """Frobenius norm of a block-diagonal operator held as {kappa: block},
+    the blocks' squared norms added up in the dict's (basis) order."""
+    return math.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in blocks.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from functools import reduce
 
 import numpy as np
 
-from .assembly import AlgebraModel, assemble_block, cross_block_entry_bound, gamma_quasi_radial
+from .assembly import (AlgebraModel, assemble_block, cross_block_entry_bound, frobenius,
+                       gamma_quasi_radial)
 from .gelfand import (
     DiagonalCoefficient,
     FiniteSum,
@@ -134,12 +135,13 @@ def commutativity_and_product(model: AlgebraModel, D: int) -> list[dict]:
     gens = [
         assemble_finite_sum(FiniteSum.generator(m, j), model, D) for j in sorted(model.symbols)
     ]
-    worst_c = max(((t_rad @ g - g @ t_rad).fro() for g in gens), default=0.0)
+    worst_c = max((frobenius({k: b @ g[k] - g[k] @ b for k, b in t_rad.items()})
+                   for g in gens), default=0.0)
     assembled = t_rad
     for g in gens:
-        assembled = assembled @ g
+        assembled = {k: b @ g[k] for k, b in assembled.items()}
     t_prod = assemble_finite_sum(FiniteSum.term(m, gamma_a, (1,) * m), model, D)
-    worst_p = (t_prod - assembled).fro()
+    worst_p = frobenius({k: b - assembled[k] for k, b in t_prod.items()})
     return [
         _record("commutativity", worst_c, 1e-9),
         _record("product-identity", worst_p, 1e-9),
@@ -171,7 +173,7 @@ def tensor_eigenvectors(model: AlgebraModel, D: int) -> list[dict]:
     ops = [assemble_finite_sum(FiniteSum.generator(m, j), model, D) for j in range(1, m + 1)]
     for kappa in model.basis(D).kappas:
         eigs = [np.linalg.eig(model.block(j, kappa[j - 1])) for j in range(1, m + 1)]
-        gens = [op.blocks[kappa] for op in ops]
+        gens = [op[kappa] for op in ops]
         for combo in np.ndindex(*[len(w) for w, _ in eigs]):
             g = eigs[0][1][:, combo[0]]
             for j in range(1, m):
@@ -225,7 +227,7 @@ def projection_identities(basis: GlobalBasis, qtilde_degree: int) -> list[dict]:
 
     def values(A: FiniteSum) -> np.ndarray:
         # every sum here is diagonal: all its powers rho are zero
-        return np.array([sum((g(kappa) for g, _ in A.terms), 0j) for kappa in kappas])
+        return sum((g.values(karr) for g, _ in A.terms), np.zeros(len(karr), dtype=complex))
 
     def total(parts) -> FiniteSum:
         return sum(parts, FiniteSum.zero(m))

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assembly import AlgebraModel
+from .assembly import AlgebraModel, frobenius
 from .errors import ConfigError, SymbolError, ToeplitzError
 from .lattice import PartitionConfig
 from .spectra import (
@@ -276,14 +276,15 @@ def _not_a_number(name: str):
 
 
 def load_config(path: str | Path) -> dict:
-    """The validated config of a JSON file; NaN and infinities (also as an
-    overflowing literal such as 1e999) are refused while parsing."""
+    """The validated config of a UTF-8 JSON file; NaN and infinities (also
+    as an overflowing literal such as 1e999) are refused while parsing."""
     try:
-        raw = json.loads(
-            Path(path).read_text(), parse_float=_finite_number, parse_constant=_not_a_number
-        )
+        raw = json.loads(Path(path).read_text(encoding="utf-8"),
+                         parse_float=_finite_number, parse_constant=_not_a_number)
     except FileNotFoundError:
         raise ConfigError(f"config file {path} not found")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     return validate_config(raw)
@@ -465,7 +466,10 @@ def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: 
             _refuse_over_budget(f"quadrature.block_order {order}", (24 * sym.dim + 32) * nodes,
                                 f"the {npts}^{sym.dim - 1} nodes of the 2x block rule of group {sym.group}")
     out_dir = Path(out or config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out_dir} cannot be made: {exc}")
     model = AlgebraModel(
         cfg=cfg,
         quasi_radial=quasi,
@@ -599,8 +603,8 @@ def cmd_assemble(setup: Setup) -> dict:
     payload = {
         "global_dim": basis.dim,
         "kappa_count": len(basis.kappas),
-        "operator_fro": op.fro(),
-        "identity_deviation_fro": (op - ident).fro(),
+        "operator_fro": frobenius(op),
+        "identity_deviation_fro": frobenius({k: b - ident[k] for k, b in op.items()}),
         "blocks": blocks_info,
     }
     return payload
@@ -705,16 +709,14 @@ def _product_element(setup: Setup):
     from .gelfand import DiagonalCoefficient, FiniteSum
 
     m = setup.cfg.m
-    gamma = DiagonalCoefficient.from_callable(
-        lambda kappa: setup.model.gamma(kappa), label="gamma_a"
-    )
+    gamma = DiagonalCoefficient.from_callable(setup.model.gamma, "gamma_a")
     rho = tuple(1 if setup.model.symbols.get(i) is not None else 0 for i in range(1, m + 1))
     return FiniteSum.term(m, gamma, rho)
 
 
 def cmd_gelfand(setup: Setup) -> dict:
     from .gelfand import (assemble_finite_sum, evaluate_gelfand, sample_ideal_space,
-                          spectral_radius_estimate, validate_gelfand_points)
+                          validate_gelfand_points)
 
     D = setup.config["degree_cap"]
     gconf = setup.config["gelfand"]
@@ -724,7 +726,7 @@ def cmd_gelfand(setup: Setup) -> dict:
         zeta_per_region=gconf["zeta_per_region"],
     )
     element = _product_element(setup)
-    values = [evaluate_gelfand(element, p) for p in points]
+    values = evaluate_gelfand(element, points)
     invalid = int(np.count_nonzero(~validate_gelfand_points(setup.ctx, points)))
     records = [
         {
@@ -738,13 +740,13 @@ def cmd_gelfand(setup: Setup) -> dict:
     ]
     file = "gelfand_points.json"
     (setup.out_dir / file).write_text(_to_json(records, file, sort_keys=True))
-    radius = spectral_radius_estimate(element, points, values)
+    radius = max(abs(v) for v in values)
     strata = {theta: [] for theta in product((0, 1), repeat=setup.cfg.m)}
     for p, v in zip(points, values):
         strata[p.theta].append(abs(v))
     op = assemble_finite_sum(element, setup.model, D)
     mat_radius = max(
-        (float(np.max(np.abs(np.linalg.eigvals(b)))) for b in op.blocks.values() if b.size),
+        (float(np.max(np.abs(np.linalg.eigvals(b)))) for b in op.values() if b.size),
         default=0.0,
     )
     return {
@@ -825,7 +827,7 @@ def cmd_radical(setup: Setup) -> dict:
             "group": j,
             "level": level,
             "f_levels": list(gen.f_levels),
-            "fro": gen.operator.fro(),
+            "fro": frobenius(gen.operator),
             "power_norms": powers,
             "gelfand_sup": psi_max,
             "sampled_points": len(points),
@@ -884,7 +886,7 @@ def _schema_defaults(schema: dict) -> dict:
     return {key: value for key, value in found.items() if value != {}}
 
 
-def cmd_info(setup: Setup | None) -> dict:
+def cmd_info() -> dict:
     return {
         "tool": "toeplitz-spectra",
         "version": __version__,
@@ -954,7 +956,7 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     started = time.monotonic()
     if args.command == "info":
-        print(json.dumps(cmd_info(None), sort_keys=True, indent=1))
+        print(json.dumps(cmd_info(), sort_keys=True, indent=1))
         return 0
     if not args.config:
         _emit_error("ConfigError", "--config FILE is required for this command")

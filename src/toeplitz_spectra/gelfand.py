@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import AlgebraModel, TruncatedOperator
+from .assembly import AlgebraModel
 from .errors import GelfandError
 from .lattice import Index, PartitionConfig, enumerate_kappa
 from .spectra import SpectralContext
@@ -41,14 +41,9 @@ class DiagonalCoefficient:
     function gamma(kappa) on Z_+^m, held as data: a closed kind (``const``;
     ``degree``, a function of one group degree kappa_j, as are
     ``indicator_degree``, ``geometric_decay`` and per-degree tables;
-    ``callable``, a black box memoized per kappa, as is a table over kappa),
-    or a ``sum`` (of the terms ``FiniteSum`` merges) or ``prod`` (``*``).
-
-    ``values`` evaluates it over a list of kappas as one array, bit for bit
-    as the scalar ``__call__``: products as the real/imaginary splits of
-    Python's complex product (numpy's complex multiply may fuse them), sums
-    from left to right onto zero, and a ``degree`` kind in Python once per
-    distinct degree (``rate ** kappa_j`` by libm's pow, not ``np.power``).
+    ``callable``, a black box called once per kappa and not memoized, as is
+    a table over kappa), or a ``sum`` (of the terms ``FiniteSum`` merges) or
+    ``prod`` (``*``).  ``values`` is its only evaluator.
     """
 
     kind: str
@@ -65,29 +60,13 @@ class DiagonalCoefficient:
     def __mul__(self, other: "DiagonalCoefficient") -> "DiagonalCoefficient":
         return DiagonalCoefficient("prod", (self, other))
 
-    def __call__(self, kappa: Index) -> complex:
-        kappa = tuple(int(v) for v in kappa)
-        if not np.isfinite(val := self._at(kappa)):
-            raise GelfandError(f"diagonal coefficient {self.label!r} non-finite at {kappa}")
-        return val
-
-    def _at(self, kappa: Index) -> complex:
-        kind, args = self.kind, self.args
-        if kind == "const":
-            return args[0]
-        if kind == "degree":
-            return complex(args[1](kappa[args[0] - 1]))
-        if kind == "callable":
-            if kappa not in args[1]:
-                args[1][kappa] = complex(args[0](kappa))
-            return args[1][kappa]
-        if kind == "sum":
-            return sum(g._at(kappa) for g in args)
-        return args[0]._at(kappa) * args[1]._at(kappa)
-
     def values(self, kappas: np.ndarray, memo: dict | None = None) -> np.ndarray:
-        """gamma at each row of the (K, m) integer array ``kappas``; subterms
-        shared within one ``memo`` are evaluated once."""
+        """gamma at each row of the (K, m) array of degrees ``kappas`` (int64,
+        or Python ints where degrees pass int64): products as the real and
+        imaginary splits of Python's complex product (numpy's may fuse them),
+        sums from left to right onto zero, a ``degree`` kind in Python once
+        per distinct degree (``rate ** kappa_j`` by libm's pow, not
+        ``np.power``); subterms shared within one ``memo`` are evaluated once."""
         memo = {} if memo is None else memo
         if id(self) in memo:
             return memo[id(self)]
@@ -109,7 +88,8 @@ class DiagonalCoefficient:
                 out.real = a.real * b.real - a.imag * b.imag
                 out.imag = a.real * b.imag + a.imag * b.real
         else:
-            out = np.array([self._at(k) for k in map(tuple, kappas.tolist())], dtype=complex)
+            out = np.array([complex(args[0](k)) for k in map(tuple, kappas.tolist())],
+                           dtype=complex)
         if not np.all(np.isfinite(out)):
             kappa = tuple(kappas[np.argmin(np.isfinite(out))].tolist())
             raise GelfandError(f"diagonal coefficient {self.label!r} non-finite at {kappa}")
@@ -144,7 +124,7 @@ class DiagonalCoefficient:
 
     @classmethod
     def from_callable(cls, fn: Callable, label: str) -> "DiagonalCoefficient":
-        return cls("callable", (fn, {}), label)
+        return cls("callable", (fn,), label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,14 +209,14 @@ def random_finite_sum(
     return total
 
 
-def assemble_finite_sum(A: FiniteSum, model: AlgebraModel, D: int) -> TruncatedOperator:
-    """Materialize a finite sum on the cap-D truncation, blocks in basis order;
-    each coefficient is one array over the kappas (``AlgebraModel.stacks``)."""
+def assemble_finite_sum(A: FiniteSum, model: AlgebraModel, D: int) -> dict[Index, np.ndarray]:
+    """Materialize a finite sum on the cap-D truncation as {kappa: block} in
+    basis order; each coefficient is one array over the kappas (``stacks``)."""
     if A.m != model.cfg.m:
         raise GelfandError(f"sum has m={A.m}, model has m={model.cfg.m}")
     runs = model.stacks(D, [A.terms])
     blocks = {k: b for kappas, (stack,) in runs for k, b in zip(kappas, stack)}
-    return TruncatedOperator(model.basis(D), {k: blocks[k] for k in model.basis(D).kappas})
+    return {k: blocks[k] for k in model.basis(D).kappas}
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +242,22 @@ class GelfandPoint:
     surrogate: bool
 
 
-def evaluate_gelfand(A: FiniteSum, point: GelfandPoint) -> complex:
-    """sum_rho gamma_rho(mu) zeta^rho; exact on the theta = 1 stratum, a
-    labeled heuristic at the finite directive degree of surrogate points."""
-    if A.m != len(point.theta):
+def evaluate_gelfand(A: FiniteSum, points: list[GelfandPoint]) -> list[complex]:
+    """sum_rho gamma_rho(mu) zeta^rho at each point; exact on the theta = 1
+    stratum, a labeled heuristic at the finite directive degree of surrogate
+    points.  Each gamma_rho is one array over the points' mu_kappa, held as
+    Python ints: a surrogate degree need not fit in int64."""
+    if any(A.m != len(p.theta) for p in points):
         raise GelfandError("sum and point have different group counts")
-    total = 0.0 + 0.0j
+    mus = np.array([p.mu_kappa for p in points], dtype=object).reshape(len(points), A.m)
+    totals, memo = [0.0 + 0.0j] * len(points), {}
     for gamma, rho in A.terms:
-        factor = gamma(point.mu_kappa)
-        for zj, pj in zip(point.zeta, rho):
-            if pj:
-                factor *= zj**pj
-        total += factor
-    return complex(total)
+        for i, (point, factor) in enumerate(zip(points, gamma.values(mus, memo).tolist())):
+            for zj, pj in zip(point.zeta, rho):
+                if pj:
+                    factor *= zj**pj
+            totals[i] += factor
+    return totals
 
 
 def zeta_picks(samples: np.ndarray, limit: int) -> list[complex]:
@@ -356,13 +339,8 @@ def validate_gelfand_points(ctx: SpectralContext, points: list[GelfandPoint]) ->
     return ok
 
 
-def spectral_radius_estimate(
-    A: FiniteSum, points: list[GelfandPoint], values: list[complex] | None = None
-) -> float:
-    """sup |psi(A)| over the sampled functionals; ``values`` are the
-    psi(A) at the points when they are already evaluated."""
+def spectral_radius_estimate(A: FiniteSum, points: list[GelfandPoint]) -> float:
+    """sup |psi(A)| over the sampled functionals."""
     if not points:
         raise GelfandError("need at least one sampled functional")
-    if values is None:
-        values = [evaluate_gelfand(A, p) for p in points]
-    return max(abs(v) for v in values)
+    return max(abs(v) for v in evaluate_gelfand(A, points))

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadicalError
+from .lattice import Index
 from .gelfand import DiagonalCoefficient, FiniteSum, assemble_finite_sum
 from .spectra import EigenData, SpectralContext, block_eigenvalues
-from .assembly import TruncatedOperator, assemble_block
+from .assembly import assemble_block
 
 GAP_ABORT = 1e-6  # eigenvalue gaps below this make the division ill-conditioned
 SUPPORT_TOL = 1e-9  # |gamma| above this where kappa_j escapes rules out a generator
@@ -198,14 +199,15 @@ class RadicalGenerator:
     group: int
     f_levels: tuple[int, ...]  # F_L intersected with [0, Dmax]
     finite_sum: FiniteSum
-    operator: TruncatedOperator
+    operator: dict[Index, np.ndarray]  # {kappa: block} in basis order
     f_l_note: str
 
 
 def escaped_gamma(gamma: DiagonalCoefficient, m: int, j: int, K_sur: int) -> float:
     """|gamma| at kappa = K_sur e_j, the probe of the stratum where kappa_j
     escapes; a radical generator needs it to vanish there."""
-    return abs(gamma(tuple(K_sur if i == j else 0 for i in range(1, m + 1))))
+    probe = np.array([[K_sur if i == j else 0 for i in range(1, m + 1)]], dtype=object)
+    return abs(gamma.values(probe).tolist()[0])
 
 
 def radical_generator(
@@ -264,14 +266,14 @@ def radical_generator(
     )
 
 
-def power_norm_sequence(op: TruncatedOperator, kmax: int = 6) -> list[float]:
+def power_norm_sequence(op: dict[Index, np.ndarray], kmax: int = 6) -> list[float]:
     """||G^k||_F^{1/k} for k = 1..kmax; non-increasing for quasi-nilpotent G.
 
     G^k is block-diagonal too: the blocks of one shape are raised together,
     as one stacked matmul (the same product per block), and their squared
-    norms add up in basis order, as ``TruncatedOperator.fro`` adds them.
+    norms add up in basis order, as ``assembly.frobenius`` adds them.
     """
-    blocks = list(op.blocks.values())
+    blocks = list(op.values())
     squares = np.zeros((len(blocks), kmax))
     by_shape: dict[tuple, list[int]] = {}
     for i, block in enumerate(blocks):

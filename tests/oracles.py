@@ -15,9 +15,12 @@ Monomial norms and
 H_kappa dimensions are the closed formulas evaluated with scipy and the
 standard library, the basis layout is every multi-index of the truncation
 sorted by the documented order, and a block-diagonal truncated operator is
-read densely through the basis slices.  Symbol texts are parsed by a
-hand-written tokenizer and recursive-descent parser, as a reference for the
-package's reading of them through Python's own parser.  Torus Fourier
+read densely by placing its blocks along the diagonal in basis order.  A
+diagonal coefficient is evaluated one kappa at a time by walking its terms,
+as a bit-for-bit reference for the package's one-array evaluation.  Symbol
+texts are parsed by a hand-written tokenizer and recursive-descent parser,
+as a reference for the package's reading of them through Python's own
+parser.  Torus Fourier
 coefficients are plain means over the full uniform grid, as a reference for
 the mode tables that the package compiles from symbol texts.
 """
@@ -31,7 +34,7 @@ from itertools import accumulate, product
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import block_diag, eigh_tridiagonal
 from scipy.special import gammaln, roots_jacobi
 
 from toeplitz_spectra.errors import SymbolParseError
@@ -256,19 +259,31 @@ def basis_layout(k, cap: int) -> list[tuple[tuple, tuple]]:
     return [(kappa(alpha), alpha) for alpha in alphas]
 
 
-def dense(op) -> np.ndarray:
-    """The N x N matrix of a block-diagonal truncated operator."""
-    basis = op.basis
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for kappa in basis.kappas:
-        sl = basis.slice_of(kappa)
-        out[sl, sl] = op.blocks[kappa]
-    return out
+def dense(blocks: dict) -> np.ndarray:
+    """The N x N matrix of a block-diagonal truncated operator held as
+    {kappa: block} in basis order: each H_kappa's slice follows the last."""
+    return block_diag(*blocks.values())
 
 
-def opnorm(op) -> float:
-    """Operator 2-norm of a block-diagonal truncated operator."""
-    return max((float(np.linalg.norm(b, 2)) for b in op.blocks.values()), default=0.0)
+def opnorm(blocks: dict) -> float:
+    """Operator 2-norm of a block-diagonal truncated operator {kappa: block}."""
+    return max((float(np.linalg.norm(b, 2)) for b in blocks.values()), default=0.0)
+
+
+def coefficient_at(gamma, kappa: tuple) -> complex:
+    """A ``gelfand.DiagonalCoefficient`` at one kappa, its terms walked one
+    at a time: leaves as their kinds define them, a sum added up from 0 left
+    to right, a product by Python's complex multiply."""
+    kind, args = gamma.kind, gamma.args
+    if kind == "const":
+        return args[0]
+    if kind == "degree":
+        return complex(args[1](kappa[args[0] - 1]))
+    if kind == "callable":
+        return complex(args[0](kappa))
+    if kind == "sum":
+        return sum(coefficient_at(g, kappa) for g in args)
+    return coefficient_at(args[0], kappa) * coefficient_at(args[1], kappa)
 
 
 def fill_triangles_rowwise(region, points: np.ndarray, triangles: np.ndarray) -> None:

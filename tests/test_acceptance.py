@@ -18,7 +18,7 @@ import pytest
 
 from oracles import ball2_inner_product, monomial_norm_sq, opnorm
 from toeplitz_spectra import checks
-from toeplitz_spectra.assembly import AlgebraModel, assemble_block
+from toeplitz_spectra.assembly import AlgebraModel, assemble_block, frobenius
 from toeplitz_spectra.gelfand import (
     DiagonalCoefficient,
     assemble_finite_sum,
@@ -319,14 +319,14 @@ def test_criterion_11_radical_generators(nilpotent_demo):
     ok = (
         n_points >= 500
         and psi_max < 1e-8
-        and gen.operator.fro() > 1e-6
+        and frobenius(gen.operator) > 1e-6
         and monotone
     )
     _report(
         11,
         ok,
         f"{n_points} functionals, sup|psi(G)|={psi_max:.2e}, "
-        f"|G|_F={gen.operator.fro():.3f}, power norms monotone={monotone}",
+        f"|G|_F={frobenius(gen.operator):.3f}, power norms monotone={monotone}",
     )
 
 

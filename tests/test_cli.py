@@ -76,8 +76,34 @@ def test_usage_error_is_json_exit_1(argv, capsys):
     assert json.loads(err[0])["error"]["type"] == "ConfigError"
 
 
-def test_unreadable_config(tmp_path, capsys):
-    assert main(["assemble", "--config", str(tmp_path / "nope.json")]) == 1
+def _unreadable(tmp_path: Path, case: str) -> tuple[Path, list[str]]:
+    """(the path at fault, the argv of an assemble run) for each case."""
+    if case == "missing":
+        path = tmp_path / "nope.json"
+        return path, ["--config", str(path)]
+    if case == "directory":
+        return tmp_path, ["--config", str(tmp_path)]
+    if case == "not-utf8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"partition": {"k": [1]}, "output_dir": "\u00e9"}'.encode("latin-1"))
+        return path, ["--config", str(path)]
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker if case == "output-is-file" else blocker / "out"
+    return out, ["--config", str(write_config(tmp_path, output_dir=str(out)))]
+
+
+@pytest.mark.parametrize(
+    "case", ["missing", "directory", "not-utf8", "output-is-file", "output-under-file"]
+)
+def test_unreadable_config(tmp_path, capsys, case):
+    path, argv = _unreadable(tmp_path, case)
+    assert main(["assemble", *argv]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])["error"]
+    assert error["type"] == "ConfigError" and "traceback" not in error
+    assert str(path) in error["message"]
 
 
 def test_schema_rejects_bad_partition(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import opnorm
+from oracles import coefficient_at, opnorm
 from pin_payloads import CONFIGS
 from toeplitz_spectra import cli, spectra
 from toeplitz_spectra.assembly import AlgebraModel
@@ -48,7 +48,7 @@ class TestFiniteSum:
         a = FiniteSum.generator(2, 1) + FiniteSum.generator(2, 1)
         assert len(a.terms) == 1
         point = exact_point((0, 0), (0.5, 0.25))
-        assert evaluate_gelfand(a, point) == pytest.approx(1.0)
+        assert evaluate_gelfand(a, [point]) == [pytest.approx(1.0)]
 
     def test_dimension_mismatch(self):
         with pytest.raises(GelfandError):
@@ -58,18 +58,19 @@ class TestFiniteSum:
 class TestEvaluate:
     def test_constant_diagonal(self):
         A = FiniteSum.one(2)
-        for point in [exact_point((0, 0), (1, 1)), exact_point((3, 1), (0.5j, -2))]:
-            assert evaluate_gelfand(A, point) == pytest.approx(1.0)
+        points = [exact_point((0, 0), (1, 1)), exact_point((3, 1), (0.5j, -2))]
+        for value in evaluate_gelfand(A, points):
+            assert value == pytest.approx(1.0)
 
     def test_generator_value(self):
         A = FiniteSum.generator(2, 2)
         point = exact_point((1, 4), (0.3, 0.7 - 0.1j))
-        assert evaluate_gelfand(A, point) == pytest.approx(0.7 - 0.1j)
+        assert evaluate_gelfand(A, [point]) == [pytest.approx(0.7 - 0.1j)]
 
     def test_projection_mask_semantics(self):
         A = FiniteSum.diagonal(2, DiagonalCoefficient.indicator_degree(2, 3))
-        assert evaluate_gelfand(A, exact_point((0, 3), (1, 1))) == 1.0
-        assert evaluate_gelfand(A, exact_point((3, 0), (1, 1))) == 0.0
+        points = [exact_point((0, 3), (1, 1)), exact_point((3, 0), (1, 1))]
+        assert evaluate_gelfand(A, points) == [1.0, 0.0]
 
     def test_multiplicativity(self, diagonal_ctx):
         gamma = DiagonalCoefficient.from_callable(
@@ -80,9 +81,10 @@ class TestEvaluate:
             2, DiagonalCoefficient.indicator_degree(2, 1)
         )
         pts = sample_ideal_space(diagonal_ctx, 3, 60)
-        for p in pts:
-            lhs = evaluate_gelfand(A * B, p)
-            rhs = evaluate_gelfand(A, p) * evaluate_gelfand(B, p)
+        products = evaluate_gelfand(A * B, pts)
+        factors = zip(evaluate_gelfand(A, pts), evaluate_gelfand(B, pts))
+        for lhs, (a, b) in zip(products, factors, strict=True):
+            rhs = a * b
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     @given(
@@ -108,8 +110,8 @@ class TestEvaluate:
         for c, rho in coeffs:
             A = A + FiniteSum.term(2, DiagonalCoefficient.constant(c), rho)
         point = exact_point(kappa, zeta)
-        lhs = evaluate_gelfand(A * A, point)
-        rhs = evaluate_gelfand(A, point) ** 2
+        (lhs,) = evaluate_gelfand(A * A, [point])
+        rhs = evaluate_gelfand(A, [point])[0] ** 2
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
     def test_unbounded_gamma_reported(self):
@@ -121,7 +123,7 @@ class TestEvaluate:
             theta=(0,), kappa_theta=(), mu_kappa=(10_000,), zeta=(0.5,), surrogate=True
         )
         with pytest.raises(GelfandError):
-            evaluate_gelfand(A, point)
+            evaluate_gelfand(A, [point])
 
 
 class TestSampling:
@@ -240,15 +242,15 @@ class TestConsistency:
         A = FiniteSum.term(2, gamma, (0, 2)) + 0.25 * FiniteSum.generator(2, 2)
         op = assemble_finite_sum(A, model, 3)
         pts = [p for p in sample_ideal_space(diagonal_ctx, 3, 10) if not p.surrogate]
-        for p in pts:
+        for p, value in zip(pts, evaluate_gelfand(A, pts), strict=True):
             block2 = model.block(2, p.mu_kappa[1])
             diag = np.diag(block2)
             hits = np.where(np.abs(diag - p.zeta[1]) < 1e-9)[0]
             assert hits.size
             g = np.zeros(block2.shape[0], dtype=complex)
             g[hits[0]] = 1.0
-            want = (op.blocks[p.mu_kappa] @ g)[hits[0]]
-            assert evaluate_gelfand(A, p) == pytest.approx(want, abs=1e-8)
+            want = (op[p.mu_kappa] @ g)[hits[0]]
+            assert value == pytest.approx(want, abs=1e-8)
 
     def test_norm_bound_deficit_shrinks_with_truncation(self, diagonal_ctx):
         A = _mixed_element()
@@ -308,7 +310,7 @@ class TestCoefficientArrays:
     def test_array_evaluation_is_the_scalar_evaluation(self, data):
         # Sums built with +, -, scalar * and * (as decompose_by_division
         # builds its parts): the one-array evaluation over a truncation is
-        # the per-kappa scalar evaluation, exactly.
+        # the per-kappa walk of oracles.coefficient_at, exactly.
         m, cap = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
         powers = st.tuples(*[st.integers(0, 2)] * m)
 
@@ -329,7 +331,7 @@ class TestCoefficientArrays:
         memo: dict = {}
         for gamma, _ in A.terms:
             got = gamma.values(np.array(kappas), memo).tolist()
-            assert all(g == gamma(kappa) for g, kappa in zip(got, kappas))
+            assert all(g == coefficient_at(gamma, kappa) for g, kappa in zip(got, kappas))
 
     def test_non_finite_value_names_the_coefficient(self, diagonal_ctx):
         spike = DiagonalCoefficient.from_callable(
@@ -342,7 +344,7 @@ class TestCoefficientArrays:
         with pytest.raises(GelfandError, match="spike"):
             assemble_finite_sum(A, diagonal_ctx.model, 3)
         with pytest.raises(GelfandError, match="spike"):
-            gamma((0, 2))
+            evaluate_gelfand(A, [exact_point((0, 2), (1, 1))])
         huge = DiagonalCoefficient.constant(1e200)
         overflow = FiniteSum.diagonal(2, huge) * FiniteSum.diagonal(2, huge)
         with pytest.raises(GelfandError, match="1e\\+200"):

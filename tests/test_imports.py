@@ -178,6 +178,14 @@ SHIMS = {
 }
 
 
+# Parameters that their function never reads, each with the caller that
+# passes it.
+UNREAD_PARAMETERS = {
+    "build_setup.threads": "perfbench/run.py's SETUP_CODE passes threads=1",
+    "build_setup.no_cache": "perfbench/run.py's SETUP_CODE passes no_cache",
+}
+
+
 # Class fields that only tests read, each with the test that reads it.
 TEST_READ_FIELDS = {
     "DiagonalizabilityReport.defects":
@@ -187,9 +195,10 @@ TEST_READ_FIELDS = {
 
 def test_every_name_defined_in_src_is_used_in_src():
     # A function, class, method or module-level name (dunders aside) that
-    # nothing else in src/ names, or a class-level annotated field that no
-    # attribute in src/ reads, is test-only or dead API.
-    defined, used, fields, attributes = {}, set(), {}, set()
+    # nothing else in src/ names, a class-level annotated field that no
+    # attribute in src/ reads, or a parameter of a def that its body never
+    # reads, is test-only or dead API.
+    defined, used, fields, attributes, unread_params = {}, set(), {}, set(), {}
     for path in sorted((SRC / "toeplitz_spectra").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
@@ -203,6 +212,14 @@ def test_every_name_defined_in_src_is_used_in_src():
                 for field in node.body:
                     if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name):
                         fields[f"{node.name}.{field.target.id}"] = f"{path.name}:{field.lineno}"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                args = node.args
+                for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                            *filter(None, [args.vararg, args.kwarg])]:
+                    if arg.arg not in read:
+                        unread_params[f"{node.name}.{arg.arg}"] = f"{path.name}:{node.lineno}"
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -221,3 +238,4 @@ def test_every_name_defined_in_src_is_used_in_src():
         name: where for name, where in fields.items() if name.split(".")[1] not in attributes
     }
     assert unread.keys() == TEST_READ_FIELDS.keys(), unread
+    assert unread_params.keys() == UNREAD_PARAMETERS.keys(), unread_params

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import dense, opnorm
 from toeplitz_spectra import radical
-from toeplitz_spectra.assembly import AlgebraModel, assemble_block
+from toeplitz_spectra.assembly import AlgebraModel, assemble_block, frobenius
 from toeplitz_spectra.errors import RadicalError
 from toeplitz_spectra.gelfand import (
     DiagonalCoefficient,
@@ -125,7 +125,7 @@ class TestRadicalGenerator:
     def test_semisimple_gives_zero(self, diagonal_ctx):
         gamma = DiagonalCoefficient.indicator_degree(2, 1)
         gen = radical_generator(diagonal_ctx, 2, gamma, 10, 5)
-        assert gen.operator.fro() < 1e-10
+        assert frobenius(gen.operator) < 1e-10
 
     def test_nilpotent_generator_matches_assembly(self, nilpotent_ctx):
         # gamma = indicator(kappa_2 = 1), h = X: generator is Q_1 T_{c_2}.
@@ -135,7 +135,7 @@ class TestRadicalGenerator:
         t2 = dense(assemble_finite_sum(FiniteSum.generator(2, 2), model, 4))
         want = q_diag(model, 4, 2, 1) @ t2
         assert np.linalg.norm(dense(gen.operator) - want) < 1e-12
-        assert gen.operator.fro() > 1e-6
+        assert frobenius(gen.operator) > 1e-6
 
     def test_gelfand_vanishing_and_power_norms(self, nilpotent_ctx):
         gamma = DiagonalCoefficient.from_callable(
@@ -143,7 +143,7 @@ class TestRadicalGenerator:
         )
         gen = radical_generator(nilpotent_ctx, 2, gamma, 1, 8)
         pts = sample_ideal_space(nilpotent_ctx, 6, 300)
-        worst = max(abs(evaluate_gelfand(gen.finite_sum, p)) for p in pts)
+        worst = max(abs(v) for v in evaluate_gelfand(gen.finite_sum, pts))
         assert worst < 1e-8
         norms = power_norm_sequence(gen.operator, 6)
         assert norms[0] > 1e-6
@@ -164,7 +164,7 @@ class TestDivision:
         # S_0 = Q_d D_gamma, everything else zero
         for level in range(1, parts.n + 1):
             op = assemble_finite_sum(parts.s_parts[level], diagonal_ctx.model, 3)
-            assert op.fro() < 1e-14
+            assert frobenius(op) < 1e-14
         assert parts.reconstruction_residual(diagonal_ctx.model, 3) < 1e-12
 
     def test_single_generator_one_step(self, diagonal_ctx):
@@ -294,7 +294,7 @@ class TestDenseRadicalCases:
                 poly = poly + coef * FiniteSum.generator(1, 1, power)
             A = A + FiniteSum.diagonal(1, gate) * poly * FiniteSum.generator(1, 1)
         pts = sample_ideal_space(ctx, D, 50)
-        assert max(abs(evaluate_gelfand(A, p)) for p in pts) < 1e-10
+        assert max(abs(v) for v in evaluate_gelfand(A, pts)) < 1e-10
         a_mat = dense(assemble_finite_sum(A, model, D))
 
         # span of the ideal generated by the typical elements at truncation
