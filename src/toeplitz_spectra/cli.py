@@ -290,6 +290,11 @@ def load_config(path: str | Path) -> dict:
     return validate_config(raw)
 
 
+def _lowest_symbol_group(groups) -> int:
+    """The lowest group with a symbol, or 1 when no group has one."""
+    return min(groups, default=1)
+
+
 def validate_config(raw: dict) -> dict:
     cfg = _conform(raw, CONFIG_SCHEMA)
     part = cfg["partition"]
@@ -316,7 +321,7 @@ def validate_config(raw: dict) -> dict:
         if not 0.0 < norm < 1.0:
             raise ConfigError(f"berezin w must lie in the open ball minus 0, |w| = {norm:.4f}")
     radical = cfg["radical"]
-    g = radical.setdefault("group", min(seen, default=1))
+    g = radical.setdefault("group", _lowest_symbol_group(seen))
     if not 1 <= g <= m:
         raise ConfigError(f"radical group {g} outside 1..{m}")
     gamma = radical["gamma"]
@@ -785,8 +790,8 @@ def cmd_semisimple(setup: Setup) -> dict:
 
 
 def cmd_radical(setup: Setup) -> dict:
-    from .gelfand import (DiagonalCoefficient, random_finite_sum, sample_ideal_space,
-                          spectral_radius_estimate)
+    from .gelfand import (DiagonalCoefficient, assemble_finite_sum, random_finite_sum,
+                          sample_ideal_space, spectral_radius_estimate)
     from .radical import (SUPPORT_TOL, decompose_by_division, escaped_gamma, is_semisimple,
                           norm_constants, power_norm_sequence, radical_generator)
 
@@ -811,7 +816,8 @@ def cmd_radical(setup: Setup) -> dict:
         setup.ctx, D, gconf["budget"], K_sur=K_sur, zeta_per_region=gconf["zeta_per_region"]
     )
     psi_max = spectral_radius_estimate(gen.finite_sum, points)
-    powers = power_norm_sequence(gen.operator, 6)
+    op = assemble_finite_sum(gen.finite_sum, setup.model, D)
+    powers = power_norm_sequence(op, 6)
     rng = np.random.default_rng(setup.config["seed"])
     residuals = []
     for _ in range(3):
@@ -827,7 +833,7 @@ def cmd_radical(setup: Setup) -> dict:
             "group": j,
             "level": level,
             "f_levels": list(gen.f_levels),
-            "fro": frobenius(gen.operator),
+            "fro": frobenius(op),
             "power_norms": powers,
             "gelfand_sup": psi_max,
             "sampled_points": len(points),
@@ -853,7 +859,8 @@ def cmd_verify(setup: Setup) -> dict:
     # One generator, drawn in order by the Dirichlet trials, the hull's
     # finite points and the division sums.
     rng = np.random.default_rng(setup.config["seed"])
-    target_j = min(model.symbols) if model.symbols else 1
+    # verify keeps its own target: radical.group may name another group.
+    target_j = _lowest_symbol_group(model.symbols)
     records = [
         *checks.dirichlet_vs_simplex(rng, 60, model.block_order, power=4),
         *checks.gamma_rules(model.quasi_radial, cfg, min(D + 2, 8), model.gamma_order),

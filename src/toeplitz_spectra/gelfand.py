@@ -274,7 +274,7 @@ def zeta_picks(samples: np.ndarray, limit: int) -> list[complex]:
 
 
 def sample_ideal_space(
-    ctx: SpectralContext, Dmax: int, budget: int = 1000, *, K_sur: int = 10_000,
+    ctx: SpectralContext, Dmax: int, budget: int, *, K_sur: int = 10_000,
     zeta_per_region: int = 8,
 ) -> list[GelfandPoint]:
     """Deterministic sample of the maximal ideal space.

@@ -96,24 +96,17 @@ def enumerate_kappa(groups: PartitionConfig | int, total_cap: int) -> list[Index
 class GlobalBasis:
     """Ordered basis of the truncation ⊕_{|kappa| <= cap} H_kappa.
 
-    Realizes the basis index map (the tensor-factorization unitary): within
-    each kappa the basis is the cartesian product of the per-group block
-    bases, group 1 slowest, so the slice of H_kappa carries exactly the
-    kron-product index layout of the per-group blocks.
+    Realizes the basis index map (the tensor-factorization unitary): the
+    H_kappa follow one another in ``kappas`` order, and within each kappa
+    the basis is the cartesian product of the per-group block bases, group
+    1 slowest, the kron-product index layout of the per-group blocks.
+    ``dim`` is the dimension of the whole truncation.
     """
 
     def __init__(self, cfg: PartitionConfig, cap: int):
         self.cfg, self.cap = cfg, cap
         self.kappas: list[Index] = enumerate_kappa(cfg, cap)
-        self._slices: dict[Index, slice] = {}
-        self.dim = 0
-        for kappa in self.kappas:
-            size = math.prod(len(block_indices(kj, kap)) for kj, kap in zip(cfg.k, kappa))
-            self._slices[kappa] = slice(self.dim, self.dim + size)
-            self.dim += size
-
-    def slice_of(self, kappa: Index) -> slice:
-        try:
-            return self._slices[tuple(kappa)]
-        except KeyError:
-            raise LatticeError(f"kappa={kappa} outside the cap-{self.cap} truncation")
+        self.dim = sum(
+            math.prod(len(block_indices(kj, kap)) for kj, kap in zip(cfg.k, kappa))
+            for kappa in self.kappas
+        )

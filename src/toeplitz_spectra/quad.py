@@ -325,8 +325,6 @@ def dirichlet_probability_rule(exponents, order: int) -> SimplexRule:
 
 def torus_grid(dim: int, grid: int) -> np.ndarray:
     """All points of the uniform product grid on T^dim, shape (grid^dim, dim)."""
-    if dim == 0:
-        return np.ones((1, 0), dtype=complex)
     axis = np.exp(2j * np.pi * np.arange(grid) / grid)
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)

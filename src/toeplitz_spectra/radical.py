@@ -26,9 +26,9 @@ import numpy as np
 
 from .errors import RadicalError
 from .lattice import Index
-from .gelfand import DiagonalCoefficient, FiniteSum, assemble_finite_sum
+from .gelfand import DiagonalCoefficient, FiniteSum
 from .spectra import EigenData, SpectralContext, block_eigenvalues
-from .assembly import assemble_block
+from .assembly import assemble_block, frobenius
 
 GAP_ABORT = 1e-6  # eigenvalue gaps below this make the division ill-conditioned
 SUPPORT_TOL = 1e-9  # |gamma| above this where kappa_j escapes rules out a generator
@@ -38,7 +38,6 @@ SUPPORT_TOL = 1e-9  # |gamma| above this where kappa_j escapes rules out a gener
 class HPolynomial:
     """Monic product of the first ``level`` linear factors of a block."""
 
-    group: int
     roots: tuple[complex, ...]
 
     @property
@@ -62,7 +61,7 @@ def h_polynomial(ctx: SpectralContext, j: int, d: int, level: int) -> HPolynomia
         raise RadicalError(
             f"level {level} outside 1..{e.n_distinct} for block ({j},{d})"
         )
-    return HPolynomial(group=j, roots=tuple(complex(z) for z in e.distinct[:level]))
+    return HPolynomial(roots=tuple(complex(z) for z in e.distinct[:level]))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +72,6 @@ def h_polynomial(ctx: SpectralContext, j: int, d: int, level: int) -> HPolynomia
 @dataclass(frozen=True)
 class DiagonalizabilityReport:
     diagonalizable: bool
-    defects: dict  # eigenvalue -> (algebraic, geometric)
     indeterminate: tuple[str, ...]
 
 
@@ -90,7 +88,6 @@ def is_diagonalizable(mat: np.ndarray, tol: float = 1e-10, *, eigen: EigenData |
         eigen = block_eigenvalues(mat, max(tol, 1e-12))
     scale = float(np.linalg.norm(mat, 2)) if mat.size else 0.0
     threshold = tol * max(scale, 1.0)
-    defects = {}
     indeterminate = []
     ok = True
     for z, mult in zip(eigen.distinct, eigen.multiplicities):
@@ -101,13 +98,9 @@ def is_diagonalizable(mat: np.ndarray, tol: float = 1e-10, *, eigen: EigenData |
             indeterminate.append(
                 f"eigenvalue {z:.6g}: {near.size} singular values near the rank threshold"
             )
-        geometric = n - rank
-        defects[complex(z)] = (int(mult), geometric)
-        if geometric != int(mult):
+        if n - rank != int(mult):
             ok = False
-    return DiagonalizabilityReport(
-        diagonalizable=ok, defects=defects, indeterminate=tuple(indeterminate)
-    )
+    return DiagonalizabilityReport(diagonalizable=ok, indeterminate=tuple(indeterminate))
 
 
 @dataclass(frozen=True)
@@ -196,10 +189,8 @@ def is_semisimple(ctx: SpectralContext, Dmax: int, tol: float = 1e-10) -> Semisi
 
 @dataclass(frozen=True, eq=False)
 class RadicalGenerator:
-    group: int
     f_levels: tuple[int, ...]  # F_L intersected with [0, Dmax]
     finite_sum: FiniteSum
-    operator: dict[Index, np.ndarray]  # {kappa: block} in basis order
     f_l_note: str
 
 
@@ -219,7 +210,7 @@ def radical_generator(
     *,
     K_sur: int = 10_000,
 ) -> RadicalGenerator:
-    """D_gamma (+)_{d in F_L} Q_d^(j) h^{j,d}_{n}(T_{c_j}) on the truncation.
+    """D_gamma (+)_{d in F_L} Q_d^(j) h^{j,d}_{n}(T_{c_j}), as a FiniteSum.
 
     gamma must vanish along strata where the j-th coordinate escapes; this
     is probed at the surrogate degree K_sur and violations are rejected.
@@ -245,7 +236,6 @@ def radical_generator(
         coeff = gamma * DiagonalCoefficient.degree_table(j, table, f"c[k{j},{power}]")
         terms.append((coeff, tuple(power if i == j else 0 for i in range(1, m + 1))))
     total = FiniteSum(m=m, terms=tuple(terms))
-    op = assemble_finite_sum(total, ctx.model, Dmax)
     kind = _structural_block_kind(ctx.model.symbols.get(j))
     if kind == "nilpotent":
         note = "F_L is all of Z_+ (every block nilpotent, n_{j,d} = 1)"
@@ -260,10 +250,7 @@ def radical_generator(
             if growing
             else "no structural growth detected; finiteness of F_L untested by design"
         )
-    return RadicalGenerator(
-        group=j, f_levels=tuple(f_levels),
-        finite_sum=total, operator=op, f_l_note=note,
-    )
+    return RadicalGenerator(f_levels=tuple(f_levels), finite_sum=total, f_l_note=note)
 
 
 def power_norm_sequence(op: dict[Index, np.ndarray], kmax: int = 6) -> list[float]:
@@ -322,20 +309,13 @@ class DivisionParts:
         of kappas that share their tensor factors (``AlgebraModel.stacks``), so
         h_l(T_j) is formed once per run, that is once per degree of group j
         when the other groups' blocks are scalars, and no N x N matrix and
-        no whole truncated operator is formed.  Runs on which every part
-        vanishes contribute zeros.
+        no whole truncated operator is formed.  The difference blocks are
+        normed by ``assembly.frobenius`` in basis order; a run on which every
+        part vanishes adds no block, and its zeros would not move the sum.
         """
-        basis = model.basis(D)
-        sizes = [(s.stop - s.start) ** 2 for s in map(basis.slice_of, basis.kappas)]
-        starts = dict(zip(basis.kappas, np.cumsum([0] + sizes[:-1]).tolist()))
-        # The blocks' entries in basis order are the nonzero entries of the
-        # N x N difference in row-major order; norming them as one vector
-        # keeps the reduction order, and so the payload bits, of the dense
-        # formulation (per-block sums move the last bit of this roundoff-level
-        # value on some configs).
-        flat = np.zeros(sum(sizes), dtype=complex)
         sums = [self.q_d_times_a, FiniteSum.generator(model.cfg.m, self.group), *self.s_parts]
         runs = model.stacks(D, [A.terms for A in sums], skip_vanishing=True)
+        diff: dict[Index, np.ndarray] = {}
         for kappas, (lhs, tj, *s_parts) in runs:
             if lhs is None and all(stack is None for stack in s_parts):
                 continue
@@ -345,8 +325,8 @@ class DivisionParts:
                 rhs = s_parts[0][i]
                 for level in range(1, self.n + 1):
                     rhs = rhs + s_parts[level][i] @ h_mats[level - 1]
-                flat[starts[kappa]:starts[kappa] + rhs.size] = (lhs[i] - rhs).ravel()
-        return float(np.linalg.norm(flat))
+                diff[kappa] = lhs[i] - rhs
+        return frobenius({kappa: diff[kappa] for kappa in model.basis(D).kappas if kappa in diff})
 
 
 def decompose_by_division(A: FiniteSum, j: int, d: int, ctx: SpectralContext) -> DivisionParts:
@@ -438,7 +418,6 @@ def _shift_power(fs: FiniteSum, j: int, power: int) -> FiniteSum:
 
 @dataclass(frozen=True)
 class NormConstants:
-    group: int
     values: tuple[float, ...]  # C_0 .. C_{n-1}
     flagged: tuple[bool, ...]  # True when a tiny gap made the value blow up
 
@@ -463,4 +442,4 @@ def norm_constants(ctx: SpectralContext, j: int, d: int) -> NormConstants:
         value = inv * c0 * math.sqrt(1.0 + sum(values))
         values.append(value)
         flagged.append(tiny)
-    return NormConstants(group=j, values=tuple(values), flagged=tuple(flagged))
+    return NormConstants(values=tuple(values), flagged=tuple(flagged))

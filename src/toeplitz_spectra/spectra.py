@@ -50,7 +50,6 @@ from .symbols import PseudoHomogeneousSymbol, QuasiRadialSymbol
 class EigenData:
     """Eigenvalues of one block with clustering already applied."""
 
-    group: int
     values: np.ndarray  # all eigenvalues, sorted by (re, im)
     distinct: np.ndarray  # cluster representatives, same order
     multiplicities: np.ndarray  # int, sums to block dimension
@@ -75,8 +74,7 @@ def block_eigenvalues(
     Exactly triangular blocks (which includes every single-mode
     quasi-homogeneous block and every profile-only block) read their
     spectrum off the diagonal; everything else goes through the dense
-    nonsymmetric solver.  ``group`` labels the result, and ``group`` and
-    ``d`` its messages.
+    nonsymmetric solver.  ``group`` and ``d`` name the block in messages.
     """
     mat = np.asarray(block, dtype=complex)
     if mat.size and not np.all(np.isfinite(mat.real) & np.isfinite(mat.imag)):
@@ -114,7 +112,6 @@ def block_eigenvalues(
                 f"clusters {i - 1} and {i} of block ({group},{d}) are {gap:.3e} apart"
             )
     return EigenData(
-        group=group,
         values=vals,
         distinct=reps,
         multiplicities=np.array(counts, dtype=int),
@@ -528,7 +525,6 @@ def _sample_triangles(k: int, values: np.ndarray):
 class KernelProbe:
     """Berezin values against degree-d normalized reproducing kernels."""
 
-    group: int
     w: tuple[complex, ...]
     degrees: tuple[int, ...]
     values: tuple[complex, ...]
@@ -609,7 +605,6 @@ def berezin_sequence(
     if radial_profile is not None:
         boundary *= complex(radial_profile(np.array([[1.0]]))[0])
     return KernelProbe(
-        group=j,
         w=tuple(complex(v) for v in w),
         degrees=degrees,
         values=tuple(values),
@@ -733,7 +728,6 @@ def resolution_drift_cells(base: PlanarRegion, fine: PlanarRegion) -> int:
 
 @dataclass(frozen=True)
 class AccumulationReport:
-    group: int
     candidates: tuple[complex, ...]
     violations: tuple[complex, ...]
 
@@ -764,7 +758,7 @@ def accumulation_check(ctx: SpectralContext, j: int, Dmax: int) -> AccumulationR
                 candidates.append(v)
     ctx.boundary_samples(j)  # a non-finite sample raises, candidates or not
     violations = _off_image(ctx, j, candidates) if candidates else ()
-    return AccumulationReport(group=j, candidates=tuple(candidates), violations=violations)
+    return AccumulationReport(candidates=tuple(candidates), violations=violations)
 
 
 def _off_image(ctx: SpectralContext, j: int, points) -> tuple[complex, ...]:

@@ -494,7 +494,6 @@ class Profile:
     (None) entries are computed by quadrature of ``fn``."""
 
     fn: Callable
-    label: str
     terms: tuple[MonomialProfile, ...] | None = None
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
@@ -678,7 +677,7 @@ def _text_symbol(
     zero = (0,) * dim
     if not any(v[0] == "t" for v in expr.variables):
         terms = None if table is None else table.get(zero, ())
-        table = {zero: Profile(fn, label, terms)}
+        table = {zero: Profile(fn, terms)}
         return mode_symbol(group, dim, table, label, boundary_continuous=boundary_continuous)
     if table is None:
         raise SymbolError(
@@ -687,7 +686,7 @@ def _text_symbol(
             f"divisor's constant term outweighs the rest)"
         )
     table = {
-        p: Profile(_mode_sum([(zero, term) for term in terms]), f"{label}@{p}", terms)
+        p: Profile(_mode_sum([(zero, term) for term in terms]), terms)
         for p, terms in table.items()
     }
     return mode_symbol(group, dim, table, label, boundary_continuous=boundary_continuous, fn=fn)

@@ -314,19 +314,20 @@ def test_criterion_11_radical_generators(nilpotent_demo):
     psi_max = rec["residual"]
     n_points = len(sample_ideal_space(nilpotent_demo, 8, 1200, zeta_per_region=48))
     gen = radical_generator(nilpotent_demo, 2, gamma, 1, 8)
-    norms = power_norm_sequence(gen.operator, 6)
+    op = assemble_finite_sum(gen.finite_sum, nilpotent_demo.model, 8)
+    norms = power_norm_sequence(op, 6)
     monotone = all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
     ok = (
         n_points >= 500
         and psi_max < 1e-8
-        and frobenius(gen.operator) > 1e-6
+        and frobenius(op) > 1e-6
         and monotone
     )
     _report(
         11,
         ok,
         f"{n_points} functionals, sup|psi(G)|={psi_max:.2e}, "
-        f"|G|_F={frobenius(gen.operator):.3f}, power norms monotone={monotone}",
+        f"|G|_F={frobenius(op):.3f}, power norms monotone={monotone}",
     )
 
 

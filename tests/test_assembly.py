@@ -234,7 +234,7 @@ class TestBlocks:
         # rule of a profile without terms (cli.build_setup): here the text,
         # evaluated at the nodes, without the terms it compiles to.
         prof = profile_symbol(1, k, text).modes[(0,) * k]
-        table = {(0,) * k: Profile(prof.fn, text)}
+        table = {(0,) * k: Profile(prof.fn)}
         sym = mode_symbol(1, k, table, text, boundary_continuous=False)
         tracemalloc.start()
         try:
@@ -316,9 +316,10 @@ class TestBlocks:
         assert fresh.tobytes() == model.block(2, 3).tobytes()
 
     def test_callable_profile_block(self):
-        # Two profiles without terms share a label; each block is its own.
+        # Two symbols of profiles without terms share a label; each block is
+        # its own.
         first, second = (
-            mode_symbol(1, 2, {(0, 0): Profile(fn, "callable")}, "callable", boundary_continuous=False)
+            mode_symbol(1, 2, {(0, 0): Profile(fn)}, "callable", boundary_continuous=False)
             for fn in (lambda s: np.exp(s[..., 0]), lambda s: 5 + 0 * s[..., 0])
         )
         assemble_block(first, 1, 2, order=16)
@@ -521,7 +522,7 @@ def test_probed_block_matches_the_per_entry_route(d):
     order, grid = 12, 16
     indices = block_indices(2, d)
     modes = {tuple(vb - va for va, vb in zip(alpha, beta)) for alpha in indices for beta in indices}
-    table = {p: Profile(partial(torus_mode, fn, p=p, grid=grid), f"probe@{p}") for p in modes}
+    table = {p: Profile(partial(torus_mode, fn, p=p, grid=grid)) for p in modes}
     sym = mode_symbol(1, 2, table, "probed", boundary_continuous=False)
     got = assemble_block(sym, 1, d, order=order)
     want = np.zeros_like(got)

@@ -187,10 +187,7 @@ UNREAD_PARAMETERS = {
 
 
 # Class fields that only tests read, each with the test that reads it.
-TEST_READ_FIELDS = {
-    "DiagonalizabilityReport.defects":
-        "test_radical.py's test_jordan_block_false reads the multiplicities of a Jordan block",
-}
+TEST_READ_FIELDS = {}
 
 
 def test_every_name_defined_in_src_is_used_in_src():

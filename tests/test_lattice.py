@@ -135,14 +135,14 @@ def test_global_basis_bijection(cap):
     assert built == [alpha for _, alpha in layout]
 
 
-def test_global_basis_kappa_slices():
+def test_global_basis_kappa_order_and_dim():
     cfg = PartitionConfig(k=(2, 2))
     basis = GlobalBasis(cfg, 4)
     layout = basis_layout(cfg.k, 4)
+    assert basis.kappas == list(dict.fromkeys(kappa for kappa, _ in layout))
+    assert basis.dim == len(layout)
     for kappa in basis.kappas:
-        sl = basis.slice_of(kappa)
-        assert all(layout[i][0] == kappa for i in range(sl.start, sl.stop))
-        assert sl.stop - sl.start == dim_h_kappa(cfg.k, kappa)
+        assert sum(1 for lk, _ in layout if lk == kappa) == dim_h_kappa(cfg.k, kappa)
 
 
 def test_kappa_enumeration_takes_a_group_count():

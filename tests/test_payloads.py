@@ -4,18 +4,91 @@ A payload that moves without a stated reason is a regression.  On a
 mismatch the failure names, per moved command, the first JSON path that
 differs and the largest numeric deviation.  ``pin_payloads.py`` says how
 to rewrite the pins.
+
+While the pins are computed, every field of a dataclass in src/ that code
+in src/ reads is recorded: a field that no command reads on any pin is
+dead state, unless it is read elsewhere and says where.
 """
 
+import contextlib
+import dataclasses
 import hashlib
+import importlib
 import json
+import pkgutil
+import sys
 
 import pytest
 
+import toeplitz_spectra
 from pin_payloads import CONFIGS, PINS, compute_payloads, describe_difference, sha
 from toeplitz_spectra import cli
 from toeplitz_spectra.cli import CONFIG_SCHEMA
 
 PINNED = json.loads(PINS.read_text())
+
+MODULES = [
+    importlib.import_module(f"toeplitz_spectra.{info.name}")
+    for info in pkgutil.iter_modules(toeplitz_spectra.__path__)
+]
+SRC_FILES = frozenset(module.__file__ for module in MODULES)
+
+
+class FieldReads:
+    """The fields of src/'s dataclasses that no code in src/ has read from
+    an instance, while ``recording``: each class's ``__getattribute__`` is
+    wrapped, and a field read whose caller's code lies in src/ is struck
+    off.  A class whose fields are all read is left unwrapped."""
+
+    def __init__(self):
+        self.unread = {
+            cls: {f.name for f in dataclasses.fields(cls)}
+            for module in MODULES for cls in vars(module).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+            and cls.__module__ == module.__name__
+        }
+        self.configs = set()
+
+    @contextlib.contextmanager
+    def recording(self, name: str):
+        # each wrapped class with the __getattribute__ it defines itself, if any
+        wrapped = {cls: vars(cls).get("__getattribute__")
+                   for cls, pending in self.unread.items() if pending}
+        for cls in wrapped:
+            cls.__getattribute__ = self._reader(cls.__getattribute__, self.unread[cls])
+        try:
+            yield
+            self.configs.add(name)
+        finally:
+            for cls, own in wrapped.items():
+                if own is None:
+                    del cls.__getattribute__
+                else:
+                    cls.__getattribute__ = own
+
+    @staticmethod
+    def _reader(getattribute, pending: set):
+        def read(obj, name):
+            if name in pending and sys._getframe(1).f_code.co_filename in SRC_FILES:
+                pending.discard(name)
+            return getattribute(obj, name)
+        return read
+
+    def names(self) -> set:
+        return {f"{cls.__name__}.{name}" for cls, names in self.unread.items() for name in names}
+
+
+READS = FieldReads()
+
+# Fields that no command reads on a pin, each with what reads it.
+READ_ELSEWHERE = {
+    "QuasiRadialSymbol.label": "the error messages of QuasiRadialSymbol.__call__",
+    "PseudoHomogeneousSymbol.label": "error messages of assembly.py and spectra.py",
+    "SymbolExpression.text": "error messages of symbols._compile_modes",
+    "DiagonalCoefficient.name": "DiagonalCoefficient.label, in error messages",
+    "EigenData.values": "test_spectra.py's tests of the eigen solver",
+    "PlanarRegion.samples": "perfbench/tracing.py keys its raster reuse on it",
+}
 
 
 def test_pins_cover_every_config_and_command():
@@ -60,13 +133,42 @@ def test_pins_cover_every_kind_in_the_schema():
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_payloads_match_pins(name, tmp_path):
-    got = compute_payloads(name, tmp_path)
+    with READS.recording(name):
+        got = compute_payloads(name, tmp_path)
     moved = [
         f"{name}/{command}: {describe_difference(pin['payload'], got[command])}"
         for command, pin in sorted(PINNED[name].items())
         if sha(got[command]) != pin["sha256"]
     ]
     assert not moved, "payloads moved:\n" + "\n".join(moved)
+
+
+def test_every_dataclass_field_is_read_in_src(tmp_path):
+    # The pins that test_payloads_match_pins did not record are run here.
+    for name in sorted(set(CONFIGS) - READS.configs):
+        with READS.recording(name):
+            compute_payloads(name, tmp_path / name)
+    assert sorted(READS.names()) == sorted(READ_ELSEWHERE)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_pinned_gelfand_radius_bounds_the_matrix_spectral_radius(name):
+    # The element's block eigenvalues are its values at the exact points,
+    # which the sampled functionals include.
+    pin = PINNED[name]["gelfand"]["payload"]
+    assert pin["matrix_spectral_radius"] <= pin["gelfand_radius"]
+
+
+@pytest.mark.parametrize("name, bound", [
+    # sup|gamma_a| sup|c_2| = 1 * sup s1*s2 on the sphere = 1/2.
+    ("readme-d6", 0.5), ("huge-ksur-d3", 0.5),
+    # sup|exp(-r1^2*r2^2)| sup|1/(2 - s1^2)| = 1.
+    ("nonpoly-d3", 1.0),
+])
+def test_pinned_gelfand_radius_within_the_norm_bound(name, bound):
+    # A Gelfand value of D_gamma_a T_1...T_m is at most its norm, which is
+    # at most the product of the symbols' sups.
+    assert PINNED[name]["gelfand"]["payload"]["gelfand_radius"] <= bound
 
 
 def test_quadrature_config_stays_on_the_rules(tmp_path):
