@@ -99,6 +99,7 @@ def gamma_rules(
             compiled = sum((t(radii) for t in a.terms), np.zeros(len(radii), dtype=complex))
             drift = max(drift, np.max(np.abs(compiled - source)))
             top = max(top, np.max(np.abs(source)))
+        del nodes  # not held while the next kappa's rule is built
         worst = max(worst, drift / max(top, 1e-300))
         moments = [
             dirichlet_integral([e + q / 2 for e, q in zip(exps, t.powers)] + [cfg.lam])
@@ -154,7 +155,7 @@ def quadrature_doubling(model: AlgebraModel, gamma_cap: int, block_degree: int) 
     drift = 0.0
     if model.quasi_radial is not None:
         for kappa in enumerate_kappa(model.cfg, gamma_cap):
-            g1 = gamma_quasi_radial(model.quasi_radial, model.cfg, kappa, model.gamma_order)
+            g1 = model.gamma(kappa)  # memoized: its rule is not built again
             g2 = gamma_quasi_radial(model.quasi_radial, model.cfg, kappa, 2 * model.gamma_order)
             drift = max(drift, abs(g1 - g2))
     for j in sorted(model.symbols):

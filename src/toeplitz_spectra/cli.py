@@ -42,6 +42,7 @@ from . import __version__
 from .assembly import AlgebraModel, frobenius
 from .errors import ConfigError, SymbolError, ToeplitzError
 from .lattice import PartitionConfig
+from .quad import axis_points
 from .spectra import (
     PlanarRegion,
     SpectralContext,
@@ -310,16 +311,8 @@ def validate_config(raw: dict) -> dict:
         if g in seen:
             raise ConfigError(f"two symbols declared for group {g}")
         seen.add(g)
-    if berezin := cfg.get("berezin"):
-        g = berezin["group"]
-        if not 1 <= g <= m:
-            raise ConfigError(f"berezin group {g} outside 1..{m}")
-        w = [_complex_from_json(v) for v in berezin["w"]]
-        if len(w) != k[g - 1]:
-            raise ConfigError(f"berezin w has {len(w)} coordinates, group {g} has {k[g - 1]}")
-        norm = float(np.linalg.norm(w))
-        if not 0.0 < norm < 1.0:
-            raise ConfigError(f"berezin w must lie in the open ball minus 0, |w| = {norm:.4f}")
+    if (berezin := cfg.get("berezin")) and not 1 <= berezin["group"] <= m:
+        raise ConfigError(f"berezin group {berezin['group']} outside 1..{m}")
     radical = cfg["radical"]
     g = radical.setdefault("group", _lowest_symbol_group(seen))
     if not 1 <= g <= m:
@@ -329,6 +322,7 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(f"radical.gamma.rate must be in [0, 1), got {gamma['rate']}")
     _price_raster(cfg["hull"], [k[spec["group"] - 1] for spec in cfg["symbols"]])
     _price_blocks(cfg, k)
+    _price_truncation(cfg["degree_cap"], k)
     return cfg
 
 
@@ -379,15 +373,36 @@ def _price_blocks(cfg: dict, k: tuple) -> None:
 
 
 def _price_gamma_rule(order: int, m: int, factor: int = 1) -> None:
-    """Refuse a gamma_order whose rule on Delta_m at factor * order points
-    per axis exceeds the budget: 16m + 40 bytes a node (the rule, the radii
-    and two complex values), and its dense Jacobi matrix, 40 bytes an entry
-    in eigh.  Factor 2 is the rule of verify's quadrature-doubling drift,
-    which only a quasi-radial symbol that does not compile builds."""
-    npts, knob = factor * order, f"quadrature.gamma_order {order}"
+    """Refuse a gamma_order whose rule on Delta_m of order factor * order
+    exceeds the budget: 16m + 40 bytes a node (the rule, the radii and two
+    complex values), and the dense Jacobi matrix of its axes, 40 bytes an
+    entry in eigh.  Factor 2 is the rule of verify's quadrature-doubling
+    drift, which only a quasi-radial symbol that does not compile builds."""
+    npts, knob = axis_points(factor * order, m), f"quadrature.gamma_order {order}"
     rule = "a gamma rule" if factor == 1 else f"the {factor}x gamma rule of quadrature-doubling"
     _refuse_over_budget(knob, (16 * m + 40) * npts**m, f"the {npts}^{m} nodes of {rule}")
     _refuse_over_budget(knob, 40 * npts**2, f"the dense {npts} x {npts} Jacobi matrix of {rule}")
+
+
+def _price_truncation(D: int, k: tuple) -> None:
+    """Refuse a degree_cap whose largest arrays exceed the budget: per kappa,
+    m ints in a tuple (80 + 44m bytes) and the int64 kappa array, and a
+    complex coefficient; and a run of AlgebraModel.stacks, C(D - t + s, s)
+    blocks of n x n for s size-1 groups, n growing by one degree of total t
+    on the group whose (log-concave) block size grows most, to the peak."""
+    m, knob = len(k), f"degree_cap {D}"
+    count = math.comb(D + m, m)
+    _refuse_over_budget(knob, (96 + 52 * m) * count, f"the per-kappa arrays of {count} kappas")
+    s, degrees, n, last = k.count(1), [0] * m, 1, 0
+    for t in range(D + 1):
+        run = math.comb(D - t + s, s)
+        if 16 * run * n * n < last:
+            break
+        last = 16 * run * n * n
+        _refuse_over_budget(knob, last, f"a run of {run} stacked {n} x {n} blocks")
+        j = max(range(m), key=lambda i: (degrees[i] + k[i]) / (degrees[i] + 1))
+        n = n * (degrees[j] + k[j]) // (degrees[j] + 1)
+        degrees[j] += 1
 
 
 @dataclass(eq=False)
@@ -398,6 +413,7 @@ class Setup:
     ctx: SpectralContext
     out_dir: Path
     warnings: list[str]
+    berezin_w: list[complex] | None
     berezin_radial: QuasiRadialSymbol | None
 
 
@@ -444,52 +460,61 @@ def _build_symbol(spec, cfg: PartitionConfig) -> PseudoHomogeneousSymbol:
 
 
 def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: str | None = None) -> Setup:
-    """The model and context for config, and the parsed radial factor of
-    its berezin probe; threads, no_cache and quadrature.torus_grid are
-    accepted and ignored.
+    """The model and context for config, and the parsed point and radial
+    factor of its berezin probe; threads, no_cache and quadrature.torus_grid
+    are accepted and ignored.
     The doubled gamma rule of a quasi-radial symbol that does not compile, and
-    the doubled block rule of a symbol profile without terms, are priced here."""
+    the doubled block rule of a symbol profile without terms, are priced here;
+    a warning names each rule the node budget cuts (verify's gamma check
+    builds one at gamma_order on any config)."""
     cfg = PartitionConfig(k=tuple(config["partition"]["k"]), lam=float(config["partition"]["lambda"]))
-    quad = config["quadrature"]
+    gamma, order = config["quadrature"]["gamma_order"], config["quadrature"]["block_order"]
     quasi = _build_quasi_radial(config["quasi_radial"], cfg.m)
+    rules = [("quadrature.gamma_order", gamma, cfg.m)]
     if quasi is not None and quasi.terms is None:
-        _price_gamma_rule(quad["gamma_order"], cfg.m, factor=2)
+        _price_gamma_rule(gamma, cfg.m, factor=2)
+        rules.append(("quadrature.gamma_order", 2 * gamma, cfg.m))
     symbols = {spec["group"]: _build_symbol(spec, cfg) for spec in config["symbols"]}
-    radial = None
-    if text := (config.get("berezin") or {}).get("radial_expression"):
-        try:
-            radial = QuasiRadialSymbol.from_expression(1, text)
-        except SymbolError as exc:
-            raise ConfigError(f"berezin.radial_expression: {exc}") from exc
-    order, npts = quad["block_order"], 2 * quad["block_order"]
+    w = radial = None
+    if berezin := config.get("berezin"):
+        g, w = berezin["group"], [_complex_from_json(v) for v in berezin["w"]]
+        if len(w) != cfg.k[g - 1]:
+            raise ConfigError(f"berezin w has {len(w)} coordinates, group {g} has {cfg.k[g - 1]}")
+        if not 0.0 < (norm := float(np.linalg.norm(w))) < 1.0:
+            raise ConfigError(f"berezin w must lie in the open ball minus 0, |w| = {norm:.4f}")
+        if text := berezin.get("radial_expression"):
+            try:
+                radial = QuasiRadialSymbol.from_expression(1, text)
+            except SymbolError as exc:
+                raise ConfigError(f"berezin.radial_expression: {exc}") from exc
     for sym in symbols.values():
-        # A profile without terms has its entries on rules of npts^(k-1) nodes
-        # in quadrature-doubling and semisimple's refinement: 24k + 32 bytes a
-        # node (the rule, its closed nodes and their roots, two complex values).
+        # A profile without terms has its entries on rules on Delta_(k-1), at
+        # 2x in quadrature-doubling and semisimple's refinement: 24k + 32 bytes
+        # a node (the rule, its closed nodes and their roots, two complex values).
         if any(prof.terms is None for prof in sym.modes.values()):
-            nodes = npts ** (sym.dim - 1)
-            _refuse_over_budget(f"quadrature.block_order {order}", (24 * sym.dim + 32) * nodes,
-                                f"the {npts}^{sym.dim - 1} nodes of the 2x block rule of group {sym.group}")
+            p = sym.dim - 1
+            n = axis_points(2 * order, p)
+            _refuse_over_budget(f"quadrature.block_order {order}", (24 * sym.dim + 32) * n**p,
+                                f"the {n}^{p} nodes of the 2x block rule of group {sym.group}")
+            rules += [("quadrature.block_order", order, p), ("quadrature.block_order", 2 * order, p)]
+    warnings = [f"{knob}: rules of order {o} on Delta_{p} take {n} points per axis, "
+                f"{n}^{p} nodes within the budget of {o}^3"
+                for knob, o, p in dict.fromkeys(rules) if (n := axis_points(o, p)) < o]
     out_dir = Path(out or config["output_dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output directory {out_dir} cannot be made: {exc}")
-    model = AlgebraModel(
-        cfg=cfg,
-        quasi_radial=quasi,
-        symbols=symbols,
-        block_order=quad["block_order"],
-        gamma_order=quad["gamma_order"],
-    )
+    model = AlgebraModel(cfg=cfg, quasi_radial=quasi, symbols=symbols, block_order=order,
+                         gamma_order=gamma)
     ctx = SpectralContext(
         model=model,
         eig_tol=config["eig_tol"],
         hull_resolution=config["hull"]["resolution"],
         ess_samples=config["hull"]["ess_samples"],
     )
-    return Setup(config=config, cfg=cfg, model=model, ctx=ctx, out_dir=out_dir, warnings=[],
-                 berezin_radial=radial)
+    return Setup(config=config, cfg=cfg, model=model, ctx=ctx, out_dir=out_dir, warnings=warnings,
+                 berezin_w=w, berezin_radial=radial)
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +714,8 @@ def cmd_berezin(setup: Setup) -> dict:
     j = spec["group"]
     if j not in setup.model.symbols:
         raise ConfigError(f"group {j} has no symbol to probe")
-    w = [_complex_from_json(v) for v in spec["w"]]
-    probe = berezin_sequence(setup.model, j, w, spec["degrees"], radial_profile=setup.berezin_radial)
+    probe = berezin_sequence(setup.model, j, setup.berezin_w, spec["degrees"],
+                             radial_profile=setup.berezin_radial)
     rows = []
     for d, v in zip(probe.degrees, probe.values):
         rows.append([d, float(v.real), float(v.imag), abs(v - probe.boundary_value)])

@@ -17,14 +17,14 @@ which the simplex rules are checked.  Its log-Gamma is a port of Cephes
 r), are products of rising factorials and half-integer steps.
 
 There is one Gauss-Jacobi rule, numpy alone: Golub-Welsch by `eigh` of the
-Jacobi matrix, weights normalized to a probability.  Simplex rules are
-memoized up to RULE_CACHE_BYTES, by least recent use.
+Jacobi matrix, weights normalized to a probability.  A simplex rule holds
+at most order^3 nodes (`axis_points`), and only the rule built last is kept.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 import numpy as np
@@ -128,7 +128,10 @@ def _jacobi_matrix(npts: int, a: float, b: float) -> np.ndarray:
     diag[0] = (beta - alpha) / (alpha + beta + 2.0)
     if npts > 1 and alpha + beta == -1.0:  # 0/0 at k = 1: cancel 1 + alpha + beta
         offdiag[0] = math.sqrt(2.0 * (1.0 + alpha) * (1.0 + beta))
-    return np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+    mat = np.diag(diag)
+    flat = mat.reshape(-1)  # a view, in which a diagonal steps npts + 1 entries
+    flat[1::npts + 1] = flat[npts::npts + 1] = offdiag
+    return mat
 
 
 @lru_cache(maxsize=4096)
@@ -213,6 +216,16 @@ def dirichlet_moment(exponents, increments) -> float:
     return ratio
 
 
+def axis_points(order: int, p: int) -> int:
+    """Points per axis of a rule of ``order`` on Delta_p: the largest n <= order
+    with n^p <= order^3, which is order at p <= 3.  Doubling an order of 2 or
+    more still refines a rule on Delta_4 or Delta_5."""
+    n = order if p <= 3 else int(order ** (3 / p)) + 1  # the loop corrects a rounded root
+    while n**p > order**3:
+        n -= 1
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class SimplexRule:
     """Tensor Gauss-Jacobi rule over the simplex Delta_p after Duffy collapse.
@@ -245,9 +258,9 @@ class SimplexRule:
     @classmethod
     def build(cls, exponents: tuple, order: int, out=None) -> "SimplexRule":
         """Probability rule over Delta_p, p = len(exponents) - 1, for the
-        weight with the given exponents (slack exponent last).  Nodes and
-        weights are written into ``out`` if given, a float array of at least
-        (p + 1) order^p entries."""
+        weight with the given exponents (slack exponent last), on n =
+        axis_points(order, p) points per axis.  Nodes and weights are written
+        into ``out`` if given, a float array of at least (p + 1) n^p entries."""
         p = len(exponents) - 1
         if p < 0:
             raise QuadratureError("need at least one exponent")
@@ -255,10 +268,11 @@ class SimplexRule:
             raise QuadratureError(f"weight exponents must be finite and exceed -1: {exponents}")
         if p == 0:
             return cls(dim=0, nodes=np.zeros((1, 0)), weights=np.ones(1))
+        n = axis_points(order, p)
         # u_l = x_l prod_{i<l}(1 - x_i) gives level l the Jacobian power
         # (p - l) plus all downstream exponents, slack included.
         axes = [
-            jacobi_probability_rule_01(order, exponents[lvl - 1], (p - lvl) + sum(exponents[lvl:]))
+            jacobi_probability_rule_01(n, exponents[lvl - 1], (p - lvl) + sum(exponents[lvl:]))
             for lvl in range(1, p + 1)
         ]
         # Level l varies along grid axis l; u_l and the running weight
@@ -266,8 +280,8 @@ class SimplexRule:
         # Each u_l is one contiguous plane, so that row sums over the nodes
         # add whole planes, in the same order as along a row; the weights
         # fill the plane after them.
-        size = (p + 1) * order**p
-        u = (np.empty(size) if out is None else out[:size]).reshape((p + 1,) + (order,) * p)
+        size = (p + 1) * n**p
+        u = (np.empty(size) if out is None else out[:size]).reshape((p + 1,) + (n,) * p)
         w = np.ones(())
         shrink = np.ones(())
         for lvl, (x, wx) in enumerate(axes):
@@ -282,32 +296,29 @@ class SimplexRule:
         return cls(dim=p, nodes=u[:p].reshape(p, -1).T, weights=w.ravel())
 
 
-# Bytes of Dirichlet probability rules kept between calls: a p = 3 rule of
-# order 48 takes 3.5 MB, and gamma takes one rule per kappa.
-RULE_CACHE_BYTES = 1 << 26
 RuleCacheInfo = namedtuple("RuleCacheInfo", "hits misses bytes")
 
 
-def _lru_by_bytes(build):
-    """lru_cache for SimplexRules, bounded by their bytes, not their count."""
-    rules, info = OrderedDict(), {"hits": 0, "misses": 0, "bytes": 0}
+def _hold_last(build):
+    """Memo of the SimplexRule built last, let go before another is built:
+    gamma and the block entries ask for a rule again right after using it."""
+    held, counts = {}, {"hits": 0, "misses": 0}
 
     @wraps(build)
     def cached(*key):
-        hit = key in rules
-        info["hits" if hit else "misses"] += 1
-        rules[key] = rule = rules.pop(key) if hit else build(*key)
-        info["bytes"] += 0 if hit else rule.nodes.nbytes + rule.weights.nbytes
-        while info["bytes"] > RULE_CACHE_BYTES:
-            old = rules.popitem(last=False)[1]
-            info["bytes"] -= old.nodes.nbytes + old.weights.nbytes
-        return rule
+        hit = key in held
+        counts["hits" if hit else "misses"] += 1
+        if not hit:
+            held.clear()
+            held[key] = build(*key)
+        return held[key]
 
-    cached.cache_info = lambda: RuleCacheInfo(**info)
+    cached.cache_info = lambda: RuleCacheInfo(
+        **counts, bytes=sum(r.nodes.nbytes + r.weights.nbytes for r in held.values()))
     return cached
 
 
-@_lru_by_bytes
+@_hold_last
 def _dirichlet_rule_cached(exponents: tuple, order: int) -> SimplexRule:
     return SimplexRule.build(exponents, order)
 

@@ -57,17 +57,17 @@ def test_dirichlet_vs_simplex_builds_its_rules_outside_the_rule_cache():
     assert quad._dirichlet_rule_cached.cache_info() == before
 
 
-def test_gamma_rules_use_each_kappa_rule_while_it_is_held(monkeypatch):
-    # A rule cache that holds one order-8 rule on Delta_3: the identity and
-    # the compiled check of a kappa share its rule, one miss and one hit.
+def test_gamma_rules_use_each_kappa_rule_while_it_is_held():
+    # The rule memo holds one rule: the identity and the compiled check of a
+    # kappa share its order-8 rule on Delta_3, one miss and one hit.
     cfg = PartitionConfig(k=(1, 1, 2), lam=0.375)
     a = QuasiRadialSymbol.from_expression(3, "1 - 0.5*r1^2*r3^2 + 0.25*r2^2")
-    monkeypatch.setattr(quad, "RULE_CACHE_BYTES", 4 * 8**3 * 8)
     before = quad._dirichlet_rule_cached.cache_info()
     records = checks.gamma_rules(a, cfg, 4, order=8)
     after = quad._dirichlet_rule_cached.cache_info()
     kappas = len(enumerate_kappa(cfg, 4))
     assert (after.misses - before.misses, after.hits - before.hits) == (kappas, kappas)
+    assert after.bytes == 4 * 8**3 * 8
     assert [r["name"] for r in records] == ["gamma-identity", "quasi-radial-compiled"]
     assert all(r["passed"] for r in records)
 

@@ -752,16 +752,20 @@ def test_oversized_raster_knob_is_refused_before_allocating(tmp_path, hull, knob
                   "berezin": {"group": 1, "w": [0.3, 0.4], "degrees": [4]}, "radical": {"group": 1},
                   "quadrature": {"gamma_order": 20000}},
      "quadrature.gamma_order"),
-    # A k=5 profile without terms: entries on rules of 100^4 nodes, a 3.73
-    # GiB MemoryError at D=0, and verify's doubling asks for 16 times that.
+    # A k=5 profile without terms: verify's doubling builds rules of order
+    # 200 on Delta_4, 53^4 nodes within the node budget, 1.12 GiB at 152
+    # bytes a node.  Before the node budget they took 200^4 nodes.
     ("assemble", {"partition": {"k": [5], "lambda": 0.0}, "degree_cap": 0,
                   "quasi_radial": {"kind": "one"},
                   "symbols": [{"group": 1, "kind": "profile", "text": "(1 + s1)^0.5"}],
                   "berezin": {"group": 1, "w": [0.3, 0.4, 0.0, 0.0, 0.0], "degrees": [4]},
                   "radical": {"group": 1}, "quadrature": {"block_order": 100}},
      "quadrature.block_order"),
+    # The README example: a MemoryError in DiagonalCoefficient.values after
+    # 24 s; the largest run of AlgebraModel.stacks passes 1 GiB.
+    ("assemble", {"degree_cap": 3000}, "degree_cap"),
 ], ids=["block-order-jacobi", "block-order-oracle", "berezin-degree", "gamma-order-nodes",
-        "gamma-order-jacobi", "block-order-profile-rule"])
+        "gamma-order-jacobi", "block-order-profile-rule", "degree-cap"])
 def test_oversized_block_knob_is_refused_before_allocating(tmp_path, command, overrides, knob):
     _assert_refused_quickly(write_config(tmp_path, **overrides), command, knob)
 
@@ -836,7 +840,8 @@ def test_deeply_nested_profile_is_refused(tmp_path, capsys, text):
 def test_rule_cache_keeps_a_three_group_assembly_small(tmp_path):
     # gamma up to D = 8 on k = (1, 1, 1) takes 165 rules on Delta_3 of
     # 3.5 MB each, used once (the model memoizes gamma per kappa); a cache of
-    # 4096 rules kept them all and the command peaked at 600 MB.
+    # 4096 rules kept them all and the command peaked at 600 MB, a 64 MiB
+    # cache at 105 MB.  Only the rule in use is held: about 47 MB.
     config = {
         "partition": {"k": [1, 1, 1], "lambda": 0.0},
         "degree_cap": 8,
@@ -846,11 +851,49 @@ def test_rule_cache_keeps_a_three_group_assembly_small(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert _peak_rss_mb("assemble", path) < 150
+    assert _peak_rss_mb("assemble", path) < 70
     payload = read_report(tmp_path, "assemble")["payload"]
     assert hashlib.sha256(cli.canonical_payload_bytes(payload)).hexdigest() == (
         "428506eb577a428a2daa17360d75533cfa591a4be2132289c57e29aa5131bfea"
     )
+
+
+def _groups_of_one(m: int, degree_cap: int, out: Path) -> dict:
+    text = "1 - 0.5*" + "*".join(f"r{j}^2" for j in range(1, m + 1))
+    return {
+        "partition": {"k": [1] * m, "lambda": 0.0},
+        "degree_cap": degree_cap,
+        "quasi_radial": {"kind": "expression", "text": text},
+        "symbols": [{"group": 1, "kind": "constant", "value": 1.0}],
+        "berezin": {"group": 1, "w": [0.5], "degrees": [4]},
+        "output_dir": str(out),
+    }
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_four_groups_run_in_bounded_memory(tmp_path, command):
+    # verify's gamma check asked for rules of 48^4 nodes, 212 MB each, past
+    # the rule cache: 58 s and 699 MB at D = 2.  The node budget gives them
+    # 18 points per axis, and the report says so.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_groups_of_one(4, 4, tmp_path / "out")))
+    assert _peak_rss_mb(command, path) < 300
+    assert read_report(tmp_path, command)["warnings"][0] == (
+        "quadrature.gamma_order: rules of order 48 on Delta_4 take 18 points per axis, "
+        "18^4 nodes within the budget of 48^3"
+    )
+
+
+def test_five_groups_take_the_default_gamma_order(tmp_path):
+    # 48^5 rule nodes asked for 29 GiB and every command refused the
+    # default gamma_order; within the node budget they take 10^5.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_groups_of_one(5, 1, tmp_path / "out")))
+    assert main(["verify", "--config", str(path)]) == 0
+    assert read_report(tmp_path, "verify")["warnings"] == [
+        "quadrature.gamma_order: rules of order 48 on Delta_5 take 10 points per axis, "
+        "10^5 nodes within the budget of 48^3"
+    ]
 
 
 def test_small_surrogate_kappa_is_a_radical_config_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -333,18 +334,58 @@ def test_simplex_rule_rejects_nodes_outside_the_simplex_and_negative_weights():
         SimplexRule(dim=2, nodes=nodes, weights=np.array([0.5, -1e-300, 0.5]))
 
 
-def test_dirichlet_rule_cache_is_bounded_by_bytes_in_lru_order(monkeypatch):
-    # Two order-8 rules on Delta_2 (two node planes and the weights each).
-    rule_bytes = 3 * 8**2 * 8
-    monkeypatch.setattr(quad, "RULE_CACHE_BYTES", 2 * rule_bytes)
+def test_dirichlet_rule_memo_holds_only_the_last_rule(monkeypatch):
+    # A request for another rule lets the held one go before it is built.
     info = quad._dirichlet_rule_cached.cache_info
-    first, second, third = [(0.125, 0.375, lam) for lam in (0.5, 1.5, 2.5)]
+    first, second = (0.125, 0.375, 0.5), (0.125, 0.375, 1.5)
+    rule_bytes = 3 * 8**2 * 8  # an order-8 rule on Delta_2: two node planes, the weights
+    before = info()
     kept = dirichlet_probability_rule(first, 8)
-    dirichlet_probability_rule(second, 8)
-    assert dirichlet_probability_rule(first, 8) is kept  # now the most recent
-    dirichlet_probability_rule(third, 8)  # evicts the least recent: second
-    assert info().bytes == 2 * rule_bytes
     assert dirichlet_probability_rule(first, 8) is kept
-    misses = info().misses
+    assert info().bytes == rule_bytes
+    held, alive = weakref.ref(kept), []
+    del kept
+    build = SimplexRule.build
+
+    def spy(exponents, order):
+        alive.append(held() is not None)
+        return build(exponents, order)
+
+    monkeypatch.setattr(SimplexRule, "build", spy)
     dirichlet_probability_rule(second, 8)
-    assert info().misses == misses + 1
+    dirichlet_probability_rule(first, 8)  # built again
+    assert alive == [False, False]
+    assert info().bytes == rule_bytes
+    assert (info().hits - before.hits, info().misses - before.misses) == (1, 3)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_simplex_rules_hold_at_most_order_cubed_nodes(p):
+    exponents = (0.5,) * p + (1.5,)
+    orders = (1, 2, 3, 8, 12, 24, 48)
+    per_axis = []
+    for order in orders:
+        rule = SimplexRule.build(exponents, order)
+        n = len(np.unique(rule.nodes[:, 0]))  # u_1 is the first axis' node
+        assert len(rule.weights) == n**p == quad.axis_points(order, p) ** p <= order**3
+        assert n == order if p <= 3 else (n + 1) ** p > order**3
+        per_axis.append(n)
+    if p >= 4:
+        # Doubling the order still refines the rule.
+        assert all(quad.axis_points(2 * order, p) > n for order, n in zip(orders[1:], per_axis[1:]))
+    if p == 4:
+        assert (quad.axis_points(48, 4), quad.axis_points(96, 4)) == (18, 30)
+
+
+@pytest.mark.parametrize("npts, a, b", [
+    (npts, a, b) for npts in (1, 2, 3, 8, 48)
+    for a, b in [(0.0, 0.0), (2.5, 2.5), (-0.5, -0.5), (-0.25, -0.75), (0.5, -0.5), (3.0, 0.5),
+                 (1e4, 0.0), (-0.9, 20.0)]
+])
+def test_jacobi_matrix_is_the_sum_of_its_three_diagonals(npts, a, b):
+    # The tridiagonal is written into one array; the sum of three np.diag
+    # matrices it replaced has the same bits, since no diagonal entry is -0.0.
+    mat = quad._jacobi_matrix(npts, a, b)
+    diag, upper = np.diag(mat), np.diag(mat, 1)
+    summed = np.diag(diag) + np.diag(upper, 1) + np.diag(upper, -1)
+    assert mat.tobytes() == summed.tobytes()
