@@ -2,12 +2,11 @@
 
 Everything the algebra contains reduces to two ingredients:
 
-* the diagonal eigenvalue function gamma of a quasi-radial factor,
-  computed as an expectation against a Dirichlet probability measure on
-  the simplex (the radial change of variables u_j = r_j^2 turns the
-  eigenvalue integral into exactly that, and the normalizing Gamma
-  prefactors cancel against the Dirichlet mass): a sum of closed-form
-  Dirichlet moments for a compiled symbol, a probability rule otherwise;
+* the diagonal eigenvalue function gamma of a quasi-radial factor, an
+  expectation against a Dirichlet probability measure on the simplex (the
+  radial change of variables u_j = r_j^2 turns the eigenvalue integral
+  into exactly that, and the normalizing Gamma prefactors cancel against
+  the Dirichlet mass), which `quad.gamma_quasi_radial` computes;
 * the per-group block matrices of a pseudo-homogeneous factor on the
   degree-d homogeneous subspace, computed in the weightless Bergman
   space over the group ball.  In the orthonormal monomial basis the
@@ -26,6 +25,9 @@ A truncated operator is stored block-diagonally over the H_kappa
 decomposition; on H_kappa the full operator with quasi-radial factor a and
 group factors c_j acts as gamma_a(kappa) times the tensor product of the
 group blocks, realized through the global basis index map.
+
+`AlgebraModel` is the one configured instance that every command reads;
+it also memoizes the eigen data and boundary samples that `spectra` computes.
 """
 
 from __future__ import annotations
@@ -38,37 +40,9 @@ import numpy as np
 
 from .errors import AssemblyError, QuadratureError
 from .lattice import GlobalBasis, Index, PartitionConfig, block_indices
-from .quad import dirichlet_moment, dirichlet_probability_rule, gammaln, log_dirichlet_mass
+from .quad import dirichlet_probability_rule, gamma_quasi_radial, gammaln, log_dirichlet_mass
+from .spectra import EigenData, block_eigenvalues, boundary_samples
 from .symbols import MonomialProfile, Profile, PseudoHomogeneousSymbol, QuasiRadialSymbol
-
-
-# ---------------------------------------------------------------------------
-# Quasi-radial eigenvalues
-# ---------------------------------------------------------------------------
-
-
-def gamma_quasi_radial(
-    a: QuasiRadialSymbol, cfg: PartitionConfig, kappa: Index, order: int = 48
-) -> complex:
-    """Eigenvalue gamma_a(kappa) of T_a on H_kappa.
-
-    Equal to the expectation of a(sqrt(u_1),...,sqrt(u_m)) under the
-    Dirichlet measure on Delta_m with exponents (kappa_j + k_j - 1) and
-    slack exponent lam: for a compiled symbol the sum of its terms' exact
-    moments (r_j^q adds q/2 to u_j's exponent), else the order-``order`` rule.
-    """
-    kappa = tuple(int(v) for v in kappa)
-    if len(kappa) != cfg.m:
-        raise AssemblyError(f"kappa length {len(kappa)} != m={cfg.m}")
-    if a.m != cfg.m:
-        raise AssemblyError(f"symbol has {a.m} radii, partition has {cfg.m} groups")
-    exponents = tuple(float(kap + kj - 1) for kap, kj in zip(kappa, cfg.k)) + (cfg.lam,)
-    if a.terms is not None:
-        return sum((t.coeff * dirichlet_moment(exponents, [q / 2 for q in t.powers])
-                    for t in a.terms), 0j)
-    rule = dirichlet_probability_rule(exponents, order)
-    vals = a(np.sqrt(rule.nodes))  # no name holds the radii: freed before the product
-    return complex(np.sum(rule.weights * vals))
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +135,14 @@ def frobenius(blocks: dict[Index, np.ndarray]) -> float:
 
 @dataclass(eq=False)
 class AlgebraModel:
-    """One configured instance of the algebra: partition, symbols, orders.
+    """One configured instance of the algebra: partition, symbols, orders,
+    and the tolerance and sample counts of its spectra.
 
-    Group blocks, their powers and gamma values are memoized here, for the
-    life of the model.  ``stacks`` builds the blocks of diagonal-coefficient
-    sums of generator products over a truncation, run by run of kappas that
-    share their tensor factors.
+    Group blocks, their powers, gamma values, block eigen data and boundary
+    samples are memoized here, for the life of the model; rasters are built
+    per call, from the samples.  ``stacks`` builds the blocks of
+    diagonal-coefficient sums of generator products over a truncation, run
+    by run of kappas that share their tensor factors.
     """
 
     cfg: PartitionConfig
@@ -174,6 +150,9 @@ class AlgebraModel:
     symbols: dict[int, PseudoHomogeneousSymbol] = field(default_factory=dict)
     block_order: int = 48
     gamma_order: int = 48
+    eig_tol: float = 1e-8
+    hull_resolution: int = 512
+    ess_samples: int = 4096
     # Not a field: the benchmark's tracer (perfbench/tracing.py::_block_before) reads it.
     cache = None
 
@@ -189,6 +168,8 @@ class AlgebraModel:
         self._powers: dict[tuple[int, int, int], np.ndarray] = {}
         self._gammas: dict[Index, complex] = {}
         self._bases: dict[int, GlobalBasis] = {}
+        self._eigen: dict[tuple[int, int], EigenData] = {}
+        self._samples: dict[int, np.ndarray] = {}
 
     def basis(self, D: int) -> GlobalBasis:
         if D not in self._bases:
@@ -218,6 +199,22 @@ class AlgebraModel:
             mat.flags.writeable = False
             self._blocks[key] = mat
         return mat
+
+    def eigen(self, j: int, d: int) -> EigenData:
+        """Eigen data of the group-j block on degree d at ``eig_tol``; memoized."""
+        if (j, d) not in self._eigen:
+            self._eigen[j, d] = block_eigenvalues(self.block(j, d), self.eig_tol, group=j, d=d)
+        return self._eigen[j, d]
+
+    def boundary_samples(self, j: int) -> np.ndarray:
+        """The boundary image values of group j's symbol at ``ess_samples``,
+        once per group; a group without a symbol images to 1.  Every raster
+        of the group is filled afresh from them."""
+        if j not in self._samples:
+            sym = self.symbols.get(j)
+            self._samples[j] = (np.ones((1, 1), dtype=complex) if sym is None
+                                else boundary_samples(sym, self.ess_samples))
+        return self._samples[j]
 
     def block_power(self, j: int, d: int, power: int) -> np.ndarray:
         """``np.linalg.matrix_power`` of the group-j block on degree d;

@@ -2,7 +2,7 @@
 
 `toeplitz-spectra verify` and the acceptance suite call the same
 functions with their own sizes.  Each function computes one check family
-from explicit inputs (a model or context, an rng, sizes) and returns
+from explicit inputs (a model, an rng, sizes) and returns
 records {name, passed, residual, tolerance, detail}; a check passes when
 its residual is below its tolerance.  Exact yes/no checks report residual
 0 or 1 against tolerance 0.5.
@@ -16,8 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .assembly import (AlgebraModel, assemble_block, cross_block_entry_bound, frobenius,
-                       gamma_quasi_radial)
+from .assembly import AlgebraModel, assemble_block, cross_block_entry_bound, frobenius
 from .gelfand import (
     DiagonalCoefficient,
     FiniteSum,
@@ -26,9 +25,10 @@ from .gelfand import (
     spectral_radius_estimate,
 )
 from .lattice import GlobalBasis, PartitionConfig, enumerate_kappa
-from .quad import SimplexRule, dirichlet_integral, dirichlet_moment, dirichlet_probability_rule
+from .quad import (SimplexRule, dirichlet_integral, dirichlet_moment, dirichlet_probability_rule,
+                   gamma_quasi_radial)
 from .radical import SUPPORT_TOL, decompose_by_division, escaped_gamma, radical_generator
-from .spectra import PlanarRegion, SpectralContext, polynomial_hull_2d
+from .spectra import PlanarRegion, polynomial_hull_2d
 from .symbols import QuasiRadialSymbol, constant_symbol
 
 
@@ -252,21 +252,21 @@ def projection_identities(basis: GlobalBasis, qtilde_degree: int) -> list[dict]:
     return [_flag("projection-identities", bool(ok))]
 
 
-def division_reconstruction(ctx: SpectralContext, cases, group: int, D: int) -> list[dict]:
+def division_reconstruction(model: AlgebraModel, cases, group: int, D: int) -> list[dict]:
     """Q_d A = sum_l S_l h_l(T_j) on the cap-D truncation for each (A, d) in
     cases; a part S_l (l < n) that still holds the generator counts as
     residual 1."""
     worst = 0.0
     for A, d in cases:
-        parts = decompose_by_division(A, group, d, ctx)
-        worst = max(worst, parts.reconstruction_residual(ctx.model, D))
+        parts = decompose_by_division(A, group, d, model)
+        worst = max(worst, parts.reconstruction_residual(model, D))
         if not parts.structurally_free_of_generator():
             worst = max(worst, 1.0)
     return [_record("division-reconstruction", worst, 1e-9)]
 
 
 def radical_gelfand_vanishing(
-    ctx: SpectralContext,
+    model: AlgebraModel,
     group: int,
     gamma: DiagonalCoefficient,
     D: int,
@@ -280,15 +280,15 @@ def radical_gelfand_vanishing(
     vanishes on the functionals sampled up to sample_cap.  Fails on |gamma|
     at the surrogate degree when gamma does not vanish there, since no
     generator exists then."""
-    escaped = escaped_gamma(gamma, ctx.cfg.m, group, K_sur)
+    escaped = escaped_gamma(gamma, model.cfg.m, group, K_sur)
     if escaped > SUPPORT_TOL:
         return [_record(
             "radical-gelfand-vanishing", escaped, SUPPORT_TOL,
             f"gamma does not vanish at kappa_{group} = surrogate_kappa = {K_sur}",
         )]
-    gen = radical_generator(ctx, group, gamma, 1, D, K_sur=K_sur)
+    gen = radical_generator(model, group, gamma, 1, D, K_sur=K_sur)
     points = sample_ideal_space(
-        ctx, sample_cap, budget, K_sur=K_sur, zeta_per_region=zeta_per_region
+        model, sample_cap, budget, K_sur=K_sur, zeta_per_region=zeta_per_region
     )
     psi_max = spectral_radius_estimate(gen.finite_sum, points)
     return [

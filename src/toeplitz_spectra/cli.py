@@ -41,11 +41,10 @@ import numpy as np
 from . import __version__
 from .assembly import AlgebraModel, frobenius
 from .errors import ConfigError, SymbolError, ToeplitzError
-from .lattice import PartitionConfig
+from .lattice import PartitionConfig, enumerate_kappa
 from .quad import axis_points
 from .spectra import (
     PlanarRegion,
-    SpectralContext,
     accumulation_check,
     berezin_sequence,
     boundary_sample_count,
@@ -408,9 +407,7 @@ def _price_truncation(D: int, k: tuple) -> None:
 @dataclass(eq=False)
 class Setup:
     config: dict
-    cfg: PartitionConfig
     model: AlgebraModel
-    ctx: SpectralContext
     out_dir: Path
     warnings: list[str]
     berezin_w: list[complex] | None
@@ -460,7 +457,7 @@ def _build_symbol(spec, cfg: PartitionConfig) -> PseudoHomogeneousSymbol:
 
 
 def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: str | None = None) -> Setup:
-    """The model and context for config, and the parsed point and radial
+    """The model of config, and the parsed point and radial
     factor of its berezin probe; threads, no_cache and quadrature.torus_grid
     are accepted and ignored.
     The doubled gamma rule of a quasi-radial symbol that does not compile, and
@@ -505,15 +502,13 @@ def build_setup(config: dict, *, threads: int = 0, no_cache: bool = False, out: 
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output directory {out_dir} cannot be made: {exc}")
-    model = AlgebraModel(cfg=cfg, quasi_radial=quasi, symbols=symbols, block_order=order,
-                         gamma_order=gamma)
-    ctx = SpectralContext(
-        model=model,
+    model = AlgebraModel(
+        cfg=cfg, quasi_radial=quasi, symbols=symbols, block_order=order, gamma_order=gamma,
         eig_tol=config["eig_tol"],
         hull_resolution=config["hull"]["resolution"],
         ess_samples=config["hull"]["ess_samples"],
     )
-    return Setup(config=config, cfg=cfg, model=model, ctx=ctx, out_dir=out_dir, warnings=warnings,
+    return Setup(config=config, model=model, out_dir=out_dir, warnings=warnings,
                  berezin_w=w, berezin_radial=radial)
 
 
@@ -611,7 +606,7 @@ def _region_svg(grid: dict, points=None) -> str:
 
 
 def cmd_assemble(setup: Setup) -> dict:
-    from .gelfand import FiniteSum, assemble_finite_sum
+    from .gelfand import assemble_finite_sum
 
     D = setup.config["degree_cap"]
     op = assemble_finite_sum(_product_element(setup), setup.model, D)
@@ -629,12 +624,11 @@ def cmd_assemble(setup: Setup) -> dict:
                     "nnz": int(np.count_nonzero(np.abs(b) > 1e-15)),
                 }
             )
-    ident = assemble_finite_sum(FiniteSum.one(setup.cfg.m), setup.model, D)
     payload = {
         "global_dim": basis.dim,
         "kappa_count": len(basis.kappas),
         "operator_fro": frobenius(op),
-        "identity_deviation_fro": frobenius({k: b - ident[k] for k, b in op.items()}),
+        "identity_deviation_fro": frobenius({k: b - np.eye(len(b)) for k, b in op.items()}),
         "blocks": blocks_info,
     }
     return payload
@@ -644,10 +638,10 @@ def cmd_spectrum(setup: Setup) -> dict:
     D = setup.config["degree_cap"]
     per_group = {}
     csv_rows = []
-    for j in range(1, setup.cfg.m + 1):
+    for j in range(1, setup.model.cfg.m + 1):
         degrees = {}
         for d in range(D + 1):
-            e = setup.ctx.eigen(j, d)
+            e = setup.model.eigen(j, d)
             setup.warnings.extend(e.warnings)
             degrees[str(d)] = {
                 "distinct": [c2j(z) for z in e.distinct],
@@ -658,7 +652,7 @@ def cmd_spectrum(setup: Setup) -> dict:
         entry = {"by_degree": degrees}
         sym = setup.model.symbols.get(j)
         if sym is not None and sym.boundary_continuous:
-            acc = accumulation_check(setup.ctx, j, D)
+            acc = accumulation_check(setup.model, j, D)
             entry["accumulation"] = {
                 "candidates": [c2j(z) for z in acc.candidates],
                 "violations": [c2j(z) for z in acc.violations],
@@ -671,10 +665,10 @@ def cmd_spectrum(setup: Setup) -> dict:
 
 def cmd_hull(setup: Setup) -> dict:
     D = setup.config["degree_cap"]
-    res = setup.ctx.hull_resolution
+    res = setup.model.hull_resolution
     payload, convex = {"groups": {}}, {}
-    for j in range(1, setup.cfg.m + 1):
-        swh = spectrum_with_hull(setup.ctx, j, D)
+    for j in range(1, setup.model.cfg.m + 1):
+        swh = spectrum_with_hull(setup.model, j, D)
         grids = {"sp": _region_json(swh.sp_region), "hull": _region_json(swh.hull_region)}
         for name, grid in grids.items():
             file = f"region_{name}_{j}.json"
@@ -683,7 +677,7 @@ def cmd_hull(setup: Setup) -> dict:
         del grids
         # Resolution-drift verification pass at twice the grid; only its
         # hull is kept, and only until the group's entry is written.
-        fine = spectrum_with_hull(setup.ctx, j, D, resolution=2 * res).hull_region
+        fine = spectrum_with_hull(setup.model, j, D, resolution=2 * res).hull_region
         drift_cells = resolution_drift_cells(swh.hull_region, fine)
         payload["groups"][str(j)] = {
             "sp_cells": swh.sp_region.count(),
@@ -738,26 +732,25 @@ def _product_element(setup: Setup):
     """The element D_{gamma_a} T_1 ... T_m of the dense subalgebra, a gelfand.FiniteSum."""
     from .gelfand import DiagonalCoefficient, FiniteSum
 
-    m = setup.cfg.m
+    m = setup.model.cfg.m
     gamma = DiagonalCoefficient.from_callable(setup.model.gamma, "gamma_a")
     rho = tuple(1 if setup.model.symbols.get(i) is not None else 0 for i in range(1, m + 1))
     return FiniteSum.term(m, gamma, rho)
 
 
 def cmd_gelfand(setup: Setup) -> dict:
-    from .gelfand import (assemble_finite_sum, evaluate_gelfand, sample_ideal_space,
-                          validate_gelfand_points)
+    from .gelfand import evaluate_gelfand, sample_ideal_space, validate_gelfand_points
 
     D = setup.config["degree_cap"]
     gconf = setup.config["gelfand"]
     points = sample_ideal_space(
-        setup.ctx, D, gconf["budget"],
+        setup.model, D, gconf["budget"],
         K_sur=setup.config["surrogate_kappa"],
         zeta_per_region=gconf["zeta_per_region"],
     )
     element = _product_element(setup)
     values = evaluate_gelfand(element, points)
-    invalid = int(np.count_nonzero(~validate_gelfand_points(setup.ctx, points)))
+    invalid = int(np.count_nonzero(~validate_gelfand_points(setup.model, points)))
     records = [
         {
             "theta": list(p.theta),
@@ -771,13 +764,17 @@ def cmd_gelfand(setup: Setup) -> dict:
     file = "gelfand_points.json"
     (setup.out_dir / file).write_text(_to_json(records, file, sort_keys=True))
     radius = max(abs(v) for v in values)
-    strata = {theta: [] for theta in product((0, 1), repeat=setup.cfg.m)}
+    strata = {theta: [] for theta in product((0, 1), repeat=setup.model.cfg.m)}
     for p, v in zip(points, values):
         strata[p.theta].append(abs(v))
-    op = assemble_finite_sum(element, setup.model, D)
+    # On H_kappa the element is gamma_a(kappa) times the kron of the symbol
+    # groups' blocks, whose spectral radius is the product of theirs.
+    model = setup.model
+    radii = {j: [float(np.max(np.abs(model.eigen(j, d).values))) for d in range(D + 1)]
+             for j in sorted(model.symbols)}
     mat_radius = max(
-        (float(np.max(np.abs(np.linalg.eigvals(b)))) for b in op.values() if b.size),
-        default=0.0,
+        abs(model.gamma(kappa)) * math.prod(radii[j][kappa[j - 1]] for j in radii)
+        for kappa in enumerate_kappa(model.cfg, D)
     )
     return {
         "n_points": len(points),
@@ -800,9 +797,9 @@ def cmd_semisimple(setup: Setup) -> dict:
     from .radical import is_semisimple
 
     D = setup.config["degree_cap"]
-    verdict = is_semisimple(setup.ctx, D)
+    verdict = is_semisimple(setup.model, D)
     setup.warnings.extend(verdict.warnings)
-    halved = is_semisimple(setup.ctx, D, tol=0.5e-10)
+    halved = is_semisimple(setup.model, D, tol=0.5e-10)
     return {
         "semisimple": verdict.semisimple,
         "upto": verdict.upto,
@@ -828,17 +825,17 @@ def cmd_radical(setup: Setup) -> dict:
     else:
         gamma = DiagonalCoefficient.geometric_decay(j, float(gspec["rate"]))
     K_sur = setup.config["surrogate_kappa"]
-    if escaped_gamma(gamma, setup.cfg.m, j, K_sur) > SUPPORT_TOL:
+    if escaped_gamma(gamma, setup.model.cfg.m, j, K_sur) > SUPPORT_TOL:
         raise ConfigError(
             f"surrogate_kappa {K_sur} is too small: radical gamma {gamma.label!r} "
             f"does not vanish at kappa_{j} = {K_sur}"
         )
-    verdict = is_semisimple(setup.ctx, D)
+    verdict = is_semisimple(setup.model, D)
     setup.warnings.extend(verdict.warnings)
-    gen = radical_generator(setup.ctx, j, gamma, level, D, K_sur=K_sur)
+    gen = radical_generator(setup.model, j, gamma, level, D, K_sur=K_sur)
     gconf = setup.config["gelfand"]
     points = sample_ideal_space(
-        setup.ctx, D, gconf["budget"], K_sur=K_sur, zeta_per_region=gconf["zeta_per_region"]
+        setup.model, D, gconf["budget"], K_sur=K_sur, zeta_per_region=gconf["zeta_per_region"]
     )
     psi_max = spectral_radius_estimate(gen.finite_sum, points)
     op = assemble_finite_sum(gen.finite_sum, setup.model, D)
@@ -846,10 +843,10 @@ def cmd_radical(setup: Setup) -> dict:
     rng = np.random.default_rng(setup.config["seed"])
     residuals = []
     for _ in range(3):
-        A = random_finite_sum(rng, setup.cfg, D, 4)
-        parts = decompose_by_division(A, j, min(2, D), setup.ctx)
+        A = random_finite_sum(rng, setup.model.cfg, D, 4)
+        parts = decompose_by_division(A, j, min(2, D), setup.model)
         residuals.append(parts.reconstruction_residual(setup.model, D))
-    nc = norm_constants(setup.ctx, j, min(2, D))
+    nc = norm_constants(setup.model, j, min(2, D))
     return {
         "semisimple": verdict.semisimple,
         "verdict": verdict.describe(),
@@ -880,7 +877,7 @@ def cmd_verify(setup: Setup) -> dict:
     from .gelfand import DiagonalCoefficient, random_finite_sum
 
     D = setup.config["degree_cap"]
-    model, ctx, cfg = setup.model, setup.ctx, setup.cfg
+    model, cfg = setup.model, setup.model.cfg
     # One generator, drawn in order by the Dirichlet trials, the hull's
     # finite points and the division sums.
     rng = np.random.default_rng(setup.config["seed"])
@@ -897,13 +894,13 @@ def cmd_verify(setup: Setup) -> dict:
         *checks.planar_hulls(rng, 12, 256),
         *checks.projection_identities(model.basis(min(D, 4)), min(1, D)),
         *checks.division_reconstruction(
-            ctx,
+            model,
             [(random_finite_sum(rng, cfg, min(D, 3), 4), min(2, D)) for _ in range(5)],
             target_j,
             min(D, 3),
         ),
         *checks.radical_gelfand_vanishing(
-            ctx, target_j, DiagonalCoefficient.indicator_degree(target_j, min(1, D)), D,
+            model, target_j, DiagonalCoefficient.indicator_degree(target_j, min(1, D)), D,
             sample_cap=min(D, 4), budget=400, K_sur=setup.config["surrogate_kappa"],
         ),
     ]

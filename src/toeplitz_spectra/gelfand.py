@@ -27,7 +27,6 @@ import numpy as np
 from .assembly import AlgebraModel
 from .errors import GelfandError
 from .lattice import Index, PartitionConfig, enumerate_kappa
-from .spectra import SpectralContext
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +145,6 @@ class FiniteSum:
     @classmethod
     def diagonal(cls, m: int, gamma: DiagonalCoefficient) -> "FiniteSum":
         return cls(m=m, terms=((gamma, (0,) * m),))
-
-    @classmethod
-    def one(cls, m: int) -> "FiniteSum":
-        return cls.diagonal(m, DiagonalCoefficient.constant(1.0))
 
     @classmethod
     def generator(cls, m: int, j: int, power: int = 1) -> "FiniteSum":
@@ -274,7 +269,7 @@ def zeta_picks(samples: np.ndarray, limit: int) -> list[complex]:
 
 
 def sample_ideal_space(
-    ctx: SpectralContext, Dmax: int, budget: int, *, K_sur: int = 10_000,
+    model: AlgebraModel, Dmax: int, budget: int, *, K_sur: int = 10_000,
     zeta_per_region: int = 8,
 ) -> list[GelfandPoint]:
     """Deterministic sample of the maximal ideal space.
@@ -288,15 +283,16 @@ def sample_ideal_space(
     """
     if budget < 1:
         raise GelfandError("budget must be at least 1")
-    m = ctx.cfg.m
+    m = model.cfg.m
     points = [
         GelfandPoint((1,) * m, kappa, kappa, tuple(complex(z) for z in combo), False)
-        for kappa in enumerate_kappa(ctx.cfg, Dmax)
-        for combo in product(*(ctx.distinct(j, kappa[j - 1]) for j in range(1, m + 1)))
+        for kappa in enumerate_kappa(model.cfg, Dmax)
+        for combo in product(*(model.eigen(j, kappa[j - 1]).distinct for j in range(1, m + 1)))
     ]
     strata = [t for t in product((0, 1), repeat=m) if t != (1,) * m]
     # every group escapes in the stratum theta = 0
-    escaped = {j: zeta_picks(ctx.boundary_samples(j), zeta_per_region) for j in range(1, m + 1)}
+    escaped = {j: zeta_picks(model.boundary_samples(j), zeta_per_region)
+               for j in range(1, m + 1)}
     left = budget
     for n, theta in enumerate(strata):
         jfin = [j for j in range(1, m + 1) if theta[j - 1] == 1]
@@ -305,7 +301,7 @@ def sample_ideal_space(
             for kt in (enumerate_kappa(len(jfin), Dmax) if jfin else [()])
             for mu in [tuple(dict(zip(jfin, kt)).get(j, K_sur) for j in range(1, m + 1))]
             for combo in product(*(
-                ctx.distinct(j, mu[j - 1]) if theta[j - 1] else escaped[j]
+                model.eigen(j, mu[j - 1]).distinct if theta[j - 1] else escaped[j]
                 for j in range(1, m + 1)
             ))
         )
@@ -316,7 +312,7 @@ def sample_ideal_space(
     return points
 
 
-def validate_gelfand_points(ctx: SpectralContext, points: list[GelfandPoint]) -> np.ndarray:
+def validate_gelfand_points(model: AlgebraModel, points: list[GelfandPoint]) -> np.ndarray:
     """Re-check the membership invariants of sampled functionals, one bool
     per point: a finite zeta_j must be a block eigenvalue of group j at its
     degree (within ten cluster tolerances), an escaped one a boundary sample
@@ -330,11 +326,12 @@ def validate_gelfand_points(ctx: SpectralContext, points: list[GelfandPoint]) ->
     ok = np.ones(len(points), dtype=bool)
     for (j, mu), (rows, zs) in groups.items():
         if mu is None:
-            samples = set(ctx.boundary_samples(j).ravel().tolist())
+            samples = set(model.boundary_samples(j).ravel().tolist())
             hit = [z in samples for z in zs]
         else:
-            tol = max(ctx.eigen(j, mu).cluster_tol, 1e-12)
-            hit = np.any(np.abs(ctx.distinct(j, mu) - np.array(zs)[:, None]) <= 10 * tol, axis=1)
+            e = model.eigen(j, mu)
+            tol = max(e.cluster_tol, 1e-12)
+            hit = np.any(np.abs(e.distinct - np.array(zs)[:, None]) <= 10 * tol, axis=1)
         ok[rows] &= hit
     return ok
 

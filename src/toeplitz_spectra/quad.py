@@ -14,7 +14,8 @@ operator entry.
 The closed-form Dirichlet integral and moments are the oracle against
 which the simplex rules are checked.  Its log-Gamma is a port of Cephes
 `lgam`.  Dirichlet moments E[prod u^h], h in N/2 (gamma of a polynomial in
-r), are products of rising factorials and half-integer steps.
+r), are products of rising factorials and half-integer steps; the gamma of
+a quasi-radial symbol is one such expectation (`gamma_quasi_radial`).
 
 There is one Gauss-Jacobi rule, numpy alone: Golub-Welsch by `eigh` of the
 Jacobi matrix, weights normalized to a probability.  A simplex rule holds
@@ -29,7 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import AssemblyError, QuadratureError
+from .lattice import Index, PartitionConfig
+from .symbols import QuasiRadialSymbol
 
 # Cephes lgam coefficients: the Stirling-series correction for x >= 13 and
 # the rational approximation of log Gamma on [2, 3).
@@ -332,6 +335,30 @@ def dirichlet_probability_rule(exponents, order: int) -> SimplexRule:
     integrals stay overflow-free at arbitrary degree.
     """
     return _dirichlet_rule_cached(tuple(float(v) for v in exponents), order)
+
+
+def gamma_quasi_radial(
+    a: QuasiRadialSymbol, cfg: PartitionConfig, kappa: Index, order: int = 48
+) -> complex:
+    """Eigenvalue gamma_a(kappa) of T_a on H_kappa.
+
+    Equal to the expectation of a(sqrt(u_1),...,sqrt(u_m)) under the
+    Dirichlet measure on Delta_m with exponents (kappa_j + k_j - 1) and
+    slack exponent lam: for a compiled symbol the sum of its terms' exact
+    moments (r_j^q adds q/2 to u_j's exponent), else the order-``order`` rule.
+    """
+    kappa = tuple(int(v) for v in kappa)
+    if len(kappa) != cfg.m:
+        raise AssemblyError(f"kappa length {len(kappa)} != m={cfg.m}")
+    if a.m != cfg.m:
+        raise AssemblyError(f"symbol has {a.m} radii, partition has {cfg.m} groups")
+    exponents = tuple(float(kap + kj - 1) for kap, kj in zip(kappa, cfg.k)) + (cfg.lam,)
+    if a.terms is not None:
+        return sum((t.coeff * dirichlet_moment(exponents, [q / 2 for q in t.powers])
+                    for t in a.terms), 0j)
+    rule = dirichlet_probability_rule(exponents, order)
+    vals = a(np.sqrt(rule.nodes))  # no name holds the radii: freed before the product
+    return complex(np.sum(rule.weights * vals))
 
 
 def torus_grid(dim: int, grid: int) -> np.ndarray:

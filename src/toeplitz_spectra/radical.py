@@ -27,8 +27,8 @@ import numpy as np
 from .errors import RadicalError
 from .lattice import Index
 from .gelfand import DiagonalCoefficient, FiniteSum
-from .spectra import EigenData, SpectralContext, block_eigenvalues
-from .assembly import assemble_block, frobenius
+from .spectra import EigenData, block_eigenvalues
+from .assembly import AlgebraModel, assemble_block, frobenius
 
 GAP_ABORT = 1e-6  # eigenvalue gaps below this make the division ill-conditioned
 SUPPORT_TOL = 1e-9  # |gamma| above this where kappa_j escapes rules out a generator
@@ -55,8 +55,8 @@ class HPolynomial:
         return out
 
 
-def h_polynomial(ctx: SpectralContext, j: int, d: int, level: int) -> HPolynomial:
-    e = ctx.eigen(j, d)
+def h_polynomial(model: AlgebraModel, j: int, d: int, level: int) -> HPolynomial:
+    e = model.eigen(j, d)
     if not 1 <= level <= e.n_distinct:
         raise RadicalError(
             f"level {level} outside 1..{e.n_distinct} for block ({j},{d})"
@@ -136,23 +136,22 @@ def _structural_block_kind(sym) -> str | None:
     return None
 
 
-def is_semisimple(ctx: SpectralContext, Dmax: int, tol: float = 1e-10) -> SemisimplicityVerdict:
+def is_semisimple(model: AlgebraModel, Dmax: int, tol: float = 1e-10) -> SemisimplicityVerdict:
     """Scan all blocks (j, d <= Dmax); first non-diagonalizable block wins.
 
     Structural upgrades: families with provably all-diagonal blocks are
     semisimple outright, and a single nonzero quasi-homogeneous mode makes
     every nonzero block nilpotent hence a witness.
     """
-    cfg = ctx.cfg
     warnings: list[str] = []
-    for j in range(1, cfg.m + 1):
-        sym = ctx.model.symbols.get(j)
+    for j in range(1, model.cfg.m + 1):
+        sym = model.symbols.get(j)
         kind = _structural_block_kind(sym)
         if kind == "diagonal":
             continue
         if kind == "nilpotent":
             for d in range(Dmax + 1):
-                if float(np.max(np.abs(ctx.model.block(j, d)), initial=0.0)) > 0.0:
+                if float(np.max(np.abs(model.block(j, d)), initial=0.0)) > 0.0:
                     return SemisimplicityVerdict(
                         semisimple=False, upto=Dmax, witness=(j, d),
                         structural=f"group {j}: single nonzero mode, all blocks nilpotent",
@@ -160,9 +159,9 @@ def is_semisimple(ctx: SpectralContext, Dmax: int, tol: float = 1e-10) -> Semisi
             warnings.append(f"group {j}: nilpotent family but all blocks vanish up to {Dmax}")
             continue
         for d in range(Dmax + 1):
-            report = is_diagonalizable(ctx.model.block(j, d), tol, eigen=ctx.eigen(j, d))
+            report = is_diagonalizable(model.block(j, d), tol, eigen=model.eigen(j, d))
             if report.indeterminate:
-                refined = assemble_block(sym, j, d, order=2 * ctx.model.block_order)
+                refined = assemble_block(sym, j, d, order=2 * model.block_order)
                 report = is_diagonalizable(refined, tol)
                 warnings.extend(report.indeterminate)
             if not report.diagonalizable:
@@ -172,8 +171,8 @@ def is_semisimple(ctx: SpectralContext, Dmax: int, tol: float = 1e-10) -> Semisi
                 )
     structural = None
     if all(
-        _structural_block_kind(ctx.model.symbols.get(j)) == "diagonal"
-        for j in range(1, cfg.m + 1)
+        _structural_block_kind(model.symbols.get(j)) == "diagonal"
+        for j in range(1, model.cfg.m + 1)
     ):
         structural = "all group families have diagonal blocks at every degree"
     return SemisimplicityVerdict(
@@ -202,7 +201,7 @@ def escaped_gamma(gamma: DiagonalCoefficient, m: int, j: int, K_sur: int) -> flo
 
 
 def radical_generator(
-    ctx: SpectralContext,
+    model: AlgebraModel,
     j: int,
     gamma: DiagonalCoefficient,
     L: int,
@@ -216,18 +215,18 @@ def radical_generator(
     is probed at the surrogate degree K_sur and violations are rejected.
     F_L = {d : n_{j,d} <= L} is materialized within [0, Dmax].
     """
-    m = ctx.cfg.m
+    m = model.cfg.m
     if escaped_gamma(gamma, m, j, K_sur) > SUPPORT_TOL:
         raise RadicalError(
             f"gamma {gamma.label!r} does not vanish at kappa_{j} = {K_sur}; "
             "it cannot multiply a radical generator"
         )
-    f_levels = [d for d in range(Dmax + 1) if ctx.eigen(j, d).n_distinct <= L]
+    f_levels = [d for d in range(Dmax + 1) if model.eigen(j, d).n_distinct <= L]
     # T_j^p carries gamma(kappa) c_{kappa_j,p}, with c_{d,p} the coefficients
     # of h^{j,d}; powers keep the order in which they are first seen.
     tables: dict[int, dict[int, complex]] = {}
     for d in f_levels:
-        h = h_polynomial(ctx, j, d, ctx.eigen(j, d).n_distinct)
+        h = h_polynomial(model, j, d, model.eigen(j, d).n_distinct)
         for power, coef in enumerate(h.coefficients):
             if coef != 0:
                 tables.setdefault(power, {})[d] = complex(coef)
@@ -236,13 +235,13 @@ def radical_generator(
         coeff = gamma * DiagonalCoefficient.degree_table(j, table, f"c[k{j},{power}]")
         terms.append((coeff, tuple(power if i == j else 0 for i in range(1, m + 1))))
     total = FiniteSum(m=m, terms=tuple(terms))
-    kind = _structural_block_kind(ctx.model.symbols.get(j))
+    kind = _structural_block_kind(model.symbols.get(j))
     if kind == "nilpotent":
         note = "F_L is all of Z_+ (every block nilpotent, n_{j,d} = 1)"
     elif kind == "diagonal":
         note = "blocks diagonal; F_L finite when the distinct count grows"
     else:
-        counts = [ctx.eigen(j, d).n_distinct for d in range(Dmax + 1)]
+        counts = [model.eigen(j, d).n_distinct for d in range(Dmax + 1)]
         growing = all(a <= b for a, b in zip(counts, counts[1:]))
         note = (
             "distinct-eigenvalue count nondecreasing on the truncation; "
@@ -302,7 +301,7 @@ class DivisionParts:
                     return False
         return True
 
-    def reconstruction_residual(self, model, D: int) -> float:
+    def reconstruction_residual(self, model: AlgebraModel, D: int) -> float:
         """Frobenius norm of Q_d A_hat - sum_l S_l_hat h_l(T_hat_j).
 
         Every operand is block-diagonal over H_kappa and is built run by run
@@ -329,7 +328,7 @@ class DivisionParts:
         return frobenius({kappa: diff[kappa] for kappa in model.basis(D).kappas if kappa in diff})
 
 
-def decompose_by_division(A: FiniteSum, j: int, d: int, ctx: SpectralContext) -> DivisionParts:
+def decompose_by_division(A: FiniteSum, j: int, d: int, model: AlgebraModel) -> DivisionParts:
     """Successive division of A by h_n, h_{n-1}, ..., h_1 in the variable X_j.
 
     Each division step is exact synthetic division with FiniteSum
@@ -337,7 +336,7 @@ def decompose_by_division(A: FiniteSum, j: int, d: int, ctx: SpectralContext) ->
     the extracted coefficients contain no X_j power.  Aborts when two
     distinct eigenvalues are closer than the conditioning floor.
     """
-    e = ctx.eigen(j, d)
+    e = model.eigen(j, d)
     n = e.n_distinct
     zs = e.distinct
     min_gap = math.inf
@@ -359,7 +358,7 @@ def decompose_by_division(A: FiniteSum, j: int, d: int, ctx: SpectralContext) ->
         stripped = tuple(0 if i == j - 1 else v for i, v in enumerate(rho))
         coeffs[t] = coeffs[t] + FiniteSum.term(m, gamma, stripped)
 
-    h_polys = [h_polynomial(ctx, j, d, level) for level in range(1, n + 1)]
+    h_polys = [h_polynomial(model, j, d, level) for level in range(1, n + 1)]
 
     # Divide by h_n: quotient may still contain X_j.
     hn = h_polys[-1].coefficients  # lowest first, monic, length n+1
@@ -422,14 +421,14 @@ class NormConstants:
     flagged: tuple[bool, ...]  # True when a tiny gap made the value blow up
 
 
-def norm_constants(ctx: SpectralContext, j: int, d: int) -> NormConstants:
+def norm_constants(model: AlgebraModel, j: int, d: int) -> NormConstants:
     """C_0 = sqrt(dim) and the gap recursion
 
     C_{l+1} = prod_{i<=l+1} |z_{l+2} - z_i|^{-1} * C_0 * (1 + C_0 + ... + C_l)^{1/2}.
     """
-    e = ctx.eigen(j, d)
+    e = model.eigen(j, d)
     n = e.n_distinct
-    kj = ctx.cfg.k[j - 1]
+    kj = model.cfg.k[j - 1]
     dim = math.comb(d + kj - 1, kj - 1)
     c0 = math.sqrt(dim)
     values = [c0]

@@ -19,8 +19,9 @@ bit for bit, as a row-by-row fill and a whole-grid search.
 The boundary image takes three steps: `boundary_samples` evaluates the
 symbol, `essential_spectrum_estimate` rasterizes the samples, and
 `spectrum_with_hull` marks the point spectrum and takes the hull.  Rasters
-are built afresh per call; `SpectralContext` keeps only eigen data and
-boundary samples.  All regions of a group at one resolution share the grid
+are built afresh per call; the model (`assembly.AlgebraModel`) memoizes
+only the eigen data and the boundary samples, which the functions here take
+it for.  All regions of a group at one resolution share the grid
 that frames its sampled boundary image.  The point spectrum lies in the
 numerical range, inside the convex hull of the true image, so it fits in
 that frame when the sampling resolves the image; `spectrum_with_hull`
@@ -34,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import AlgebraModel, gamma_quasi_radial
 from .errors import SpectraError
 from .lattice import PartitionConfig, block_indices
-from .quad import gammaln, torus_grid
+from .quad import gamma_quasi_radial, gammaln, torus_grid
 from .symbols import PseudoHomogeneousSymbol, QuasiRadialSymbol
 
 
@@ -330,8 +330,8 @@ def boundary_samples(c: PseudoHomogeneousSymbol, samples: int = 4096) -> np.ndar
     first k - 1 torus coordinates on a uniform grid (columns), with the last
     torus coordinate fixed to 1 by the diagonal invariance; for k = 2 the
     result is the (n_sigma, n_tau) grid of (sigma, tau), for k = 1 a grid
-    of one sample.  These values are what `SpectralContext` keeps of the
-    boundary image; every raster is filled from them afresh.
+    of one sample.  These values are what `AlgebraModel.boundary_samples`
+    keeps of the boundary image; every raster is filled from them afresh.
     """
     if not c.boundary_continuous:
         raise SpectraError(
@@ -560,7 +560,7 @@ def _kernel_coefficients(w: np.ndarray, k: int, d: int) -> np.ndarray:
 
 
 def berezin_sequence(
-    model: AlgebraModel,
+    model: "AlgebraModel",
     j: int,
     w,
     d_list,
@@ -618,46 +618,6 @@ def berezin_sequence(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class SpectralContext:
-    """Memoized eigen data and boundary samples on top of a configured
-    model; rasters are built per call, from the samples."""
-
-    model: AlgebraModel
-    eig_tol: float = 1e-8
-    hull_resolution: int = 512
-    ess_samples: int = 4096
-
-    def __post_init__(self):
-        self._eigen: dict[tuple[int, int], EigenData] = {}
-        self._samples: dict[int, np.ndarray] = {}
-
-    @property
-    def cfg(self):
-        return self.model.cfg
-
-    def eigen(self, j: int, d: int) -> EigenData:
-        key = (j, d)
-        if key not in self._eigen:
-            self._eigen[key] = block_eigenvalues(
-                self.model.block(j, d), self.eig_tol, group=j, d=d
-            )
-        return self._eigen[key]
-
-    def distinct(self, j: int, d: int) -> np.ndarray:
-        return self.eigen(j, d).distinct
-
-    def boundary_samples(self, j: int) -> np.ndarray:
-        """The boundary image values of group j's symbol at the context's
-        sample count, once per group; a group without a symbol images to 1.
-        Every raster of the group is filled afresh from them."""
-        if j not in self._samples:
-            sym = self.model.symbols.get(j)
-            self._samples[j] = (np.ones((1, 1), dtype=complex) if sym is None
-                                else boundary_samples(sym, self.ess_samples))
-        return self._samples[j]
-
-
 @dataclass(frozen=True, eq=False)
 class SpectrumWithHull:
     """A group's spectrum sp = points | boundary raster and its hull
@@ -677,20 +637,20 @@ class SpectrumWithHull:
 
 
 def spectrum_with_hull(
-    ctx: SpectralContext, j: int, Dmax: int, *, resolution: int | None = None
+    model: "AlgebraModel", j: int, Dmax: int, *, resolution: int | None = None
 ) -> SpectrumWithHull:
     """sp = point spectrum union ess-sp; hull = point spectrum union hull(ess-sp).
 
     The boundary raster of group j is built at ``resolution`` (by default
-    the context's) from the group's boundary samples; its frame pads the
+    the model's) from the group's boundary samples; its frame pads the
     sampled image by a tenth on every side.  An eigenvalue outside the
     frame raises instead of being clipped.  The raster is hulled, and the
     point spectrum is marked on the raster and on its hull.
     """
     ess = essential_spectrum_estimate(
-        ctx.boundary_samples(j), ctx.cfg.k[j - 1], resolution or ctx.hull_resolution
+        model.boundary_samples(j), model.cfg.k[j - 1], resolution or model.hull_resolution
     )
-    pts = np.concatenate([ctx.distinct(j, d) for d in range(Dmax + 1)])
+    pts = np.concatenate([model.eigen(j, d).distinct for d in range(Dmax + 1)])
     at = np.stack([pts.real - ess.x0, pts.imag - ess.y0]) / ess.cell
     outside = pts[((at < 0) | (at >= ess.resolution)).any(axis=0)]
     if outside.size:
@@ -736,7 +696,7 @@ class AccumulationReport:
         return not self.violations
 
 
-def accumulation_check(ctx: SpectralContext, j: int, Dmax: int) -> AccumulationReport:
+def accumulation_check(model: "AlgebraModel", j: int, Dmax: int) -> AccumulationReport:
     """Detected accumulation points of the point spectrum must sit inside
     (a 0.05-neighborhood of) the essential-spectrum estimate.
 
@@ -746,7 +706,7 @@ def accumulation_check(ctx: SpectralContext, j: int, Dmax: int) -> AccumulationR
     pairs: list[tuple[int, complex]] = []
     radius = 0.0
     for d in range(Dmax + 1):
-        e = ctx.eigen(j, d)
+        e = model.eigen(j, d)
         radius = max(radius, 10.0 * e.cluster_tol)
         pairs.extend((d, complex(v)) for v in e.distinct)
     radius = max(radius, 1e-7)
@@ -756,13 +716,13 @@ def accumulation_check(ctx: SpectralContext, j: int, Dmax: int) -> AccumulationR
         if len(degrees_near) >= 5:
             if not any(abs(v - c) <= radius for c in candidates):
                 candidates.append(v)
-    ctx.boundary_samples(j)  # a non-finite sample raises, candidates or not
-    violations = _off_image(ctx, j, candidates) if candidates else ()
+    model.boundary_samples(j)  # a non-finite sample raises, candidates or not
+    violations = _off_image(model, j, candidates) if candidates else ()
     return AccumulationReport(candidates=tuple(candidates), violations=violations)
 
 
-def _off_image(ctx: SpectralContext, j: int, points) -> tuple[complex, ...]:
-    """The points that the boundary raster of group j at the context's
+def _off_image(model: "AlgebraModel", j: int, points) -> tuple[complex, ...]:
+    """The points that the boundary raster of group j at the model's
     resolution (`essential_spectrum_estimate`) refuses with a slack of 0.05
     in `contains_point`, reading only the cells within that reach of each
     point.
@@ -771,9 +731,9 @@ def _off_image(ctx: SpectralContext, j: int, points) -> tuple[complex, ...]:
     hit is final.  For a miss, the face triangles whose cell box (a cell
     wider, for the rounding of edge crossings) meets the window are filled.
     """
-    samples = ctx.boundary_samples(j)
+    samples = model.boundary_samples(j)
     flat = samples.ravel()
-    image = PlanarRegion.framing(flat, ctx.hull_resolution, "boundary image")
+    image = PlanarRegion.framing(flat, model.hull_resolution, "boundary image")
     image.mark(flat)
     reach = max(1, int(math.ceil(0.05 / image.cell))) + 1  # and the raster's own dilation
 
@@ -786,7 +746,7 @@ def _off_image(ctx: SpectralContext, j: int, points) -> tuple[complex, ...]:
         if not image.contains_point(z, reach):
             if faces is None:  # each triangle with its box, once
                 faces = [(t, grid[:, t].min(axis=2), grid[:, t].max(axis=2))
-                         for t in _sample_triangles(ctx.cfg.k[j - 1], samples)]
+                         for t in _sample_triangles(model.cfg.k[j - 1], samples)]
             lo, hi = cells(np.array([z])) - reach - 2, cells(np.array([z])) + reach + 2
             for triangles, low, high in faces:
                 near = ((high >= lo) & (low <= hi)).all(axis=0)

@@ -407,9 +407,9 @@ def _largest_value(fn: Callable, dim: int, n: int, seed: int) -> float:
     return float(top) if np.isfinite(top) else math.nan
 
 
-def _compile_modes(expr: "SymbolExpression", dim: int) -> dict | None:
+def _compile_modes(expr: "SymbolExpression", dim: int, fn: Callable) -> dict | None:
     """Fourier-mode table {p: terms} of an expression, or None when it does
-    not compile.
+    not compile; ``fn`` is its evaluator from `bind_expression`.
 
     A polynomial in s, t and conj(t) compiles exactly.  Equal powers are
     merged and zero coefficients dropped; each mode's terms are in
@@ -435,10 +435,6 @@ def _compile_modes(expr: "SymbolExpression", dim: int) -> dict | None:
             raise
         return None
     if not polynomial:
-        def fn(s, t):  # radii r1..rm on the sphere, as s
-            env = {v: (t if v[0] == "t" else s)[:, int(v[1:]) - 1] for v in expr.variables}
-            return expr.evaluate(env)
-
         mass = _mass(poly, dim)
         top = _largest_value(fn, dim, 64, seed=0)
         if not (bound <= SERIES_TOL * mass and mass <= SERIES_MASS_RATIO * top):
@@ -539,7 +535,7 @@ class QuasiRadialSymbol:
     def from_expression(cls, m: int, text: str) -> "QuasiRadialSymbol":
         """``fn`` evaluates the expression; a polynomial compiles to ``terms``."""
         expr, fn = bind_expression(text, m, "r")
-        table = _compile_modes(expr, m)
+        table = _compile_modes(expr, m, fn)
         terms = None if table is None else table.get((0,) * m, ())
         return cls(m=m, fn=fn, label=f"expr:{text}", terms=terms)
 
@@ -673,7 +669,7 @@ def _text_symbol(
     """
     expr, fn = bind_expression(text, dim, prefixes)
     label = f"expr:{text}"
-    table = _compile_modes(expr, dim)
+    table = _compile_modes(expr, dim, fn)
     zero = (0,) * dim
     if not any(v[0] == "t" for v in expr.variables):
         terms = None if table is None else table.get(zero, ())

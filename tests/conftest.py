@@ -7,7 +7,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from toeplitz_spectra.assembly import AlgebraModel
 from toeplitz_spectra.lattice import PartitionConfig
-from toeplitz_spectra.spectra import SpectralContext
 from toeplitz_spectra.symbols import (
     QuasiRadialSymbol,
     builtin_quasi_homogeneous,
@@ -21,19 +20,15 @@ def cfg_n3():
 
 
 @pytest.fixture(scope="session")
-def nilpotent_ctx(cfg_n3):
+def nilpotent_model(cfg_n3):
     """n=3, k=(1,2): single nonzero quasi-homogeneous mode on group 2."""
-    model = AlgebraModel(
-        cfg=cfg_n3, symbols={2: builtin_quasi_homogeneous(2, (1, -1))}
-    )
-    return SpectralContext(model=model)
+    return AlgebraModel(cfg=cfg_n3, symbols={2: builtin_quasi_homogeneous(2, (1, -1))})
 
 
 @pytest.fixture(scope="session")
-def diagonal_ctx(cfg_n3):
+def diagonal_model(cfg_n3):
     """n=3, k=(1,2): profile-only symbol with distinct diagonal blocks."""
-    model = AlgebraModel(cfg=cfg_n3, symbols={2: profile_symbol(2, 2, "s1^2")})
-    return SpectralContext(model=model)
+    return AlgebraModel(cfg=cfg_n3, symbols={2: profile_symbol(2, 2, "s1^2")})
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,8 @@ current code; it first prints, for each pin it moves,
     PYTHONPATH=src python tests/pin_payloads.py
 
 ``test_payloads.py`` recomputes every pin in process, one ``Setup`` per
-config and all eight commands on it, and fails on any sha that moved.  A
+config and all eight commands on it, in this order and in reverse, and
+fails on any sha that moved.  A
 change that moves a pin on purpose reruns this script and says in
 CHANGES.md which pins moved and why.
 """
@@ -156,14 +157,15 @@ CONFIGS = {
 }
 
 
-def compute_payloads(name: str, out: Path) -> dict[str, dict]:
-    """{command: payload} of every command, on one in-process Setup."""
+def compute_payloads(name: str, out: Path, commands=COMMANDS) -> dict[str, dict]:
+    """{command: payload} of each command, run in the given order on one
+    in-process Setup."""
     from toeplitz_spectra import cli
 
     config = cli.validate_config(json.loads(json.dumps(CONFIGS[name])))
     setup = cli.build_setup(config, out=str(out))
     # The JSON round trip is what a report stores.
-    return {c: json.loads(json.dumps(cli.COMMANDS[c](setup))) for c in COMMANDS}
+    return {c: json.loads(json.dumps(cli.COMMANDS[c](setup))) for c in commands}
 
 
 def sha(payload) -> str:

@@ -33,7 +33,7 @@ from toeplitz_spectra.radical import (
     power_norm_sequence,
     radical_generator,
 )
-from toeplitz_spectra.spectra import SpectralContext, berezin_sequence, spectrum_with_hull
+from toeplitz_spectra.spectra import berezin_sequence, spectrum_with_hull
 from toeplitz_spectra.symbols import (
     QuasiRadialSymbol,
     builtin_quasi_homogeneous,
@@ -126,15 +126,13 @@ def product_models():
 @pytest.fixture(scope="module")
 def nilpotent_demo():
     cfg = PartitionConfig(k=(1, 2), lam=0.0)
-    model = AlgebraModel(cfg=cfg, symbols={2: builtin_quasi_homogeneous(2, (1, -1))})
-    return SpectralContext(model=model)
+    return AlgebraModel(cfg=cfg, symbols={2: builtin_quasi_homogeneous(2, (1, -1))})
 
 
 @pytest.fixture(scope="module")
 def diagonal_demo():
     cfg = PartitionConfig(k=(1, 2), lam=0.0)
-    model = AlgebraModel(cfg=cfg, symbols={2: profile_symbol(2, 2, "s1^2")})
-    return SpectralContext(model=model)
+    return AlgebraModel(cfg=cfg, symbols={2: profile_symbol(2, 2, "s1^2")})
 
 
 def test_criterion_01_quadrature_oracle():
@@ -271,8 +269,7 @@ def test_criterion_09_inverse_closed_classifier():
     )
 
     def hulls(model):
-        ctx = SpectralContext(model=model)
-        return [spectrum_with_hull(ctx, j, 5) for j in range(1, cfg.m + 1)]
+        return [spectrum_with_hull(model, j, 5) for j in range(1, cfg.m + 1)]
 
     real_hulls, circ_hulls = hulls(real_model), hulls(circ_model)
     real_closed = all(swh.polynomially_convex for swh in real_hulls)
@@ -314,7 +311,7 @@ def test_criterion_11_radical_generators(nilpotent_demo):
     psi_max = rec["residual"]
     n_points = len(sample_ideal_space(nilpotent_demo, 8, 1200, zeta_per_region=48))
     gen = radical_generator(nilpotent_demo, 2, gamma, 1, 8)
-    op = assemble_finite_sum(gen.finite_sum, nilpotent_demo.model, 8)
+    op = assemble_finite_sum(gen.finite_sum, nilpotent_demo, 8)
     norms = power_norm_sequence(op, 6)
     monotone = all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
     ok = (
@@ -344,10 +341,10 @@ def test_criterion_12_division_reconstruction(diagonal_demo):
     nc = {d: norm_constants(diagonal_demo, 2, d) for d in range(4)}
     for A, d in cases:
         parts = decompose_by_division(A, 2, d, diagonal_demo)
-        a_norm = opnorm(assemble_finite_sum(A, diagonal_demo.model, 4))
+        a_norm = opnorm(assemble_finite_sum(A, diagonal_demo, 4))
         for level in range(parts.n):
             s_norm = opnorm(assemble_finite_sum(
-                parts.s_parts[level], diagonal_demo.model, 4
+                parts.s_parts[level], diagonal_demo, 4
             ))
             if s_norm > nc[d].values[level] * a_norm + 1e-9:
                 bound_ok = False

@@ -18,12 +18,11 @@ from toeplitz_spectra.assembly import (
     assemble_block,
     cross_block_entry_bound,
     frobenius,
-    gamma_quasi_radial,
 )
 from toeplitz_spectra.gelfand import DiagonalCoefficient, FiniteSum, assemble_finite_sum
 from toeplitz_spectra.lattice import PartitionConfig, block_indices, enumerate_kappa
 from toeplitz_spectra.quad import (
-    dirichlet_moment, dirichlet_probability_rule, gammaln, log_dirichlet_mass,
+    dirichlet_moment, dirichlet_probability_rule, gamma_quasi_radial, gammaln, log_dirichlet_mass,
 )
 from toeplitz_spectra.symbols import (
     MAX_PROFILE_DEGREE,

@@ -23,8 +23,10 @@ from toeplitz_spectra.gelfand import (
     zeta_picks,
 )
 from toeplitz_spectra.lattice import PartitionConfig, enumerate_kappa
-from toeplitz_spectra.spectra import SpectralContext
 from toeplitz_spectra.symbols import constant_symbol
+
+# The unit of the algebra over two groups.
+ONE = FiniteSum.diagonal(2, DiagonalCoefficient.constant(1.0))
 
 
 def exact_point(kappa, zeta):
@@ -37,7 +39,7 @@ def exact_point(kappa, zeta):
 
 class TestFiniteSum:
     def test_algebra(self):
-        a = FiniteSum.generator(2, 1) + 2.0 * FiniteSum.one(2)
+        a = FiniteSum.generator(2, 1) + 2.0 * ONE
         b = FiniteSum.generator(2, 2)
         prod = a * b
         assert len(prod.terms) == 2
@@ -57,7 +59,7 @@ class TestFiniteSum:
 
 class TestEvaluate:
     def test_constant_diagonal(self):
-        A = FiniteSum.one(2)
+        A = ONE
         points = [exact_point((0, 0), (1, 1)), exact_point((3, 1), (0.5j, -2))]
         for value in evaluate_gelfand(A, points):
             assert value == pytest.approx(1.0)
@@ -72,15 +74,15 @@ class TestEvaluate:
         points = [exact_point((0, 3), (1, 1)), exact_point((3, 0), (1, 1))]
         assert evaluate_gelfand(A, points) == [1.0, 0.0]
 
-    def test_multiplicativity(self, diagonal_ctx):
+    def test_multiplicativity(self, diagonal_model):
         gamma = DiagonalCoefficient.from_callable(
             lambda kappa: 1.0 / (1 + sum(kappa)), "1/(1+|k|)"
         )
-        A = FiniteSum.term(2, gamma, (0, 1)) + 0.5 * FiniteSum.one(2)
+        A = FiniteSum.term(2, gamma, (0, 1)) + 0.5 * ONE
         B = FiniteSum.generator(2, 2, 2) + FiniteSum.diagonal(
             2, DiagonalCoefficient.indicator_degree(2, 1)
         )
-        pts = sample_ideal_space(diagonal_ctx, 3, 60)
+        pts = sample_ideal_space(diagonal_model, 3, 60)
         products = evaluate_gelfand(A * B, pts)
         factors = zip(evaluate_gelfand(A, pts), evaluate_gelfand(B, pts))
         for lhs, (a, b) in zip(products, factors, strict=True):
@@ -129,16 +131,16 @@ class TestEvaluate:
 class TestSampling:
     def test_trivial_m1(self):
         cfg = PartitionConfig(k=(2,))
-        model = AlgebraModel(cfg=cfg, symbols={1: constant_symbol(1, 2, 1.0)})
-        ctx = SpectralContext(model=model, hull_resolution=128)
-        pts = sample_ideal_space(ctx, 2, 30)
+        model = AlgebraModel(cfg=cfg, symbols={1: constant_symbol(1, 2, 1.0)},
+                             hull_resolution=128)
+        pts = sample_ideal_space(model, 2, 30)
         exact = [p for p in pts if not p.surrogate]
         assert [p.mu_kappa for p in exact] == [(0,), (1,), (2,)]
         assert all(p.zeta[0] == pytest.approx(1.0) for p in exact)
         assert any(p.surrogate for p in pts)
 
-    def test_counting(self, diagonal_ctx):
-        pts = sample_ideal_space(diagonal_ctx, 3, 40)
+    def test_counting(self, diagonal_model):
+        pts = sample_ideal_space(diagonal_model, 3, 40)
         exact = [p for p in pts if not p.surrogate]
         # one eigenvalue list per block: n_{2,d} = d+1; group 1 contributes {1}
         want = sum(kappa[1] + 1 for kappa in
@@ -146,44 +148,44 @@ class TestSampling:
         assert len(exact) == want
         assert sum(1 for p in pts if p.surrogate) == 40
 
-    def test_invariants_hold(self, diagonal_ctx):
-        pts = sample_ideal_space(diagonal_ctx, 3, 80)
-        assert validate_gelfand_points(diagonal_ctx, pts).all()
+    def test_invariants_hold(self, diagonal_model):
+        pts = sample_ideal_space(diagonal_model, 3, 80)
+        assert validate_gelfand_points(diagonal_model, pts).all()
 
-    def test_budget_validation(self, diagonal_ctx):
+    def test_budget_validation(self, diagonal_model):
         with pytest.raises(GelfandError):
-            sample_ideal_space(diagonal_ctx, 2, 0)
+            sample_ideal_space(diagonal_model, 2, 0)
 
 
 class TestAdmissibleZeta:
-    def test_finite_coordinate(self, diagonal_ctx):
-        vals = diagonal_ctx.distinct(2, 2)
+    def test_finite_coordinate(self, diagonal_model):
+        vals = diagonal_model.eigen(2, 2).distinct
         assert np.allclose(np.sort(vals.real), [1 / 4, 2 / 4, 3 / 4])
 
-    def test_trivial_group(self, diagonal_ctx):
-        vals = diagonal_ctx.distinct(1, 3)
+    def test_trivial_group(self, diagonal_model):
+        vals = diagonal_model.eigen(1, 3).distinct
         assert np.allclose(vals, 1.0)
 
-    def test_symbol_less_group_picks_one(self, diagonal_ctx):
-        assert zeta_picks(diagonal_ctx.boundary_samples(1), 8) == [1 + 0j]
+    def test_symbol_less_group_picks_one(self, diagonal_model):
+        assert zeta_picks(diagonal_model.boundary_samples(1), 8) == [1 + 0j]
 
     def test_constant_symbol_picks_its_value(self):
-        model = AlgebraModel(cfg=PartitionConfig(k=(2,)), symbols={1: constant_symbol(1, 2, 0.3j)})
-        ctx = SpectralContext(model=model, hull_resolution=64, ess_samples=256)
-        assert zeta_picks(ctx.boundary_samples(1), 8) == [0.3j]
+        model = AlgebraModel(cfg=PartitionConfig(k=(2,)), symbols={1: constant_symbol(1, 2, 0.3j)},
+                             hull_resolution=64, ess_samples=256)
+        assert zeta_picks(model.boundary_samples(1), 8) == [0.3j]
 
     @pytest.mark.parametrize("limit", [1, 2, 8, 10**6])
-    def test_picks_include_the_largest_modulus_sample(self, diagonal_ctx, limit):
-        samples = diagonal_ctx.boundary_samples(2)
+    def test_picks_include_the_largest_modulus_sample(self, diagonal_model, limit):
+        samples = diagonal_model.boundary_samples(2)
         picks = zeta_picks(samples, limit)
         assert 1 <= len(picks) <= limit and len(set(picks)) == len(picks)
         top = samples.ravel()[np.argmax(np.abs(samples.ravel()))]
         assert picks[0] == top and set(picks) <= set(samples.ravel().tolist())
 
-    def test_escaped_coordinates_are_boundary_samples(self, diagonal_ctx):
-        pts = [p for p in sample_ideal_space(diagonal_ctx, 2, 50) if p.surrogate]
+    def test_escaped_coordinates_are_boundary_samples(self, diagonal_model):
+        pts = [p for p in sample_ideal_space(diagonal_model, 2, 50) if p.surrogate]
         off = GelfandPoint((1, 0), (0,), (0, 10_000), (1 + 0j, 0.5 + 1e-9), True)
-        ok = validate_gelfand_points(diagonal_ctx, [*pts, off])
+        ok = validate_gelfand_points(diagonal_model, [*pts, off])
         assert ok.tolist() == [True] * len(pts) + [False]
 
 
@@ -233,15 +235,15 @@ class TestEscapedStrata:
 
 
 class TestConsistency:
-    def test_exact_stratum_matches_matrix(self, diagonal_ctx):
+    def test_exact_stratum_matches_matrix(self, diagonal_model):
         # psi(A) equals the joint-eigenvector eigenvalue of the assembled matrix.
-        model = diagonal_ctx.model
+        model = diagonal_model
         gamma = DiagonalCoefficient.from_callable(
             lambda kappa: (1 + kappa[0]) / (2 + kappa[1]), "g"
         )
         A = FiniteSum.term(2, gamma, (0, 2)) + 0.25 * FiniteSum.generator(2, 2)
         op = assemble_finite_sum(A, model, 3)
-        pts = [p for p in sample_ideal_space(diagonal_ctx, 3, 10) if not p.surrogate]
+        pts = [p for p in sample_ideal_space(diagonal_model, 3, 10) if not p.surrogate]
         for p, value in zip(pts, evaluate_gelfand(A, pts), strict=True):
             block2 = model.block(2, p.mu_kappa[1])
             diag = np.diag(block2)
@@ -252,18 +254,18 @@ class TestConsistency:
             want = (op[p.mu_kappa] @ g)[hits[0]]
             assert value == pytest.approx(want, abs=1e-8)
 
-    def test_norm_bound_deficit_shrinks_with_truncation(self, diagonal_ctx):
+    def test_norm_bound_deficit_shrinks_with_truncation(self, diagonal_model):
         A = _mixed_element()
-        pts = sample_ideal_space(diagonal_ctx, 8, 200)
+        pts = sample_ideal_space(diagonal_model, 8, 200)
         radius = spectral_radius_estimate(A, pts)
         deficits = []
         for D in (4, 6, 8):
-            op = assemble_finite_sum(A, diagonal_ctx.model, D)
+            op = assemble_finite_sum(A, diagonal_model, D)
             deficits.append(max(0.0, radius - opnorm(op)))
         assert deficits[0] >= deficits[1] >= deficits[2]
 
-    def test_spectral_radius_examples(self, diagonal_ctx):
-        pts = sample_ideal_space(diagonal_ctx, 4, 50)
+    def test_spectral_radius_examples(self, diagonal_model):
+        pts = sample_ideal_space(diagonal_model, 4, 50)
         zero = FiniteSum.zero(2)
         assert spectral_radius_estimate(zero, pts) == 0.0
         gamma = DiagonalCoefficient.from_callable(
@@ -273,7 +275,7 @@ class TestConsistency:
         assert spectral_radius_estimate(A, pts) == pytest.approx(1.0)
         T2 = FiniteSum.generator(2, 2)
         spec_max = max(
-            float(np.max(np.abs(diagonal_ctx.distinct(2, d)))) for d in range(5)
+            float(np.max(np.abs(diagonal_model.eigen(2, d).distinct))) for d in range(5)
         )
         assert spectral_radius_estimate(T2, pts) >= spec_max - 1e-12
 
@@ -282,7 +284,7 @@ def _mixed_element():
     gamma = DiagonalCoefficient.from_callable(
         lambda kappa: 1.0 + 0.5 / (1 + kappa[1]), "1+1/(2(1+k2))"
     )
-    return FiniteSum.term(2, gamma, (0, 1)) + 0.3 * FiniteSum.one(2)
+    return FiniteSum.term(2, gamma, (0, 1)) + 0.3 * ONE
 
 
 FINITE = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
@@ -333,19 +335,19 @@ class TestCoefficientArrays:
             got = gamma.values(np.array(kappas), memo).tolist()
             assert all(g == coefficient_at(gamma, kappa) for g, kappa in zip(got, kappas))
 
-    def test_non_finite_value_names_the_coefficient(self, diagonal_ctx):
+    def test_non_finite_value_names_the_coefficient(self, diagonal_model):
         spike = DiagonalCoefficient.from_callable(
             lambda kappa: math.inf if kappa[1] == 2 else 1.0, "spike")
-        A = FiniteSum.term(2, spike, (0, 1)) * (0.5 * FiniteSum.one(2))
+        A = FiniteSum.term(2, spike, (0, 1)) * (0.5 * ONE)
         (gamma, _), = A.terms
         kappas = np.array(enumerate_kappa(2, 3))
         with pytest.raises(GelfandError, match="spike.*non-finite at \\(0, 2\\)"):
             gamma.values(kappas)
         with pytest.raises(GelfandError, match="spike"):
-            assemble_finite_sum(A, diagonal_ctx.model, 3)
+            assemble_finite_sum(A, diagonal_model, 3)
         with pytest.raises(GelfandError, match="spike"):
             evaluate_gelfand(A, [exact_point((0, 2), (1, 1))])
         huge = DiagonalCoefficient.constant(1e200)
         overflow = FiniteSum.diagonal(2, huge) * FiniteSum.diagonal(2, huge)
         with pytest.raises(GelfandError, match="1e\\+200"):
-            assemble_finite_sum(overflow, diagonal_ctx.model, 1)
+            assemble_finite_sum(overflow, diagonal_model, 1)

@@ -236,3 +236,59 @@ def test_every_name_defined_in_src_is_used_in_src():
     }
     assert unread.keys() == TEST_READ_FIELDS.keys(), unread
     assert unread_params.keys() == UNREAD_PARAMETERS.keys(), unread_params
+
+
+# The sibling modules that cli imports inside its commands, so that a command
+# process loads only the modules it runs (LOADS above).
+LAZY_IN_CLI = {"checks", "gelfand", "radical"}
+
+
+def _sibling_imports():
+    """{module: [(sibling, inside a function)]} over src/'s modules; the
+    package's own __init__ counts as the sibling "__init__"."""
+    package = SRC / "toeplitz_spectra"
+    modules = {path.stem for path in package.glob("*.py")}
+
+    def siblings(node):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            return [a.name if a.name in modules else "__init__" for a in node.names]
+        if isinstance(node, ast.ImportFrom):
+            names = [("toeplitz_spectra." if node.level == 1 else "") + (node.module or "")]
+        else:
+            names = [a.name for a in node.names]
+        return [n.split(".")[1] for n in names if n.startswith("toeplitz_spectra.")]
+
+    graph = {}
+    for name in sorted(modules):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        nested = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn) if node is not fn}
+        graph[name] = [(target, id(node) in nested) for node in ast.walk(tree)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))
+                       for target in siblings(node)]
+    return graph
+
+
+def test_the_import_graph_of_src_has_no_cycle():
+    graph = _sibling_imports()
+    edges = {name: {target for target, _ in found} for name, found in graph.items()}
+    assert not {n for name, found in graph.items() for n, _ in found} - edges.keys()
+    # Remove modules that import nothing left until none is left; what stays is a cycle.
+    left = dict(edges)
+    while True:
+        leaves = {name for name, targets in left.items() if not targets & left.keys()}
+        if not leaves:
+            break
+        left = {name: targets for name, targets in left.items() if name not in leaves}
+    assert not left, f"import cycle among {sorted(left)}"
+
+
+def test_spectra_imports_nothing_from_assembly():
+    assert "assembly" not in {target for target, _ in _sibling_imports()["spectra"]}
+
+
+def test_only_cli_imports_a_sibling_inside_a_function():
+    lazy = {name: {target for target, inside in found if inside}
+            for name, found in _sibling_imports().items()}
+    assert {name: targets for name, targets in lazy.items() if targets} == {"cli": LAZY_IN_CLI}

@@ -18,11 +18,13 @@ import json
 import pkgutil
 import sys
 
+import numpy as np
 import pytest
 
 import toeplitz_spectra
-from pin_payloads import CONFIGS, PINS, compute_payloads, describe_difference, sha
+from pin_payloads import COMMANDS, CONFIGS, PINS, compute_payloads, describe_difference, sha
 from toeplitz_spectra import cli
+from toeplitz_spectra.gelfand import assemble_finite_sum
 from toeplitz_spectra.cli import CONFIG_SCHEMA
 
 PINNED = json.loads(PINS.read_text())
@@ -86,7 +88,6 @@ READ_ELSEWHERE = {
     "PseudoHomogeneousSymbol.label": "error messages of assembly.py and spectra.py",
     "SymbolExpression.text": "error messages of symbols._compile_modes",
     "DiagonalCoefficient.name": "DiagonalCoefficient.label, in error messages",
-    "EigenData.values": "test_spectra.py's tests of the eigen solver",
     "PlanarRegion.samples": "perfbench/tracing.py keys its raster reuse on it",
 }
 
@@ -131,16 +132,28 @@ def test_pins_cover_every_kind_in_the_schema():
         assert set(kinds) <= pinned, (path, sorted(set(kinds) - pinned))
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_payloads_match_pins(name, tmp_path):
-    with READS.recording(name):
-        got = compute_payloads(name, tmp_path)
-    moved = [
+def _moved(name: str, got: dict) -> list[str]:
+    return [
         f"{name}/{command}: {describe_difference(pin['payload'], got[command])}"
         for command, pin in sorted(PINNED[name].items())
         if sha(got[command]) != pin["sha256"]
     ]
-    assert not moved, "payloads moved:\n" + "\n".join(moved)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_payloads_match_pins(name, tmp_path):
+    with READS.recording(name):
+        got = compute_payloads(name, tmp_path)
+    assert not (moved := _moved(name, got)), "payloads moved:\n" + "\n".join(moved)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_payloads_match_pins_in_reverse_order(name, tmp_path):
+    # The one model memoizes blocks, powers, gammas, eigen data and boundary
+    # samples for every command: what one command leaves there must not move
+    # another's payload, whichever runs first.
+    got = compute_payloads(name, tmp_path, COMMANDS[::-1])
+    assert not (moved := _moved(name, got)), "payloads moved:\n" + "\n".join(moved)
 
 
 def test_every_dataclass_field_is_read_in_src(tmp_path):
@@ -157,6 +170,18 @@ def test_pinned_gelfand_radius_bounds_the_matrix_spectral_radius(name):
     # which the sampled functionals include.
     pin = PINNED[name]["gelfand"]["payload"]
     assert pin["matrix_spectral_radius"] <= pin["gelfand_radius"]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_matrix_spectral_radius_matches_dense_eigenvalues(name, tmp_path):
+    # gelfand reads the radius off the groups' eigen data; the dense route
+    # takes the eigenvalues of the assembled element's blocks.
+    config = cli.validate_config(json.loads(json.dumps(CONFIGS[name])))
+    setup = cli.build_setup(config, out=str(tmp_path))
+    got = cli.cmd_gelfand(setup)["matrix_spectral_radius"]
+    op = assemble_finite_sum(cli._product_element(setup), setup.model, config["degree_cap"])
+    want = max(float(np.max(np.abs(np.linalg.eigvals(b)))) for b in op.values())
+    assert abs(got - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("name, bound", [

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import timeit
 import tracemalloc
@@ -26,7 +27,6 @@ from toeplitz_spectra.spectra import (
     polynomial_hull_2d,
     resolution_drift_cells,
     spectrum_with_hull,
-    SpectralContext,
 )
 from toeplitz_spectra.symbols import (
     QuasiRadialSymbol,
@@ -85,22 +85,21 @@ class TestPointSpectrum:
     def test_constant_symbol(self):
         cfg = PartitionConfig(k=(2,))
         model = AlgebraModel(cfg=cfg, symbols={1: constant_symbol(1, 2, 1.0)})
-        flat = spectrum_with_hull(SpectralContext(model=model), 1, 4).point_values
+        flat = spectrum_with_hull(model, 1, 4).point_values
         assert np.allclose(flat, 1.0)
 
     def test_profile_diagonal_moments(self):
         # b(s) profiles produce the Dirichlet moments on the diagonal.
         cfg = PartitionConfig(k=(2,))
         model = AlgebraModel(cfg=cfg, symbols={1: profile_symbol(1, 2, "s1^2")})
-        ctx = SpectralContext(model=model)
-        for d, e in ((d, ctx.eigen(1, d)) for d in range(4)):
+        for d, e in ((d, model.eigen(1, d)) for d in range(4)):
             want = sorted((a1 + 1) / (d + 2) for a1 in range(d + 1))
             assert np.allclose(np.sort(e.values.real), want)
 
-    def test_quasi_homogeneous_all_zero(self, nilpotent_ctx):
+    def test_quasi_homogeneous_all_zero(self, nilpotent_model):
         assert all(
             e.n_distinct == 1 and e.distinct[0] == 0.0
-            for e in (nilpotent_ctx.eigen(2, d) for d in range(6))
+            for e in (nilpotent_model.eigen(2, d) for d in range(6))
         )
 
 
@@ -539,11 +538,11 @@ def _estimate(c, samples=4096, resolution=512) -> PlanarRegion:
     return essential_spectrum_estimate(spectra.boundary_samples(c, samples), c.dim, resolution)
 
 
-def _group_raster(ctx, j) -> PlanarRegion:
-    """The boundary raster of group j at the context's resolution, the one
+def _group_raster(model, j) -> PlanarRegion:
+    """The boundary raster of group j at the model's resolution, the one
     `spectrum_with_hull` builds."""
-    return essential_spectrum_estimate(ctx.boundary_samples(j), ctx.cfg.k[j - 1],
-                                       ctx.hull_resolution)
+    return essential_spectrum_estimate(model.boundary_samples(j), model.cfg.k[j - 1],
+                                       model.hull_resolution)
 
 
 def _probe_model(c) -> AlgebraModel:
@@ -593,48 +592,47 @@ class TestBerezin:
 class TestSpectrumHull:
     def test_trivial(self):
         cfg = PartitionConfig(k=(2,))
-        model = AlgebraModel(cfg=cfg, symbols={1: constant_symbol(1, 2, 1.0)})
-        ctx = SpectralContext(model=model, hull_resolution=256)
-        swh = spectrum_with_hull(ctx, 1, 3)
+        model = AlgebraModel(cfg=cfg, symbols={1: constant_symbol(1, 2, 1.0)},
+                             hull_resolution=256)
+        swh = spectrum_with_hull(model, 1, 3)
         assert swh.extra_cells == 0
         assert swh.sp_region.contains_point(1.0)
 
     def test_circle_symbol_fills(self):
         cfg = PartitionConfig(k=(2,))
         sym = expression_symbol(1, 2, "exp(2*pi*i*s1^2)", boundary_continuous=True)
-        model = AlgebraModel(cfg=cfg, symbols={1: sym}, block_order=32)
-        ctx = SpectralContext(model=model, hull_resolution=512)
-        swh = spectrum_with_hull(ctx, 1, 4)
+        model = AlgebraModel(cfg=cfg, symbols={1: sym}, block_order=32, hull_resolution=512)
+        swh = spectrum_with_hull(model, 1, 4)
         assert swh.extra_cells > 100
         assert swh.hull_region.contains_point(0.0)
 
-    def test_real_symbol_hull_equals_spectrum(self, diagonal_ctx):
-        swh = spectrum_with_hull(diagonal_ctx, 2, 5)
+    def test_real_symbol_hull_equals_spectrum(self, diagonal_model):
+        swh = spectrum_with_hull(diagonal_model, 2, 5)
         assert swh.extra_cells == 0
 
-    def test_hull_region_contains_the_boundary_image(self, diagonal_ctx):
-        region = spectrum_with_hull(diagonal_ctx, 2, 5).hull_region
+    def test_hull_region_contains_the_boundary_image(self, diagonal_model):
+        region = spectrum_with_hull(diagonal_model, 2, 5).hull_region
         assert isinstance(region, PlanarRegion)
         assert region.contains_point(0.5, 1)
 
 
 class TestAccumulation:
-    def test_profile_accumulates_in_segment(self, diagonal_ctx):
-        report = accumulation_check(diagonal_ctx, 2, 10)
+    def test_profile_accumulates_in_segment(self, diagonal_model):
+        report = accumulation_check(diagonal_model, 2, 10)
         assert report.candidates  # the moments cluster inside [0,1]
         assert report.ok
 
     def test_constant_symbol_trivial(self):
         cfg = PartitionConfig(k=(2,))
-        model = AlgebraModel(cfg=cfg, symbols={1: constant_symbol(1, 2, 1.0)})
-        ctx = SpectralContext(model=model, hull_resolution=256)
-        report = accumulation_check(ctx, 1, 8)
+        model = AlgebraModel(cfg=cfg, symbols={1: constant_symbol(1, 2, 1.0)},
+                             hull_resolution=256)
+        report = accumulation_check(model, 1, 8)
         assert report.ok
         for z in report.candidates:
             assert abs(z - 1.0) < 1e-9
 
-    def test_nilpotent_zero_in_essential(self, nilpotent_ctx):
-        report = accumulation_check(nilpotent_ctx, 2, 8)
+    def test_nilpotent_zero_in_essential(self, nilpotent_model):
+        report = accumulation_check(nilpotent_model, 2, 8)
         assert report.ok
         assert any(abs(z) < 1e-9 for z in report.candidates)
 
@@ -642,37 +640,36 @@ class TestAccumulation:
     def test_window_verdict_matches_the_full_raster(self, name, tmp_path):
         # Half the probes fall anywhere in and around the frame, half near
         # 0.05 from a boundary sample, where the verdict turns.
-        ctx = _setup(copy.deepcopy(CONFIGS[name]), tmp_path).ctx
+        model = _setup(copy.deepcopy(CONFIGS[name]), tmp_path).model
         rng = np.random.default_rng(5)
-        for j in range(1, ctx.cfg.m + 1):
-            ess = _group_raster(ctx, j)
+        for j in range(1, model.cfg.m + 1):
+            ess = _group_raster(model, j)
             side = ess.resolution * ess.cell
             anywhere = complex(ess.x0, ess.y0) + side * (
                 rng.uniform(-0.2, 1.2, 200) + 1j * rng.uniform(-0.2, 1.2, 200))
-            samples = rng.choice(ctx.boundary_samples(j).ravel(), 200)
+            samples = rng.choice(model.boundary_samples(j).ravel(), 200)
             near = samples + rng.uniform(0.03, 0.08, 200) * np.exp(2j * np.pi * rng.random(200))
             probes = [*anywhere, *near, 1e6 - 1e6j, complex(np.nan, 0.0)]
             slack = max(1, int(math.ceil(0.05 / ess.cell)))
             want = [z for z in probes if not ess.contains_point(z, slack)]
-            got = spectra._off_image(ctx, j, probes)
+            got = spectra._off_image(model, j, probes)
             assert len(got) == len(want) and np.array_equal(got, want, equal_nan=True), (name, j)
 
 
-def _hulls(ctx, D):
-    """{group: spectrum with hull} of every group of the context."""
-    return {j: spectrum_with_hull(ctx, j, D) for j in range(1, ctx.cfg.m + 1)}
+def _hulls(model, D):
+    """{group: spectrum with hull} of every group of the model."""
+    return {j: spectrum_with_hull(model, j, D) for j in range(1, model.cfg.m + 1)}
 
 
 class TestInverseClosed:
-    def test_real_family_true(self, diagonal_ctx):
-        assert all(swh.polynomially_convex for swh in _hulls(diagonal_ctx, 5).values())
+    def test_real_family_true(self, diagonal_model):
+        assert all(swh.polynomially_convex for swh in _hulls(diagonal_model, 5).values())
 
     def test_circle_family_false(self):
         cfg = PartitionConfig(k=(1, 2))
         sym = expression_symbol(2, 2, "exp(2*pi*i*s1^2)", boundary_continuous=True)
-        model = AlgebraModel(cfg=cfg, symbols={2: sym}, block_order=32)
-        ctx = SpectralContext(model=model, hull_resolution=512)
-        hulls = _hulls(ctx, 4)
+        model = AlgebraModel(cfg=cfg, symbols={2: sym}, block_order=32, hull_resolution=512)
+        hulls = _hulls(model, 4)
         assert not hulls[2].polynomially_convex
         assert hulls[2].extra_cells > 100
         assert hulls[1].polynomially_convex
@@ -682,9 +679,9 @@ class TestInverseClosed:
         model = AlgebraModel(
             cfg=cfg,
             symbols={1: constant_symbol(1, 1, 2.0), 2: constant_symbol(2, 1, 1j)},
+            hull_resolution=256,
         )
-        ctx = SpectralContext(model=model, hull_resolution=256)
-        assert all(swh.polynomially_convex for swh in _hulls(ctx, 4).values())
+        assert all(swh.polynomially_convex for swh in _hulls(model, 4).values())
 
 
 def _label_hull(occ):
@@ -810,11 +807,11 @@ def _setup(raw, tmp_path):
     return build_setup(validate_config(dict(raw)), out=str(tmp_path))
 
 
-def _assert_point_spectrum_in_frame(ctx, D):
-    for j in range(1, ctx.cfg.m + 1):
-        region = _group_raster(ctx, j)
+def _assert_point_spectrum_in_frame(model, D):
+    for j in range(1, model.cfg.m + 1):
+        region = _group_raster(model, j)
         side = region.resolution * region.cell
-        pts = np.concatenate([ctx.distinct(j, d) for d in range(D + 1)])
+        pts = np.concatenate([model.eigen(j, d).distinct for d in range(D + 1)])
         assert np.all((pts.real >= region.x0) & (pts.real < region.x0 + side)), j
         assert np.all((pts.imag >= region.y0) & (pts.imag < region.y0 + side)), j
 
@@ -826,7 +823,7 @@ class TestOneGrid:
     @pytest.mark.parametrize("raw", [README_CONFIG, EXPR_CONFIG], ids=["readme", "expr"])
     def test_point_spectrum_lies_in_the_boundary_frame(self, raw, tmp_path):
         setup = _setup(raw, tmp_path)
-        _assert_point_spectrum_in_frame(setup.ctx, raw["degree_cap"])
+        _assert_point_spectrum_in_frame(setup.model, raw["degree_cap"])
 
     @given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
     @settings(max_examples=15, deadline=None)
@@ -836,10 +833,9 @@ class TestOneGrid:
                 f"+ {e}*s2^2*(t1*conj(t2))^2")
         sym = expression_symbol(1, 2, text, boundary_continuous=True)
         assert sym.modes is not None
-        model = AlgebraModel(cfg=PartitionConfig(k=(2,)), symbols={1: sym})
-        _assert_point_spectrum_in_frame(
-            SpectralContext(model=model, hull_resolution=64, ess_samples=256), 6
-        )
+        model = AlgebraModel(cfg=PartitionConfig(k=(2,)), symbols={1: sym},
+                             hull_resolution=64, ess_samples=256)
+        _assert_point_spectrum_in_frame(model, 6)
 
     @pytest.mark.parametrize("raw", [README_CONFIG, EXPR_CONFIG], ids=["readme", "expr"])
     def test_boundary_image_is_rasterized_and_hulled_once(self, raw, tmp_path, monkeypatch):
@@ -857,24 +853,23 @@ class TestOneGrid:
         monkeypatch.setattr(spectra, "essential_spectrum_estimate", counted_estimate)
         monkeypatch.setattr(spectra, "polynomial_hull_2d", counted_hull)
         setup = _setup(raw, tmp_path)
-        groups = range(1, setup.cfg.m + 1)
-        group_of = {id(setup.ctx.boundary_samples(j)): j for j in groups}
+        groups = range(1, setup.model.cfg.m + 1)
+        group_of = {id(setup.model.boundary_samples(j)): j for j in groups}
         for command in ("spectrum", "hull", "gelfand", "radical"):
             COMMANDS[command](setup)
-        res = setup.ctx.hull_resolution
+        res = setup.model.hull_resolution
         assert rasters == {(j, r): 1 for j in groups for r in (res, 2 * res)}
-        assert len(hulls) == 2 * setup.cfg.m and set(hulls.values()) == {1}
+        assert len(hulls) == 2 * setup.model.cfg.m and set(hulls.values()) == {1}
 
     def test_point_spectrum_outside_a_coarse_frame_raises(self):
         # For k = 3 the default sampling has 8 levels of s1^2, so it misses
         # the peak at s1^2 = 1/2 and frames values up to about 0.006, while
         # the degree-0 block (the mean of c over the sphere) is about 0.056.
         sym = expression_symbol(1, 3, "exp(-1000*(s1^2-0.5)^2)", boundary_continuous=True)
-        model = AlgebraModel(cfg=PartitionConfig(k=(3,)), symbols={1: sym})
-        ctx = SpectralContext(model=model, hull_resolution=64)
+        model = AlgebraModel(cfg=PartitionConfig(k=(3,)), symbols={1: sym}, hull_resolution=64)
         with pytest.raises(SpectraError, match="outside the frame.*ess_samples"):
-            spectrum_with_hull(ctx, 1, 1)
+            spectrum_with_hull(model, 1, 1)
         # 9 levels per axis sample s1^2 = 1/2, and the frame holds the spectrum.
-        fine = SpectralContext(model=model, hull_resolution=64, ess_samples=9**4)
+        fine = dataclasses.replace(model, ess_samples=9**4)
         swh = spectrum_with_hull(fine, 1, 1)
         assert swh.sp_region.count() >= _group_raster(fine, 1).count()

@@ -390,8 +390,8 @@ class TestCompiledExpression:
     )
     @settings(max_examples=60, deadline=None)
     def test_table_rebuilds_the_expression(self, text, angles):
-        expr = parse_symbol_expression(text)
-        table = symbols._compile_modes(expr, 2)
+        expr, fn = symbols.bind_expression(text, 2, "st")
+        table = symbols._compile_modes(expr, 2, fn)
         assert table is not None
         s = np.abs(np.array([math.cos(angles[0]), math.sin(angles[0])]))
         t = np.exp(1j * np.array(angles[1:]))
