@@ -341,11 +341,11 @@ def _refuse_over_budget(knob: str, need: int, what: str) -> None:
 
 def _price_raster(hull: dict, dims: list[int]) -> None:
     """Refuse hull settings whose largest raster-path arrays exceed the
-    budget: the 2x drift raster, a bool cell and an int32 row difference of
-    the fill per cell, and each symbol group's boundary samples, k float
-    sphere and k complex torus coordinates and one complex value each."""
+    budget: the one boundary fill, at 2x resolution, a bool cell and an int32
+    row difference per cell, and each symbol group's boundary samples, k
+    float sphere and k complex torus coordinates and one complex value each."""
     res = hull["resolution"]
-    _refuse_over_budget(f"hull.resolution {res}", (2 * res) ** 2 * 5, "the 2x drift raster")
+    _refuse_over_budget(f"hull.resolution {res}", (2 * res) ** 2 * 5, "the 2x boundary fill")
     for k in dims:
         count = boundary_sample_count(k, hull["ess_samples"])
         _refuse_over_budget(f"hull.ess_samples {hull['ess_samples']}", count * (24 * k + 16),
@@ -665,7 +665,6 @@ def cmd_spectrum(setup: Setup) -> dict:
 
 def cmd_hull(setup: Setup) -> dict:
     D = setup.config["degree_cap"]
-    res = setup.model.hull_resolution
     payload, convex = {"groups": {}}, {}
     for j in range(1, setup.model.cfg.m + 1):
         swh = spectrum_with_hull(setup.model, j, D)
@@ -675,15 +674,12 @@ def cmd_hull(setup: Setup) -> dict:
             (setup.out_dir / file).write_text(_to_json(grid, file, sort_keys=True))
         (setup.out_dir / f"hull_{j}.svg").write_text(_region_svg(grids["hull"], swh.point_values))
         del grids
-        # Resolution-drift verification pass at twice the grid; only its
-        # hull is kept, and only until the group's entry is written.
-        fine = spectrum_with_hull(setup.model, j, D, resolution=2 * res).hull_region
-        drift_cells = resolution_drift_cells(swh.hull_region, fine)
+        drift_cells = resolution_drift_cells(swh.hull_region, swh.hull_2x)
         payload["groups"][str(j)] = {
             "sp_cells": swh.sp_region.count(),
             "hull_cells": swh.hull_region.count(),
             "hull_area": swh.hull_region.area(),
-            "hull_area_2x": fine.area(),
+            "hull_area_2x": swh.hull_2x.area(),
             "resolution_drift_cells": drift_cells,
             "resolution_drift_rel": drift_cells / max(swh.hull_region.count(), 1),
             "extra_cells": swh.extra_cells,
@@ -694,7 +690,7 @@ def cmd_hull(setup: Setup) -> dict:
             "extra_area": swh.extra_cells * swh.hull_region.cell ** 2,
             "spectrum_cells": swh.sp_region.count(),
         }
-        del fine
+        del swh
     # Inverse-closedness holds iff every generator spectrum is polynomially convex.
     payload["inverse_closed"] = all(g["polynomially_convex"] for g in convex.values())
     payload["inverse_closed_per_group"] = convex

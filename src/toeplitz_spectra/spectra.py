@@ -17,15 +17,15 @@ looked for only inside the box of occupied cells; both mark the same cells,
 bit for bit, as a row-by-row fill and a whole-grid search.
 
 The boundary image takes three steps: `boundary_samples` evaluates the
-symbol, `essential_spectrum_estimate` rasterizes the samples, and
-`spectrum_with_hull` marks the point spectrum and takes the hull.  Rasters
-are built afresh per call; the model (`assembly.AlgebraModel`) memoizes
-only the eigen data and the boundary samples, which the functions here take
-it for.  All regions of a group at one resolution share the grid
-that frames its sampled boundary image.  The point spectrum lies in the
-numerical range, inside the convex hull of the true image, so it fits in
-that frame when the sampling resolves the image; `spectrum_with_hull`
-checks that it does.
+symbol, `essential_spectrum_estimate` fills the samples' image, and
+`spectrum_with_hull` fills it once at twice the hull resolution, reads the
+raster at the resolution off that fill by 2x2 OR, marks the point spectrum
+and takes the hull on both grids.  Fills are built afresh per call; the
+model (`assembly.AlgebraModel`) memoizes only the eigen data and the
+boundary samples, which the functions here take it for.  The point
+spectrum lies in the numerical range, inside the convex hull of the true
+image, so it fits in the frame of the sampled image when the sampling
+resolves the image; `spectrum_with_hull` checks that it does.
 """
 
 from __future__ import annotations
@@ -419,7 +419,8 @@ def _fill_triangles(region: PlanarRegion, points: np.ndarray, triangles: np.ndar
     not two; vertices are clipped to the grid box.
     For each (triangle, row) pair the x-extent of the triangle inside the
     row's band comes from its vertices in the band and its edges'
-    crossings of the band's two lines.  Each crossing is computed once per
+    crossings of the band's two lines, each clamped to its edge's x-range,
+    so it is monotone along the edge.  Each crossing is computed once per
     (triangle, grid line) and serves both rows that share the line; the
     triangles are taken in order of height, so each chunk is a (line,
     triangle) array with little padding.  The row spans are summed in a
@@ -455,8 +456,14 @@ def _fill_triangles(region: PlanarRegion, points: np.ndarray, triangles: np.ndar
             dy = y[w] - y[v]
             slope = (x[w] - x[v]) / np.where(dy == 0.0, 1.0, dy)
             crosses = (np.minimum(y[v], y[w]) <= line) & (np.maximum(y[v], y[w]) >= line)
-            # an edge on a line contributes only its end points
-            xc = np.where(crosses, x[v] + (line - y[v]) * slope, np.nan)
+            # an edge on a line contributes only its end points; taken from v, a
+            # crossing of w's line can round past x[w], so it is clamped to the edge
+            xc = line - y[v]
+            xc *= slope
+            xc += x[v]
+            xc = np.where(crosses, xc, np.nan)
+            np.minimum(xc, np.maximum(x[v], x[w]), out=xc)
+            np.maximum(xc, np.minimum(x[v], x[w]), out=xc)
             lmin = xc if lmin is None else np.fmin(lmin, xc)
             lmax = xc if lmax is None else np.fmax(lmax, xc)
         # row r lies between lines r and r + 1; rows past a triangle's own are padding
@@ -475,24 +482,25 @@ def _fill_triangles(region: PlanarRegion, points: np.ndarray, triangles: np.ndar
         np.add.at(flat, row + np.clip(np.floor(xmin[own]), 0, res - 1).astype(np.intp), one)
         np.add.at(flat, row + np.clip(np.floor(xmax[own]), 0, res - 1).astype(np.intp) + 1, -one)
         lo = hi
-    region.occ[top:bottom] |= np.cumsum(diff, axis=1, out=diff)[:, :res] > 0
+    np.cumsum(diff, axis=1, out=diff)
+    np.logical_or(region.occ[top:bottom], diff[:, :res], out=region.occ[top:bottom])
 
 
 def essential_spectrum_estimate(values: np.ndarray, k: int, resolution: int) -> PlanarRegion:
-    """The boundary image rasterized from a group's sample grid, the values
-    `boundary_samples` returns for a k-variable symbol; the only constructor
-    of a boundary raster, which each call builds afresh.
+    """The boundary image filled on the grid that frames a group's sample
+    grid, the values `boundary_samples` returns for a k-variable symbol; the
+    only constructor of a boundary fill, which each call builds afresh.
 
     The image is filled, not outlined: each 2-face of the sampled
     simplex x torus parameter grid (for k = 2 each (sigma, tau) cell, tau
     wrapping around) is cut into two triangles, and every cell that the
-    image triangle of sample values meets is marked, then the grid is
-    dilated by one cell.  The declared continuity licenses filling
-    between neighbouring samples; a segment or point image (a real or
-    constant symbol) marks just the cells it touches, and a grid of one
-    sample (k = 1, or a group without a symbol), which has no faces, marks
-    the cell of that sample.  The region keeps the samples, which the
-    benchmark's tracer reads.
+    image triangle of sample values meets is marked.  The declared
+    continuity licenses filling between neighbouring samples; a segment or
+    point image (a real or constant symbol) marks just the cells it
+    touches, and a grid of one sample (k = 1, or a group without a symbol),
+    which has no faces, marks the cell of that sample.  The fill is not
+    dilated: `spectrum_with_hull` reads a coarser grid off it first.  The
+    region keeps the samples, which the benchmark's tracer reads.
     """
     flat = values.ravel()
     region = PlanarRegion.framing(flat, resolution, "boundary image")
@@ -501,7 +509,6 @@ def essential_spectrum_estimate(values: np.ndarray, k: int, resolution: int) -> 
         region.mark(flat)
     for triangles in _sample_triangles(k, values):
         region.mark(flat, triangles)
-    region.occ = _dilate_cells(region.occ)
     return region
 
 
@@ -621,10 +628,11 @@ def berezin_sequence(
 @dataclass(frozen=True, eq=False)
 class SpectrumWithHull:
     """A group's spectrum sp = points | boundary raster and its hull
-    hull = points | hulled raster, on one grid."""
+    hull = points | hulled raster on one grid, and hull_2x at twice it."""
 
     sp_region: PlanarRegion
     hull_region: PlanarRegion
+    hull_2x: PlanarRegion
     point_values: tuple[complex, ...]
     extra_cells: int  # hull minus spectrum, in grid cells
 
@@ -636,32 +644,43 @@ class SpectrumWithHull:
         return self.extra_cells <= 100
 
 
-def spectrum_with_hull(
-    model: "AlgebraModel", j: int, Dmax: int, *, resolution: int | None = None
-) -> SpectrumWithHull:
-    """sp = point spectrum union ess-sp; hull = point spectrum union hull(ess-sp).
+def spectrum_with_hull(model: "AlgebraModel", j: int, Dmax: int) -> SpectrumWithHull:
+    """sp = point spectrum union ess-sp; hull = point spectrum union hull(ess-sp),
+    at the model's resolution and at twice it.
 
-    The boundary raster of group j is built at ``resolution`` (by default
-    the model's) from the group's boundary samples; its frame pads the
-    sampled image by a tenth on every side.  An eigenvalue outside the
-    frame raises instead of being clipped.  The raster is hulled, and the
-    point spectrum is marked on the raster and on its hull.
+    Group j's boundary samples are filled once, at twice the resolution, on
+    the frame that pads the sampled image by a tenth on every side.  A fine
+    cell is exactly half a base cell and clamped crossings are monotone along
+    their edges, so the fill at the resolution is the fine fill with each
+    2x2 block of cells ORed into one.  An eigenvalue outside the frame
+    raises instead of being clipped.  Each raster, the fill dilated by one
+    cell, is hulled; the point spectrum is marked on it and on both hulls.
     """
-    ess = essential_spectrum_estimate(
-        model.boundary_samples(j), model.cfg.k[j - 1], resolution or model.hull_resolution
-    )
+    fine = essential_spectrum_estimate(model.boundary_samples(j), model.cfg.k[j - 1],
+                                       2 * model.hull_resolution)
     pts = np.concatenate([model.eigen(j, d).distinct for d in range(Dmax + 1)])
-    at = np.stack([pts.real - ess.x0, pts.imag - ess.y0]) / ess.cell
-    outside = pts[((at < 0) | (at >= ess.resolution)).any(axis=0)]
+    at = np.stack([pts.real - fine.x0, pts.imag - fine.y0]) / fine.cell
+    outside = pts[((at < 0) | (at >= fine.resolution)).any(axis=0)]
     if outside.size:
         raise SpectraError(f"group {j}: block eigenvalue {complex(outside[0]):.6g} lies outside "
                            "the frame of the sampled boundary image; raise hull.ess_samples")
+    ess = PlanarRegion(fine.x0, fine.y0, 2 * fine.cell, _coarsened(fine.occ), fine.provenance)
+    fine.occ = _dilate_cells(fine.occ)
+    hull_2x = polynomial_hull_2d(fine)
+    del fine  # before the points' fill: of the fine grid only its hull is kept
+    hull_2x.mark(pts)
+    ess.occ = _dilate_cells(ess.occ)
     hull = polynomial_hull_2d(ess)
     ess.mark(pts)
     hull.occ |= ess.occ  # the hull holds the raster, so this adds the points
-    for region in (ess, hull):
+    for region in (ess, hull, hull_2x):
         region.provenance = f"({region.provenance})|(point spectrum)"
-    return SpectrumWithHull(ess, hull, tuple(complex(v) for v in pts), hull.count() - ess.count())
+    return SpectrumWithHull(ess, hull, hull_2x, tuple(pts.tolist()), hull.count() - ess.count())
+
+
+def _coarsened(occ: np.ndarray) -> np.ndarray:
+    """occ with each 2x2 block of cells ORed into one cell."""
+    return occ[0::2, 0::2] | occ[1::2, 0::2] | occ[0::2, 1::2] | occ[1::2, 1::2]
 
 
 def resolution_drift_cells(base: PlanarRegion, fine: PlanarRegion) -> int:
@@ -678,8 +697,7 @@ def resolution_drift_cells(base: PlanarRegion, fine: PlanarRegion) -> int:
     refined = PlanarRegion(base.x0, base.y0, base.cell / 2, fine.occ, "")
     if fine.resolution != 2 * res or not refined.same_grid(fine):
         raise SpectraError("the fine region must be the base grid refined twice")
-    f = fine.occ
-    coarse = f[0::2, 0::2] | f[1::2, 0::2] | f[0::2, 1::2] | f[1::2, 1::2]
+    coarse = _coarsened(fine.occ)
     return int(
         (base.occ & ~_dilate_cells(coarse)).sum()
         + (coarse & ~_dilate_cells(base.occ)).sum()
@@ -723,9 +741,9 @@ def accumulation_check(model: "AlgebraModel", j: int, Dmax: int) -> Accumulation
 
 def _off_image(model: "AlgebraModel", j: int, points) -> tuple[complex, ...]:
     """The points that the boundary raster of group j at the model's
-    resolution (`essential_spectrum_estimate`) refuses with a slack of 0.05
-    in `contains_point`, reading only the cells within that reach of each
-    point.
+    resolution (the fill of `essential_spectrum_estimate` dilated by one
+    cell) refuses with a slack of 0.05 in `contains_point`, reading only the
+    cells within that reach of each point.
 
     The samples' cells come first: each sample is a vertex of the fill, so a
     hit is final.  For a miss, the face triangles whose cell box (a cell

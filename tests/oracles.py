@@ -289,8 +289,9 @@ def coefficient_at(gamma, kappa: tuple) -> complex:
 def fill_triangles_rowwise(region, points: np.ndarray, triangles: np.ndarray) -> None:
     """`spectra._fill_triangles` one (triangle, row) pair at a time: every row
     tests its vertices against its band and computes its edges' crossings of
-    both band lines, with the same candidates and the same arithmetic per
-    candidate, so the cells it marks must match the package's bit for bit.
+    both band lines, each clamped to its edge's x-range, with the same
+    candidates and the same arithmetic per candidate, so the cells it marks
+    must match the package's bit for bit.
     Triangles go in blocks of 128 to bound the pair arrays."""
     res = region.resolution
     px = np.clip((points.real - region.x0) / region.cell, 0.0, res)
@@ -321,7 +322,8 @@ def fill_triangles_rowwise(region, points: np.ndarray, triangles: np.ndarray) ->
             y_low, y_high = np.minimum(y, y_end), np.maximum(y, y_end)
             for line in (lo, hi):
                 crosses = (y_low <= line) & (y_high >= line)
-                xc = x + (line - y) * slope
+                xc = np.maximum(np.minimum(x + (line - y) * slope, np.maximum(x, x_end)),
+                                np.minimum(x, x_end))
                 xmin = np.minimum(xmin, np.where(crosses, xc, np.inf))
                 xmax = np.maximum(xmax, np.where(crosses, xc, -np.inf))
         c0 = np.clip(np.floor(xmin), 0, res - 1).astype(np.intp)

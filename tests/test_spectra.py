@@ -8,12 +8,13 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy import ndimage
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import char_poly_coeffs, fill_triangles_rowwise
 from pin_payloads import CONFIGS
 from toeplitz_spectra.assembly import AlgebraModel, assemble_block
+from toeplitz_spectra import cli
 from toeplitz_spectra.cli import COMMANDS, build_setup, validate_config
 from toeplitz_spectra.errors import SpectraError
 from toeplitz_spectra.lattice import PartitionConfig
@@ -366,6 +367,11 @@ def _edge_case_triangles(rng, res, n):
     return np.array(tris)
 
 
+# A vertex coordinate on a 2r x 2r grid: a float, in grid sides, anywhere
+# in and around the grid, or an integer, taken modulo 2r + 1, naming a grid line.
+_FINE_VERTEX = st.tuples(*[st.one_of(st.floats(-0.5, 1.5), st.integers(0, 600))] * 2)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRasterizer:
     def test_fill_matches_separating_axis_oracle(self):
@@ -430,6 +436,15 @@ class TestRasterizer:
         assert region.occ[3].tolist() == [True] * 4 + [False] * 4
         assert not region.occ[:3].any()
 
+    def test_crossing_rounded_at_a_vertex_stays_on_its_edge(self):
+        # Every vertex lies left of x = 214.  Taken from (0, 75), the edge to
+        # the top vertex meets its line y = 215 at x = 140 * (x3 / 140), which
+        # rounds to 214.0: unclamped, it marked column 214 in rows 214 and 215.
+        region = _grid(384, side=384.0)
+        x3 = np.nextafter(214.0, 0.0)
+        _fill(region, [[0j, 75j, complex(x3, 215.0)]])
+        assert region.occ[:, 213].any() and not region.occ[:, 214:].any()
+
     @pytest.mark.parametrize("res, sets", [(16, 300), (512, 12)])
     def test_fill_matches_rowwise_reference(self, res, sets):
         rng = np.random.default_rng(res)
@@ -439,6 +454,43 @@ class TestRasterizer:
             _fill(got, tri)
             _fill(want, tri, fill_triangles_rowwise)
             assert np.array_equal(got.occ, want.occ)
+
+    @given(
+        res=st.integers(3, 300),
+        frame=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+                        st.floats(1e-3, 10.0), st.floats(1e-3, 10.0)),
+        triangles=st.lists(st.one_of(
+            st.tuples(_FINE_VERTEX, _FINE_VERTEX, _FINE_VERTEX),
+            st.tuples(_FINE_VERTEX, _FINE_VERTEX).map(lambda ab: (ab[0], ab[1], ab[1])),
+            _FINE_VERTEX.map(lambda a: (a, a, a)),
+        ), min_size=1, max_size=30),
+    )
+    # a vertex on an odd fine line, where the fine fill has a crossing the
+    # base one does not; without the clamp its rounding marked one more cell
+    @example(res=192, frame=(0.0, 0.0, 0.001, 0.001),
+             triangles=[((0.0, 0.0), (0.0, 75), (599, 600))])
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_fill_is_the_2x2_or_of_the_fill_at_twice_the_resolution(self, res, frame, triangles):
+        # On one frame a fine cell is exactly half a base cell, so a fine
+        # vertex is exactly twice its base value and floor(2x) // 2 = floor(x).
+        # Vertices lie anywhere, on fine grid lines, and outside the frame,
+        # where they clip to its edge.
+        x, y, w, h = frame
+        box = [complex(x, y), complex(x + w, y + h)]
+        base = PlanarRegion.framing(box, res, "")
+        fine = PlanarRegion.framing(box, 2 * res, "")
+        assert fine.x0 == base.x0 and fine.y0 == base.y0 and 2 * fine.cell == base.cell
+
+        def place(v):  # in fine grid units
+            return 2 * res * v if isinstance(v, float) else float(v % (2 * res + 1))
+
+        units = np.array([[place(a) + 1j * place(b) for a, b in tri] for tri in triangles])
+        tri = complex(fine.x0, fine.y0) + fine.cell * units
+        _fill(base, tri)
+        _fill(fine, tri)
+        f = fine.occ
+        coarse = f[0::2, 0::2] | f[1::2, 0::2] | f[0::2, 1::2] | f[1::2, 1::2]
+        assert np.array_equal(base.occ, coarse)
 
     @pytest.mark.parametrize("samples", [16, 4096, 10**5])
     def test_boundary_sample_count_is_the_sampled_size(self, samples):
@@ -533,16 +585,24 @@ class TestEssentialSpectrum:
             spectra.boundary_samples(sym, 64)
 
 
+def _raster(values, k, resolution) -> PlanarRegion:
+    """The boundary raster that `spectrum_with_hull` hulls: the boundary
+    fill of a group's samples, dilated by one cell."""
+    region = essential_spectrum_estimate(values, k, resolution)
+    region.occ = spectra._dilate_cells(region.occ)
+    return region
+
+
 def _estimate(c, samples=4096, resolution=512) -> PlanarRegion:
     """The boundary raster of a symbol from its boundary samples."""
-    return essential_spectrum_estimate(spectra.boundary_samples(c, samples), c.dim, resolution)
+    return _raster(spectra.boundary_samples(c, samples), c.dim, resolution)
 
 
-def _group_raster(model, j) -> PlanarRegion:
-    """The boundary raster of group j at the model's resolution, the one
-    `spectrum_with_hull` builds."""
-    return essential_spectrum_estimate(model.boundary_samples(j), model.cfg.k[j - 1],
-                                       model.hull_resolution)
+def _group_raster(model, j, resolution=None) -> PlanarRegion:
+    """The boundary raster of group j filled directly at a resolution, by
+    default the model's."""
+    return _raster(model.boundary_samples(j), model.cfg.k[j - 1],
+                   resolution or model.hull_resolution)
 
 
 def _probe_model(c) -> AlgebraModel:
@@ -857,9 +917,28 @@ class TestOneGrid:
         group_of = {id(setup.model.boundary_samples(j)): j for j in groups}
         for command in ("spectrum", "hull", "gelfand", "radical"):
             COMMANDS[command](setup)
+        # one fill per group, at twice the resolution, and a hull per grid
         res = setup.model.hull_resolution
-        assert rasters == {(j, r): 1 for j in groups for r in (res, 2 * res)}
+        assert rasters == {(j, 2 * res): 1 for j in groups}
         assert len(hulls) == 2 * setup.model.cfg.m and set(hulls.values()) == {1}
+
+    @pytest.mark.parametrize("raw", [README_CONFIG, EXPR_CONFIG], ids=["readme", "expr"])
+    def test_both_grids_match_their_direct_fills(self, raw, tmp_path):
+        # The base raster is read off the fine fill; it and both hulls are
+        # those of the boundary image filled directly on each grid, on the
+        # same frame to the bit (areas in the payload read the cell).
+        model = _setup(raw, tmp_path).model
+        fine = 2 * model.hull_resolution
+        for j in range(1, model.cfg.m + 1):
+            swh = spectrum_with_hull(model, j, raw["degree_cap"])
+            for region, want in [
+                (swh.sp_region, _group_raster(model, j)),
+                (swh.hull_region, polynomial_hull_2d(_group_raster(model, j))),
+                (swh.hull_2x, polynomial_hull_2d(_group_raster(model, j, fine))),
+            ]:
+                want.mark(swh.point_values)
+                assert (region.x0, region.y0, region.cell) == (want.x0, want.y0, want.cell), j
+                assert np.array_equal(region.occ, want.occ), j
 
     def test_point_spectrum_outside_a_coarse_frame_raises(self):
         # For k = 3 the default sampling has 8 levels of s1^2, so it misses
@@ -873,3 +952,28 @@ class TestOneGrid:
         fine = dataclasses.replace(model, ess_samples=9**4)
         swh = spectrum_with_hull(fine, 1, 1)
         assert swh.sp_region.count() >= _group_raster(fine, 1).count()
+
+    def test_raster_work_stays_within_its_price(self, tmp_path, monkeypatch):
+        # The README example at hull.resolution 2048, with the model's samples
+        # and eigen data already held.  The fill at 2 x 2048 holds its bool
+        # grid and an int32 row difference over the rows of the image, about
+        # 4.6 bytes a fine cell, and no grid-sized temporary beside them.
+        # Its arrays per face triangle (about 4 MiB at the default
+        # ess_samples) are not priced per cell, so the grid is large enough
+        # for the cells to dominate: at 1024 the peak is 22.4 MiB.
+        setup = _setup({**README_CONFIG, "hull": {"resolution": 2048}}, tmp_path)
+        priced = {}
+        monkeypatch.setattr(cli, "_refuse_over_budget",
+                            lambda knob, need, what: priced.setdefault(knob, need))
+        cli._price_raster(setup.config["hull"], [2])
+        model, D = setup.model, README_CONFIG["degree_cap"]
+        model.boundary_samples(2)
+        for d in range(D + 1):
+            model.eigen(2, d)
+        tracemalloc.start()
+        try:
+            spectrum_with_hull(model, 2, D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= priced["hull.resolution 2048"]
