@@ -27,8 +27,8 @@ from .gelfand import (
 from .lattice import GlobalBasis, PartitionConfig, enumerate_kappa
 from .quad import (SimplexRule, dirichlet_integral, dirichlet_moment, dirichlet_probability_rule,
                    gamma_quasi_radial)
+from .planar import PlanarRegion, polynomial_hull_2d
 from .radical import SUPPORT_TOL, decompose_by_division, escaped_gamma, radical_generator
-from .spectra import PlanarRegion, polynomial_hull_2d
 from .symbols import QuasiRadialSymbol, constant_symbol
 
 

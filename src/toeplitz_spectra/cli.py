@@ -25,8 +25,6 @@ if __name__ == "__main__":
     gc.disable()
 
 import argparse
-import csv
-import hashlib
 import json
 import math
 import sys
@@ -36,6 +34,16 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
+# The interpreter's own sha256, as hashlib's maps OpenSSL's libcrypto (which
+# radical and verify map anyway: numpy.random imports secrets, hmac, hashlib).
+try:
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 import numpy as np
 
 from . import __version__
@@ -43,14 +51,7 @@ from .assembly import AlgebraModel, frobenius
 from .errors import ConfigError, SymbolError, ToeplitzError
 from .lattice import PartitionConfig, enumerate_kappa
 from .quad import axis_points
-from .spectra import (
-    PlanarRegion,
-    accumulation_check,
-    berezin_sequence,
-    boundary_sample_count,
-    resolution_drift_cells,
-    spectrum_with_hull,
-)
+from .spectra import berezin_sequence, boundary_sample_count
 from .symbols import (
     PseudoHomogeneousSymbol,
     QuasiRadialSymbol,
@@ -343,13 +344,16 @@ def _price_raster(hull: dict, dims: list[int]) -> None:
     """Refuse hull settings whose largest raster-path arrays exceed the
     budget: the one boundary fill, at 2x resolution, a bool cell and an int32
     row difference per cell, and each symbol group's boundary samples, k
-    float sphere and k complex torus coordinates and one complex value each."""
+    float sphere and k complex torus coordinates and one complex value each,
+    with the face triangles of one pair of parameter axes, two a sample at
+    128 bytes each (index triples, neighbour arrays, heights and order)."""
     res = hull["resolution"]
     _refuse_over_budget(f"hull.resolution {res}", (2 * res) ** 2 * 5, "the 2x boundary fill")
     for k in dims:
         count = boundary_sample_count(k, hull["ess_samples"])
-        _refuse_over_budget(f"hull.ess_samples {hull['ess_samples']}", count * (24 * k + 16),
-                            f"{count} boundary samples of a k={k} group")
+        _refuse_over_budget(f"hull.ess_samples {hull['ess_samples']}",
+                            count * (24 * k + 16 + 2 * 128),
+                            f"{count} boundary samples of a k={k} group and their face triangles")
 
 
 def _price_blocks(cfg: dict, k: tuple) -> None:
@@ -550,7 +554,7 @@ def write_report(setup: Setup, command: str, payload: dict, started: float) -> P
         "command": command,
         "config": setup.config,
         "payload": payload,
-        "payload_sha256": hashlib.sha256(canonical_payload_bytes(payload)).hexdigest(),
+        "payload_sha256": sha256(canonical_payload_bytes(payload)).hexdigest(),
         "tool_version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
         "warnings": list(setup.warnings),
@@ -561,6 +565,8 @@ def write_report(setup: Setup, command: str, payload: dict, started: float) -> P
 
 
 def _write_spectra_csv(path: Path, rows):
+    import csv
+
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re", "im", "j", "d", "multiplicity"])
@@ -568,7 +574,7 @@ def _write_spectra_csv(path: Path, rows):
             writer.writerow(row)
 
 
-def _region_json(region: PlanarRegion) -> dict:
+def _region_json(region) -> dict:
     return {
         "x0": region.x0,
         "y0": region.y0,
@@ -635,6 +641,8 @@ def cmd_assemble(setup: Setup) -> dict:
 
 
 def cmd_spectrum(setup: Setup) -> dict:
+    from .planar import accumulation_check
+
     D = setup.config["degree_cap"]
     per_group = {}
     csv_rows = []
@@ -664,6 +672,8 @@ def cmd_spectrum(setup: Setup) -> dict:
 
 
 def cmd_hull(setup: Setup) -> dict:
+    from .planar import resolution_drift_cells, spectrum_with_hull
+
     D = setup.config["degree_cap"]
     payload, convex = {"groups": {}}, {}
     for j in range(1, setup.model.cfg.m + 1):
@@ -698,6 +708,8 @@ def cmd_hull(setup: Setup) -> dict:
 
 
 def cmd_berezin(setup: Setup) -> dict:
+    import csv
+
     spec = setup.config.get("berezin")
     if not spec:
         raise ConfigError("berezin command needs a 'berezin' config section")

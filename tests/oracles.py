@@ -287,7 +287,7 @@ def coefficient_at(gamma, kappa: tuple) -> complex:
 
 
 def fill_triangles_rowwise(region, points: np.ndarray, triangles: np.ndarray) -> None:
-    """`spectra._fill_triangles` one (triangle, row) pair at a time: every row
+    """`planar._fill_triangles` one (triangle, row) pair at a time: every row
     tests its vertices against its band and computes its edges' crossings of
     both band lines, each clamped to its edge's x-range, with the same
     candidates and the same arithmetic per candidate, so the cells it marks

@@ -33,7 +33,8 @@ from toeplitz_spectra.radical import (
     power_norm_sequence,
     radical_generator,
 )
-from toeplitz_spectra.spectra import berezin_sequence, spectrum_with_hull
+from toeplitz_spectra.planar import spectrum_with_hull
+from toeplitz_spectra.spectra import berezin_sequence
 from toeplitz_spectra.symbols import (
     QuasiRadialSymbol,
     builtin_quasi_homogeneous,

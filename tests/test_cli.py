@@ -421,6 +421,8 @@ def test_unexpected_error_is_json_exit_2(tmp_path, monkeypatch, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"]["type"] == "MemoryError"
     assert err["error"]["message"] == "cannot allocate"
+    # cli imports traceback up front: with memory exhausted, no import runs
+    assert err["error"]["traceback"].rstrip().endswith("MemoryError: cannot allocate")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

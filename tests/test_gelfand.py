@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import coefficient_at, opnorm
 from pin_payloads import CONFIGS
-from toeplitz_spectra import cli, spectra
+from toeplitz_spectra import cli, planar
 from toeplitz_spectra.assembly import AlgebraModel
 from toeplitz_spectra.errors import GelfandError
 from toeplitz_spectra.gelfand import (
@@ -223,13 +223,13 @@ class TestEscapedStrata:
                                          "semisimple", "spectrum", "verify"])
     def test_commands_fill_no_boundary_raster(self, tmp_path, monkeypatch, command):
         fills = []
-        fill = spectra.essential_spectrum_estimate
+        fill = planar.essential_spectrum_estimate
 
-        def counted(values, k, resolution):
-            fills.append((k, resolution))
-            return fill(values, k, resolution)
+        def counted(region, values, k):
+            fills.append((k, region.resolution))
+            return fill(region, values, k)
 
-        monkeypatch.setattr(spectra, "essential_spectrum_estimate", counted)
+        monkeypatch.setattr(planar, "essential_spectrum_estimate", counted)
         _run(tmp_path, command, "readme-d6")
         assert fills == []
 

@@ -1,9 +1,13 @@
 """Import hygiene: numpy is the only runtime dependency.  Importing the CLI,
 and running all eight commands, `verify` included, on the README example
 and on an expression config, loads no scipy, no jsonschema and no numpy.ma
-module, in a fresh interpreter.  A command process loads only the package modules its
-command runs, and freezes what it loaded; an in-process call leaves the
-collector alone.  And every name that src/ defines is used in src/."""
+module, in a fresh interpreter.  A command process loads only the package
+modules its command runs (the raster code of `planar` only in `spectrum`,
+`hull` and `verify`), maps OpenSSL's libcrypto (`_hashlib`) only where
+numpy.random needs it, loads `csv` only where it writes a CSV file, and
+freezes what it loaded; an in-process call leaves the collector alone.  As
+a command process, every command writes its pinned payload.  And every name
+that src/ defines is used in src/."""
 
 import ast
 import contextlib
@@ -96,13 +100,18 @@ def test_commands_load_no_scipy_or_jsonschema(tmp_path, config):
 
 # The package modules that only some commands load, per command; "setup" is
 # load_config and build_setup with no command.
-LAZY = ("gelfand", "radical", "checks")
+LAZY = ("gelfand", "radical", "checks", "planar")
 LOADS = {
-    "setup": [], "spectrum": [], "hull": [], "berezin": [],
+    "setup": [], "spectrum": ["planar"], "hull": ["planar"], "berezin": [],
     "assemble": ["gelfand"], "gelfand": ["gelfand"],
     "semisimple": ["gelfand", "radical"], "radical": ["gelfand", "radical"],
-    "verify": ["checks", "gelfand", "radical"],
+    "verify": ["checks", "gelfand", "planar", "radical"],
 }
+# The payload digest takes the interpreter's own sha256, so only the commands
+# that draw from numpy.random (which imports secrets, hmac and so hashlib)
+# map OpenSSL's libcrypto; and only the CSV writers load csv.
+OPENSSL = {"radical", "verify"}
+CSV = {"spectrum", "berezin"}
 
 # Runs cli as `python -m toeplitz_spectra.cli` does: as __main__.
 AS_MAIN = (
@@ -121,7 +130,8 @@ SETUP_ONLY = (
 )
 LOADED = (
     "loaded = sorted(m.split('.')[1] for m in sys.modules if m.startswith('toeplitz_spectra.'))\n"
-    "print(json.dumps({'code': code, 'loaded': loaded,\n"
+    "stdlib = [m for m in ('_hashlib', 'csv') if m in sys.modules]\n"
+    "print(json.dumps({'code': code, 'loaded': loaded, 'stdlib': stdlib,\n"
     "                  'gc': [gc.isenabled(), gc.get_freeze_count() > 0]}))\n"
 )
 
@@ -134,6 +144,7 @@ def test_a_command_process_loads_only_the_modules_it_runs(tmp_path, command):
     result = _run(code, tmp_path, *argv)
     assert result["code"] == 0
     assert [m for m in result["loaded"] if m in LAZY] == LOADS[command]
+    assert result["stdlib"] == ["_hashlib"] * (command in OPENSSL) + ["csv"] * (command in CSV)
     # A library import leaves gc alone; a command process runs its command
     # with the collector on and the loaded modules frozen.
     assert result["gc"] == [True, command != "setup"]
@@ -154,10 +165,12 @@ def test_in_process_main_leaves_the_collector_as_it_found_it(tmp_path, enabled):
         (gc.enable if was else gc.disable)()
 
 
-@pytest.mark.parametrize("command", ["berezin", "hull"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_command_process_writes_the_pinned_payload(tmp_path, command):
     # python -m runs cli as __main__: the collector is off while the modules
-    # load, then they are frozen and the collector is on for the command.
+    # load, then they are frozen and the collector is on for the command,
+    # which may load more (planar, gelfand, ...); the digest is the
+    # interpreter's own sha256.
     path = _write_config(tmp_path, CONFIGS["readme-d6"])
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
@@ -240,7 +253,7 @@ def test_every_name_defined_in_src_is_used_in_src():
 
 # The sibling modules that cli imports inside its commands, so that a command
 # process loads only the modules it runs (LOADS above).
-LAZY_IN_CLI = {"checks", "gelfand", "radical"}
+LAZY_IN_CLI = {"checks", "gelfand", "planar", "radical"}
 
 
 def _sibling_imports():

@@ -18,16 +18,18 @@ from toeplitz_spectra import cli
 from toeplitz_spectra.cli import COMMANDS, build_setup, validate_config
 from toeplitz_spectra.errors import SpectraError
 from toeplitz_spectra.lattice import PartitionConfig
-from toeplitz_spectra import spectra
-from toeplitz_spectra.spectra import (
+from toeplitz_spectra import planar, spectra
+from toeplitz_spectra.planar import (
     PlanarRegion,
     accumulation_check,
-    berezin_sequence,
-    block_eigenvalues,
-    essential_spectrum_estimate,
     polynomial_hull_2d,
     resolution_drift_cells,
     spectrum_with_hull,
+)
+from toeplitz_spectra.spectra import (
+    berezin_sequence,
+    block_eigenvalues,
+    essential_spectrum_estimate,
 )
 from toeplitz_spectra.symbols import (
     QuasiRadialSymbol,
@@ -226,13 +228,13 @@ class TestPlanarRegion:
         region = _points(rng.standard_normal(30) + 1j * rng.standard_normal(30), 128)
         fresh = ndimage.binary_dilation(region.occ, iterations=2)
         calls = []
-        dilate = spectra._dilate_cells
+        dilate = planar._dilate_cells
 
         def counting(occ, steps):
             calls.append(steps)
             return dilate(occ, steps)
 
-        monkeypatch.setattr(spectra, "_dilate_cells", counting)
+        monkeypatch.setattr(planar, "_dilate_cells", counting)
         zs = rng.uniform(-3, 3, 300) + 1j * rng.uniform(-3, 3, 300)
         got = [region.contains_point(z, slack_cells=2) for z in zs]
         assert calls == []
@@ -328,7 +330,7 @@ def _separating_axis_oracle(region, tri):
     return occ
 
 
-def _fill(region, tri, fill=spectra._fill_triangles):
+def _fill(region, tri, fill=planar._fill_triangles):
     tri = np.asarray(tri, dtype=complex)
     fill(region, tri.ravel(), np.arange(tri.size).reshape(-1, 3))
 
@@ -509,7 +511,7 @@ class TestRasterizer:
         flat = spectra.boundary_samples(c, 4096).ravel()
         got, want = (PlanarRegion.framing(flat, res, "boundary image") for _ in range(2))
         for triangles in spectra._face_triangles(dim, *spectra._boundary_grid_counts(dim, 4096)):
-            spectra._fill_triangles(got, flat, triangles)
+            planar._fill_triangles(got, flat, triangles)
             fill_triangles_rowwise(want, flat, triangles)
         assert got.count() > res
         assert np.array_equal(got.occ, want.occ)
@@ -588,8 +590,9 @@ class TestEssentialSpectrum:
 def _raster(values, k, resolution) -> PlanarRegion:
     """The boundary raster that `spectrum_with_hull` hulls: the boundary
     fill of a group's samples, dilated by one cell."""
-    region = essential_spectrum_estimate(values, k, resolution)
-    region.occ = spectra._dilate_cells(region.occ)
+    region = PlanarRegion.framing(values, resolution, "boundary image")
+    essential_spectrum_estimate(region, values, k)
+    region.occ = planar._dilate_cells(region.occ)
     return region
 
 
@@ -712,7 +715,7 @@ class TestAccumulation:
             probes = [*anywhere, *near, 1e6 - 1e6j, complex(np.nan, 0.0)]
             slack = max(1, int(math.ceil(0.05 / ess.cell)))
             want = [z for z in probes if not ess.contains_point(z, slack)]
-            got = spectra._off_image(model, j, probes)
+            got = planar._off_image(model, j, probes)
             assert len(got) == len(want) and np.array_equal(got, want, equal_nan=True), (name, j)
 
 
@@ -782,10 +785,10 @@ class TestMorphology:
             for density in (0.0, 0.02, 0.3):
                 occ = rng.random((rows, cols)) < density
                 want = ndimage.binary_dilation(occ)
-                assert np.array_equal(spectra._dilate_cells(occ), want), (rows, cols, density)
+                assert np.array_equal(planar._dilate_cells(occ), want), (rows, cols, density)
         occ = np.zeros((512, 512), dtype=bool)
         occ[300, 17] = True
-        assert np.array_equal(spectra._dilate_cells(occ), ndimage.binary_dilation(occ))
+        assert np.array_equal(planar._dilate_cells(occ), ndimage.binary_dilation(occ))
 
     def test_hull_matches_label_on_random_grids(self):
         rng = np.random.default_rng(6)
@@ -824,7 +827,7 @@ class TestMorphology:
         occ = (r >= 460) & (r < 462)
         tracemalloc.start()
         try:
-            holes = spectra._bounded_holes(occ)
+            holes = planar._bounded_holes(occ)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -900,18 +903,18 @@ class TestOneGrid:
     @pytest.mark.parametrize("raw", [README_CONFIG, EXPR_CONFIG], ids=["readme", "expr"])
     def test_boundary_image_is_rasterized_and_hulled_once(self, raw, tmp_path, monkeypatch):
         rasters, hulls = Counter(), Counter()
-        estimate, hull = spectra.essential_spectrum_estimate, spectra.polynomial_hull_2d
+        estimate, hull = planar.essential_spectrum_estimate, planar.polynomial_hull_2d
 
-        def counted_estimate(values, k, resolution):
-            rasters[(group_of[id(values)], resolution)] += 1
-            return estimate(values, k, resolution)
+        def counted_estimate(region, values, k):
+            rasters[(group_of[id(values)], region.resolution)] += 1
+            return estimate(region, values, k)
 
         def counted_hull(region):
             hulls[(region.x0, region.y0, region.resolution)] += 1
             return hull(region)
 
-        monkeypatch.setattr(spectra, "essential_spectrum_estimate", counted_estimate)
-        monkeypatch.setattr(spectra, "polynomial_hull_2d", counted_hull)
+        monkeypatch.setattr(planar, "essential_spectrum_estimate", counted_estimate)
+        monkeypatch.setattr(planar, "polynomial_hull_2d", counted_hull)
         setup = _setup(raw, tmp_path)
         groups = range(1, setup.model.cfg.m + 1)
         group_of = {id(setup.model.boundary_samples(j)): j for j in groups}
@@ -954,26 +957,27 @@ class TestOneGrid:
         assert swh.sp_region.count() >= _group_raster(fine, 1).count()
 
     def test_raster_work_stays_within_its_price(self, tmp_path, monkeypatch):
-        # The README example at hull.resolution 2048, with the model's samples
-        # and eigen data already held.  The fill at 2 x 2048 holds its bool
-        # grid and an int32 row difference over the rows of the image, about
-        # 4.6 bytes a fine cell, and no grid-sized temporary beside them.
-        # Its arrays per face triangle (about 4 MiB at the default
-        # ess_samples) are not priced per cell, so the grid is large enough
-        # for the cells to dominate: at 1024 the peak is 22.4 MiB.
-        setup = _setup({**README_CONFIG, "hull": {"resolution": 2048}}, tmp_path)
-        priced = {}
-        monkeypatch.setattr(cli, "_refuse_over_budget",
-                            lambda knob, need, what: priced.setdefault(knob, need))
-        cli._price_raster(setup.config["hull"], [2])
-        model, D = setup.model, README_CONFIG["degree_cap"]
-        model.boundary_samples(2)
-        for d in range(D + 1):
-            model.eigen(2, d)
-        tracemalloc.start()
-        try:
-            spectrum_with_hull(model, 2, D)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= priced["hull.resolution 2048"]
+        # The README example at hull.resolution 1024 and 2048, with the
+        # model's samples and eigen data already held.  The fill at 2 x res
+        # holds its bool grid and an int32 row difference over the rows of
+        # the image, about 4.6 bytes a fine cell, and no grid-sized temporary
+        # beside them; its arrays per face triangle, about 4 MiB at the
+        # default ess_samples, are priced with the samples (at 1024 the peak
+        # is 22.3 MiB, over the 20 MiB of the cells alone).
+        for res in (1024, 2048):
+            setup = _setup({**README_CONFIG, "hull": {"resolution": res}}, tmp_path)
+            priced = {}
+            monkeypatch.setattr(cli, "_refuse_over_budget",
+                                lambda knob, need, what: priced.setdefault(knob, need))
+            cli._price_raster(setup.config["hull"], [2])
+            model, D = setup.model, README_CONFIG["degree_cap"]
+            model.boundary_samples(2)
+            for d in range(D + 1):
+                model.eigen(2, d)
+            tracemalloc.start()
+            try:
+                spectrum_with_hull(model, 2, D)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= sum(priced.values()), (res, peak, priced)
